@@ -11,10 +11,9 @@ on standard error, and the exit code classifies them:
     2  numerical failure (domain violations, singular determinants, blow-ups)
     3  an identity or verification check failed beyond its tolerance
 
-Independent table rows are computed concurrently under --jobs; rows are
-assembled in flag order regardless of scheduling, so output is byte-for-byte
-deterministic for a fixed command line.  Nothing here reads environment
-variables, and no file other than --out is ever written.
+Rows are computed one after another in flag order, so output is
+byte-for-byte deterministic for a fixed command line.  Nothing here reads
+environment variables, and no file other than --out is ever written.
 """
 from __future__ import annotations
 
@@ -22,10 +21,10 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from mpmath import mp
 
@@ -46,6 +45,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-8:6:57" as an unknown option; any "-<digit>" or
+        # "-.<digit>" token is a value here (no option looks like that)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits 2 on usage errors; the contract here reserves 2 for
     # numerical failures, so route usage problems through UsageError instead
     def error(self, message):
@@ -85,14 +90,6 @@ def parse_int_list(text: str) -> list[int]:
     if not values:
         raise UsageError("expected at least one integer")
     return values
-
-
-def _map_rows(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Evaluate one row per item, concurrently for jobs > 1, in input order."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _cnum(z: complex) -> dict:
@@ -216,12 +213,11 @@ def cmd_exact(args) -> int:
     _require(args, "n", "a")
     ctx = exactfiniten.ExactContext(N=args.n, m=_resolve_m(args), a=args.a,
                                     precision_bits=args.bits)
-    with mp.workprec(args.bits):
-        log_z = exactfiniten.exact_logZ(ctx)
-        a11 = exactfiniten.exact_A11(ctx)
-        row = {"N": ctx.N, "m": ctx.m, "a": ctx.a,
-               "log_z": float(log_z), "log_z_str": mp.nstr(log_z, 30),
-               "a11": float(a11), "a11_str": mp.nstr(a11, 30)}
+    table = exactfiniten.moment_table(ctx)
+    log_z, a11 = table.log_z, table.op[-2]
+    row = {"N": ctx.N, "m": ctx.m, "a": ctx.a,
+           "log_z": float(log_z), "log_z_str": mp.nstr(log_z, 30),
+           "a11": float(a11), "a11_str": mp.nstr(a11, 30)}
     emit(_table("exact", {"n": ctx.N, "m": ctx.m, "a": ctx.a,
                           "bits": args.bits}, [row]), args)
     return EXIT_OK
@@ -249,10 +245,8 @@ def cmd_tw(args) -> int:
         raise UsageError("need --t or --grid")
     ts = parse_grid(args.grid) if args.grid else [args.t]
     sol = painleve.hastings_mcleod(tol=args.tol)
-    rows = _map_rows(
-        lambda t: {"t": t, "cdf": painleve.tw_cdf(sol, t),
-                   "survival": painleve.tw_survival(sol, t)},
-        ts, args.jobs)
+    rows = [{"t": t, "cdf": painleve.tw_cdf(sol, t),
+             "survival": painleve.tw_survival(sol, t)} for t in ts]
     emit(_table("tw", {"tol": args.tol, "grid": args.grid, "t": args.t},
                 rows), args)
     return EXIT_OK
@@ -308,9 +302,7 @@ def cmd_ldp(args) -> int:
             row["ldp_log_p"] = ldp.ldp_log_probability(args.n, alpha, t)
         return row
 
-    # exact rows move the mpmath working precision, so keep them sequential
-    jobs = 1 if args.exact_compare else args.jobs
-    rows = _map_rows(one, ts, jobs)
+    rows = [one(t) for t in ts]
     worst = max(row["residual"] for row in rows)
     emit(_table("ldp", {"alpha": alpha, "grid": args.grid, "t": args.t,
                         "check_kc": args.check_kc, "tol": args.tol,
@@ -348,7 +340,7 @@ def cmd_op_compare(args) -> int:
         return {"N": n, "z": _cnum(z), "exact": _cnum(exact),
                 "asymptotic": _cnum(asym), "rel_error": rel}
 
-    rows = _map_rows(one, ns, args.jobs)
+    rows = [one(n) for n in ns]
     emit(_table("op-compare", {"a": a, "c": float(c), "z": _cnum(z),
                                "bits": args.bits, "regime":
                                evaluator.params.regime.name}, rows), args)
@@ -391,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "asymptotics.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, bits=False, tol=None, jobs=True):
+    def common(p, bits=False, tol=None):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the table here "
                                                    "instead of stdout")
@@ -399,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--bits", type=int, default=256)
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol)
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("geometry", help="droplet boundary points")
     p.add_argument("--a", type=float)
@@ -517,9 +507,6 @@ def _validate_common(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and tol <= 0.0:
         raise UsageError(f"--tol must be positive, got {tol}")
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {jobs}")
 
 
 def main() -> None:

@@ -1,19 +1,28 @@
 """Exact finite-N oracles in extended precision.
 
-Everything here is a determinant of explicit moments, evaluated with big-float
-LU at a configurable precision (default 256 bits), with the moment entries
-themselves assembled in exact big-rational arithmetic first. These are the
-ground-truth values the asymptotic modules are tested against.
+Every value here comes from explicit moments: each entry is summed in exact
+big-rational arithmetic and rounded once to the working precision (default
+256 bits).  Every determinant and linear solve then goes through one routine,
+`_eliminate`: Gaussian elimination with scaled partial pivoting (the pivot row
+maximises |a_rj| / sum_l |a_rl| over the remaining columns) run with 10 guard
+bits above the working precision.  A pivot or row sum at or below
+||H||_1 * eps raises SingularHankel.  These are the ground-truth values the
+asymptotic modules are tested against.
 
 The planar moments reduce to residues: with integer m = cN and real a,
 
     nu_k / (2 pi i) = [coefficient of z^(m+N-1-k)] (z-a)^m e^(-N a z),
 
 a finite alternating sum that exact rationals evaluate without cancellation.
+`moment_table` builds nu_0 .. nu_(2N-1) once and eliminates the augmented
+Hankel system [H | -nu_N .. nu_(2N-1)] once: log|det H| gives log Z_N, and
+back substitution gives the monic orthogonal polynomial p_N, hence A11.
 The partition function is N! times the Hankel determinant of radial moments,
 which Eq.-level manipulation turns into the nu-determinant with a Gamma-product
 prefactor; the combined constant was pinned against 2D quadrature at N = 1, 2
 (see tests/fixtures/exact_logz_calibration.json) and is asserted forever.
+The LUE gap probabilities put their two Gram determinants through the same
+elimination.
 """
 from __future__ import annotations
 
@@ -28,6 +37,7 @@ import mpmath as mp
 from .errors import DomainError, SingularHankel
 
 MAX_MOMENT_INDEX = 120  # m + N cap; factorial growth beyond this is out of scope
+GUARD_BITS = 10  # extra precision of every elimination
 
 Rational = Union[int, float, Fraction, str]
 
@@ -55,24 +65,28 @@ class ExactContext:
 
 @dataclass(frozen=True)
 class MomentTable:
-    nu: tuple  # mpf values of nu_k/(2 pi i), k = 0 .. 2N-2
-    hankel_logdet: object  # mpf
-    hankel_sign: int
-
-
-def _moment_fraction(N: int, m: int, a: Fraction, k: int) -> Fraction:
-    p = m + N - 1 - k
-    if p < 0:
-        return Fraction(0)
-    total = Fraction(0)
-    for j in range(0, min(m, p) + 1):
-        total += (Fraction(math.comb(m, j)) * (-a) ** (m - j)
-                  * (-N * a) ** (p - j) / math.factorial(p - j))
-    return total
+    log_z: object  # mpf log Z_N, rounded to the context precision
+    op: tuple      # monic p_N coefficients (c_0, ..., c_{N-1}, 1)
 
 
 def _to_mpf(x: Fraction):
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+
+
+def _moments(ctx: ExactContext, ks) -> list:
+    """nu_k/(2 pi i) for each k in ks, summed in exact rationals and rounded
+    to the context precision; k >= m+N gives zero."""
+    N, m, a = ctx.N, ctx.m, Fraction(ctx.a)
+    out = []
+    with mp.workprec(ctx.precision_bits):
+        for k in ks:
+            p = m + N - 1 - k
+            total = Fraction(0)
+            for j in range(min(m, p) + 1):
+                total += (Fraction(math.comb(m, j)) * (-a) ** (m - j)
+                          * (-N * a) ** (p - j) / math.factorial(p - j))
+            out.append(_to_mpf(total))
+    return out
 
 
 def contour_moment(ctx: ExactContext, k: int):
@@ -82,80 +96,87 @@ def contour_moment(ctx: ExactContext, k: int):
     if k >= ctx.m + ctx.N:
         warnings.warn(f"moment index k={k} >= m+N={ctx.m + ctx.N}; residue is zero")
         return mp.mpf(0)
-    with mp.workprec(ctx.precision_bits):
-        return _to_mpf(_moment_fraction(ctx.N, ctx.m, Fraction(ctx.a), k))
+    return _moments(ctx, (k,))[0]
 
 
-def _lu_logdet(rows: list) -> tuple:
-    """(log|det|, sign) by partial-pivot LU in place; raises on exact zero pivot."""
+def _eliminate(rows: list) -> tuple:
+    """Scaled partial-pivot Gaussian elimination of `rows` in place, run
+    GUARD_BITS above the working precision.
+
+    Each of the n rows holds n matrix entries, optionally followed by one
+    right-hand side.  Pivot rule and singularity test are those of mpmath's
+    own LU solver.  Returns (log|det|, sign of det, solution); the solution
+    is empty without a right-hand side.
+    """
     n = len(rows)
-    sign = 1
-    logdet = mp.mpf(0)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
-        if rows[piv][col] == 0:
-            raise SingularHankel(f"zero pivot at column {col} of {n}x{n} determinant")
-        if piv != col:
-            rows[piv], rows[col] = rows[col], rows[piv]
-            sign = -sign
-        pval = rows[col][col]
-        if pval < 0:
-            sign = -sign
-        logdet += mp.log(abs(pval))
-        for r in range(col + 1, n):
-            f = rows[r][col] / pval
-            for cc in range(col + 1, n):
-                rows[r][cc] -= f * rows[col][cc]
-    return logdet, sign
+    with mp.extraprec(GUARD_BITS):
+        tol = max(mp.fsum([row[j] for row in rows], absolute=True)
+                  for j in range(n)) * mp.eps
+        logdet, sign = mp.mpf(0), 1
+        for j in range(n):
+            sums = [mp.fsum(row[j:n], absolute=True) for row in rows[j:]]
+            if min(sums) <= tol:
+                raise SingularHankel(
+                    f"numerically singular {n}x{n} system at column {j}")
+            piv = max(range(j, n),
+                      key=lambda r: 1 / sums[r - j] * abs(rows[r][j]))
+            if piv != j:
+                rows[piv], rows[j] = rows[j], rows[piv]
+                sign = -sign
+            pval = rows[j][j]
+            if abs(pval) <= tol:
+                raise SingularHankel(
+                    f"numerically singular {n}x{n} system at column {j}")
+            if pval < 0:
+                sign = -sign
+            logdet += mp.log(abs(pval))
+            for row in rows[j + 1:]:
+                f = row[j] / pval
+                for col in range(j + 1, len(row)):
+                    row[col] -= f * rows[j][col]
+        x = [None] * n if len(rows[0]) > n else []
+        for i in reversed(range(len(x))):
+            acc = rows[i][n]
+            for col in range(i + 1, n):
+                acc -= rows[i][col] * x[col]
+            x[i] = acc / rows[i][i]
+    return logdet, sign, x
 
 
 def moment_table(ctx: ExactContext) -> MomentTable:
+    """log Z_N and p_N from one elimination of [H | -nu_N .. nu_(2N-1)]."""
+    N = ctx.N
+    nu = _moments(ctx, range(2 * N))
     with mp.workprec(ctx.precision_bits):
-        af = Fraction(ctx.a)
-        fr = [_moment_fraction(ctx.N, ctx.m, af, k) for k in range(2 * ctx.N - 1)]
-        nu = tuple(_to_mpf(v) for v in fr)
-        rows = [[nu[j + k] for k in range(ctx.N)] for j in range(ctx.N)]
-        logdet, sign = _lu_logdet(rows)
-        return MomentTable(nu=nu, hankel_logdet=logdet, hankel_sign=sign)
+        rows = [nu[i:i + N] + [-nu[i + N]] for i in range(N)]
+        logdet, sign, coeffs = _eliminate(rows)
+        want = -1 if (N * (N - 1) // 2) % 2 else 1
+        if sign != want:
+            raise SingularHankel(
+                f"Hankel determinant sign {sign} != (-1)^(N(N-1)/2) = {want}; "
+                "precision exhausted or parameters degenerate")
+        with mp.extraprec(GUARD_BITS):
+            log_z = mp.log(mp.mpf(math.factorial(N))) + logdet
+            logN = mp.log(mp.mpf(N))
+            for k in range(N):
+                log_z += (mp.log(mp.mpf(math.factorial(ctx.m + k)))
+                          - (ctx.m + k + 1) * logN)
+        return MomentTable(log_z=+log_z, op=tuple(coeffs) + (mp.mpf(1),))
 
 
 def exact_logZ(ctx: ExactContext):
     """log Z_N(a, m/N) as an mpf at the context precision."""
-    with mp.workprec(ctx.precision_bits):
-        table = moment_table(ctx)
-        want = -1 if (ctx.N * (ctx.N - 1) // 2) % 2 else 1
-        if table.hankel_sign != want:
-            raise SingularHankel(
-                f"Hankel determinant sign {table.hankel_sign} != (-1)^(N(N-1)/2) = {want}; "
-                "precision exhausted or parameters degenerate")
-        out = mp.log(mp.mpf(math.factorial(ctx.N))) + table.hankel_logdet
-        logN = mp.log(mp.mpf(ctx.N))
-        for k in range(ctx.N):
-            out += mp.log(mp.mpf(math.factorial(ctx.m + k))) - (ctx.m + k + 1) * logN
-        return out
+    return moment_table(ctx).log_z
 
 
 def exact_op(ctx: ExactContext) -> tuple:
     """Monic degree-N orthogonal polynomial coefficients (c_0, ..., c_{N-1}, 1)."""
-    with mp.workprec(ctx.precision_bits):
-        af = Fraction(ctx.a)
-        nu = [_to_mpf(_moment_fraction(ctx.N, ctx.m, af, k)) for k in range(2 * ctx.N)]
-        A = mp.matrix(ctx.N, ctx.N)
-        b = mp.matrix(ctx.N, 1)
-        for i in range(ctx.N):
-            for j in range(ctx.N):
-                A[i, j] = nu[i + j]
-            b[i] = -nu[i + ctx.N]
-        try:
-            sol = mp.lu_solve(A, b)
-        except ZeroDivisionError as exc:
-            raise SingularHankel("singular moment system for p_N") from exc
-        return tuple(sol[i] for i in range(ctx.N)) + (mp.mpf(1),)
+    return moment_table(ctx).op
 
 
 def exact_A11(ctx: ExactContext):
     """Subleading coefficient of p_N(z) = z^N + A11 z^(N-1) + ..."""
-    return exact_op(ctx)[ctx.N - 1]
+    return moment_table(ctx).op[-2]
 
 
 def eval_polynomial(coeffs: tuple, z) -> complex:
@@ -188,8 +209,7 @@ def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
         for i in range(s_max):
             prefix[i + 1] = prefix[i] + term
             term = term * T / (i + 1)
-        rows_t = []
-        rows_0 = []
+        rows_t, rows_0 = [], []
         for j in range(n):
             rt, r0 = [], []
             for k in range(n):
@@ -199,8 +219,8 @@ def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
                 r0.append(_to_mpf(fact))
             rows_t.append(rt)
             rows_0.append(r0)
-        logdet_t, sign_t = _lu_logdet(rows_t)
-        logdet_0, sign_0 = _lu_logdet(rows_0)
+        logdet_t, sign_t, _ = _eliminate(rows_t)
+        logdet_0, sign_0, _ = _eliminate(rows_0)
         if sign_t <= 0 or sign_0 <= 0:
             raise SingularHankel("gap-probability Gram determinant lost positivity")
         return mp.e ** (-n * _to_mpf(T) + logdet_t - logdet_0)

@@ -40,13 +40,20 @@ class CheckResult:
         return dataclasses.asdict(self)
 
 
-def _result(key: str, suite: str, label: str, passed: bool, message: str,
-            details: dict) -> CheckResult:
-    return CheckResult(key=key, suite=suite, label=label, passed=bool(passed),
-                       message=message, details=details)
+# key -> (suite, label, check); a check returns (passed, message, details)
+CHECKS: dict[str, tuple[str, str, Callable[[], tuple]]] = {}
 
 
-def check_duality() -> CheckResult:
+def check(key: str, suite: str, label: str):
+    """Register the decorated function as report check `key`, in file order."""
+    def register(fn):
+        CHECKS[key] = (suite, label, fn)
+        return fn
+    return register
+
+
+@check("duality", "exact", "duality identity at 256 bits")
+def check_duality() -> tuple:
     """Gap probability vs rescaled partition-function ratio, 256 bits."""
     rows = []
     worst = 0.0
@@ -56,14 +63,14 @@ def check_duality() -> CheckResult:
                                                       precision_bits=256))
             rows.append({"N": n_gin, "m": m, "x": x, "residual": res})
             worst = max(worst, res)
-    return _result(
-        "duality", "exact", "duality identity at 256 bits",
+    return (
         worst < 1e-25,
         f"max residual {worst:.3e} over 16 points (tolerance 1e-25)",
         {"tolerance": 1e-25, "worst": worst, "rows": rows})
 
 
-def check_expansion_post() -> CheckResult:
+@check("expansion_post", "freeenergy", "free-energy expansion, annular phase")
+def check_expansion_post() -> tuple:
     """Annular-phase expansion against the determinant and reference routes."""
     a, c = 0.2, 1.0
     rows = []
@@ -84,14 +91,15 @@ def check_expansion_post() -> CheckResult:
         rows.append({"N": n, "a": 0.0, "residual": resid, "bound": bound})
         ok = ok and resid < bound
     worst = max(r["residual"] / r["bound"] for r in rows)
-    return _result(
-        "expansion_post", "freeenergy", "free-energy expansion, annular phase",
+    return (
         ok,
         f"worst residual/bound {worst:.3f} (needs < 1)",
         {"rows": rows})
 
 
-def check_expansion_pre() -> CheckResult:
+@check("expansion_pre", "freeenergy",
+       "free-energy expansion, simply connected phase")
+def check_expansion_pre() -> tuple:
     """Simply-connected-phase expansion residual halves as N doubles."""
     a, c = 1.2, 1.0
     residuals = {}
@@ -101,15 +109,14 @@ def check_expansion_pre() -> CheckResult:
         approx = freeenergy.expansion(n, a, c, Regime.PRE).log_z
         residuals[n] = abs(exact - approx)
     ratio = residuals[8] / residuals[16]
-    return _result(
-        "expansion_pre", "freeenergy",
-        "free-energy expansion, simply connected phase",
+    return (
         1.5 <= ratio <= 3.0,
         f"residual ratio r(8)/r(16) = {ratio:.3f} (window [1.5, 3.0])",
         {"residuals": residuals, "ratio": ratio, "window": [1.5, 3.0]})
 
 
-def check_kc_identity() -> CheckResult:
+@check("kc_identity", "ldp", "rate function vs constrained-gas action")
+def check_kc_identity() -> tuple:
     """Rate function equals the constrained-gas action difference."""
     worst = 0.0
     per_alpha = {}
@@ -120,14 +127,14 @@ def check_kc_identity() -> CheckResult:
                  for t in np.linspace(lam + 0.05, lam + 5.0, 50)]
         per_alpha[f"{alpha:.6f}"] = max(diffs)
         worst = max(worst, max(diffs))
-    return _result(
-        "kc_identity", "ldp", "rate function vs constrained-gas action",
+    return (
         worst < 1e-10,
         f"max |Phi - (S(t) - S(edge))| = {worst:.3e} (tolerance 1e-10)",
         {"tolerance": 1e-10, "worst": worst, "per_alpha": per_alpha})
 
 
-def check_third_order() -> CheckResult:
+@check("third_order", "ldp", "third-order transition coefficient")
+def check_third_order() -> tuple:
     """Fitted cubic coefficient of the rate function at the edge."""
     rows = []
     ok = True
@@ -143,14 +150,14 @@ def check_third_order() -> CheckResult:
                      "rel_error": float(rel), "next_order": float(k4)})
         ok = ok and rel < 0.01
     worst = max(r["rel_error"] for r in rows)
-    return _result(
-        "third_order", "ldp", "third-order transition coefficient",
+    return (
         ok,
         f"worst fitted-coefficient relative error {worst:.2e} (tolerance 1e-2)",
         {"rows": rows})
 
 
-def check_ldp_constants() -> CheckResult:
+@check("ldp_constants", "ldp", "large-deviation constant terms")
+def check_ldp_constants() -> tuple:
     """Constant-order expansion of log P approaches the exact finite-n value."""
     alpha = 1.0
     t = ldp.LUEParams.from_alpha(alpha).lambda_minus + 1.0
@@ -163,14 +170,14 @@ def check_ldp_constants() -> CheckResult:
                   > diffs[2]["abs_error"])
     final_ok = diffs[2]["abs_error"] < 0.2
     shown = ", ".join(f"{d['abs_error']:.4f}" for d in diffs)
-    return _result(
-        "ldp_constants", "ldp", "large-deviation constant terms",
+    return (
         decreasing and final_ok,
         f"errors [{shown}] must decrease and end below 0.2",
         {"alpha": alpha, "t": t, "rows": diffs})
 
 
-def check_tw_tails() -> CheckResult:
+@check("tw_tails", "tw", "extreme-value distribution tails")
+def check_tw_tails() -> tuple:
     """Distribution tails against the printed expansions; ODE self-convergence."""
     sol = painleve.hastings_mcleod()
     t_left = -8.0
@@ -182,8 +189,7 @@ def check_tw_tails() -> CheckResult:
     refined = painleve.hastings_mcleod(tol=painleve.DEFAULT_TOL / 2.0)
     drift = abs(painleve.tw_cdf(sol, -5.0) - painleve.tw_cdf(refined, -5.0))
     ok = left_diff < scale and right_rel < 0.20 and drift < 1e-8
-    return _result(
-        "tw_tails", "tw", "extreme-value distribution tails",
+    return (
         ok,
         f"left diff {left_diff:.2e} (< {scale:.2e}), right rel {right_rel:.3f} "
         f"(< 0.2), tol-halving drift {drift:.1e} (< 1e-8)",
@@ -191,7 +197,8 @@ def check_tw_tails() -> CheckResult:
          "right_rel_error": right_rel, "tol_halving_drift": drift})
 
 
-def check_op_asymptotics() -> CheckResult:
+@check("op_asymptotics", "opasymp", "orthogonal-polynomial asymptotics")
+def check_op_asymptotics() -> tuple:
     """Polynomial asymptotics vs the exact moment-determinant polynomials.
 
     Annular half: fixed-N relative error threshold at the stated point.
@@ -216,8 +223,7 @@ def check_op_asymptotics() -> CheckResult:
         errs[n] = abs(asym - exact) / abs(exact)
     ratios = (errs[4] / errs[8], errs[8] / errs[16])
     pre_ok = all(3.0 <= r <= 5.0 for r in ratios)
-    return _result(
-        "op_asymptotics", "opasymp", "orthogonal-polynomial asymptotics",
+    return (
         post_ok and pre_ok,
         f"annular rel error {rel_post:.3e} (needs < 1e-6); simply connected "
         f"ratios {ratios[0]:.2f}, {ratios[1]:.2f} (window [3, 5])",
@@ -227,7 +233,8 @@ def check_op_asymptotics() -> CheckResult:
                  "ratios": list(ratios), "window": [3.0, 5.0]}})
 
 
-def check_residue() -> CheckResult:
+@check("residue_r11", "opasymp", "far-field coefficient identity for R11")
+def check_residue() -> tuple:
     """Numerically extracted far-field coefficient of R11 vs its closed form."""
     rows = []
     worst = 0.0
@@ -240,8 +247,7 @@ def check_residue() -> CheckResult:
         rows.append({"a": a, "c": c, "probe_re": probe.real, "closed": closed,
                      "rel_error": rel})
         worst = max(worst, rel)
-    return _result(
-        "residue_r11", "opasymp", "far-field coefficient identity for R11",
+    return (
         worst < 1e-10,
         f"worst relative error {worst:.3e} over three parameter pairs "
         f"(tolerance 1e-10)",
@@ -263,7 +269,8 @@ def _zw_grid() -> list[tuple[float, float, Regime]]:
     return points
 
 
-def check_zw_constant() -> CheckResult:
+@check("zw_constant", "freeenergy", "constant term vs zeta-determinant")
+def check_zw_constant() -> tuple:
     """Constant term equals minus half the log-determinant, both phases."""
     worst = 0.0
     rows = []
@@ -272,15 +279,16 @@ def check_zw_constant() -> CheckResult:
                     + 0.5 * freeenergy.detzeta_log(a, c, regime))
         rows.append({"a": a, "c": c, "regime": regime.name, "residual": resid})
         worst = max(worst, resid)
-    return _result(
-        "zw_constant", "freeenergy", "constant term vs zeta-determinant",
+    return (
         worst < 1e-12,
         f"max |fconst + detzeta_log/2| = {worst:.3e} over 20 points "
         f"(tolerance 1e-12)",
         {"tolerance": 1e-12, "worst": worst, "rows": rows})
 
 
-def check_derivatives() -> CheckResult:
+@check("derivative_forms", "freeenergy",
+       "closed-form derivatives vs differences")
+def check_derivatives() -> tuple:
     """Closed-form insertion-point derivatives vs central differences."""
     c = 1.0
     h = 1e-6
@@ -301,15 +309,15 @@ def check_derivatives() -> CheckResult:
         }
         rows.append({"a": float(a), **diffs})
         worst = max(worst, *diffs.values())
-    return _result(
-        "derivative_forms", "freeenergy", "closed-form derivatives vs differences",
+    return (
         worst < 1e-7,
         f"max |finite difference - closed form| = {worst:.3e} over 10 points "
         f"(tolerance 1e-7)",
         {"tolerance": 1e-7, "worst": worst, "rows": rows})
 
 
-def check_energy_continuity() -> CheckResult:
+@check("energy_continuity", "freeenergy", "energy continuity and ordering")
+def check_energy_continuity() -> tuple:
     """Energy branches agree at the phase boundary and order correctly past it."""
     rows = []
     ok = True
@@ -325,51 +333,14 @@ def check_energy_continuity() -> CheckResult:
         rows.append({"c": c, "boundary_gap": gap, "ordered": ordered})
         ok = ok and gap < 1e-9 and ordered
     worst = max(r["boundary_gap"] for r in rows)
-    return _result(
-        "energy_continuity", "freeenergy", "energy continuity and ordering",
+    return (
         ok,
         f"max boundary gap {worst:.3e} (tolerance 1e-9); ordering holds on "
         f"all grids",
         {"tolerance": 1e-9, "rows": rows})
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    key: str
-    suite: str
-    label: str
-    fn: Callable[[], CheckResult]
-
-
-CHECKS: tuple[CheckSpec, ...] = (
-    CheckSpec("duality", "exact", "duality identity at 256 bits",
-              check_duality),
-    CheckSpec("expansion_post", "freeenergy",
-              "free-energy expansion, annular phase", check_expansion_post),
-    CheckSpec("expansion_pre", "freeenergy",
-              "free-energy expansion, simply connected phase",
-              check_expansion_pre),
-    CheckSpec("kc_identity", "ldp", "rate function vs constrained-gas action",
-              check_kc_identity),
-    CheckSpec("third_order", "ldp", "third-order transition coefficient",
-              check_third_order),
-    CheckSpec("ldp_constants", "ldp", "large-deviation constant terms",
-              check_ldp_constants),
-    CheckSpec("tw_tails", "tw", "extreme-value distribution tails",
-              check_tw_tails),
-    CheckSpec("op_asymptotics", "opasymp",
-              "orthogonal-polynomial asymptotics", check_op_asymptotics),
-    CheckSpec("residue_r11", "opasymp",
-              "far-field coefficient identity for R11", check_residue),
-    CheckSpec("zw_constant", "freeenergy",
-              "constant term vs zeta-determinant", check_zw_constant),
-    CheckSpec("derivative_forms", "freeenergy",
-              "closed-form derivatives vs differences", check_derivatives),
-    CheckSpec("energy_continuity", "freeenergy",
-              "energy continuity and ordering", check_energy_continuity),
-)
-
-SUITES = tuple(dict.fromkeys(spec.suite for spec in CHECKS))
+SUITES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS.values()))
 
 
 def run_checks(skip: tuple[str, ...] = ()) -> list[CheckResult]:
@@ -383,32 +354,19 @@ def run_checks(skip: tuple[str, ...] = ()) -> list[CheckResult]:
         raise ValueError(f"unknown suites {sorted(unknown)}; "
                          f"known: {list(SUITES)}")
     results = []
-    for spec in CHECKS:
-        if spec.suite in skip:
+    for key, (suite, label, fn) in CHECKS.items():
+        if suite in skip:
             continue
         start = time.perf_counter()
         try:
-            res = spec.fn()
+            passed, message, details = fn()
         except Exception as exc:
-            res = _result(spec.key, spec.suite, spec.label, False,
-                          f"check raised {type(exc).__name__}: {exc}",
-                          {"exception": repr(exc)})
-        results.append(dataclasses.replace(
-            res, elapsed_seconds=time.perf_counter() - start))
+            passed, message, details = (
+                False, f"check raised {type(exc).__name__}: {exc}",
+                {"exception": repr(exc)})
+        results.append(CheckResult(
+            key=key, suite=suite, label=label, passed=bool(passed),
+            message=message, details=details,
+            elapsed_seconds=time.perf_counter() - start))
     return results
 
-
-def run_report(skip: tuple[str, ...] = ()) -> dict:
-    """Machine-readable pass/fail summary of the full verification suite."""
-    start = time.perf_counter()
-    results = run_checks(skip)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verification_report",
-        "skipped_suites": list(skip),
-        "all_passed": all(r.passed for r in results),
-        "n_passed": sum(r.passed for r in results),
-        "n_checks": len(results),
-        "elapsed_seconds": time.perf_counter() - start,
-        "checks": [r.as_dict() for r in results],
-    }

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 from coulombgas import cli
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -104,11 +106,13 @@ class TestDeterminism:
         _, second, _ = run_cli(argv, capsys)
         assert first == second
 
-    def test_jobs_do_not_reorder_rows(self, capsys):
-        base = ["tw", "--grid", "-4:2:13"]
-        _, serial, _ = run_cli(base + ["--jobs", "1"], capsys)
-        _, threaded, _ = run_cli(base + ["--jobs", "4"], capsys)
-        assert serial == threaded
+    def test_spaced_negative_grid_matches_equals_form(self, capsys):
+        code, spaced, _ = run_cli(["tw", "--grid", "-4:2:13"], capsys)
+        assert code == 0
+        assert len(json.loads(spaced)["rows"]) == 13
+        code, joined, _ = run_cli(["tw", "--grid=-4:2:13"], capsys)
+        assert code == 0
+        assert spaced == joined
 
     def test_report_runs_identical(self, capsys):
         argv = ["report", "--skip", "exact", "--skip", "freeenergy",
@@ -194,6 +198,23 @@ class TestSemantics:
         assert failing == ["op_asymptotics"]
         assert code == cli.EXIT_IDENTITY
         assert "op_asymptotics" in json.loads(err)["message"]
+
+
+def test_readme_examples_run(capsys):
+    commands = [shlex.split(line)[1:] for line in README.read_text().splitlines()
+                if line.startswith("coulombgas ")]
+    assert commands
+    for argv in commands:
+        code, out, _ = run_cli(argv, capsys)
+        if argv[0] == "report":
+            # criterion 8 is known red; every other check passes
+            failing = [row["key"] for row in json.loads(out)["rows"]
+                       if not row["passed"]]
+            assert (code, failing) == (cli.EXIT_IDENTITY,
+                                       ["op_asymptotics"]), argv
+        else:
+            assert code == cli.EXIT_OK, argv
+            assert json.loads(out)["rows"], argv
 
 
 def test_console_entry_point():

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from coulombgas import exactfiniten, geometry, opasymp
-from coulombgas.errors import DomainError
+from coulombgas import cli, exactfiniten, geometry, opasymp
+from coulombgas.errors import DomainError, SingularHankel
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -74,6 +74,39 @@ class TestExactLogZ:
     def test_moment_index_cap(self):
         with pytest.raises(DomainError):
             exactfiniten.ExactContext(N=100, m=50, a=0.1)
+
+
+class TestMomentTable:
+    def test_large_n_digits_at_default_precision(self):
+        # unscaled partial pivoting keeps only ~7 digits of log Z here
+        ctx = exactfiniten.ExactContext(N=60, m=60, a=3.0)
+        ref = exactfiniten.moment_table(
+            exactfiniten.ExactContext(N=60, m=60, a=3.0, precision_bits=768))
+        assert abs(exactfiniten.exact_logZ(ctx) - ref.log_z) < 1e-10
+        assert abs(exactfiniten.exact_A11(ctx) - ref.op[-2]) < 1e-10
+
+    def test_exact_command_builds_one_table(self, monkeypatch, capsys):
+        calls = []
+        build = exactfiniten.moment_table
+
+        def counted(ctx):
+            calls.append(ctx)
+            return build(ctx)
+
+        monkeypatch.setattr(exactfiniten, "moment_table", counted)
+        code = cli.run(["exact", "--a", "3", "--c", "1", "--n", "16"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_numerically_singular_system_raises(self, monkeypatch):
+        # det H = nu_0 nu_2 - nu_1^2 = 2^-300, below ||H||_1 eps at 256 bits
+        with mp.workprec(400):
+            nu = [mp.mpf(1), mp.mpf(1), 1 + mp.mpf(2) ** -300, mp.mpf(0)]
+        monkeypatch.setattr(exactfiniten, "_moments", lambda ctx, ks: nu)
+        with pytest.raises(SingularHankel):
+            exactfiniten.moment_table(
+                exactfiniten.ExactContext(N=2, m=2, a=0.5))
 
 
 class TestOrthogonalPolynomial:

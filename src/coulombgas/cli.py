@@ -245,8 +245,10 @@ def cmd_tw(args) -> int:
         raise UsageError("need --t or --grid")
     ts = parse_grid(args.grid) if args.grid else [args.t]
     sol = painleve.hastings_mcleod(tol=args.tol)
-    rows = [{"t": t, "cdf": painleve.tw_cdf(sol, t),
-             "survival": painleve.tw_survival(sol, t)} for t in ts]
+    cdf = painleve.tw_cdf(sol, ts).tolist()
+    survival = painleve.tw_survival(sol, ts).tolist()
+    rows = [{"t": t, "cdf": f, "survival": sf}
+            for t, f, sf in zip(ts, cdf, survival)]
     emit(_table("tw", {"tol": args.tol, "grid": args.grid, "t": args.t},
                 rows), args)
     return EXIT_OK

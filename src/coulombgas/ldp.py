@@ -56,7 +56,7 @@ def mp_density(params: LUEParams, x: float) -> float:
         2.0 * math.pi * x)
 
 
-def mp_total_mass(params: LUEParams, nodes: int = 96) -> float:
+def mp_total_mass(params: LUEParams) -> float:
     """Integral of mp_density via x = l- + (l+ - l-) sin^2(phi).
 
     The substitution absorbs both inverse-square-root edges; the remaining
@@ -143,7 +143,7 @@ def constrained_density(t: float, alpha: float, x: float) -> float:
             * (x - alpha * math.sqrt(t / hi)) / x)
 
 
-def constrained_mass(t: float, alpha: float, nodes: int = 96) -> float:
+def constrained_mass(t: float, alpha: float) -> float:
     """Integral of constrained_density via x = t + (U - t) sin^2(phi)."""
     lo, hi = constrained_support(t, alpha)
     width = hi - lo

@@ -53,7 +53,6 @@ from .geometry import (ModelParams, PostGeometry, PreGeometry, Regime,
 
 EXTERIOR_MARGIN = 1.15
 DEFAULT_QUAD_TOL = 1e-12
-DEFAULT_REFERENCE_RADIUS = 1e12
 
 
 def g_large_z_coefficient(geom: PreGeometry) -> float:
@@ -123,25 +122,22 @@ def _far_coefficients(geom: PreGeometry, c: float, radius: float,
 class GEvaluator:
     """Regime-aware g-function with an immutable geometry snapshot.
 
-    Pure evaluation; one instance can serve concurrent table rows.  In the
-    simply connected phase the far expansion of g' - 1/w is tabulated once at
-    construction; past switch_radius the series primitive alone gives g, and
-    inside it only a bounded ray is integrated numerically.  reference_radius
-    parameterizes far-field diagnostics (where g - log z must vanish); the
-    construction itself anchors at infinity exactly.
+    Pure evaluation.  In the simply connected phase the far expansion of
+    g' - 1/w is tabulated once at construction; past switch_radius the series
+    primitive alone gives g, and inside it only a bounded ray is integrated
+    numerically.  The construction anchors at infinity exactly.
     """
 
     params: ModelParams
     geom: Union[PreGeometry, PostGeometry]
     exterior_radius: float
     quadrature_tol: float = DEFAULT_QUAD_TOL
-    reference_radius: float = DEFAULT_REFERENCE_RADIUS
     far_coefficients: tuple = ()
     switch_radius: float = 0.0
 
     @classmethod
-    def build(cls, a: float, c: float, quadrature_tol: float = DEFAULT_QUAD_TOL,
-              reference_radius: float = DEFAULT_REFERENCE_RADIUS) -> "GEvaluator":
+    def build(cls, a: float, c: float,
+              quadrature_tol: float = DEFAULT_QUAD_TOL) -> "GEvaluator":
         params = ModelParams.resolve(a, c)
         if params.regime is Regime.AT_CRITICALITY:
             raise DomainError(
@@ -161,7 +157,6 @@ class GEvaluator:
         return cls(params=params, geom=geom,
                    exterior_radius=EXTERIOR_MARGIN * bound,
                    quadrature_tol=quadrature_tol,
-                   reference_radius=reference_radius,
                    far_coefficients=far, switch_radius=switch)
 
     def require_exterior(self, z: complex) -> None:
@@ -202,12 +197,12 @@ class GEvaluator:
         return acc * u
 
     def _quad_complex(self, func, lo: float, hi: float) -> complex:
+        # scipy's complex_func path drops the sign of a reversed interval
+        # (seen in scipy 1.17), so integrate lo < hi and orient here
         tol = self.quadrature_tol
-        re = quad(lambda t: func(t).real, lo, hi, epsabs=tol, epsrel=tol,
-                  limit=200)[0]
-        im = quad(lambda t: func(t).imag, lo, hi, epsabs=tol, epsrel=tol,
-                  limit=200)[0]
-        return complex(re, im)
+        value = complex(quad(func, min(lo, hi), max(lo, hi), epsabs=tol,
+                             epsrel=tol, limit=200, complex_func=True)[0])
+        return -value if hi < lo else value
 
     def _guard_ray(self, z: complex, z_ref: complex) -> None:
         geom = self.geom

@@ -50,29 +50,15 @@ def airy_ai_prime(x: float) -> float:
     return float(airy(x)[1])
 
 
-def airy_tail_mass(s: float) -> float:
-    """int_s^inf Ai^2 in closed form."""
-    ai, aip, _, _ = airy(s)
-    return float(aip * aip - s * ai * ai)
-
-
-def airy_tail_first_moment(s: float) -> float:
-    """int_s^inf (x - s) Ai(x)^2 dx in closed form."""
-    ai, aip, _, _ = airy(s)
-    return float((2.0 * s * s * ai * ai - 2.0 * s * aip * aip - ai * aip) / 3.0)
-
-
 @dataclass(frozen=True)
 class TWSolution:
-    """Collocation-solved transcendent with per-node distribution values.
+    """Collocation-solved transcendent with suffix sums of its tail integrals.
 
-    Immutable after construction; evaluation helpers only read it, so one
-    instance can serve concurrent table rows.
+    Immutable after construction; evaluation helpers only read it.
     """
 
     s_grid: np.ndarray  # descending; s_grid[0] = s_max
     q_vals: np.ndarray  # hm_q on s_grid, positive throughout
-    F_vals: np.ndarray  # distribution on s_grid
     ode_tol: float
     max_residual: float  # worst first-integral defect over the nodes
     _dense: object = field(repr=False, compare=False)
@@ -80,34 +66,17 @@ class TWSolution:
     _suffix_moment: np.ndarray = field(repr=False, compare=False)
 
 
-def _panel_integrals(dense, lo: float, hi: float) -> tuple[float, float, float]:
-    # (int hm_q^2, int x hm_q^2, int x hm_q + 2 hm_q^3) over [lo, hi],
-    # 12-point Gauss-Legendre on the dense interpolant
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid + half * _GL_NODES
-    q = dense(x)[0]
-    q2 = q * q
-    w = half * _GL_WEIGHTS
-    return float(w @ q2), float(w @ (x * q2)), float(w @ (x * q + 2.0 * q2 * q))
-
-
-def _suffix_sums(dense, s_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # cumulative (int hm_q^2, int x hm_q^2, int x hm_q + 2 hm_q^3) from each
-    # node up to s_max, all panels at once
-    hi = s_desc[:-1]
-    lo = s_desc[1:]
+def _panels(dense, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (int hm_q^2, int x hm_q^2, int x hm_q + 2 hm_q^3) over each [lo, hi],
+    # 12-point Gauss-Legendre on the dense interpolant, all panels at once
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     q = dense(x.ravel())[0].reshape(x.shape)
     q2 = q * q
     w = half[:, None] * _GL_WEIGHTS[None, :]
-    zero = np.zeros(1)
-    mass = np.concatenate((zero, np.cumsum((w * q2).sum(axis=1))))
-    moment = np.concatenate((zero, np.cumsum((w * x * q2).sum(axis=1))))
-    force = np.concatenate((zero, np.cumsum((w * (x * q + 2.0 * q2 * q)).sum(axis=1))))
-    return mass, moment, force
+    return ((w * q2).sum(axis=1), (w * x * q2).sum(axis=1),
+            (w * (x * q + 2.0 * q2 * q)).sum(axis=1))
 
 
 def hastings_mcleod(s_min: float = DEFAULT_S_MIN, s_max: float = DEFAULT_S_MAX,
@@ -178,65 +147,74 @@ def hastings_mcleod(s_min: float = DEFAULT_S_MIN, s_max: float = DEFAULT_S_MAX,
     if np.any(q_vals > 10.0 * np.sqrt(np.maximum(-s_grid, 0.5) / 2.0)):
         raise BlowUp("transcendent escaped past 10*sqrt(-s/2); wrong branch")
 
-    mass, moment, force = _suffix_sums(sol.sol, s_grid)
+    zero = np.zeros(1)
+    mass, moment, force = (np.concatenate((zero, np.cumsum(part)))
+                           for part in _panels(sol.sol, s_grid[1:], s_grid[:-1]))
     max_residual = float(np.abs(q_prime - q_prime[0] + force).max())
     if max_residual >= 10.0 * tol:
         raise IdentityCheckFailure(
             f"first-integral defect {max_residual:.3e} exceeds 10*tol = {10.0 * tol:.3e}")
 
-    tail_mass = airy_tail_mass(s_max)
-    tail_moment = airy_tail_first_moment(s_max)
-    total = moment - s_grid * mass + tail_moment + (s_max - s_grid) * tail_mass
-    f_vals = np.exp(-total)
-    for arr in (s_grid, q_vals, f_vals, mass, moment):
+    for arr in (s_grid, q_vals, mass, moment):
         arr.setflags(write=False)
-    return TWSolution(s_grid=s_grid, q_vals=q_vals, F_vals=f_vals, ode_tol=tol,
+    return TWSolution(s_grid=s_grid, q_vals=q_vals, ode_tol=tol,
                       max_residual=max_residual, _dense=sol.sol,
                       _suffix_mass=mass, _suffix_moment=moment)
 
 
-def _locate(sol: TWSolution, t: float) -> int:
-    # last node index with s_grid[k] >= t (grid is descending)
-    return int(np.searchsorted(-sol.s_grid, -t, side="right")) - 1
+def _tails(sol: TWSolution, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(int_t^inf hm_q^2, int_t^inf (x - t) hm_q^2) for a float or an array of t.
 
-
-def _tail_integral(sol: TWSolution, t: float) -> float:
-    """int_t^inf (x - t) hm_q(x)^2 dx; Airy closed form beyond s_max."""
-    s_max = float(sol.s_grid[0])
-    if t >= s_max:
-        return airy_tail_first_moment(t)
-    if t < sol.s_grid[-1]:
+    Below s_max: the suffix sums from the nearest node at or above t plus one
+    partial panel, closed at s_max by the Airy primitives.  Beyond s_max: the
+    Airy primitives at t alone.
+    """
+    t = np.asarray(t, dtype=float)
+    s_grid = sol.s_grid
+    s_max = s_grid[0]
+    if np.any(t < s_grid[-1]):
         raise GridTooShort(
-            f"t = {t} below the solved range [{sol.s_grid[-1]}, {s_max}]")
-    k = _locate(sol, t)
-    dm, dmom, _ = _panel_integrals(sol._dense, t, float(sol.s_grid[k]))
-    mass = float(sol._suffix_mass[k]) + dm
-    moment = float(sol._suffix_moment[k]) + dmom
-    return (moment - t * mass
-            + airy_tail_first_moment(s_max) + (s_max - t) * airy_tail_mass(s_max))
+            f"t = {np.min(t)} below the solved range [{s_grid[-1]}, {s_max}]")
+    # integrals over [t, edge], edge = max(t, s_max); zero beyond s_max
+    mass = np.zeros(t.shape)
+    moment = np.zeros(t.shape)
+    inside = t < s_max
+    t_in = t[inside]
+    # last node with s_grid[k] >= t (grid is descending)
+    k = np.searchsorted(-s_grid, -t_in, side="right") - 1
+    d_mass, d_moment, _ = _panels(sol._dense, t_in, s_grid[k])
+    mass_in = sol._suffix_mass[k] + d_mass
+    mass[inside] = mass_in
+    moment[inside] = sol._suffix_moment[k] + d_moment - t_in * mass_in
+    edge = np.maximum(t, s_max)
+    ai, aip, _, _ = airy(edge)
+    edge_mass = aip * aip - edge * ai * ai
+    edge_moment = (2.0 * edge * edge * ai * ai - 2.0 * edge * aip * aip - ai * aip) / 3.0
+    return mass + edge_mass, moment + edge_moment + (edge - t) * edge_mass
 
 
-def tw_cdf(sol: TWSolution, t: float) -> float:
-    """F(t) = exp(-int_t^inf (x-t) hm_q^2); needs the solved range to cover t."""
-    return math.exp(-_tail_integral(sol, t))
+def _like_input(values: np.ndarray) -> float | np.ndarray:
+    # a Python float for a scalar t, the array otherwise
+    return values if np.ndim(values) else float(values)
 
 
-def tw_survival(sol: TWSolution, t: float) -> float:
+def tw_cdf(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
+    """F(t) = exp(-int_t^inf (x-t) hm_q^2); needs the solved range to cover t.
+
+    Like tw_survival and q2_tail_integral, a float t gives a float and an
+    array of t gives an array.
+    """
+    return _like_input(np.exp(-_tails(sol, t)[1]))
+
+
+def tw_survival(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
     """1 - F(t) without cancellation, for the far right tail."""
-    return -math.expm1(-_tail_integral(sol, t))
+    return _like_input(-np.expm1(-_tails(sol, t)[1]))
 
 
-def q2_tail_integral(sol: TWSolution, t: float) -> float:
+def q2_tail_integral(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
     """int_t^inf hm_q^2 dx, which equals d/dt log F(t)."""
-    s_max = float(sol.s_grid[0])
-    if t >= s_max:
-        return airy_tail_mass(t)
-    if t < sol.s_grid[-1]:
-        raise GridTooShort(
-            f"t = {t} below the solved range [{sol.s_grid[-1]}, {s_max}]")
-    k = _locate(sol, t)
-    dm, _, _ = _panel_integrals(sol._dense, t, float(sol.s_grid[k]))
-    return float(sol._suffix_mass[k]) + dm + airy_tail_mass(s_max)
+    return _like_input(_tails(sol, t)[0])
 
 
 def left_tail_log_cdf(x: float, with_correction: bool = True) -> float:
@@ -298,7 +276,7 @@ def critical_expansion(N: int, c: float, s: float,
     if solution is None:
         solution = hastings_mcleod(tol=tol)
     a_s = critical_a(s, c, N)
-    log_f = -_tail_integral(solution, c ** (-2.0 / 3.0) * s)
+    log_f = -float(_tails(solution, c ** (-2.0 / 3.0) * s)[1])
     return (-energy_post(a_s, c) * N * N
             + 0.5 * N * math.log(N) + (LOG_2PI / 2.0 - 1.0) * N
             + 0.5 * math.log(N) + LOG_2PI / 2.0

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import pathlib
 import shlex
 import subprocess
@@ -219,9 +220,11 @@ def test_readme_examples_run(capsys):
 
 
 def test_console_entry_point():
+    # the child finds the package where this process imported it from
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "coulombgas.cli", "geometry", "--a", "1",
          "--c", "0.5625", "--points", "16"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema_version"] == 1

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import airy, gamma
 
 from coulombgas import exactfiniten, freeenergy, geometry, painleve
 from coulombgas.errors import DomainError, GridTooShort
@@ -100,9 +100,30 @@ class TestDistribution:
                   / painleve.right_tail_survival(6.0) - 1)
         assert rel < 0.20
 
-    def test_grid_too_short(self, hm_solution):
+    @pytest.mark.parametrize("t", [-11.0, np.array([-2.0, -11.0, 9.5])],
+                             ids=["scalar", "array"])
+    def test_grid_too_short(self, hm_solution, t):
         with pytest.raises(GridTooShort):
-            painleve.tw_cdf(hm_solution, -11.0)
+            painleve.tw_cdf(hm_solution, t)
+
+    def test_array_matches_points_and_airy_closure(self, hm_solution):
+        grid = hm_solution.s_grid
+        s_max = float(grid[0])
+        ts = np.concatenate(([-9.3, -2.0, 0.37, 5.5], grid[[1, 100, -1]],
+                             [s_max, 9.5, 12.0]))
+        beyond = ts >= s_max
+        s = ts[beyond]
+        ai, aip, _, _ = airy(s)
+        moment = (2.0 * s * s * ai * ai - 2.0 * s * aip * aip - ai * aip) / 3.0
+        closure = {painleve.tw_cdf: np.exp(-moment),
+                   painleve.tw_survival: -np.expm1(-moment),
+                   painleve.q2_tail_integral: aip * aip - s * ai * ai}
+        for fn, closed in closure.items():
+            batch = fn(hm_solution, ts)
+            points = [fn(hm_solution, float(t)) for t in ts]
+            assert all(type(v) is float for v in points)
+            np.testing.assert_allclose(batch, points, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(batch[beyond], closed, rtol=1e-14, atol=0.0)
 
 
 class TestCriticalWindow:

@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -28,11 +29,18 @@ from typing import Sequence
 
 from mpmath import mp
 
-from . import exactfiniten, freeenergy, geometry, ldp, opasymp, painleve, report
+# painleve, opasymp, ldp and report load inside the subcommands that use
+# them: painleve and opasymp import scipy, and the other subcommands start
+# without it
+from . import exactfiniten, freeenergy, geometry
 from .errors import CoulombGasError, IdentityCheckFailure
 from .geometry import Regime
 
 SCHEMA_VERSION = 1
+
+# painleve.DEFAULT_TOL, written out so that building the parser does not
+# import scipy; tests/test_cli.py holds the two equal
+TW_TOL = 1e-10
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,6 +73,17 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(f"not a rational or decimal: {text!r}") from exc
 
 
+def finite_float(text: str) -> float:
+    """A float flag value; inf and nan are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_grid(text: str) -> list[float]:
     """'lo:hi:steps' -> inclusive uniform grid with `steps` points."""
     parts = text.split(":")
@@ -75,6 +94,8 @@ def parse_grid(text: str) -> list[float]:
     except ValueError as exc:
         raise UsageError(f"grid must be lo:hi:steps with numeric parts, "
                          f"got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"grid endpoints must be finite, got {text!r}")
     if steps < 1:
         raise UsageError(f"grid needs at least one step, got {steps}")
     if steps == 1:
@@ -241,20 +262,23 @@ def cmd_duality_check(args) -> int:
 
 
 def cmd_tw(args) -> int:
+    from . import painleve
+
     if args.t is None and args.grid is None:
         raise UsageError("need --t or --grid")
     ts = parse_grid(args.grid) if args.grid else [args.t]
     sol = painleve.hastings_mcleod(tol=args.tol)
-    cdf = painleve.tw_cdf(sol, ts).tolist()
-    survival = painleve.tw_survival(sol, ts).tolist()
+    cdf, survival = painleve.tw_cdf_survival(sol, ts)
     rows = [{"t": t, "cdf": f, "survival": sf}
-            for t, f, sf in zip(ts, cdf, survival)]
+            for t, f, sf in zip(ts, cdf.tolist(), survival.tolist())]
     emit(_table("tw", {"tol": args.tol, "grid": args.grid, "t": args.t},
                 rows), args)
     return EXIT_OK
 
 
 def cmd_critical(args) -> int:
+    from . import painleve
+
     _require(args, "n", "c", "s")
     c = float(args.c)
     sol = painleve.hastings_mcleod(tol=args.tol)
@@ -276,6 +300,8 @@ def cmd_critical(args) -> int:
 
 
 def cmd_ldp(args) -> int:
+    from . import ldp
+
     _require(args, "alpha")
     alpha = float(args.alpha)
     ts = parse_grid(args.grid) if args.grid else [args.t]
@@ -318,6 +344,8 @@ def cmd_ldp(args) -> int:
 
 
 def cmd_op_compare(args) -> int:
+    from . import opasymp
+
     _require(args, "a", "c")
     a, c = args.a, args.c
     z = complex(args.x if args.x is not None else 3.0,
@@ -350,6 +378,8 @@ def cmd_op_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import report
+
     skip = tuple(args.skip or ())
     try:
         results = report.run_checks(skip)
@@ -392,17 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
         if bits:
             p.add_argument("--bits", type=int, default=256)
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+            p.add_argument("--tol", type=finite_float, default=tol)
 
     p = sub.add_parser("geometry", help="droplet boundary points")
-    p.add_argument("--a", type=float)
+    p.add_argument("--a", type=finite_float)
     p.add_argument("--c", type=parse_rational)
     p.add_argument("--points", type=int, default=256)
     common(p)
     p.set_defaults(fn=cmd_geometry)
 
     p = sub.add_parser("free-energy", help="log Z_N expansion terms")
-    p.add_argument("--a", type=float)
+    p.add_argument("--a", type=finite_float)
     p.add_argument("--c", type=parse_rational)
     p.add_argument("--n", type=int)
     p.add_argument("--order", type=int, default=2, metavar="M")
@@ -412,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_free_energy)
 
     p = sub.add_parser("exact", help="exact finite-N log Z and A11")
-    p.add_argument("--a", type=float)
+    p.add_argument("--a", type=finite_float)
     p.add_argument("--c", type=parse_rational)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
@@ -423,28 +453,28 @@ def build_parser() -> argparse.ArgumentParser:
                                              "partition-function ratio")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--x", type=float)
+    p.add_argument("--x", type=finite_float)
     common(p, bits=True, tol=1e-25)
     p.set_defaults(fn=cmd_duality_check)
 
     p = sub.add_parser("tw", help="extreme-value distribution values")
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=finite_float)
     p.add_argument("--grid", type=str, default=None, metavar="LO:HI:STEPS")
-    common(p, tol=painleve.DEFAULT_TOL)
+    common(p, tol=TW_TOL)
     p.set_defaults(fn=cmd_tw)
 
     p = sub.add_parser("critical", help="transition-window free energy")
     p.add_argument("--n", type=int)
     p.add_argument("--c", type=parse_rational)
-    p.add_argument("--s", type=float)
+    p.add_argument("--s", type=finite_float)
     p.add_argument("--exact-compare", action="store_true",
                    help="add exact log Z and the residual (needs integer c*n)")
-    common(p, tol=painleve.DEFAULT_TOL)
+    common(p, tol=TW_TOL)
     p.set_defaults(fn=cmd_critical)
 
     p = sub.add_parser("ldp", help="left-edge rate function table")
     p.add_argument("--alpha", type=parse_rational)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=finite_float)
     p.add_argument("--grid", type=str, default=None, metavar="LO:HI:STEPS")
     p.add_argument("--check-kc", action="store_true",
                    help="exit 3 if the action identity fails anywhere")
@@ -456,18 +486,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ldp)
 
     p = sub.add_parser("op-compare", help="asymptotic vs exact polynomials")
-    p.add_argument("--a", type=float)
+    p.add_argument("--a", type=finite_float)
     p.add_argument("--c", type=parse_rational)
     p.add_argument("--n", dest="n_list", type=parse_int_list, default=[4, 8, 16],
                    metavar="N1,N2,...")
-    p.add_argument("--x", type=float, help="evaluation point, real part")
-    p.add_argument("--s", type=float, help="evaluation point, imaginary part")
+    p.add_argument("--x", type=finite_float, help="evaluation point, real part")
+    p.add_argument("--s", type=finite_float, help="evaluation point, imaginary part")
     common(p, bits=True)
     p.set_defaults(fn=cmd_op_compare)
 
     p = sub.add_parser("report", help="run the verification suite")
-    p.add_argument("--skip", action="append", choices=report.SUITES,
-                   default=None, metavar="SUITE")
+    # run_checks rejects an unknown suite and names the known ones
+    p.add_argument("--skip", action="append", default=None, metavar="SUITE")
     common(p)
     p.set_defaults(fn=cmd_report)
 
@@ -507,7 +537,7 @@ def _validate_common(args) -> None:
     if order is not None and order < 0:
         raise UsageError(f"--order must be nonnegative, got {order}")
     tol = getattr(args, "tol", None)
-    if tol is not None and tol <= 0.0:
+    if tol is not None and not tol > 0.0:
         raise UsageError(f"--tol must be positive, got {tol}")
 
 

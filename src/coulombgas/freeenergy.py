@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
-
 from .errors import DomainError
 from .geometry import Regime, pre_geometry, solve_q
 
@@ -242,38 +239,19 @@ def first_omitted_tail_term(N: int, c: float, M: int) -> float:
     return abs(_tail_coefficient(c, M + 1) * float(N) ** (-(M + 1)))
 
 
-def barnes_series_logG(x: float, terms: int = 10) -> float:
-    """Asymptotic series for log G(x), truncated at its smallest term."""
-    z = x - 1.0  # series is for log G(z+1)
-    out = (z * z / 2.0 * math.log(z) - 0.75 * z * z + LOG_2PI / 2.0 * z
-           - math.log(z) / 12.0 + ZETA_PRIME_MINUS_ONE)
-    prev = math.inf
-    for k in range(1, terms + 1):
-        t = float(_BERNOULLI[2 * k + 2]) / (4 * k * (k + 1)) * z ** (-2 * k)
-        if abs(t) > prev:
-            break  # divergent tail reached; stop at the smallest term
-        out += t
-        prev = abs(t)
-    return out
+def barnes_logG(n: int) -> float:
+    """log G(n) at a positive integer n, by exact big-integer recursion.
 
-
-def barnes_logG(x: float) -> float:
-    """log G(x); exact big-integer recursion at positive integers, else asymptotics.
-
-    G(z+1) = Gamma(z) G(z) with G(1) = G(2) = 1, so at integer n >= 1,
-    G(n) = prod_{k=1}^{n-2} k!.
+    G(z+1) = Gamma(z) G(z) with G(1) = G(2) = 1, so G(n) = prod_{k=1}^{n-2} k!.
     """
-    if x <= 0:
-        raise DomainError(f"barnes_logG needs x > 0, got {x}")
-    if float(x).is_integer():
-        n = int(x)
-        acc = 1
-        fact = 1
-        for k in range(1, n - 1):
-            fact *= k
-            acc *= fact
-        return math.log(acc) if acc > 1 else 0.0
-    return barnes_series_logG(x)
+    if n <= 0 or not float(n).is_integer():
+        raise DomainError(f"barnes_logG needs a positive integer, got {n}")
+    acc = 1
+    fact = 1
+    for k in range(1, int(n) - 1):
+        fact *= k
+        acc *= fact
+    return math.log(acc) if acc > 1 else 0.0
 
 
 def reference_logZ(N: int, c: float) -> float:
@@ -322,43 +300,3 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int, M: int = 2) -> float:
                      / ((F2 + z2) ** 4 * (F2 - 1.0) ** 3 * (F2 * F2 * F2 - z2 * z2)))
             / 24.0)
     return logG + H * N * N
-
-
-def radial_energy(w, r0: Optional[float] = None, r1: Optional[float] = None,
-                  search_hi: float = 50.0) -> float:
-    """Energy I = w(r1) - log r1 - (1/4) int_{r0}^{r1} r w'(r)^2 dr for radial w.
-
-    The droplet is the annulus r0 <= |z| <= r1 fixed by r0 w'(r0) = 0 and
-    r1 w'(r1) = 2. Pass r0/r1 explicitly or let bisection find them. Independent
-    oracle for the a = 0 closed forms; w must be smooth on (0, search_hi).
-    """
-
-    def wprime(r: float) -> float:
-        # step shrinks with r so profiles with a log singularity at 0 stay in domain
-        h = min(1e-6, 0.5 * r) if r > 0 else 1e-6
-        return (w(r + h) - w(r - h)) / (2.0 * h)
-
-    def edge(r: float) -> float:
-        return r * wprime(r)
-
-    if r1 is None:
-        r1 = brentq(lambda r: edge(r) - 2.0, 1e-3, search_hi, xtol=1e-13)
-    if r0 is None:
-        lo = 1e-6 * r1
-        grid = [lo * (r1 * (1.0 - 1e-9) / lo) ** (k / 200.0) for k in range(201)]
-        vals = [edge(r) for r in grid]
-        r0 = 0.0
-        for rleft, rright, vleft, vright in zip(grid, grid[1:], vals, vals[1:]):
-            if vleft == 0.0:
-                r0 = rleft
-                break
-            if vleft * vright < 0.0:
-                r0 = brentq(edge, rleft, rright, xtol=1e-13)
-                break
-        else:
-            if abs(vals[0]) > 1e-6:
-                raise DomainError("no inner edge: r w'(r) has no zero in (0, r1)")
-    val, est = quad(lambda r: r * wprime(r) ** 2, r0, r1, limit=200)
-    if est > 1e-8:
-        raise ArithmeticError(f"radial quadrature did not converge: error {est}")
-    return w(r1) - math.log(r1) - 0.25 * val

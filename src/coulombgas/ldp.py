@@ -20,15 +20,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
 from .errors import DomainError
 from .exactfiniten import lue_gap_probability
 from .freeenergy import ZETA_PRIME_MINUS_ONE, energy_post, energy_pre, fconst
 from .geometry import Regime
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
 
 @dataclass(frozen=True)
@@ -54,21 +51,6 @@ def mp_density(params: LUEParams, x: float) -> float:
         return 0.0
     return math.sqrt((params.lambda_plus - x) * (x - params.lambda_minus)) / (
         2.0 * math.pi * x)
-
-
-def mp_total_mass(params: LUEParams) -> float:
-    """Integral of mp_density via x = l- + (l+ - l-) sin^2(phi).
-
-    The substitution absorbs both inverse-square-root edges; the remaining
-    integrand is analytic in phi, so fixed Gauss-Legendre converges fast.
-    """
-    lo, hi = params.lambda_minus, params.lambda_plus
-    width = hi - lo
-    phi_nodes = 0.25 * math.pi * (_GL_NODES + 1.0)
-    sin2 = np.sin(phi_nodes) ** 2
-    x = lo + width * sin2
-    integrand = (width ** 2 / math.pi) * sin2 * np.cos(phi_nodes) ** 2 / x
-    return float(0.25 * math.pi * _GL_WEIGHTS @ integrand)
 
 
 def _planar_args(t: float, alpha: float) -> tuple[float, float]:
@@ -141,17 +123,6 @@ def constrained_density(t: float, alpha: float, x: float) -> float:
         raise DomainError(f"x = {x} outside the constrained support ({lo}, {hi})")
     return (math.sqrt(hi - x) / (2.0 * math.pi * math.sqrt(x - lo))
             * (x - alpha * math.sqrt(t / hi)) / x)
-
-
-def constrained_mass(t: float, alpha: float) -> float:
-    """Integral of constrained_density via x = t + (U - t) sin^2(phi)."""
-    lo, hi = constrained_support(t, alpha)
-    width = hi - lo
-    phi_nodes = 0.25 * math.pi * (_GL_NODES + 1.0)
-    x = lo + width * np.sin(phi_nodes) ** 2
-    integrand = (width / math.pi) * np.cos(phi_nodes) ** 2 * (
-        x - alpha * math.sqrt(t / hi)) / x
-    return float(0.25 * math.pi * _GL_WEIGHTS @ integrand)
 
 
 def phi_large_t(t: float, alpha: float) -> float:

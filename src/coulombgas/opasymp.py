@@ -55,13 +55,6 @@ EXTERIOR_MARGIN = 1.15
 DEFAULT_QUAD_TOL = 1e-12
 
 
-def g_large_z_coefficient(geom: PreGeometry) -> float:
-    """C1 in g(z) = log z - C1/z + O(1/z^2) for the simply connected phase."""
-    a, q = geom.a, geom.q
-    return (1.0 / (4.0 * a) + a / 2.0 - 1.0 / (2.0 * a * q * q)
-            - a ** 3 * q ** 4 / 4.0)
-
-
 def _segment_distance(p0: complex, p1: complex, q0: complex, q1: complex) -> float:
     # distance between 2D segments [p0,p1] and [q0,q1]; 0 when they intersect
     def cross(u: complex, v: complex) -> float:

@@ -46,10 +46,6 @@ def airy_ai(x: float) -> float:
     return float(airy(x)[0])
 
 
-def airy_ai_prime(x: float) -> float:
-    return float(airy(x)[1])
-
-
 @dataclass(frozen=True)
 class TWSolution:
     """Collocation-solved transcendent with suffix sums of its tail integrals.
@@ -198,18 +194,26 @@ def _like_input(values: np.ndarray) -> float | np.ndarray:
     return values if np.ndim(values) else float(values)
 
 
-def tw_cdf(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
-    """F(t) = exp(-int_t^inf (x-t) hm_q^2); needs the solved range to cover t.
+def tw_cdf_survival(sol: TWSolution, t: float | np.ndarray
+                    ) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(F(t), 1 - F(t)) from one tail evaluation.
 
-    Like tw_survival and q2_tail_integral, a float t gives a float and an
-    array of t gives an array.
+    F(t) = exp(-int_t^inf (x-t) hm_q^2) needs the solved range to cover t;
+    1 - F(t) comes without cancellation, for the far right tail.  Like
+    q2_tail_integral, a float t gives floats and an array of t gives arrays.
     """
-    return _like_input(np.exp(-_tails(sol, t)[1]))
+    moment = _tails(sol, t)[1]
+    return _like_input(np.exp(-moment)), _like_input(-np.expm1(-moment))
+
+
+def tw_cdf(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
+    """F(t) alone; see tw_cdf_survival."""
+    return tw_cdf_survival(sol, t)[0]
 
 
 def tw_survival(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
-    """1 - F(t) without cancellation, for the far right tail."""
-    return _like_input(-np.expm1(-_tails(sol, t)[1]))
+    """1 - F(t) alone; see tw_cdf_survival."""
+    return tw_cdf_survival(sol, t)[1]
 
 
 def q2_tail_integral(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:

@@ -17,6 +17,11 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
+def child_env():
+    # a child interpreter finds the package where this process imported it from
+    return {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+
+
 def run_cli(argv, capsys):
     code = cli.run(argv)
     captured = capsys.readouterr()
@@ -74,6 +79,10 @@ class TestExitCodes:
          "--bits", "64"],                                   # bits < 128
         ["report", "--skip", "nosuchsuite"],                # unknown suite
         ["nosuchcommand"],
+        ["tw", "--t", "inf"],                               # non-finite flags
+        ["tw", "--grid=nan:1:3"],
+        ["tw", "--t", "1", "--tol", "nan"],
+        ["ldp", "--alpha", "16/9", "--t", "nan"],
     ])
     def test_usage_errors(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -219,12 +228,51 @@ def test_readme_examples_run(capsys):
             assert json.loads(out)["rows"], argv
 
 
+# Each command runs in a fresh interpreter: the test process has scipy loaded.
+_MODULES_AFTER = """
+import contextlib, io, json, sys
+from coulombgas import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.run(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(json.dumps([code, sorted({name.split(".")[0] for name in sys.modules})]))
+"""
+
+
+@pytest.mark.parametrize("argv, numpy_free", [
+    (["--help"], True),
+    (["exact", "--a", "0.3", "--c", "9/16", "--n", "16"], True),
+    (["geometry", "--a", "1", "--c", "0.5625", "--points", "16"], False),
+    (["free-energy", "--a", "0.2", "--c", "1", "--n", "8", "--exact-compare"],
+     False),
+    (["duality-check", "--n", "2", "--m", "2", "--x", "0.5"], False),
+    (["ldp", "--alpha", "16/9", "--grid", "0.5:5:5", "--check-kc"], False),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_cold_start_skips_scipy(argv, numpy_free):
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=child_env())
+    code, top_level = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    assert "scipy" not in top_level
+    if numpy_free:
+        assert "numpy" not in top_level
+
+
+def test_tw_tol_default_is_painleve_default():
+    from coulombgas import painleve
+
+    parser = cli.build_parser()
+    for sub in ("tw", "critical"):
+        assert parser.parse_args([sub]).tol == painleve.DEFAULT_TOL
+
+
 def test_console_entry_point():
-    # the child finds the package where this process imported it from
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "coulombgas.cli", "geometry", "--a", "1",
          "--c", "0.5625", "--points", "16"],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema_version"] == 1

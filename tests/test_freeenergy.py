@@ -5,6 +5,7 @@ import math
 import pytest
 from mpmath import mp
 
+import oracles
 from coulombgas import exactfiniten, freeenergy, geometry
 from coulombgas.geometry import Regime
 
@@ -190,7 +191,7 @@ class TestReferenceAndBarnes:
         # truncating after the first correction leaves the k=2 Bernoulli term
         bern = freeenergy.bernoulli_numbers(6)
         first_omitted = abs(float(bern[6]) / 24 * 49.0 ** -4)
-        diff = abs(freeenergy.barnes_series_logG(50.0, terms=1)
+        diff = abs(oracles.barnes_series_logG(50.0, terms=1)
                    - freeenergy.barnes_logG(50))
         assert diff < first_omitted
 
@@ -213,17 +214,33 @@ class TestCharpolyMoment:
         ratio = freeenergy.reference_logZ(8, 1.0) - float(exactfiniten.log_zgin(8))
         assert got == pytest.approx(ratio, abs=1e-7)
 
+    @pytest.mark.parametrize("z_abs", [1.2, 2.0])
+    def test_pre_critical_error_class(self, z_abs):
+        """Outside a_cri (the (F^2-1)^3 branch) the error decays like N^-2.
+
+        The class is empirical: the paper states terms only through O(1).
+        N^2 (asymp - exact) measures -2.6e-3 at |z| = 1.2 and -1.6e-4 at
+        |z| = 2 for N = 8, 16, 32, so each doubling divides the error by
+        about 4; an N^-1 error would divide it by 2.
+        """
+        errors = [abs(freeenergy.charpoly_moment_asymp(z_abs, 1.0, n)
+                      - float(mp.log(exactfiniten.exact_charpoly_moment(
+                          n, n, z_abs))))
+                  for n in (8, 16, 32)]
+        assert errors[0] / errors[1] >= 3.0
+        assert errors[1] / errors[2] >= 3.0
+
 
 class TestRadialEnergy:
     def test_ginibre(self):
-        assert freeenergy.radial_energy(lambda r: r * r, 0.0, 1.0) \
+        assert oracles.radial_energy(lambda r: r * r, 0.0, 1.0) \
             == pytest.approx(0.75, abs=1e-9)
 
     def test_annulus_matches_closed_form(self):
-        got = freeenergy.radial_energy(lambda r: r * r - 2.0 * math.log(r))
+        got = oracles.radial_energy(lambda r: r * r - 2.0 * math.log(r))
         assert got == pytest.approx(freeenergy.energy_post(0.0, 1.0), abs=1e-10)
 
     def test_constant_shift(self):
-        base = freeenergy.radial_energy(lambda r: r * r, 0.0, 1.0)
-        shifted = freeenergy.radial_energy(lambda r: r * r + 0.01, 0.0, 1.0)
+        base = oracles.radial_energy(lambda r: r * r, 0.0, 1.0)
+        shifted = oracles.radial_energy(lambda r: r * r + 0.01, 0.0, 1.0)
         assert shifted - base == pytest.approx(0.01, abs=1e-10)

@@ -55,9 +55,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-8:6:57" as an unknown option; any "-<digit>" or
-        # "-.<digit>" token is a value here (no option looks like that)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse reads "-8:6:57" or "-inf" as an unknown option; any
+        # "-<digit>", "-.<digit>", "-inf" or "-nan" token (in any case) is a
+        # value here, so finite_float sees it (no option looks like that)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
     # argparse exits 2 on usage errors; the contract here reserves 2 for
     # numerical failures, so route usage problems through UsageError instead
@@ -101,6 +103,15 @@ def parse_grid(text: str) -> list[float]:
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+
+
+def _int_product(x: Fraction, n: int, name: str) -> int:
+    """x*n as an int, for the exact modes (m = c*n, or alpha*n in ldp)."""
+    m = x * n
+    if m.denominator != 1:
+        raise UsageError(f"exact modes need an integer {name}*n, got {m} "
+                         f"at n = {n}")
+    return int(m)
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -168,6 +179,12 @@ def _require(args, *names) -> None:
         raise UsageError(f"missing required flags: {flags}")
 
 
+def _add_exact_logz(row: dict, n: int, m: int, a: float, value: float) -> None:
+    # the --exact-compare columns of free-energy and critical
+    exact = float(exactfiniten.exact_logZ(exactfiniten.ExactContext(N=n, m=m, a=a)))
+    row.update(exact_logz=exact, residual=abs(exact - value))
+
+
 def cmd_geometry(args) -> int:
     _require(args, "a", "c")
     a, c = args.a, float(args.c)
@@ -196,6 +213,7 @@ def cmd_geometry(args) -> int:
 def cmd_free_energy(args) -> int:
     _require(args, "a", "c", "n")
     a, c, n = args.a, float(args.c), args.n
+    m = _int_product(args.c, n, "c") if args.exact_compare else None
     regime = geometry.classify(a, c)
     result = freeenergy.expansion(n, a, c, regime, M=args.order)
     t = result.terms
@@ -206,12 +224,7 @@ def cmd_free_energy(args) -> int:
            "error_class": t.error_class,
            "tail": [{"power": p, "coefficient": coef} for p, coef in t.tail]}
     if args.exact_compare:
-        m = args.c * n
-        if m.denominator != 1:
-            raise UsageError(f"exact comparison needs integer c*n, got {m}")
-        exact = float(exactfiniten.exact_logZ(
-            exactfiniten.ExactContext(N=n, m=int(m), a=a)))
-        row.update(exact_logz=exact, residual=abs(exact - result.log_z))
+        _add_exact_logz(row, n, m, a, result.log_z)
     emit(_table("free-energy", {"a": a, "c": c, "n": n, "order": args.order,
                                 "exact_compare": args.exact_compare},
                 [row]), args)
@@ -223,11 +236,7 @@ def _resolve_m(args) -> int:
         return args.m
     if args.c is None:
         raise UsageError("need --m, or --c so that m = c*n can be formed")
-    m = args.c * args.n
-    if m.denominator != 1:
-        raise UsageError(f"c*n = {m} is not an integer; pass --c as a "
-                         f"rational like 9/16 or give --m explicitly")
-    return int(m)
+    return _int_product(args.c, args.n, "c")
 
 
 def cmd_exact(args) -> int:
@@ -281,17 +290,13 @@ def cmd_critical(args) -> int:
 
     _require(args, "n", "c", "s")
     c = float(args.c)
+    m = _int_product(args.c, args.n, "c") if args.exact_compare else None
     sol = painleve.hastings_mcleod(tol=args.tol)
     a_s = painleve.critical_a(args.s, c, args.n)
     value = painleve.critical_expansion(args.n, c, args.s, solution=sol)
     row = {"N": args.n, "c": c, "s": args.s, "a_s": a_s, "expansion": value}
     if args.exact_compare:
-        m = args.c * args.n
-        if m.denominator != 1:
-            raise UsageError(f"exact comparison needs integer c*n, got {m}")
-        exact = float(exactfiniten.exact_logZ(
-            exactfiniten.ExactContext(N=args.n, m=int(m), a=a_s)))
-        row.update(exact_logz=exact, residual=abs(exact - value))
+        _add_exact_logz(row, args.n, m, a_s, value)
     emit(_table("critical", {"n": args.n, "c": c, "s": args.s,
                              "tol": args.tol,
                              "exact_compare": args.exact_compare}, [row]),
@@ -310,10 +315,7 @@ def cmd_ldp(args) -> int:
     if args.exact_compare:
         if args.n is None:
             raise UsageError("--exact-compare needs --n")
-        if (args.alpha * args.n).denominator != 1:
-            raise UsageError(
-                f"exact comparison needs integer alpha*n, got "
-                f"{args.alpha * args.n}")
+        _int_product(args.alpha, args.n, "alpha")
     edge_action = ldp.kc_action(ldp.LUEParams.from_alpha(alpha).lambda_minus,
                                 alpha)
 
@@ -351,14 +353,12 @@ def cmd_op_compare(args) -> int:
     z = complex(args.x if args.x is not None else 3.0,
                 args.s if args.s is not None else 0.0)
     ns = args.n_list
+    ms = [_int_product(c, n, "c") for n in ns]
     evaluator = opasymp.GEvaluator.build(a, float(c))
     exact_values = {}
     with mp.workprec(args.bits):
-        for n in ns:
-            m = c * n
-            if m.denominator != 1:
-                raise UsageError(f"c*n = {m} is not an integer at n = {n}")
-            ctx = exactfiniten.ExactContext(N=n, m=int(m), a=a,
+        for n, m in zip(ns, ms):
+            ctx = exactfiniten.ExactContext(N=n, m=m, a=a,
                                             precision_bits=args.bits)
             exact_values[n] = complex(
                 exactfiniten.eval_polynomial(exactfiniten.exact_op(ctx), z))

@@ -58,10 +58,6 @@ class ExactContext:
         if self.precision_bits < 128:
             raise DomainError(f"precision_bits must be >= 128, got {self.precision_bits}")
 
-    @property
-    def c(self) -> Fraction:
-        return Fraction(self.m, self.N)
-
 
 @dataclass(frozen=True)
 class MomentTable:

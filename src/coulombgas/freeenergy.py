@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DomainError
-from .geometry import Regime, pre_geometry, solve_q
+from .geometry import Regime, critical_values, pre_geometry, solve_q
 
 #: zeta'(-1) = 1/12 - log(Glaisher), 30 significant digits
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919660243
@@ -45,14 +45,6 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
 
 
 _BERNOULLI = bernoulli_numbers(64)
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    robin: float
-    potential_integral: float
-    energy: float
-    re_g_a: Optional[float]  # pre-critical only
 
 
 @dataclass(frozen=True)
@@ -124,14 +116,6 @@ def potential_integral(a: float, c: float, regime: Regime) -> float:
                 - (a * a / 4.0 + c + 0.5) * t + 0.375 * t * t
                 - c * re_g_at_a(a, c))
     raise DomainError(f"potential_integral needs Post or Pre, got {regime}")
-
-
-def energy_breakdown(a: float, c: float, regime: Regime) -> EnergyBreakdown:
-    robin = robin_constant(a, c, regime)
-    pot = potential_integral(a, c, regime)
-    if regime is Regime.POST:
-        return EnergyBreakdown(robin, pot, energy_post(a, c), None)
-    return EnergyBreakdown(robin, pot, energy_pre(a, c), re_g_at_a(a, c))
 
 
 def d_energy_pre_da(a: float, c: float) -> float:
@@ -266,16 +250,17 @@ def reference_logZ(N: int, c: float) -> float:
             - ((m / N + 0.5) * N * N + 0.5 * N) * math.log(N))
 
 
-def charpoly_moment_asymp(z_abs: float, c: float, N: int, M: int = 2) -> float:
+def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
     """log E|det(G_N - z)|^{2cN}: the N^2, log N, and O(1) terms plus the post tail.
 
-    The branch is selected by |z| against sqrt(c+1) - sqrt(c). The pre-critical
-    prefactor uses (F^2-1)^3, the form consistent with the free-energy constant
-    (and the only one with the correct |z| -> infinity limit).
+    The post tail runs through N^-4.  The branch is selected by |z| against
+    sqrt(c+1) - sqrt(c). The pre-critical prefactor uses (F^2-1)^3, the form
+    consistent with the free-energy constant (and the only one with the
+    correct |z| -> infinity limit).
     """
     if z_abs < 0 or c <= 0:
         raise DomainError(f"need |z| >= 0 and c > 0, got {z_abs}, {c}")
-    a_cri = math.sqrt(c + 1.0) - math.sqrt(c)
+    a_cri = critical_values(c).a_cri
     if z_abs == a_cri:
         raise DomainError("|z| = a_cri sits on the phase boundary")
     if z_abs < a_cri:
@@ -284,7 +269,7 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int, M: int = 2) -> float:
         logG = math.log(c / (1.0 + c)) / 12.0
         tail = sum(float(_BERNOULLI[2 * k + 2]) / (4 * k * (k + 1))
                    * ((c + 1.0) ** (-2 * k) - c ** (-2 * k) - 1.0) * N ** (-2 * k)
-                   for k in range(1, M + 1))
+                   for k in (1, 2))
         return math.log(N) / 12.0 - ZETA_PRIME_MINUS_ONE + logG + H * N * N + tail
     geom = pre_geometry(z_abs, c)
     F = 1.0 / geom.q  # F(|z|) = 1/q at the insertion point

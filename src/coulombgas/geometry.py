@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from .errors import BranchCutError, DomainError, NoValidRoot
 
-#: default half-width of the AtCriticality window in a - a_cri
+#: half-width of the AtCriticality window in a - a_cri
 TAU = 1e-12
 
 
@@ -53,16 +53,16 @@ def critical_values(c: float) -> CriticalValues:
     return CriticalValues(a_cri, c_cri_at)
 
 
-def classify(a: float, c: float, tol: float = TAU) -> Regime:
+def classify(a: float, c: float) -> Regime:
     """Resolve the phase of (a, c). a = 0 counts as post-critical by convention."""
     if a < 0:
         raise DomainError(f"a must be nonnegative, got {a}")
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
     a_cri = critical_values(c).a_cri
-    if a < a_cri - tol:
+    if a < a_cri - TAU:
         return Regime.POST
-    if a > a_cri + tol:
+    if a > a_cri + TAU:
         return Regime.PRE
     return Regime.AT_CRITICALITY
 
@@ -74,8 +74,8 @@ class ModelParams:
     regime: Regime
 
     @classmethod
-    def resolve(cls, a: float, c: float, tol: float = TAU) -> "ModelParams":
-        return cls(a=float(a), c=float(c), regime=classify(a, c, tol))
+    def resolve(cls, a: float, c: float) -> "ModelParams":
+        return cls(a=float(a), c=float(c), regime=classify(a, c))
 
 
 @dataclass(frozen=True)
@@ -103,52 +103,37 @@ class PostGeometry:
     b: float
 
 
-def _cubic_roots_u(a: float, c: float) -> list[float]:
-    # depressed-cubic trigonometric solution of u^3 - p u^2 + r = 0
+def solve_q(a: float, c: float) -> float:
+    """Admissible modulus q in (0, 1] for pre-critical (a, c); q = 1 exactly at a_cri.
+
+    u = q^2 is the middle real root of u^3 - p u^2 + r = 0 (k = 1 in the
+    trigonometric form): the smallest root is negative, since the cubic is
+    r > 0 at u = 0, and the largest exceeds 2p/3, so u > 1 or a^2 u > 1 there.
+    """
+    if a <= 0 or c <= 0:
+        raise DomainError(f"solve_q needs a > 0 and c > 0, got a={a}, c={c}")
     p = (a * a + 4.0 * c + 2.0) / (2.0 * a * a)
     r = 1.0 / (2.0 * a ** 4)
     P = -p * p / 3.0
     Q = -2.0 * p ** 3 / 27.0 + r
     m = 2.0 * math.sqrt(-P / 3.0)
     arg = 3.0 * Q / (P * m)
-    if abs(arg) > 1.0:
-        if abs(arg) > 1.0 + 1e-9:
-            return []
-        arg = math.copysign(1.0, arg)
-    phi = math.acos(arg) / 3.0
-    roots = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) + p / 3.0 for k in range(3)]
-    # Newton polish; the trig form can lose digits when p >> 1
-    polished = []
-    for u in roots:
+    if abs(arg) <= 1.0 + 1e-9:
+        phi = math.acos(max(-1.0, min(arg, 1.0))) / 3.0
+        u = m * math.cos(phi - 2.0 * math.pi / 3.0) + p / 3.0
+        # Newton polish; the trig form can lose digits when p >> 1
         for _ in range(3):
             g = u ** 3 - p * u * u + r
             dg = 3.0 * u * u - 2.0 * p * u
             if dg == 0.0:
                 break
             u -= g / dg
-        polished.append(u)
-    return polished
-
-
-def solve_q(a: float, c: float) -> float:
-    """Admissible modulus q in (0, 1] for pre-critical (a, c); q = 1 exactly at a_cri."""
-    if a <= 0 or c <= 0:
-        raise DomainError(f"solve_q needs a > 0 and c > 0, got a={a}, c={c}")
-    edge = 1.0 + 1e-11
-    hits = [u for u in _cubic_roots_u(a, c)
-            if 0.0 < u < edge and a * a * u < edge]
-    if not hits:
-        raise NoValidRoot(
-            f"no root of the modulus cubic satisfies 0 < q^2 < 1, kappa > 0 "
-            f"at a={a}, c={c}; parameters are likely post-critical")
-    # the admissible root is unique in exact arithmetic; near q = 1 two filtered
-    # roots can straddle the edge tolerance, keep the one with smaller residual
-    if len(hits) > 1:
-        p = (a * a + 4.0 * c + 2.0) / (2.0 * a * a)
-        r = 1.0 / (2.0 * a ** 4)
-        hits.sort(key=lambda u: abs(u ** 3 - p * u * u + r))
-        hits = hits[:1]
-    return math.sqrt(min(hits[0], 1.0))
+        edge = 1.0 + 1e-11
+        if 0.0 < u < edge and a * a * u < edge:
+            return math.sqrt(min(u, 1.0))
+    raise NoValidRoot(
+        f"no root of the modulus cubic satisfies 0 < q^2 < 1, kappa > 0 "
+        f"at a={a}, c={c}; parameters are likely post-critical")
 
 
 def pre_geometry(a: float, c: float) -> PreGeometry:

@@ -130,26 +130,21 @@ def phi_large_t(t: float, alpha: float) -> float:
     return t - alpha * math.log(t)
 
 
-def ldp_log_probability(n: int, alpha: float, t: float,
-                        with_constant: bool = True) -> float:
-    """log P[smallest eigenvalue > t] through constant order at size n.
-
-    with_constant=False keeps only the leading -Phi n^2, the constrained
-    Coulomb gas order.
-    """
+def ldp_log_probability(n: int, alpha: float, t: float) -> float:
+    """log P[smallest eigenvalue > t] through constant order at size n:
+    -Phi n^2 - log(alpha n)/12 + zeta'(-1) + Psi."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    value = -phi(t, alpha) * n * n
-    if with_constant:
-        value += -math.log(alpha * n) / 12.0 + ZETA_PRIME_MINUS_ONE + psi(t, alpha)
-    return value
+    # constant-order terms summed first, then added: the order fixes the last bits
+    return (-phi(t, alpha) * n * n
+            + (-math.log(alpha * n) / 12.0 + ZETA_PRIME_MINUS_ONE + psi(t, alpha)))
 
 
-def exact_log_gap_probability(n: int, alpha: float, t: float,
-                              precision_bits: int = 256) -> float:
+def exact_log_gap_probability(n: int, alpha: float, t: float) -> float:
     """Finite-n log P[smallest eigenvalue > t], exact up to final rounding.
 
     Needs alpha*n to be an integer (the weight exponent counts zero modes).
+    The Gram determinants run at 256 bits.
     For t <= 0 the gap event is almost sure, so log P = 0 exactly.
     """
     if t <= 0.0:
@@ -159,6 +154,5 @@ def exact_log_gap_probability(n: int, alpha: float, t: float,
     if abs(alpha_n - nearest) > 1e-9:
         raise DomainError(
             f"exact comparison needs integer alpha*n, got {alpha_n}")
-    prob = lue_gap_probability(n, int(nearest), Fraction(t), n,
-                               precision_bits=precision_bits)
+    prob = lue_gap_probability(n, int(nearest), Fraction(t), n)
     return float(mp.log(prob))

@@ -94,21 +94,19 @@ def _g_prime_pre(geom: PreGeometry, c: float, w: complex) -> complex:
     return 0.5 * (a - c / (w - a) + (c + 1.0) / w - y)
 
 
-def _far_coefficients(geom: PreGeometry, c: float, radius: float,
-                      n_points: int = 1024, max_order: int = 15) -> tuple:
-    """Laurent coefficients d_2..d_max of h(w) = g'(w) - 1/w at infinity.
+def _far_coefficients(geom: PreGeometry, c: float, radius: float) -> tuple:
+    """Laurent coefficients d_2..d_15 of h(w) = g'(w) - 1/w at infinity.
 
-    Cauchy circle averages d_j = mean_k h(w_k) w_k^j; aliasing folds in only
-    orders past n_points, down by (bound/radius)^n_points.  Roundoff in d_j
-    scales like eps * radius^{j-2}, which the w^{1-j} decay of the series
-    overwhelms at any evaluation point beyond twice the sampling radius.
+    Cauchy circle averages d_j = mean_k h(w_k) w_k^j over 1024 points;
+    aliasing folds in only orders past 1024, down by (bound/radius)^1024.
+    Roundoff in d_j scales like eps * radius^{j-2}, which the w^{1-j} decay
+    of the series overwhelms at any evaluation point beyond twice the
+    sampling radius.
     """
-    ws = [radius * cmath.exp(2j * math.pi * k / n_points) for k in range(n_points)]
+    n = 1024
+    ws = [radius * cmath.exp(2j * math.pi * k / n) for k in range(n)]
     hs = [_g_prime_pre(geom, c, w) - 1.0 / w for w in ws]
-    coeffs = []
-    for j in range(2, max_order + 1):
-        coeffs.append(sum(h * w ** j for h, w in zip(hs, ws)) / n_points)
-    return tuple(coeffs)
+    return tuple(sum(h * w ** j for h, w in zip(hs, ws)) / n for j in range(2, 16))
 
 
 @dataclass(frozen=True)
@@ -124,13 +122,11 @@ class GEvaluator:
     params: ModelParams
     geom: Union[PreGeometry, PostGeometry]
     exterior_radius: float
-    quadrature_tol: float = DEFAULT_QUAD_TOL
     far_coefficients: tuple = ()
     switch_radius: float = 0.0
 
     @classmethod
-    def build(cls, a: float, c: float,
-              quadrature_tol: float = DEFAULT_QUAD_TOL) -> "GEvaluator":
+    def build(cls, a: float, c: float) -> "GEvaluator":
         params = ModelParams.resolve(a, c)
         if params.regime is Regime.AT_CRITICALITY:
             raise DomainError(
@@ -149,7 +145,6 @@ class GEvaluator:
             bound = max(abs(geom.beta), a, _droplet_outer_extent(geom))
         return cls(params=params, geom=geom,
                    exterior_radius=EXTERIOR_MARGIN * bound,
-                   quadrature_tol=quadrature_tol,
                    far_coefficients=far, switch_radius=switch)
 
     def require_exterior(self, z: complex) -> None:
@@ -168,15 +163,6 @@ class GEvaluator:
         self._require_off_charges(z)
         return cmath.log(z) + self.params.c * cmath.log(z / (z - self.params.a))
 
-    def g_prime(self, z: complex) -> complex:
-        """d/dz g(z) in either phase."""
-        z = complex(z)
-        self._require_off_charges(z)
-        a, c = self.params.a, self.params.c
-        if self.params.regime is Regime.POST:
-            return (1.0 + c) / z - c / (z - a)
-        return _g_prime_pre(self.geom, c, z)
-
     def _h(self, w: complex) -> complex:
         return _g_prime_pre(self.geom, self.params.c, w) - 1.0 / w
 
@@ -192,9 +178,9 @@ class GEvaluator:
     def _quad_complex(self, func, lo: float, hi: float) -> complex:
         # scipy's complex_func path drops the sign of a reversed interval
         # (seen in scipy 1.17), so integrate lo < hi and orient here
-        tol = self.quadrature_tol
-        value = complex(quad(func, min(lo, hi), max(lo, hi), epsabs=tol,
-                             epsrel=tol, limit=200, complex_func=True)[0])
+        value = complex(quad(func, min(lo, hi), max(lo, hi),
+                             epsabs=DEFAULT_QUAD_TOL, epsrel=DEFAULT_QUAD_TOL,
+                             limit=200, complex_func=True)[0])
         return -value if hi < lo else value
 
     def _guard_ray(self, z: complex, z_ref: complex) -> None:
@@ -332,18 +318,19 @@ def res_r11_infinity(geom: PreGeometry, N: int) -> float:
     return -num / den
 
 
-def r11_residue_probe(coeffs: RHCoefficients, radius: float = 1e3,
-                      n_points: int = 512) -> complex:
+def r11_residue_probe(coeffs: RHCoefficients) -> complex:
     """1/z coefficient of R11 by the circle average of z R11(z).
 
-    Aliasing only folds in Laurent orders beyond n_points, which are down by
-    (|beta|/radius)^n_points; at the defaults that is zero to double precision.
+    The average runs over 512 points on |z| = 1000.  Aliasing only folds in
+    Laurent orders beyond 512, which are down by (|beta|/1000)^512: zero to
+    double precision.
     """
+    n = 512
     total = 0.0 + 0.0j
-    for k in range(n_points):
-        zk = radius * cmath.exp(2j * math.pi * k / n_points)
+    for k in range(n):
+        zk = 1e3 * cmath.exp(2j * math.pi * k / n)
         total += r_entries(coeffs, zk)[0] * zk
-    return total / n_points
+    return total / n
 
 
 class PAsympResult(NamedTuple):

@@ -34,8 +34,8 @@ from .errors import BlowUp, DomainError, GridTooShort, IdentityCheckFailure
 from .freeenergy import LOG_2PI, ZETA_PRIME_MINUS_ONE, energy_post
 from .geometry import critical_values
 
-DEFAULT_S_MAX = 8.0
-DEFAULT_S_MIN = -10.0
+S_MAX = 8.0
+S_MIN = -10.0
 DEFAULT_TOL = 1e-10
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -53,7 +53,7 @@ class TWSolution:
     Immutable after construction; evaluation helpers only read it.
     """
 
-    s_grid: np.ndarray  # descending; s_grid[0] = s_max
+    s_grid: np.ndarray  # descending; s_grid[0] = S_MAX
     q_vals: np.ndarray  # hm_q on s_grid, positive throughout
     ode_tol: float
     max_residual: float  # worst first-integral defect over the nodes
@@ -75,12 +75,11 @@ def _panels(dense, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             (w * (x * q + 2.0 * q2 * q)).sum(axis=1))
 
 
-def hastings_mcleod(s_min: float = DEFAULT_S_MIN, s_max: float = DEFAULT_S_MAX,
-                    tol: float = DEFAULT_TOL) -> TWSolution:
-    """Solve hm_q'' = s hm_q + 2 hm_q^3 with Airy data at s_max, down to s_min.
+def hastings_mcleod(tol: float = DEFAULT_TOL) -> TWSolution:
+    """Solve hm_q'' = s hm_q + 2 hm_q^3 on [S_MIN, S_MAX] = [-10, 8].
 
-    Two-point collocation: hm_q(s_max) = Ai(s_max) on the right and the branch
-    asymptote sqrt(-s/2)(1 + 1/(8 s^3)) on the left anchor at min(s_min, -10).
+    Two-point collocation: hm_q(S_MAX) = Ai(S_MAX) on the right and the branch
+    asymptote sqrt(-s/2)(1 + 1/(8 s^3)) at the left anchor S_MIN.
     The left anchor truncation (relative 73/(128 s^6), under 6e-7 at -10)
     decays like exp(-(2 sqrt2/3)|s|^{3/2}) toward the interior.  Shooting from
     the right alone amplifies local error by that same factor grown leftward,
@@ -88,21 +87,15 @@ def hastings_mcleod(s_min: float = DEFAULT_S_MIN, s_max: float = DEFAULT_S_MAX,
     branch; collocation splits the growth between the two anchors.  The
     first-integral defect
 
-        hm_q'(s) - hm_q'(s_max) + int_s^{s_max} (x hm_q + 2 hm_q^3) dx
+        hm_q'(s) - hm_q'(S_MAX) + int_s^{S_MAX} (x hm_q + 2 hm_q^3) dx
 
     stays below 10*tol on every mesh node (verified, not assumed).
     """
-    if not 6.0 <= s_max <= 40.0:
-        # above 40 the Airy anchor and tail primitives are denormal-degenerate
-        raise DomainError(f"s_max must lie in [6, 40], got {s_max}")
-    if s_min < -12.0 or s_min >= s_max:
-        raise DomainError(f"s_min must lie in [-12, s_max), got {s_min}")
     if tol < 1e-12:
         raise DomainError(f"tol must be >= 1e-12, got {tol}")
 
-    anchor = min(s_min, -10.0)
-    ai_right = airy_ai(s_max)
-    q_left = math.sqrt(-anchor / 2.0) * (1.0 + 1.0 / (8.0 * anchor ** 3))
+    ai_right = airy_ai(S_MAX)
+    q_left = math.sqrt(-S_MIN / 2.0) * (1.0 + 1.0 / (8.0 * S_MIN ** 3))
 
     def rhs(s, y):
         return np.vstack((y[1], s * y[0] + 2.0 * y[0] ** 3))
@@ -120,7 +113,7 @@ def hastings_mcleod(s_min: float = DEFAULT_S_MIN, s_max: float = DEFAULT_S_MAX,
         return (np.array([[1.0, 0.0], [0.0, 0.0]]),
                 np.array([[0.0, 0.0], [1.0, 0.0]]))
 
-    mesh = np.linspace(anchor, s_max, 481)
+    mesh = np.linspace(S_MIN, S_MAX, 481)
     guess_q = np.where(mesh < -0.5, np.sqrt(np.maximum(-mesh, 0.25) / 2.0),
                        airy(np.maximum(mesh, -0.5))[0])
     guess = np.vstack((guess_q, np.gradient(guess_q, mesh)))
@@ -129,15 +122,9 @@ def hastings_mcleod(s_min: float = DEFAULT_S_MIN, s_max: float = DEFAULT_S_MAX,
     if sol.status != 0:
         raise BlowUp(f"collocation failed to converge: {sol.message}")
 
-    nodes = sol.x
-    vals = sol.y
-    if s_min > nodes[0]:
-        keep = nodes > s_min
-        nodes = np.concatenate(([s_min], nodes[keep]))
-        vals = np.concatenate((sol.sol(nodes[:1]), vals[:, keep]), axis=1)
-    s_grid = nodes[::-1].copy()
-    q_vals = vals[0][::-1].copy()
-    q_prime = vals[1][::-1]
+    s_grid = sol.x[::-1].copy()
+    q_vals = sol.y[0][::-1].copy()
+    q_prime = sol.y[1][::-1]
     if q_vals.min() <= 0.0:
         raise BlowUp("transcendent crossed zero; left the positive branch")
     if np.any(q_vals > 10.0 * np.sqrt(np.maximum(-s_grid, 0.5) / 2.0)):
@@ -221,18 +208,16 @@ def q2_tail_integral(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarr
     return _like_input(_tails(sol, t)[0])
 
 
-def left_tail_log_cdf(x: float, with_correction: bool = True) -> float:
+def left_tail_log_cdf(x: float) -> float:
     """log F(-x) for large x > 0:
 
-    (1/24) log 2 + zeta'(-1) - (1/8) log x - x^3/12, optionally times the
+    (1/24) log 2 + zeta'(-1) - (1/8) log x - x^3/12, times the
     (1 + 3/(2^6 x^3)) correction; the next omitted term is O(x^-6).
     """
     if x <= 0.0:
         raise DomainError(f"left tail needs x > 0, got {x}")
     val = math.log(2.0) / 24.0 + ZETA_PRIME_MINUS_ONE - math.log(x) / 8.0 - x ** 3 / 12.0
-    if with_correction:
-        val += math.log1p(3.0 / (64.0 * x ** 3))
-    return val
+    return val + math.log1p(3.0 / (64.0 * x ** 3))
 
 
 def right_tail_survival(x: float) -> float:
@@ -258,14 +243,12 @@ def critical_a(s: float, c: float, N: int) -> float:
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
     a_cri = critical_values(c).a_cri
-    coeff = ((math.sqrt(c + 1.0) - math.sqrt(c)) ** (1.0 / 3.0)
+    coeff = (a_cri ** (1.0 / 3.0)
              / (2.0 * c ** (1.0 / 6.0) * (c + 1.0) ** (1.0 / 6.0)))
     return a_cri - coeff * s * N ** (-2.0 / 3.0)
 
 
-def critical_expansion(N: int, c: float, s: float,
-                       solution: TWSolution | None = None,
-                       tol: float = DEFAULT_TOL) -> float:
+def critical_expansion(N: int, c: float, s: float, solution: TWSolution) -> float:
     """log Z_N inside the transition window.
 
     The annular-phase terms are evaluated at the shifted insertion point from
@@ -277,8 +260,6 @@ def critical_expansion(N: int, c: float, s: float,
         raise DomainError(f"need c > 0, got {c}")
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    if solution is None:
-        solution = hastings_mcleod(tol=tol)
     a_s = critical_a(s, c, N)
     log_f = -float(_tails(solution, c ** (-2.0 / 3.0) * s)[1])
     return (-energy_post(a_s, c) * N * N

@@ -1,6 +1,7 @@
 """Command-line contract: schemas, exit codes, determinism, projections."""
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -83,6 +84,12 @@ class TestExitCodes:
         ["tw", "--grid=nan:1:3"],
         ["tw", "--t", "1", "--tol", "nan"],
         ["ldp", "--alpha", "16/9", "--t", "nan"],
+        ["free-energy", "--a", "0.2", "--c", "1/3", "--n", "8",
+         "--exact-compare"],                                # c*n not integer
+        ["critical", "--n", "8", "--c", "1/3", "--s", "2", "--exact-compare"],
+        ["op-compare", "--a", "1.2", "--c", "1/3", "--n", "3,4"],
+        ["ldp", "--alpha", "1/2", "--t", "2", "--exact-compare",
+         "--n", "7"],                                       # alpha*n not integer
     ])
     def test_usage_errors(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -90,6 +97,35 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["exit_code"] == 1
         assert payload["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--a", "-inf", "--c", "1"],
+        ["geometry", "--a", "-Infinity", "--c", "1"],
+        ["tw", "--t", "-nan"],
+        ["tw", "--t", "-NaN"],
+    ])
+    def test_negative_non_finite_reaches_type_check(self, argv, capsys):
+        # a leading "-" must not make argparse read the value as an option
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "finite" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv, module, stage", [
+        (["critical", "--n", "8", "--c", "1/3", "--s", "2", "--exact-compare"],
+         "painleve", "hastings_mcleod"),
+        (["op-compare", "--a", "1.2", "--c", "1/3", "--n", "3,4"],
+         "opasymp", "GEvaluator"),
+    ], ids=["critical", "op-compare"])
+    def test_count_checked_before_numerics(self, argv, module, stage,
+                                           monkeypatch, capsys):
+        # a non-integer c*n is a usage error before any numerical work starts
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before the c*n check")
+
+        monkeypatch.setattr(importlib.import_module(f"coulombgas.{module}"),
+                            stage, refuse)
+        code, _, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
 
     def test_numerical_error(self, capsys):
         # boundary sampling is undefined exactly at the transition

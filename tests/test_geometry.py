@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coulombgas import geometry
-from coulombgas.errors import BranchCutError, DomainError
+from coulombgas.errors import BranchCutError, DomainError, NoValidRoot
 from coulombgas.geometry import Regime
 
 
@@ -78,6 +78,22 @@ class TestSolveQ:
                    + 1 / (2 * a**4)) < 1e-14
         g = geometry.pre_geometry(a, c)
         assert geometry.conformal_f(g, 1.0 / q) == pytest.approx(a, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [0.25, 9 / 16, 1.0, 4.0])
+    @pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-3])
+    def test_no_root_just_below_transition(self, c, eps):
+        a = geometry.critical_values(c).a_cri * (1.0 - eps)
+        with pytest.raises(NoValidRoot):
+            geometry.solve_q(a, c)
+
+    @pytest.mark.parametrize("c", [0.25, 9 / 16, 1.0, 4.0])
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(12, 2, -1)])
+    def test_admissible_root_just_above_transition(self, c, eps):
+        a = geometry.critical_values(c).a_cri * (1.0 + eps)
+        q = geometry.solve_q(a, c)
+        assert 0.0 < q <= 1.0
+        assert a * a * q * q < 1.0
+        assert cubic_residual(a, c, q) < 1e-13
 
 
 class TestPreGeometry:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from coulombgas import ldp
+from coulombgas import freeenergy, ldp
 from coulombgas.errors import DomainError
 
 
@@ -146,6 +146,8 @@ class TestLogProbability:
         assert ldp.exact_log_gap_probability(8, 1.0, -0.3) == 0.0
 
     def test_constant_toggle(self):
+        # -Phi n^2 plus the constant order -log(alpha n)/12 + zeta'(-1) + Psi
         t = ldp.LUEParams.from_alpha(1.0).lambda_minus + 1.0
-        bare = ldp.ldp_log_probability(8, 1.0, t, with_constant=False)
-        assert bare == pytest.approx(-64.0 * ldp.phi(t, 1.0), abs=1e-12)
+        want = (-64.0 * ldp.phi(t, 1.0) - math.log(8.0) / 12.0
+                + freeenergy.ZETA_PRIME_MINUS_ONE + ldp.psi(t, 1.0))
+        assert ldp.ldp_log_probability(8, 1.0, t) == pytest.approx(want, abs=1e-12)

@@ -55,7 +55,7 @@ class TestGFunction:
         for z in (-4.0 + 3.0j, -5.0 - 2.0j, 1.0 + 4.0j):
             diff = abs(pre_evaluator.g(z, path="ray")
                        - pre_evaluator.g(z, path="arc"))
-            assert diff <= 2.0 * pre_evaluator.quadrature_tol
+            assert diff <= 2.0 * opasymp.DEFAULT_QUAD_TOL
 
     def test_pre_matches_insertion_point_value(self, pre_evaluator):
         got = pre_evaluator.g_pre(pre_evaluator.geom.a + 1e-8 + 0j).real

@@ -60,7 +60,8 @@ class TestHastingsMcleod:
         finer = painleve.hastings_mcleod(tol=5e-11)
         assert abs(q_at(hm_solution, -5.0) - q_at(finer, -5.0)) < 1e-10
 
-    @pytest.mark.parametrize("kwargs", [{"tol": 1e-13}])
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1e-10}, {"tol": 1e-13}])
     def test_preconditions(self, kwargs):
         with pytest.raises(DomainError):
             painleve.hastings_mcleod(**kwargs)

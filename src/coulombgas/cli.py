@@ -33,7 +33,7 @@ from mpmath import mp
 # them: painleve and opasymp import scipy, and the other subcommands start
 # without it
 from . import exactfiniten, freeenergy, geometry
-from .errors import CoulombGasError, IdentityCheckFailure
+from .errors import CoulombGasError, DomainError, IdentityCheckFailure
 from .geometry import Regime
 
 SCHEMA_VERSION = 1
@@ -316,8 +316,12 @@ def cmd_ldp(args) -> int:
         if args.n is None:
             raise UsageError("--exact-compare needs --n")
         _int_product(args.alpha, args.n, "alpha")
-    edge_action = ldp.kc_action(ldp.LUEParams.from_alpha(alpha).lambda_minus,
-                                alpha)
+    lambda_minus = ldp.LUEParams.from_alpha(alpha).lambda_minus
+    if alpha > 0 and lambda_minus == 0.0:
+        raise DomainError(
+            f"alpha = {alpha!r} is too small: lambda_- = (sqrt(alpha+1) - 1)^2 "
+            "underflows to 0")
+    edge_action = ldp.kc_action(lambda_minus, alpha)
 
     def one(t: float) -> dict:
         rate = ldp.phi(t, alpha)

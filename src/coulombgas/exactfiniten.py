@@ -1,19 +1,25 @@
 """Exact finite-N oracles in extended precision.
 
-Every value here comes from explicit moments: each entry is summed in exact
-big-rational arithmetic and rounded once to the working precision (default
-256 bits).  Every determinant and linear solve then goes through one routine,
-`_eliminate`: Gaussian elimination with scaled partial pivoting (the pivot row
-maximises |a_rj| / sum_l |a_rl| over the remaining columns) run with 10 guard
-bits above the working precision.  A pivot or row sum at or below
-||H||_1 * eps raises SingularHankel.  These are the ground-truth values the
-asymptotic modules are tested against.
+Every value here comes from explicit moments: each entry is an exact ratio
+of Python integers, rounded once (correctly, to nearest) to the working
+precision (default 256 bits).  Every determinant and linear solve then goes
+through one routine, `_eliminate`: Gaussian elimination with scaled partial
+pivoting (the pivot row maximises |a_rj| / sum_l |a_rl| over the remaining
+columns) run with 10 guard bits above the working precision.  A pivot or row
+sum at or below ||H||_1 * eps raises SingularHankel.  These are the
+ground-truth values the asymptotic modules are tested against.
 
 The planar moments reduce to residues: with integer m = cN and real a,
 
     nu_k / (2 pi i) = [coefficient of z^(m+N-1-k)] (z-a)^m e^(-N a z),
 
-a finite alternating sum that exact rationals evaluate without cancellation.
+a finite alternating sum.  With a = A/D exactly and p = m+N-1-k it is the
+integer ratio
+
+    nu_k / (2 pi i) = (-1)^(m+p) sum_j C(m,j) A^(m+p-2j) D^(2j) N^(p-j) p!/(p-j)!
+                      / (D^(m+p) p!),
+
+which big-integer arithmetic evaluates without cancellation.
 `moment_table` builds nu_0 .. nu_(2N-1) once and eliminates the augmented
 Hankel system [H | -nu_N .. nu_(2N-1)] once: log|det H| gives log Z_N, and
 back substitution gives the monic orthogonal polynomial p_N, hence A11.
@@ -33,6 +39,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath as mp
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import DomainError, SingularHankel
 
@@ -46,7 +53,7 @@ Rational = Union[int, float, Fraction, str]
 class ExactContext:
     N: int
     m: int
-    a: float
+    a: Rational  # taken at its exact value: a float's binary value, or a Fraction
     precision_bits: int = 256
 
     def __post_init__(self):
@@ -65,23 +72,42 @@ class MomentTable:
     op: tuple      # monic p_N coefficients (c_0, ..., c_{N-1}, 1)
 
 
-def _to_mpf(x: Fraction):
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+def _to_mpf(num: int, den: int):
+    """num/den (den > 0) correctly rounded to nearest at the working precision."""
+    return mp.make_mpf(from_rational(num, den, mp.mp.prec, round_nearest))
 
 
 def _moments(ctx: ExactContext, ks) -> list:
-    """nu_k/(2 pi i) for each k in ks, summed in exact rationals and rounded
-    to the context precision; k >= m+N gives zero."""
-    N, m, a = ctx.N, ctx.m, Fraction(ctx.a)
+    """nu_k/(2 pi i) for each k in ks, each rounded once to the context precision.
+
+    With a = A/D exactly (D a power of two for a float a) and p = m+N-1-k,
+
+        nu_k = (-1)^(m+p) sum_{j <= min(m, p)} C(m,j) A^(m+p-2j) D^(2j) N^(p-j) p!/(p-j)!
+               / (D^(m+p) p!),
+
+    a ratio of Python ints; 0**0 == 1 keeps a = 0 exact, and p < 0
+    (k >= m+N) gives an exact zero.
+    """
+    N, m = ctx.N, ctx.m
+    A, D = Fraction(ctx.a).as_integer_ratio()
+    pow_a = [A ** e for e in range(2 * m + N)]
+    pow_d = [D ** e for e in range(2 * m + N)]
+    pow_n = [N ** e for e in range(m + N)]
     out = []
     with mp.workprec(ctx.precision_bits):
         for k in ks:
             p = m + N - 1 - k
-            total = Fraction(0)
+            if p < 0:
+                out.append(mp.mpf(0))
+                continue
+            num, falling = 0, 1  # falling = p!/(p-j)!
             for j in range(min(m, p) + 1):
-                total += (Fraction(math.comb(m, j)) * (-a) ** (m - j)
-                          * (-N * a) ** (p - j) / math.factorial(p - j))
-            out.append(_to_mpf(total))
+                num += (math.comb(m, j) * falling * pow_n[p - j]
+                        * pow_d[2 * j] * pow_a[m + p - 2 * j])
+                falling *= p - j
+            if (m + p) % 2:
+                num = -num
+            out.append(_to_mpf(num, pow_d[m + p] * math.factorial(p)))
     return out
 
 
@@ -211,15 +237,17 @@ def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
             for k in range(n):
                 s = j + k + alpha_n + 1
                 fact = Fraction(math.factorial(s - 1), N_w ** s)
-                rt.append(_to_mpf(fact * prefix[s]))
-                r0.append(_to_mpf(fact))
+                entry = fact * prefix[s]
+                rt.append(_to_mpf(entry.numerator, entry.denominator))
+                r0.append(_to_mpf(fact.numerator, fact.denominator))
             rows_t.append(rt)
             rows_0.append(r0)
         logdet_t, sign_t, _ = _eliminate(rows_t)
         logdet_0, sign_0, _ = _eliminate(rows_0)
         if sign_t <= 0 or sign_0 <= 0:
             raise SingularHankel("gap-probability Gram determinant lost positivity")
-        return mp.e ** (-n * _to_mpf(T) + logdet_t - logdet_0)
+        return mp.e ** (-n * _to_mpf(T.numerator, T.denominator)
+                      + logdet_t - logdet_0)
 
 
 def duality_residual(N: int, m: int, x: float, precision_bits: int = 256):
@@ -232,7 +260,8 @@ def duality_residual(N: int, m: int, x: float, precision_bits: int = 256):
                                   precision_bits=precision_bits)
         log_ratio = (exact_logZ(ExactContext(N, m, x, precision_bits))
                      - exact_logZ(ExactContext(N, m, 0.0, precision_bits)))
-        rhs = mp.e ** (-m * N * _to_mpf(t) + log_ratio)
+        rhs = mp.e ** (-m * N * _to_mpf(t.numerator, t.denominator)
+                      + log_ratio)
         return abs(lhs - rhs)
 
 

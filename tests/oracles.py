@@ -2,12 +2,14 @@
 
 Each one is a second route to a value `coulombgas` has in closed form or by
 another method (a normalisation, a far-field coefficient, an exact
-recursion), so the tests can compare the two.  Keeping them here keeps
-their scipy imports out of the modules the CLI loads at start-up.
+recursion, a moment summed term by term in rationals), so the tests can
+compare the two.  Keeping them here keeps their scipy imports out of the
+modules the CLI loads at start-up.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -115,3 +117,18 @@ def g_large_z_coefficient(geom: PreGeometry) -> float:
 def airy_ai_prime(x: float) -> float:
     """Ai'(x), from scipy.special.airy."""
     return float(airy(x)[1])
+
+
+def fraction_moment(N: int, m: int, a, k: int) -> Fraction:
+    """nu_k/(2 pi i) as an exact Fraction, summed term by term in rationals.
+
+    The coefficient of z^(m+N-1-k) in (z-a)^m e^(-N a z), with a taken at its
+    exact value; zero for k >= m+N.
+    """
+    a = Fraction(a)
+    p = m + N - 1 - k
+    total = Fraction(0)
+    for j in range(min(m, p) + 1):
+        total += (Fraction(math.comb(m, j)) * (-a) ** (m - j)
+                  * (-N * a) ** (p - j) / math.factorial(p - j))
+    return total

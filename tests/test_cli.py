@@ -135,6 +135,16 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"] == "DomainError"
 
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-20"])
+    def test_tiny_alpha_names_alpha(self, alpha, capsys):
+        # lambda_- = (sqrt(alpha+1) - 1)^2 rounds to 0 in double precision
+        code, _, err = run_cli(["ldp", "--alpha", alpha, "--t", "1"], capsys)
+        assert code == cli.EXIT_NUMERICAL
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert "alpha" in payload["message"]
+        assert "underflows" in payload["message"]
+
     def test_identity_failure(self, capsys):
         # residual is ~1e-74, so demanding 1e-80 must trip the identity gate
         code, out, err = run_cli(

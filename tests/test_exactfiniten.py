@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
+import oracles
 from coulombgas import cli, exactfiniten, geometry, opasymp
 from coulombgas.errors import DomainError, SingularHankel
 
@@ -57,6 +59,34 @@ class TestContourMoment:
         for k in range(5):
             assert exactfiniten.contour_moment(ctx, k) == (1 if k == 2 else 0)
 
+    @pytest.mark.parametrize("N,m,a", [
+        (16, 16, 0.2),
+        (16, 16, 3.0),
+        (12, 12, -0.7),
+        (8, 8, 0.0),
+        (10, 10, Fraction(1, 3)),
+        (16, 9, 0.3),   # c = 9/16: m < N, so nu_k = 0 for k >= m+N
+    ])
+    def test_correctly_rounded(self, N, m, a):
+        # every moment is the nearest 256-bit float to the exact rational
+        ctx = exactfiniten.ExactContext(N=N, m=m, a=a)
+        got = exactfiniten._moments(ctx, range(2 * N))
+        for k, value in enumerate(got):
+            exact = oracles.fraction_moment(N, m, a, k)
+            want = from_rational(exact.numerator, exact.denominator, 256,
+                                 round_nearest)
+            assert value._mpf_ == want, k
+
+    def test_zero_beyond_residue_degree(self):
+        # m < N: p = m+N-1-k < 0 for k >= m+N, and the residue vanishes
+        ctx = exactfiniten.ExactContext(N=16, m=9, a=0.3)
+        got = exactfiniten._moments(ctx, range(32))
+        assert all(v != 0 for v in got[:25])
+        assert all(v == 0 for v in got[25:])
+        for k in (25, 31):
+            with pytest.warns(UserWarning):
+                assert exactfiniten.contour_moment(ctx, k) == 0
+
 
 class TestExactLogZ:
     def test_precision_doubling_stable(self):
@@ -84,6 +114,17 @@ class TestMomentTable:
             exactfiniten.ExactContext(N=60, m=60, a=3.0, precision_bits=768))
         assert abs(exactfiniten.exact_logZ(ctx) - ref.log_z) < 1e-10
         assert abs(exactfiniten.exact_A11(ctx) - ref.op[-2]) < 1e-10
+
+    def test_large_n_digits_against_reference(self):
+        # 3000-bit values of exact --a 3 --c 1 --n 60, as stored in
+        # perfbench/reference.json.gz (entry exact-sweep/3)
+        table = exactfiniten.moment_table(
+            exactfiniten.ExactContext(N=60, m=60, a=3.0))
+        with mp.workprec(256):
+            ref_log_z = mp.mpf("5708.63317142410395252736468381")
+            ref_a11 = mp.mpf("18.0159939788111606310996431081")
+            assert abs(table.log_z - ref_log_z) < 1e-12
+            assert abs(table.op[-2] - ref_a11) < 1e-12
 
     def test_exact_command_builds_one_table(self, monkeypatch, capsys):
         calls = []

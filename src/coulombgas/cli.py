@@ -30,8 +30,7 @@ from typing import Sequence
 from mpmath import mp
 
 # painleve, opasymp, ldp and report load inside the subcommands that use
-# them: painleve and opasymp import scipy, and the other subcommands start
-# without it
+# them: painleve and opasymp import numpy, which --help and exact never load
 from . import exactfiniten, freeenergy, geometry
 from .errors import CoulombGasError, DomainError, IdentityCheckFailure
 from .geometry import Regime
@@ -39,7 +38,7 @@ from .geometry import Regime
 SCHEMA_VERSION = 1
 
 # painleve.DEFAULT_TOL, written out so that building the parser does not
-# import scipy; tests/test_cli.py holds the two equal
+# import painleve; tests/test_cli.py holds the two equal
 TW_TOL = 1e-10
 
 EXIT_OK = 0

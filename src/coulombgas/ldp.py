@@ -17,12 +17,13 @@ reports log P = 0 for t <= 0, where the gap event is almost sure.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import DomainError
+from .errors import DomainError, NoValidRoot
 from .exactfiniten import lue_gap_probability
 from .freeenergy import ZETA_PRIME_MINUS_ONE, energy_post, energy_pre, fconst
 from .geometry import Regime
@@ -64,16 +65,30 @@ def _planar_args(t: float, alpha: float) -> tuple[float, float]:
     return math.sqrt(t / alpha), 1.0 / alpha
 
 
+@contextmanager
+def _in_lue_terms(t: float, alpha: float):
+    # a failed modulus root names the planar (a, c); report the (t, alpha) given
+    try:
+        yield
+    except NoValidRoot as exc:
+        raise DomainError(
+            f"no rate function at alpha = {alpha!r}, t = {t!r}: its planar "
+            "image a = sqrt(t/alpha), c = 1/alpha has no admissible modulus "
+            "root in double precision") from exc
+
+
 def phi(t: float, alpha: float) -> float:
     """Rate of the pushed gap event: alpha^2 times the planar energy excess."""
     a, c = _planar_args(t, alpha)
-    return alpha * alpha * (energy_pre(a, c) - energy_post(a, c))
+    with _in_lue_terms(t, alpha):
+        return alpha * alpha * (energy_pre(a, c) - energy_post(a, c))
 
 
 def psi(t: float, alpha: float) -> float:
     """Constant-order correction: the planar free-energy constant across phases."""
     a, c = _planar_args(t, alpha)
-    return fconst(a, c, Regime.PRE) - fconst(a, c, Regime.POST)
+    with _in_lue_terms(t, alpha):
+        return fconst(a, c, Regime.PRE) - fconst(a, c, Regime.POST)
 
 
 def kc_theta(t: float, alpha: float) -> float:

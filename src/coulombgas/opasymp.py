@@ -44,15 +44,57 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import BranchCutError, DomainError, SingularR2
+from .errors import BranchCutError, DomainError, QuadratureError, SingularR2
 from .geometry import (ModelParams, PostGeometry, PreGeometry, Regime,
                        _sqrt_through_cut, conformal_f, inverse_F,
                        post_geometry, pre_geometry)
 
 EXTERIOR_MARGIN = 1.15
 DEFAULT_QUAD_TOL = 1e-12
+MAX_PANELS = 200
+
+
+def _gauss_legendre(n: int) -> tuple:
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
+
+
+# (node, weight) pairs on [-1, 1]; on each panel the 21-node sum is kept and
+# its difference from the 10-node sum is the error estimate
+_RULES = (_gauss_legendre(10), _gauss_legendre(21))
+
+
+def _panel(func, lo: float, hi: float) -> tuple[float, float, complex, float]:
+    # (lo, hi, 21-node sum, |21-node sum - 10-node sum|) over [lo, hi]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    coarse, fine = (half * sum(w * func(mid + half * x) for x, w in rule)
+                    for rule in _RULES)
+    return lo, hi, fine, abs(fine - coarse)
+
+
+def quad(func, lo: float, hi: float) -> complex:
+    """int_lo^hi func(v) dv for a complex-valued func, by adaptive Gauss-Legendre.
+
+    The panel whose 10- and 21-node sums disagree most is bisected until the
+    disagreements add up to at most DEFAULT_QUAD_TOL, absolute or relative;
+    the 21-node sums are returned.  hi < lo gives the negated integral.
+    Needing more than MAX_PANELS panels raises QuadratureError.
+    """
+    panels = [_panel(func, lo, hi)]
+    while True:
+        total = sum(panel[2] for panel in panels)
+        error = sum(panel[3] for panel in panels)
+        if error <= DEFAULT_QUAD_TOL * max(1.0, abs(total)):
+            return complex(total)
+        if len(panels) == MAX_PANELS:
+            raise QuadratureError(
+                f"quadrature over [{lo}, {hi}] still estimates error {error:.3e} "
+                f"after {MAX_PANELS} panels (tolerance {DEFAULT_QUAD_TOL:.0e})")
+        a, b, _, _ = panels.pop(max(range(len(panels)),
+                                    key=lambda i: panels[i][3]))
+        middle = 0.5 * (a + b)
+        panels += [_panel(func, a, middle), _panel(func, middle, b)]
 
 
 def _segment_distance(p0: complex, p1: complex, q0: complex, q1: complex) -> float:
@@ -175,14 +217,6 @@ class GEvaluator:
             acc = acc * u + self.far_coefficients[j - 2] / (1.0 - j)
         return acc * u
 
-    def _quad_complex(self, func, lo: float, hi: float) -> complex:
-        # scipy's complex_func path drops the sign of a reversed interval
-        # (seen in scipy 1.17), so integrate lo < hi and orient here
-        value = complex(quad(func, min(lo, hi), max(lo, hi),
-                             epsabs=DEFAULT_QUAD_TOL, epsrel=DEFAULT_QUAD_TOL,
-                             limit=200, complex_func=True)[0])
-        return -value if hi < lo else value
-
     def _guard_ray(self, z: complex, z_ref: complex) -> None:
         geom = self.geom
         scale = max(1.0, abs(geom.beta), abs(z))
@@ -199,7 +233,7 @@ class GEvaluator:
         def integrand(v: float) -> complex:
             return self._h(direction * (r / v)) * (r / v ** 2)
 
-        return -direction * self._quad_complex(integrand, r / self.switch_radius, 1.0)
+        return -direction * quad(integrand, r / self.switch_radius, 1.0)
 
     def g_pre(self, z: complex, path: str = "ray") -> complex:
         """Simply-connected-phase g, anchored at infinity via the far series.
@@ -229,7 +263,7 @@ class GEvaluator:
             return self._h(w) * 1j * w
 
         return (cmath.log(z) + self._series_primitive(complex(self.switch_radius))
-                + self._quad_complex(arc_integrand, 0.0, theta)
+                + quad(arc_integrand, 0.0, theta)
                 + self._ray_integral(z))
 
     def g(self, z: complex, path: str = "ray") -> complex:

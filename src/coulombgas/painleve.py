@@ -7,14 +7,21 @@ The distribution function is
 where hm_q solves hm_q''(s) = s hm_q(s) + 2 hm_q(s)^3 and matches Ai(s) as
 s -> +infinity.  The transcendent is pinned at both ends: Ai(s_max) on the
 right (wrong only at the Ai(s_max)^3 scale) and the branch asymptote
-sqrt(-s/2)(1 + 1/(8 s^3)) on the left, with collocation in between.  A
+sqrt(-s/2)(1 + 1/(8 s^3)) on the left, with Chebyshev collocation in between
+(Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 6 and 13).  A
 one-sided march from Airy data cannot hold the branch: it sits on a
 separatrix, and local errors amplify like exp((2 sqrt2 / 3)|s|^{3/2}),
 about 1e13 by s = -10, so double precision shooting escapes near s = -9.
-The integral beyond s_max is closed with the Airy primitives
+The tail integrals below s_max are sums of positive Gauss-Legendre terms on
+the Chebyshev series.  They stay accurate relative to their own size deep in
+the right tail, where 1 - F(7.9) is ~1e-16 and an antiderivative series,
+rounded at ~1e-15 of its largest values, would not.  The integral beyond
+s_max is closed with the Airy primitives
 
     int_s^inf Ai(x)^2 dx       = Ai'(s)^2 - s Ai(s)^2,
-    int_s^inf (x-s) Ai(x)^2 dx = (2 s^2 Ai(s)^2 - 2 s Ai'(s)^2 - Ai(s) Ai'(s)) / 3.
+    int_s^inf (x-s) Ai(x)^2 dx = (2 s^2 Ai(s)^2 - 2 s Ai'(s)^2 - Ai(s) Ai'(s)) / 3,
+
+whose terms cancel, so they are formed in mpmath with guard bits.
 
 The transcendent is named hm_q throughout to avoid colliding with the droplet
 modulus q(a, c); the two are unrelated.  The free-energy expansion inside the
@@ -27,8 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_bvp
-from scipy.special import airy
+from mpmath import mp
+from numpy.polynomial import chebyshev as cheb
 
 from .errors import BlowUp, DomainError, GridTooShort, IdentityCheckFailure
 from .freeenergy import LOG_2PI, ZETA_PRIME_MINUS_ONE, energy_post
@@ -38,147 +45,243 @@ S_MAX = 8.0
 S_MIN = -10.0
 DEFAULT_TOL = 1e-10
 
+# s = _MID + _HALF x maps the Chebyshev variable x in [-1, 1] onto [S_MIN, S_MAX]
+_MID = 0.5 * (S_MAX + S_MIN)
+_HALF = 0.5 * (S_MAX - S_MIN)
+# trial degrees of the collocation; a trial is trusted once its last
+# _CHOP_MARGIN coefficients of hm_q'' are all below tol.  The default tol is
+# resolved at 96, whose 98 x 98 Newton system OpenBLAS still solves on one
+# thread (from 100 x 100 on it wakes more, which costs CPU time here)
+_TRIAL_DEGREES = (32, 64, 96, 128)
+_CHOP_MARGIN = 8
+_NEWTON_STEPS = 30
+_GUARD_BITS = 64
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def airy_ai(x: float) -> float:
-    """Ai(x), the boundary profile of the transcendent."""
-    return float(airy(x)[0])
+    """Ai(x), the boundary profile of the transcendent, rounded once."""
+    with mp.workprec(53 + _GUARD_BITS):
+        return float(mp.airyai(x))
+
+
+def _airy_tails(t: float) -> tuple[float, float]:
+    # (int_t^inf Ai^2, int_t^inf (x - t) Ai^2), each rounded once
+    with mp.workprec(53 + _GUARD_BITS):
+        t = mp.mpf(t)
+        ai, aip = mp.airyai(t), mp.airyai(t, derivative=1)
+        return (float(aip * aip - t * ai * ai),
+                float((2 * t * t * ai * ai - 2 * t * aip * aip - ai * aip) / 3))
 
 
 @dataclass(frozen=True)
 class TWSolution:
-    """Collocation-solved transcendent with suffix sums of its tail integrals.
+    """Collocated transcendent as a Chebyshev series, with suffix sums of its
+    tail integrals at the nodes.
 
     Immutable after construction; evaluation helpers only read it.
     """
 
-    s_grid: np.ndarray  # descending; s_grid[0] = S_MAX
+    s_grid: np.ndarray  # Chebyshev-Lobatto nodes, descending; s_grid[0] = S_MAX
     q_vals: np.ndarray  # hm_q on s_grid, positive throughout
+    coeffs: np.ndarray  # hm_q as a Chebyshev series in x = (s - _MID) / _HALF
     ode_tol: float
     max_residual: float  # worst first-integral defect over the nodes
-    _dense: object = field(repr=False, compare=False)
+    # int_s^S_MAX hm_q^2 and int_s^S_MAX (x - s) hm_q^2 at each node s, and
+    # the Airy primitives at S_MAX that close both
     _suffix_mass: np.ndarray = field(repr=False, compare=False)
     _suffix_moment: np.ndarray = field(repr=False, compare=False)
+    _edge: tuple = field(repr=False, compare=False)
 
 
-def _panels(dense, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (int hm_q^2, int x hm_q^2, int x hm_q + 2 hm_q^3) over each [lo, hi],
-    # 12-point Gauss-Legendre on the dense interpolant, all panels at once
+def _panels(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    # (int hm_q^2, int (x - lo) hm_q^2) over each [lo, hi] by 12-point
+    # Gauss-Legendre on the series, all panels at once; every term is >= 0
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    q = dense(x.ravel())[0].reshape(x.shape)
-    q2 = q * q
-    w = half[:, None] * _GL_WEIGHTS[None, :]
-    return ((w * q2).sum(axis=1), (w * x * q2).sum(axis=1),
-            (w * (x * q + 2.0 * q2 * q)).sum(axis=1))
+    q = cheb.chebval((x - _MID) / _HALF, coeffs)
+    w = half[:, None] * _GL_WEIGHTS[None, :] * q * q
+    return w.sum(axis=1), (w * (x - lo[:, None])).sum(axis=1)
+
+
+def _nodes(n: int) -> np.ndarray:
+    # Chebyshev-Lobatto points cos(pi j / n), from x = 1 down to x = -1
+    return np.cos(np.pi * np.arange(n + 1) / n)
+
+
+def _collocate(n: int, w_coeffs: np.ndarray, slope: float, ai: float,
+               q_left: float) -> tuple[np.ndarray, float]:
+    """Newton's method on the degree-n collocation system, from the series
+    w_coeffs of hm_q'' and the given slope.
+
+    The unknowns are w = hm_q'' on the nodes and slope = hm_q'(S_MAX).
+    hm_q is ai + slope (s - S_MAX) plus the exact double integral from S_MAX
+    of the interpolant of w, so hm_q(S_MAX) = ai holds by construction; the
+    equations are w = s hm_q + 2 hm_q^3 on every node and hm_q(S_MIN) =
+    q_left.  In this integral form the Jacobian is the identity plus a
+    smoothing term, where a differentiation matrix would be conditioned like
+    n^4.  Returns the Chebyshev coefficients of w, and the slope.
+    """
+    k = np.arange(n + 1)
+    x = _nodes(n)
+    s = _MID + _HALF * x
+    w = cheb.chebval(x, w_coeffs)
+    to_coeffs = np.cos(np.outer(k, np.pi * k / n)) * (2.0 / n)
+    to_coeffs[:, [0, n]] /= 2.0
+    to_coeffs[[0, n]] /= 2.0
+    lift = cheb.chebvander(x, n + 2) @ cheb.chebint(to_coeffs, m=2, lbnd=1.0,
+                                                    scl=_HALF)
+    ramp = s - S_MAX
+    jac = np.empty((n + 2, n + 2))
+    jac[-1, :-1] = lift[-1]
+    jac[-1, -1] = ramp[-1]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(_NEWTON_STEPS):
+                q = ai + slope * ramp + lift @ w
+                gain = s + 6.0 * q * q
+                jac[:-1, :-1] = np.eye(n + 1) - gain[:, None] * lift
+                jac[:-1, -1] = -gain * ramp
+                residual = np.append(w - s * q - 2.0 * q ** 3, q[-1] - q_left)
+                step = np.linalg.solve(jac, -residual)
+                w = w + step[:-1]
+                slope += step[-1]
+                # quadratic convergence: the step just taken leaves ~its square
+                if np.abs(step).max() <= 1e-10 * (1.0 + np.abs(w).max()):
+                    return to_coeffs @ w, slope
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise BlowUp(f"Newton iteration broke down at degree {n}: {exc}") from exc
+    raise BlowUp(f"Newton iteration did not converge in {_NEWTON_STEPS} steps "
+                 f"at degree {n}")
 
 
 def hastings_mcleod(tol: float = DEFAULT_TOL) -> TWSolution:
     """Solve hm_q'' = s hm_q + 2 hm_q^3 on [S_MIN, S_MAX] = [-10, 8].
 
-    Two-point collocation: hm_q(S_MAX) = Ai(S_MAX) on the right and the branch
-    asymptote sqrt(-s/2)(1 + 1/(8 s^3)) at the left anchor S_MIN.
-    The left anchor truncation (relative 73/(128 s^6), under 6e-7 at -10)
-    decays like exp(-(2 sqrt2/3)|s|^{3/2}) toward the interior.  Shooting from
-    the right alone amplifies local error by that same factor grown leftward,
-    about 1e13 at s = -10, so no one-sided double precision march can hold the
-    branch; collocation splits the growth between the two anchors.  The
-    first-integral defect
+    Chebyshev collocation (see _collocate): hm_q(S_MAX) = Ai(S_MAX) on the
+    right and the branch asymptote sqrt(-s/2)(1 + 1/(8 s^3)) at the left
+    anchor S_MIN.  The left anchor truncation (relative 73/(128 s^6), under
+    6e-7 at -10) decays like exp(-(2 sqrt2/3)|s|^{3/2}) toward the interior.
+    Shooting from the right alone amplifies local error by that same factor
+    grown leftward, about 1e13 at s = -10, so no one-sided double precision
+    march can hold the branch; collocation splits the growth between the two
+    anchors.
+
+    tol sets the degree.  Trial solves at rising degree stop once the last
+    _CHOP_MARGIN Chebyshev coefficients of hm_q'' are below tol; the series
+    is chopped after its last coefficient above tol (degree 32 at least) and
+    the system is solved again at that degree.  The first-integral defect
 
         hm_q'(s) - hm_q'(S_MAX) + int_s^{S_MAX} (x hm_q + 2 hm_q^3) dx
 
-    stays below 10*tol on every mesh node (verified, not assumed).
+    stays below 10*tol on every node (verified, not assumed).
     """
     if tol < 1e-12:
         raise DomainError(f"tol must be >= 1e-12, got {tol}")
 
-    ai_right = airy_ai(S_MAX)
+    ai = airy_ai(S_MAX)
     q_left = math.sqrt(-S_MIN / 2.0) * (1.0 + 1.0 / (8.0 * S_MIN ** 3))
 
-    def rhs(s, y):
-        return np.vstack((y[1], s * y[0] + 2.0 * y[0] ** 3))
+    def rough_w(x: np.ndarray) -> np.ndarray:
+        # the branch on the left and the Airy decay on the right, both near
+        # Ai(0) = 0.355 at s = 0, put through the ODE
+        s = _MID + _HALF * x
+        q = np.where(s < 0.0, np.sqrt(0.13 + 0.5 * np.abs(s)),
+                     0.36 * np.exp(-(2.0 / 3.0) * np.abs(s) ** 1.5))
+        return s * q + 2.0 * q ** 3
 
-    def rhs_jac(s, y):
-        jac = np.zeros((2, 2, s.size))
-        jac[0, 1] = 1.0
-        jac[1, 0] = s + 6.0 * y[0] ** 2
-        return jac
+    w_coeffs = cheb.chebinterpolate(rough_w, _TRIAL_DEGREES[0])
+    slope = -math.sqrt(S_MAX) * ai  # Ai'(s) ~ -sqrt(s) Ai(s)
+    for n in _TRIAL_DEGREES:
+        w_coeffs, slope = _collocate(n, w_coeffs, slope, ai, q_left)
+        above = np.flatnonzero(np.abs(w_coeffs) > tol)
+        degree = max(_TRIAL_DEGREES[0], int(above[-1]) if above.size else 0)
+        if degree <= n - _CHOP_MARGIN:
+            break
+    else:
+        raise BlowUp(f"hm_q'' not resolved to {tol} by degree {n}")
+    w_coeffs, slope = _collocate(degree, w_coeffs, slope, ai, q_left)
+    x = _nodes(degree)
+    coeffs = cheb.chebint(cheb.chebint(w_coeffs, lbnd=1.0, k=slope, scl=_HALF),
+                          lbnd=1.0, k=ai, scl=_HALF)
 
-    def bc(ya, yb):
-        return np.array([ya[0] - q_left, yb[0] - ai_right])
-
-    def bc_jac(ya, yb):
-        return (np.array([[1.0, 0.0], [0.0, 0.0]]),
-                np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-    mesh = np.linspace(S_MIN, S_MAX, 481)
-    guess_q = np.where(mesh < -0.5, np.sqrt(np.maximum(-mesh, 0.25) / 2.0),
-                       airy(np.maximum(mesh, -0.5))[0])
-    guess = np.vstack((guess_q, np.gradient(guess_q, mesh)))
-    sol = solve_bvp(rhs, bc, mesh, guess, fun_jac=rhs_jac, bc_jac=bc_jac,
-                    tol=max(tol * 0.1, 5e-12), max_nodes=100000)
-    if sol.status != 0:
-        raise BlowUp(f"collocation failed to converge: {sol.message}")
-
-    s_grid = sol.x[::-1].copy()
-    q_vals = sol.y[0][::-1].copy()
-    q_prime = sol.y[1][::-1]
+    s_grid = _MID + _HALF * x
+    q_vals = cheb.chebval(x, coeffs)
     if q_vals.min() <= 0.0:
         raise BlowUp("transcendent crossed zero; left the positive branch")
     if np.any(q_vals > 10.0 * np.sqrt(np.maximum(-s_grid, 0.5) / 2.0)):
         raise BlowUp("transcendent escaped past 10*sqrt(-s/2); wrong branch")
 
-    zero = np.zeros(1)
-    mass, moment, force = (np.concatenate((zero, np.cumsum(part)))
-                           for part in _panels(sol.sol, s_grid[1:], s_grid[:-1]))
-    max_residual = float(np.abs(q_prime - q_prime[0] + force).max())
+    # hm_q' - slope is the exact integral of w from S_MAX, so the defect is
+    # int_s^{S_MAX} (force - w), with no differentiated series in it
+    force = cheb.chebadd(cheb.chebmul([_MID, _HALF], coeffs),
+                         2.0 * cheb.chebmul(coeffs, cheb.chebmul(coeffs, coeffs)))
+    defect = cheb.chebint(cheb.chebsub(force, w_coeffs), lbnd=1.0, scl=_HALF)
+    max_residual = float(np.abs(cheb.chebval(x, defect)).max())
     if max_residual >= 10.0 * tol:
         raise IdentityCheckFailure(
             f"first-integral defect {max_residual:.3e} exceeds 10*tol = {10.0 * tol:.3e}")
 
-    for arr in (s_grid, q_vals, mass, moment):
+    # leftward from S_MAX, panel by panel, in positive terms only:
+    # moment(s_{j+1}) = moment(s_j) + (s_j - s_{j+1}) mass(s_j) + panel moment
+    panel_mass, panel_moment = _panels(coeffs, s_grid[1:], s_grid[:-1])
+    mass = np.concatenate(([0.0], np.cumsum(panel_mass)))
+    moment = np.concatenate(([0.0], np.cumsum(
+        (s_grid[:-1] - s_grid[1:]) * mass[:-1] + panel_moment)))
+    for arr in (s_grid, q_vals, coeffs, mass, moment):
         arr.setflags(write=False)
-    return TWSolution(s_grid=s_grid, q_vals=q_vals, ode_tol=tol,
-                      max_residual=max_residual, _dense=sol.sol,
-                      _suffix_mass=mass, _suffix_moment=moment)
+    return TWSolution(s_grid=s_grid, q_vals=q_vals, coeffs=coeffs, ode_tol=tol,
+                      max_residual=max_residual, _suffix_mass=mass,
+                      _suffix_moment=moment, _edge=_airy_tails(S_MAX))
 
 
 def _tails(sol: TWSolution, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(int_t^inf hm_q^2, int_t^inf (x - t) hm_q^2) for a float or an array of t.
 
-    Below s_max: the suffix sums from the nearest node at or above t plus one
-    partial panel, closed at s_max by the Airy primitives.  Beyond s_max: the
-    Airy primitives at t alone.
+    Below S_MAX: the suffix sums from the nearest node s_k >= t plus the
+    partial panel [t, s_k], closed at S_MAX by the Airy primitives; all terms
+    are positive.  Beyond S_MAX: the Airy primitives at t alone.
     """
     t = np.asarray(t, dtype=float)
-    s_grid = sol.s_grid
-    s_max = s_grid[0]
-    if np.any(t < s_grid[-1]):
+    if np.any(t < S_MIN):
         raise GridTooShort(
-            f"t = {np.min(t)} below the solved range [{s_grid[-1]}, {s_max}]")
-    # integrals over [t, edge], edge = max(t, s_max); zero beyond s_max
-    mass = np.zeros(t.shape)
-    moment = np.zeros(t.shape)
-    inside = t < s_max
-    t_in = t[inside]
-    # last node with s_grid[k] >= t (grid is descending)
-    k = np.searchsorted(-s_grid, -t_in, side="right") - 1
-    d_mass, d_moment, _ = _panels(sol._dense, t_in, s_grid[k])
-    mass_in = sol._suffix_mass[k] + d_mass
-    mass[inside] = mass_in
-    moment[inside] = sol._suffix_moment[k] + d_moment - t_in * mass_in
-    edge = np.maximum(t, s_max)
-    ai, aip, _, _ = airy(edge)
-    edge_mass = aip * aip - edge * ai * ai
-    edge_moment = (2.0 * edge * edge * ai * ai - 2.0 * edge * aip * aip - ai * aip) / 3.0
-    return mass + edge_mass, moment + edge_moment + (edge - t) * edge_mass
+            f"t = {np.min(t)} below the solved range [{S_MIN}, {S_MAX}]")
+    flat = t.ravel()
+    mass = np.empty(flat.shape)
+    moment = np.empty(flat.shape)
+    inside = flat < S_MAX
+    t_in = flat[inside]
+    # last node with s_grid[k] >= t (the grid is descending)
+    k = np.searchsorted(-sol.s_grid, -t_in, side="right") - 1
+    node = sol.s_grid[k]
+    node_mass = sol._suffix_mass[k]
+    d_mass, d_moment = _panels(sol.coeffs, t_in, node)
+    edge_mass, edge_moment = sol._edge
+    mass[inside] = d_mass + node_mass + edge_mass
+    moment[inside] = (d_moment + sol._suffix_moment[k] + (node - t_in) * node_mass
+                      + edge_moment + (S_MAX - t_in) * edge_mass)
+    for i in np.flatnonzero(~inside):
+        mass[i], moment[i] = _airy_tails(float(flat[i]))
+    return mass.reshape(t.shape), moment.reshape(t.shape)
 
 
 def _like_input(values: np.ndarray) -> float | np.ndarray:
     # a Python float for a scalar t, the array otherwise
     return values if np.ndim(values) else float(values)
+
+
+def hm_q(sol: TWSolution, s: float | np.ndarray) -> float | np.ndarray:
+    """The transcendent on [S_MIN, S_MAX], summed from its Chebyshev series.
+
+    Like q2_tail_integral, a float s gives a float and an array an array.
+    """
+    s = np.asarray(s, dtype=float)
+    if np.any((s < S_MIN) | (s > S_MAX)):
+        raise GridTooShort(f"s outside the solved range [{S_MIN}, {S_MAX}]")
+    return _like_input(cheb.chebval((s - _MID) / _HALF, sol.coeffs))
 
 
 def tw_cdf_survival(sol: TWSolution, t: float | np.ndarray

@@ -145,6 +145,30 @@ class TestExitCodes:
         assert "alpha" in payload["message"]
         assert "underflows" in payload["message"]
 
+    @pytest.mark.parametrize("alpha", ["1e-8", "1e-10", "1e-15"])
+    def test_small_alpha_names_alpha_and_t(self, alpha, capsys):
+        # the planar image (a, c) = (sqrt(t/alpha), 1/alpha) has no modulus
+        # root in double precision; the error speaks of the flags given
+        code, _, err = run_cli(["ldp", "--alpha", alpha, "--t", "1"], capsys)
+        assert code == cli.EXIT_NUMERICAL
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert f"alpha = {float(alpha)!r}, t = 1.0" in payload["message"]
+        assert "a=" not in payload["message"]
+
+    def test_quadrature_cap_exits_numerical(self, monkeypatch, capsys):
+        # a zero tolerance cannot be met, so the g quadrature reaches its cap
+        from coulombgas import opasymp
+
+        monkeypatch.setattr(opasymp, "DEFAULT_QUAD_TOL", 0.0)
+        code, _, err = run_cli(
+            ["op-compare", "--a", "1.2", "--c", "1", "--n", "4", "--x", "3",
+             "--s", "0"], capsys)
+        assert code == cli.EXIT_NUMERICAL
+        payload = json.loads(err)
+        assert payload["error"] == "QuadratureError"
+        assert f"{opasymp.MAX_PANELS} panels" in payload["message"]
+
     def test_identity_failure(self, capsys):
         # residual is ~1e-74, so demanding 1e-80 must trip the identity gate
         code, out, err = run_cli(
@@ -275,6 +299,7 @@ def test_readme_examples_run(capsys):
 
 
 # Each command runs in a fresh interpreter: the test process has scipy loaded.
+# No subcommand imports scipy; only the tests use it, as an oracle.
 _MODULES_AFTER = """
 import contextlib, io, json, sys
 from coulombgas import cli
@@ -295,16 +320,34 @@ print(json.dumps([code, sorted({name.split(".")[0] for name in sys.modules})]))
      False),
     (["duality-check", "--n", "2", "--m", "2", "--x", "0.5"], False),
     (["ldp", "--alpha", "16/9", "--grid", "0.5:5:5", "--check-kc"], False),
+    (["tw", "--grid=-8:6:5"], False),
+    (["critical", "--n", "8", "--c", "1", "--s", "2"], False),
+    (["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3",
+      "--s", "0"], False),
+    (["report"], False),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_cold_start_skips_scipy(argv, numpy_free):
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv],
                           capture_output=True, text=True, timeout=120,
                           env=child_env())
     code, top_level = json.loads(proc.stdout)
-    assert code == 0, proc.stderr
+    # report keeps criterion 8 red, so it exits 3
+    assert code == (cli.EXIT_IDENTITY if argv == ["report"] else cli.EXIT_OK), \
+        proc.stderr
     assert "scipy" not in top_level
     if numpy_free:
         assert "numpy" not in top_level
+
+
+def test_numerical_modules_import_without_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coulombgas.painleve, coulombgas.opasymp, coulombgas.report;"
+         "print(sorted({name.split('.')[0] for name in sys.modules}))"],
+        capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "'scipy'" not in proc.stdout
+    assert "'coulombgas'" in proc.stdout
 
 
 def test_tw_tol_default_is_painleve_default():

@@ -16,7 +16,7 @@ from mpmath import mp
 
 import oracles
 from coulombgas import exactfiniten, freeenergy, geometry, opasymp
-from coulombgas.errors import DomainError
+from coulombgas.errors import DomainError, QuadratureError
 from coulombgas.geometry import Regime, _sqrt_through_cut
 from coulombgas.opasymp import GEvaluator, rh_coefficients
 
@@ -29,6 +29,34 @@ def exact_op_value(n: int, a: float, z: complex) -> complex:
 def rel_error(ev: GEvaluator, n: int, a: float, z: complex) -> float:
     exact = exact_op_value(n, a, z)
     return abs(opasymp.p_asymp(ev, z, n).value - exact) / abs(exact)
+
+
+class TestQuad:
+    def test_closed_forms_and_orientation(self):
+        # int_0^1 e^(i k v) dv = (e^(i k) - 1) / (i k), oscillatory for large k
+        for k in (1.0, 40.0, 300.0):
+            want = (cmath.exp(1j * k) - 1.0) / (1j * k)
+            got = opasymp.quad(lambda v: cmath.exp(1j * k * v), 0.0, 1.0)
+            assert abs(got - want) <= 2.0 * opasymp.DEFAULT_QUAD_TOL
+            back = opasymp.quad(lambda v: cmath.exp(1j * k * v), 1.0, 0.0)
+            assert abs(back + got) <= 1e-15
+        # an endpoint singularity takes many bisections but stays under the cap
+        got = opasymp.quad(lambda v: v ** -0.5 + 0j, 0.0, 1.0)
+        assert abs(got - 2.0) <= 4.0 * opasymp.DEFAULT_QUAD_TOL
+
+    def test_panel_cap(self):
+        # 1/v is not integrable on [0, 1]: every bisection of [0, h] keeps the
+        # same disagreement, so the cap is reached and reported
+        calls = []
+
+        def pole(v):
+            calls.append(v)
+            return 1.0 / v + 0j
+
+        with pytest.raises(QuadratureError, match=f"{opasymp.MAX_PANELS} panels"):
+            opasymp.quad(pole, 0.0, 1.0)
+        # one panel to start, two per bisection, 31 nodes per panel
+        assert len(calls) == 31 * (2 * opasymp.MAX_PANELS - 1)
 
 
 class TestGFunction:

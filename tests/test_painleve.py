@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import airy, gamma
+from scipy.special import gamma
 
 import oracles
 from coulombgas import exactfiniten, freeenergy, geometry, painleve
@@ -13,8 +14,18 @@ from coulombgas.geometry import Regime
 
 
 def q_at(sol, s: float) -> float:
-    # grid runs from S_MAX down to S_MIN
-    return float(np.interp(s, sol.s_grid[::-1], sol.q_vals[::-1]))
+    return painleve.hm_q(sol, s)
+
+
+def airy_tails_oracle(t: float) -> tuple[float, float]:
+    # int_t^inf Ai^2 and int_t^inf (x - t) Ai^2 by quadrature at 35 digits,
+    # sharing nothing with the closed-form primitives
+    with mpmath.workdps(35):
+        t = mpmath.mpf(t)
+        limits = [t, t + 4, mpmath.inf]
+        mass = mpmath.quad(lambda x: mpmath.airyai(x) ** 2, limits)
+        moment = mpmath.quad(lambda x: (x - t) * mpmath.airyai(x) ** 2, limits)
+        return float(mass), float(moment)
 
 
 class TestAiry:
@@ -60,6 +71,27 @@ class TestHastingsMcleod:
         finer = painleve.hastings_mcleod(tol=5e-11)
         assert abs(q_at(hm_solution, -5.0) - q_at(finer, -5.0)) < 1e-10
 
+    def test_series_matches_nodes(self, hm_solution):
+        np.testing.assert_allclose(
+            painleve.hm_q(hm_solution, hm_solution.s_grid), hm_solution.q_vals,
+            rtol=0.0, atol=1e-14)
+        for s in (painleve.S_MIN - 0.5, painleve.S_MAX + 0.5):
+            with pytest.raises(GridTooShort):
+                painleve.hm_q(hm_solution, s)
+
+    def test_smaller_tol_never_fewer_nodes(self, hm_solution):
+        tols = (1e-6, 1e-8, 1e-9, 1e-10, 5e-11, 2e-11, 1e-11, 1e-12)
+        counts = [hm_solution.s_grid.size if tol == painleve.DEFAULT_TOL
+                  else painleve.hastings_mcleod(tol=tol).s_grid.size
+                  for tol in tols]
+        assert counts == sorted(counts)
+        assert counts[0] < counts[-1]
+
+    def test_tightest_tol(self):
+        # the benchmark reference tails come from tw --tol 1e-12
+        sol = painleve.hastings_mcleod(tol=1e-12)
+        assert sol.max_residual <= 1e-12
+
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0}, {"tol": -1e-10}, {"tol": 1e-13}])
     def test_preconditions(self, kwargs):
@@ -101,6 +133,16 @@ class TestDistribution:
                   / painleve.right_tail_survival(6.0) - 1)
         assert rel < 0.20
 
+    def test_far_right_tail_relative_accuracy(self, hm_solution):
+        # beyond t = 6 hm_q = Ai to ~1e-10 relative, and 1 - F(t) falls to
+        # ~1e-16 at 7.9: it must stay accurate relative to its own size
+        for t in (6.0, 7.0, 7.9):
+            mass, moment = airy_tails_oracle(t)
+            assert painleve.tw_survival(hm_solution, t) == pytest.approx(
+                moment, rel=1e-6, abs=0.0)
+            assert painleve.q2_tail_integral(hm_solution, t) == pytest.approx(
+                mass, rel=1e-6, abs=0.0)
+
     @pytest.mark.parametrize("t", [-11.0, np.array([-2.0, -11.0, 9.5])],
                              ids=["scalar", "array"])
     def test_grid_too_short(self, hm_solution, t):
@@ -110,15 +152,13 @@ class TestDistribution:
     def test_array_matches_points_and_airy_closure(self, hm_solution):
         grid = hm_solution.s_grid
         s_max = float(grid[0])
-        ts = np.concatenate(([-9.3, -2.0, 0.37, 5.5], grid[[1, 100, -1]],
-                             [s_max, 9.5, 12.0]))
+        ts = np.concatenate(([-9.3, -2.0, 0.37, 5.5],
+                             grid[[1, grid.size // 2, -1]], [s_max, 9.5, 12.0]))
         beyond = ts >= s_max
-        s = ts[beyond]
-        ai, aip, _, _ = airy(s)
-        moment = (2.0 * s * s * ai * ai - 2.0 * s * aip * aip - ai * aip) / 3.0
+        mass, moment = np.array([airy_tails_oracle(t) for t in ts[beyond]]).T
         closure = {painleve.tw_cdf: np.exp(-moment),
                    painleve.tw_survival: -np.expm1(-moment),
-                   painleve.q2_tail_integral: aip * aip - s * ai * ai}
+                   painleve.q2_tail_integral: mass}
         for fn, closed in closure.items():
             batch = fn(hm_solution, ts)
             points = [fn(hm_solution, float(t)) for t in ts]

@@ -3,8 +3,15 @@
 Every subcommand emits one table: a JSON object with a schema_version, the
 resolved parameters, and a list of rows.  CSV is a lossy projection of the
 same table (complex values become re/im column pairs, nested details are
-dropped).  Errors of any kind are also written as a structured JSON object
-on standard error, and the exit code classifies them:
+dropped).  The text is always what json.dumps(indent=2, allow_nan=False) or
+csv.DictWriter would write.  When every row has the first row's keys and
+float, int, bool, str, None or {"re", "im"} values, the rows are written by
+one %-format string compiled per table, so the formatting runs in C; other
+tables (report's nested rows, free-energy's tail, mixed shapes, CSV strings
+that need quoting, non-finite floats in JSON) go through json and csv
+whole, and a nan or infinity in JSON still raises ValueError (exit 2).
+Errors of any kind are also written as a structured JSON object on
+standard error, and the exit code classifies them:
 
     0  success
     1  usage error (bad flags, malformed grid/rational, unknown suite)
@@ -25,6 +32,8 @@ import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Sequence
 
 from mpmath import mp
@@ -140,7 +149,105 @@ def _flatten(row: dict) -> dict:
     return flat
 
 
-def render(table: dict, fmt: str) -> str:
+# Characters that make the csv module quote a field (QUOTE_MINIMAL with "\n"
+# line ends); a string column holding one leaves the compiled path.
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+_NONE = type(None)
+# the %-format slot of a scalar column; float's %r is float.__repr__, which
+# both json and csv use; bool and str columns are turned into text first
+_SLOT = {float: "%r", int: "%d", bool: "%s", str: "%s"}
+_JSON_TEXT = {bool: {True: "true", False: "false"}.__getitem__,
+              str: encode_basestring_ascii}
+
+
+def _columns(rows: list) -> list | None:
+    """(key, kind, value columns) for rows of one shape, or None.
+
+    Every row must have the first row's string keys in the same order, and
+    each key one value type over all rows: float, int, bool, str, None, or a
+    {"re", "im"} dict of floats (kind complex, with two columns).
+    """
+    keys = tuple(rows[0])
+    if not keys or not all(map(keys.__eq__, map(tuple, rows))):
+        return None
+    columns = []
+    for key in keys:
+        col = list(map(itemgetter(key), rows))
+        kinds = set(map(type, col))
+        if type(key) is not str or len(kinds) != 1:
+            return None
+        kind = kinds.pop()
+        if kind is dict:
+            if set(map(tuple, col)) != {("re", "im")}:
+                return None
+            cols = [list(map(itemgetter("re"), col)),
+                    list(map(itemgetter("im"), col))]
+            if any(set(map(type, part)) != {float} for part in cols):
+                return None
+            columns.append((key, complex, cols))
+        elif kind in _SLOT or kind is _NONE:
+            columns.append((key, kind, [col]))
+        else:
+            return None
+    return columns
+
+
+def _json_rows(rows: list) -> list[str] | None:
+    """Each row as json.dumps(indent=2) writes it inside the table, or None."""
+    columns = _columns(rows)
+    if columns is None:
+        return None
+    fields, values = [], []
+    for key, kind, cols in columns:
+        name = encode_basestring_ascii(key).replace("%", "%%")
+        if kind is complex:
+            fields.append(f'      {name}: {{\n        "re": %r,\n'
+                          f'        "im": %r\n      }}')
+        else:
+            fields.append(f"      {name}: {_SLOT.get(kind, 'null')}")
+        if kind is float or kind is complex:
+            # leave nan and infinity to json.dumps, which raises ValueError:
+            # any such value makes the column sum non-finite (an overflowing
+            # sum of finite values sends the table there too, harmlessly)
+            if not all(math.isfinite(sum(col)) for col in cols):
+                return None
+            values += cols
+        elif kind is int:
+            values += cols
+        elif kind in _JSON_TEXT:
+            values.append(list(map(_JSON_TEXT[kind], cols[0])))
+    if not values:
+        return None
+    fmt = "    {\n" + ",\n".join(fields) + "\n    }"
+    return list(map(fmt.__mod__, zip(*values)))
+
+
+def _csv_rows(rows: list) -> tuple[str, list[str]] | None:
+    """The header line and each row as csv.DictWriter writes them, or None."""
+    columns = _columns(rows)
+    if columns is None:
+        return None
+    header, fields, values = [], [], []
+    for key, kind, cols in columns:
+        if kind is complex:
+            header += [f"{key}_re", f"{key}_im"]
+            fields += ["%r", "%r"]
+        else:
+            header.append(key)
+            fields.append(_SLOT.get(kind, ""))  # None is an empty field
+        if kind is str and _CSV_QUOTED.search("".join(cols[0])):
+            return None
+        if kind is not _NONE:
+            values += cols
+    # csv writes a lone empty field as "", and a key may repeat once flattened
+    if (len(header) < 2 or len(set(header)) < len(header) or not values
+            or _CSV_QUOTED.search("".join(header))):
+        return None
+    fmt = ",".join(fields) + "\n"
+    return ",".join(header) + "\n", list(map(fmt.__mod__, zip(*values)))
+
+
+def _render_stdlib(table: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(table, indent=2, allow_nan=False) + "\n"
     rows = [_flatten(r) for r in table.get("rows", [])]
@@ -152,6 +259,27 @@ def render(table: dict, fmt: str) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def render(table: dict, fmt: str) -> str:
+    """The table as JSON or CSV text; see the module docstring."""
+    rows = table.get("rows")
+    if rows and next(reversed(table)) == "rows":
+        if fmt == "json":
+            head = {k: v for k, v in table.items() if k != "rows"}
+            lines = _json_rows(rows) if head else None
+            if lines is not None:
+                lines[0] = (json.dumps(head, indent=2, allow_nan=False)[:-2]
+                            + ',\n  "rows": [\n' + lines[0])
+                lines[-1] += "\n  ]\n}\n"
+                return ",\n".join(lines)
+        else:
+            split = _csv_rows(rows)
+            if split is not None:
+                header, lines = split
+                lines[0] = header + lines[0]
+                return "".join(lines)
+    return _render_stdlib(table, fmt)
 
 
 def emit(table: dict, args) -> None:
@@ -323,11 +451,10 @@ def cmd_ldp(args) -> int:
     edge_action = ldp.kc_action(lambda_minus, alpha)
 
     def one(t: float) -> dict:
-        rate = ldp.phi(t, alpha)
+        rate, const = ldp.phi_psi(t, alpha)
         action_diff = ldp.kc_action(t, alpha) - edge_action
         row = {"t": t, "phi": rate, "action_diff": action_diff,
-               "residual": abs(rate - action_diff),
-               "psi": ldp.psi(t, alpha)}
+               "residual": abs(rate - action_diff), "psi": const}
         if args.exact_compare:
             row["n"] = args.n
             row["exact_log_p"] = ldp.exact_log_gap_probability(args.n, alpha,

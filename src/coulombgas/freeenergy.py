@@ -16,6 +16,7 @@ Bernoulli tail; pre-critically only its O(1/N) class is known.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,10 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
     return out
 
 
-_BERNOULLI = bernoulli_numbers(64)
+@functools.cache
+def _bernoulli() -> list[Fraction]:
+    # built on first use, so importing this module stays cheap
+    return bernoulli_numbers(64)
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,10 @@ def energy_post(a: float, c: float) -> float:
             - 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0) - c * a * a)
 
 
-def energy_pre(a: float, c: float) -> float:
-    q = solve_q(a, c)
+def energy_pre(a: float, c: float, q: float | None = None) -> float:
+    """Equilibrium energy in the simply connected phase; q = solve_q(a, c) if not given."""
+    if q is None:
+        q = solve_q(a, c)
     q2 = q * q
     a2 = a * a
     return (0.375 + a2 / 8.0 + 3.0 / (8.0 * a2 * q2 * q2) - 5.0 / (8.0 * q2)
@@ -133,12 +139,16 @@ def d_fconst_pre_da(a: float, c: float) -> float:
     return -q2 * (1.0 - a4q4) ** 2 / (8.0 * a * (1.0 - q2) * (1.0 - a4q6) ** 2)
 
 
-def fconst(a: float, c: float, regime: Regime) -> float:
-    """The O(1) geometry-dependent constant F(a, c) of the expansion."""
+def fconst(a: float, c: float, regime: Regime, q: float | None = None) -> float:
+    """The O(1) geometry-dependent constant F(a, c) of the expansion.
+
+    Pre-critically q is the modulus, solve_q(a, c) if not given.
+    """
     if regime is Regime.POST:
         return math.log(c / (1.0 + c)) / 12.0
     if regime is Regime.PRE:
-        q = solve_q(a, c)
+        if q is None:
+            q = solve_q(a, c)
         q2 = q * q
         t = a * a * q2
         return (math.log((1.0 + t - 2.0 * t * q2) ** 4
@@ -175,9 +185,9 @@ def _tail_coefficient(c: float, j: int) -> float:
     """
     if j % 2:
         k = (j + 1) // 2
-        return float(_BERNOULLI[2 * k]) / (2 * k * (2 * k - 1))
+        return float(_bernoulli()[2 * k]) / (2 * k * (2 * k - 1))
     k = j // 2
-    return (float(_BERNOULLI[2 * k + 2]) / (4 * k * (k + 1))
+    return (float(_bernoulli()[2 * k + 2]) / (4 * k * (k + 1))
             * ((c + 1.0) ** (-2 * k) - c ** (-2 * k)))
 
 
@@ -267,7 +277,7 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
         H = (c * z_abs * z_abs - 1.5 * c + 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0)
              - 0.5 * c * c * math.log(c))
         logG = math.log(c / (1.0 + c)) / 12.0
-        tail = sum(float(_BERNOULLI[2 * k + 2]) / (4 * k * (k + 1))
+        tail = sum(float(_bernoulli()[2 * k + 2]) / (4 * k * (k + 1))
                    * ((c + 1.0) ** (-2 * k) - c ** (-2 * k) - 1.0) * N ** (-2 * k)
                    for k in (1, 2))
         return math.log(N) / 12.0 - ZETA_PRIME_MINUS_ONE + logG + H * N * N + tail

@@ -17,7 +17,6 @@ reports log P = 0 for t <= 0, where the gap event is almost sure.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from mpmath import mp
 from .errors import DomainError, NoValidRoot
 from .exactfiniten import lue_gap_probability
 from .freeenergy import ZETA_PRIME_MINUS_ONE, energy_post, energy_pre, fconst
-from .geometry import Regime
+from .geometry import Regime, solve_q
 
 
 @dataclass(frozen=True)
@@ -54,41 +53,41 @@ def mp_density(params: LUEParams, x: float) -> float:
         2.0 * math.pi * x)
 
 
-def _planar_args(t: float, alpha: float) -> tuple[float, float]:
-    # radial slice: insertion radius a = sqrt(t/alpha), inverse charge c = 1/alpha
+def _planar_args(t: float, alpha: float) -> tuple[float, float, float]:
+    """The planar image (a, c, q) of (t, alpha): insertion radius a = sqrt(t/alpha),
+    inverse charge c = 1/alpha, and the modulus q = solve_q(a, c)."""
     if alpha <= 0.0:
         raise DomainError(f"rate functions need alpha > 0, got {alpha}")
     lam_minus = LUEParams.from_alpha(alpha).lambda_minus
     if t <= lam_minus:
         raise DomainError(
             f"pushed regime needs t > lambda_- = {lam_minus}, got t = {t}")
-    return math.sqrt(t / alpha), 1.0 / alpha
-
-
-@contextmanager
-def _in_lue_terms(t: float, alpha: float):
-    # a failed modulus root names the planar (a, c); report the (t, alpha) given
+    a, c = math.sqrt(t / alpha), 1.0 / alpha
     try:
-        yield
+        return a, c, solve_q(a, c)
     except NoValidRoot as exc:
+        # the failed root names the planar (a, c); report the (t, alpha) given
         raise DomainError(
             f"no rate function at alpha = {alpha!r}, t = {t!r}: its planar "
             "image a = sqrt(t/alpha), c = 1/alpha has no admissible modulus "
             "root in double precision") from exc
 
 
+def phi_psi(t: float, alpha: float) -> tuple[float, float]:
+    """(phi(t, alpha), psi(t, alpha)) from one modulus solve."""
+    a, c, q = _planar_args(t, alpha)
+    return (alpha * alpha * (energy_pre(a, c, q) - energy_post(a, c)),
+            fconst(a, c, Regime.PRE, q) - fconst(a, c, Regime.POST))
+
+
 def phi(t: float, alpha: float) -> float:
     """Rate of the pushed gap event: alpha^2 times the planar energy excess."""
-    a, c = _planar_args(t, alpha)
-    with _in_lue_terms(t, alpha):
-        return alpha * alpha * (energy_pre(a, c) - energy_post(a, c))
+    return phi_psi(t, alpha)[0]
 
 
 def psi(t: float, alpha: float) -> float:
     """Constant-order correction: the planar free-energy constant across phases."""
-    a, c = _planar_args(t, alpha)
-    with _in_lue_terms(t, alpha):
-        return fconst(a, c, Regime.PRE) - fconst(a, c, Regime.POST)
+    return phi_psi(t, alpha)[1]
 
 
 def kc_theta(t: float, alpha: float) -> float:
@@ -150,9 +149,10 @@ def ldp_log_probability(n: int, alpha: float, t: float) -> float:
     -Phi n^2 - log(alpha n)/12 + zeta'(-1) + Psi."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    rate, const = phi_psi(t, alpha)
     # constant-order terms summed first, then added: the order fixes the last bits
-    return (-phi(t, alpha) * n * n
-            + (-math.log(alpha * n) / 12.0 + ZETA_PRIME_MINUS_ONE + psi(t, alpha)))
+    return (-rate * n * n
+            + (-math.log(alpha * n) / 12.0 + ZETA_PRIME_MINUS_ONE + const))
 
 
 def exact_log_gap_probability(n: int, alpha: float, t: float) -> float:

@@ -188,7 +188,10 @@ def check_tw_tails() -> tuple:
                     / painleve.right_tail_survival(6.0) - 1.0)
     refined = painleve.hastings_mcleod(tol=painleve.DEFAULT_TOL / 2.0)
     drift = abs(painleve.tw_cdf(sol, -5.0) - painleve.tw_cdf(refined, -5.0))
-    ok = left_diff < scale and right_rel < 0.20 and drift < 1e-8
+    # the drift alone reads ~3e-19, and exactly 0 from a solver that ignored
+    # tol: the halved tol must also buy more collocation nodes
+    ok = (left_diff < scale and right_rel < 0.20 and drift < 1e-8
+          and refined.s_grid.size > sol.s_grid.size)
     return (
         ok,
         f"left diff {left_diff:.2e} (< {scale:.2e}), right rel {right_rel:.3f} "

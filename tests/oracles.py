@@ -2,12 +2,16 @@
 
 Each one is a second route to a value `coulombgas` has in closed form or by
 another method (a normalisation, a far-field coefficient, an exact
-recursion, a moment summed term by term in rationals), so the tests can
-compare the two.  Keeping them here keeps their scipy imports out of the
-modules the CLI loads at start-up.
+recursion, a moment summed term by term in rationals, a table rendered
+by the json and csv modules alone), so the tests can compare the two.
+Keeping them here keeps their scipy imports out of the modules the CLI
+loads at start-up.
 """
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 from typing import Optional
@@ -132,3 +136,32 @@ def fraction_moment(N: int, m: int, a, k: int) -> Fraction:
         total += (Fraction(math.comb(m, j)) * (-a) ** (m - j)
                   * (-N * a) ** (p - j) / math.factorial(p - j))
     return total
+
+
+def reference_render(table: dict, fmt: str) -> str:
+    """A CLI table as json.dumps(indent=2) or csv.DictWriter writes it.
+
+    CSV flattens each {"re", "im"} value into <key>_re and <key>_im columns
+    and drops other nested values; the header is every key in order of
+    first appearance, and a row without a key leaves its field empty.
+    """
+    if fmt == "json":
+        return json.dumps(table, indent=2, allow_nan=False) + "\n"
+    rows = []
+    for row in table.get("rows", []):
+        flat = {}
+        for key, value in row.items():
+            if isinstance(value, dict) and set(value) == {"re", "im"}:
+                flat[f"{key}_re"] = value["re"]
+                flat[f"{key}_im"] = value["im"]
+            elif not isinstance(value, (dict, list)):
+                flat[key] = value
+        rows.append(flat)
+    header: list[str] = []
+    for row in rows:
+        header.extend(k for k in row if k not in header)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -12,6 +13,7 @@ import sys
 
 import pytest
 
+import oracles
 from coulombgas import cli
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -233,6 +235,118 @@ class TestOutputHandling:
         assert len(rows) == 32  # two components
 
 
+# One command per subcommand, small enough for tier-1; the grid tables are
+# the ones rendered by the compiled row format.
+RENDER_COMMANDS = [
+    ["geometry", "--a", "1", "--c", "0.5625", "--points", "64"],
+    ["geometry", "--a", "0.3", "--c", "9/16", "--points", "64"],
+    ["free-energy", "--a", "0.2", "--c", "1", "--n", "8", "--exact-compare"],
+    ["free-energy", "--a", "1.2", "--c", "1", "--n", "8"],
+    ["exact", "--a", "0.3", "--c", "9/16", "--n", "16"],
+    ["duality-check", "--n", "2", "--m", "2", "--x", "0.5"],
+    ["tw", "--grid=-8:6:300"],
+    ["critical", "--n", "8", "--c", "1", "--s", "2"],
+    ["ldp", "--alpha", "16/9", "--grid", "0.5:5:300", "--check-kc"],
+    ["ldp", "--alpha", "1", "--grid", "0.5:3:4", "--exact-compare", "--n",
+     "4"],
+    ["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3", "--s",
+     "1"],
+    ["report", "--skip", "exact", "--skip", "opasymp"],
+]
+GRID_TABLES = {"geometry", "tw", "ldp"}
+
+
+@pytest.fixture(scope="module")
+def emitted_tables():
+    tables = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "emit", lambda table, args: tables.append(table))
+        for argv in RENDER_COMMANDS:
+            assert cli.run(argv) == cli.EXIT_OK, argv
+    assert len(tables) == len(RENDER_COMMANDS)
+    return tables
+
+
+def _table(rows, **head):
+    return {"schema_version": 1, **head, "rows": rows}
+
+
+class TestRender:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_every_subcommand_matches_reference(self, emitted_tables, fmt):
+        for argv, table in zip(RENDER_COMMANDS, emitted_tables):
+            assert cli.render(table, fmt) == oracles.reference_render(
+                table, fmt), argv
+
+    def test_grid_tables_take_compiled_format(self, emitted_tables):
+        names = set()
+        for table in emitted_tables:
+            name = table.get("subcommand")
+            if name in GRID_TABLES:
+                assert cli._json_rows(table["rows"]) is not None, name
+                assert cli._csv_rows(table["rows"]) is not None, name
+                names.add(name)
+        assert names == GRID_TABLES
+
+    @pytest.mark.parametrize("rows", [
+        # mixed shapes: a missing key, another key order, a type change
+        [{"x": 1.0, "y": True}, {"x": 2.0}, {"y": False, "x": 3.0}],
+        [{"x": 1.0, "n": 2}, {"x": 2, "n": 3}],
+        [{"z": {"re": 1.0, "im": 2.0}}, {"z": {"im": 2.0, "re": 1.0}}],
+        [{"z": {"re": 1.0, "im": 2.0}, "w": 0.5}, {"z": [1.0, 2.0], "w": 0.5}],
+        # strings csv must quote, and ones it need not
+        [{"label": 'a,"b"', "v": 1.0}, {"label": "c", "v": 2.0}],
+        [{"label": "two\nlines", "v": 1.0}],
+        [{"label": "caf\u00e9 50%", "v": -0.0}, {"label": "", "v": 1e300}],
+        # None, alone and among floats
+        [{"x": None, "y": 1.5}, {"x": None, "y": 2.5}],
+        [{"x": None, "y": 1.5}, {"x": 0.25, "y": 2.5}],
+        # one column, where csv quotes an empty field
+        [{"only": None}, {"only": 1.0}],
+        [{"only": ""}],
+        # keys that need escaping, or collide once flattened
+        [{"50% \"x\"": 1.0, "b": 2}],
+        [{"p": {"re": 1.0, "im": 0.0}, "p_re": 3.0}],
+        # every kind the compiled format takes, in one shape
+        [{"k": "a", "t": 0.1 + 0.2, "n": 2 ** 70, "ok": True,
+          "z": {"re": 5e-324, "im": -1.5}, "none": None},
+         {"k": "b", "t": -1e-300, "n": -1, "ok": False,
+          "z": {"re": 1.0, "im": 2.0}, "none": None}],
+        [],
+    ], ids=["missing-key", "int-then-float", "im-before-re", "nested-list",
+            "csv-quoted", "newline", "unicode", "none-column", "none-mixed",
+            "one-column", "one-empty-field", "escaped-key", "flat-collision",
+            "all-kinds", "empty"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_synthetic_tables_match_reference(self, rows, fmt):
+        for table in (_table(rows, params={"grid": None, "tol": 1e-10}),
+                      {"rows": rows}, {"rows": rows, "after": 1}):
+            assert cli.render(table, fmt) == oracles.reference_render(
+                table, fmt)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite_csv_writes_it(self, bad):
+        for rows in ([{"x": 1.0, "y": bad}],
+                     [{"x": 1.0, "z": {"re": 0.0, "im": bad}}]):
+            with pytest.raises(ValueError):
+                cli.render(_table(rows), "json")
+        assert cli.render(_table([{"x": 1.0, "y": bad}]), "csv") \
+            == f"x,y\n1.0,{bad!r}\n"
+        with pytest.raises(ValueError):
+            cli.render(_table([{"x": 1.0}], worst=bad), "json")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_bytes_equal_stdout(self, fmt, capsys, tmp_path):
+        argv = ["ldp", "--alpha", "16/9", "--grid", "0.5:5:200",
+                "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        target = tmp_path / f"table.{fmt}"
+        code, empty, _ = run_cli([*argv, "--out", str(target)], capsys)
+        assert (code, empty) == (0, "")
+        assert target.read_bytes() == out.encode()
+
+
 class TestSemantics:
     def test_rational_c_matches_explicit_m(self, capsys):
         _, via_c, _ = run_cli(
@@ -337,6 +451,23 @@ def test_cold_start_skips_scipy(argv, numpy_free):
     assert "scipy" not in top_level
     if numpy_free:
         assert "numpy" not in top_level
+
+
+@pytest.mark.parametrize("argv", [
+    ["ldp", "--alpha", "16/9", "--grid", "0.5:5:200", "--check-kc"],
+    ["ldp", "--alpha", "16/9", "--t", "2", "--format", "csv"],
+    ["geometry", "--a", "1", "--c", "9/16", "--points", "200"],
+    ["geometry", "--a", "0.3", "--c", "9/16", "--points", "200", "--format",
+     "csv"],
+], ids=["ldp-grid", "ldp-csv", "geometry-pre", "geometry-post-csv"])
+def test_ldp_and_geometry_load_neither_numpy_nor_scipy(argv):
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=child_env())
+    code, top_level = json.loads(proc.stdout)
+    assert code == cli.EXIT_OK, proc.stderr
+    assert "numpy" not in top_level
+    assert "scipy" not in top_level
 
 
 def test_numerical_modules_import_without_scipy():

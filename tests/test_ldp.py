@@ -1,13 +1,15 @@
 """Large deviations of the smallest LUE eigenvalue and the KC action."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from coulombgas import freeenergy, ldp
+from coulombgas import cli, freeenergy, ldp
 from coulombgas.errors import DomainError
+from coulombgas.geometry import Regime
 
 
 class TestMarchenkoPastur:
@@ -151,3 +153,32 @@ class TestLogProbability:
         want = (-64.0 * ldp.phi(t, 1.0) - math.log(8.0) / 12.0
                 + freeenergy.ZETA_PRIME_MINUS_ONE + ldp.psi(t, 1.0))
         assert ldp.ldp_log_probability(8, 1.0, t) == pytest.approx(want, abs=1e-12)
+
+
+class TestSinglePass:
+    def test_rows_equal_two_solve_route_bit_for_bit(self, capsys):
+        # the table solves the modulus once per point; energy_pre and fconst
+        # called without q solve it on their own.  The grid starts one ulp
+        # above lambda_-.
+        alpha = 16 / 9
+        lo = math.nextafter(ldp.LUEParams.from_alpha(alpha).lambda_minus,
+                            math.inf)
+        code = cli.run(["ldp", "--alpha", "16/9", f"--grid={lo!r}:5:2000"])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code == 0 and len(rows) == 2000 and rows[0]["t"] == lo
+        for row in rows:
+            t = row["t"]
+            a, c = math.sqrt(t / alpha), 1.0 / alpha
+            two_solves = (
+                alpha * alpha * (freeenergy.energy_pre(a, c)
+                                 - freeenergy.energy_post(a, c)),
+                freeenergy.fconst(a, c, Regime.PRE)
+                - freeenergy.fconst(a, c, Regime.POST))
+            assert (row["phi"], row["psi"]) == two_solves, t
+            assert (ldp.phi(t, alpha), ldp.psi(t, alpha)) == two_solves, t
+        for t in (lo, rows[1]["t"], 2.0, 5.0):
+            two_pass = (-ldp.phi(t, alpha) * 16 * 16
+                        + (-math.log(alpha * 16) / 12.0
+                           + freeenergy.ZETA_PRIME_MINUS_ONE
+                           + ldp.psi(t, alpha)))
+            assert ldp.ldp_log_probability(16, alpha, t) == two_pass, t

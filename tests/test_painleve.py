@@ -92,6 +92,18 @@ class TestHastingsMcleod:
         sol = painleve.hastings_mcleod(tol=1e-12)
         assert sol.max_residual <= 1e-12
 
+    def test_tw_tails_check_fails_for_tol_blind_solver(self, monkeypatch):
+        # such a solver drifts by exactly 0 when tol is halved; the report
+        # check must still see that halving tol bought no nodes
+        from coulombgas import report
+
+        solve = painleve.hastings_mcleod
+        monkeypatch.setattr(painleve, "hastings_mcleod",
+                            lambda tol=painleve.DEFAULT_TOL: solve())
+        passed, _, details = report.check_tw_tails()
+        assert details["tol_halving_drift"] == 0.0
+        assert not passed
+
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0}, {"tol": -1e-10}, {"tol": 1e-13}])
     def test_preconditions(self, kwargs):

@@ -19,8 +19,12 @@ standard error, and the exit code classifies them:
     3  an identity or verification check failed beyond its tolerance
 
 Rows are computed one after another in flag order, so output is
-byte-for-byte deterministic for a fixed command line.  Nothing here reads
-environment variables, and no file other than --out is ever written.
+byte-for-byte deterministic for a fixed command line.  The only
+environment variable touched is OPENBLAS_NUM_THREADS: main() sets it to 1
+unless it is already set, before numpy can load, because numpy imports
+faster with one thread and the small dense solves in painleve gain nothing
+from more; run() leaves the environment alone.  No file other than --out is
+ever written.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -39,7 +44,8 @@ from typing import Sequence
 from mpmath import mp
 
 # painleve, opasymp, ldp and report load inside the subcommands that use
-# them: painleve and opasymp import numpy, which --help and exact never load
+# them: painleve and report import numpy, so only tw, critical and report
+# load it
 from . import exactfiniten, freeenergy, geometry
 from .errors import CoulombGasError, DomainError, IdentityCheckFailure
 from .geometry import Regime
@@ -672,6 +678,7 @@ def _validate_common(args) -> None:
 
 
 def main() -> None:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run())
 
 

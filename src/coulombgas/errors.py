@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: numerical failures (SingularHankel, BlowUp,
-BranchCutError, QuadratureError) exit 2, identity-check failures exit 3, usage
+BranchCutError) exit 2, identity-check failures exit 3, usage
 errors exit 1.
 """
 
@@ -32,14 +32,6 @@ class BlowUp(CoulombGasError, RuntimeError):
 
 class GridTooShort(CoulombGasError, ValueError):
     """Requested evaluation point lies outside the computed solution grid."""
-
-
-class QuadratureError(CoulombGasError, ArithmeticError):
-    """Adaptive quadrature did not reach its tolerance within its panel cap."""
-
-
-class SingularR2(CoulombGasError, ArithmeticError):
-    """Rational dressing factor R2 is not invertible at the evaluation point."""
 
 
 class IdentityCheckFailure(CoulombGasError, RuntimeError):

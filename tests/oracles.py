@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from mpmath import mp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import airy
@@ -116,6 +117,29 @@ def g_large_z_coefficient(geom: PreGeometry) -> float:
     a, q = geom.a, geom.q
     return (1.0 / (4.0 * a) + a / 2.0 - 1.0 / (2.0 * a * q * q)
             - a ** 3 * q ** 4 / 4.0)
+
+
+def g_increment(geom: PreGeometry, z1: complex, z2: complex) -> complex:
+    """g(z2) - g(z1) in the simply connected phase, by mpmath.quad at 30 digits.
+
+    Integrates the defining derivative
+    2 g'(z) = a - c/(z-a) + (c+1)/z - a (z-b) S(z)/((z-a) z) along the
+    segment [z1, z2], with S(z) = sqrt((z-beta)(z-beta_bar)) cut on the
+    vertical segment [beta_bar, beta] and ~ z at infinity.  The segment must
+    avoid the cut, the points 0 and a, and (for comparison with the
+    principal log z) the negative real axis.
+    """
+    with mp.workdps(30):
+        a, c, b = mp.mpf(geom.a), mp.mpf(geom.c), mp.mpf(geom.b)
+        x0, y0 = mp.mpf(geom.beta.real), mp.mpf(geom.beta.imag)
+
+        def g_prime(z):
+            dz = z - x0
+            s = dz * mp.sqrt(1 + (y0 / dz) ** 2)
+            return (a - c / (z - a) + (c + 1) / z - a * (z - b) * s / ((z - a) * z)) / 2
+
+        start, delta = mp.mpc(z1), mp.mpc(z2) - mp.mpc(z1)
+        return complex(delta * mp.quad(lambda u: g_prime(start + u * delta), [0, 1]))
 
 
 def airy_ai_prime(x: float) -> float:

@@ -158,19 +158,6 @@ class TestExitCodes:
         assert f"alpha = {float(alpha)!r}, t = 1.0" in payload["message"]
         assert "a=" not in payload["message"]
 
-    def test_quadrature_cap_exits_numerical(self, monkeypatch, capsys):
-        # a zero tolerance cannot be met, so the g quadrature reaches its cap
-        from coulombgas import opasymp
-
-        monkeypatch.setattr(opasymp, "DEFAULT_QUAD_TOL", 0.0)
-        code, _, err = run_cli(
-            ["op-compare", "--a", "1.2", "--c", "1", "--n", "4", "--x", "3",
-             "--s", "0"], capsys)
-        assert code == cli.EXIT_NUMERICAL
-        payload = json.loads(err)
-        assert payload["error"] == "QuadratureError"
-        assert f"{opasymp.MAX_PANELS} panels" in payload["message"]
-
     def test_identity_failure(self, capsys):
         # residual is ~1e-74, so demanding 1e-80 must trip the identity gate
         code, out, err = run_cli(
@@ -437,7 +424,7 @@ print(json.dumps([code, sorted({name.split(".")[0] for name in sys.modules})]))
     (["tw", "--grid=-8:6:5"], False),
     (["critical", "--n", "8", "--c", "1", "--s", "2"], False),
     (["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3",
-      "--s", "0"], False),
+      "--s", "0"], True),
     (["report"], False),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_cold_start_skips_scipy(argv, numpy_free):
@@ -496,3 +483,27 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema_version"] == 1
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")],
+                         ids=["unset", "user-set"])
+def test_main_defaults_openblas_to_one_thread(preset, want, monkeypatch,
+                                              capsys):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    monkeypatch.setattr(sys, "argv", ["coulombgas", "geometry", "--a", "1",
+                                      "--c", "0.5625", "--points", "16"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == cli.EXIT_OK
+    assert os.environ["OPENBLAS_NUM_THREADS"] == want
+    capsys.readouterr()
+
+
+def test_run_leaves_environment_alone(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run_cli(["geometry", "--a", "1", "--c", "0.5625", "--points", "16"],
+                   capsys)[0] == cli.EXIT_OK
+    assert "OPENBLAS_NUM_THREADS" not in os.environ

@@ -1,0 +1,39 @@
+"""The benchmark's output gate, run in-process on every default-seed command.
+
+perfbench/workloads.py lists the benchmark's commands and perfbench/gate.py
+checks each command's exit code and parsed output against its stored
+reference entry (perfbench/reference.json.gz).  Running the same commands
+through cli.run here makes a change that would fail the benchmark's gate
+fail the test suite first.  Nothing under perfbench/ is modified.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from coulombgas import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gate  # noqa: E402
+import workloads  # noqa: E402
+
+COMMANDS = [cmd for name in workloads.NAMES
+            for cmd in workloads.commands(name)]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return gate.load_reference()["commands"]
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=[cmd.id for cmd in COMMANDS])
+def test_default_seed_command_passes_gate(cmd, reference, capsys):
+    rc = cli.run(list(cmd.argv))
+    stdout = capsys.readouterr().out.encode()
+    assert gate.check(cmd, rc, stdout, reference.get(cmd.id)) == []
+
+
+def test_every_command_has_a_reference(reference):
+    assert len(COMMANDS) == 18
+    assert {cmd.id for cmd in COMMANDS} <= set(reference)

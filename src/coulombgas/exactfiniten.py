@@ -1,13 +1,18 @@
 """Exact finite-N oracles in extended precision.
 
-Every value here comes from explicit moments: each entry is an exact ratio
-of Python integers, rounded once (correctly, to nearest) to the working
-precision (default 256 bits).  Every determinant and linear solve then goes
-through one routine, `_eliminate`: Gaussian elimination with scaled partial
-pivoting (the pivot row maximises |a_rj| / sum_l |a_rl| over the remaining
-columns) run with 10 guard bits above the working precision.  A pivot or row
-sum at or below ||H||_1 * eps raises SingularHankel.  These are the
-ground-truth values the asymptotic modules are tested against.
+Every value here comes from explicit moments: each matrix entry is an exact
+ratio of Python integers.  Every determinant and linear solve goes through
+one routine, `_eliminate_fixed`: Gaussian elimination in integer fixed point
+at P = bits + GUARD_BITS (64) bits, bits being the caller's precision
+(default 256).  Each column is scaled by a power of two, each row keeps its
+own binary exponent, and every entry is rounded once, to nearest, to an int
+mantissa of about P bits; each step uses scaled partial pivoting (the
+pivot row maximises |a_rj| / sum_l |a_rl| over the remaining columns,
+compared exactly on the ints) and renormalises the updated rows.  A pivot
+or remaining row sum at or below ||B||_1 2^-(bits+10), B the column-scaled
+matrix, raises SingularHankel.  Only the back substitution for p_N runs in
+mpf.  These are the ground-truth values the asymptotic modules are tested
+against.
 
 The planar moments reduce to residues: with integer m = cN and real a,
 
@@ -27,8 +32,8 @@ The partition function is N! times the Hankel determinant of radial moments,
 which Eq.-level manipulation turns into the nu-determinant with a Gamma-product
 prefactor; the combined constant was pinned against 2D quadrature at N = 1, 2
 (see tests/fixtures/exact_logz_calibration.json) and is asserted forever.
-The LUE gap probabilities put their two Gram determinants through the same
-elimination.
+The LUE gap probabilities build their two Gram determinants as exact
+Fractions and put them through the same elimination.
 """
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ from mpmath.libmp import from_rational, round_nearest
 from .errors import DomainError, SingularHankel
 
 MAX_MOMENT_INDEX = 120  # m + N cap; factorial growth beyond this is out of scope
-GUARD_BITS = 10  # extra precision of every elimination
+GUARD_BITS = 64  # fixed-point bits kept above the caller's precision
 
 Rational = Union[int, float, Fraction, str]
 
@@ -78,7 +83,7 @@ def _to_mpf(num: int, den: int):
 
 
 def _moments(ctx: ExactContext, ks) -> list:
-    """nu_k/(2 pi i) for each k in ks, each rounded once to the context precision.
+    """nu_k/(2 pi i) for each k in ks, as an exact pair (num, den), den > 0.
 
     With a = A/D exactly (D a power of two for a float a) and p = m+N-1-k,
 
@@ -94,20 +99,19 @@ def _moments(ctx: ExactContext, ks) -> list:
     pow_d = [D ** e for e in range(2 * m + N)]
     pow_n = [N ** e for e in range(m + N)]
     out = []
-    with mp.workprec(ctx.precision_bits):
-        for k in ks:
-            p = m + N - 1 - k
-            if p < 0:
-                out.append(mp.mpf(0))
-                continue
-            num, falling = 0, 1  # falling = p!/(p-j)!
-            for j in range(min(m, p) + 1):
-                num += (math.comb(m, j) * falling * pow_n[p - j]
-                        * pow_d[2 * j] * pow_a[m + p - 2 * j])
-                falling *= p - j
-            if (m + p) % 2:
-                num = -num
-            out.append(_to_mpf(num, pow_d[m + p] * math.factorial(p)))
+    for k in ks:
+        p = m + N - 1 - k
+        if p < 0:
+            out.append((0, 1))
+            continue
+        num, falling = 0, 1  # falling = p!/(p-j)!
+        for j in range(min(m, p) + 1):
+            num += (math.comb(m, j) * falling * pow_n[p - j]
+                    * pow_d[2 * j] * pow_a[m + p - 2 * j])
+            falling *= p - j
+        if (m + p) % 2:
+            num = -num
+        out.append((num, pow_d[m + p] * math.factorial(p)))
     return out
 
 
@@ -118,50 +122,111 @@ def contour_moment(ctx: ExactContext, k: int):
     if k >= ctx.m + ctx.N:
         warnings.warn(f"moment index k={k} >= m+N={ctx.m + ctx.N}; residue is zero")
         return mp.mpf(0)
-    return _moments(ctx, (k,))[0]
+    with mp.workprec(ctx.precision_bits):
+        return _to_mpf(*_moments(ctx, (k,))[0])
 
 
-def _eliminate(rows: list) -> tuple:
-    """Scaled partial-pivot Gaussian elimination of `rows` in place, run
-    GUARD_BITS above the working precision.
+def _rounded(num: int, den: int, shift: int) -> int:
+    """num/den * 2^shift (den > 0) rounded to the nearest int."""
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return (2 * num + den) // (2 * den)
 
-    Each of the n rows holds n matrix entries, optionally followed by one
-    right-hand side.  Pivot rule and singularity test are those of mpmath's
-    own LU solver.  Returns (log|det|, sign of det, solution); the solution
+
+def _at_most(m: int, e: int, tol: tuple) -> bool:
+    """m * 2^e <= tol[0] * 2^tol[1], for ints m, tol[0] >= 0."""
+    t, te = tol
+    return m << (e - te) <= t if e >= te else m <= t << (te - e)
+
+
+def _eliminate_fixed(rows: list, bits: int) -> tuple:
+    """Scaled partial-pivot Gaussian elimination in integer fixed point.
+
+    Each of the n rows holds n exact entries (num, den), den > 0, optionally
+    followed by one right-hand side.  With P = bits + GUARD_BITS, column c is
+    scaled by 2^-C_c (C_c its largest entry's binary exponent) and row r is
+    the int list R_r times 2^E_r, its largest matrix entry about P bits; every
+    entry is rounded once, to nearest.  Step j picks the row maximising
+    |R_rj| / sum_{l>=j} |R_rl| (mpmath's rule, compared exactly on the ints),
+    subtracts (f * R_jc) >> P with f = R_rj 2^P / R_jj from one integer
+    reciprocal of the pivot, and renormalises each updated row to P bits.
+    A remaining row sum or a pivot at or below ||B||_1 2^-(bits+10), B the
+    column-scaled matrix, raises SingularHankel.
+
+    Returns (log|det|, sign of det, solution) as mpf at P bits; the solution
     is empty without a right-hand side.
     """
-    n = len(rows)
-    with mp.extraprec(GUARD_BITS):
-        tol = max(mp.fsum([row[j] for row in rows], absolute=True)
-                  for j in range(n)) * mp.eps
-        logdet, sign = mp.mpf(0), 1
-        for j in range(n):
-            sums = [mp.fsum(row[j:n], absolute=True) for row in rows[j:]]
-            if min(sums) <= tol:
-                raise SingularHankel(
-                    f"numerically singular {n}x{n} system at column {j}")
-            piv = max(range(j, n),
-                      key=lambda r: 1 / sums[r - j] * abs(rows[r][j]))
-            if piv != j:
-                rows[piv], rows[j] = rows[j], rows[piv]
-                sign = -sign
-            pval = rows[j][j]
-            if abs(pval) <= tol:
-                raise SingularHankel(
-                    f"numerically singular {n}x{n} system at column {j}")
-            if pval < 0:
-                sign = -sign
-            logdet += mp.log(abs(pval))
-            for row in rows[j + 1:]:
-                f = row[j] / pval
-                for col in range(j + 1, len(row)):
-                    row[col] -= f * rows[j][col]
-        x = [None] * n if len(rows[0]) > n else []
-        for i in reversed(range(len(x))):
-            acc = rows[i][n]
-            for col in range(i + 1, n):
-                acc -= rows[i][col] * x[col]
-            x[i] = acc / rows[i][i]
+    n, width = len(rows), len(rows[0])
+    P = bits + GUARD_BITS
+    logs = [[num.bit_length() - den.bit_length() if num else None
+             for num, den in row] for row in rows]
+    col = [max((lg[c] for lg in logs if lg[c] is not None), default=0)
+           for c in range(width)]
+    mant, exps = [], []
+    for row, lg in zip(rows, logs):
+        top = max((lg[c] - col[c] for c in range(n) if lg[c] is not None),
+                  default=P)
+        e = top + 1 - P
+        exps.append(e)
+        mant.append([_rounded(num, den, -e - col[c])
+                     for c, (num, den) in enumerate(row)])
+    low = min(exps)
+    norm = max(sum(abs(r[c]) << (e - low) for r, e in zip(mant, exps))
+               for c in range(n))
+    tol = (norm, low - bits - 10)
+
+    def singular(j):
+        return SingularHankel(f"numerically singular {n}x{n} system at column {j}")
+
+    sign, pivot_product, exponent = 1, 1, sum(col[:n])
+    upper = []
+    for j in range(n):
+        k = n - j
+        sums = [sum(map(abs, row[:k])) for row in mant]
+        if any(_at_most(s, e, tol) for s, e in zip(sums, exps)):
+            raise singular(j)
+        best = 0
+        for r in range(1, k):
+            if abs(mant[r][0]) * sums[best] > abs(mant[best][0]) * sums[r]:
+                best = r
+        if best:
+            mant[0], mant[best] = mant[best], mant[0]
+            exps[0], exps[best] = exps[best], exps[0]
+            sign = -sign
+        piv, pe = mant.pop(0), exps.pop(0)
+        upper.append(piv)
+        pv = piv[0]
+        if _at_most(abs(pv), pe, tol):
+            raise singular(j)
+        if pv < 0:
+            sign = -sign
+        pivot_product *= abs(pv)
+        exponent += pe
+        inv = (1 << 2 * P) // pv
+        tail = piv[1:]
+        for r, row in enumerate(mant):
+            f = (row[0] * inv) >> P
+            new = ([x - ((f * p) >> P) for x, p in zip(row[1:], tail)]
+                   if f else row[1:])
+            shift = max(map(abs, new[:k - 1])).bit_length() - P
+            if shift > 0:
+                half = 1 << (shift - 1)
+                new = [(x + half) >> shift for x in new]
+            elif shift < 0:
+                new = [x << -shift for x in new]
+            mant[r] = new
+            exps[r] += shift
+    with mp.workprec(P):
+        logdet = mp.log(pivot_product) + exponent * mp.ln2
+        x = []
+        if width > n:
+            z = [None] * n
+            for i in reversed(range(n)):
+                u = upper[i]
+                z[i] = (u[-1] - mp.fdot(u[1:-1], z[i + 1:])) / u[0]
+            x = [mp.ldexp(z[c], col[n] - col[c]) for c in range(n)]
     return logdet, sign, x
 
 
@@ -169,21 +234,21 @@ def moment_table(ctx: ExactContext) -> MomentTable:
     """log Z_N and p_N from one elimination of [H | -nu_N .. nu_(2N-1)]."""
     N = ctx.N
     nu = _moments(ctx, range(2 * N))
+    rows = [nu[i:i + N] + [(-nu[i + N][0], nu[i + N][1])] for i in range(N)]
+    logdet, sign, coeffs = _eliminate_fixed(rows, ctx.precision_bits)
+    want = -1 if (N * (N - 1) // 2) % 2 else 1
+    if sign != want:
+        raise SingularHankel(
+            f"Hankel determinant sign {sign} != (-1)^(N(N-1)/2) = {want}; "
+            "precision exhausted or parameters degenerate")
+    with mp.workprec(ctx.precision_bits + GUARD_BITS):
+        log_z = mp.log(math.factorial(N)) + logdet
+        logN = mp.log(N)
+        for k in range(N):
+            log_z += mp.log(math.factorial(ctx.m + k)) - (ctx.m + k + 1) * logN
     with mp.workprec(ctx.precision_bits):
-        rows = [nu[i:i + N] + [-nu[i + N]] for i in range(N)]
-        logdet, sign, coeffs = _eliminate(rows)
-        want = -1 if (N * (N - 1) // 2) % 2 else 1
-        if sign != want:
-            raise SingularHankel(
-                f"Hankel determinant sign {sign} != (-1)^(N(N-1)/2) = {want}; "
-                "precision exhausted or parameters degenerate")
-        with mp.extraprec(GUARD_BITS):
-            log_z = mp.log(mp.mpf(math.factorial(N))) + logdet
-            logN = mp.log(mp.mpf(N))
-            for k in range(N):
-                log_z += (mp.log(mp.mpf(math.factorial(ctx.m + k)))
-                          - (ctx.m + k + 1) * logN)
-        return MomentTable(log_z=+log_z, op=tuple(coeffs) + (mp.mpf(1),))
+        return MomentTable(log_z=+log_z,
+                           op=tuple(+c for c in coeffs) + (mp.mpf(1),))
 
 
 def exact_logZ(ctx: ExactContext):
@@ -237,13 +302,12 @@ def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
             for k in range(n):
                 s = j + k + alpha_n + 1
                 fact = Fraction(math.factorial(s - 1), N_w ** s)
-                entry = fact * prefix[s]
-                rt.append(_to_mpf(entry.numerator, entry.denominator))
-                r0.append(_to_mpf(fact.numerator, fact.denominator))
+                rt.append((fact * prefix[s]).as_integer_ratio())
+                r0.append(fact.as_integer_ratio())
             rows_t.append(rt)
             rows_0.append(r0)
-        logdet_t, sign_t, _ = _eliminate(rows_t)
-        logdet_0, sign_0, _ = _eliminate(rows_0)
+        logdet_t, sign_t, _ = _eliminate_fixed(rows_t, precision_bits)
+        logdet_0, sign_0, _ = _eliminate_fixed(rows_0, precision_bits)
         if sign_t <= 0 or sign_0 <= 0:
             raise SingularHankel("gap-probability Gram determinant lost positivity")
         return mp.e ** (-n * _to_mpf(T.numerator, T.denominator)

@@ -2,8 +2,9 @@
 
 Each one is a second route to a value `coulombgas` has in closed form or by
 another method (a normalisation, a far-field coefficient, an exact
-recursion, a moment summed term by term in rationals, a table rendered
-by the json and csv modules alone), so the tests can compare the two.
+recursion, a moment summed term by term in rationals, a determinant and
+solve in rationals, a table rendered by the json and csv modules alone),
+so the tests can compare the two.
 Keeping them here keeps their scipy imports out of the modules the CLI
 loads at start-up.
 """
@@ -189,3 +190,35 @@ def reference_render(table: dict, fmt: str) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def fraction_solve(matrix: list, rhs: Optional[list] = None) -> tuple:
+    """det(matrix) and the solution of matrix x = rhs, exactly in Fractions.
+
+    Plain Gaussian elimination on rationals: the pivot of each column is its
+    first nonzero entry at or below the diagonal, so no rounding and no
+    pivot rule is involved.  The solution is None without rhs or for a
+    singular matrix.
+    """
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + ([Fraction(rhs[i])] if rhs else [])
+            for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for j in range(n):
+        piv = next((r for r in range(j, n) if rows[r][j]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != j:
+            rows[j], rows[piv] = rows[piv], rows[j]
+            det = -det
+        det *= rows[j][j]
+        for r in range(j + 1, n):
+            f = rows[r][j] / rows[j][j]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[j])]
+    if not rhs:
+        return det, None
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(rows[i][c] * x[c] for c in range(i + 1, n))) / rows[i][i]
+    return det, x

@@ -1,6 +1,7 @@
 """Exact finite-N oracles: moments, determinants, polynomials, dualities."""
 
 import json
+import math
 import pathlib
 from fractions import Fraction
 
@@ -13,6 +14,14 @@ from coulombgas import cli, exactfiniten, geometry, opasymp
 from coulombgas.errors import DomainError, SingularHankel
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def _log_z_prefactor(N, m):
+    """log Z_N - log|det H| = log N! + sum_k (log (m+k)! - (m+k+1) log N)."""
+    out = mp.log(mp.factorial(N))
+    for k in range(N):
+        out += mp.log(mp.factorial(m + k)) - (m + k + 1) * mp.log(N)
+    return out
 
 
 class TestCalibration:
@@ -68,21 +77,24 @@ class TestContourMoment:
         (16, 9, 0.3),   # c = 9/16: m < N, so nu_k = 0 for k >= m+N
     ])
     def test_correctly_rounded(self, N, m, a):
-        # every moment is the nearest 256-bit float to the exact rational
+        # every moment is the exact rational, and contour_moment gives the
+        # nearest 256-bit float to it
         ctx = exactfiniten.ExactContext(N=N, m=m, a=a)
         got = exactfiniten._moments(ctx, range(2 * N))
-        for k, value in enumerate(got):
+        for k, (num, den) in enumerate(got):
             exact = oracles.fraction_moment(N, m, a, k)
-            want = from_rational(exact.numerator, exact.denominator, 256,
-                                 round_nearest)
-            assert value._mpf_ == want, k
+            assert den > 0 and Fraction(num, den) == exact, k
+            if k < N + m:
+                want = from_rational(exact.numerator, exact.denominator, 256,
+                                     round_nearest)
+                assert exactfiniten.contour_moment(ctx, k)._mpf_ == want, k
 
     def test_zero_beyond_residue_degree(self):
         # m < N: p = m+N-1-k < 0 for k >= m+N, and the residue vanishes
         ctx = exactfiniten.ExactContext(N=16, m=9, a=0.3)
         got = exactfiniten._moments(ctx, range(32))
-        assert all(v != 0 for v in got[:25])
-        assert all(v == 0 for v in got[25:])
+        assert all(num != 0 for num, _ in got[:25])
+        assert all(num == 0 for num, _ in got[25:])
         for k in (25, 31):
             with pytest.warns(UserWarning):
                 assert exactfiniten.contour_moment(ctx, k) == 0
@@ -108,7 +120,7 @@ class TestExactLogZ:
 
 class TestMomentTable:
     def test_large_n_digits_at_default_precision(self):
-        # unscaled partial pivoting keeps only ~7 digits of log Z here
+        # the 256-bit default is within ~6e-27 of a 768-bit run
         ctx = exactfiniten.ExactContext(N=60, m=60, a=3.0)
         ref = exactfiniten.moment_table(
             exactfiniten.ExactContext(N=60, m=60, a=3.0, precision_bits=768))
@@ -117,14 +129,15 @@ class TestMomentTable:
 
     def test_large_n_digits_against_reference(self):
         # 3000-bit values of exact --a 3 --c 1 --n 60, as stored in
-        # perfbench/reference.json.gz (entry exact-sweep/3)
+        # perfbench/reference.json.gz (entry exact-sweep/3); measured errors
+        # are 6.3e-27 (log Z) and 4.7e-27 (A11)
         table = exactfiniten.moment_table(
             exactfiniten.ExactContext(N=60, m=60, a=3.0))
         with mp.workprec(256):
             ref_log_z = mp.mpf("5708.63317142410395252736468381")
             ref_a11 = mp.mpf("18.0159939788111606310996431081")
-            assert abs(table.log_z - ref_log_z) < 1e-12
-            assert abs(table.op[-2] - ref_a11) < 1e-12
+            assert abs(table.log_z - ref_log_z) < 1e-20
+            assert abs(table.op[-2] - ref_a11) < 1e-20
 
     def test_exact_command_builds_one_table(self, monkeypatch, capsys):
         calls = []
@@ -140,15 +153,63 @@ class TestMomentTable:
         assert code == 0
         assert len(calls) == 1
 
-    def test_numerically_singular_system_raises(self, monkeypatch):
-        # det H = nu_0 nu_2 - nu_1^2 = 2^-300, below ||H||_1 eps at 256 bits
-        with mp.workprec(400):
-            nu = [mp.mpf(1), mp.mpf(1), 1 + mp.mpf(2) ** -300, mp.mpf(0)]
+    @staticmethod
+    def _table_from(monkeypatch, nu):
+        # moment_table at 256 bits on the exact moments nu = [(num, den), ...]
         monkeypatch.setattr(exactfiniten, "_moments", lambda ctx, ks: nu)
-        with pytest.raises(SingularHankel):
-            exactfiniten.moment_table(
-                exactfiniten.ExactContext(N=2, m=2, a=0.5))
+        return exactfiniten.moment_table(
+            exactfiniten.ExactContext(N=2, m=2, a=0.5))
 
+    def test_numerically_singular_system_raises(self, monkeypatch):
+        # det H = nu_0 nu_2 - nu_1^2 = 2^-300, below ||H||_1 2^-266 at 256 bits
+        nu = [(1, 1), (1, 1), (2 ** 300 + 1, 2 ** 300), (0, 1)]
+        with pytest.raises(SingularHankel, match="numerically singular"):
+            self._table_from(monkeypatch, nu)
+
+    def test_wrong_hankel_sign_raises(self, monkeypatch):
+        # det H = +1, but a 2x2 moment Hankel determinant must be negative
+        nu = [(1, 1), (0, 1), (1, 1), (0, 1)]
+        with pytest.raises(SingularHankel, match="sign"):
+            self._table_from(monkeypatch, nu)
+
+    def test_near_singular_system_solves(self, monkeypatch):
+        # det H = -2^-200 is far above the threshold: no raise; the entries
+        # fit the 320-bit mantissas exactly, so log det and p_N (condition
+        # number 2^200) are exact up to their final rounding
+        eps = Fraction(1, 2 ** 200)
+        nu = [(1, 1), (1, 1), (1 - eps).as_integer_ratio(), (0, 1)]
+        table = self._table_from(monkeypatch, nu)
+        det, coeffs = oracles.fraction_solve(
+            [[Fraction(*nu[0]), Fraction(*nu[1])],
+             [Fraction(*nu[1]), Fraction(*nu[2])]],
+            [-Fraction(*nu[2]), -Fraction(*nu[3])])
+        assert det == -eps
+        with mp.workprec(512):
+            log_det = table.log_z - _log_z_prefactor(2, 2)
+            assert abs(log_det + 200 * mp.log(2)) < mp.mpf(10) ** -60
+            for got, want in zip(table.op, coeffs):
+                assert abs(got - mp.mpf(want.numerator) / want.denominator) \
+                    < mp.mpf(10) ** -60 * abs(coeffs[1])
+
+    @pytest.mark.parametrize("N", [3, 6, 10])
+    @pytest.mark.parametrize("a", [0.0, 0.2, 1.2, 3.0])
+    def test_against_fraction_elimination(self, N, a):
+        # log|det H| and p_N against exact rational elimination; at a = 0,
+        # H is the exchange matrix, whose leading minors but the last vanish,
+        # so the pivot rule must swap rows
+        table = exactfiniten.moment_table(exactfiniten.ExactContext(N, N, a))
+        nu = [oracles.fraction_moment(N, N, a, k) for k in range(2 * N)]
+        det, coeffs = oracles.fraction_solve(
+            [nu[i:i + N] for i in range(N)], [-v for v in nu[N:]])
+        coeffs = coeffs + [Fraction(1)]
+        with mp.workprec(512):
+            want = mp.log(abs(mp.mpf(det.numerator) / det.denominator))
+            got = table.log_z - _log_z_prefactor(N, N)
+            assert abs(got - want) <= mp.mpf(10) ** -60 * max(1, abs(want))
+            scale = max(abs(c) for c in coeffs)
+            for c_got, c_want in zip(table.op, coeffs):
+                err = abs(c_got - mp.mpf(c_want.numerator) / c_want.denominator)
+                assert err <= mp.mpf(10) ** -60 * scale
 
 class TestOrthogonalPolynomial:
     def test_radial_case_is_monomial(self):
@@ -213,6 +274,34 @@ class TestLUEGap:
                 for k in range(11)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < vals[0]
+
+
+    @pytest.mark.parametrize("n,alpha_n,t", [
+        (1, 0, Fraction(7, 10)),
+        (3, 2, Fraction(1, 2)),
+        (5, 5, Fraction(9, 4)),
+        (8, 3, Fraction(3, 8)),
+        (8, 8, Fraction(5, 2)),
+    ])
+    def test_against_fraction_elimination(self, n, alpha_n, t):
+        # both Gram determinants exactly in rationals:
+        # int_t^inf x^(s-1) e^(-n x) dx = e^(-n t) (s-1)!/n^s sum_{i<s} (n t)^i/i!
+        def entry(s, cut):  # the integral above times e^(n t)
+            return (Fraction(math.factorial(s - 1), n ** s)
+                    * sum(Fraction((n * cut) ** i, math.factorial(i))
+                          for i in range(s)))
+
+        def gram(cut):
+            return [[entry(j + k + alpha_n + 1, cut) for k in range(n)]
+                    for j in range(n)]
+
+        ratio = (oracles.fraction_solve(gram(t))[0]
+                 / oracles.fraction_solve(gram(Fraction(0)))[0])
+        got = exactfiniten.lue_gap_probability(n, alpha_n, t, n)
+        with mp.workprec(512):
+            want = (mp.e ** (-n * n * (mp.mpf(t.numerator) / t.denominator))
+                    * mp.mpf(ratio.numerator) / ratio.denominator)
+            assert abs(got - want) <= mp.mpf(10) ** -60 * want
 
 
 class TestDuality:

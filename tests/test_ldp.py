@@ -2,12 +2,14 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import oracles
-from coulombgas import cli, freeenergy, ldp
+from coulombgas import cli, exactfiniten, freeenergy, ldp
 from coulombgas.errors import DomainError
 from coulombgas.geometry import Regime
 
@@ -146,6 +148,18 @@ class TestLogProbability:
 
     def test_no_wall_is_certain(self):
         assert ldp.exact_log_gap_probability(8, 1.0, -0.3) == 0.0
+
+    def test_exact_compare_deep_in_pushed_regime(self, capsys):
+        # at alpha = 57/32, n = 32 the Gram determinants span ~190 bits of
+        # pivot decay; each exact_log_p must match a 1024-bit evaluation
+        code = cli.run(["ldp", "--alpha", "57/32", "--grid=4:4.5:2", "--n",
+                        "32", "--exact-compare"])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code == 0 and [row["t"] for row in rows] == [4.0, 4.5]
+        for row in rows:
+            prob = exactfiniten.lue_gap_probability(
+                32, 57, Fraction(row["t"]), 32, precision_bits=1024)
+            assert abs(row["exact_log_p"] - float(mp.log(prob))) < 1e-10
 
     def test_constant_toggle(self):
         # -Phi n^2 plus the constant order -log(alpha n)/12 + zeta'(-1) + Psi

@@ -305,13 +305,6 @@ def _table(subcommand: str, params: dict, rows: list, **extra) -> dict:
     return out
 
 
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        flags = ", ".join("--" + n for n in missing)
-        raise UsageError(f"missing required flags: {flags}")
-
-
 def _add_exact_logz(row: dict, n: int, m: int, a: float, value: float) -> None:
     # the --exact-compare columns of free-energy and critical
     exact = float(exactfiniten.exact_logZ(exactfiniten.ExactContext(N=n, m=m, a=a)))
@@ -319,7 +312,6 @@ def _add_exact_logz(row: dict, n: int, m: int, a: float, value: float) -> None:
 
 
 def cmd_geometry(args) -> int:
-    _require(args, "a", "c")
     a, c = args.a, float(args.c)
     params = geometry.ModelParams.resolve(a, c)
     boundary = geometry.droplet_boundary(params, args.points)
@@ -344,7 +336,6 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_free_energy(args) -> int:
-    _require(args, "a", "c", "n")
     a, c, n = args.a, float(args.c), args.n
     m = _int_product(args.c, n, "c") if args.exact_compare else None
     regime = geometry.classify(a, c)
@@ -373,7 +364,6 @@ def _resolve_m(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    _require(args, "n", "a")
     ctx = exactfiniten.ExactContext(N=args.n, m=_resolve_m(args), a=args.a,
                                     precision_bits=args.bits)
     table = exactfiniten.moment_table(ctx)
@@ -387,7 +377,6 @@ def cmd_exact(args) -> int:
 
 
 def cmd_duality_check(args) -> int:
-    _require(args, "n", "m", "x")
     residual = exactfiniten.duality_residual(args.n, args.m, args.x,
                                              precision_bits=args.bits)
     res_f = float(residual)
@@ -421,7 +410,6 @@ def cmd_tw(args) -> int:
 def cmd_critical(args) -> int:
     from . import painleve
 
-    _require(args, "n", "c", "s")
     c = float(args.c)
     m = _int_product(args.c, args.n, "c") if args.exact_compare else None
     sol = painleve.hastings_mcleod(tol=args.tol)
@@ -440,7 +428,6 @@ def cmd_critical(args) -> int:
 def cmd_ldp(args) -> int:
     from . import ldp
 
-    _require(args, "alpha")
     alpha = float(args.alpha)
     ts = parse_grid(args.grid) if args.grid else [args.t]
     if ts == [None]:
@@ -484,13 +471,13 @@ def cmd_ldp(args) -> int:
 def cmd_op_compare(args) -> int:
     from . import opasymp
 
-    _require(args, "a", "c")
     a, c = args.a, args.c
     z = complex(args.x if args.x is not None else 3.0,
                 args.s if args.s is not None else 0.0)
     ns = args.n_list
     ms = [_int_product(c, n, "c") for n in ns]
     evaluator = opasymp.GEvaluator.build(a, float(c))
+    evaluator.require_exterior(z)
     exact_values = {}
     with mp.workprec(args.bits):
         for n, m in zip(ns, ms):
@@ -561,16 +548,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=finite_float, default=tol)
 
     p = sub.add_parser("geometry", help="droplet boundary points")
-    p.add_argument("--a", type=finite_float)
-    p.add_argument("--c", type=parse_rational)
+    p.add_argument("--a", type=finite_float, required=True)
+    p.add_argument("--c", type=parse_rational, required=True)
     p.add_argument("--points", type=int, default=256)
     common(p)
     p.set_defaults(fn=cmd_geometry)
 
     p = sub.add_parser("free-energy", help="log Z_N expansion terms")
-    p.add_argument("--a", type=finite_float)
-    p.add_argument("--c", type=parse_rational)
-    p.add_argument("--n", type=int)
+    p.add_argument("--a", type=finite_float, required=True)
+    p.add_argument("--c", type=parse_rational, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--order", type=int, default=2, metavar="M")
     p.add_argument("--exact-compare", action="store_true",
                    help="add exact log Z and the residual (needs integer c*n)")
@@ -578,18 +565,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_free_energy)
 
     p = sub.add_parser("exact", help="exact finite-N log Z and A11")
-    p.add_argument("--a", type=finite_float)
+    p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--c", type=parse_rational)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int)
     common(p, bits=True)
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("duality-check", help="gap probability vs "
                                              "partition-function ratio")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--x", type=finite_float)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--x", type=finite_float, required=True)
     common(p, bits=True, tol=1e-25)
     p.set_defaults(fn=cmd_duality_check)
 
@@ -600,16 +587,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tw)
 
     p = sub.add_parser("critical", help="transition-window free energy")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=parse_rational)
-    p.add_argument("--s", type=finite_float)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--c", type=parse_rational, required=True)
+    p.add_argument("--s", type=finite_float, required=True)
     p.add_argument("--exact-compare", action="store_true",
                    help="add exact log Z and the residual (needs integer c*n)")
     common(p, tol=TW_TOL)
     p.set_defaults(fn=cmd_critical)
 
     p = sub.add_parser("ldp", help="left-edge rate function table")
-    p.add_argument("--alpha", type=parse_rational)
+    p.add_argument("--alpha", type=parse_rational, required=True)
     p.add_argument("--t", type=finite_float)
     p.add_argument("--grid", type=str, default=None, metavar="LO:HI:STEPS")
     p.add_argument("--check-kc", action="store_true",
@@ -622,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ldp)
 
     p = sub.add_parser("op-compare", help="asymptotic vs exact polynomials")
-    p.add_argument("--a", type=finite_float)
-    p.add_argument("--c", type=parse_rational)
+    p.add_argument("--a", type=finite_float, required=True)
+    p.add_argument("--c", type=parse_rational, required=True)
     p.add_argument("--n", dest="n_list", type=parse_int_list, default=[4, 8, 16],
                    metavar="N1,N2,...")
     p.add_argument("--x", type=finite_float, help="evaluation point, real part")

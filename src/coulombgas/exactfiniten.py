@@ -32,8 +32,9 @@ The partition function is N! times the Hankel determinant of radial moments,
 which Eq.-level manipulation turns into the nu-determinant with a Gamma-product
 prefactor; the combined constant was pinned against 2D quadrature at N = 1, 2
 (see tests/fixtures/exact_logz_calibration.json) and is asserted forever.
-The LUE gap probabilities build their two Gram determinants as exact
-Fractions and put them through the same elimination.
+The LUE gap probability is one Hankel determinant of integer
+incomplete-gamma moments, put through the same elimination, over the
+closed-form Laguerre moment determinant.
 """
 from __future__ import annotations
 
@@ -277,41 +278,45 @@ def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
                         precision_bits: int = 256):
     """P[smallest eigenvalue > t] for the n-point ensemble with weight x^alpha_n e^(-N_w x).
 
-    Andreief reduction to a ratio of incomplete-gamma Hankel determinants; all
-    entries are exact rationals (integer shape) scaled by a common e^(-N_w t).
+    Andreief turns P into e^(-n T) det[g_(j+k+alpha_n+1)] / det[g_s at t = 0],
+    T = N_w t = A/D, with the incomplete-gamma moments
+
+        g_s = e^(N_w t) int_t^inf x^(s-1) e^(-N_w x) dx = h_s / N_w^s,
+        h_s = (s-1)! sum_{i<s} T^i / i! = num_s / D^(s-1),
+        num_1 = 1,  num_(s+1) = s D num_s + A^s.
+
+    At t = 0 the matrix is the Laguerre moment matrix, whose determinant is
+    prod_{j<n} j! (j+alpha_n)! / N_w^(n (n+alpha_n)), so one elimination
+    remains.  The N_w^-s factors would cancel in the ratio; they stay in the
+    entries because they shrink the growth from one row to the next from
+    about max(T, s) to max(t, s/N_w), which the elimination's row-sum
+    SingularHankel threshold needs.
     """
     if n < 1 or alpha_n < 0 or N_w < 1:
         raise DomainError(f"need n >= 1, alpha_n >= 0, N_w >= 1; got {n}, {alpha_n}, {N_w}")
     tf = t if isinstance(t, Fraction) else Fraction(t)
     if tf < 0:
         raise DomainError(f"gap probability needs t >= 0, got {t}")
+    if tf == 0:
+        return mp.mpf(1)
+    A, D = (N_w * tf).as_integer_ratio()
+    g, num = [], 1
+    for s in range(1, alpha_n + 2 * n):
+        if s > alpha_n:
+            g.append(Fraction(num, D ** (s - 1) * N_w ** s)
+                     .as_integer_ratio())
+        num = s * D * num + A ** s
+    logdet, sign, _ = _eliminate_fixed([g[i:i + n] for i in range(n)],
+                                       precision_bits)
+    if sign <= 0:
+        raise SingularHankel("gap-probability Hankel determinant lost positivity")
+    laguerre = math.prod(math.factorial(j) * math.factorial(j + alpha_n)
+                         for j in range(n))
+    with mp.workprec(precision_bits + GUARD_BITS):
+        log_p = (-n * _to_mpf(A, D) + logdet - mp.log(laguerre)
+                 + n * (n + alpha_n) * mp.log(N_w))
     with mp.workprec(precision_bits):
-        if tf == 0:
-            return mp.mpf(1)
-        T = N_w * tf
-        s_max = 2 * n - 2 + alpha_n + 1
-        # prefix sums of the truncated exponential: E[s] = sum_{i<s} T^i / i!
-        prefix = [Fraction(0)] * (s_max + 1)
-        term = Fraction(1)
-        for i in range(s_max):
-            prefix[i + 1] = prefix[i] + term
-            term = term * T / (i + 1)
-        rows_t, rows_0 = [], []
-        for j in range(n):
-            rt, r0 = [], []
-            for k in range(n):
-                s = j + k + alpha_n + 1
-                fact = Fraction(math.factorial(s - 1), N_w ** s)
-                rt.append((fact * prefix[s]).as_integer_ratio())
-                r0.append(fact.as_integer_ratio())
-            rows_t.append(rt)
-            rows_0.append(r0)
-        logdet_t, sign_t, _ = _eliminate_fixed(rows_t, precision_bits)
-        logdet_0, sign_0, _ = _eliminate_fixed(rows_0, precision_bits)
-        if sign_t <= 0 or sign_0 <= 0:
-            raise SingularHankel("gap-probability Gram determinant lost positivity")
-        return mp.e ** (-n * _to_mpf(T.numerator, T.denominator)
-                      + logdet_t - logdet_0)
+        return mp.exp(log_p)
 
 
 def duality_residual(N: int, m: int, x: float, precision_bits: int = 256):
@@ -329,18 +334,9 @@ def duality_residual(N: int, m: int, x: float, precision_bits: int = 256):
         return abs(lhs - rhs)
 
 
-def log_zgin(N: int, precision_bits: int = 256):
-    """log of the plain Ginibre partition function, exact big-integer route."""
-    with mp.workprec(precision_bits):
-        out = mp.log(mp.mpf(math.factorial(N)))
-        for k in range(1, N):
-            out += mp.log(mp.mpf(math.factorial(k)))
-        out -= mp.mpf(N * (N + 1)) / 2 * mp.log(mp.mpf(N))
-        return out
-
-
 def exact_charpoly_moment(N: int, m: int, z_abs: float, precision_bits: int = 256):
-    """E|det(G_N - z)|^(2m) = Z_N(|z|, m/N) / Z_N^Gin, evaluated exactly."""
+    """E|det(G_N - z)|^(2m) = Z_N(|z|, m/N) / Z_N(0, 0), evaluated exactly."""
     with mp.workprec(precision_bits):
         ctx = ExactContext(N, m, abs(z_abs), precision_bits)
-        return mp.e ** (exact_logZ(ctx) - log_zgin(N, precision_bits))
+        return mp.e ** (exact_logZ(ctx)
+                        - exact_logZ(ExactContext(N, 0, 0, precision_bits)))

@@ -156,10 +156,11 @@ def ldp_log_probability(n: int, alpha: float, t: float) -> float:
 
 
 def exact_log_gap_probability(n: int, alpha: float, t: float) -> float:
-    """Finite-n log P[smallest eigenvalue > t], exact up to final rounding.
+    """Finite-n log P[smallest eigenvalue > t] from exact moments.
 
     Needs alpha*n to be an integer (the weight exponent counts zero modes).
-    The Gram determinants run at 256 bits.
+    Its one Hankel determinant runs at 256 bits, and deep in the pushed
+    regime it keeps fewer digits than that.
     For t <= 0 the gap event is almost sure, so log P = 0 exactly.
     """
     if t <= 0.0:

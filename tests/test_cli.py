@@ -129,6 +129,18 @@ class TestExitCodes:
         code, _, _ = run_cli(argv, capsys)
         assert code == cli.EXIT_USAGE
 
+    def test_exterior_checked_before_exact_work(self, monkeypatch, capsys):
+        # |z| = 0.5 is inside the exterior gate, so no exact p_N is computed
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_op ran before the exterior gate")
+
+        monkeypatch.setattr(importlib.import_module("coulombgas.exactfiniten"),
+                            "exact_op", refuse)
+        code, _, err = run_cli(["op-compare", "--a", "1.2", "--c", "1",
+                                "--n", "60", "--x", "0.5"], capsys)
+        assert code == cli.EXIT_NUMERICAL
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_numerical_error(self, capsys):
         # boundary sampling is undefined exactly at the transition
         code, _, err = run_cli(
@@ -159,9 +171,10 @@ class TestExitCodes:
         assert "a=" not in payload["message"]
 
     def test_identity_failure(self, capsys):
-        # residual is ~1e-74, so demanding 1e-80 must trip the identity gate
+        # the 256-bit residual here measures 6.0e-77, so demanding 1e-80
+        # must trip the identity gate
         code, out, err = run_cli(
-            ["duality-check", "--n", "2", "--m", "2", "--x", "0.5",
+            ["duality-check", "--n", "8", "--m", "8", "--x", "0.5",
              "--tol", "1e-80"], capsys)
         assert code == cli.EXIT_IDENTITY
         assert json.loads(out)["rows"][0]["passed"] is False  # table still emitted
@@ -472,8 +485,8 @@ def test_tw_tol_default_is_painleve_default():
     from coulombgas import painleve
 
     parser = cli.build_parser()
-    for sub in ("tw", "critical"):
-        assert parser.parse_args([sub]).tol == painleve.DEFAULT_TOL
+    for argv in (["tw"], ["critical", "--n", "8", "--c", "1", "--s", "2"]):
+        assert parser.parse_args(argv).tol == painleve.DEFAULT_TOL
 
 
 def test_console_entry_point():

@@ -276,19 +276,25 @@ class TestLUEGap:
         assert vals[-1] < vals[0]
 
 
-    @pytest.mark.parametrize("n,alpha_n,t", [
-        (1, 0, Fraction(7, 10)),
-        (3, 2, Fraction(1, 2)),
-        (5, 5, Fraction(9, 4)),
-        (8, 3, Fraction(3, 8)),
-        (8, 8, Fraction(5, 2)),
+    @pytest.mark.parametrize("n,alpha_n,t,N_w", [
+        pytest.param(1, 0, Fraction(7, 10), 1, id="1-0-t0"),
+        pytest.param(3, 2, Fraction(1, 2), 3, id="3-2-t1"),
+        pytest.param(5, 5, Fraction(9, 4), 5, id="5-5-t2"),
+        pytest.param(8, 3, Fraction(3, 8), 8, id="8-3-t3"),
+        pytest.param(8, 8, Fraction(5, 2), 8, id="8-8-t4"),
+        # N_w != n: the N_w^-s entry scalings and the N_w power of the
+        # closed-form t = 0 determinant must cancel on their own
+        pytest.param(3, 2, Fraction(1, 2), 5, id="3-2-t5-Nw5"),
+        pytest.param(4, 0, Fraction(3, 4), 7, id="4-0-t6-Nw7"),
+        pytest.param(6, 4, Fraction(0.3) ** 2, 2, id="6-4-t7-Nw2"),
     ])
-    def test_against_fraction_elimination(self, n, alpha_n, t):
+    def test_against_fraction_elimination(self, n, alpha_n, t, N_w):
         # both Gram determinants exactly in rationals:
-        # int_t^inf x^(s-1) e^(-n x) dx = e^(-n t) (s-1)!/n^s sum_{i<s} (n t)^i/i!
-        def entry(s, cut):  # the integral above times e^(n t)
-            return (Fraction(math.factorial(s - 1), n ** s)
-                    * sum(Fraction((n * cut) ** i, math.factorial(i))
+        # int_t^inf x^(s-1) e^(-N_w x) dx
+        #     = e^(-N_w t) (s-1)!/N_w^s sum_{i<s} (N_w t)^i/i!
+        def entry(s, cut):  # the integral above times e^(N_w t)
+            return (Fraction(math.factorial(s - 1), N_w ** s)
+                    * sum(Fraction((N_w * cut) ** i, math.factorial(i))
                           for i in range(s)))
 
         def gram(cut):
@@ -297,9 +303,9 @@ class TestLUEGap:
 
         ratio = (oracles.fraction_solve(gram(t))[0]
                  / oracles.fraction_solve(gram(Fraction(0)))[0])
-        got = exactfiniten.lue_gap_probability(n, alpha_n, t, n)
+        got = exactfiniten.lue_gap_probability(n, alpha_n, t, N_w)
         with mp.workprec(512):
-            want = (mp.e ** (-n * n * (mp.mpf(t.numerator) / t.denominator))
+            want = (mp.e ** (-n * N_w * (mp.mpf(t.numerator) / t.denominator))
                     * mp.mpf(ratio.numerator) / ratio.denominator)
             assert abs(got - want) <= mp.mpf(10) ** -60 * want
 
@@ -327,3 +333,14 @@ class TestCharpolyMoment:
             for k in range(3):
                 want *= mp.factorial(3 + k) / (mp.factorial(k) * mp.mpf(3) ** 3)
             assert abs(got - want) < mp.mpf(10) ** -70
+
+    @pytest.mark.parametrize("N", [1, 2, 8, 60])
+    def test_ginibre_normalisation_closed_form(self, N):
+        # Z_N(0, 0) = N! prod_{k<N} k! / N^(N(N+1)/2), the denominator of
+        # exact_charpoly_moment
+        got = exactfiniten.exact_logZ(exactfiniten.ExactContext(N, 0, 0))
+        with mp.workprec(512):
+            want = (mp.log(math.factorial(N))
+                    + sum(mp.log(math.factorial(k)) for k in range(N))
+                    - mp.mpf(N * (N + 1)) / 2 * mp.log(N))
+            assert abs(got - want) <= mp.mpf(10) ** -70 * max(1, abs(want))

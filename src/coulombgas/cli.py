@@ -41,14 +41,12 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Sequence
 
-from mpmath import mp
-
-# painleve, opasymp, ldp and report load inside the subcommands that use
-# them: painleve and report import numpy, so only tw, critical and report
-# load it
-from . import exactfiniten, freeenergy, geometry
+# Every numerical module, and mpmath, loads inside the subcommands that use
+# it, so a cold start pays only for the command that runs: painleve and
+# report import numpy (tw, critical, report), exactfiniten and painleve
+# import mpmath, and --help, geometry, ldp and free-energy load neither
+# unless --exact-compare asks for the exact oracle
 from .errors import CoulombGasError, DomainError, IdentityCheckFailure
-from .geometry import Regime
 
 SCHEMA_VERSION = 1
 
@@ -307,18 +305,22 @@ def _table(subcommand: str, params: dict, rows: list, **extra) -> dict:
 
 def _add_exact_logz(row: dict, n: int, m: int, a: float, value: float) -> None:
     # the --exact-compare columns of free-energy and critical
+    from . import exactfiniten
+
     exact = float(exactfiniten.exact_logZ(exactfiniten.ExactContext(N=n, m=m, a=a)))
     row.update(exact_logz=exact, residual=abs(exact - value))
 
 
 def cmd_geometry(args) -> int:
+    from . import geometry
+
     a, c = args.a, float(args.c)
     params = geometry.ModelParams.resolve(a, c)
     boundary = geometry.droplet_boundary(params, args.points)
     crit = geometry.critical_values(c)
     info: dict = {"regime": params.regime.name, "a_cri": crit.a_cri,
                   "chi": boundary.chi}
-    if params.regime is Regime.PRE:
+    if params.regime is geometry.Regime.PRE:
         g = geometry.pre_geometry(a, c)
         info.update(q=g.q, R=g.R, kappa=g.kappa, beta=_cnum(g.beta), b=g.b)
     else:
@@ -336,6 +338,8 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_free_energy(args) -> int:
+    from . import freeenergy, geometry
+
     a, c, n = args.a, float(args.c), args.n
     m = _int_product(args.c, n, "c") if args.exact_compare else None
     regime = geometry.classify(a, c)
@@ -356,14 +360,22 @@ def cmd_free_energy(args) -> int:
 
 
 def _resolve_m(args) -> int:
-    if args.m is not None:
-        return args.m
     if args.c is None:
-        raise UsageError("need --m, or --c so that m = c*n can be formed")
-    return _int_product(args.c, args.n, "c")
+        if args.m is None:
+            raise UsageError("need --m, or --c so that m = c*n can be formed")
+        return args.m
+    m = _int_product(args.c, args.n, "c")
+    if args.m is not None and args.m != m:
+        raise UsageError(f"--m {args.m} contradicts --c {args.c}: c*n = {m} "
+                         f"at n = {args.n}")
+    return m
 
 
 def cmd_exact(args) -> int:
+    from mpmath import mp
+
+    from . import exactfiniten
+
     ctx = exactfiniten.ExactContext(N=args.n, m=_resolve_m(args), a=args.a,
                                     precision_bits=args.bits)
     table = exactfiniten.moment_table(ctx)
@@ -377,6 +389,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_duality_check(args) -> int:
+    from . import exactfiniten
+
     residual = exactfiniten.duality_residual(args.n, args.m, args.x,
                                              precision_bits=args.bits)
     res_f = float(residual)
@@ -395,9 +409,7 @@ def cmd_duality_check(args) -> int:
 def cmd_tw(args) -> int:
     from . import painleve
 
-    if args.t is None and args.grid is None:
-        raise UsageError("need --t or --grid")
-    ts = parse_grid(args.grid) if args.grid else [args.t]
+    ts = parse_grid(args.grid) if args.grid is not None else [args.t]
     sol = painleve.hastings_mcleod(tol=args.tol)
     cdf, survival = painleve.tw_cdf_survival(sol, ts)
     rows = [{"t": t, "cdf": f, "survival": sf}
@@ -429,9 +441,7 @@ def cmd_ldp(args) -> int:
     from . import ldp
 
     alpha = float(args.alpha)
-    ts = parse_grid(args.grid) if args.grid else [args.t]
-    if ts == [None]:
-        raise UsageError("need --t or --grid")
+    ts = parse_grid(args.grid) if args.grid is not None else [args.t]
     if args.exact_compare:
         if args.n is None:
             raise UsageError("--exact-compare needs --n")
@@ -452,7 +462,8 @@ def cmd_ldp(args) -> int:
             row["n"] = args.n
             row["exact_log_p"] = ldp.exact_log_gap_probability(args.n, alpha,
                                                                t)
-            row["ldp_log_p"] = ldp.ldp_log_probability(args.n, alpha, t)
+            row["ldp_log_p"] = ldp.ldp_log_probability_from(args.n, alpha,
+                                                            rate, const)
         return row
 
     rows = [one(t) for t in ts]
@@ -469,7 +480,9 @@ def cmd_ldp(args) -> int:
 
 
 def cmd_op_compare(args) -> int:
-    from . import opasymp
+    from mpmath import mp
+
+    from . import exactfiniten, opasymp
 
     a, c = args.a, args.c
     z = complex(args.x if args.x is not None else 3.0,
@@ -547,6 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
         if tol is not None:
             p.add_argument("--tol", type=finite_float, default=tol)
 
+    def t_or_grid(p):
+        which = p.add_mutually_exclusive_group(required=True)
+        which.add_argument("--t", type=finite_float)
+        which.add_argument("--grid", type=str, default=None,
+                           metavar="LO:HI:STEPS")
+
     p = sub.add_parser("geometry", help="droplet boundary points")
     p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--c", type=parse_rational, required=True)
@@ -581,8 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_duality_check)
 
     p = sub.add_parser("tw", help="extreme-value distribution values")
-    p.add_argument("--t", type=finite_float)
-    p.add_argument("--grid", type=str, default=None, metavar="LO:HI:STEPS")
+    t_or_grid(p)
     common(p, tol=TW_TOL)
     p.set_defaults(fn=cmd_tw)
 
@@ -597,8 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ldp", help="left-edge rate function table")
     p.add_argument("--alpha", type=parse_rational, required=True)
-    p.add_argument("--t", type=finite_float)
-    p.add_argument("--grid", type=str, default=None, metavar="LO:HI:STEPS")
+    t_or_grid(p)
     p.add_argument("--check-kc", action="store_true",
                    help="exit 3 if the action identity fails anywhere")
     p.add_argument("--exact-compare", action="store_true",

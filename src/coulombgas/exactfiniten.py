@@ -6,13 +6,14 @@ one routine, `_eliminate_fixed`: Gaussian elimination in integer fixed point
 at P = bits + GUARD_BITS (64) bits, bits being the caller's precision
 (default 256).  Each column is scaled by a power of two, each row keeps its
 own binary exponent, and every entry is rounded once, to nearest, to an int
-mantissa of about P bits; each step uses scaled partial pivoting (the
-pivot row maximises |a_rj| / sum_l |a_rl| over the remaining columns,
-compared exactly on the ints) and renormalises the updated rows.  A pivot
-or remaining row sum at or below ||B||_1 2^-(bits+10), B the column-scaled
-matrix, raises SingularHankel.  Only the back substitution for p_N runs in
-mpf.  These are the ground-truth values the asymptotic modules are tested
-against.
+mantissa of about P bits, with one big division per distinct entry (3N - 1
+of the N(N + 1) in the augmented Hankel system of order N); each step uses
+scaled partial pivoting (the pivot row maximises |a_rj| / sum_l |a_rl| over
+the remaining columns, compared exactly on the ints) and renormalises the
+updated rows.  A pivot or remaining row sum at or below ||B||_1
+2^-(bits+10), B the column-scaled matrix, raises SingularHankel.  Only the
+back substitution for p_N runs in mpf.  These are the ground-truth values
+the asymptotic modules are tested against.
 
 The planar moments reduce to residues: with integer m = cN and real a,
 
@@ -127,13 +128,32 @@ def contour_moment(ctx: ExactContext, k: int):
         return _to_mpf(*_moments(ctx, (k,))[0])
 
 
-def _rounded(num: int, den: int, shift: int) -> int:
-    """num/den * 2^shift (den > 0) rounded to the nearest int."""
-    if shift >= 0:
-        num <<= shift
-    else:
-        den <<= -shift
-    return (2 * num + den) // (2 * den)
+def _rounded_rows(rows: list, shifts: list) -> list:
+    """Each entry (num, den), den > 0, times 2^shift rounded to the nearest
+    int, halves up; shifts[r][c] goes with rows[r][c].
+
+    One big division per distinct entry: with S its largest shift and
+    t = floor(num/den 2^(S+1)), its rounding at shift s is
+    (t + 2^(k-1)) >> k with k = S + 1 - s >= 1, since
+    floor((y + 2^(k-1)) / 2^k) depends on y only through floor(y).
+    Entries are told apart by identity: a Hankel row is a slice of one
+    moment list, so a repeated moment is the same object, and hashing its
+    big ints would cost as much as the divisions saved.
+    """
+    top = {}  # id(entry) -> (largest shift, entry)
+    for row, row_shifts in zip(rows, shifts):
+        for entry, s in zip(row, row_shifts):
+            seen = top.get(id(entry))
+            if seen is None or seen[0] < s:
+                top[id(entry)] = s, entry
+    floors = {}
+    for key, (s, (num, den)) in top.items():
+        e = s + 1
+        floors[key] = ((num << e) // den if e >= 0 else num // (den << -e), e)
+    return [[(t + (1 << (e - s - 1))) >> (e - s)
+             for (t, e), s in zip(map(floors.__getitem__, map(id, row)),
+                                  row_shifts)]
+            for row, row_shifts in zip(rows, shifts)]
 
 
 def _at_most(m: int, e: int, tol: tuple) -> bool:
@@ -149,10 +169,11 @@ def _eliminate_fixed(rows: list, bits: int) -> tuple:
     followed by one right-hand side.  With P = bits + GUARD_BITS, column c is
     scaled by 2^-C_c (C_c its largest entry's binary exponent) and row r is
     the int list R_r times 2^E_r, its largest matrix entry about P bits; every
-    entry is rounded once, to nearest.  Step j picks the row maximising
-    |R_rj| / sum_{l>=j} |R_rl| (mpmath's rule, compared exactly on the ints),
-    subtracts (f * R_jc) >> P with f = R_rj 2^P / R_jj from one integer
-    reciprocal of the pivot, and renormalises each updated row to P bits.
+    entry is rounded once, to nearest, by `_rounded_rows`.  Step j picks the
+    row maximising |R_rj| / sum_{l>=j} |R_rl| (mpmath's rule, compared
+    exactly on the ints), subtracts (f * R_jc) >> P with f = R_rj 2^P / R_jj
+    from one integer reciprocal of the pivot, and renormalises each updated
+    row to P bits.
     A remaining row sum or a pivot at or below ||B||_1 2^-(bits+10), B the
     column-scaled matrix, raises SingularHankel.
 
@@ -165,14 +186,12 @@ def _eliminate_fixed(rows: list, bits: int) -> tuple:
              for num, den in row] for row in rows]
     col = [max((lg[c] for lg in logs if lg[c] is not None), default=0)
            for c in range(width)]
-    mant, exps = [], []
-    for row, lg in zip(rows, logs):
+    exps = []
+    for lg in logs:
         top = max((lg[c] - col[c] for c in range(n) if lg[c] is not None),
                   default=P)
-        e = top + 1 - P
-        exps.append(e)
-        mant.append([_rounded(num, den, -e - col[c])
-                     for c, (num, den) in enumerate(row)])
+        exps.append(top + 1 - P)
+    mant = _rounded_rows(rows, [[-e - ec for ec in col] for e in exps])
     low = min(exps)
     norm = max(sum(abs(r[c]) << (e - low) for r, e in zip(mant, exps))
                for c in range(n))

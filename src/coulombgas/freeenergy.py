@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,8 +50,7 @@ def _bernoulli() -> list[Fraction]:
     return bernoulli_numbers(64)
 
 
-@dataclass(frozen=True)
-class ExpansionTerms:
+class ExpansionTerms(NamedTuple):
     n2: float
     nlogn: float
     n_coeff: float

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import BranchCutError, DomainError, NoValidRoot
@@ -67,8 +66,7 @@ def classify(a: float, c: float) -> Regime:
     return Regime.AT_CRITICALITY
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     a: float
     c: float
     regime: Regime
@@ -78,8 +76,7 @@ class ModelParams:
         return cls(a=float(a), c=float(c), regime=classify(a, c))
 
 
-@dataclass(frozen=True)
-class PreGeometry:
+class PreGeometry(NamedTuple):
     a: float
     c: float
     q: float
@@ -92,8 +89,7 @@ class PreGeometry:
     z_minus: complex
 
 
-@dataclass(frozen=True)
-class PostGeometry:
+class PostGeometry(NamedTuple):
     a: float
     c: float
     outer_radius: float
@@ -200,16 +196,14 @@ def inverse_F(geom: PreGeometry, z: complex) -> complex:
     return (z + abs_beta + _sqrt_through_cut(z, x0, y0)) / (2.0 * geom.R)
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(NamedTuple):
     label: str
     theta: tuple[float, ...]
     points: tuple[complex, ...]
     closed: bool
 
 
-@dataclass(frozen=True)
-class DropletBoundary:
+class DropletBoundary(NamedTuple):
     components: tuple[BoundaryComponent, ...]
     chi: int  # Euler characteristic: 0 doubly connected, 1 simply connected
 

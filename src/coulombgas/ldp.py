@@ -17,19 +17,15 @@ reports log P = 0 for t <= 0, where the gap event is almost sure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp
+from typing import NamedTuple
 
 from .errors import DomainError, NoValidRoot
-from .exactfiniten import lue_gap_probability
 from .freeenergy import ZETA_PRIME_MINUS_ONE, energy_post, energy_pre, fconst
 from .geometry import Regime, solve_q
 
 
-@dataclass(frozen=True)
-class LUEParams:
+class LUEParams(NamedTuple):
     """Rectangular parameter and the spectral edges it induces."""
 
     alpha: float
@@ -147,9 +143,15 @@ def phi_large_t(t: float, alpha: float) -> float:
 def ldp_log_probability(n: int, alpha: float, t: float) -> float:
     """log P[smallest eigenvalue > t] through constant order at size n:
     -Phi n^2 - log(alpha n)/12 + zeta'(-1) + Psi."""
+    return ldp_log_probability_from(n, alpha, *phi_psi(t, alpha))
+
+
+def ldp_log_probability_from(n: int, alpha: float, rate: float,
+                             const: float) -> float:
+    """ldp_log_probability from the (phi, psi) = (rate, const) of phi_psi,
+    for a caller that already has them."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    rate, const = phi_psi(t, alpha)
     # constant-order terms summed first, then added: the order fixes the last bits
     return (-rate * n * n
             + (-math.log(alpha * n) / 12.0 + ZETA_PRIME_MINUS_ONE + const))
@@ -165,6 +167,12 @@ def exact_log_gap_probability(n: int, alpha: float, t: float) -> float:
     """
     if t <= 0.0:
         return 0.0
+    # mpmath and the exact oracle load on first use: the rate functions
+    # above need neither
+    from mpmath import mp
+
+    from .exactfiniten import lue_gap_probability
+
     alpha_n = alpha * n
     nearest = round(alpha_n)
     if abs(alpha_n - nearest) > 1e-9:

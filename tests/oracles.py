@@ -2,8 +2,9 @@
 
 Each one is a second route to a value `coulombgas` has in closed form or by
 another method (a normalisation, a far-field coefficient, an exact
-recursion, a moment summed term by term in rationals, a determinant and
-solve in rationals, a table rendered by the json and csv modules alone),
+recursion, a moment summed term by term in rationals, a rounding and a
+determinant and solve in rationals, a table rendered by the json and csv
+modules alone),
 so the tests can compare the two.
 Keeping them here keeps their scipy imports out of the modules the CLI
 loads at start-up.
@@ -161,6 +162,12 @@ def fraction_moment(N: int, m: int, a, k: int) -> Fraction:
         total += (Fraction(math.comb(m, j)) * (-a) ** (m - j)
                   * (-N * a) ** (p - j) / math.factorial(p - j))
     return total
+
+
+def rounded(num: int, den: int, shift: int) -> int:
+    """num/den * 2^shift rounded to the nearest int, halves up, in rationals."""
+    return math.floor(Fraction(num, den) * Fraction(2) ** shift
+                      + Fraction(1, 2))
 
 
 def reference_render(table: dict, fmt: str) -> str:

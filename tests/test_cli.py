@@ -92,6 +92,10 @@ class TestExitCodes:
         ["op-compare", "--a", "1.2", "--c", "1/3", "--n", "3,4"],
         ["ldp", "--alpha", "1/2", "--t", "2", "--exact-compare",
          "--n", "7"],                                       # alpha*n not integer
+        ["exact", "--a", "0.3", "--c", "9/16", "--n", "16",
+         "--m", "5"],                                       # m != c*n
+        ["tw", "--t", "1", "--grid=-1:1:3"],                # --t and --grid
+        ["ldp", "--alpha", "16/9", "--t", "2", "--grid", "0.5:5:5"],
     ])
     def test_usage_errors(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -413,7 +417,8 @@ def test_readme_examples_run(capsys):
 
 
 # Each command runs in a fresh interpreter: the test process has scipy loaded.
-# No subcommand imports scipy; only the tests use it, as an oracle.
+# No subcommand imports scipy; only the tests use it, as an oracle.  The
+# names are the top-level packages and every coulombgas module.
 _MODULES_AFTER = """
 import contextlib, io, json, sys
 from coulombgas import cli
@@ -422,35 +427,51 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(sys.argv[1:])
     except SystemExit as exc:  # --help
         code = exc.code
-print(json.dumps([code, sorted({name.split(".")[0] for name in sys.modules})]))
+print(json.dumps([code, sorted({name if name.startswith("coulombgas.")
+                                else name.split(".")[0]
+                                for name in sys.modules})]))
 """
 
 
-@pytest.mark.parametrize("argv, numpy_free", [
-    (["--help"], True),
-    (["exact", "--a", "0.3", "--c", "9/16", "--n", "16"], True),
-    (["geometry", "--a", "1", "--c", "0.5625", "--points", "16"], False),
-    (["free-energy", "--a", "0.2", "--c", "1", "--n", "8", "--exact-compare"],
-     False),
-    (["duality-check", "--n", "2", "--m", "2", "--x", "0.5"], False),
-    (["ldp", "--alpha", "16/9", "--grid", "0.5:5:5", "--check-kc"], False),
-    (["tw", "--grid=-8:6:5"], False),
-    (["critical", "--n", "8", "--c", "1", "--s", "2"], False),
-    (["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3",
-      "--s", "0"], True),
-    (["report"], False),
-], ids=lambda value: value[0] if isinstance(value, list) else None)
-def test_cold_start_skips_scipy(argv, numpy_free):
+def loaded_modules(argv):
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv],
                           capture_output=True, text=True, timeout=120,
                           env=child_env())
-    code, top_level = json.loads(proc.stdout)
+    code, names = json.loads(proc.stdout)
+    return code, set(names), proc.stderr
+
+
+# what each command must not load: the array and exact-arithmetic libraries
+# and the package modules it has no use for
+_EXACT = {"mpmath", "coulombgas.exactfiniten"}
+_PLANAR = {"coulombgas.geometry", "coulombgas.freeenergy"}
+
+
+@pytest.mark.parametrize("argv, forbidden", [
+    (["--help"], {"numpy", *_EXACT, *_PLANAR, "coulombgas.ldp"}),
+    (["exact", "--a", "0.3", "--c", "9/16", "--n", "16"], {"numpy", *_PLANAR}),
+    (["geometry", "--a", "1", "--c", "0.5625", "--points", "16"],
+     {"numpy", *_EXACT}),
+    (["free-energy", "--a", "0.2", "--c", "1", "--n", "8", "--exact-compare"],
+     {"numpy"}),
+    (["duality-check", "--n", "2", "--m", "2", "--x", "0.5"],
+     {"numpy", *_PLANAR}),
+    (["ldp", "--alpha", "16/9", "--grid", "0.5:5:5", "--check-kc"],
+     {"numpy", *_EXACT}),
+    (["tw", "--grid=-8:6:5"], set()),
+    (["critical", "--n", "8", "--c", "1", "--s", "2"], set()),
+    (["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3",
+      "--s", "0"], {"numpy"}),
+    (["report"], set()),
+], ids=lambda value: (value[0] if isinstance(value, list)
+                      else str("numpy" in value)))  # True: starts without numpy
+def test_cold_start_skips_scipy(argv, forbidden):
+    code, loaded, stderr = loaded_modules(argv)
     # report keeps criterion 8 red, so it exits 3
     assert code == (cli.EXIT_IDENTITY if argv == ["report"] else cli.EXIT_OK), \
-        proc.stderr
-    assert "scipy" not in top_level
-    if numpy_free:
-        assert "numpy" not in top_level
+        stderr
+    assert "scipy" not in loaded
+    assert sorted(forbidden & loaded) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -461,13 +482,11 @@ def test_cold_start_skips_scipy(argv, numpy_free):
      "csv"],
 ], ids=["ldp-grid", "ldp-csv", "geometry-pre", "geometry-post-csv"])
 def test_ldp_and_geometry_load_neither_numpy_nor_scipy(argv):
-    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env=child_env())
-    code, top_level = json.loads(proc.stdout)
-    assert code == cli.EXIT_OK, proc.stderr
-    assert "numpy" not in top_level
-    assert "scipy" not in top_level
+    # both phases of geometry and both output formats; mpmath and the exact
+    # oracle stay out as well
+    code, loaded, stderr = loaded_modules(argv)
+    assert code == cli.EXIT_OK, stderr
+    assert sorted({"numpy", "scipy", *_EXACT} & loaded) == []
 
 
 def test_numerical_modules_import_without_scipy():
@@ -485,7 +504,8 @@ def test_tw_tol_default_is_painleve_default():
     from coulombgas import painleve
 
     parser = cli.build_parser()
-    for argv in (["tw"], ["critical", "--n", "8", "--c", "1", "--s", "2"]):
+    for argv in (["tw", "--t", "0"],
+                 ["critical", "--n", "8", "--c", "1", "--s", "2"]):
         assert parser.parse_args(argv).tol == painleve.DEFAULT_TOL
 
 

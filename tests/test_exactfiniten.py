@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,31 @@ class TestMomentTable:
             for c_got, c_want in zip(table.op, coeffs):
                 err = abs(c_got - mp.mpf(c_want.numerator) / c_want.denominator)
                 assert err <= mp.mpf(10) ** -60 * scale
+
+class TestRoundedRows:
+    def test_matches_one_rounding_per_entry(self):
+        # a repeated entry is one object at several shifts, as in a Hankel
+        # matrix; each odd num/2^j sits exactly halfway at shift j - 1, once
+        # below a larger shift of the same object and once as the largest
+        # shift of an equal but distinct object
+        ties = [(num, j) for num in (-7, -3, -1, 1, 3, 7) for j in (1, 2, 5)]
+        rows = [[(num, 2 ** j)] * 3 for num, j in ties]
+        shifts = [[j + 2, j - 1, -4] for _, j in ties]
+        rows += [[(num, 2 ** j)] * 3 for num, j in ties]
+        shifts += [[j - 1, j - 2, j - 6] for _, j in ties]
+        rng = random.Random(7)
+        pool = [(0, 1), (1, 1), (-1, 3)] + [
+            (rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 400)),
+             rng.getrandbits(rng.randint(1, 300)) | 1) for _ in range(40)]
+        for _ in range(30):
+            rows.append([rng.choice(pool) for _ in range(9)])
+            shifts.append([rng.randint(-400, 400) for _ in range(9)])
+        want = [[oracles.rounded(num, den, s) for (num, den), s in zip(row, sh)]
+                for row, sh in zip(rows, shifts)]
+        assert exactfiniten._rounded_rows(rows, shifts) == want
+        assert [row[1] for row in want[:len(ties)]] == [
+            (num + 1) // 2 for num, _ in ties]
+
 
 class TestOrthogonalPolynomial:
     def test_radial_case_is_monomial(self):

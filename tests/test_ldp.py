@@ -196,3 +196,23 @@ class TestSinglePass:
                            + freeenergy.ZETA_PRIME_MINUS_ONE
                            + ldp.psi(t, alpha)))
             assert ldp.ldp_log_probability(16, alpha, t) == two_pass, t
+
+    def test_exact_compare_solves_the_modulus_once_per_row(self, monkeypatch,
+                                                          capsys):
+        # phi, psi and ldp_log_p of a row come from one solve_q call, and
+        # ldp_log_p keeps the bits of the public ldp_log_probability
+        calls = []
+        solve_q = ldp.solve_q
+
+        def counted(a, c):
+            calls.append((a, c))
+            return solve_q(a, c)
+
+        monkeypatch.setattr(ldp, "solve_q", counted)
+        code = cli.run(["ldp", "--alpha", "16/9", "--grid=2:5:4",
+                        "--exact-compare", "--n", "9"])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code == 0 and len(calls) == len(rows) == 4
+        for row in rows:
+            assert row["ldp_log_p"] == ldp.ldp_log_probability(9, 16 / 9,
+                                                               row["t"])

@@ -41,11 +41,11 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Sequence
 
-# Every numerical module, and mpmath, loads inside the subcommands that use
-# it, so a cold start pays only for the command that runs: painleve and
-# report import numpy (tw, critical, report), exactfiniten and painleve
-# import mpmath, and --help, geometry, ldp and free-energy load neither
-# unless --exact-compare asks for the exact oracle
+# Every numerical module loads inside the subcommands that use it, so a
+# cold start pays only for the command that runs: painleve and report import
+# numpy (tw, critical, report); the exact oracle runs on ints and the
+# decimal module, which fractions already loads; mpmath loads only for a tw
+# point at or beyond painleve.S_MAX
 from .errors import CoulombGasError, DomainError, IdentityCheckFailure
 
 SCHEMA_VERSION = 1
@@ -126,13 +126,23 @@ def _int_product(x: Fraction, n: int, name: str) -> int:
     return int(m)
 
 
-def parse_int_list(text: str) -> list[int]:
+def positive_int(text: str) -> int:
+    """A count flag value such as --n; zero and negatives are usage errors."""
     try:
-        values = [int(p) for p in text.split(",") if p]
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def parse_int_list(text: str) -> list[int]:
+    """'4,8,16' -> [4, 8, 16]; each entry is a positive_int."""
+    values = [positive_int(p) for p in text.split(",") if p]
     if not values:
-        raise UsageError("expected at least one integer")
+        raise argparse.ArgumentTypeError("expected at least one integer")
     return values
 
 
@@ -372,8 +382,6 @@ def _resolve_m(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    from mpmath import mp
-
     from . import exactfiniten
 
     ctx = exactfiniten.ExactContext(N=args.n, m=_resolve_m(args), a=args.a,
@@ -381,8 +389,8 @@ def cmd_exact(args) -> int:
     table = exactfiniten.moment_table(ctx)
     log_z, a11 = table.log_z, table.op[-2]
     row = {"N": ctx.N, "m": ctx.m, "a": ctx.a,
-           "log_z": float(log_z), "log_z_str": mp.nstr(log_z, 30),
-           "a11": float(a11), "a11_str": mp.nstr(a11, 30)}
+           "log_z": float(log_z), "log_z_str": exactfiniten.nstr(log_z, 30),
+           "a11": float(a11), "a11_str": exactfiniten.nstr(a11, 30)}
     emit(_table("exact", {"n": ctx.N, "m": ctx.m, "a": ctx.a,
                           "bits": args.bits}, [row]), args)
     return EXIT_OK
@@ -446,6 +454,8 @@ def cmd_ldp(args) -> int:
         if args.n is None:
             raise UsageError("--exact-compare needs --n")
         _int_product(args.alpha, args.n, "alpha")
+    elif args.n is not None:
+        raise UsageError("--n is used only with --exact-compare")
     lambda_minus = ldp.LUEParams.from_alpha(alpha).lambda_minus
     if alpha > 0 and lambda_minus == 0.0:
         raise DomainError(
@@ -480,8 +490,6 @@ def cmd_ldp(args) -> int:
 
 
 def cmd_op_compare(args) -> int:
-    from mpmath import mp
-
     from . import exactfiniten, opasymp
 
     a, c = args.a, args.c
@@ -492,12 +500,11 @@ def cmd_op_compare(args) -> int:
     evaluator = opasymp.GEvaluator.build(a, float(c))
     evaluator.require_exterior(z)
     exact_values = {}
-    with mp.workprec(args.bits):
-        for n, m in zip(ns, ms):
-            ctx = exactfiniten.ExactContext(N=n, m=m, a=a,
-                                            precision_bits=args.bits)
-            exact_values[n] = complex(
-                exactfiniten.eval_polynomial(exactfiniten.exact_op(ctx), z))
+    for n, m in zip(ns, ms):
+        ctx = exactfiniten.ExactContext(N=n, m=m, a=a,
+                                        precision_bits=args.bits)
+        exact_values[n] = exactfiniten.eval_polynomial(
+            exactfiniten.exact_op(ctx), z, args.bits)
 
     def one(n: int) -> dict:
         exact = exact_values[n]
@@ -576,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("free-energy", help="log Z_N expansion terms")
     p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--c", type=parse_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--order", type=int, default=2, metavar="M")
     p.add_argument("--exact-compare", action="store_true",
                    help="add exact log Z and the residual (needs integer c*n)")
@@ -586,14 +593,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact finite-N log Z and A11")
     p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--c", type=parse_rational)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--m", type=int)
     common(p, bits=True)
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("duality-check", help="gap probability vs "
                                              "partition-function ratio")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--x", type=finite_float, required=True)
     common(p, bits=True, tol=1e-25)
@@ -605,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tw)
 
     p = sub.add_parser("critical", help="transition-window free energy")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--c", type=parse_rational, required=True)
     p.add_argument("--s", type=finite_float, required=True)
     p.add_argument("--exact-compare", action="store_true",
@@ -621,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-compare", action="store_true",
                    help="add finite-n log gap probabilities (needs --n with "
                         "integer alpha*n)")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=positive_int, default=None)
     common(p, tol=1e-10)
     p.set_defaults(fn=cmd_ldp)
 

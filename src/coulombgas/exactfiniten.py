@@ -11,9 +11,13 @@ of the N(N + 1) in the augmented Hankel system of order N); each step uses
 scaled partial pivoting (the pivot row maximises |a_rj| / sum_l |a_rl| over
 the remaining columns, compared exactly on the ints) and renormalises the
 updated rows.  A pivot or remaining row sum at or below ||B||_1
-2^-(bits+10), B the column-scaled matrix, raises SingularHankel.  Only the
-back substitution for p_N runs in mpf.  These are the ground-truth values
-the asymptotic modules are tested against.
+2^-(bits+10), B the column-scaled matrix, raises SingularHankel.  Past the
+integer elimination, values are `decimal.Decimal`s, and every operation on
+them runs in an explicit context from `decimal_context`, never the thread's
+own: the back substitution for p_N at P bits' worth of digits, and each
+logarithm as one `ln` of an integer ratio plus a binary exponent times
+ln 2.  These are the ground-truth values the asymptotic modules are tested
+against.
 
 The planar moments reduce to residues: with integer m = cN and real a,
 
@@ -25,7 +29,8 @@ integer ratio
     nu_k / (2 pi i) = (-1)^(m+p) sum_j C(m,j) A^(m+p-2j) D^(2j) N^(p-j) p!/(p-j)!
                       / (D^(m+p) p!),
 
-which big-integer arithmetic evaluates without cancellation.
+which big-integer arithmetic evaluates without cancellation, by Horner's
+rule in A^2 with the powers of D^2 alongside.
 `moment_table` builds nu_0 .. nu_(2N-1) once and eliminates the augmented
 Hankel system [H | -nu_N .. nu_(2N-1)] once: log|det H| gives log Z_N, and
 back substitution gives the monic orthogonal polynomial p_N, hence A11.
@@ -39,49 +44,88 @@ closed-form Laguerre moment determinant.
 """
 from __future__ import annotations
 
+import decimal
 import math
 import warnings
-from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Union
-
-import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest
+from typing import NamedTuple, Union
 
 from .errors import DomainError, SingularHankel
 
 MAX_MOMENT_INDEX = 120  # m + N cap; factorial growth beyond this is out of scope
 GUARD_BITS = 64  # fixed-point bits kept above the caller's precision
+GUARD_DIGITS = 3  # decimal digits kept above a context's bits
 
 Rational = Union[int, float, Fraction, str]
 
 
-@dataclass(frozen=True)
-class ExactContext:
+def decimal_context(bits: int) -> decimal.Context:
+    """Decimal arithmetic good to `bits` bits: ceil(bits log10 2) +
+    GUARD_DIGITS digits, rounded half even, with the widest exponent range."""
+    return decimal.Context(
+        prec=math.ceil(bits * math.log10(2)) + GUARD_DIGITS,
+        rounding=decimal.ROUND_HALF_EVEN, Emin=decimal.MIN_EMIN,
+        Emax=decimal.MAX_EMAX, flags=[],
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+               decimal.Overflow])
+
+
+def nstr(x: Decimal, digits: int) -> str:
+    """x rounded half up to `digits` significant digits, written as
+    mpmath's nstr(x, digits) writes it.
+
+    Fixed notation when the leading digit's decimal exponent e satisfies
+    min(-(digits // 3), -5) < e < digits, else one digit before the point
+    and e+E or e-E after; trailing zeros go, but one digit stays after the
+    point ('12.0', and '0.0' for zero).
+    """
+    if not x:
+        return "0.0"
+    rounded = decimal.Context(prec=digits,
+                              rounding=decimal.ROUND_HALF_UP).plus(x)
+    sign, ds, _ = rounded.as_tuple()
+    text, e = "".join(map(str, ds)), rounded.adjusted()
+    fixed = min(-(digits // 3), -5) < e < digits
+    if fixed and e < 0:
+        text, split = "0" * -e + text, 1
+    elif fixed:
+        text, split = text.ljust(e + 1, "0"), e + 1
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    text = "-" + text if sign else text
+    return text if fixed else f"{text}e{e:+d}"
+
+
+class _ExactFields(NamedTuple):
     N: int
     m: int
     a: Rational  # taken at its exact value: a float's binary value, or a Fraction
     precision_bits: int = 256
 
-    def __post_init__(self):
-        if self.N < 1 or self.m < 0:
-            raise DomainError(f"need N >= 1 and m >= 0, got N={self.N}, m={self.m}")
-        if self.m + self.N > MAX_MOMENT_INDEX:
+
+class ExactContext(_ExactFields):
+    """The parameters of one exact computation, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, N: int, m: int, a: Rational, precision_bits: int = 256):
+        if N < 1 or m < 0:
+            raise DomainError(f"need N >= 1 and m >= 0, got N={N}, m={m}")
+        if m + N > MAX_MOMENT_INDEX:
             raise DomainError(
-                f"m + N = {self.m + self.N} exceeds the supported cap {MAX_MOMENT_INDEX}")
-        if self.precision_bits < 128:
-            raise DomainError(f"precision_bits must be >= 128, got {self.precision_bits}")
+                f"m + N = {m + N} exceeds the supported cap {MAX_MOMENT_INDEX}")
+        if precision_bits < 128:
+            raise DomainError(f"precision_bits must be >= 128, got {precision_bits}")
+        return super().__new__(cls, N, m, a, precision_bits)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    log_z: object  # mpf log Z_N, rounded to the context precision
-    op: tuple      # monic p_N coefficients (c_0, ..., c_{N-1}, 1)
-
-
-def _to_mpf(num: int, den: int):
-    """num/den (den > 0) correctly rounded to nearest at the working precision."""
-    return mp.make_mpf(from_rational(num, den, mp.mp.prec, round_nearest))
+class MomentTable(NamedTuple):
+    log_z: Decimal  # log Z_N, rounded to the context precision
+    op: tuple       # monic p_N coefficients (c_0, ..., c_{N-1}, 1)
 
 
 def _moments(ctx: ExactContext, ks) -> list:
@@ -89,43 +133,63 @@ def _moments(ctx: ExactContext, ks) -> list:
 
     With a = A/D exactly (D a power of two for a float a) and p = m+N-1-k,
 
-        nu_k = (-1)^(m+p) sum_{j <= min(m, p)} C(m,j) A^(m+p-2j) D^(2j) N^(p-j) p!/(p-j)!
-               / (D^(m+p) p!),
+        nu_k = (-1)^(m+p) sum_{j <= r} c_j A^(m+p-2j) D^(2j) / (D^(m+p) p!),
+        c_j = C(m,j) N^(p-j) p!/(p-j)!,  r = min(m, p),
 
-    a ratio of Python ints; 0**0 == 1 keeps a = 0 exact, and p < 0
-    (k >= m+N) gives an exact zero.
+    a ratio of Python ints.  The sum is A^(m+p-2r) S_r with S_0 = c_0 = N^p
+    and S_j = S_(j-1) A^2 + c_j D^(2j) (Horner's rule, homogeneous in A^2
+    and D^2); c_(j+1) = c_j (m-j)(p-j) / ((j+1) N) exactly, and D^(2j) is a
+    left shift times a power of D's odd part, which is 1 for a float a.
+    0**0 == 1 keeps a = 0 exact, and p < 0 (k >= m+N) gives an exact zero.
     """
     N, m = ctx.N, ctx.m
     A, D = Fraction(ctx.a).as_integer_ratio()
-    pow_a = [A ** e for e in range(2 * m + N)]
-    pow_d = [D ** e for e in range(2 * m + N)]
-    pow_n = [N ** e for e in range(m + N)]
+    X = A * A
+    twos = (D & -D).bit_length() - 1  # D = 2^twos * odd
+    odd_sq = (D >> twos) ** 2
     out = []
     for k in ks:
         p = m + N - 1 - k
         if p < 0:
             out.append((0, 1))
             continue
-        num, falling = 0, 1  # falling = p!/(p-j)!
-        for j in range(min(m, p) + 1):
-            num += (math.comb(m, j) * falling * pow_n[p - j]
-                    * pow_d[2 * j] * pow_a[m + p - 2 * j])
-            falling *= p - j
+        r = min(m, p)
+        c = s = N ** p
+        odd_pow = 1
+        for j in range(r):
+            c = c * (m - j) * (p - j) // ((j + 1) * N)
+            odd_pow *= odd_sq
+            s = s * X + ((c * odd_pow) << (2 * twos * (j + 1)))
+        num = s * A ** (m + p - 2 * r)
         if (m + p) % 2:
             num = -num
-        out.append((num, pow_d[m + p] * math.factorial(p)))
+        out.append((num, D ** (m + p) * math.factorial(p)))
     return out
 
 
-def contour_moment(ctx: ExactContext, k: int):
-    """nu_k/(2 pi i) at the context precision; zero (with a warning) for k >= m+N."""
+def contour_moment(ctx: ExactContext, k: int) -> Decimal:
+    """nu_k/(2 pi i), correctly rounded at the context precision; zero (with
+    a warning) for k >= m+N."""
     if k < 0:
         raise DomainError(f"moment index must be nonnegative, got {k}")
     if k >= ctx.m + ctx.N:
         warnings.warn(f"moment index k={k} >= m+N={ctx.m + ctx.N}; residue is zero")
-        return mp.mpf(0)
-    with mp.workprec(ctx.precision_bits):
-        return _to_mpf(*_moments(ctx, (k,))[0])
+        return Decimal(0)
+    return decimal_context(ctx.precision_bits).divide(*_moments(ctx, (k,))[0])
+
+
+def _log(ctx: decimal.Context, num: int, den: int, e2: int) -> Decimal:
+    """ln(num/den 2^e2) for ints num, den >= 1, from two ln calls in ctx.
+
+    num and den are cut to 4 bits per context digit (over log2 10) and
+    divided once; the bits cut off join e2, which is taken times ln 2.
+    """
+    keep = 4 * ctx.prec
+    num_cut = max(num.bit_length() - keep, 0)
+    den_cut = max(den.bit_length() - keep, 0)
+    ratio = ctx.divide(num >> num_cut, den >> den_cut)
+    return ctx.add(ctx.ln(ratio),
+                   ctx.multiply(e2 + num_cut - den_cut, ctx.ln(2)))
 
 
 def _rounded_rows(rows: list, shifts: list) -> list:
@@ -177,8 +241,10 @@ def _eliminate_fixed(rows: list, bits: int) -> tuple:
     A remaining row sum or a pivot at or below ||B||_1 2^-(bits+10), B the
     column-scaled matrix, raises SingularHankel.
 
-    Returns (log|det|, sign of det, solution) as mpf at P bits; the solution
-    is empty without a right-hand side.
+    Returns (D, E, sign of det, solution) with |det| = D 2^E, D the int
+    product of the pivots, and the solution as Decimals at P bits' worth of
+    digits, back-substituted in the upper factor; the solution is empty
+    without a right-hand side.
     """
     n, width = len(rows), len(rows[0])
     P = bits + GUARD_BITS
@@ -238,41 +304,48 @@ def _eliminate_fixed(rows: list, bits: int) -> tuple:
                 new = [x << -shift for x in new]
             mant[r] = new
             exps[r] += shift
-    with mp.workprec(P):
-        logdet = mp.log(pivot_product) + exponent * mp.ln2
-        x = []
-        if width > n:
-            z = [None] * n
+    x = []
+    if width > n:
+        wide = decimal_context(P)
+        z = [None] * n
+        with decimal.localcontext(wide):
             for i in reversed(range(n)):
                 u = upper[i]
-                z[i] = (u[-1] - mp.fdot(u[1:-1], z[i + 1:])) / u[0]
-            x = [mp.ldexp(z[c], col[n] - col[c]) for c in range(n)]
-    return logdet, sign, x
+                acc = Decimal(u[-1])
+                for coeff, known in zip(u[1:-1], z[i + 1:]):
+                    acc -= coeff * known
+                z[i] = acc / u[0]
+        for c in range(n):
+            shift = col[n] - col[c]
+            x.append(wide.multiply(z[c], 1 << shift) if shift >= 0
+                     else wide.divide(z[c], 1 << -shift))
+    return pivot_product, exponent, sign, x
 
 
 def moment_table(ctx: ExactContext) -> MomentTable:
     """log Z_N and p_N from one elimination of [H | -nu_N .. nu_(2N-1)]."""
-    N = ctx.N
+    N, m = ctx.N, ctx.m
     nu = _moments(ctx, range(2 * N))
     rows = [nu[i:i + N] + [(-nu[i + N][0], nu[i + N][1])] for i in range(N)]
-    logdet, sign, coeffs = _eliminate_fixed(rows, ctx.precision_bits)
+    det, det_exp, sign, coeffs = _eliminate_fixed(rows, ctx.precision_bits)
     want = -1 if (N * (N - 1) // 2) % 2 else 1
     if sign != want:
         raise SingularHankel(
             f"Hankel determinant sign {sign} != (-1)^(N(N-1)/2) = {want}; "
             "precision exhausted or parameters degenerate")
-    with mp.workprec(ctx.precision_bits + GUARD_BITS):
-        log_z = mp.log(math.factorial(N)) + logdet
-        logN = mp.log(N)
-        for k in range(N):
-            log_z += mp.log(math.factorial(ctx.m + k)) - (ctx.m + k + 1) * logN
-    with mp.workprec(ctx.precision_bits):
-        return MomentTable(log_z=+log_z,
-                           op=tuple(+c for c in coeffs) + (mp.mpf(1),))
+    # Z_N = N! prod_{k<N} (m+k)! / N^(m+k+1) |det H|, one ln at bits + 64
+    factorials = math.factorial(N) * math.prod(
+        map(math.factorial, range(m, m + N)))
+    log_z = _log(decimal_context(ctx.precision_bits + GUARD_BITS),
+                 factorials * det, N ** (N * (m + 1) + N * (N - 1) // 2),
+                 det_exp)
+    out = decimal_context(ctx.precision_bits)
+    return MomentTable(log_z=out.plus(log_z),
+                       op=tuple(map(out.plus, coeffs)) + (Decimal(1),))
 
 
-def exact_logZ(ctx: ExactContext):
-    """log Z_N(a, m/N) as an mpf at the context precision."""
+def exact_logZ(ctx: ExactContext) -> Decimal:
+    """log Z_N(a, m/N) at the context precision."""
     return moment_table(ctx).log_z
 
 
@@ -281,21 +354,30 @@ def exact_op(ctx: ExactContext) -> tuple:
     return moment_table(ctx).op
 
 
-def exact_A11(ctx: ExactContext):
+def exact_A11(ctx: ExactContext) -> Decimal:
     """Subleading coefficient of p_N(z) = z^N + A11 z^(N-1) + ..."""
     return moment_table(ctx).op[-2]
 
 
-def eval_polynomial(coeffs: tuple, z) -> complex:
-    acc = mp.mpmathify(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def eval_polynomial(coeffs: tuple, z: complex,
+                    precision_bits: int = 256) -> complex:
+    """sum_k coeffs[k] z^k by Horner's rule on the real and imaginary parts,
+    in Decimal at precision_bits, rounded once to a complex."""
+    z = complex(z)
+    zr, zi = Decimal(z.real), Decimal(z.imag)
+    re = im = Decimal(0)
+    ctx = decimal_context(precision_bits)
+    with decimal.localcontext(ctx):
+        for c in reversed(coeffs):
+            re, im = re * zr - im * zi + c, re * zi + im * zr
+    # plus() makes a zero unsigned (a product with a zero part can be -0)
+    return complex(float(ctx.plus(re)), float(ctx.plus(im)))
 
 
-def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
-                        precision_bits: int = 256):
-    """P[smallest eigenvalue > t] for the n-point ensemble with weight x^alpha_n e^(-N_w x).
+def lue_log_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
+                            precision_bits: int = 256) -> Decimal:
+    """log P[smallest eigenvalue > t] for the n-point ensemble with weight
+    x^alpha_n e^(-N_w x), summed at precision_bits + GUARD_BITS.
 
     Andreief turns P into e^(-n T) det[g_(j+k+alpha_n+1)] / det[g_s at t = 0],
     T = N_w t = A/D, with the incomplete-gamma moments
@@ -317,7 +399,7 @@ def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
     if tf < 0:
         raise DomainError(f"gap probability needs t >= 0, got {t}")
     if tf == 0:
-        return mp.mpf(1)
+        return Decimal(0)
     A, D = (N_w * tf).as_integer_ratio()
     g, num = [], 1
     for s in range(1, alpha_n + 2 * n):
@@ -325,37 +407,47 @@ def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
             g.append(Fraction(num, D ** (s - 1) * N_w ** s)
                      .as_integer_ratio())
         num = s * D * num + A ** s
-    logdet, sign, _ = _eliminate_fixed([g[i:i + n] for i in range(n)],
-                                       precision_bits)
+    det, det_exp, sign, _ = _eliminate_fixed([g[i:i + n] for i in range(n)],
+                                             precision_bits)
     if sign <= 0:
         raise SingularHankel("gap-probability Hankel determinant lost positivity")
     laguerre = math.prod(math.factorial(j) * math.factorial(j + alpha_n)
                          for j in range(n))
-    with mp.workprec(precision_bits + GUARD_BITS):
-        log_p = (-n * _to_mpf(A, D) + logdet - mp.log(laguerre)
-                 + n * (n + alpha_n) * mp.log(N_w))
-    with mp.workprec(precision_bits):
-        return mp.exp(log_p)
+    wide = decimal_context(precision_bits + GUARD_BITS)
+    return wide.subtract(
+        _log(wide, det * N_w ** (n * (n + alpha_n)), laguerre, det_exp),
+        wide.divide(n * A, D))
 
 
-def duality_residual(N: int, m: int, x: float, precision_bits: int = 256):
+def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
+                        precision_bits: int = 256) -> Decimal:
+    """P[smallest eigenvalue > t], the exponential of
+    `lue_log_gap_probability`, at precision_bits."""
+    return decimal_context(precision_bits).exp(
+        lue_log_gap_probability(n, alpha_n, t, N_w, precision_bits))
+
+
+def duality_residual(N: int, m: int, x: float,
+                     precision_bits: int = 256) -> Decimal:
     """|LUE gap probability - rescaled partition-function ratio| at the point x."""
     if x < 0:
         raise DomainError(f"need x >= 0, got {x}")
-    with mp.workprec(precision_bits):
-        t = Fraction(x) ** 2
-        lhs = lue_gap_probability(n=m, alpha_n=N, t=t, N_w=N,
-                                  precision_bits=precision_bits)
-        log_ratio = (exact_logZ(ExactContext(N, m, x, precision_bits))
-                     - exact_logZ(ExactContext(N, m, 0.0, precision_bits)))
-        rhs = mp.e ** (-m * N * _to_mpf(t.numerator, t.denominator)
-                      + log_ratio)
-        return abs(lhs - rhs)
+    ctx = decimal_context(precision_bits)
+    t = Fraction(x) ** 2
+    lhs = lue_gap_probability(n=m, alpha_n=N, t=t, N_w=N,
+                              precision_bits=precision_bits)
+    log_ratio = ctx.subtract(
+        exact_logZ(ExactContext(N, m, x, precision_bits)),
+        exact_logZ(ExactContext(N, m, 0.0, precision_bits)))
+    rhs = ctx.exp(ctx.subtract(log_ratio,
+                               ctx.divide(m * N * t.numerator, t.denominator)))
+    return ctx.abs(ctx.subtract(lhs, rhs))
 
 
-def exact_charpoly_moment(N: int, m: int, z_abs: float, precision_bits: int = 256):
+def exact_charpoly_moment(N: int, m: int, z_abs: float,
+                          precision_bits: int = 256) -> Decimal:
     """E|det(G_N - z)|^(2m) = Z_N(|z|, m/N) / Z_N(0, 0), evaluated exactly."""
-    with mp.workprec(precision_bits):
-        ctx = ExactContext(N, m, abs(z_abs), precision_bits)
-        return mp.e ** (exact_logZ(ctx)
-                        - exact_logZ(ExactContext(N, 0, 0, precision_bits)))
+    ctx = decimal_context(precision_bits)
+    return ctx.exp(ctx.subtract(
+        exact_logZ(ExactContext(N, m, abs(z_abs), precision_bits)),
+        exact_logZ(ExactContext(N, 0, 0, precision_bits))))

@@ -167,16 +167,13 @@ def exact_log_gap_probability(n: int, alpha: float, t: float) -> float:
     """
     if t <= 0.0:
         return 0.0
-    # mpmath and the exact oracle load on first use: the rate functions
-    # above need neither
-    from mpmath import mp
-
-    from .exactfiniten import lue_gap_probability
+    # the exact oracle loads on first use: the rate functions above do not
+    # need it
+    from .exactfiniten import lue_log_gap_probability
 
     alpha_n = alpha * n
     nearest = round(alpha_n)
     if abs(alpha_n - nearest) > 1e-9:
         raise DomainError(
             f"exact comparison needs integer alpha*n, got {alpha_n}")
-    prob = lue_gap_probability(n, int(nearest), Fraction(t), n)
-    return float(mp.log(prob))
+    return float(lue_log_gap_probability(n, int(nearest), Fraction(t), n))

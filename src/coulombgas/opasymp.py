@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import DomainError
@@ -61,8 +60,7 @@ def _droplet_outer_extent(geom: Union[PreGeometry, PostGeometry]) -> float:
                for k in range(256))
 
 
-@dataclass(frozen=True)
-class GEvaluator:
+class GEvaluator(NamedTuple):
     """Regime-aware g-function with an immutable geometry snapshot."""
 
     params: ModelParams

@@ -21,7 +21,9 @@ s_max is closed with the Airy primitives
     int_s^inf Ai(x)^2 dx       = Ai'(s)^2 - s Ai(s)^2,
     int_s^inf (x-s) Ai(x)^2 dx = (2 s^2 Ai(s)^2 - 2 s Ai'(s)^2 - Ai(s) Ai'(s)) / 3,
 
-whose terms cancel, so they are formed in mpmath with guard bits.
+whose terms cancel, so they are formed in mpmath with guard bits.  Their
+values at s_max, and Ai(s_max), are written out below, so mpmath loads only
+for a point beyond s_max.
 
 The transcendent is named hm_q throughout to avoid colliding with the droplet
 modulus q(a, c); the two are unrelated.  The free-energy expansion inside the
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import BlowUp, DomainError, GridTooShort, IdentityCheckFailure
@@ -59,15 +60,23 @@ _GUARD_BITS = 64
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
+#: airy_ai(S_MAX) and _airy_tails(S_MAX), each rounded once from 117 bits
+AI_AT_S_MAX = 4.6922076160992316e-08
+AIRY_TAILS_AT_S_MAX = (3.811440496228176e-16, 6.533563206931612e-17)
+
 
 def airy_ai(x: float) -> float:
     """Ai(x), the boundary profile of the transcendent, rounded once."""
+    from mpmath import mp
+
     with mp.workprec(53 + _GUARD_BITS):
         return float(mp.airyai(x))
 
 
 def _airy_tails(t: float) -> tuple[float, float]:
     # (int_t^inf Ai^2, int_t^inf (x - t) Ai^2), each rounded once
+    from mpmath import mp
+
     with mp.workprec(53 + _GUARD_BITS):
         t = mp.mpf(t)
         ai, aip = mp.airyai(t), mp.airyai(t, derivative=1)
@@ -182,7 +191,7 @@ def hastings_mcleod(tol: float = DEFAULT_TOL) -> TWSolution:
     if tol < 1e-12:
         raise DomainError(f"tol must be >= 1e-12, got {tol}")
 
-    ai = airy_ai(S_MAX)
+    ai = AI_AT_S_MAX
     q_left = math.sqrt(-S_MIN / 2.0) * (1.0 + 1.0 / (8.0 * S_MIN ** 3))
 
     def rough_w(x: np.ndarray) -> np.ndarray:
@@ -235,7 +244,7 @@ def hastings_mcleod(tol: float = DEFAULT_TOL) -> TWSolution:
         arr.setflags(write=False)
     return TWSolution(s_grid=s_grid, q_vals=q_vals, coeffs=coeffs, ode_tol=tol,
                       max_residual=max_residual, _suffix_mass=mass,
-                      _suffix_moment=moment, _edge=_airy_tails(S_MAX))
+                      _suffix_moment=moment, _edge=AIRY_TAILS_AT_S_MAX)
 
 
 def _tails(sol: TWSolution, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,7 @@ The registry is shared by the command-line `report` subcommand and the
 acceptance test suite; both see identical results.
 
 Everything here is deterministic (no randomness anywhere in the package),
-and the checks run sequentially: several lean on the arbitrary-precision
-context, whose working precision is process-global state.
+and the checks run sequentially.
 """
 from __future__ import annotations
 

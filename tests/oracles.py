@@ -2,10 +2,9 @@
 
 Each one is a second route to a value `coulombgas` has in closed form or by
 another method (a normalisation, a far-field coefficient, an exact
-recursion, a moment summed term by term in rationals, a rounding and a
-determinant and solve in rationals, a table rendered by the json and csv
-modules alone),
-so the tests can compare the two.
+recursion, a moment summed term by term in rationals or in integers, a
+rounding and a determinant and solve in rationals, a table rendered by the
+json and csv modules alone), so the tests can compare the two.
 Keeping them here keeps their scipy imports out of the modules the CLI
 loads at start-up.
 """
@@ -162,6 +161,36 @@ def fraction_moment(N: int, m: int, a, k: int) -> Fraction:
         total += (Fraction(math.comb(m, j)) * (-a) ** (m - j)
                   * (-N * a) ** (p - j) / math.factorial(p - j))
     return total
+
+
+def term_moments(N: int, m: int, a, ks) -> list:
+    """nu_k/(2 pi i) for each k in ks as the pair (num, den) of Python ints
+    that the package's Horner form must return, summed term by term.
+
+    With a = A/D exactly and p = m+N-1-k,
+
+        num = (-1)^(m+p) sum_{j <= min(m, p)} C(m,j) A^(m+p-2j) D^(2j)
+                                              N^(p-j) p!/(p-j)!,
+        den = D^(m+p) p!,
+
+    and (0, 1) for p < 0 (k >= m+N).
+    """
+    A, D = Fraction(a).as_integer_ratio()
+    out = []
+    for k in ks:
+        p = m + N - 1 - k
+        if p < 0:
+            out.append((0, 1))
+            continue
+        num, falling = 0, 1  # falling = p!/(p-j)!
+        for j in range(min(m, p) + 1):
+            num += (math.comb(m, j) * falling * N ** (p - j)
+                    * D ** (2 * j) * A ** (m + p - 2 * j))
+            falling *= p - j
+        if (m + p) % 2:
+            num = -num
+        out.append((num, D ** (m + p) * math.factorial(p)))
+    return out
 
 
 def rounded(num: int, den: int, shift: int) -> int:

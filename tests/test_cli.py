@@ -46,6 +46,20 @@ class TestGoldenSchemas:
             assert table["schema_version"] == 1
 
 
+# --n outside its use (ldp without --exact-compare), then a nonpositive --n
+# on every subcommand that takes one
+_BAD_N = [
+    ["ldp", "--alpha", "16/9", "--t", "2", "--n", "5"],
+    ["ldp", "--alpha", "16/9", "--t", "2", "--exact-compare", "--n", "0"],
+    ["exact", "--a", "0.2", "--c", "1", "--n", "0"],
+    ["critical", "--n", "0", "--c", "1", "--s", "2"],
+    ["op-compare", "--a", "1.2", "--c", "1", "--n", "4,0"],
+    ["free-energy", "--a", "0.2", "--c", "1", "--n", "0", "--exact-compare"],
+    ["duality-check", "--n", "0", "--m", "2", "--x", "0.5"],
+    ["exact", "--a", "0.2", "--c", "1", "--n", "-3"],
+]
+
+
 class TestExitCodes:
     def test_happy_path_geometry(self, capsys):
         code, out, _ = run_cli(
@@ -96,6 +110,7 @@ class TestExitCodes:
          "--m", "5"],                                       # m != c*n
         ["tw", "--t", "1", "--grid=-1:1:3"],                # --t and --grid
         ["ldp", "--alpha", "16/9", "--t", "2", "--grid", "0.5:5:5"],
+        *_BAD_N,
     ])
     def test_usage_errors(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -103,6 +118,14 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["exit_code"] == 1
         assert payload["error"]
+
+    @pytest.mark.parametrize("argv", _BAD_N)
+    def test_bad_n_names_the_flag(self, argv, capsys):
+        # --n without its use, or a nonpositive --n (or op-compare list
+        # entry), is a usage error that names the flag
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "--n" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("argv", [
         ["geometry", "--a", "-inf", "--c", "1"],
@@ -442,26 +465,32 @@ def loaded_modules(argv):
 
 
 # what each command must not load: the array and exact-arithmetic libraries
-# and the package modules it has no use for
+# and the package modules it has no use for; no command here loads mpmath
+# (only a tw point at or beyond painleve.S_MAX does), and the exact oracle's
+# commands start without dataclasses
 _EXACT = {"mpmath", "coulombgas.exactfiniten"}
 _PLANAR = {"coulombgas.geometry", "coulombgas.freeenergy"}
 
 
 @pytest.mark.parametrize("argv, forbidden", [
     (["--help"], {"numpy", *_EXACT, *_PLANAR, "coulombgas.ldp"}),
-    (["exact", "--a", "0.3", "--c", "9/16", "--n", "16"], {"numpy", *_PLANAR}),
+    (["exact", "--a", "0.3", "--c", "9/16", "--n", "16"],
+     {"numpy", "dataclasses", *_PLANAR}),
     (["geometry", "--a", "1", "--c", "0.5625", "--points", "16"],
      {"numpy", *_EXACT}),
     (["free-energy", "--a", "0.2", "--c", "1", "--n", "8", "--exact-compare"],
      {"numpy"}),
     (["duality-check", "--n", "2", "--m", "2", "--x", "0.5"],
-     {"numpy", *_PLANAR}),
+     {"numpy", "dataclasses", *_PLANAR}),
     (["ldp", "--alpha", "16/9", "--grid", "0.5:5:5", "--check-kc"],
      {"numpy", *_EXACT}),
+    pytest.param(["ldp", "--alpha", "16/9", "--grid", "1:3:3",
+                  "--exact-compare", "--n", "9"], {"numpy"},
+                 id="ldp-exact-compare"),
     (["tw", "--grid=-8:6:5"], set()),
     (["critical", "--n", "8", "--c", "1", "--s", "2"], set()),
     (["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3",
-      "--s", "0"], {"numpy"}),
+      "--s", "0"], {"numpy", "dataclasses"}),
     (["report"], set()),
 ], ids=lambda value: (value[0] if isinstance(value, list)
                       else str("numpy" in value)))  # True: starts without numpy
@@ -471,7 +500,7 @@ def test_cold_start_skips_scipy(argv, forbidden):
     assert code == (cli.EXIT_IDENTITY if argv == ["report"] else cli.EXIT_OK), \
         stderr
     assert "scipy" not in loaded
-    assert sorted(forbidden & loaded) == []
+    assert sorted(({"mpmath"} | forbidden) & loaded) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,20 +1,24 @@
 """Exact finite-N oracles: moments, determinants, polynomials, dualities."""
 
+import decimal
 import json
 import math
 import pathlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_rational, round_nearest
 
 import oracles
 from coulombgas import cli, exactfiniten, geometry, opasymp
 from coulombgas.errors import DomainError, SingularHankel
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# the oracle returns Decimals; mpmath takes them at its working precision
+to_mpf = mp.mpmathify
 
 
 def _log_z_prefactor(N, m):
@@ -38,7 +42,7 @@ class TestCalibration:
             with mp.workprec(256):
                 want = mp.log(mp.mpf(Fraction(entry["Z"]).numerator)
                               / Fraction(entry["Z"]).denominator)
-                assert abs(got - want) < mp.mpf(10) ** -60
+                assert abs(to_mpf(got) - want) < mp.mpf(10) ** -60
 
 
 class TestContourMoment:
@@ -53,7 +57,7 @@ class TestContourMoment:
         ctx = exactfiniten.ExactContext(N=2, m=2, a=0.5)
         with mp.workprec(256):
             for k in range(3):
-                closed = exactfiniten.contour_moment(ctx, k)
+                closed = to_mpf(exactfiniten.contour_moment(ctx, k))
 
                 def integrand(theta, k=k):
                     z = 2 * mp.e ** (1j * theta)
@@ -78,17 +82,33 @@ class TestContourMoment:
         (16, 9, 0.3),   # c = 9/16: m < N, so nu_k = 0 for k >= m+N
     ])
     def test_correctly_rounded(self, N, m, a):
-        # every moment is the exact rational, and contour_moment gives the
-        # nearest 256-bit float to it
+        # every moment is the exact rational, and contour_moment gives it
+        # to within half a unit in the last of the 256-bit context's digits
         ctx = exactfiniten.ExactContext(N=N, m=m, a=a)
+        digits = exactfiniten.decimal_context(256).prec
         got = exactfiniten._moments(ctx, range(2 * N))
         for k, (num, den) in enumerate(got):
             exact = oracles.fraction_moment(N, m, a, k)
             assert den > 0 and Fraction(num, den) == exact, k
             if k < N + m:
-                want = from_rational(exact.numerator, exact.denominator, 256,
-                                     round_nearest)
-                assert exactfiniten.contour_moment(ctx, k)._mpf_ == want, k
+                moment = exactfiniten.contour_moment(ctx, k)
+                assert len(moment.as_tuple().digits) <= digits, k
+                if exact:
+                    ulp = Fraction(10) ** (moment.adjusted() - digits + 1)
+                    assert abs(Fraction(moment) - exact) <= ulp / 2, k
+                else:
+                    assert moment == 0, k
+
+    @pytest.mark.parametrize("a", [0.0, 0.2, 1.2, 3.0, Fraction(1, 3)],
+                             ids=["0", "0.2", "1.2", "3", "1/3"])
+    @pytest.mark.parametrize("N,m", [(9, 0), (9, 4), (9, 9), (6, 11)])
+    def test_horner_pairs_match_term_by_term(self, N, m, a):
+        # m = 0, 0 < m < N, m = N and m > N; ks run past m + N, where the
+        # residue vanishes
+        ctx = exactfiniten.ExactContext(N=N, m=m, a=a)
+        ks = range(m + N + 3)
+        assert exactfiniten._moments(ctx, ks) == oracles.term_moments(
+            N, m, a, ks)
 
     def test_zero_beyond_residue_degree(self):
         # m < N: p = m+N-1-k < 0 for k >= m+N, and the residue vanishes
@@ -112,7 +132,7 @@ class TestExactLogZ:
     def test_even_in_a(self):
         plus = exactfiniten.exact_logZ(exactfiniten.ExactContext(N=4, m=4, a=0.4))
         minus = exactfiniten.exact_logZ(exactfiniten.ExactContext(N=4, m=4, a=-0.4))
-        assert abs(plus - minus) < mp.mpf(10) ** -70
+        assert abs(plus - minus) < Decimal("1e-70")
 
     def test_moment_index_cap(self):
         with pytest.raises(DomainError):
@@ -134,11 +154,10 @@ class TestMomentTable:
         # are 6.3e-27 (log Z) and 4.7e-27 (A11)
         table = exactfiniten.moment_table(
             exactfiniten.ExactContext(N=60, m=60, a=3.0))
-        with mp.workprec(256):
-            ref_log_z = mp.mpf("5708.63317142410395252736468381")
-            ref_a11 = mp.mpf("18.0159939788111606310996431081")
-            assert abs(table.log_z - ref_log_z) < 1e-20
-            assert abs(table.op[-2] - ref_a11) < 1e-20
+        ref_log_z = Decimal("5708.63317142410395252736468381")
+        ref_a11 = Decimal("18.0159939788111606310996431081")
+        assert abs(table.log_z - ref_log_z) < Decimal("1e-20")
+        assert abs(table.op[-2] - ref_a11) < Decimal("1e-20")
 
     def test_exact_command_builds_one_table(self, monkeypatch, capsys):
         calls = []
@@ -186,10 +205,11 @@ class TestMomentTable:
             [-Fraction(*nu[2]), -Fraction(*nu[3])])
         assert det == -eps
         with mp.workprec(512):
-            log_det = table.log_z - _log_z_prefactor(2, 2)
+            log_det = to_mpf(table.log_z) - _log_z_prefactor(2, 2)
             assert abs(log_det + 200 * mp.log(2)) < mp.mpf(10) ** -60
             for got, want in zip(table.op, coeffs):
-                assert abs(got - mp.mpf(want.numerator) / want.denominator) \
+                assert abs(to_mpf(got)
+                           - mp.mpf(want.numerator) / want.denominator) \
                     < mp.mpf(10) ** -60 * abs(coeffs[1])
 
     @pytest.mark.parametrize("N", [3, 6, 10])
@@ -205,12 +225,48 @@ class TestMomentTable:
         coeffs = coeffs + [Fraction(1)]
         with mp.workprec(512):
             want = mp.log(abs(mp.mpf(det.numerator) / det.denominator))
-            got = table.log_z - _log_z_prefactor(N, N)
+            got = to_mpf(table.log_z) - _log_z_prefactor(N, N)
             assert abs(got - want) <= mp.mpf(10) ** -60 * max(1, abs(want))
             scale = max(abs(c) for c in coeffs)
             for c_got, c_want in zip(table.op, coeffs):
-                err = abs(c_got - mp.mpf(c_want.numerator) / c_want.denominator)
+                err = abs(to_mpf(c_got)
+                          - mp.mpf(c_want.numerator) / c_want.denominator)
                 assert err <= mp.mpf(10) ** -60 * scale
+
+    @pytest.mark.parametrize("bits", [128, 256, 512])
+    def test_bits_ladder_against_1024_bits(self, bits):
+        # at (a, N) = (0.2, 32) every bit asked for reaches log Z and p_N:
+        # each lands within 2^-(bits-20) of a 1024-bit run, relative
+        ref = exactfiniten.moment_table(
+            exactfiniten.ExactContext(N=32, m=32, a=0.2, precision_bits=1024))
+        table = exactfiniten.moment_table(
+            exactfiniten.ExactContext(N=32, m=32, a=0.2, precision_bits=bits))
+        bound = Fraction(1, 2 ** (bits - 20))
+        assert (abs(Fraction(table.log_z) - Fraction(ref.log_z))
+                <= bound * abs(Fraction(ref.log_z)))
+        scale = max(abs(Fraction(c)) for c in ref.op)
+        assert max(abs(Fraction(c) - Fraction(r))
+                   for c, r in zip(table.op, ref.op)) <= bound * scale
+
+    def test_added_bits_reach_the_result_at_a3_n60(self):
+        # the a = 3, N = 60 elimination loses about 156 bits at every P
+        # (2^-99.5 relative in log Z at 256 bits), so 2^-(bits-20) cannot
+        # hold there; what must hold is that the added bits all arrive:
+        # from 256 to 512 bits the gap to a 1024-bit run shrinks by at
+        # least 2^(256-20) (measured 2^256)
+        gaps = []
+        ref = exactfiniten.moment_table(
+            exactfiniten.ExactContext(N=60, m=60, a=3.0, precision_bits=1024))
+        for bits in (256, 512):
+            table = exactfiniten.moment_table(
+                exactfiniten.ExactContext(N=60, m=60, a=3.0,
+                                          precision_bits=bits))
+            gaps.append((abs(Fraction(table.log_z) - Fraction(ref.log_z)),
+                         max(abs(Fraction(c) - Fraction(r))
+                             for c, r in zip(table.op, ref.op))))
+        for coarse, fine in zip(*gaps):
+            assert 0 < fine <= coarse / 2 ** (256 - 20)
+
 
 class TestRoundedRows:
     def test_matches_one_rounding_per_entry(self):
@@ -247,9 +303,9 @@ class TestOrthogonalPolynomial:
 
     def test_contour_orthogonality(self):
         ctx = exactfiniten.ExactContext(N=4, m=4, a=0.7)
-        coeffs = exactfiniten.exact_op(ctx)
         with mp.workprec(256):
-            nu = [exactfiniten.contour_moment(ctx, k) for k in range(8)]
+            coeffs = [to_mpf(c) for c in exactfiniten.exact_op(ctx)]
+            nu = [to_mpf(exactfiniten.contour_moment(ctx, k)) for k in range(8)]
             worst = max(abs(sum(coeffs[j] * nu[i + j]
                                 for j in range(len(coeffs))))
                         for i in range(4))
@@ -285,6 +341,14 @@ class TestOrthogonalPolynomial:
         direct = sum(complex(c) * z ** k for k, c in enumerate(coeffs))
         assert abs(complex(exactfiniten.eval_polynomial(coeffs, z)) - direct) < 1e-12
 
+    def test_real_point_gives_unsigned_zero(self):
+        # at a real z < 0 the Decimal imaginary part ends as -0; the table
+        # must read 0.0, as it did when mpmath (whose zero has no sign) ran
+        coeffs = exactfiniten.exact_op(
+            exactfiniten.ExactContext(N=4, m=4, a=1.2))
+        value = exactfiniten.eval_polynomial(coeffs, -3.0 + 0.0j)
+        assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
+
 
 class TestLUEGap:
     def test_no_wall(self):
@@ -292,7 +356,8 @@ class TestLUEGap:
 
     def test_single_exponential(self):
         with mp.workprec(256):
-            got = exactfiniten.lue_gap_probability(1, 0, Fraction(7, 10), 1)
+            got = to_mpf(exactfiniten.lue_gap_probability(1, 0, Fraction(7, 10),
+                                                          1))
             assert abs(got - mp.e ** (-mp.mpf(7) / 10)) < mp.mpf(10) ** -70
 
     def test_monotone_survival(self):
@@ -333,7 +398,7 @@ class TestLUEGap:
         with mp.workprec(512):
             want = (mp.e ** (-n * N_w * (mp.mpf(t.numerator) / t.denominator))
                     * mp.mpf(ratio.numerator) / ratio.denominator)
-            assert abs(got - want) <= mp.mpf(10) ** -60 * want
+            assert abs(to_mpf(got) - want) <= mp.mpf(10) ** -60 * want
 
 
 class TestDuality:
@@ -354,7 +419,7 @@ class TestCharpolyMoment:
 
     def test_origin_product_form(self):
         with mp.workprec(256):
-            got = exactfiniten.exact_charpoly_moment(3, 3, 0.0)
+            got = to_mpf(exactfiniten.exact_charpoly_moment(3, 3, 0.0))
             want = mp.mpf(1)
             for k in range(3):
                 want *= mp.factorial(3 + k) / (mp.factorial(k) * mp.mpf(3) ** 3)
@@ -369,4 +434,54 @@ class TestCharpolyMoment:
             want = (mp.log(math.factorial(N))
                     + sum(mp.log(math.factorial(k)) for k in range(N))
                     - mp.mpf(N * (N + 1)) / 2 * mp.log(N))
-            assert abs(got - want) <= mp.mpf(10) ** -70 * max(1, abs(want))
+            assert abs(to_mpf(got) - want) <= mp.mpf(10) ** -70 * max(1, abs(want))
+
+
+class TestExplicitContexts:
+    def test_values_ignore_thread_and_mpmath_precision(self):
+        # every Decimal operation runs in a context built from precision_bits
+        ctx = exactfiniten.ExactContext(N=8, m=8, a=1.2)
+
+        def values():
+            op = exactfiniten.exact_op(ctx)
+            return (exactfiniten.exact_logZ(ctx), op,
+                    exactfiniten.eval_polynomial(op, 3.0 + 1.0j),
+                    exactfiniten.lue_gap_probability(8, 6, Fraction(7, 10), 8),
+                    exactfiniten.lue_log_gap_probability(8, 6, Fraction(7, 10),
+                                                         8),
+                    exactfiniten.duality_residual(4, 4, 1.0),
+                    exactfiniten.exact_charpoly_moment(4, 4, 0.3))
+
+        want = values()
+        with decimal.localcontext() as thread, mp.workprec(20):
+            thread.prec = 5
+            assert decimal.getcontext().prec == 5 and mp.prec == 20
+            got = values()
+        assert got == want
+
+
+class TestNstr:
+    FIXED = ["5708.63317142410395252736468381016", "12", "12.000",
+             "12.000000000000000666133814775", "-6.4508804452954897082454797261637",
+             "0.000123456789012345678901234567891", "-1.5e-9", "0.1", "1",
+             "9.99999999999999999999999999999961", "1e29"]
+    EXPONENT = ["1.5e-10", "-2.5e-300", "123456789012345678901234567890123",
+                "-7.77e77", "1e30", "-9.99999999999999999999999999999961e-11"]
+
+    @pytest.mark.parametrize("digits", [6, 30])
+    def test_matches_mpmath_nstr(self, digits):
+        # both notations, negatives, exact integers, carries and zeros
+        rng = random.Random(11)
+        texts = self.FIXED + self.EXPONENT + ["0", "-0"] + [
+            f"{rng.choice('+-')}{rng.randrange(10 ** 34, 10 ** 60)}"
+            f"e{rng.randint(-100, 60)}" for _ in range(300)]
+        with mp.workprec(400):
+            for text in texts:
+                assert exactfiniten.nstr(Decimal(text), digits) \
+                    == mp.nstr(mp.mpf(text), digits), text
+
+    def test_notation_examples(self):
+        assert [exactfiniten.nstr(Decimal(t), 30) for t in
+                ("12", "0", "-1.5e-10", "1e29", "1e30")] == [
+            "12.0", "0.0", "-1.5e-10", "100000000000000000000000000000.0",
+            "1.0e+30"]

@@ -54,6 +54,21 @@ class TestAiry:
                     * (1 - 5.0 / 72.0 / zeta))
         assert abs(painleve.airy_ai(x) / two_term - 1) < 385.0 / 10368.0 / zeta ** 2
 
+    def test_literals_at_s_max_are_the_117_bit_values(self):
+        # the written-out constants equal the values the two functions round
+        # once from 117 bits (53 + 64 guard bits), bit for bit
+        with mpmath.workprec(117):
+            s = mpmath.mpf(painleve.S_MAX)
+            ai, aip = mpmath.airyai(s), mpmath.airyai(s, derivative=1)
+            want_ai = float(ai)
+            want_tails = (float(aip * aip - s * ai * ai),
+                          float((2 * s * s * ai * ai - 2 * s * aip * aip
+                                 - ai * aip) / 3))
+        assert painleve.AI_AT_S_MAX == want_ai == painleve.airy_ai(
+            painleve.S_MAX)
+        assert painleve.AIRY_TAILS_AT_S_MAX == want_tails \
+            == painleve._airy_tails(painleve.S_MAX)
+
 
 class TestHastingsMcleod:
     def test_right_boundary_matches_airy(self, hm_solution):

@@ -1,6 +1,7 @@
 """Command-line contract: schemas, exit codes, determinism, projections."""
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -422,11 +423,17 @@ class TestSemantics:
 
 
 def test_readme_examples_run(capsys):
-    commands = [shlex.split(line)[1:] for line in README.read_text().splitlines()
-                if line.startswith("coulombgas ")]
-    assert commands
-    for argv in commands:
+    # the lines that load no numpy must print the bytes pinned in the
+    # stdout digest fixture
+    digests = json.loads((FIXTURES / "stdout_sha256.json").read_text())["readme"]
+    lines = [line for line in README.read_text().splitlines()
+             if line.startswith("coulombgas ")]
+    assert lines and set(digests) <= set(lines)
+    for line in lines:
+        argv = shlex.split(line)[1:]
         code, out, _ = run_cli(argv, capsys)
+        if line in digests:
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[line], line
         if argv[0] == "report":
             # report keeps criterion 8 red on its release thresholds; every
             # other check passes

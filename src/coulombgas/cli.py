@@ -4,12 +4,14 @@ Every subcommand emits one table: a JSON object with a schema_version, the
 resolved parameters, and a list of rows.  CSV is a lossy projection of the
 same table (complex values become re/im column pairs, nested details are
 dropped).  The text is always what json.dumps(indent=2, allow_nan=False) or
-csv.DictWriter would write.  When every row has the first row's keys and
-float, int, bool, str, None or {"re", "im"} values, the rows are written by
-one %-format string compiled per table, so the formatting runs in C; other
-tables (report's nested rows, free-energy's tail, mixed shapes, CSV strings
-that need quoting, non-finite floats in JSON) go through json and csv
-whole, and a nan or infinity in JSON still raises ValueError (exit 2).
+csv.DictWriter would write.  The grid tables (geometry, tw, ldp) hand
+render their rows as Columns: one value list per key, with a declared kind
+(float, int, bool, str, None, or complex, written as {"re", "im"}), which
+one %-format string compiled per table writes, so the formatting runs in C.
+A column table that this cannot write byte for byte (a CSV string that
+needs quoting, a non-finite float in JSON) is expanded to dict rows; dict
+rows (the one to five rows of the other subcommands) go through json and
+csv whole, and a nan or infinity in JSON still raises ValueError (exit 2).
 Errors of any kind are also written as a structured JSON object on
 standard error, and the exit code classifies them:
 
@@ -38,7 +40,6 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Sequence
 
 # Every numerical module loads inside the subcommands that use it, so a
@@ -126,16 +127,23 @@ def _int_product(x: Fraction, n: int, name: str) -> int:
     return int(m)
 
 
-def positive_int(text: str) -> int:
-    """A count flag value such as --n; zero and negatives are usage errors."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def int_at_least(low: int):
+    """The type of a count flag such as --n: an int below `low` is a usage
+    error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+positive_int = int_at_least(1)
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -163,54 +171,33 @@ def _flatten(row: dict) -> dict:
     return flat
 
 
+class Columns(list):
+    """Table rows held as columns: (key, kind, values) triples.
+
+    kind is float, int, bool, str, None or complex; values holds one list
+    per written column, (re, im) for complex, each with one entry per row.
+    """
+
+    def dicts(self) -> list[dict]:
+        """The same rows as dicts, with complex values as {"re", "im"}."""
+        keys = [key for key, _, _ in self]
+        cols = [[{"re": re, "im": im} for re, im in zip(*values)]
+                if kind is complex else values[0] for _, kind, values in self]
+        return [dict(zip(keys, row)) for row in zip(*cols)]
+
+
 # Characters that make the csv module quote a field (QUOTE_MINIMAL with "\n"
 # line ends); a string column holding one leaves the compiled path.
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
-_NONE = type(None)
-# the %-format slot of a scalar column; float's %r is float.__repr__, which
-# both json and csv use; bool and str columns are turned into text first
+# the %-format slot of a column; float's %r is float.__repr__, which both
+# json and csv use; bool and str columns are turned into text first
 _SLOT = {float: "%r", int: "%d", bool: "%s", str: "%s"}
 _JSON_TEXT = {bool: {True: "true", False: "false"}.__getitem__,
               str: encode_basestring_ascii}
 
 
-def _columns(rows: list) -> list | None:
-    """(key, kind, value columns) for rows of one shape, or None.
-
-    Every row must have the first row's string keys in the same order, and
-    each key one value type over all rows: float, int, bool, str, None, or a
-    {"re", "im"} dict of floats (kind complex, with two columns).
-    """
-    keys = tuple(rows[0])
-    if not keys or not all(map(keys.__eq__, map(tuple, rows))):
-        return None
-    columns = []
-    for key in keys:
-        col = list(map(itemgetter(key), rows))
-        kinds = set(map(type, col))
-        if type(key) is not str or len(kinds) != 1:
-            return None
-        kind = kinds.pop()
-        if kind is dict:
-            if set(map(tuple, col)) != {("re", "im")}:
-                return None
-            cols = [list(map(itemgetter("re"), col)),
-                    list(map(itemgetter("im"), col))]
-            if any(set(map(type, part)) != {float} for part in cols):
-                return None
-            columns.append((key, complex, cols))
-        elif kind in _SLOT or kind is _NONE:
-            columns.append((key, kind, [col]))
-        else:
-            return None
-    return columns
-
-
-def _json_rows(rows: list) -> list[str] | None:
+def _json_rows(columns: Columns) -> list[str] | None:
     """Each row as json.dumps(indent=2) writes it inside the table, or None."""
-    columns = _columns(rows)
-    if columns is None:
-        return None
     fields, values = [], []
     for key, kind, cols in columns:
         name = encode_basestring_ascii(key).replace("%", "%%")
@@ -225,22 +212,18 @@ def _json_rows(rows: list) -> list[str] | None:
             # sum of finite values sends the table there too, harmlessly)
             if not all(math.isfinite(sum(col)) for col in cols):
                 return None
-            values += cols
-        elif kind is int:
-            values += cols
-        elif kind in _JSON_TEXT:
+        if kind in _JSON_TEXT:
             values.append(list(map(_JSON_TEXT[kind], cols[0])))
+        elif kind is not None:
+            values += cols
     if not values:
         return None
     fmt = "    {\n" + ",\n".join(fields) + "\n    }"
     return list(map(fmt.__mod__, zip(*values)))
 
 
-def _csv_rows(rows: list) -> tuple[str, list[str]] | None:
+def _csv_rows(columns: Columns) -> list[str] | None:
     """The header line and each row as csv.DictWriter writes them, or None."""
-    columns = _columns(rows)
-    if columns is None:
-        return None
     header, fields, values = [], [], []
     for key, kind, cols in columns:
         if kind is complex:
@@ -251,14 +234,14 @@ def _csv_rows(rows: list) -> tuple[str, list[str]] | None:
             fields.append(_SLOT.get(kind, ""))  # None is an empty field
         if kind is str and _CSV_QUOTED.search("".join(cols[0])):
             return None
-        if kind is not _NONE:
+        if kind is not None:
             values += cols
     # csv writes a lone empty field as "", and a key may repeat once flattened
     if (len(header) < 2 or len(set(header)) < len(header) or not values
             or _CSV_QUOTED.search("".join(header))):
         return None
     fmt = ",".join(fields) + "\n"
-    return ",".join(header) + "\n", list(map(fmt.__mod__, zip(*values)))
+    return [",".join(header) + "\n", *map(fmt.__mod__, zip(*values))]
 
 
 def _render_stdlib(table: dict, fmt: str) -> str:
@@ -278,7 +261,11 @@ def _render_stdlib(table: dict, fmt: str) -> str:
 def render(table: dict, fmt: str) -> str:
     """The table as JSON or CSV text; see the module docstring."""
     rows = table.get("rows")
-    if rows and next(reversed(table)) == "rows":
+    if not isinstance(rows, Columns):
+        return _render_stdlib(table, fmt)
+    # the compiled format writes one row or more (rows[0][2][0] holds the
+    # first column's values), and the rows last
+    if rows and rows[0][2][0] and next(reversed(table)) == "rows":
         if fmt == "json":
             head = {k: v for k, v in table.items() if k != "rows"}
             lines = _json_rows(rows) if head else None
@@ -288,12 +275,10 @@ def render(table: dict, fmt: str) -> str:
                 lines[-1] += "\n  ]\n}\n"
                 return ",\n".join(lines)
         else:
-            split = _csv_rows(rows)
-            if split is not None:
-                header, lines = split
-                lines[0] = header + lines[0]
+            lines = _csv_rows(rows)
+            if lines is not None:
                 return "".join(lines)
-    return _render_stdlib(table, fmt)
+    return _render_stdlib({**table, "rows": rows.dicts()}, fmt)
 
 
 def emit(table: dict, args) -> None:
@@ -337,11 +322,16 @@ def cmd_geometry(args) -> int:
         g = geometry.post_geometry(a, c)
         info.update(outer_radius=g.outer_radius, inner_center=g.inner_center,
                     inner_radius=g.inner_radius)
-    rows = []
+    labels, thetas, res, ims, closed = [], [], [], [], []
     for comp in boundary.components:
-        for theta, point in zip(comp.theta, comp.points):
-            rows.append({"component": comp.label, "theta": theta,
-                         "point": _cnum(point), "closed": comp.closed})
+        labels += [comp.label] * len(comp.theta)
+        thetas += comp.theta
+        res += [point.real for point in comp.points]
+        ims += [point.imag for point in comp.points]
+        closed += [comp.closed] * len(comp.theta)
+    rows = Columns([("component", str, [labels]), ("theta", float, [thetas]),
+                    ("point", complex, [res, ims]),
+                    ("closed", bool, [closed])])
     emit(_table("geometry", {"a": a, "c": c, "points": args.points},
                 rows, droplet=info), args)
     return EXIT_OK
@@ -420,8 +410,8 @@ def cmd_tw(args) -> int:
     ts = parse_grid(args.grid) if args.grid is not None else [args.t]
     sol = painleve.hastings_mcleod(tol=args.tol)
     cdf, survival = painleve.tw_cdf_survival(sol, ts)
-    rows = [{"t": t, "cdf": f, "survival": sf}
-            for t, f, sf in zip(ts, cdf.tolist(), survival.tolist())]
+    rows = Columns([("t", float, [ts]), ("cdf", float, [cdf.tolist()]),
+                    ("survival", float, [survival.tolist()])])
     emit(_table("tw", {"tol": args.tol, "grid": args.grid, "t": args.t},
                 rows), args)
     return EXIT_OK
@@ -462,22 +452,22 @@ def cmd_ldp(args) -> int:
             f"alpha = {alpha!r} is too small: lambda_- = (sqrt(alpha+1) - 1)^2 "
             "underflows to 0")
     edge_action = ldp.kc_action(lambda_minus, alpha)
-
-    def one(t: float) -> dict:
-        rate, const = ldp.phi_psi(t, alpha)
-        action_diff = ldp.kc_action(t, alpha) - edge_action
-        row = {"t": t, "phi": rate, "action_diff": action_diff,
-               "residual": abs(rate - action_diff), "psi": const}
-        if args.exact_compare:
-            row["n"] = args.n
-            row["exact_log_p"] = ldp.exact_log_gap_probability(args.n, alpha,
-                                                               t)
-            row["ldp_log_p"] = ldp.ldp_log_probability_from(args.n, alpha,
-                                                            rate, const)
-        return row
-
-    rows = [one(t) for t in ts]
-    worst = max(row["residual"] for row in rows)
+    phis, psis = ldp.phi_psi_grid(ts, alpha)
+    diffs = [action - edge_action
+             for action in ldp.kc_action_grid(ts, alpha)]
+    residuals = [abs(rate - diff) for rate, diff in zip(phis, diffs)]
+    rows = Columns([("t", float, [ts]), ("phi", float, [phis]),
+                    ("action_diff", float, [diffs]),
+                    ("residual", float, [residuals]), ("psi", float, [psis])])
+    if args.exact_compare:
+        n = args.n
+        rows += [("n", int, [[n] * len(ts)]),
+                 ("exact_log_p", float,
+                  [[ldp.exact_log_gap_probability(n, alpha, t) for t in ts]]),
+                 ("ldp_log_p", float,
+                  [[ldp.ldp_log_probability_from(n, alpha, rate, const)
+                    for rate, const in zip(phis, psis)]])]
+    worst = max(residuals)
     emit(_table("ldp", {"alpha": alpha, "grid": args.grid, "t": args.t,
                         "check_kc": args.check_kc, "tol": args.tol,
                         "exact_compare": args.exact_compare, "n": args.n},
@@ -576,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geometry", help="droplet boundary points")
     p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--c", type=parse_rational, required=True)
-    p.add_argument("--points", type=int, default=256)
+    p.add_argument("--points", type=int_at_least(8), default=256)
     common(p)
     p.set_defaults(fn=cmd_geometry)
 
@@ -594,14 +584,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--c", type=parse_rational)
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int_at_least(0))
     common(p, bits=True)
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("duality-check", help="gap probability vs "
                                              "partition-function ratio")
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    # m is the LUE size n here
+    p.add_argument("--m", type=positive_int, required=True)
     p.add_argument("--x", type=finite_float, required=True)
     common(p, bits=True, tol=1e-25)
     p.set_defaults(fn=cmd_duality_check)

@@ -41,39 +41,45 @@ class LUEParams(NamedTuple):
                    lambda_plus=(root + 1.0) ** 2)
 
 
-def mp_density(params: LUEParams, x: float) -> float:
-    """Equilibrium density (1/2pi) sqrt((l+ - x)(x - l-))/x; zero off-support."""
-    if x <= 0.0 or x <= params.lambda_minus or x >= params.lambda_plus:
-        return 0.0
-    return math.sqrt((params.lambda_plus - x) * (x - params.lambda_minus)) / (
-        2.0 * math.pi * x)
+def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
+    """(phi, psi) at each t of ts, one modulus solve per point.
 
-
-def _planar_args(t: float, alpha: float) -> tuple[float, float, float]:
-    """The planar image (a, c, q) of (t, alpha): insertion radius a = sqrt(t/alpha),
-    inverse charge c = 1/alpha, and the modulus q = solve_q(a, c)."""
+    Everything that depends on alpha alone (lambda_-, c, the post-critical
+    energy up to its -c a^2 term, the post-critical constant) is formed
+    once, in the same float operations the scalar formulas use.
+    """
     if alpha <= 0.0:
         raise DomainError(f"rate functions need alpha > 0, got {alpha}")
     lam_minus = LUEParams.from_alpha(alpha).lambda_minus
-    if t <= lam_minus:
-        raise DomainError(
-            f"pushed regime needs t > lambda_- = {lam_minus}, got t = {t}")
-    a, c = math.sqrt(t / alpha), 1.0 / alpha
-    try:
-        return a, c, solve_q(a, c)
-    except NoValidRoot as exc:
-        # the failed root names the planar (a, c); report the (t, alpha) given
-        raise DomainError(
-            f"no rate function at alpha = {alpha!r}, t = {t!r}: its planar "
-            "image a = sqrt(t/alpha), c = 1/alpha has no admissible modulus "
-            "root in double precision") from exc
+    c, alpha2 = 1.0 / alpha, alpha * alpha
+    # energy_post(a, c) subtracts c*a*a last, so it equals this head minus
+    # c*a*a bit for bit (tests/test_ldp.py holds the two routes equal)
+    post_head = energy_post(0.0, c)
+    post_const = fconst(0.0, c, Regime.POST)
+    phis, psis = [], []
+    for t in ts:
+        if t <= lam_minus:
+            raise DomainError(
+                f"pushed regime needs t > lambda_- = {lam_minus}, got t = {t}")
+        # the planar image: insertion radius a = sqrt(t/alpha), charge c
+        a = math.sqrt(t / alpha)
+        try:
+            q = solve_q(a, c)
+        except NoValidRoot as exc:
+            # the failed root names the planar (a, c); report the (t, alpha)
+            raise DomainError(
+                f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
+                "planar image a = sqrt(t/alpha), c = 1/alpha has no "
+                "admissible modulus root in double precision") from exc
+        phis.append(alpha2 * (energy_pre(a, c, q) - (post_head - c * a * a)))
+        psis.append(fconst(a, c, Regime.PRE, q) - post_const)
+    return phis, psis
 
 
 def phi_psi(t: float, alpha: float) -> tuple[float, float]:
     """(phi(t, alpha), psi(t, alpha)) from one modulus solve."""
-    a, c, q = _planar_args(t, alpha)
-    return (alpha * alpha * (energy_pre(a, c, q) - energy_post(a, c)),
-            fconst(a, c, Regime.PRE, q) - fconst(a, c, Regime.POST))
+    (rate,), (const,) = phi_psi_grid((t,), alpha)
+    return rate, const
 
 
 def phi(t: float, alpha: float) -> float:
@@ -86,53 +92,52 @@ def psi(t: float, alpha: float) -> float:
     return phi_psi(t, alpha)[1]
 
 
-def kc_theta(t: float, alpha: float) -> float:
-    """Auxiliary angle of the constrained-gas cubic."""
+def kc_U_grid(ts, alpha: float) -> list[float]:
+    """Right edge U(t) of the spectral density conditioned on the gap
+    (t, infinity), at each t of ts, through the constrained-gas cubic's
+    auxiliary angle."""
     if alpha <= 0.0:
         raise DomainError(f"constrained action needs alpha > 0, got {alpha}")
-    if t <= 0.0:
-        raise DomainError(f"constrained action needs t > 0, got {t}")
-    shifted = t + 2.0 * (alpha + 2.0)
-    radicand = (shifted ** 3 - 27.0 * alpha * alpha * t) / (27.0 * alpha * alpha * t)
-    if radicand < 0.0:
-        raise DomainError(f"angle radicand negative at t = {t}, alpha = {alpha}")
-    return math.atan(math.sqrt(radicand))
+    shift, scale = 2.0 * (alpha + 2.0), 27.0 * alpha * alpha
+    out = []
+    for t in ts:
+        if t <= 0.0:
+            raise DomainError(f"constrained action needs t > 0, got {t}")
+        shifted = t + shift
+        radicand = (shifted ** 3 - scale * t) / (scale * t)
+        if radicand < 0.0:
+            raise DomainError(
+                f"angle radicand negative at t = {t}, alpha = {alpha}")
+        theta = math.atan(math.sqrt(radicand))
+        out.append((4.0 / 3.0) * shifted
+                   * math.cos((theta + 2.0 * math.pi) / 3.0) ** 2)
+    return out
 
 
 def kc_U(t: float, alpha: float) -> float:
     """Right edge of the spectral density conditioned on the gap (t, infinity)."""
-    theta = kc_theta(t, alpha)
-    shifted = t + 2.0 * (alpha + 2.0)
-    return (4.0 / 3.0) * shifted * math.cos((theta + 2.0 * math.pi) / 3.0) ** 2
+    return kc_U_grid((t,), alpha)[0]
+
+
+def kc_action_grid(ts, alpha: float) -> list[float]:
+    """Constrained Coulomb gas action S(t) at each t of ts."""
+    us = kc_U_grid(ts, alpha)
+    quarter, quarter2 = alpha / 4.0, alpha * alpha / 4.0
+    log_weight = alpha * (alpha + 2.0)
+    out = []
+    for t, u in zip(ts, us):
+        sqrt_u, sqrt_t = math.sqrt(u), math.sqrt(t)
+        out.append((u + t) / 2.0 - (u - t) ** 2 / 32.0
+                   + quarter * (sqrt_u - sqrt_t) ** 2
+                   - math.log((u - t) / 4.0)
+                   + quarter2 * math.log(t * u)
+                   - log_weight * math.log((sqrt_u + sqrt_t) / 2.0))
+    return out
 
 
 def kc_action(t: float, alpha: float) -> float:
     """Constrained Coulomb gas action S(t); Phi(t) = S(t) - S(lambda_-)."""
-    u = kc_U(t, alpha)
-    sqrt_u, sqrt_t = math.sqrt(u), math.sqrt(t)
-    return ((u + t) / 2.0 - (u - t) ** 2 / 32.0
-            + (alpha / 4.0) * (sqrt_u - sqrt_t) ** 2
-            - math.log((u - t) / 4.0)
-            + (alpha * alpha / 4.0) * math.log(t * u)
-            - alpha * (alpha + 2.0) * math.log((sqrt_u + sqrt_t) / 2.0))
-
-
-def constrained_support(t: float, alpha: float) -> tuple[float, float]:
-    """Support [t, U(t)] of the density conditioned on the gap."""
-    lam_minus = LUEParams.from_alpha(alpha).lambda_minus
-    if t <= lam_minus:
-        raise DomainError(
-            f"constrained support needs t > lambda_- = {lam_minus}, got t = {t}")
-    return t, kc_U(t, alpha)
-
-
-def constrained_density(t: float, alpha: float, x: float) -> float:
-    """Spectral density on [t, U(t)] conditioned on the gap event."""
-    lo, hi = constrained_support(t, alpha)
-    if not lo < x < hi:
-        raise DomainError(f"x = {x} outside the constrained support ({lo}, {hi})")
-    return (math.sqrt(hi - x) / (2.0 * math.pi * math.sqrt(x - lo))
-            * (x - alpha * math.sqrt(t / hi)) / x)
+    return kc_action_grid((t,), alpha)[0]
 
 
 def phi_large_t(t: float, alpha: float) -> float:

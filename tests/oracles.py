@@ -4,9 +4,10 @@ Each one is a second route to a value `coulombgas` has in closed form or by
 another method (a normalisation, a far-field coefficient, an exact
 recursion, a moment summed term by term in rationals or in integers, a
 rounding and a determinant and solve in rationals, a table rendered by the
-json and csv modules alone), so the tests can compare the two.
-Keeping them here keeps their scipy imports out of the modules the CLI
-loads at start-up.
+json and csv modules alone), so the tests can compare the two.  The
+Marchenko-Pastur and constrained spectral densities live here too: only
+the tests integrate them.  Keeping them here keeps their scipy imports out
+of the modules the CLI loads at start-up.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from scipy.special import airy
 from coulombgas.errors import DomainError
 from coulombgas.freeenergy import LOG_2PI, ZETA_PRIME_MINUS_ONE, bernoulli_numbers
 from coulombgas.geometry import PreGeometry
-from coulombgas.ldp import LUEParams, constrained_support
+from coulombgas.ldp import LUEParams, kc_U
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
@@ -87,8 +88,34 @@ def barnes_series_logG(x: float, terms: int = 10) -> float:
     return out
 
 
+def mp_density(params: LUEParams, x: float) -> float:
+    """Equilibrium density (1/2pi) sqrt((l+ - x)(x - l-))/x; zero off-support."""
+    if x <= 0.0 or x <= params.lambda_minus or x >= params.lambda_plus:
+        return 0.0
+    return math.sqrt((params.lambda_plus - x) * (x - params.lambda_minus)) / (
+        2.0 * math.pi * x)
+
+
+def constrained_support(t: float, alpha: float) -> tuple[float, float]:
+    """Support [t, U(t)] of the density conditioned on the gap."""
+    lam_minus = LUEParams.from_alpha(alpha).lambda_minus
+    if t <= lam_minus:
+        raise DomainError(
+            f"constrained support needs t > lambda_- = {lam_minus}, got t = {t}")
+    return t, kc_U(t, alpha)
+
+
+def constrained_density(t: float, alpha: float, x: float) -> float:
+    """Spectral density on [t, U(t)] conditioned on the gap event."""
+    lo, hi = constrained_support(t, alpha)
+    if not lo < x < hi:
+        raise DomainError(f"x = {x} outside the constrained support ({lo}, {hi})")
+    return (math.sqrt(hi - x) / (2.0 * math.pi * math.sqrt(x - lo))
+            * (x - alpha * math.sqrt(t / hi)) / x)
+
+
 def mp_total_mass(params: LUEParams) -> float:
-    """Integral of ldp.mp_density via x = l- + (l+ - l-) sin^2(phi).
+    """Integral of mp_density via x = l- + (l+ - l-) sin^2(phi).
 
     The substitution absorbs both inverse-square-root edges; the remaining
     integrand is analytic in phi, so fixed Gauss-Legendre converges fast.
@@ -103,7 +130,7 @@ def mp_total_mass(params: LUEParams) -> float:
 
 
 def constrained_mass(t: float, alpha: float) -> float:
-    """Integral of ldp.constrained_density via x = t + (U - t) sin^2(phi)."""
+    """Integral of constrained_density via x = t + (U - t) sin^2(phi)."""
     lo, hi = constrained_support(t, alpha)
     width = hi - lo
     phi_nodes = 0.25 * math.pi * (_GL_NODES + 1.0)
@@ -226,6 +253,16 @@ def reference_render(table: dict, fmt: str) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def column_rows(columns: list) -> list[dict]:
+    """The dict rows of a CLI column table of (key, kind, value lists)
+    triples: row i takes entry i of each column, and of a complex column's
+    two lists as {"re": re[i], "im": im[i]}."""
+    count = len(columns[0][2][0]) if columns else 0
+    return [{key: ({"re": values[0][i], "im": values[1][i]}
+                   if kind is complex else values[0][i])
+             for key, kind, values in columns} for i in range(count)]
 
 
 def fraction_solve(matrix: list, rhs: Optional[list] = None) -> tuple:

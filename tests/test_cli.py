@@ -111,6 +111,11 @@ class TestExitCodes:
          "--m", "5"],                                       # m != c*n
         ["tw", "--t", "1", "--grid=-1:1:3"],                # --t and --grid
         ["ldp", "--alpha", "16/9", "--t", "2", "--grid", "0.5:5:5"],
+        ["geometry", "--a", "1", "--c", "9/16", "--points", "0"],  # < 8
+        ["geometry", "--a", "1", "--c", "9/16", "--points", "-5"],
+        ["geometry", "--a", "1", "--c", "9/16", "--points", "7"],
+        ["exact", "--a", "0.2", "--n", "4", "--m", "-3"],          # m < 0
+        ["duality-check", "--n", "2", "--m", "0", "--x", "0.5"],   # m < 1
         *_BAD_N,
     ])
     def test_usage_errors(self, argv, capsys):
@@ -264,7 +269,7 @@ class TestOutputHandling:
 
 
 # One command per subcommand, small enough for tier-1; the grid tables are
-# the ones rendered by the compiled row format.
+# the ones handed to render as columns.
 RENDER_COMMANDS = [
     ["geometry", "--a", "1", "--c", "0.5625", "--points", "64"],
     ["geometry", "--a", "0.3", "--c", "9/16", "--points", "64"],
@@ -284,15 +289,24 @@ RENDER_COMMANDS = [
 GRID_TABLES = {"geometry", "tw", "ldp"}
 
 
+def dict_rows(table):
+    """The table with column rows expanded to dicts, for reference_render."""
+    rows = table["rows"]
+    if isinstance(rows, cli.Columns):
+        return {**table, "rows": oracles.column_rows(rows)}
+    return table
+
+
 @pytest.fixture(scope="module")
 def emitted_tables():
+    """(table, the same table with dict rows) for each RENDER_COMMANDS line."""
     tables = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "emit", lambda table, args: tables.append(table))
         for argv in RENDER_COMMANDS:
             assert cli.run(argv) == cli.EXIT_OK, argv
     assert len(tables) == len(RENDER_COMMANDS)
-    return tables
+    return [(table, dict_rows(table)) for table in tables]
 
 
 def _table(rows, **head):
@@ -302,66 +316,100 @@ def _table(rows, **head):
 class TestRender:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_every_subcommand_matches_reference(self, emitted_tables, fmt):
-        for argv, table in zip(RENDER_COMMANDS, emitted_tables):
+        for argv, (table, reference) in zip(RENDER_COMMANDS, emitted_tables):
             assert cli.render(table, fmt) == oracles.reference_render(
-                table, fmt), argv
+                reference, fmt), argv
 
-    def test_grid_tables_take_compiled_format(self, emitted_tables):
+    def test_grid_tables_take_compiled_format(self, emitted_tables,
+                                              monkeypatch):
+        def refuse(table, fmt):
+            raise AssertionError(f"{table['subcommand']} left the compiled "
+                                 f"{fmt} format")
+
+        monkeypatch.setattr(cli, "_render_stdlib", refuse)
         names = set()
-        for table in emitted_tables:
+        for table, reference in emitted_tables:
             name = table.get("subcommand")
+            assert isinstance(table["rows"], cli.Columns) == (
+                name in GRID_TABLES), name
             if name in GRID_TABLES:
-                assert cli._json_rows(table["rows"]) is not None, name
-                assert cli._csv_rows(table["rows"]) is not None, name
+                for fmt in ("json", "csv"):
+                    assert cli.render(table, fmt) == oracles.reference_render(
+                        reference, fmt), name
                 names.add(name)
         assert names == GRID_TABLES
 
     @pytest.mark.parametrize("rows", [
-        # mixed shapes: a missing key, another key order, a type change
+        # dict rows of mixed shapes: a missing key, another key order, a
+        # type change, nested values
         [{"x": 1.0, "y": True}, {"x": 2.0}, {"y": False, "x": 3.0}],
         [{"x": 1.0, "n": 2}, {"x": 2, "n": 3}],
         [{"z": {"re": 1.0, "im": 2.0}}, {"z": {"im": 2.0, "re": 1.0}}],
         [{"z": {"re": 1.0, "im": 2.0}, "w": 0.5}, {"z": [1.0, 2.0], "w": 0.5}],
-        # strings csv must quote, and ones it need not
-        [{"label": 'a,"b"', "v": 1.0}, {"label": "c", "v": 2.0}],
-        [{"label": "two\nlines", "v": 1.0}],
-        [{"label": "caf\u00e9 50%", "v": -0.0}, {"label": "", "v": 1e300}],
-        # None, alone and among floats
-        [{"x": None, "y": 1.5}, {"x": None, "y": 2.5}],
         [{"x": None, "y": 1.5}, {"x": 0.25, "y": 2.5}],
+        # column tables: strings csv must quote, and ones it need not
+        cli.Columns([("label", str, [['a,"b"', "c"]]),
+                     ("v", float, [[1.0, 2.0]])]),
+        cli.Columns([("label", str, [["two\nlines"]]), ("v", float, [[1.0]])]),
+        cli.Columns([("label", str, [["caf\u00e9 50%", ""]]),
+                     ("v", float, [[-0.0, 1e300]])]),
+        # None, beside a float column and alone
+        cli.Columns([("x", None, [[None, None]]), ("y", float, [[1.5, 2.5]])]),
+        cli.Columns([("x", None, [[None]]), ("y", None, [[None]])]),
         # one column, where csv quotes an empty field
-        [{"only": None}, {"only": 1.0}],
-        [{"only": ""}],
+        cli.Columns([("only", None, [[None, None]])]),
+        cli.Columns([("only", str, [[""]])]),
         # keys that need escaping, or collide once flattened
-        [{"50% \"x\"": 1.0, "b": 2}],
-        [{"p": {"re": 1.0, "im": 0.0}, "p_re": 3.0}],
-        # every kind the compiled format takes, in one shape
-        [{"k": "a", "t": 0.1 + 0.2, "n": 2 ** 70, "ok": True,
-          "z": {"re": 5e-324, "im": -1.5}, "none": None},
-         {"k": "b", "t": -1e-300, "n": -1, "ok": False,
-          "z": {"re": 1.0, "im": 2.0}, "none": None}],
+        cli.Columns([('50% "x"', float, [[1.0]]), ("b", int, [[2]])]),
+        cli.Columns([("p", complex, [[1.0], [0.0]]), ("p_re", float, [[3.0]])]),
+        # every kind, in one table
+        cli.Columns([("k", str, [["a", "b"]]),
+                     ("t", float, [[0.1 + 0.2, -1e-300]]),
+                     ("n", int, [[2 ** 70, -1]]), ("ok", bool, [[True, False]]),
+                     ("z", complex, [[5e-324, 1.0], [-1.5, 2.0]]),
+                     ("none", None, [[None, None]])]),
+        # no rows: as dicts, as empty columns, and with no columns at all
         [],
+        cli.Columns([("x", float, [[]]), ("y", bool, [[]])]),
+        cli.Columns(),
     ], ids=["missing-key", "int-then-float", "im-before-re", "nested-list",
-            "csv-quoted", "newline", "unicode", "none-column", "none-mixed",
-            "one-column", "one-empty-field", "escaped-key", "flat-collision",
-            "all-kinds", "empty"])
+            "none-mixed", "csv-quoted", "newline", "unicode", "none-column",
+            "all-none", "one-column", "one-empty-field", "escaped-key",
+            "flat-collision", "all-kinds", "empty", "no-rows", "no-columns"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_synthetic_tables_match_reference(self, rows, fmt):
-        for table in (_table(rows, params={"grid": None, "tol": 1e-10}),
-                      {"rows": rows}, {"rows": rows, "after": 1}):
-            assert cli.render(table, fmt) == oracles.reference_render(
-                table, fmt)
+        dicts = (oracles.column_rows(rows) if isinstance(rows, cli.Columns)
+                 else rows)
+        for head in ({"schema_version": 1,
+                      "params": {"grid": None, "tol": 1e-10}}, {}):
+            assert cli.render({**head, "rows": rows}, fmt) \
+                == oracles.reference_render({**head, "rows": dicts}, fmt)
+        assert cli.render({"rows": rows, "after": 1}, fmt) \
+            == oracles.reference_render({"rows": dicts, "after": 1}, fmt)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_json_refuses_non_finite_csv_writes_it(self, bad):
-        for rows in ([{"x": 1.0, "y": bad}],
-                     [{"x": 1.0, "z": {"re": 0.0, "im": bad}}]):
+    def test_json_refuses_non_finite_csv_writes_it(self, bad, monkeypatch,
+                                                   capsys):
+        for columns in ([("x", float, [[1.0]]), ("y", float, [[bad]])],
+                        [("x", float, [[1.0]]), ("z", complex, [[0.0], [bad]])]):
             with pytest.raises(ValueError):
-                cli.render(_table(rows), "json")
-        assert cli.render(_table([{"x": 1.0, "y": bad}]), "csv") \
+                cli.render(_table(cli.Columns(columns)), "json")
+        assert cli.render(_table(cli.Columns(
+            [("x", float, [[1.0]]), ("y", float, [[bad]])])), "csv") \
             == f"x,y\n1.0,{bad!r}\n"
         with pytest.raises(ValueError):
-            cli.render(_table([{"x": 1.0}], worst=bad), "json")
+            cli.render(_table(cli.Columns([("x", float, [[1.0]])]), worst=bad),
+                       "json")
+        # through the CLI: exit 2 for JSON, the value written for CSV
+        from coulombgas import ldp
+
+        monkeypatch.setattr(ldp, "phi_psi_grid", lambda ts, alpha: ([bad], [0.0]))
+        argv = ["ldp", "--alpha", "16/9", "--t", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EXIT_NUMERICAL, "")
+        assert json.loads(err)["error"] == "ValueError"
+        code, out, _ = run_cli([*argv, "--format", "csv"], capsys)
+        assert code == cli.EXIT_OK and f",{bad!r}," in out
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_file_bytes_equal_stdout(self, fmt, capsys, tmp_path):

@@ -32,13 +32,13 @@ class TestMarchenkoPastur:
         lm, lp = params.lambda_minus, params.lambda_plus
         delta = 0.5 * math.sqrt(lp - lm) / lm
         eps = 1e-6
-        assert ldp.mp_density(params, lm + eps) / math.sqrt(eps) \
+        assert oracles.mp_density(params, lm + eps) / math.sqrt(eps) \
             == pytest.approx(delta / math.pi, rel=1e-4)
 
     def test_vanishes_outside(self):
         params = ldp.LUEParams.from_alpha(1.0)
-        assert ldp.mp_density(params, params.lambda_minus - 0.1) == 0.0
-        assert ldp.mp_density(params, params.lambda_plus + 0.1) == 0.0
+        assert oracles.mp_density(params, params.lambda_minus - 0.1) == 0.0
+        assert oracles.mp_density(params, params.lambda_plus + 0.1) == 0.0
 
 
 class TestRateFunction:
@@ -112,24 +112,24 @@ class TestConstrainedDensity:
     def test_unit_mass_and_nonnegative(self, alpha):
         t = ldp.LUEParams.from_alpha(alpha).lambda_minus + 1.0
         assert oracles.constrained_mass(t, alpha) == pytest.approx(1.0, abs=1e-8)
-        lo, hi = ldp.constrained_support(t, alpha)
+        lo, hi = oracles.constrained_support(t, alpha)
         assert lo == t
         for x in np.linspace(lo + 1e-9, hi - 1e-9, 100):
-            assert ldp.constrained_density(t, alpha, float(x)) >= 0.0
+            assert oracles.constrained_density(t, alpha, float(x)) >= 0.0
 
     def test_relaxes_to_free_density(self):
         params = ldp.LUEParams.from_alpha(1.0)
         t = params.lambda_minus + 1e-4
         hi = ldp.kc_U(t, 1.0)
         xs = np.linspace(t + 0.05, hi - 0.05, 100)
-        sup = max(abs(ldp.constrained_density(t, 1.0, float(x))
-                      - ldp.mp_density(params, float(x))) for x in xs)
+        sup = max(abs(oracles.constrained_density(t, 1.0, float(x))
+                      - oracles.mp_density(params, float(x))) for x in xs)
         assert sup < 1e-3
 
     def test_outside_support(self):
         t = ldp.LUEParams.from_alpha(1.0).lambda_minus + 1.0
         with pytest.raises(DomainError):
-            ldp.constrained_density(t, 1.0, t - 0.1)
+            oracles.constrained_density(t, 1.0, t - 0.1)
 
 
 class TestLogProbability:

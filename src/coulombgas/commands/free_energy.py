@@ -1,0 +1,39 @@
+"""free-energy: log Z_N expansion terms."""
+from __future__ import annotations
+
+from ..args import (_add_exact_logz, _int_product, common, finite_float,
+                    parse_rational, positive_int)
+from ..errors import EXIT_OK
+from ..table import _table, emit
+
+
+def add_arguments(p) -> None:
+    p.add_argument("--a", type=finite_float, required=True)
+    p.add_argument("--c", type=parse_rational, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--order", type=int, default=2, metavar="M")
+    p.add_argument("--exact-compare", action="store_true",
+                   help="add exact log Z and the residual (needs integer c*n)")
+    common(p)
+
+
+def run(args) -> int:
+    from .. import freeenergy, geometry
+
+    a, c, n = args.a, float(args.c), args.n
+    m = _int_product(args.c, n, "c") if args.exact_compare else None
+    regime = geometry.classify(a, c)
+    result = freeenergy.expansion(n, a, c, regime, M=args.order)
+    t = result.terms
+    row = {"N": n, "a": a, "c": c, "regime": regime.name,
+           "expansion": result.log_z,
+           "n2": t.n2, "nlogn": t.nlogn, "n_coeff": t.n_coeff,
+           "logn": t.logn, "const": t.const, "chi": t.chi,
+           "error_class": t.error_class,
+           "tail": [{"power": p, "coefficient": coef} for p, coef in t.tail]}
+    if args.exact_compare:
+        _add_exact_logz(row, n, m, a, result.log_z)
+    emit(_table("free-energy", {"a": a, "c": c, "n": n, "order": args.order,
+                                "exact_compare": args.exact_compare},
+                [row]), args)
+    return EXIT_OK

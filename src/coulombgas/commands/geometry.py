@@ -1,0 +1,44 @@
+"""geometry: droplet boundary points."""
+from __future__ import annotations
+
+from ..args import common, finite_float, int_at_least, parse_rational
+from ..errors import EXIT_OK
+from ..table import Columns, _cnum, _table, emit
+
+
+def add_arguments(p) -> None:
+    p.add_argument("--a", type=finite_float, required=True)
+    p.add_argument("--c", type=parse_rational, required=True)
+    p.add_argument("--points", type=int_at_least(8), default=256)
+    common(p)
+
+
+def run(args) -> int:
+    from .. import geometry
+
+    a, c = args.a, float(args.c)
+    params = geometry.ModelParams.resolve(a, c)
+    boundary = geometry.droplet_boundary(params, args.points)
+    crit = geometry.critical_values(c)
+    info: dict = {"regime": params.regime.name, "a_cri": crit.a_cri,
+                  "chi": boundary.chi}
+    if params.regime is geometry.Regime.PRE:
+        g = geometry.pre_geometry(a, c)
+        info.update(q=g.q, R=g.R, kappa=g.kappa, beta=_cnum(g.beta), b=g.b)
+    else:
+        g = geometry.post_geometry(a, c)
+        info.update(outer_radius=g.outer_radius, inner_center=g.inner_center,
+                    inner_radius=g.inner_radius)
+    labels, thetas, res, ims, closed = [], [], [], [], []
+    for comp in boundary.components:
+        labels += [comp.label] * len(comp.theta)
+        thetas += comp.theta
+        res += [point.real for point in comp.points]
+        ims += [point.imag for point in comp.points]
+        closed += [comp.closed] * len(comp.theta)
+    rows = Columns([("component", str, [labels]), ("theta", float, [thetas]),
+                    ("point", complex, [res, ims]),
+                    ("closed", bool, [closed])])
+    emit(_table("geometry", {"a": a, "c": c, "points": args.points},
+                rows, droplet=info), args)
+    return EXIT_OK

@@ -1,0 +1,63 @@
+"""ldp: left-edge rate function table."""
+from __future__ import annotations
+
+from ..args import (_int_product, common, parse_grid, parse_rational,
+                    positive_int, t_or_grid)
+from ..errors import EXIT_OK, DomainError, IdentityCheckFailure, UsageError
+from ..table import Columns, _table, emit
+
+
+def add_arguments(p) -> None:
+    p.add_argument("--alpha", type=parse_rational, required=True)
+    t_or_grid(p)
+    p.add_argument("--check-kc", action="store_true",
+                   help="exit 3 if the action identity fails anywhere")
+    p.add_argument("--exact-compare", action="store_true",
+                   help="add finite-n log gap probabilities (needs --n with "
+                        "integer alpha*n)")
+    p.add_argument("--n", type=positive_int, default=None)
+    common(p, tol=1e-10)
+
+
+def run(args) -> int:
+    from .. import ldp
+
+    alpha = float(args.alpha)
+    ts = parse_grid(args.grid) if args.grid is not None else [args.t]
+    if args.exact_compare:
+        if args.n is None:
+            raise UsageError("--exact-compare needs --n")
+        _int_product(args.alpha, args.n, "alpha")
+    elif args.n is not None:
+        raise UsageError("--n is used only with --exact-compare")
+    lambda_minus = ldp.LUEParams.from_alpha(alpha).lambda_minus
+    if alpha > 0 and lambda_minus == 0.0:
+        raise DomainError(
+            f"alpha = {alpha!r} is too small: lambda_- = (sqrt(alpha+1) - 1)^2 "
+            "underflows to 0")
+    edge_action = ldp.kc_action(lambda_minus, alpha)
+    phis, psis = ldp.phi_psi_grid(ts, alpha)
+    diffs = [action - edge_action
+             for action in ldp.kc_action_grid(ts, alpha)]
+    residuals = [abs(rate - diff) for rate, diff in zip(phis, diffs)]
+    rows = Columns([("t", float, [ts]), ("phi", float, [phis]),
+                    ("action_diff", float, [diffs]),
+                    ("residual", float, [residuals]), ("psi", float, [psis])])
+    if args.exact_compare:
+        n = args.n
+        rows += [("n", int, [[n] * len(ts)]),
+                 ("exact_log_p", float,
+                  [[ldp.exact_log_gap_probability(n, alpha, t) for t in ts]]),
+                 ("ldp_log_p", float,
+                  [[ldp.ldp_log_probability_from(n, alpha, rate, const)
+                    for rate, const in zip(phis, psis)]])]
+    worst = max(residuals)
+    emit(_table("ldp", {"alpha": alpha, "grid": args.grid, "t": args.t,
+                        "check_kc": args.check_kc, "tol": args.tol,
+                        "exact_compare": args.exact_compare, "n": args.n},
+                rows, worst_residual=worst), args)
+    if args.check_kc and worst > args.tol:
+        raise IdentityCheckFailure(
+            f"rate-function identity violated: max gap {worst:.3e} exceeds "
+            f"{args.tol:.3e}")
+    return EXIT_OK

@@ -1,0 +1,24 @@
+"""tw: extreme-value distribution values."""
+from __future__ import annotations
+
+from ..args import TW_TOL, common, parse_grid, t_or_grid
+from ..errors import EXIT_OK
+from ..table import Columns, _table, emit
+
+
+def add_arguments(p) -> None:
+    t_or_grid(p)
+    common(p, tol=TW_TOL)
+
+
+def run(args) -> int:
+    from .. import painleve
+
+    ts = parse_grid(args.grid) if args.grid is not None else [args.t]
+    sol = painleve.hastings_mcleod(tol=args.tol)
+    cdf, survival = painleve.tw_cdf_survival(sol, ts)
+    rows = Columns([("t", float, [ts]), ("cdf", float, [cdf.tolist()]),
+                    ("survival", float, [survival.tolist()])])
+    emit(_table("tw", {"tol": args.tol, "grid": args.grid, "t": args.t},
+                rows), args)
+    return EXIT_OK

@@ -1,9 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the CLI's exit codes.
 
 The CLI maps these onto exit codes: numerical failures (SingularHankel, BlowUp,
 BranchCutError) exit 2, identity-check failures exit 3, usage
 errors exit 1.
 """
+
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_NUMERICAL = 2
+EXIT_IDENTITY = 3
+
+
+class UsageError(Exception):
+    """Bad flag values detected after argparse accepted the syntax."""
 
 
 class CoulombGasError(Exception):

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import warnings
 from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -165,17 +164,6 @@ def _moments(ctx: ExactContext, ks) -> list:
             num = -num
         out.append((num, D ** (m + p) * math.factorial(p)))
     return out
-
-
-def contour_moment(ctx: ExactContext, k: int) -> Decimal:
-    """nu_k/(2 pi i), correctly rounded at the context precision; zero (with
-    a warning) for k >= m+N."""
-    if k < 0:
-        raise DomainError(f"moment index must be nonnegative, got {k}")
-    if k >= ctx.m + ctx.N:
-        warnings.warn(f"moment index k={k} >= m+N={ctx.m + ctx.N}; residue is zero")
-        return Decimal(0)
-    return decimal_context(ctx.precision_bits).divide(*_moments(ctx, (k,))[0])
 
 
 def _log(ctx: decimal.Context, num: int, den: int, e2: int) -> Decimal:

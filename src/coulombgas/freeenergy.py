@@ -96,32 +96,6 @@ def re_g_at_a(a: float, c: float) -> float:
             + c * math.log(u / (u - 2.0 * t * q * q)))
 
 
-def robin_constant(a: float, c: float, regime: Regime) -> float:
-    if regime is Regime.POST:
-        return 0.5 * (c + 1.0) * (1.0 - math.log(c + 1.0))
-    if regime is Regime.PRE:
-        q = solve_q(a, c)
-        t = a * a * q * q
-        return (c * math.log(q) - (c + 1.0) * math.log((1.0 + t) / (2.0 * a * q))
-                + 0.75 + a * a / 4.0 + c / 2.0
-                - (a * a / 4.0 + c + 0.75) * t + t * t / 2.0)
-    raise DomainError(f"robin_constant needs Post or Pre, got {regime}")
-
-
-def potential_integral(a: float, c: float, regime: Regime) -> float:
-    """(1/2) * integral of Q against the equilibrium measure."""
-    if regime is Regime.POST:
-        return (c + 0.25 + 0.5 * c * c * math.log(c)
-                - 0.5 * c * (1.0 + c) * math.log(1.0 + c) - c * a * a)
-    if regime is Regime.PRE:
-        q = solve_q(a, c)
-        t = a * a * q * q
-        return (0.375 + a * a / 4.0 + c / 2.0
-                - (a * a / 4.0 + c + 0.5) * t + 0.375 * t * t
-                - c * re_g_at_a(a, c))
-    raise DomainError(f"potential_integral needs Post or Pre, got {regime}")
-
-
 def d_energy_pre_da(a: float, c: float) -> float:
     q = solve_q(a, c)
     q2 = q * q
@@ -175,6 +149,11 @@ def detzeta_log(a: float, c: float, regime: Regime) -> float:
     raise DomainError(f"detzeta_log needs Post or Pre, got {regime}")
 
 
+#: largest annular-phase tail order M: the N^-M term needs B_(M+1) (odd M)
+#: or B_(M+2) (even M), and the table stops at B_64
+MAX_TAIL_ORDER = 63
+
+
 def _tail_coefficient(c: float, j: int) -> float:
     """Coefficient of N^(-j) in the annular-phase Bernoulli tail.
 
@@ -199,6 +178,10 @@ def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansi
     if N < 1 or M < 0:
         raise DomainError(f"need N >= 1 and M >= 0, got N={N}, M={M}")
     if regime is Regime.POST:
+        if M > MAX_TAIL_ORDER:
+            raise DomainError(
+                f"tail order M = {M} is past the cap {MAX_TAIL_ORDER}: the "
+                "annular-phase Bernoulli tail stops at B_64")
         chi = 0
         energy = energy_post(a, c)
         tail = _post_tail(c, M)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import BranchCutError, DomainError, NoValidRoot
 
@@ -35,21 +35,13 @@ class Regime(enum.Enum):
 
 class CriticalValues(NamedTuple):
     a_cri: float
-    c_cri_at: Callable[[float], float]
 
 
 def critical_values(c: float) -> CriticalValues:
-    """Critical charge location for given c, and the inverse boundary map a -> c_cri."""
+    """Critical charge location for given c."""
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
-    a_cri = math.sqrt(c + 1.0) - math.sqrt(c)
-
-    def c_cri_at(a: float) -> float:
-        if not 0.0 < a < 1.0:
-            raise DomainError(f"c_cri(a) is defined for 0 < a < 1, got {a}")
-        return (1.0 - a * a) ** 2 / (4.0 * a * a)
-
-    return CriticalValues(a_cri, c_cri_at)
+    return CriticalValues(math.sqrt(c + 1.0) - math.sqrt(c))
 
 
 def classify(a: float, c: float) -> Regime:

@@ -63,16 +63,22 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
                 f"pushed regime needs t > lambda_- = {lam_minus}, got t = {t}")
         # the planar image: insertion radius a = sqrt(t/alpha), charge c
         a = math.sqrt(t / alpha)
+        # the failed root or power names the planar (a, c), or nothing;
+        # report the (t, alpha)
         try:
             q = solve_q(a, c)
+            phis.append(alpha2 * (energy_pre(a, c, q) - (post_head - c * a * a)))
+            psis.append(fconst(a, c, Regime.PRE, q) - post_const)
         except NoValidRoot as exc:
-            # the failed root names the planar (a, c); report the (t, alpha)
             raise DomainError(
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
                 "planar image a = sqrt(t/alpha), c = 1/alpha has no "
                 "admissible modulus root in double precision") from exc
-        phis.append(alpha2 * (energy_pre(a, c, q) - (post_head - c * a * a)))
-        psis.append(fconst(a, c, Regime.PRE, q) - post_const)
+        except OverflowError as exc:
+            raise DomainError(
+                f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
+                "planar image a = sqrt(t/alpha), c = 1/alpha overflows in "
+                "double precision") from exc
     return phis, psis
 
 
@@ -104,7 +110,12 @@ def kc_U_grid(ts, alpha: float) -> list[float]:
         if t <= 0.0:
             raise DomainError(f"constrained action needs t > 0, got {t}")
         shifted = t + shift
-        radicand = (shifted ** 3 - scale * t) / (scale * t)
+        try:
+            radicand = (shifted ** 3 - scale * t) / (scale * t)
+        except OverflowError as exc:
+            raise DomainError(
+                f"constrained action overflows in double precision at "
+                f"t = {t!r}, alpha = {alpha!r}") from exc
         if radicand < 0.0:
             raise DomainError(
                 f"angle radicand negative at t = {t}, alpha = {alpha}")

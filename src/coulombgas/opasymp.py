@@ -116,11 +116,6 @@ class GEvaluator(NamedTuple):
         return (cmath.log(z) + cmath.log((1.0 - q / w) / (1.0 - w1 / w))
                 - r * cmath.log(1.0 - w2 / w) - d / (w - q))
 
-    def g(self, z: complex) -> complex:
-        if self.params.regime is Regime.POST:
-            return self.g_post(z)
-        return self.g_pre(z)
-
 
 class RHCoefficients(NamedTuple):
     """Dressing coefficients of the two-pole rational correction."""

@@ -282,17 +282,6 @@ def _like_input(values: np.ndarray) -> float | np.ndarray:
     return values if np.ndim(values) else float(values)
 
 
-def hm_q(sol: TWSolution, s: float | np.ndarray) -> float | np.ndarray:
-    """The transcendent on [S_MIN, S_MAX], summed from its Chebyshev series.
-
-    Like q2_tail_integral, a float s gives a float and an array an array.
-    """
-    s = np.asarray(s, dtype=float)
-    if np.any((s < S_MIN) | (s > S_MAX)):
-        raise GridTooShort(f"s outside the solved range [{S_MIN}, {S_MAX}]")
-    return _like_input(cheb.chebval((s - _MID) / _HALF, sol.coeffs))
-
-
 def tw_cdf_survival(sol: TWSolution, t: float | np.ndarray
                     ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(F(t), 1 - F(t)) from one tail evaluation.

@@ -4,10 +4,14 @@ Each one is a second route to a value `coulombgas` has in closed form or by
 another method (a normalisation, a far-field coefficient, an exact
 recursion, a moment summed term by term in rationals or in integers, a
 rounding and a determinant and solve in rationals, a table rendered by the
-json and csv modules alone), so the tests can compare the two.  The
-Marchenko-Pastur and constrained spectral densities live here too: only
-the tests integrate them.  Keeping them here keeps their scipy imports out
-of the modules the CLI loads at start-up.
+json and csv modules alone, the Tracy-Widom distribution as a Fredholm
+determinant), so the tests can compare the two.  The Marchenko-Pastur and
+constrained spectral densities live here too: only the tests integrate
+them.  So do the identities and helpers that no command reaches (the Robin
+constant and potential integral, a single contour moment, the inverse
+phase boundary c_cri(a), the regime-dispatching g, the Painleve series
+hm_q): the CLI does not compile them.  Keeping them here keeps their scipy
+imports out of the modules the CLI loads at start-up.
 """
 from __future__ import annotations
 
@@ -15,6 +19,8 @@ import csv
 import io
 import json
 import math
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -24,10 +30,16 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import airy
 
-from coulombgas.errors import DomainError
-from coulombgas.freeenergy import LOG_2PI, ZETA_PRIME_MINUS_ONE, bernoulli_numbers
-from coulombgas.geometry import PreGeometry
+from numpy.polynomial import chebyshev as cheb
+
+from coulombgas import painleve
+from coulombgas.errors import DomainError, GridTooShort
+from coulombgas.exactfiniten import ExactContext, _moments, decimal_context
+from coulombgas.freeenergy import (LOG_2PI, ZETA_PRIME_MINUS_ONE,
+                                   bernoulli_numbers, re_g_at_a)
+from coulombgas.geometry import PreGeometry, Regime, solve_q
 from coulombgas.ldp import LUEParams, kc_U
+from coulombgas.opasymp import GEvaluator
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
@@ -295,3 +307,90 @@ def fraction_solve(matrix: list, rhs: Optional[list] = None) -> tuple:
     for i in reversed(range(n)):
         x[i] = (rows[i][n] - sum(rows[i][c] * x[c] for c in range(i + 1, n))) / rows[i][i]
     return det, x
+
+
+def robin_constant(a: float, c: float, regime: Regime) -> float:
+    if regime is Regime.POST:
+        return 0.5 * (c + 1.0) * (1.0 - math.log(c + 1.0))
+    if regime is Regime.PRE:
+        q = solve_q(a, c)
+        t = a * a * q * q
+        return (c * math.log(q) - (c + 1.0) * math.log((1.0 + t) / (2.0 * a * q))
+                + 0.75 + a * a / 4.0 + c / 2.0
+                - (a * a / 4.0 + c + 0.75) * t + t * t / 2.0)
+    raise DomainError(f"robin_constant needs Post or Pre, got {regime}")
+
+
+def potential_integral(a: float, c: float, regime: Regime) -> float:
+    """(1/2) * integral of Q against the equilibrium measure."""
+    if regime is Regime.POST:
+        return (c + 0.25 + 0.5 * c * c * math.log(c)
+                - 0.5 * c * (1.0 + c) * math.log(1.0 + c) - c * a * a)
+    if regime is Regime.PRE:
+        q = solve_q(a, c)
+        t = a * a * q * q
+        return (0.375 + a * a / 4.0 + c / 2.0
+                - (a * a / 4.0 + c + 0.5) * t + 0.375 * t * t
+                - c * re_g_at_a(a, c))
+    raise DomainError(f"potential_integral needs Post or Pre, got {regime}")
+
+
+def contour_moment(ctx: ExactContext, k: int) -> Decimal:
+    """nu_k/(2 pi i), correctly rounded at the context precision; zero (with
+    a warning) for k >= m+N."""
+    if k < 0:
+        raise DomainError(f"moment index must be nonnegative, got {k}")
+    if k >= ctx.m + ctx.N:
+        warnings.warn(f"moment index k={k} >= m+N={ctx.m + ctx.N}; residue is zero")
+        return Decimal(0)
+    return decimal_context(ctx.precision_bits).divide(*_moments(ctx, (k,))[0])
+
+
+def c_cri_at(a: float) -> float:
+    """The charge c at which a sits on the phase boundary, the inverse of
+    geometry.critical_values(c).a_cri."""
+    if not 0.0 < a < 1.0:
+        raise DomainError(f"c_cri(a) is defined for 0 < a < 1, got {a}")
+    return (1.0 - a * a) ** 2 / (4.0 * a * a)
+
+
+def g(evaluator: GEvaluator, z: complex) -> complex:
+    """The evaluator's g-function in its own phase."""
+    if evaluator.params.regime is Regime.POST:
+        return evaluator.g_post(z)
+    return evaluator.g_pre(z)
+
+
+def hm_q(sol: painleve.TWSolution, s):
+    """The transcendent on [S_MIN, S_MAX], summed from its Chebyshev series.
+
+    Like q2_tail_integral, a float s gives a float and an array an array.
+    """
+    s = np.asarray(s, dtype=float)
+    if np.any((s < painleve.S_MIN) | (s > painleve.S_MAX)):
+        raise GridTooShort(f"s outside the solved range "
+                           f"[{painleve.S_MIN}, {painleve.S_MAX}]")
+    values = cheb.chebval((s - painleve._MID) / painleve._HALF, sol.coeffs)
+    return values if np.ndim(values) else float(values)
+
+
+def tw_cdf_fredholm(s: float, nodes: int = 60) -> float:
+    """F(s) = det(I - K_Ai) on L^2(s, inf), by Nystrom discretisation
+    (Bornemann, "On the numerical evaluation of Fredholm determinants",
+    Math. Comp. 79 (2010)).
+
+    The Airy kernel K(x, y) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y), with
+    K(x, x) = Ai'(x)^2 - x Ai(x)^2, comes from scipy.special.airy; the
+    Gauss-Legendre nodes u on (-1, 1) map to x = s + 10 tan(pi (u + 1) / 4).
+    Nothing here touches the Painleve II route.
+    """
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    angle = np.pi * (u + 1.0) / 4.0
+    x = s + 10.0 * np.tan(angle)
+    root = np.sqrt(w * 2.5 * np.pi / np.cos(angle) ** 2)
+    ai, aip, _, _ = airy(x)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    kernel = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
+    np.fill_diagonal(kernel, aip * aip - x * ai * ai)
+    return float(np.linalg.det(np.eye(nodes) - root[:, None] * kernel * root[None, :]))

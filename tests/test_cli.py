@@ -1,6 +1,7 @@
 """Command-line contract: schemas, exit codes, determinism, projections."""
 
 import csv
+import functools
 import hashlib
 import importlib
 import io
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 
 import oracles
 from coulombgas import cli
+from coulombgas.table import Columns, render
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -203,6 +206,26 @@ class TestExitCodes:
         assert f"alpha = {float(alpha)!r}, t = 1.0" in payload["message"]
         assert "a=" not in payload["message"]
 
+    @pytest.mark.parametrize("argv, names", [
+        (["free-energy", "--a", "0.2", "--c", "1", "--n", "16", "--order",
+          "64"], ["M = 64", "cap 63"]),
+        (["ldp", "--alpha", "16/9", "--t", "1e300"],
+         ["alpha = 1.7777777777777777", "t = 1e+300"]),
+        (["ldp", "--alpha", "1e300", "--t", "1"], ["alpha = 1e+300"]),
+        (["ldp", "--alpha", "1e200", "--t", "1e201"], ["alpha = 1e+200"]),
+    ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
+            "ldp-huge-both"])
+    def test_out_of_range_names_the_input(self, argv, names, capsys):
+        # past the Bernoulli table, or past the double range, the error is a
+        # DomainError that names the flags, not an IndexError or an
+        # OverflowError naming nothing
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EXIT_NUMERICAL, "")
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        for name in names:
+            assert name in payload["message"]
+
     def test_identity_failure(self, capsys):
         # the 256-bit residual here measures 6.0e-77, so demanding 1e-80
         # must trip the identity gate
@@ -292,7 +315,7 @@ GRID_TABLES = {"geometry", "tw", "ldp"}
 def dict_rows(table):
     """The table with column rows expanded to dicts, for reference_render."""
     rows = table["rows"]
-    if isinstance(rows, cli.Columns):
+    if isinstance(rows, Columns):
         return {**table, "rows": oracles.column_rows(rows)}
     return table
 
@@ -302,7 +325,10 @@ def emitted_tables():
     """(table, the same table with dict rows) for each RENDER_COMMANDS line."""
     tables = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "emit", lambda table, args: tables.append(table))
+        for name, _ in cli.COMMANDS:
+            module = importlib.import_module(
+                "coulombgas.commands." + name.replace("-", "_"))
+            patch.setattr(module, "emit", lambda table, args: tables.append(table))
         for argv in RENDER_COMMANDS:
             assert cli.run(argv) == cli.EXIT_OK, argv
     assert len(tables) == len(RENDER_COMMANDS)
@@ -317,7 +343,7 @@ class TestRender:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_every_subcommand_matches_reference(self, emitted_tables, fmt):
         for argv, (table, reference) in zip(RENDER_COMMANDS, emitted_tables):
-            assert cli.render(table, fmt) == oracles.reference_render(
+            assert render(table, fmt) == oracles.reference_render(
                 reference, fmt), argv
 
     def test_grid_tables_take_compiled_format(self, emitted_tables,
@@ -326,15 +352,15 @@ class TestRender:
             raise AssertionError(f"{table['subcommand']} left the compiled "
                                  f"{fmt} format")
 
-        monkeypatch.setattr(cli, "_render_stdlib", refuse)
+        monkeypatch.setattr("coulombgas.table._render_stdlib", refuse)
         names = set()
         for table, reference in emitted_tables:
             name = table.get("subcommand")
-            assert isinstance(table["rows"], cli.Columns) == (
+            assert isinstance(table["rows"], Columns) == (
                 name in GRID_TABLES), name
             if name in GRID_TABLES:
                 for fmt in ("json", "csv"):
-                    assert cli.render(table, fmt) == oracles.reference_render(
+                    assert render(table, fmt) == oracles.reference_render(
                         reference, fmt), name
                 names.add(name)
         assert names == GRID_TABLES
@@ -348,43 +374,43 @@ class TestRender:
         [{"z": {"re": 1.0, "im": 2.0}, "w": 0.5}, {"z": [1.0, 2.0], "w": 0.5}],
         [{"x": None, "y": 1.5}, {"x": 0.25, "y": 2.5}],
         # column tables: strings csv must quote, and ones it need not
-        cli.Columns([("label", str, [['a,"b"', "c"]]),
-                     ("v", float, [[1.0, 2.0]])]),
-        cli.Columns([("label", str, [["two\nlines"]]), ("v", float, [[1.0]])]),
-        cli.Columns([("label", str, [["caf\u00e9 50%", ""]]),
-                     ("v", float, [[-0.0, 1e300]])]),
+        Columns([("label", str, [['a,"b"', "c"]]),
+                 ("v", float, [[1.0, 2.0]])]),
+        Columns([("label", str, [["two\nlines"]]), ("v", float, [[1.0]])]),
+        Columns([("label", str, [["caf\u00e9 50%", ""]]),
+                 ("v", float, [[-0.0, 1e300]])]),
         # None, beside a float column and alone
-        cli.Columns([("x", None, [[None, None]]), ("y", float, [[1.5, 2.5]])]),
-        cli.Columns([("x", None, [[None]]), ("y", None, [[None]])]),
+        Columns([("x", None, [[None, None]]), ("y", float, [[1.5, 2.5]])]),
+        Columns([("x", None, [[None]]), ("y", None, [[None]])]),
         # one column, where csv quotes an empty field
-        cli.Columns([("only", None, [[None, None]])]),
-        cli.Columns([("only", str, [[""]])]),
+        Columns([("only", None, [[None, None]])]),
+        Columns([("only", str, [[""]])]),
         # keys that need escaping, or collide once flattened
-        cli.Columns([('50% "x"', float, [[1.0]]), ("b", int, [[2]])]),
-        cli.Columns([("p", complex, [[1.0], [0.0]]), ("p_re", float, [[3.0]])]),
+        Columns([('50% "x"', float, [[1.0]]), ("b", int, [[2]])]),
+        Columns([("p", complex, [[1.0], [0.0]]), ("p_re", float, [[3.0]])]),
         # every kind, in one table
-        cli.Columns([("k", str, [["a", "b"]]),
-                     ("t", float, [[0.1 + 0.2, -1e-300]]),
-                     ("n", int, [[2 ** 70, -1]]), ("ok", bool, [[True, False]]),
-                     ("z", complex, [[5e-324, 1.0], [-1.5, 2.0]]),
-                     ("none", None, [[None, None]])]),
+        Columns([("k", str, [["a", "b"]]),
+                 ("t", float, [[0.1 + 0.2, -1e-300]]),
+                 ("n", int, [[2 ** 70, -1]]), ("ok", bool, [[True, False]]),
+                 ("z", complex, [[5e-324, 1.0], [-1.5, 2.0]]),
+                 ("none", None, [[None, None]])]),
         # no rows: as dicts, as empty columns, and with no columns at all
         [],
-        cli.Columns([("x", float, [[]]), ("y", bool, [[]])]),
-        cli.Columns(),
+        Columns([("x", float, [[]]), ("y", bool, [[]])]),
+        Columns(),
     ], ids=["missing-key", "int-then-float", "im-before-re", "nested-list",
             "none-mixed", "csv-quoted", "newline", "unicode", "none-column",
             "all-none", "one-column", "one-empty-field", "escaped-key",
             "flat-collision", "all-kinds", "empty", "no-rows", "no-columns"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_synthetic_tables_match_reference(self, rows, fmt):
-        dicts = (oracles.column_rows(rows) if isinstance(rows, cli.Columns)
+        dicts = (oracles.column_rows(rows) if isinstance(rows, Columns)
                  else rows)
         for head in ({"schema_version": 1,
                       "params": {"grid": None, "tol": 1e-10}}, {}):
-            assert cli.render({**head, "rows": rows}, fmt) \
+            assert render({**head, "rows": rows}, fmt) \
                 == oracles.reference_render({**head, "rows": dicts}, fmt)
-        assert cli.render({"rows": rows, "after": 1}, fmt) \
+        assert render({"rows": rows, "after": 1}, fmt) \
             == oracles.reference_render({"rows": dicts, "after": 1}, fmt)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -393,13 +419,12 @@ class TestRender:
         for columns in ([("x", float, [[1.0]]), ("y", float, [[bad]])],
                         [("x", float, [[1.0]]), ("z", complex, [[0.0], [bad]])]):
             with pytest.raises(ValueError):
-                cli.render(_table(cli.Columns(columns)), "json")
-        assert cli.render(_table(cli.Columns(
+                render(_table(Columns(columns)), "json")
+        assert render(_table(Columns(
             [("x", float, [[1.0]]), ("y", float, [[bad]])])), "csv") \
             == f"x,y\n1.0,{bad!r}\n"
         with pytest.raises(ValueError):
-            cli.render(_table(cli.Columns([("x", float, [[1.0]])]), worst=bad),
-                       "json")
+            render(_table(Columns([("x", float, [[1.0]])]), worst=bad), "json")
         # through the CLI: exit 2 for JSON, the value written for CSV
         from coulombgas import ldp
 
@@ -494,29 +519,69 @@ def test_readme_examples_run(capsys):
             assert json.loads(out)["rows"], argv
 
 
-# Each command runs in a fresh interpreter: the test process has scipy loaded.
-# No subcommand imports scipy; only the tests use it, as an oracle.  The
-# names are the top-level packages and every coulombgas module.
+def _as_typed(value: float, typed: str) -> str:
+    """value written with as many digits as `typed`, in its notation
+    (1.26e-5, 0.90)."""
+    if "e" not in typed:
+        return f"{value:.{len(typed.split('.')[1])}f}"
+    mantissa = typed.split("e")[0]
+    digits = len(mantissa.split(".")[1]) if "." in mantissa else 0
+    head, exponent = f"{value:.{digits}e}".split("e")
+    return f"{head}e{int(exponent)}"
+
+
+def test_readme_numbers_match_evidence(acceptance_results, capsys):
+    # the numbers the README types in its prose, recomputed: the criterion 8
+    # evidence from the report run, and the free-energy example line
+    text = " ".join(README.read_text().split())
+    details = acceptance_results["op_asymptotics"].details
+    post, ratios = details["post"]["errors"], details["pre"]["ratios"]
+    typed = re.search(r"`N = 8, z = 3` is `([^`]+)`", text).group(1)
+    assert typed == _as_typed(details["post"]["rel_error"], typed)
+    typed = re.search(r"ln\(err_4/err_16\)/12 = ([0-9.]+)`", text).group(1)
+    assert typed == _as_typed(math.log(post[4] / post[16]) / 12, typed)
+    typed = re.search(r"ratios on the real axis measure `([0-9.]+)/([0-9.]+)`",
+                      text).groups()
+    assert list(typed) == [_as_typed(r, t) for r, t in zip(ratios, typed)]
+
+    typed = re.search(r"expansion gives `log Z = ([-0-9.]+)` against the exact "
+                      r"`([-0-9.]+)`, a residual of `([^`]+)`", text).groups()
+    code, out, _ = run_cli(["free-energy", "--a", "0.2", "--c", "1", "--n",
+                            "16", "--exact-compare"], capsys)
+    row = json.loads(out)["rows"][0]
+    assert code == cli.EXIT_OK
+    assert list(typed) == [_as_typed(row[key], t) for key, t in zip(
+        ("expansion", "exact_logz", "residual"), typed)]
+
+
+# Each command runs in a fresh interpreter, the way `python -m coulombgas.cli`
+# runs it: runpy executes the front as __main__.  The test process has scipy
+# loaded, and the harness imports only sys and runpy (which -m loads
+# itself).  The last stdout line holds the exit code, then the top-level
+# packages and every coulombgas module.
 _MODULES_AFTER = """
-import contextlib, io, json, sys
-from coulombgas import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        code = cli.run(sys.argv[1:])
-    except SystemExit as exc:  # --help
-        code = exc.code
-print(json.dumps([code, sorted({name if name.startswith("coulombgas.")
-                                else name.split(".")[0]
-                                for name in sys.modules})]))
+import sys
+import runpy
+try:
+    runpy.run_module("coulombgas.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted({name if name.startswith("coulombgas.")
+                      else name.split(".")[0] for name in sys.modules}))
 """
 
 
-def loaded_modules(argv):
+@functools.lru_cache(maxsize=None)
+def _loaded_modules(argv):
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv],
                           capture_output=True, text=True, timeout=120,
                           env=child_env())
-    code, names = json.loads(proc.stdout)
-    return code, set(names), proc.stderr
+    code, *names = proc.stdout.splitlines()[-1].split()
+    return int(code), frozenset(names), proc.stderr
+
+
+def loaded_modules(argv):
+    return _loaded_modules(tuple(argv))
 
 
 # what each command must not load: the array and exact-arithmetic libraries
@@ -526,8 +591,7 @@ def loaded_modules(argv):
 _EXACT = {"mpmath", "coulombgas.exactfiniten"}
 _PLANAR = {"coulombgas.geometry", "coulombgas.freeenergy"}
 
-
-@pytest.mark.parametrize("argv, forbidden", [
+COLD_COMMANDS = [
     (["--help"], {"numpy", *_EXACT, *_PLANAR, "coulombgas.ldp"}),
     (["exact", "--a", "0.3", "--c", "9/16", "--n", "16"],
      {"numpy", "dataclasses", *_PLANAR}),
@@ -539,23 +603,55 @@ _PLANAR = {"coulombgas.geometry", "coulombgas.freeenergy"}
      {"numpy", "dataclasses", *_PLANAR}),
     (["ldp", "--alpha", "16/9", "--grid", "0.5:5:5", "--check-kc"],
      {"numpy", *_EXACT}),
-    pytest.param(["ldp", "--alpha", "16/9", "--grid", "1:3:3",
-                  "--exact-compare", "--n", "9"], {"numpy"},
-                 id="ldp-exact-compare"),
     (["tw", "--grid=-8:6:5"], set()),
     (["critical", "--n", "8", "--c", "1", "--s", "2"], set()),
     (["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3",
       "--s", "0"], {"numpy", "dataclasses"}),
     (["report"], set()),
+]
+
+
+def _exit_code(argv):
+    # report keeps criterion 8 red, so it exits 3
+    return cli.EXIT_IDENTITY if argv == ["report"] else cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv, forbidden", [
+    *COLD_COMMANDS,
+    pytest.param(["ldp", "--alpha", "16/9", "--grid", "1:3:3",
+                  "--exact-compare", "--n", "9"], {"numpy"},
+                 id="ldp-exact-compare"),
 ], ids=lambda value: (value[0] if isinstance(value, list)
                       else str("numpy" in value)))  # True: starts without numpy
 def test_cold_start_skips_scipy(argv, forbidden):
     code, loaded, stderr = loaded_modules(argv)
-    # report keeps criterion 8 red, so it exits 3
-    assert code == (cli.EXIT_IDENTITY if argv == ["report"] else cli.EXIT_OK), \
-        stderr
+    assert code == _exit_code(argv), stderr
     assert "scipy" not in loaded
     assert sorted(({"mpmath"} | forbidden) & loaded) == []
+
+
+def test_help_loads_no_codec_or_command_module():
+    # the front builds the subcommand list from its own table; the rational,
+    # json and csv codecs load only with a subcommand that uses them
+    code, loaded, stderr = loaded_modules(["--help"])
+    assert code == cli.EXIT_OK, stderr
+    assert sorted({"fractions", "decimal", "json", "csv"} & loaded) == []
+    assert sorted(name for name in loaded
+                  if name.startswith("coulombgas.commands")) == []
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COLD_COMMANDS[1:]],
+                         ids=lambda argv: argv[0])
+def test_subcommand_loads_its_own_module_and_not_the_front(argv):
+    # only the chosen subcommand's module is compiled; none imports
+    # coulombgas.cli, which under -m would compile the front a second time
+    # with a second UsageError class that run() does not catch
+    code, loaded, stderr = loaded_modules(argv)
+    assert code == _exit_code(argv), stderr
+    own = "coulombgas.commands." + argv[0].replace("-", "_")
+    assert sorted(name for name in loaded
+                  if name.startswith("coulombgas.commands.")) == [own]
+    assert "coulombgas.cli" not in loaded
 
 
 @pytest.mark.parametrize("argv", [
@@ -587,10 +683,9 @@ def test_numerical_modules_import_without_scipy():
 def test_tw_tol_default_is_painleve_default():
     from coulombgas import painleve
 
-    parser = cli.build_parser()
     for argv in (["tw", "--t", "0"],
                  ["critical", "--n", "8", "--c", "1", "--s", "2"]):
-        assert parser.parse_args(argv).tol == painleve.DEFAULT_TOL
+        assert cli.build_parser(argv).parse_args(argv).tol == painleve.DEFAULT_TOL
 
 
 def test_console_entry_point():

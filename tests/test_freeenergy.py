@@ -7,6 +7,7 @@ from mpmath import mp
 
 import oracles
 from coulombgas import exactfiniten, freeenergy, geometry
+from coulombgas.errors import DomainError
 from coulombgas.geometry import Regime
 
 
@@ -50,7 +51,7 @@ class TestEnergyPre:
 
 class TestRobinAndBreakdown:
     def test_post_small_c(self):
-        assert freeenergy.robin_constant(0.3, 1e-12, Regime.POST) \
+        assert oracles.robin_constant(0.3, 1e-12, Regime.POST) \
             == pytest.approx(0.5, abs=1e-10)
 
     def test_breakdown_identity_both_regimes(self):
@@ -58,12 +59,12 @@ class TestRobinAndBreakdown:
                              (1.0, 9 / 16, Regime.PRE), (1.2, 1.0, Regime.PRE)):
             energy = (freeenergy.energy_pre(a, c) if regime is Regime.PRE
                       else freeenergy.energy_post(a, c))
-            assert (freeenergy.robin_constant(a, c, regime)
-                    + freeenergy.potential_integral(a, c, regime)
+            assert (oracles.robin_constant(a, c, regime)
+                    + oracles.potential_integral(a, c, regime)
                     == pytest.approx(energy, abs=1e-13))
 
     def test_pre_robin_far_field(self):
-        assert freeenergy.robin_constant(100.0, 1.0, Regime.PRE) \
+        assert oracles.robin_constant(100.0, 1.0, Regime.PRE) \
             + math.log(100.0) == pytest.approx(0.5, abs=1e-3)
 
 
@@ -154,6 +155,16 @@ class TestExpansion:
             float(bern[4]) / 8 * ((c + 1) ** -2 - c ** -2), abs=1e-16)
         assert tail[-4] == pytest.approx(
             float(bern[6]) / 24 * ((c + 1) ** -4 - c ** -4), abs=1e-16)
+
+    def test_post_tail_order_capped_by_bernoulli_table(self):
+        # the N^-63 term needs B_64, the last tabulated; N^-64 would need B_66
+        tail = freeenergy.expansion(16, 0.2, 1.0, Regime.POST, M=63).terms.tail
+        assert [p for p, _ in tail] == list(range(-1, -64, -1))
+        with pytest.raises(DomainError, match=r"M = 64 .*cap 63"):
+            freeenergy.expansion(16, 0.2, 1.0, Regime.POST, M=64)
+        # the pre-critical expansion has no tail and ignores M
+        assert freeenergy.expansion(16, 1.2, 1.0, Regime.PRE, M=64) \
+            == freeenergy.expansion(16, 1.2, 1.0, Regime.PRE, M=2)
 
     def test_post_reference_a0(self):
         # residual sits at ~1.05x the bare first omitted term (the omitted

@@ -14,7 +14,7 @@ from coulombgas.geometry import Regime
 
 
 def q_at(sol, s: float) -> float:
-    return painleve.hm_q(sol, s)
+    return oracles.hm_q(sol, s)
 
 
 def airy_tails_oracle(t: float) -> tuple[float, float]:
@@ -94,11 +94,11 @@ class TestHastingsMcleod:
 
     def test_series_matches_nodes(self, hm_solution):
         np.testing.assert_allclose(
-            painleve.hm_q(hm_solution, hm_solution.s_grid), hm_solution.q_vals,
+            oracles.hm_q(hm_solution, hm_solution.s_grid), hm_solution.q_vals,
             rtol=0.0, atol=1e-14)
         for s in (painleve.S_MIN - 0.5, painleve.S_MAX + 0.5):
             with pytest.raises(GridTooShort):
-                painleve.hm_q(hm_solution, s)
+                oracles.hm_q(hm_solution, s)
 
     def test_smaller_tol_never_fewer_nodes(self, hm_solution):
         tols = (1e-6, 1e-8, 1e-9, 1e-10, 5e-11, 2e-11, 1e-11, 1e-12)
@@ -139,6 +139,16 @@ class TestDistribution:
     def test_frozen_median_region_value(self, hm_solution):
         assert painleve.tw_cdf(hm_solution, -2.0) == pytest.approx(
             0.413224142505, abs=1e-9)
+
+    def test_cdf_matches_fredholm_determinant(self, hm_solution):
+        # the Airy-kernel determinant shares no code with the Painleve route;
+        # gated in absolute error, since F(-8) ~ 1e-12 leaves the relative
+        # error of the 60-node determinant at 2.7e-7 there (the largest
+        # absolute difference, 5.3e-14, is at t = -2)
+        ts = np.linspace(-8.0, 6.0, 57)
+        want = np.array([oracles.tw_cdf_fredholm(t) for t in ts])
+        np.testing.assert_allclose(painleve.tw_cdf(hm_solution, ts), want,
+                                   rtol=0.0, atol=1e-12)
 
     def test_strictly_increasing(self, hm_solution):
         ts = np.linspace(-8.0, 6.0, 57)

@@ -38,6 +38,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """A finite float flag value above 0, such as --tol."""
+    value = finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def parse_grid(text: str) -> list[float]:
     """'lo:hi:steps' -> inclusive uniform grid with `steps` points."""
     parts = text.split(":")
@@ -68,8 +76,8 @@ def _int_product(x, n: int, name: str) -> int:
 
 
 def int_at_least(low: int):
-    """The type of a count flag such as --n: an int below `low` is a usage
-    error."""
+    """The type of an int flag with a floor, such as --n, --bits or
+    --order: an int below `low` is a usage error."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -101,9 +109,9 @@ def common(p, bits=False, tol=None) -> None:
     p.add_argument("--out", default=None, help="write the table here "
                                                "instead of stdout")
     if bits:
-        p.add_argument("--bits", type=int, default=256)
+        p.add_argument("--bits", type=int_at_least(128), default=256)
     if tol is not None:
-        p.add_argument("--tol", type=finite_float, default=tol)
+        p.add_argument("--tol", type=positive_float, default=tol)
 
 
 def t_or_grid(p) -> None:

@@ -104,7 +104,6 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        _validate_common(args)
         return args.fn(args)
     except UsageError as exc:
         return _fail(exc, EXIT_USAGE)
@@ -116,18 +115,6 @@ def run(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_USAGE)
     except Exception as exc:  # never leak a traceback past the CLI boundary
         return _fail(exc, EXIT_NUMERICAL)
-
-
-def _validate_common(args) -> None:
-    bits = getattr(args, "bits", None)
-    if bits is not None and bits < 128:
-        raise UsageError(f"--bits must be at least 128, got {bits}")
-    order = getattr(args, "order", None)
-    if order is not None and order < 0:
-        raise UsageError(f"--order must be nonnegative, got {order}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not tol > 0.0:
-        raise UsageError(f"--tol must be positive, got {tol}")
 
 
 def main() -> None:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..args import (_add_exact_logz, _int_product, common, finite_float,
-                    parse_rational, positive_int)
+                    int_at_least, parse_rational, positive_int)
 from ..errors import EXIT_OK
 from ..table import _table, emit
 
@@ -11,7 +11,7 @@ def add_arguments(p) -> None:
     p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--c", type=parse_rational, required=True)
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--order", type=int, default=2, metavar="M")
+    p.add_argument("--order", type=int_at_least(0), default=2, metavar="M")
     p.add_argument("--exact-compare", action="store_true",
                    help="add exact log Z and the residual (needs integer c*n)")
     common(p)

@@ -27,7 +27,7 @@ def run(args) -> int:
     if args.exact_compare:
         if args.n is None:
             raise UsageError("--exact-compare needs --n")
-        _int_product(args.alpha, args.n, "alpha")
+        alpha_n = _int_product(args.alpha, args.n, "alpha")
     elif args.n is not None:
         raise UsageError("--n is used only with --exact-compare")
     lambda_minus = ldp.LUEParams.from_alpha(alpha).lambda_minus
@@ -35,19 +35,28 @@ def run(args) -> int:
         raise DomainError(
             f"alpha = {alpha!r} is too small: lambda_- = (sqrt(alpha+1) - 1)^2 "
             "underflows to 0")
-    edge_action = ldp.kc_action(lambda_minus, alpha)
+    # the given points first, so that an out-of-range one is named as given
+    # and not as the edge lambda_-
     phis, psis = ldp.phi_psi_grid(ts, alpha)
-    diffs = [action - edge_action
-             for action in ldp.kc_action_grid(ts, alpha)]
+    actions = ldp.kc_action_grid(ts, alpha)
+    edge_action = ldp.kc_action(lambda_minus, alpha)
+    diffs = [action - edge_action for action in actions]
     residuals = [abs(rate - diff) for rate, diff in zip(phis, diffs)]
     rows = Columns([("t", float, [ts]), ("phi", float, [phis]),
                     ("action_diff", float, [diffs]),
                     ("residual", float, [residuals]), ("psi", float, [psis])])
     if args.exact_compare:
+        # the exact oracle loads only here: the rate functions do not need it
+        from fractions import Fraction
+
+        from ..exactfiniten import lue_log_gap_probability
+
         n = args.n
+        # phi_psi_grid has checked t > lambda_- > 0 at every point
         rows += [("n", int, [[n] * len(ts)]),
                  ("exact_log_p", float,
-                  [[ldp.exact_log_gap_probability(n, alpha, t) for t in ts]]),
+                  [[float(lue_log_gap_probability(n, alpha_n, Fraction(t), n))
+                    for t in ts]]),
                  ("ldp_log_p", float,
                   [[ldp.ldp_log_probability_from(n, alpha, rate, const)
                     for rate, const in zip(phis, psis)]])]

@@ -11,13 +11,11 @@ phase.  An independent route to the same leading order is the constrained
 Coulomb gas action S(t) built from the conditioned spectral density on
 [t, U(t)]; Phi(t) = S(t) - S(lambda_-) is checked numerically, never assumed.
 
-Pulled to t < lambda_- the probability is 1 - o(1); the exact finite-n column
-reports log P = 0 for t <= 0, where the gap event is almost sure.
+Pulled to t < lambda_- the probability is 1 - o(1).
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, NoValidRoot
@@ -60,7 +58,8 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
     for t in ts:
         if t <= lam_minus:
             raise DomainError(
-                f"pushed regime needs t > lambda_- = {lam_minus}, got t = {t}")
+                f"pushed regime at alpha = {alpha!r} needs t > lambda_- = "
+                f"{lam_minus}, got t = {t!r}")
         # the planar image: insertion radius a = sqrt(t/alpha), charge c
         a = math.sqrt(t / alpha)
         # the failed root or power names the planar (a, c), or nothing;
@@ -171,25 +170,3 @@ def ldp_log_probability_from(n: int, alpha: float, rate: float,
     # constant-order terms summed first, then added: the order fixes the last bits
     return (-rate * n * n
             + (-math.log(alpha * n) / 12.0 + ZETA_PRIME_MINUS_ONE + const))
-
-
-def exact_log_gap_probability(n: int, alpha: float, t: float) -> float:
-    """Finite-n log P[smallest eigenvalue > t] from exact moments.
-
-    Needs alpha*n to be an integer (the weight exponent counts zero modes).
-    Its one Hankel determinant runs at 256 bits, and deep in the pushed
-    regime it keeps fewer digits than that.
-    For t <= 0 the gap event is almost sure, so log P = 0 exactly.
-    """
-    if t <= 0.0:
-        return 0.0
-    # the exact oracle loads on first use: the rate functions above do not
-    # need it
-    from .exactfiniten import lue_log_gap_probability
-
-    alpha_n = alpha * n
-    nearest = round(alpha_n)
-    if abs(alpha_n - nearest) > 1e-9:
-        raise DomainError(
-            f"exact comparison needs integer alpha*n, got {alpha_n}")
-    return float(lue_log_gap_probability(n, int(nearest), Fraction(t), n))

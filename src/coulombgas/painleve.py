@@ -33,7 +33,7 @@ rescaled window coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -84,12 +84,11 @@ def _airy_tails(t: float) -> tuple[float, float]:
                 float((2 * t * t * ai * ai - 2 * t * aip * aip - ai * aip) / 3))
 
 
-@dataclass(frozen=True)
-class TWSolution:
+class TWSolution(NamedTuple):
     """Collocated transcendent as a Chebyshev series, with suffix sums of its
     tail integrals at the nodes.
 
-    Immutable after construction; evaluation helpers only read it.
+    Its arrays are read-only; evaluation helpers only read it.
     """
 
     s_grid: np.ndarray  # Chebyshev-Lobatto nodes, descending; s_grid[0] = S_MAX
@@ -97,11 +96,9 @@ class TWSolution:
     coeffs: np.ndarray  # hm_q as a Chebyshev series in x = (s - _MID) / _HALF
     ode_tol: float
     max_residual: float  # worst first-integral defect over the nodes
-    # int_s^S_MAX hm_q^2 and int_s^S_MAX (x - s) hm_q^2 at each node s, and
-    # the Airy primitives at S_MAX that close both
-    _suffix_mass: np.ndarray = field(repr=False, compare=False)
-    _suffix_moment: np.ndarray = field(repr=False, compare=False)
-    _edge: tuple = field(repr=False, compare=False)
+    # int_s^S_MAX hm_q^2 and int_s^S_MAX (x - s) hm_q^2 at each node s
+    suffix_mass: np.ndarray
+    suffix_moment: np.ndarray
 
 
 def _panels(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray
@@ -243,8 +240,8 @@ def hastings_mcleod(tol: float = DEFAULT_TOL) -> TWSolution:
     for arr in (s_grid, q_vals, coeffs, mass, moment):
         arr.setflags(write=False)
     return TWSolution(s_grid=s_grid, q_vals=q_vals, coeffs=coeffs, ode_tol=tol,
-                      max_residual=max_residual, _suffix_mass=mass,
-                      _suffix_moment=moment, _edge=AIRY_TAILS_AT_S_MAX)
+                      max_residual=max_residual, suffix_mass=mass,
+                      suffix_moment=moment)
 
 
 def _tails(sol: TWSolution, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,11 +263,11 @@ def _tails(sol: TWSolution, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarr
     # last node with s_grid[k] >= t (the grid is descending)
     k = np.searchsorted(-sol.s_grid, -t_in, side="right") - 1
     node = sol.s_grid[k]
-    node_mass = sol._suffix_mass[k]
+    node_mass = sol.suffix_mass[k]
     d_mass, d_moment = _panels(sol.coeffs, t_in, node)
-    edge_mass, edge_moment = sol._edge
+    edge_mass, edge_moment = AIRY_TAILS_AT_S_MAX
     mass[inside] = d_mass + node_mass + edge_mass
-    moment[inside] = (d_moment + sol._suffix_moment[k] + (node - t_in) * node_mass
+    moment[inside] = (d_moment + sol.suffix_moment[k] + (node - t_in) * node_mass
                       + edge_moment + (S_MAX - t_in) * edge_mass)
     for i in np.flatnonzero(~inside):
         mass[i], moment[i] = _airy_tails(float(flat[i]))
@@ -357,11 +354,7 @@ def critical_expansion(N: int, c: float, s: float, solution: TWSolution) -> floa
     coordinate must keep the shifted point nonnegative, which bounds |s| by
     O(N^(2/3)); outside that the expansion has no meaning.
     """
-    if c <= 0.0:
-        raise DomainError(f"need c > 0, got {c}")
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
-    a_s = critical_a(s, c, N)
+    a_s = critical_a(s, c, N)  # raises for c <= 0 or N < 1
     log_f = -float(_tails(solution, c ** (-2.0 / 3.0) * s)[1])
     return (-energy_post(a_s, c) * N * N
             + 0.5 * N * math.log(N) + (LOG_2PI / 2.0 - 1.0) * N

@@ -11,22 +11,18 @@ and the checks run sequentially.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import exactfiniten, freeenergy, geometry, ldp, opasymp, painleve
 from .geometry import Regime
 
-SCHEMA_VERSION = 1
 
-
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     key: str
     suite: str
     label: str
@@ -34,9 +30,6 @@ class CheckResult:
     message: str
     details: dict
     elapsed_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 # key -> (suite, label, check); a check returns (passed, message, details)
@@ -162,7 +155,9 @@ def check_ldp_constants() -> tuple:
     t = ldp.LUEParams.from_alpha(alpha).lambda_minus + 1.0
     diffs = []
     for n in (4, 8, 16):
-        exact = ldp.exact_log_gap_probability(n, alpha, t)
+        # alpha*n = n zero modes and the weight e^(-n x)
+        exact = float(exactfiniten.lue_log_gap_probability(
+            n, n, Fraction(t), n))
         approx = ldp.ldp_log_probability(n, alpha, t)
         diffs.append({"n": n, "abs_error": abs(exact - approx)})
     decreasing = (diffs[0]["abs_error"] > diffs[1]["abs_error"]

@@ -120,6 +120,9 @@ class TestExitCodes:
         ["exact", "--a", "0.2", "--n", "4", "--m", "-3"],          # m < 0
         ["duality-check", "--n", "2", "--m", "0", "--x", "0.5"],   # m < 1
         *_BAD_N,
+        ["tw", "--t", "0", "--tol", "0"],                   # tol <= 0
+        ["duality-check", "--n", "2", "--m", "2", "--x", "0.5",
+         "--tol", "-1"],
     ])
     def test_usage_errors(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -211,8 +214,10 @@ class TestExitCodes:
           "64"], ["M = 64", "cap 63"]),
         (["ldp", "--alpha", "16/9", "--t", "1e300"],
          ["alpha = 1.7777777777777777", "t = 1e+300"]),
-        (["ldp", "--alpha", "1e300", "--t", "1"], ["alpha = 1e+300"]),
-        (["ldp", "--alpha", "1e200", "--t", "1e201"], ["alpha = 1e+200"]),
+        (["ldp", "--alpha", "1e300", "--t", "1"],
+         ["alpha = 1e+300", "t = 1.0"]),
+        (["ldp", "--alpha", "1e200", "--t", "1e201"],
+         ["alpha = 1e+200", "t = 1e+201"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
@@ -586,28 +591,29 @@ def loaded_modules(argv):
 
 # what each command must not load: the array and exact-arithmetic libraries
 # and the package modules it has no use for; no command here loads mpmath
-# (only a tw point at or beyond painleve.S_MAX does), and the exact oracle's
-# commands start without dataclasses
+# (only a tw point at or beyond painleve.S_MAX does), and none loads
+# dataclasses (every record is a NamedTuple)
 _EXACT = {"mpmath", "coulombgas.exactfiniten"}
 _PLANAR = {"coulombgas.geometry", "coulombgas.freeenergy"}
 
 COLD_COMMANDS = [
-    (["--help"], {"numpy", *_EXACT, *_PLANAR, "coulombgas.ldp"}),
+    (["--help"], {"numpy", "dataclasses", *_EXACT, *_PLANAR,
+                  "coulombgas.ldp"}),
     (["exact", "--a", "0.3", "--c", "9/16", "--n", "16"],
      {"numpy", "dataclasses", *_PLANAR}),
     (["geometry", "--a", "1", "--c", "0.5625", "--points", "16"],
-     {"numpy", *_EXACT}),
+     {"numpy", "dataclasses", *_EXACT}),
     (["free-energy", "--a", "0.2", "--c", "1", "--n", "8", "--exact-compare"],
-     {"numpy"}),
+     {"numpy", "dataclasses"}),
     (["duality-check", "--n", "2", "--m", "2", "--x", "0.5"],
      {"numpy", "dataclasses", *_PLANAR}),
     (["ldp", "--alpha", "16/9", "--grid", "0.5:5:5", "--check-kc"],
-     {"numpy", *_EXACT}),
-    (["tw", "--grid=-8:6:5"], set()),
-    (["critical", "--n", "8", "--c", "1", "--s", "2"], set()),
+     {"numpy", "dataclasses", *_EXACT}),
+    (["tw", "--grid=-8:6:5"], {"dataclasses"}),
+    (["critical", "--n", "8", "--c", "1", "--s", "2"], {"dataclasses"}),
     (["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3",
       "--s", "0"], {"numpy", "dataclasses"}),
-    (["report"], set()),
+    (["report"], {"dataclasses"}),
 ]
 
 
@@ -619,7 +625,7 @@ def _exit_code(argv):
 @pytest.mark.parametrize("argv, forbidden", [
     *COLD_COMMANDS,
     pytest.param(["ldp", "--alpha", "16/9", "--grid", "1:3:3",
-                  "--exact-compare", "--n", "9"], {"numpy"},
+                  "--exact-compare", "--n", "9"], {"numpy", "dataclasses"},
                  id="ldp-exact-compare"),
 ], ids=lambda value: (value[0] if isinstance(value, list)
                       else str("numpy" in value)))  # True: starts without numpy

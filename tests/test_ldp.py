@@ -132,22 +132,25 @@ class TestConstrainedDensity:
             oracles.constrained_density(t, 1.0, t - 0.1)
 
 
+def exact_log_p(n, t):
+    # log P[smallest eigenvalue > t] at alpha = 1, so alpha*n = n
+    return float(exactfiniten.lue_log_gap_probability(n, n, Fraction(t), n))
+
+
 class TestLogProbability:
     def test_residual_shrinks_in_n(self):
         t = ldp.LUEParams.from_alpha(1.0).lambda_minus + 1.0
         residual = {}
         for n in (4, 8, 16):
-            exact = ldp.exact_log_gap_probability(n, 1.0, t)
-            residual[n] = abs(exact - ldp.ldp_log_probability(n, 1.0, t))
+            residual[n] = abs(exact_log_p(n, t)
+                              - ldp.ldp_log_probability(n, 1.0, t))
         assert residual[4] > residual[8] > residual[16]
         assert residual[16] < 0.2
 
     def test_pulled_regime_probability_near_one(self):
-        t = ldp.LUEParams.from_alpha(1.0).lambda_minus - 0.5
-        assert abs(ldp.exact_log_gap_probability(16, 1.0, t)) < 1e-2
-
-    def test_no_wall_is_certain(self):
-        assert ldp.exact_log_gap_probability(8, 1.0, -0.3) == 0.0
+        # halfway to the edge the gap event is likely but not sure
+        t = ldp.LUEParams.from_alpha(1.0).lambda_minus / 2.0
+        assert -1e-2 < exact_log_p(16, t) < 0.0
 
     def test_exact_compare_deep_in_pushed_regime(self, capsys):
         # at alpha = 57/32, n = 32 the Gram determinants span ~190 bits of

@@ -118,8 +118,24 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    """Console entry point: run argv, then leave at the last byte written.
+
+    Once both streams are flushed, os._exit skips interpreter teardown,
+    which prints nothing.  A flush that fails (stdout piped into a reader
+    that has gone) leaves through sys.exit instead, so the interpreter
+    reports the lost output on stderr and exits 120, as it always has.
+    """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(run())
+    try:
+        code = run()
+    except SystemExit as exc:  # argparse's --help
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

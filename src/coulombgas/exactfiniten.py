@@ -418,18 +418,33 @@ def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
 def duality_residual(N: int, m: int, x: float,
                      precision_bits: int = 256) -> Decimal:
     """|LUE gap probability - rescaled partition-function ratio| at the point x."""
-    if x < 0:
-        raise DomainError(f"need x >= 0, got {x}")
+    return duality_residuals(N, m, (x,), precision_bits)[0]
+
+
+def duality_residuals(N: int, m: int, xs, precision_bits: int = 256
+                      ) -> list[Decimal]:
+    """duality_residual at each point of xs, with log Z_N at each distinct
+    insertion point (the reference a = 0 among them) computed once."""
     ctx = decimal_context(precision_bits)
-    t = Fraction(x) ** 2
-    lhs = lue_gap_probability(n=m, alpha_n=N, t=t, N_w=N,
-                              precision_bits=precision_bits)
-    log_ratio = ctx.subtract(
-        exact_logZ(ExactContext(N, m, x, precision_bits)),
-        exact_logZ(ExactContext(N, m, 0.0, precision_bits)))
-    rhs = ctx.exp(ctx.subtract(log_ratio,
-                               ctx.divide(m * N * t.numerator, t.denominator)))
-    return ctx.abs(ctx.subtract(lhs, rhs))
+    log_z = {}
+
+    def log_z_at(a: float) -> Decimal:
+        if a not in log_z:
+            log_z[a] = exact_logZ(ExactContext(N, m, a, precision_bits))
+        return log_z[a]
+
+    out = []
+    for x in xs:
+        if x < 0:
+            raise DomainError(f"need x >= 0, got {x}")
+        t = Fraction(x) ** 2
+        lhs = lue_gap_probability(n=m, alpha_n=N, t=t, N_w=N,
+                                  precision_bits=precision_bits)
+        log_ratio = ctx.subtract(log_z_at(x), log_z_at(0.0))
+        rhs = ctx.exp(ctx.subtract(
+            log_ratio, ctx.divide(m * N * t.numerator, t.denominator)))
+        out.append(ctx.abs(ctx.subtract(lhs, rhs)))
+    return out
 
 
 def exact_charpoly_moment(N: int, m: int, z_abs: float,

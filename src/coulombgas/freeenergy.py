@@ -16,7 +16,6 @@ Bernoulli tail; pre-critically only its O(1/N) class is known.
 """
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -42,12 +41,6 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
             rows[j - 1] = j * (rows[j - 1] - rows[j])
         out.append(rows[0])
     return out
-
-
-@functools.cache
-def _bernoulli() -> list[Fraction]:
-    # built on first use, so importing this module stays cheap
-    return bernoulli_numbers(64)
 
 
 class ExpansionTerms(NamedTuple):
@@ -154,23 +147,30 @@ def detzeta_log(a: float, c: float, regime: Regime) -> float:
 MAX_TAIL_ORDER = 63
 
 
-def _tail_coefficient(c: float, j: int) -> float:
-    """Coefficient of N^(-j) in the annular-phase Bernoulli tail.
+def _tail_coefficients(c: float, js: range) -> list[float]:
+    """Coefficients of N^(-j) in the annular-phase Bernoulli tail, j in js.
 
     Odd j = 2k-1 carries B_{2k}/(2k(2k-1)); even j = 2k carries the
-    c-dependent (B_{2k+2}/(4k(k+1)))((c+1)^(-2k) - c^(-2k)).
+    c-dependent (B_{2k+2}/(4k(k+1)))((c+1)^(-2k) - c^(-2k)).  One table is
+    built, up to the largest index these read.
     """
-    if j % 2:
-        k = (j + 1) // 2
-        return float(_bernoulli()[2 * k]) / (2 * k * (2 * k - 1))
-    k = j // 2
-    return (float(_bernoulli()[2 * k + 2]) / (4 * k * (k + 1))
-            * ((c + 1.0) ** (-2 * k) - c ** (-2 * k)))
+    bern = bernoulli_numbers(max((j + 2 - j % 2 for j in js), default=0))
+    out = []
+    for j in js:
+        if j % 2:
+            k = (j + 1) // 2
+            out.append(float(bern[2 * k]) / (2 * k * (2 * k - 1)))
+        else:
+            k = j // 2
+            out.append(float(bern[2 * k + 2]) / (4 * k * (k + 1))
+                       * ((c + 1.0) ** (-2 * k) - c ** (-2 * k)))
+    return out
 
 
 def _post_tail(c: float, M: int) -> tuple[tuple[int, float], ...]:
     # E_N through order N^(-M); the truncation index is the inverse power
-    return tuple((-j, _tail_coefficient(c, j)) for j in range(1, M + 1))
+    js = range(1, M + 1)
+    return tuple(zip((-j for j in js), _tail_coefficients(c, js)))
 
 
 def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> ExpansionResult:
@@ -211,7 +211,13 @@ def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansi
 
 def first_omitted_tail_term(N: int, c: float, M: int) -> float:
     """Magnitude of the leading dropped term of the annular-phase tail."""
-    return abs(_tail_coefficient(c, M + 1) * float(N) ** (-(M + 1)))
+    if M >= MAX_TAIL_ORDER:
+        raise DomainError(
+            f"tail order M = {M} is past the cap {MAX_TAIL_ORDER - 1} for "
+            f"its first omitted term: N^-{M + 1} needs a Bernoulli number "
+            "past B_64")
+    [coef] = _tail_coefficients(c, range(M + 1, M + 2))
+    return abs(coef * float(N) ** (-(M + 1)))
 
 
 def barnes_logG(n: int) -> float:
@@ -258,7 +264,8 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
         H = (c * z_abs * z_abs - 1.5 * c + 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0)
              - 0.5 * c * c * math.log(c))
         logG = math.log(c / (1.0 + c)) / 12.0
-        tail = sum(float(_bernoulli()[2 * k + 2]) / (4 * k * (k + 1))
+        bern = bernoulli_numbers(6)
+        tail = sum(float(bern[2 * k + 2]) / (4 * k * (k + 1))
                    * ((c + 1.0) ** (-2 * k) - c ** (-2 * k) - 1.0) * N ** (-2 * k)
                    for k in (1, 2))
         return math.log(N) / 12.0 - ZETA_PRIME_MINUS_ONE + logG + H * N * N + tail

@@ -32,6 +32,7 @@ rescaled window coordinate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -39,8 +40,9 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import BlowUp, DomainError, GridTooShort, IdentityCheckFailure
-from .freeenergy import LOG_2PI, ZETA_PRIME_MINUS_ONE, energy_post
-from .geometry import critical_values
+
+# freeenergy and geometry load inside the three functions that use them, so
+# tw compiles neither of them, nor the fractions module freeenergy imports
 
 S_MAX = 8.0
 S_MIN = -10.0
@@ -57,6 +59,8 @@ _TRIAL_DEGREES = (32, 64, 96, 128)
 _CHOP_MARGIN = 8
 _NEWTON_STEPS = 30
 _GUARD_BITS = 64
+# the branch asymptote at the left anchor
+_Q_LEFT = math.sqrt(-S_MIN / 2.0) * (1.0 + 1.0 / (8.0 * S_MIN ** 3))
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -164,6 +168,34 @@ def _collocate(n: int, w_coeffs: np.ndarray, slope: float, ai: float,
                  f"at degree {n}")
 
 
+def _rough_w(x: np.ndarray) -> np.ndarray:
+    # the branch on the left and the Airy decay on the right, both near
+    # Ai(0) = 0.355 at s = 0, put through the ODE
+    s = _MID + _HALF * x
+    q = np.where(s < 0.0, np.sqrt(0.13 + 0.5 * np.abs(s)),
+                 0.36 * np.exp(-(2.0 / 3.0) * np.abs(s) ** 1.5))
+    return s * q + 2.0 * q ** 3
+
+
+@functools.cache
+def _trial(i: int) -> tuple[np.ndarray, float]:
+    """The trial solve at degree _TRIAL_DEGREES[i], from trial i - 1 (or
+    the rough guess): (the series of hm_q'', the slope), read-only.
+
+    No trial depends on tol, so every hastings_mcleod call in a process
+    shares the trials it reaches.
+    """
+    if i:
+        w_coeffs, slope = _trial(i - 1)
+    else:
+        w_coeffs = cheb.chebinterpolate(_rough_w, _TRIAL_DEGREES[0])
+        slope = -math.sqrt(S_MAX) * AI_AT_S_MAX  # Ai'(s) ~ -sqrt(s) Ai(s)
+    w_coeffs, slope = _collocate(_TRIAL_DEGREES[i], w_coeffs, slope,
+                                 AI_AT_S_MAX, _Q_LEFT)
+    w_coeffs.setflags(write=False)
+    return w_coeffs, slope
+
+
 def hastings_mcleod(tol: float = DEFAULT_TOL) -> TWSolution:
     """Solve hm_q'' = s hm_q + 2 hm_q^3 on [S_MIN, S_MAX] = [-10, 8].
 
@@ -189,27 +221,15 @@ def hastings_mcleod(tol: float = DEFAULT_TOL) -> TWSolution:
         raise DomainError(f"tol must be >= 1e-12, got {tol}")
 
     ai = AI_AT_S_MAX
-    q_left = math.sqrt(-S_MIN / 2.0) * (1.0 + 1.0 / (8.0 * S_MIN ** 3))
-
-    def rough_w(x: np.ndarray) -> np.ndarray:
-        # the branch on the left and the Airy decay on the right, both near
-        # Ai(0) = 0.355 at s = 0, put through the ODE
-        s = _MID + _HALF * x
-        q = np.where(s < 0.0, np.sqrt(0.13 + 0.5 * np.abs(s)),
-                     0.36 * np.exp(-(2.0 / 3.0) * np.abs(s) ** 1.5))
-        return s * q + 2.0 * q ** 3
-
-    w_coeffs = cheb.chebinterpolate(rough_w, _TRIAL_DEGREES[0])
-    slope = -math.sqrt(S_MAX) * ai  # Ai'(s) ~ -sqrt(s) Ai(s)
-    for n in _TRIAL_DEGREES:
-        w_coeffs, slope = _collocate(n, w_coeffs, slope, ai, q_left)
+    for i, n in enumerate(_TRIAL_DEGREES):
+        w_coeffs, slope = _trial(i)
         above = np.flatnonzero(np.abs(w_coeffs) > tol)
         degree = max(_TRIAL_DEGREES[0], int(above[-1]) if above.size else 0)
         if degree <= n - _CHOP_MARGIN:
             break
     else:
         raise BlowUp(f"hm_q'' not resolved to {tol} by degree {n}")
-    w_coeffs, slope = _collocate(degree, w_coeffs, slope, ai, q_left)
+    w_coeffs, slope = _collocate(degree, w_coeffs, slope, ai, _Q_LEFT)
     x = _nodes(degree)
     coeffs = cheb.chebint(cheb.chebint(w_coeffs, lbnd=1.0, k=slope, scl=_HALF),
                           lbnd=1.0, k=ai, scl=_HALF)
@@ -312,6 +332,8 @@ def left_tail_log_cdf(x: float) -> float:
     (1/24) log 2 + zeta'(-1) - (1/8) log x - x^3/12, times the
     (1 + 3/(2^6 x^3)) correction; the next omitted term is O(x^-6).
     """
+    from .freeenergy import ZETA_PRIME_MINUS_ONE
+
     if x <= 0.0:
         raise DomainError(f"left tail needs x > 0, got {x}")
     val = math.log(2.0) / 24.0 + ZETA_PRIME_MINUS_ONE - math.log(x) / 8.0 - x ** 3 / 12.0
@@ -336,6 +358,8 @@ def critical_a(s: float, c: float, N: int) -> float:
     Leading terms only; the window coordinate s > 0 lands on the annular side,
     s < 0 on the simply connected side.
     """
+    from .geometry import critical_values
+
     if c <= 0.0:
         raise DomainError(f"need c > 0, got {c}")
     if N < 1:
@@ -354,6 +378,8 @@ def critical_expansion(N: int, c: float, s: float, solution: TWSolution) -> floa
     coordinate must keep the shifted point nonnegative, which bounds |s| by
     O(N^(2/3)); outside that the expansion has no meaning.
     """
+    from .freeenergy import LOG_2PI, energy_post
+
     a_s = critical_a(s, c, N)  # raises for c <= 0 or N < 1
     log_f = -float(_tails(solution, c ** (-2.0 / 3.0) * s)[1])
     return (-energy_post(a_s, c) * N * N

@@ -11,6 +11,7 @@ and the checks run sequentially.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from fractions import Fraction
@@ -44,15 +45,23 @@ def check(key: str, suite: str, label: str):
     return register
 
 
+@functools.cache
+def _moment_table(n: int, a: float) -> exactfiniten.MomentTable:
+    # the (N, a) tables the expansion and polynomial checks share, at m = N
+    # and 256 bits; run_checks empties the cache, so each run builds its own
+    return exactfiniten.moment_table(exactfiniten.ExactContext(N=n, m=n, a=a))
+
+
 @check("duality", "exact", "duality identity at 256 bits")
 def check_duality() -> tuple:
     """Gap probability vs rescaled partition-function ratio, 256 bits."""
     rows = []
     worst = 0.0
+    xs = (0.0, 0.3, 0.7, 1.1)
     for n_gin, m in ((2, 2), (3, 3), (4, 4), (2, 4)):
-        for x in (0.0, 0.3, 0.7, 1.1):
-            res = float(exactfiniten.duality_residual(n_gin, m, x,
-                                                      precision_bits=256))
+        residuals = exactfiniten.duality_residuals(n_gin, m, xs,
+                                                   precision_bits=256)
+        for x, res in zip(xs, map(float, residuals)):
             rows.append({"N": n_gin, "m": m, "x": x, "residual": res})
             worst = max(worst, res)
     return (
@@ -68,8 +77,7 @@ def check_expansion_post() -> tuple:
     rows = []
     ok = True
     for n in (4, 8, 16):
-        exact = float(exactfiniten.exact_logZ(
-            exactfiniten.ExactContext(N=n, m=n, a=a)))
+        exact = float(_moment_table(n, a).log_z)
         approx = freeenergy.expansion(n, a, c, Regime.POST, M=2).log_z
         bound = 3.0 * freeenergy.first_omitted_tail_term(n, c, 2)
         resid = abs(exact - approx)
@@ -96,8 +104,7 @@ def check_expansion_pre() -> tuple:
     a, c = 1.2, 1.0
     residuals = {}
     for n in (8, 16):
-        exact = float(exactfiniten.exact_logZ(
-            exactfiniten.ExactContext(N=n, m=n, a=a)))
+        exact = float(_moment_table(n, a).log_z)
         approx = freeenergy.expansion(n, a, c, Regime.PRE).log_z
         residuals[n] = abs(exact - approx)
     ratio = residuals[8] / residuals[16]
@@ -199,8 +206,8 @@ def _op_errors(a: float, z: complex, ns: tuple) -> dict:
     evaluator = opasymp.GEvaluator.build(a, 1.0)
     errs = {}
     for n in ns:
-        exact = complex(exactfiniten.eval_polynomial(
-            exactfiniten.exact_op(exactfiniten.ExactContext(N=n, m=n, a=a)), z))
+        exact = complex(exactfiniten.eval_polynomial(_moment_table(n, a).op,
+                                                     z))
         asym = opasymp.p_asymp(evaluator, z, n).value
         errs[n] = abs(asym - exact) / abs(exact)
     return errs
@@ -354,6 +361,7 @@ def run_checks(skip: tuple[str, ...] = ()) -> list[CheckResult]:
     if unknown:
         raise ValueError(f"unknown suites {sorted(unknown)}; "
                          f"known: {list(SUITES)}")
+    _moment_table.cache_clear()
     results = []
     for key, (suite, label, fn) in CHECKS.items():
         if suite in skip:

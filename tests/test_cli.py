@@ -548,6 +548,20 @@ def test_readme_numbers_match_evidence(acceptance_results, capsys):
     typed = re.search(r"ratios on the real axis measure `([0-9.]+)/([0-9.]+)`",
                       text).groups()
     assert list(typed) == [_as_typed(r, t) for r, t in zip(ratios, typed)]
+    # past the check's own N: where the annular error crosses 1e-6, and the
+    # simply connected ratios at larger N, from the check's error route
+    from coulombgas import report
+
+    typed = re.search(r"between `N = 10` \(`([^`]+)`\) and `N = 12` "
+                      r"\(`([^`]+)`\)", text).groups()
+    errs = report._op_errors(0.2, 3.0, (10, 12))
+    assert list(typed) == [_as_typed(errs[n], t)
+                           for n, t in zip((10, 12), typed)]
+    typed = re.search(r"\(`([0-9.]+)` for `N = 16 -> 32`, `([0-9.]+)` for "
+                      r"`24 -> 48`\)", text).groups()
+    errs = report._op_errors(1.2, 3.0, (16, 24, 32, 48))
+    assert list(typed) == [_as_typed(errs[n] / errs[2 * n], t)
+                           for n, t in zip((16, 24), typed)]
 
     typed = re.search(r"expansion gives `log Z = ([-0-9.]+)` against the exact "
                       r"`([-0-9.]+)`, a residual of `([^`]+)`", text).groups()
@@ -561,12 +575,15 @@ def test_readme_numbers_match_evidence(acceptance_results, capsys):
 
 # Each command runs in a fresh interpreter, the way `python -m coulombgas.cli`
 # runs it: runpy executes the front as __main__.  The test process has scipy
-# loaded, and the harness imports only sys and runpy (which -m loads
-# itself).  The last stdout line holds the exit code, then the top-level
-# packages and every coulombgas module.
+# loaded, and the harness imports only os, sys and runpy (which start-up and
+# -m load themselves); main() leaves through os._exit, which the harness turns into a
+# SystemExit carrying the code.  The last stdout line holds the exit code,
+# then the top-level packages and every coulombgas module.
 _MODULES_AFTER = """
+import os
 import sys
 import runpy
+os._exit = sys.exit
 try:
     runpy.run_module("coulombgas.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -609,7 +626,7 @@ COLD_COMMANDS = [
      {"numpy", "dataclasses", *_PLANAR}),
     (["ldp", "--alpha", "16/9", "--grid", "0.5:5:5", "--check-kc"],
      {"numpy", "dataclasses", *_EXACT}),
-    (["tw", "--grid=-8:6:5"], {"dataclasses"}),
+    (["tw", "--grid=-8:6:5"], {"dataclasses", "fractions", *_PLANAR}),
     (["critical", "--n", "8", "--c", "1", "--s", "2"], {"dataclasses"}),
     (["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3",
       "--s", "0"], {"numpy", "dataclasses"}),
@@ -703,6 +720,55 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["schema_version"] == 1
 
 
+def test_entry_point_exit_keeps_every_byte(tmp_path, capsys):
+    # main() flushes and leaves by os._exit: the text reaches stdout, or
+    # --out, whole, and the exit code is run()'s.  Block-buffered stdout: a
+    # short text sits in the buffer until main() flushes it
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def entry_point(argv, **kwargs):
+        return subprocess.run([sys.executable, "-m", "coulombgas.cli", *argv],
+                              text=True, timeout=120, env=env, **kwargs)
+
+    out = tmp_path / "table.txt"
+    for argv in (["geometry", "--a", "1", "--c", "9/16", "--points", "16"],
+                 ["tw", "--grid=-8:6:20000"],
+                 ["geometry", "--a", "0.3", "--c", "9/16", "--points", "20000",
+                  "--format", "csv"]):
+        code, text, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_OK
+        proc = entry_point(argv, capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, text, "")
+        proc = entry_point([*argv, "--out", str(out)], capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
+        assert out.read_text() == text
+
+    # an --out the process cannot open: exit 1 and its JSON error, as run()
+    argv = ["geometry", "--a", "1", "--c", "9/16", "--points", "16", "--out",
+            str(tmp_path / "missing" / "table.json")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    proc = entry_point(argv, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+    # stdout buffered into a pipe whose reader has gone (`| true`): the
+    # failed flush leaves through interpreter shutdown, which reports it in
+    # two lines, no traceback, and exits 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = entry_point(argv[:7], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    ignored, error = proc.stderr.splitlines()
+    assert ignored.startswith(
+        "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert error == "BrokenPipeError: [Errno 32] Broken pipe"
+
+
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")],
                          ids=["unset", "user-set"])
 def test_main_defaults_openblas_to_one_thread(preset, want, monkeypatch,
@@ -713,6 +779,8 @@ def test_main_defaults_openblas_to_one_thread(preset, want, monkeypatch,
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
     monkeypatch.setattr(sys, "argv", ["coulombgas", "geometry", "--a", "1",
                                       "--c", "0.5625", "--points", "16"])
+    # main() ends in os._exit; read its code as a SystemExit instead
+    monkeypatch.setattr(os, "_exit", sys.exit)
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == cli.EXIT_OK

@@ -166,6 +166,16 @@ class TestExpansion:
         assert freeenergy.expansion(16, 1.2, 1.0, Regime.PRE, M=64) \
             == freeenergy.expansion(16, 1.2, 1.0, Regime.PRE, M=2)
 
+    def test_first_omitted_term_capped_by_bernoulli_table(self):
+        # M = 62 drops the N^-63 term (B_64, the last tabulated); M = 63
+        # would drop N^-64, which needs B_66
+        tail = dict(freeenergy.expansion(16, 0.2, 1.0, Regime.POST,
+                                         M=63).terms.tail)
+        assert freeenergy.first_omitted_tail_term(16, 1.0, 62) \
+            == abs(tail[-63] * 16.0 ** -63)
+        with pytest.raises(DomainError, match=r"M = 63 .*cap 62"):
+            freeenergy.first_omitted_tail_term(16, 1.0, 63)
+
     def test_post_reference_a0(self):
         # residual sits at ~1.05x the bare first omitted term (the omitted
         # N^-3 and N^-4 terms add constructively), within the 3x convention

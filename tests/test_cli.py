@@ -576,9 +576,9 @@ def test_readme_numbers_match_evidence(acceptance_results, capsys):
 # Each command runs in a fresh interpreter, the way `python -m coulombgas.cli`
 # runs it: runpy executes the front as __main__.  The test process has scipy
 # loaded, and the harness imports only os, sys and runpy (which start-up and
-# -m load themselves); main() leaves through os._exit, which the harness turns into a
-# SystemExit carrying the code.  The last stdout line holds the exit code,
-# then the top-level packages and every coulombgas module.
+# -m load themselves); main() leaves through os._exit, which the harness
+# turns into a SystemExit carrying the code.  The last stdout line holds the
+# exit code, then the top-level packages and every coulombgas module.
 _MODULES_AFTER = """
 import os
 import sys

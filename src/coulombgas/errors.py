@@ -32,7 +32,7 @@ class BranchCutError(CoulombGasError, ValueError):
 
 
 class SingularHankel(CoulombGasError, ArithmeticError):
-    """Moment determinant vanished to working precision."""
+    """A pivot of a scaled Gram factor was <= 0 at working precision."""
 
 
 class BlowUp(CoulombGasError, RuntimeError):

@@ -1,46 +1,41 @@
 """Exact finite-N oracles in extended precision.
 
-Every value here comes from explicit moments: each matrix entry is an exact
-ratio of Python integers.  Every determinant and linear solve goes through
-one routine, `_eliminate_fixed`: Gaussian elimination in integer fixed point
-at P = bits + GUARD_BITS (64) bits, bits being the caller's precision
-(default 256).  Each column is scaled by a power of two, each row keeps its
-own binary exponent, and every entry is rounded once, to nearest, to an int
-mantissa of about P bits, with one big division per distinct entry (3N - 1
-of the N(N + 1) in the augmented Hankel system of order N); each step uses
-scaled partial pivoting (the pivot row maximises |a_rj| / sum_l |a_rl| over
-the remaining columns, compared exactly on the ints) and renormalises the
-updated rows.  A pivot or remaining row sum at or below ||B||_1
-2^-(bits+10), B the column-scaled matrix, raises SingularHankel.  Past the
-integer elimination, values are `decimal.Decimal`s, and every operation on
-them runs in an explicit context from `decimal_context`, never the thread's
-own: the back substitution for p_N at P bits' worth of digits, and each
-logarithm as one `ln` of an integer ratio plus a binary exponent times
-ln 2.  These are the ground-truth values the asymptotic modules are tested
-against.
+Every exact value here is a Gram determinant of a positive weight, or a
+solve with one, so every one goes through one routine, `_ldl`: an unpivoted
+LDL^T factorization in integer fixed point at P = bits + GUARD_BITS (64)
+bits, bits being the caller's precision (default 256).  The matrix is
+scaled once, symmetrically, by powers of two that bring its diagonal into
+(1/2, 4); each entry is then rounded once, to nearest, to an int over 2^P,
+and a pivot at or below zero raises SingularHankel, a test that no
+symmetric scaling changes.  Past the integer factorization, values are
+`decimal.Decimal`s, and every operation on them runs in an explicit context
+from `decimal_context`, never the thread's own: the back substitution at P
+bits' worth of digits, and each logarithm as one `ln` of an integer ratio
+plus a binary exponent times ln 2.  These are the ground-truth values the
+asymptotic modules are tested against.
 
-The planar moments reduce to residues: with integer m = cN and real a,
+The planar Gram matrix is that of the monomials under the weight
+|z-a|^(2m) e^(-N|z|^2), with m = cN an integer and a real, taken at its
+exact value.  Since (z-a)^m z^j = sum_s b_(s-j) z^s and the monomials are
+orthogonal under the radial weight,
 
-    nu_k / (2 pi i) = [coefficient of z^(m+N-1-k)] (z-a)^m e^(-N a z),
+    G = B F B^T,  B_js = b_(s-j),  b_p = C(m,p) (-a)^(m-p),
+    F = diag(s!/N^(s+1)),
 
-a finite alternating sum.  With a = A/D exactly and p = m+N-1-k it is the
-integer ratio
+so that, entry by entry,
 
-    nu_k / (2 pi i) = (-1)^(m+p) sum_j C(m,j) A^(m+p-2j) D^(2j) N^(p-j) p!/(p-j)!
-                      / (D^(m+p) p!),
+    G_(j,j+d) = (-a)^d sum_(p=d..m) C(m,p) C(m,p-d) a^(2m-2p) (j+p)!/N^(j+p+1),
 
-which big-integer arithmetic evaluates without cancellation, by Horner's
-rule in A^2 with the powers of D^2 alongside.
-`moment_table` builds nu_0 .. nu_(2N-1) once and eliminates the augmented
-Hankel system [H | -nu_N .. nu_(2N-1)] once: log|det H| gives log Z_N, and
-back substitution gives the monic orthogonal polynomial p_N, hence A11.
-The partition function is N! times the Hankel determinant of radial moments,
-which Eq.-level manipulation turns into the nu-determinant with a Gamma-product
-prefactor; the combined constant was pinned against 2D quadrature at N = 1, 2
-(see tests/fixtures/exact_logz_calibration.json) and is asserted forever.
-The LUE gap probability is one Hankel determinant of integer
-incomplete-gamma moments, put through the same elimination, over the
-closed-form Laguerre moment determinant.
+a sum whose terms share one sign.  By Heine and Andreief,
+Z_N = N! det G in the normalisation that drops pi^N, with no other
+constant; the fixture tests/fixtures/exact_logz_calibration.json pins it
+against 2D quadrature at N = 1, 2.  `moment_table` factors G once: the
+pivots give log Z_N, and the solve G c = -G_(.,N) gives the monic
+orthogonal polynomial p_N, hence A11, its coefficient of z^(N-1).
+The LUE gap probability is the ratio of two Gram determinants of the
+weight x^alpha e^(-N_w x), on [t, inf) and on [0, inf); the first is
+factored in the basis (x-t)^j, whose moments are again sums of positive
+terms, and the second is the closed-form Laguerre one.
 """
 from __future__ import annotations
 
@@ -48,6 +43,7 @@ import decimal
 import math
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Union
 
 from .errors import DomainError, SingularHankel
@@ -127,45 +123,6 @@ class MomentTable(NamedTuple):
     op: tuple       # monic p_N coefficients (c_0, ..., c_{N-1}, 1)
 
 
-def _moments(ctx: ExactContext, ks) -> list:
-    """nu_k/(2 pi i) for each k in ks, as an exact pair (num, den), den > 0.
-
-    With a = A/D exactly (D a power of two for a float a) and p = m+N-1-k,
-
-        nu_k = (-1)^(m+p) sum_{j <= r} c_j A^(m+p-2j) D^(2j) / (D^(m+p) p!),
-        c_j = C(m,j) N^(p-j) p!/(p-j)!,  r = min(m, p),
-
-    a ratio of Python ints.  The sum is A^(m+p-2r) S_r with S_0 = c_0 = N^p
-    and S_j = S_(j-1) A^2 + c_j D^(2j) (Horner's rule, homogeneous in A^2
-    and D^2); c_(j+1) = c_j (m-j)(p-j) / ((j+1) N) exactly, and D^(2j) is a
-    left shift times a power of D's odd part, which is 1 for a float a.
-    0**0 == 1 keeps a = 0 exact, and p < 0 (k >= m+N) gives an exact zero.
-    """
-    N, m = ctx.N, ctx.m
-    A, D = Fraction(ctx.a).as_integer_ratio()
-    X = A * A
-    twos = (D & -D).bit_length() - 1  # D = 2^twos * odd
-    odd_sq = (D >> twos) ** 2
-    out = []
-    for k in ks:
-        p = m + N - 1 - k
-        if p < 0:
-            out.append((0, 1))
-            continue
-        r = min(m, p)
-        c = s = N ** p
-        odd_pow = 1
-        for j in range(r):
-            c = c * (m - j) * (p - j) // ((j + 1) * N)
-            odd_pow *= odd_sq
-            s = s * X + ((c * odd_pow) << (2 * twos * (j + 1)))
-        num = s * A ** (m + p - 2 * r)
-        if (m + p) % 2:
-            num = -num
-        out.append((num, D ** (m + p) * math.factorial(p)))
-    return out
-
-
 def _log(ctx: decimal.Context, num: int, den: int, e2: int) -> Decimal:
     """ln(num/den 2^e2) for ints num, den >= 1, from two ln calls in ctx.
 
@@ -180,153 +137,133 @@ def _log(ctx: decimal.Context, num: int, den: int, e2: int) -> Decimal:
                    ctx.multiply(e2 + num_cut - den_cut, ctx.ln(2)))
 
 
-def _rounded_rows(rows: list, shifts: list) -> list:
-    """Each entry (num, den), den > 0, times 2^shift rounded to the nearest
-    int, halves up; shifts[r][c] goes with rows[r][c].
+def _log2(num: int, den: int) -> int:
+    """L with 2^(L-1) < |num|/den < 2^(L+1), for num != 0 and den > 0."""
+    return num.bit_length() - den.bit_length()
 
-    One big division per distinct entry: with S its largest shift and
-    t = floor(num/den 2^(S+1)), its rounding at shift s is
-    (t + 2^(k-1)) >> k with k = S + 1 - s >= 1, since
-    floor((y + 2^(k-1)) / 2^k) depends on y only through floor(y).
-    Entries are told apart by identity: a Hankel row is a slice of one
-    moment list, so a repeated moment is the same object, and hashing its
-    big ints would cost as much as the divisions saved.
+
+def _scaled(num: int, den: int, e: int) -> int:
+    """num/den 2^e rounded to the nearest int, halves up, for den > 0."""
+    if e >= 0:
+        num <<= e
+    else:
+        den <<= -e
+    return (2 * num + den) // (2 * den)
+
+
+def _ldl(rows: list, bits: int) -> tuple:
+    """Unpivoted LDL^T of a symmetric positive definite G in integer fixed
+    point, and one solve with it.
+
+    rows[i] holds row i of G's lower triangle, G_i0 .. G_ii, as exact pairs
+    (num, den), den > 0; one more row of n entries, r_0 .. r_(n-1), is the
+    right-hand side of a solve.  With P = bits + GUARD_BITS and
+    c_i = floor(L_i/2), L_i the `_log2` of G_ii, S = 2^-c G 2^-c has its
+    diagonal in (1/2, 4), so every entry has magnitude below 4; each entry
+    of S, and each r_k 2^(-c_k-c_r) (c_r bringing the largest below 1), is
+    rounded once to an int over 2^P.  Row by row (Crout's order), with
+    W_ik = d_k l_ik,
+
+        W_ik = S_ik - sum_(j<k) l_ij W_kj,  l_ik = W_ik / d_k,
+        d_i = S_ii - sum_(k<i) l_ik W_ik,
+
+    each sum formed exactly from the ints and shifted down by P once; a
+    pivot d_i <= 0 raises SingularHankel, a test that no symmetric scaling
+    changes.  The right-hand side row goes through the same recurrence as
+    the forward substitution.
+
+    Returns (D, E, x): det G = D 2^E, D the int product of the pivots, and
+    x the solution of G x = r as Decimals at P bits' worth of digits, from
+    back substitution in l^T; x is empty without a right-hand side.
     """
-    top = {}  # id(entry) -> (largest shift, entry)
-    for row, row_shifts in zip(rows, shifts):
-        for entry, s in zip(row, row_shifts):
-            seen = top.get(id(entry))
-            if seen is None or seen[0] < s:
-                top[id(entry)] = s, entry
-    floors = {}
-    for key, (s, (num, den)) in top.items():
-        e = s + 1
-        floors[key] = ((num << e) // den if e >= 0 else num // (den << -e), e)
-    return [[(t + (1 << (e - s - 1))) >> (e - s)
-             for (t, e), s in zip(map(floors.__getitem__, map(id, row)),
-                                  row_shifts)]
-            for row, row_shifts in zip(rows, shifts)]
-
-
-def _at_most(m: int, e: int, tol: tuple) -> bool:
-    """m * 2^e <= tol[0] * 2^tol[1], for ints m, tol[0] >= 0."""
-    t, te = tol
-    return m << (e - te) <= t if e >= te else m <= t << (te - e)
-
-
-def _eliminate_fixed(rows: list, bits: int) -> tuple:
-    """Scaled partial-pivot Gaussian elimination in integer fixed point.
-
-    Each of the n rows holds n exact entries (num, den), den > 0, optionally
-    followed by one right-hand side.  With P = bits + GUARD_BITS, column c is
-    scaled by 2^-C_c (C_c its largest entry's binary exponent) and row r is
-    the int list R_r times 2^E_r, its largest matrix entry about P bits; every
-    entry is rounded once, to nearest, by `_rounded_rows`.  Step j picks the
-    row maximising |R_rj| / sum_{l>=j} |R_rl| (mpmath's rule, compared
-    exactly on the ints), subtracts (f * R_jc) >> P with f = R_rj 2^P / R_jj
-    from one integer reciprocal of the pivot, and renormalises each updated
-    row to P bits.
-    A remaining row sum or a pivot at or below ||B||_1 2^-(bits+10), B the
-    column-scaled matrix, raises SingularHankel.
-
-    Returns (D, E, sign of det, solution) with |det| = D 2^E, D the int
-    product of the pivots, and the solution as Decimals at P bits' worth of
-    digits, back-substituted in the upper factor; the solution is empty
-    without a right-hand side.
-    """
-    n, width = len(rows), len(rows[0])
     P = bits + GUARD_BITS
-    logs = [[num.bit_length() - den.bit_length() if num else None
-             for num, den in row] for row in rows]
-    col = [max((lg[c] for lg in logs if lg[c] is not None), default=0)
-           for c in range(width)]
-    exps = []
-    for lg in logs:
-        top = max((lg[c] - col[c] for c in range(n) if lg[c] is not None),
-                  default=P)
-        exps.append(top + 1 - P)
-    mant = _rounded_rows(rows, [[-e - ec for ec in col] for e in exps])
-    low = min(exps)
-    norm = max(sum(abs(r[c]) << (e - low) for r, e in zip(mant, exps))
-               for c in range(n))
-    tol = (norm, low - bits - 10)
-
-    def singular(j):
-        return SingularHankel(f"numerically singular {n}x{n} system at column {j}")
-
-    sign, pivot_product, exponent = 1, 1, sum(col[:n])
-    upper = []
-    for j in range(n):
-        k = n - j
-        sums = [sum(map(abs, row[:k])) for row in mant]
-        if any(_at_most(s, e, tol) for s, e in zip(sums, exps)):
-            raise singular(j)
-        best = 0
-        for r in range(1, k):
-            if abs(mant[r][0]) * sums[best] > abs(mant[best][0]) * sums[r]:
-                best = r
-        if best:
-            mant[0], mant[best] = mant[best], mant[0]
-            exps[0], exps[best] = exps[best], exps[0]
-            sign = -sign
-        piv, pe = mant.pop(0), exps.pop(0)
-        upper.append(piv)
-        pv = piv[0]
-        if _at_most(abs(pv), pe, tol):
-            raise singular(j)
-        if pv < 0:
-            sign = -sign
-        pivot_product *= abs(pv)
-        exponent += pe
-        inv = (1 << 2 * P) // pv
-        tail = piv[1:]
-        for r, row in enumerate(mant):
-            f = (row[0] * inv) >> P
-            new = ([x - ((f * p) >> P) for x, p in zip(row[1:], tail)]
-                   if f else row[1:])
-            shift = max(map(abs, new[:k - 1])).bit_length() - P
-            if shift > 0:
-                half = 1 << (shift - 1)
-                new = [(x + half) >> shift for x in new]
-            elif shift < 0:
-                new = [x << -shift for x in new]
-            mant[r] = new
-            exps[r] += shift
+    solve = len(rows[-1]) < len(rows)
+    n = len(rows) - solve
+    c = [_log2(*rows[i][i]) // 2 for i in range(n)]
+    c_r = max((_log2(*r) - ck + 1 for r, ck in zip(rows[-1], c) if r[0]),
+              default=0) if solve else 0
+    scales = c + [c_r]
+    d, inv, lower, W = [], [], [], []
+    for i, row in enumerate(rows):
+        li, wi = [], []
+        for k, (num, den) in enumerate(row):
+            s = _scaled(num, den, P - scales[i] - c[k])
+            if k < i:
+                wi.append(s - (sum(map(mul, li, W[k])) >> P))
+                li.append((wi[k] * inv[k]) >> P)
+                continue
+            d.append(s - (sum(map(mul, li, wi)) >> P))
+            if d[i] <= 0:
+                raise SingularHankel(
+                    f"pivot {i} of the scaled {n}x{n} Gram factor is <= 0 at "
+                    f"{bits} bits")
+            inv.append((1 << 2 * P) // d[i])
+        lower.append(li)
+        W.append(wi)
     x = []
-    if width > n:
+    if solve:
         wide = decimal_context(P)
         z = [None] * n
+        one = Decimal(1 << P)
         with decimal.localcontext(wide):
-            for i in reversed(range(n)):
-                u = upper[i]
-                acc = Decimal(u[-1])
-                for coeff, known in zip(u[1:-1], z[i + 1:]):
-                    acc -= coeff * known
-                z[i] = acc / u[0]
-        for c in range(n):
-            shift = col[n] - col[c]
-            x.append(wide.multiply(z[c], 1 << shift) if shift >= 0
-                     else wide.divide(z[c], 1 << -shift))
-    return pivot_product, exponent, sign, x
+            for k in reversed(range(n)):
+                acc = Decimal(lower[n][k])
+                for i in range(k + 1, n):
+                    acc -= lower[i][k] * z[i]
+                z[k] = acc / one
+        for zk, ck in zip(z, c):
+            shift = c_r - ck
+            x.append(wide.multiply(zk, 1 << shift) if shift >= 0
+                     else wide.divide(zk, 1 << -shift))
+    return math.prod(d), 2 * sum(c) - n * P, x
+
+
+def _gram(ctx: ExactContext) -> list:
+    """Rows i < N of the planar Gram matrix's lower triangle, then the
+    right-hand side -G_N0 .. -G_N(N-1), as exact pairs for `_ldl`.
+
+    With f_s = s!/N^(s+1) = 4^(t_s) R_s, R_s in (1/2, 4), and
+    V_is = b_(s-i) 2^(t_s - e_i), e_i the least exponent that keeps every
+    |V_is| below 1,
+
+        G_ik = 2^(e_i + e_k) sum_s V_is R_s V_ks.
+
+    Each V_is, R_s and V_is R_s is rounded once to an int over 2^P, P the
+    precision `_ldl` works at, and the sums of products are formed exactly,
+    so each G_ik 2^-(e_i+e_k) is off by at most 6 (m+1) 2^-P; the e_i lie
+    within a few bits of `_ldl`'s scaling exponents.
+    """
+    N, m = ctx.N, ctx.m
+    P = ctx.precision_bits + GUARD_BITS
+    A, D = Fraction(ctx.a).as_integer_ratio()
+    b = [(math.comb(m, p) * (-A) ** (m - p), D ** (m - p))
+         for p in range(m + 1)]  # 0**0 == 1 keeps a = 0 exact
+    f = [(math.factorial(s), N ** (s + 1)) for s in range(N + m + 1)]
+    t = [_log2(*fs) // 2 for fs in f]
+    R = [_scaled(num, den, P - 2 * ts) for (num, den), ts in zip(f, t)]
+    tops = [(p, _log2(*bp) + 1) for p, bp in enumerate(b) if bp[0]]
+    e, V, rows = [], [], []
+    for i in range(N + 1):
+        e.append(max(top + t[i + p] for p, top in tops))
+        V.append([_scaled(num, den, P + t[i + p] - e[i])
+                  for p, (num, den) in enumerate(b)])
+        VR = [(v * r) >> P for v, r in zip(V[i], R[i:])]
+        row = []
+        for k in range(min(i + 1, N)):
+            s = sum(map(mul, VR, V[k][i - k:]))  # 0 past the band, i - k > m
+            ex = e[i] + e[k] - 2 * P
+            row.append((s << ex, 1) if ex >= 0 else (s, 1 << -ex))
+        rows.append(row)
+    rows[N] = [(-num, den) for num, den in rows[N]]
+    return rows
 
 
 def moment_table(ctx: ExactContext) -> MomentTable:
-    """log Z_N and p_N from one elimination of [H | -nu_N .. nu_(2N-1)]."""
-    N, m = ctx.N, ctx.m
-    nu = _moments(ctx, range(2 * N))
-    rows = [nu[i:i + N] + [(-nu[i + N][0], nu[i + N][1])] for i in range(N)]
-    det, det_exp, sign, coeffs = _eliminate_fixed(rows, ctx.precision_bits)
-    want = -1 if (N * (N - 1) // 2) % 2 else 1
-    if sign != want:
-        raise SingularHankel(
-            f"Hankel determinant sign {sign} != (-1)^(N(N-1)/2) = {want}; "
-            "precision exhausted or parameters degenerate")
-    # Z_N = N! prod_{k<N} (m+k)! / N^(m+k+1) |det H|, one ln at bits + 64
-    factorials = math.factorial(N) * math.prod(
-        map(math.factorial, range(m, m + N)))
+    """log Z_N = log N! + log det G and p_N from one factorization of the
+    planar Gram matrix G."""
+    det, det_exp, coeffs = _ldl(_gram(ctx), ctx.precision_bits)
     log_z = _log(decimal_context(ctx.precision_bits + GUARD_BITS),
-                 factorials * det, N ** (N * (m + 1) + N * (N - 1) // 2),
-                 det_exp)
+                 math.factorial(ctx.N) * det, 1, det_exp)
     out = decimal_context(ctx.precision_bits)
     return MomentTable(log_z=out.plus(log_z),
                        op=tuple(map(out.plus, coeffs)) + (Decimal(1),))
@@ -340,11 +277,6 @@ def exact_logZ(ctx: ExactContext) -> Decimal:
 def exact_op(ctx: ExactContext) -> tuple:
     """Monic degree-N orthogonal polynomial coefficients (c_0, ..., c_{N-1}, 1)."""
     return moment_table(ctx).op
-
-
-def exact_A11(ctx: ExactContext) -> Decimal:
-    """Subleading coefficient of p_N(z) = z^N + A11 z^(N-1) + ..."""
-    return moment_table(ctx).op[-2]
 
 
 def eval_polynomial(coeffs: tuple, z: complex,
@@ -367,19 +299,17 @@ def lue_log_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
     """log P[smallest eigenvalue > t] for the n-point ensemble with weight
     x^alpha_n e^(-N_w x), summed at precision_bits + GUARD_BITS.
 
-    Andreief turns P into e^(-n T) det[g_(j+k+alpha_n+1)] / det[g_s at t = 0],
-    T = N_w t = A/D, with the incomplete-gamma moments
+    Andreief writes P as the ratio of the Gram determinants of the monomials
+    on [t, inf) and on [0, inf).  In the basis (x-t)^j, a unit-triangular
+    change of basis, the first is e^(-n N_w t) det[h_(j+k)], with
 
-        g_s = e^(N_w t) int_t^inf x^(s-1) e^(-N_w x) dx = h_s / N_w^s,
-        h_s = (s-1)! sum_{i<s} T^i / i! = num_s / D^(s-1),
-        num_1 = 1,  num_(s+1) = s D num_s + A^s.
+        h_s = int_0^inf y^s (y+t)^alpha_n e^(-N_w y) dy
+            = sum_i C(alpha_n, i) t^(alpha_n-i) (s+i)! / N_w^(s+i+1),
 
-    At t = 0 the matrix is the Laguerre moment matrix, whose determinant is
-    prod_{j<n} j! (j+alpha_n)! / N_w^(n (n+alpha_n)), so one elimination
-    remains.  The N_w^-s factors would cancel in the ratio; they stay in the
-    entries because they shrink the growth from one row to the next from
-    about max(T, s) to max(t, s/N_w), which the elimination's row-sum
-    SingularHankel threshold needs.
+    a sum of positive terms; with t = A/D it is the integer ratio
+    sum_i C(alpha_n, i) (A N_w)^(alpha_n-i) D^i (s+i)! / (D^alpha_n
+    N_w^(s+alpha_n+1)).  The second is the Laguerre determinant
+    prod_{j<n} j! (j+alpha_n)! / N_w^(n (n+alpha_n)).
     """
     if n < 1 or alpha_n < 0 or N_w < 1:
         raise DomainError(f"need n >= 1, alpha_n >= 0, N_w >= 1; got {n}, {alpha_n}, {N_w}")
@@ -388,23 +318,22 @@ def lue_log_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
         raise DomainError(f"gap probability needs t >= 0, got {t}")
     if tf == 0:
         return Decimal(0)
-    A, D = (N_w * tf).as_integer_ratio()
-    g, num = [], 1
-    for s in range(1, alpha_n + 2 * n):
-        if s > alpha_n:
-            g.append(Fraction(num, D ** (s - 1) * N_w ** s)
-                     .as_integer_ratio())
-        num = s * D * num + A ** s
-    det, det_exp, sign, _ = _eliminate_fixed([g[i:i + n] for i in range(n)],
-                                             precision_bits)
-    if sign <= 0:
-        raise SingularHankel("gap-probability Hankel determinant lost positivity")
+    A, D = tf.as_integer_ratio()
+    weights = [math.comb(alpha_n, i) * (A * N_w) ** (alpha_n - i) * D ** i
+               for i in range(alpha_n + 1)]
+    factorials = [math.factorial(i) for i in range(alpha_n + 1)]  # (s+i)!
+    h = []
+    for s in range(2 * n - 1):
+        h.append((sum(map(mul, weights, factorials)),
+                  D ** alpha_n * N_w ** (s + alpha_n + 1)))
+        factorials = [f * (s + i + 1) for i, f in enumerate(factorials)]
+    det, det_exp, _ = _ldl([h[i:2 * i + 1] for i in range(n)], precision_bits)
     laguerre = math.prod(math.factorial(j) * math.factorial(j + alpha_n)
                          for j in range(n))
     wide = decimal_context(precision_bits + GUARD_BITS)
     return wide.subtract(
         _log(wide, det * N_w ** (n * (n + alpha_n)), laguerre, det_exp),
-        wide.divide(n * A, D))
+        wide.divide(n * N_w * A, D))
 
 
 def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,

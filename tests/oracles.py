@@ -2,10 +2,11 @@
 
 Each one is a second route to a value `coulombgas` has in closed form or by
 another method (a normalisation, a far-field coefficient, an exact
-recursion, a moment summed term by term in rationals or in integers, a
-rounding and a determinant and solve in rationals, a table rendered by the
-json and csv modules alone, the Tracy-Widom distribution as a Fredholm
-determinant), so the tests can compare the two.  The Marchenko-Pastur and
+recursion, a moment summed term by term in rationals or in integers, the
+contour-Hankel route to log Z_N and p_N, a determinant and solve in
+rationals, a table rendered by the json and csv modules alone, the
+Tracy-Widom distribution as a Fredholm determinant), so the tests can
+compare the two.  The Marchenko-Pastur and
 constrained spectral densities live here too: only the tests integrate
 them.  So do the identities and helpers that no command reaches (the Robin
 constant and potential integral, a single contour moment, the inverse
@@ -34,7 +35,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from coulombgas import painleve
 from coulombgas.errors import DomainError, GridTooShort
-from coulombgas.exactfiniten import ExactContext, _moments, decimal_context
+from coulombgas.exactfiniten import ExactContext, decimal_context
 from coulombgas.freeenergy import (LOG_2PI, ZETA_PRIME_MINUS_ONE,
                                    bernoulli_numbers, re_g_at_a)
 from coulombgas.geometry import PreGeometry, Regime, solve_q
@@ -204,7 +205,7 @@ def fraction_moment(N: int, m: int, a, k: int) -> Fraction:
 
 def term_moments(N: int, m: int, a, ks) -> list:
     """nu_k/(2 pi i) for each k in ks as the pair (num, den) of Python ints
-    that the package's Horner form must return, summed term by term.
+    that `horner_moments` must return, summed term by term.
 
     With a = A/D exactly and p = m+N-1-k,
 
@@ -232,10 +233,61 @@ def term_moments(N: int, m: int, a, ks) -> list:
     return out
 
 
-def rounded(num: int, den: int, shift: int) -> int:
-    """num/den * 2^shift rounded to the nearest int, halves up, in rationals."""
-    return math.floor(Fraction(num, den) * Fraction(2) ** shift
-                      + Fraction(1, 2))
+def horner_moments(ctx: ExactContext, ks) -> list:
+    """nu_k/(2 pi i) for each k in ks, as an exact pair (num, den), den > 0,
+    by Horner's rule.
+
+    With a = A/D exactly (D a power of two for a float a) and p = m+N-1-k,
+
+        nu_k = (-1)^(m+p) sum_{j <= r} c_j A^(m+p-2j) D^(2j) / (D^(m+p) p!),
+        c_j = C(m,j) N^(p-j) p!/(p-j)!,  r = min(m, p),
+
+    a ratio of Python ints.  The sum is A^(m+p-2r) S_r with S_0 = c_0 = N^p
+    and S_j = S_(j-1) A^2 + c_j D^(2j) (Horner's rule, homogeneous in A^2
+    and D^2); c_(j+1) = c_j (m-j)(p-j) / ((j+1) N) exactly, and D^(2j) is a
+    left shift times a power of D's odd part, which is 1 for a float a.
+    0**0 == 1 keeps a = 0 exact, and p < 0 (k >= m+N) gives an exact zero.
+    """
+    N, m = ctx.N, ctx.m
+    A, D = Fraction(ctx.a).as_integer_ratio()
+    X = A * A
+    twos = (D & -D).bit_length() - 1  # D = 2^twos * odd
+    odd_sq = (D >> twos) ** 2
+    out = []
+    for k in ks:
+        p = m + N - 1 - k
+        if p < 0:
+            out.append((0, 1))
+            continue
+        r = min(m, p)
+        c = s = N ** p
+        odd_pow = 1
+        for j in range(r):
+            c = c * (m - j) * (p - j) // ((j + 1) * N)
+            odd_pow *= odd_sq
+            s = s * X + ((c * odd_pow) << (2 * twos * (j + 1)))
+        num = s * A ** (m + p - 2 * r)
+        if (m + p) % 2:
+            num = -num
+        out.append((num, D ** (m + p) * math.factorial(p)))
+    return out
+
+
+def contour_hankel(N: int, m: int, a) -> tuple:
+    """(det H, monic p_N coefficients) exactly in rationals, from the contour
+    moments of Balogh, Bertola, Lee and McLaughlin: a route to log Z_N and
+    p_N that shares no code with the package's Gram route.
+
+    H_ik = nu_(i+k) for i, k < N, and p_N = z^N + sum_k c_k z^k with
+    H c = -(nu_N, ..., nu_(2N-1)); Z_N = N! prod_(k<N) (m+k)!/N^(m+k+1)
+    |det H|.  At a = 0, H is the exchange matrix, whose leading minors but
+    the last vanish, so the elimination must swap rows.
+    """
+    nu = [Fraction(num, den) for num, den in horner_moments(
+        ExactContext(N, m, a), range(2 * N))]
+    det, coeffs = fraction_solve([nu[i:i + N] for i in range(N)],
+                                 [-v for v in nu[N:]])
+    return det, coeffs + [Fraction(1)]
 
 
 def reference_render(table: dict, fmt: str) -> str:
@@ -343,7 +395,8 @@ def contour_moment(ctx: ExactContext, k: int) -> Decimal:
     if k >= ctx.m + ctx.N:
         warnings.warn(f"moment index k={k} >= m+N={ctx.m + ctx.N}; residue is zero")
         return Decimal(0)
-    return decimal_context(ctx.precision_bits).divide(*_moments(ctx, (k,))[0])
+    return decimal_context(ctx.precision_bits).divide(
+        *horner_moments(ctx, (k,))[0])
 
 
 def c_cri_at(a: float) -> float:

@@ -1,6 +1,7 @@
 """Exact finite-N oracles: moments, determinants, polynomials, dualities."""
 
 import decimal
+import functools
 import json
 import math
 import pathlib
@@ -46,6 +47,9 @@ class TestCalibration:
 
 
 class TestContourMoment:
+    """The contour moments behind `oracles.contour_hankel`, the exact
+    rational route the Gram route is checked against."""
+
     def test_pure_gaussian(self):
         ctx = exactfiniten.ExactContext(N=1, m=0, a=0.7)
         assert oracles.contour_moment(ctx, 0) == 1
@@ -86,7 +90,7 @@ class TestContourMoment:
         # to within half a unit in the last of the 256-bit context's digits
         ctx = exactfiniten.ExactContext(N=N, m=m, a=a)
         digits = exactfiniten.decimal_context(256).prec
-        got = exactfiniten._moments(ctx, range(2 * N))
+        got = oracles.horner_moments(ctx, range(2 * N))
         for k, (num, den) in enumerate(got):
             exact = oracles.fraction_moment(N, m, a, k)
             assert den > 0 and Fraction(num, den) == exact, k
@@ -107,13 +111,13 @@ class TestContourMoment:
         # residue vanishes
         ctx = exactfiniten.ExactContext(N=N, m=m, a=a)
         ks = range(m + N + 3)
-        assert exactfiniten._moments(ctx, ks) == oracles.term_moments(
+        assert oracles.horner_moments(ctx, ks) == oracles.term_moments(
             N, m, a, ks)
 
     def test_zero_beyond_residue_degree(self):
         # m < N: p = m+N-1-k < 0 for k >= m+N, and the residue vanishes
         ctx = exactfiniten.ExactContext(N=16, m=9, a=0.3)
-        got = exactfiniten._moments(ctx, range(32))
+        got = oracles.horner_moments(ctx, range(32))
         assert all(num != 0 for num, _ in got[:25])
         assert all(num == 0 for num, _ in got[25:])
         for k in (25, 31):
@@ -141,23 +145,27 @@ class TestExactLogZ:
 
 class TestMomentTable:
     def test_large_n_digits_at_default_precision(self):
-        # the 256-bit default is within ~6e-27 of a 768-bit run
+        # the 256-bit default is within ~4e-71 of a 768-bit run
         ctx = exactfiniten.ExactContext(N=60, m=60, a=3.0)
         ref = exactfiniten.moment_table(
             exactfiniten.ExactContext(N=60, m=60, a=3.0, precision_bits=768))
-        assert abs(exactfiniten.exact_logZ(ctx) - ref.log_z) < 1e-10
-        assert abs(exactfiniten.exact_A11(ctx) - ref.op[-2]) < 1e-10
+        table = exactfiniten.moment_table(ctx)
+        assert abs(table.log_z - ref.log_z) < Decimal("1e-60")
+        assert abs(table.op[-2] - ref.op[-2]) < Decimal("1e-60")
 
     def test_large_n_digits_against_reference(self):
-        # 3000-bit values of exact --a 3 --c 1 --n 60, as stored in
-        # perfbench/reference.json.gz (entry exact-sweep/3); measured errors
-        # are 6.3e-27 (log Z) and 4.7e-27 (A11)
+        # exact --a 3 --c 1 --n 60 from the contour-Hankel route at 3000
+        # bits; perfbench/reference.json.gz (entry exact-sweep/3) stores
+        # these to 30 digits.  Measured errors at 256 bits: 4.2e-71 (log Z)
+        # and 2.9e-71 (A11)
         table = exactfiniten.moment_table(
             exactfiniten.ExactContext(N=60, m=60, a=3.0))
-        ref_log_z = Decimal("5708.63317142410395252736468381")
-        ref_a11 = Decimal("18.0159939788111606310996431081")
-        assert abs(table.log_z - ref_log_z) < Decimal("1e-20")
-        assert abs(table.op[-2] - ref_a11) < Decimal("1e-20")
+        ref_log_z = Decimal("5708.63317142410395252736468381386428141324944816"
+                            "27712740615047201494163336")
+        ref_a11 = Decimal("18.015993978811160631099643108079043304230852096234"
+                          "6518642842689092317418334")
+        assert abs(table.log_z - ref_log_z) < Decimal("1e-60")
+        assert abs(table.op[-2] - ref_a11) < Decimal("1e-60")
 
     def test_exact_command_builds_one_table(self, monkeypatch, capsys):
         calls = []
@@ -173,59 +181,42 @@ class TestMomentTable:
         assert code == 0
         assert len(calls) == 1
 
-    @staticmethod
-    def _table_from(monkeypatch, nu):
-        # moment_table at 256 bits on the exact moments nu = [(num, den), ...]
-        monkeypatch.setattr(exactfiniten, "_moments", lambda ctx, ks: nu)
-        return exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=2, m=2, a=0.5))
+    def test_numerically_singular_system_raises(self):
+        # det = -2^-300: the second pivot of [[1, 1], [1, 1 - 2^-300]] is < 0
+        rows = [[(1, 1)], [(1, 1), (2 ** 300 - 1, 2 ** 300)]]
+        with pytest.raises(SingularHankel, match="pivot 1 .* <= 0"):
+            exactfiniten._ldl(rows, 256)
 
-    def test_numerically_singular_system_raises(self, monkeypatch):
-        # det H = nu_0 nu_2 - nu_1^2 = 2^-300, below ||H||_1 2^-266 at 256 bits
-        nu = [(1, 1), (1, 1), (2 ** 300 + 1, 2 ** 300), (0, 1)]
-        with pytest.raises(SingularHankel, match="numerically singular"):
-            self._table_from(monkeypatch, nu)
-
-    def test_wrong_hankel_sign_raises(self, monkeypatch):
-        # det H = +1, but a 2x2 moment Hankel determinant must be negative
-        nu = [(1, 1), (0, 1), (1, 1), (0, 1)]
-        with pytest.raises(SingularHankel, match="sign"):
-            self._table_from(monkeypatch, nu)
-
-    def test_near_singular_system_solves(self, monkeypatch):
-        # det H = -2^-200 is far above the threshold: no raise; the entries
-        # fit the 320-bit mantissas exactly, so log det and p_N (condition
-        # number 2^200) are exact up to their final rounding
+    def test_near_singular_system_solves(self):
+        # det = 2^-200; the entries fit the 320-bit mantissas exactly, so
+        # log det and the solve (condition number 2^202) are exact up to
+        # their final rounding
         eps = Fraction(1, 2 ** 200)
-        nu = [(1, 1), (1, 1), (1 - eps).as_integer_ratio(), (0, 1)]
-        table = self._table_from(monkeypatch, nu)
-        det, coeffs = oracles.fraction_solve(
-            [[Fraction(*nu[0]), Fraction(*nu[1])],
-             [Fraction(*nu[1]), Fraction(*nu[2])]],
-            [-Fraction(*nu[2]), -Fraction(*nu[3])])
-        assert det == -eps
-        with mp.workprec(512):
-            log_det = to_mpf(table.log_z) - _log_z_prefactor(2, 2)
+        matrix = [[Fraction(1), Fraction(1)], [Fraction(1), 1 + eps]]
+        rhs = [Fraction(1), Fraction(0)]
+        rows = [[v.as_integer_ratio() for v in row[:i + 1]]
+                for i, row in enumerate(matrix)]
+        rows.append([v.as_integer_ratio() for v in rhs])
+        det, det_exp, x = exactfiniten._ldl(rows, 256)
+        want_det, want_x = oracles.fraction_solve(matrix, rhs)
+        assert want_det == eps
+        with mp.workprec(1024):
+            log_det = mp.log(det) + det_exp * mp.log(2)
             assert abs(log_det + 200 * mp.log(2)) < mp.mpf(10) ** -60
-            for got, want in zip(table.op, coeffs):
-                assert abs(to_mpf(got)
-                           - mp.mpf(want.numerator) / want.denominator) \
-                    < mp.mpf(10) ** -60 * abs(coeffs[1])
+        assert [Fraction(v) for v in x] == want_x
 
     @pytest.mark.parametrize("N", [3, 6, 10])
     @pytest.mark.parametrize("a", [0.0, 0.2, 1.2, 3.0])
     def test_against_fraction_elimination(self, N, a):
-        # log|det H| and p_N against exact rational elimination; at a = 0,
-        # H is the exchange matrix, whose leading minors but the last vanish,
-        # so the pivot rule must swap rows
+        # log Z_N and p_N against the exact rational contour-Hankel route;
+        # at a = 0 the Gram matrix is diagonal, while the Hankel matrix is
+        # the exchange matrix and needs row swaps
         table = exactfiniten.moment_table(exactfiniten.ExactContext(N, N, a))
-        nu = [oracles.fraction_moment(N, N, a, k) for k in range(2 * N)]
-        det, coeffs = oracles.fraction_solve(
-            [nu[i:i + N] for i in range(N)], [-v for v in nu[N:]])
-        coeffs = coeffs + [Fraction(1)]
+        det, coeffs = oracles.contour_hankel(N, N, a)
         with mp.workprec(512):
-            want = mp.log(abs(mp.mpf(det.numerator) / det.denominator))
-            got = to_mpf(table.log_z) - _log_z_prefactor(N, N)
+            want = (mp.log(abs(mp.mpf(det.numerator) / det.denominator))
+                    + _log_z_prefactor(N, N))
+            got = to_mpf(table.log_z)
             assert abs(got - want) <= mp.mpf(10) ** -60 * max(1, abs(want))
             scale = max(abs(c) for c in coeffs)
             for c_got, c_want in zip(table.op, coeffs):
@@ -233,64 +224,37 @@ class TestMomentTable:
                           - mp.mpf(c_want.numerator) / c_want.denominator)
                 assert err <= mp.mpf(10) ** -60 * scale
 
-    @pytest.mark.parametrize("bits", [128, 256, 512])
-    def test_bits_ladder_against_1024_bits(self, bits):
-        # at (a, N) = (0.2, 32) every bit asked for reaches log Z and p_N:
-        # each lands within 2^-(bits-20) of a 1024-bit run, relative
-        ref = exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=32, m=32, a=0.2, precision_bits=1024))
+    @pytest.mark.parametrize("a,N,bits,solve_loss", [
+        pytest.param(0.2, 32, 128, 0, id="128"),
+        pytest.param(0.2, 32, 256, 0, id="256"),
+        pytest.param(0.2, 32, 512, 0, id="512"),
+        pytest.param(3.0, 60, 256, 8, id="a3-n60-256"),
+        pytest.param(3.0, 60, 512, 8, id="a3-n60-512"),
+    ])
+    def test_bits_ladder_against_1024_bits(self, a, N, bits, solve_loss):
+        # every bit asked for reaches log Z: it lands within 2^-(bits-20) of
+        # a 1024-bit run, relative (the contour-Hankel route lost 156 bits
+        # at a = 3, N = 60).  The solve for p_N has condition number about
+        # 2^87 after scaling at a = 3, N = 60, so its coefficients may lose
+        # solve_loss bits more there (measured 2^-233.8 of the largest
+        # coefficient at 256 bits, against a bound of 2^-228, and 2^-489.9
+        # at 512)
+        ref = _table_at_1024_bits(a, N)
         table = exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=32, m=32, a=0.2, precision_bits=bits))
+            exactfiniten.ExactContext(N=N, m=N, a=a, precision_bits=bits))
         bound = Fraction(1, 2 ** (bits - 20))
         assert (abs(Fraction(table.log_z) - Fraction(ref.log_z))
                 <= bound * abs(Fraction(ref.log_z)))
         scale = max(abs(Fraction(c)) for c in ref.op)
         assert max(abs(Fraction(c) - Fraction(r))
-                   for c, r in zip(table.op, ref.op)) <= bound * scale
-
-    def test_added_bits_reach_the_result_at_a3_n60(self):
-        # the a = 3, N = 60 elimination loses about 156 bits at every P
-        # (2^-99.5 relative in log Z at 256 bits), so 2^-(bits-20) cannot
-        # hold there; what must hold is that the added bits all arrive:
-        # from 256 to 512 bits the gap to a 1024-bit run shrinks by at
-        # least 2^(256-20) (measured 2^256)
-        gaps = []
-        ref = exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=60, m=60, a=3.0, precision_bits=1024))
-        for bits in (256, 512):
-            table = exactfiniten.moment_table(
-                exactfiniten.ExactContext(N=60, m=60, a=3.0,
-                                          precision_bits=bits))
-            gaps.append((abs(Fraction(table.log_z) - Fraction(ref.log_z)),
-                         max(abs(Fraction(c) - Fraction(r))
-                             for c, r in zip(table.op, ref.op))))
-        for coarse, fine in zip(*gaps):
-            assert 0 < fine <= coarse / 2 ** (256 - 20)
+                   for c, r in zip(table.op, ref.op)) \
+            <= bound * 2 ** solve_loss * scale
 
 
-class TestRoundedRows:
-    def test_matches_one_rounding_per_entry(self):
-        # a repeated entry is one object at several shifts, as in a Hankel
-        # matrix; each odd num/2^j sits exactly halfway at shift j - 1, once
-        # below a larger shift of the same object and once as the largest
-        # shift of an equal but distinct object
-        ties = [(num, j) for num in (-7, -3, -1, 1, 3, 7) for j in (1, 2, 5)]
-        rows = [[(num, 2 ** j)] * 3 for num, j in ties]
-        shifts = [[j + 2, j - 1, -4] for _, j in ties]
-        rows += [[(num, 2 ** j)] * 3 for num, j in ties]
-        shifts += [[j - 1, j - 2, j - 6] for _, j in ties]
-        rng = random.Random(7)
-        pool = [(0, 1), (1, 1), (-1, 3)] + [
-            (rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 400)),
-             rng.getrandbits(rng.randint(1, 300)) | 1) for _ in range(40)]
-        for _ in range(30):
-            rows.append([rng.choice(pool) for _ in range(9)])
-            shifts.append([rng.randint(-400, 400) for _ in range(9)])
-        want = [[oracles.rounded(num, den, s) for (num, den), s in zip(row, sh)]
-                for row, sh in zip(rows, shifts)]
-        assert exactfiniten._rounded_rows(rows, shifts) == want
-        assert [row[1] for row in want[:len(ties)]] == [
-            (num + 1) // 2 for num, _ in ties]
+@functools.cache
+def _table_at_1024_bits(a, N):
+    return exactfiniten.moment_table(
+        exactfiniten.ExactContext(N=N, m=N, a=a, precision_bits=1024))
 
 
 class TestOrthogonalPolynomial:
@@ -299,7 +263,7 @@ class TestOrthogonalPolynomial:
         coeffs = exactfiniten.exact_op(ctx)
         assert coeffs[-1] == 1
         assert all(c == 0 for c in coeffs[:-1])
-        assert exactfiniten.exact_A11(ctx) == 0
+        assert exactfiniten.moment_table(ctx).op[-2] == 0
 
     def test_contour_orthogonality(self):
         ctx = exactfiniten.ExactContext(N=4, m=4, a=0.7)
@@ -316,8 +280,8 @@ class TestOrthogonalPolynomial:
         # 2.2e-4, 2.9e-6, 7.5e-10 at N = 4, 8, 16
         err = {}
         for n in (4, 8, 16):
-            a11 = exactfiniten.exact_A11(
-                exactfiniten.ExactContext(N=n, m=n, a=0.2))
+            a11 = exactfiniten.moment_table(
+                exactfiniten.ExactContext(N=n, m=n, a=0.2)).op[-2]
             err[n] = abs(float(a11) - 0.2 * n)
         assert err[4] / err[8] > 30      # faster than any N^-4 ratio of 16
         assert err[8] / err[16] > 1000
@@ -327,8 +291,8 @@ class TestOrthogonalPolynomial:
         # remainder after the N and 1/N terms is O(N^-3): N^2 x diff shrinks
         scaled = []
         for n in (4, 8, 16):
-            a11 = float(exactfiniten.exact_A11(
-                exactfiniten.ExactContext(N=n, m=n, a=1.2)))
+            a11 = float(exactfiniten.moment_table(
+                exactfiniten.ExactContext(N=n, m=n, a=1.2)).op[-2])
             asymp = opasymp.a11_asymp(n, 1.2, 1.0, geometry.Regime.PRE)
             scaled.append(abs(n * n * (a11 - asymp)))
         assert all(s < 0.01 for s in scaled)
@@ -401,6 +365,31 @@ class TestLUEGap:
             assert abs(to_mpf(got) - want) <= mp.mpf(10) ** -60 * want
 
 
+    def test_pushed_wall_against_2048_bits(self):
+        # -log P ~ 4554 at n = 32: the monomial Hankel route, which the
+        # shifted basis replaced, gave this to 80 digits at 2048 bits but
+        # was off by 0.35 at 256 bits
+        got = exactfiniten.lue_log_gap_probability(32, 57, 8, 32)
+        want = Decimal("-4554.349978211809938930256148384885089856854079379"
+                       "659284777527476605502584")
+        assert abs(got - want) < Decimal("1e-60")
+
+    @pytest.mark.parametrize("n,alpha_n,want", [
+        pytest.param(48, 85, "-6687.920640931283069554042272618402482217451"
+                     "9207576287556038564267179330836", id="48-85"),
+        pytest.param(64, 114, "-11839.98424142824172407731441961931987415098"
+                     "977764186756011779024200175013", id="64-114"),
+    ])
+    def test_large_n_against_1024_bits(self, n, alpha_n, want):
+        # the monomial Hankel route raised SingularHankel here at 256 bits;
+        # want is its value at 2048 bits, to 75 digits
+        got = exactfiniten.lue_log_gap_probability(n, alpha_n, 6, n)
+        ref = exactfiniten.lue_log_gap_probability(n, alpha_n, 6, n,
+                                                   precision_bits=1024)
+        assert abs(got - ref) < Decimal("1e-30")
+        assert abs(ref - Decimal(want)) < Decimal("1e-65")
+
+
 class TestDuality:
     def test_exact_at_origin(self):
         assert exactfiniten.duality_residual(2, 2, 0.0) == 0
@@ -411,6 +400,19 @@ class TestDuality:
     ])
     def test_residuals(self, n, m, x, bound):
         assert float(exactfiniten.duality_residual(n, m, x)) < bound
+
+
+    @pytest.mark.parametrize("N,m,x", [(24, 24, 1.0), (16, 24, 1.5)])
+    def test_gram_routes_agree_at_larger_n(self, N, m, x):
+        # the planar and the shifted LUE Gram matrices share only _ldl:
+        # log P_LUE = log Z_N(x) - log Z_N(0) - m N x^2 (measured 4.6e-75
+        # and 1.1e-76)
+        t = Fraction(x) ** 2
+        lhs = exactfiniten.lue_log_gap_probability(m, N, t, N)
+        log_z = [Fraction(exactfiniten.exact_logZ(
+            exactfiniten.ExactContext(N, m, a))) for a in (x, 0.0)]
+        gap = abs(Fraction(lhs) - (log_z[0] - log_z[1] - m * N * t))
+        assert gap <= Fraction(1, 10 ** 60)
 
 
 class TestCharpolyMoment:

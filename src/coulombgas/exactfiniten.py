@@ -231,7 +231,10 @@ def _gram(ctx: ExactContext) -> list:
     Each V_is, R_s and V_is R_s is rounded once to an int over 2^P, P the
     precision `_ldl` works at, and the sums of products are formed exactly,
     so each G_ik 2^-(e_i+e_k) is off by at most 6 (m+1) 2^-P; the e_i lie
-    within a few bits of `_ldl`'s scaling exponents.
+    within a few bits of `_ldl`'s scaling exponents.  Each b_p is divided
+    once: floored one bit past the finest scale any V_is takes it at, it
+    gives every V_is by a shift, rounded as `_scaled` rounds, since
+    floor((floor(y) + 2^(k-1)) / 2^k) = floor(y / 2^k + 1/2) for k >= 1.
     """
     N, m = ctx.N, ctx.m
     P = ctx.precision_bits + GUARD_BITS
@@ -242,11 +245,15 @@ def _gram(ctx: ExactContext) -> list:
     t = [_log2(*fs) // 2 for fs in f]
     R = [_scaled(num, den, P - 2 * ts) for (num, den), ts in zip(f, t)]
     tops = [(p, _log2(*bp) + 1) for p, bp in enumerate(b) if bp[0]]
-    e, V, rows = [], [], []
+    e = [max(top + t[i + p] for p, top in tops) for i in range(N + 1)]
+    # V_is 2^P = b_p 2^(P + t_s - e_i), s = i + p: B_p shifted down k >= 1
+    x = [1 + max(t[i + p] - e[i] for i in range(N + 1)) for p in range(m + 1)]
+    B = [(num << (P + xp)) // den if P + xp >= 0
+         else num // (den << -(P + xp)) for (num, den), xp in zip(b, x)]
+    V, rows = [], []
     for i in range(N + 1):
-        e.append(max(top + t[i + p] for p, top in tops))
-        V.append([_scaled(num, den, P + t[i + p] - e[i])
-                  for p, (num, den) in enumerate(b)])
+        shifts = [xp - t[i + p] + e[i] for p, xp in enumerate(x)]
+        V.append([(bp + (1 << (k - 1))) >> k for bp, k in zip(B, shifts)])
         VR = [(v * r) >> P for v, r in zip(V[i], R[i:])]
         row = []
         for k in range(min(i + 1, N)):

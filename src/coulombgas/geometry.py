@@ -100,10 +100,14 @@ def solve_q(a: float, c: float) -> float:
     """
     if a <= 0 or c <= 0:
         raise DomainError(f"solve_q needs a > 0 and c > 0, got a={a}, c={c}")
-    p = (a * a + 4.0 * c + 2.0) / (2.0 * a * a)
-    r = 1.0 / (2.0 * a ** 4)
-    P = -p * p / 3.0
-    Q = -2.0 * p ** 3 / 27.0 + r
+    try:
+        p = (a * a + 4.0 * c + 2.0) / (2.0 * a * a)
+        r = 1.0 / (2.0 * a ** 4)
+        P = -p * p / 3.0
+        Q = -2.0 * p ** 3 / 27.0 + r
+    except OverflowError as exc:
+        raise DomainError(f"the modulus cubic overflows in double precision "
+                          f"at a={a}, c={c}") from exc
     m = 2.0 * math.sqrt(-P / 3.0)
     arg = 3.0 * Q / (P * m)
     if abs(arg) <= 1.0 + 1e-9:

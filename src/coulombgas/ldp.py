@@ -62,7 +62,7 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
                 f"{lam_minus}, got t = {t!r}")
         # the planar image: insertion radius a = sqrt(t/alpha), charge c
         a = math.sqrt(t / alpha)
-        # the failed root or power names the planar (a, c), or nothing;
+        # the failed root or overflow names the planar (a, c), or nothing;
         # report the (t, alpha)
         try:
             q = solve_q(a, c)
@@ -73,7 +73,7 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
                 "planar image a = sqrt(t/alpha), c = 1/alpha has no "
                 "admissible modulus root in double precision") from exc
-        except OverflowError as exc:
+        except (DomainError, OverflowError) as exc:
             raise DomainError(
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
                 "planar image a = sqrt(t/alpha), c = 1/alpha overflows in "
@@ -136,6 +136,11 @@ def kc_action_grid(ts, alpha: float) -> list[float]:
     log_weight = alpha * (alpha + 2.0)
     out = []
     for t, u in zip(ts, us):
+        if u <= t:
+            raise DomainError(
+                f"no constrained action at alpha = {alpha!r}, t = {t!r}: "
+                f"its right edge U(t) = {u!r} does not exceed t in double "
+                "precision")
         sqrt_u, sqrt_t = math.sqrt(u), math.sqrt(t)
         out.append((u + t) / 2.0 - (u - t) ** 2 / 32.0
                    + quarter * (sqrt_u - sqrt_t) ** 2

@@ -170,7 +170,7 @@ def check_ldp_constants() -> tuple:
     decreasing = (diffs[0]["abs_error"] > diffs[1]["abs_error"]
                   > diffs[2]["abs_error"])
     final_ok = diffs[2]["abs_error"] < 0.2
-    shown = ", ".join(f"{d['abs_error']:.4f}" for d in diffs)
+    shown = ", ".join(f"{d['abs_error']:.2e}" for d in diffs)
     return (
         decreasing and final_ok,
         f"errors [{shown}] must decrease and end below 0.2",

@@ -17,8 +17,8 @@ def add_arguments(p) -> None:
 def run(args) -> int:
     from .. import exactfiniten
 
-    residual = exactfiniten.duality_residual(args.n, args.m, args.x,
-                                             precision_bits=args.bits)
+    [residual] = exactfiniten.duality_residuals(args.n, args.m, (args.x,),
+                                                precision_bits=args.bits)
     res_f = float(residual)
     passed = residual < args.tol
     row = {"N": args.n, "m": args.m, "x": args.x, "residual": res_f,

@@ -38,8 +38,7 @@ def run(args) -> int:
     # the given points first, so that an out-of-range one is named as given
     # and not as the edge lambda_-
     phis, psis = ldp.phi_psi_grid(ts, alpha)
-    actions = ldp.kc_action_grid(ts, alpha)
-    edge_action = ldp.kc_action(lambda_minus, alpha)
+    *actions, edge_action = ldp.kc_action_grid([*ts, lambda_minus], alpha)
     diffs = [action - edge_action for action in actions]
     residuals = [abs(rate - diff) for rate, diff in zip(phis, diffs)]
     rows = Columns([("t", float, [ts]), ("phi", float, [phis]),

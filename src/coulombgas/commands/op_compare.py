@@ -32,7 +32,7 @@ def run(args) -> int:
         ctx = exactfiniten.ExactContext(N=n, m=m, a=a,
                                         precision_bits=args.bits)
         exact_values[n] = exactfiniten.eval_polynomial(
-            exactfiniten.exact_op(ctx), z, args.bits)
+            exactfiniten.moment_table(ctx).op, z, args.bits)
 
     def one(n: int) -> dict:
         exact = exact_values[n]

@@ -276,16 +276,6 @@ def moment_table(ctx: ExactContext) -> MomentTable:
                        op=tuple(map(out.plus, coeffs)) + (Decimal(1),))
 
 
-def exact_logZ(ctx: ExactContext) -> Decimal:
-    """log Z_N(a, m/N) at the context precision."""
-    return moment_table(ctx).log_z
-
-
-def exact_op(ctx: ExactContext) -> tuple:
-    """Monic degree-N orthogonal polynomial coefficients (c_0, ..., c_{N-1}, 1)."""
-    return moment_table(ctx).op
-
-
 def eval_polynomial(coeffs: tuple, z: complex,
                     precision_bits: int = 256) -> complex:
     """sum_k coeffs[k] z^k by Horner's rule on the real and imaginary parts,
@@ -343,30 +333,17 @@ def lue_log_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
         wide.divide(n * N_w * A, D))
 
 
-def lue_gap_probability(n: int, alpha_n: int, t: Rational, N_w: int,
-                        precision_bits: int = 256) -> Decimal:
-    """P[smallest eigenvalue > t], the exponential of
-    `lue_log_gap_probability`, at precision_bits."""
-    return decimal_context(precision_bits).exp(
-        lue_log_gap_probability(n, alpha_n, t, N_w, precision_bits))
-
-
-def duality_residual(N: int, m: int, x: float,
-                     precision_bits: int = 256) -> Decimal:
-    """|LUE gap probability - rescaled partition-function ratio| at the point x."""
-    return duality_residuals(N, m, (x,), precision_bits)[0]
-
-
 def duality_residuals(N: int, m: int, xs, precision_bits: int = 256
                       ) -> list[Decimal]:
-    """duality_residual at each point of xs, with log Z_N at each distinct
-    insertion point (the reference a = 0 among them) computed once."""
+    """|LUE gap probability - rescaled partition-function ratio| at each
+    point x of xs, with log Z_N at each distinct insertion point (the
+    reference a = 0 among them) computed once."""
     ctx = decimal_context(precision_bits)
     log_z = {}
 
     def log_z_at(a: float) -> Decimal:
         if a not in log_z:
-            log_z[a] = exact_logZ(ExactContext(N, m, a, precision_bits))
+            log_z[a] = moment_table(ExactContext(N, m, a, precision_bits)).log_z
         return log_z[a]
 
     out = []
@@ -374,8 +351,8 @@ def duality_residuals(N: int, m: int, xs, precision_bits: int = 256
         if x < 0:
             raise DomainError(f"need x >= 0, got {x}")
         t = Fraction(x) ** 2
-        lhs = lue_gap_probability(n=m, alpha_n=N, t=t, N_w=N,
-                                  precision_bits=precision_bits)
+        lhs = ctx.exp(lue_log_gap_probability(n=m, alpha_n=N, t=t, N_w=N,
+                                              precision_bits=precision_bits))
         log_ratio = ctx.subtract(log_z_at(x), log_z_at(0.0))
         rhs = ctx.exp(ctx.subtract(
             log_ratio, ctx.divide(m * N * t.numerator, t.denominator)))
@@ -388,5 +365,5 @@ def exact_charpoly_moment(N: int, m: int, z_abs: float,
     """E|det(G_N - z)|^(2m) = Z_N(|z|, m/N) / Z_N(0, 0), evaluated exactly."""
     ctx = decimal_context(precision_bits)
     return ctx.exp(ctx.subtract(
-        exact_logZ(ExactContext(N, m, abs(z_abs), precision_bits)),
-        exact_logZ(ExactContext(N, 0, 0, precision_bits))))
+        moment_table(ExactContext(N, m, abs(z_abs), precision_bits)).log_z,
+        moment_table(ExactContext(N, 0, 0, precision_bits)).log_z))

@@ -248,38 +248,23 @@ def reference_logZ(N: int, c: float) -> float:
 
 
 def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
-    """log E|det(G_N - z)|^{2cN}: the N^2, log N, and O(1) terms plus the post tail.
+    """log E|det(G_N - z)|^{2cN} = log Z_N(|z|, c) - log Z_N(0, 0) from the
+    expansion through O(1), plus the annular-phase tail through N^-4.
 
-    The post tail runs through N^-4.  The branch is selected by |z| against
-    sqrt(c+1) - sqrt(c). The pre-critical prefactor uses (F^2-1)^3, the form
-    consistent with the free-energy constant (and the only one with the
-    correct |z| -> infinity limit).
+    Ginibre's Z_N(0, 0) has energy 3/4, chi = 1 and the even tail terms
+    B_(2k+2)/(4k(k+1)) N^-2k; the phase is |z| against a_cri.
     """
     if z_abs < 0 or c <= 0:
         raise DomainError(f"need |z| >= 0 and c > 0, got {z_abs}, {c}")
     a_cri = critical_values(c).a_cri
     if z_abs == a_cri:
         raise DomainError("|z| = a_cri sits on the phase boundary")
-    if z_abs < a_cri:
-        H = (c * z_abs * z_abs - 1.5 * c + 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0)
-             - 0.5 * c * c * math.log(c))
-        logG = math.log(c / (1.0 + c)) / 12.0
-        bern = bernoulli_numbers(6)
-        tail = sum(float(bern[2 * k + 2]) / (4 * k * (k + 1))
-                   * ((c + 1.0) ** (-2 * k) - c ** (-2 * k) - 1.0) * N ** (-2 * k)
-                   for k in (1, 2))
-        return math.log(N) / 12.0 - ZETA_PRIME_MINUS_ONE + logG + H * N * N + tail
-    geom = pre_geometry(z_abs, c)
-    F = 1.0 / geom.q  # F(|z|) = 1/q at the insertion point
-    z2 = z_abs * z_abs
-    F2 = F * F
-    H = (0.375 - z2 / 8.0 - 3.0 * F2 * F2 / (8.0 * z2) + 5.0 * F2 / 8.0
-         - (0.75 + z2 / 8.0) * z2 / F2 + 0.375 * z2 * z2 / (F2 * F2)
-         + (2.0 * c * c - 1.0) * math.log(F)
-         + (c + 1.0) ** 2 * math.log(F2 + z2)
-         - (2.0 * c + 1.0) * math.log(2.0 * z_abs)
-         - c * c * math.log(F2 * F2 + z2 * F2 - 2.0 * z2))
-    logG = (math.log(F2 * F2 * (F2 * F2 + z2 * F2 - 2.0 * z2) ** 4
-                     / ((F2 + z2) ** 4 * (F2 - 1.0) ** 3 * (F2 * F2 * F2 - z2 * z2)))
-            / 24.0)
-    return logG + H * N * N
+    if z_abs > a_cri:
+        q = solve_q(z_abs, c)
+        return ((0.75 - energy_pre(z_abs, c, q)) * N * N
+                + fconst(z_abs, c, Regime.PRE, q))
+    bern = bernoulli_numbers(6)
+    tail = sum((coef - float(bern[2 * k + 2]) / (4 * k * (k + 1))) * N ** (-2 * k)
+               for k, coef in zip((1, 2), _tail_coefficients(c, (2, 4))))
+    return ((0.75 - energy_post(z_abs, c)) * N * N + math.log(N) / 12.0
+            - ZETA_PRIME_MINUS_ONE + fconst(z_abs, c, Regime.POST) + tail)

@@ -91,6 +91,11 @@ class PostGeometry(NamedTuple):
     b: float
 
 
+def _admissible(u: float, a: float) -> bool:
+    # 0 < q^2 < 1 and kappa > 0, up to rounding at the critical edge
+    return 0.0 < u < 1.0 + 1e-11 and a * a * u < 1.0 + 1e-11
+
+
 def solve_q(a: float, c: float) -> float:
     """Admissible modulus q in (0, 1] for pre-critical (a, c); q = 1 exactly at a_cri.
 
@@ -120,9 +125,18 @@ def solve_q(a: float, c: float) -> float:
             if dg == 0.0:
                 break
             u -= g / dg
-        edge = 1.0 + 1e-11
-        if 0.0 < u < edge and a * a * u < edge:
+        if _admissible(u, a):
             return math.sqrt(min(u, 1.0))
+    # From a ~ 1e5 the middle root u ~ 1/a^2 sits below the trig form's
+    # rounding error.  It is the fixed point of u = 1/(a^2 sqrt(2(p-u))),
+    # a contraction by u/(2(p-u)) < 1/4 for u < p/3, reached from u = 0.
+    u = prev = 0.0
+    for _ in range(4):
+        if u >= p / 3.0:
+            break
+        prev, u = u, 1.0 / (a * a * math.sqrt(2.0 * (p - u)))
+    if abs(u - prev) <= 1e-15 * u and _admissible(u, a):
+        return math.sqrt(u)
     raise NoValidRoot(
         f"no root of the modulus cubic satisfies 0 < q^2 < 1, kappa > 0 "
         f"at a={a}, c={c}; parameters are likely post-critical")

@@ -82,19 +82,11 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
 
 
 def phi_psi(t: float, alpha: float) -> tuple[float, float]:
-    """(phi(t, alpha), psi(t, alpha)) from one modulus solve."""
+    """(Phi(t), Psi(t)) from one modulus solve: the rate of the pushed gap
+    event, alpha^2 times the planar energy excess, and the constant-order
+    correction, the planar free-energy constant across phases."""
     (rate,), (const,) = phi_psi_grid((t,), alpha)
     return rate, const
-
-
-def phi(t: float, alpha: float) -> float:
-    """Rate of the pushed gap event: alpha^2 times the planar energy excess."""
-    return phi_psi(t, alpha)[0]
-
-
-def psi(t: float, alpha: float) -> float:
-    """Constant-order correction: the planar free-energy constant across phases."""
-    return phi_psi(t, alpha)[1]
 
 
 def kc_U_grid(ts, alpha: float) -> list[float]:
@@ -124,13 +116,9 @@ def kc_U_grid(ts, alpha: float) -> list[float]:
     return out
 
 
-def kc_U(t: float, alpha: float) -> float:
-    """Right edge of the spectral density conditioned on the gap (t, infinity)."""
-    return kc_U_grid((t,), alpha)[0]
-
-
 def kc_action_grid(ts, alpha: float) -> list[float]:
-    """Constrained Coulomb gas action S(t) at each t of ts."""
+    """Constrained Coulomb gas action S(t) at each t of ts;
+    Phi(t) = S(t) - S(lambda_-)."""
     us = kc_U_grid(ts, alpha)
     quarter, quarter2 = alpha / 4.0, alpha * alpha / 4.0
     log_weight = alpha * (alpha + 2.0)
@@ -148,11 +136,6 @@ def kc_action_grid(ts, alpha: float) -> list[float]:
                    + quarter2 * math.log(t * u)
                    - log_weight * math.log((sqrt_u + sqrt_t) / 2.0))
     return out
-
-
-def kc_action(t: float, alpha: float) -> float:
-    """Constrained Coulomb gas action S(t); Phi(t) = S(t) - S(lambda_-)."""
-    return kc_action_grid((t,), alpha)[0]
 
 
 def phi_large_t(t: float, alpha: float) -> float:

@@ -311,16 +311,6 @@ def tw_cdf_survival(sol: TWSolution, t: float | np.ndarray
     return _like_input(np.exp(-moment)), _like_input(-np.expm1(-moment))
 
 
-def tw_cdf(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
-    """F(t) alone; see tw_cdf_survival."""
-    return tw_cdf_survival(sol, t)[0]
-
-
-def tw_survival(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
-    """1 - F(t) alone; see tw_cdf_survival."""
-    return tw_cdf_survival(sol, t)[1]
-
-
 def q2_tail_integral(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
     """int_t^inf hm_q^2 dx, which equals d/dt log F(t)."""
     return _like_input(_tails(sol, t)[0])

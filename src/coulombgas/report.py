@@ -121,9 +121,10 @@ def check_kc_identity() -> tuple:
     per_alpha = {}
     for alpha in (0.5, 1.0, 16.0 / 9.0, 5.0):
         lam = ldp.LUEParams.from_alpha(alpha).lambda_minus
-        s_edge = ldp.kc_action(lam, alpha)
-        diffs = [abs(ldp.phi(t, alpha) - (ldp.kc_action(t, alpha) - s_edge))
-                 for t in np.linspace(lam + 0.05, lam + 5.0, 50)]
+        ts = np.linspace(lam + 0.05, lam + 5.0, 50)
+        *actions, s_edge = ldp.kc_action_grid([*ts, lam], alpha)
+        diffs = [abs(rate - (action - s_edge)) for rate, action
+                 in zip(ldp.phi_psi_grid(ts, alpha)[0], actions)]
         per_alpha[f"{alpha:.6f}"] = max(diffs)
         worst = max(worst, max(diffs))
     return (
@@ -140,7 +141,7 @@ def check_third_order() -> tuple:
     for alpha in (1.0, 16.0 / 9.0):
         lam = ldp.LUEParams.from_alpha(alpha).lambda_minus
         dts = np.linspace(1e-3, 1e-2, 50)
-        vals = np.array([ldp.phi(lam + dt, alpha) for dt in dts])
+        vals = np.array(ldp.phi_psi_grid(lam + dts, alpha)[0])
         design = np.vstack([dts ** 3, dts ** 4]).T
         k3, k4 = np.linalg.lstsq(design, vals, rcond=None)[0]
         target = math.sqrt(alpha + 1.0) / (12.0 * lam * lam)
@@ -183,12 +184,13 @@ def check_tw_tails() -> tuple:
     sol = painleve.hastings_mcleod()
     t_left = -8.0
     scale = 3.0 / (2 ** 6 * abs(t_left) ** 3)
-    left_diff = abs(math.log(painleve.tw_cdf(sol, t_left))
+    left_diff = abs(math.log(painleve.tw_cdf_survival(sol, t_left)[0])
                     - painleve.left_tail_log_cdf(abs(t_left)))
-    right_rel = abs(painleve.tw_survival(sol, 6.0)
+    right_rel = abs(painleve.tw_cdf_survival(sol, 6.0)[1]
                     / painleve.right_tail_survival(6.0) - 1.0)
     refined = painleve.hastings_mcleod(tol=painleve.DEFAULT_TOL / 2.0)
-    drift = abs(painleve.tw_cdf(sol, -5.0) - painleve.tw_cdf(refined, -5.0))
+    drift = abs(painleve.tw_cdf_survival(sol, -5.0)[0]
+                - painleve.tw_cdf_survival(refined, -5.0)[0])
     # the drift alone reads ~3e-19, and exactly 0 from a solver that ignored
     # tol: the halved tol must also buy more collocation nodes
     ok = (left_diff < scale and right_rel < 0.20 and drift < 1e-8

@@ -39,7 +39,7 @@ from coulombgas.exactfiniten import ExactContext, decimal_context
 from coulombgas.freeenergy import (LOG_2PI, ZETA_PRIME_MINUS_ONE,
                                    bernoulli_numbers, re_g_at_a)
 from coulombgas.geometry import PreGeometry, Regime, solve_q
-from coulombgas.ldp import LUEParams, kc_U
+from coulombgas.ldp import LUEParams, kc_U_grid
 from coulombgas.opasymp import GEvaluator
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
@@ -115,7 +115,7 @@ def constrained_support(t: float, alpha: float) -> tuple[float, float]:
     if t <= lam_minus:
         raise DomainError(
             f"constrained support needs t > lambda_- = {lam_minus}, got t = {t}")
-    return t, kc_U(t, alpha)
+    return t, kc_U_grid((t,), alpha)[0]
 
 
 def constrained_density(t: float, alpha: float, x: float) -> float:
@@ -417,7 +417,8 @@ def g(evaluator: GEvaluator, z: complex) -> complex:
 def hm_q(sol: painleve.TWSolution, s):
     """The transcendent on [S_MIN, S_MAX], summed from its Chebyshev series.
 
-    Like q2_tail_integral, a float s gives a float and an array an array.
+    Like painleve.tw_cdf_survival and q2_tail_integral, a float s gives a
+    float and an array an array.
     """
     s = np.asarray(s, dtype=float)
     if np.any((s < painleve.S_MIN) | (s > painleve.S_MAX)):

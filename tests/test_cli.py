@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import oracles
-from coulombgas import cli
+from coulombgas import cli, ldp
 from coulombgas.table import Columns, render
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -74,6 +74,13 @@ class TestExitCodes:
         assert len(table["rows"]) == 256
         assert table["droplet"]["chi"] == 1
 
+    def test_happy_path_geometry_far_field(self, capsys):
+        # the modulus root q ~ 1/a is below the trig form's rounding error
+        code, out, _ = run_cli(
+            ["geometry", "--a", "1e6", "--c", "1", "--points", "16"], capsys)
+        assert code == 0
+        assert json.loads(out)["droplet"]["chi"] == 1
+
     def test_happy_path_duality(self, capsys):
         code, out, _ = run_cli(
             ["duality-check", "--n", "2", "--m", "2", "--x", "0.5",
@@ -110,14 +117,13 @@ class TestExitCodes:
         ["op-compare", "--a", "1.2", "--c", "1/3", "--n", "3,4"],
         ["ldp", "--alpha", "1/2", "--t", "2", "--exact-compare",
          "--n", "7"],                                       # alpha*n not integer
-        ["exact", "--a", "0.3", "--c", "9/16", "--n", "16",
-         "--m", "5"],                                       # m != c*n
         ["tw", "--t", "1", "--grid=-1:1:3"],                # --t and --grid
         ["ldp", "--alpha", "16/9", "--t", "2", "--grid", "0.5:5:5"],
         ["geometry", "--a", "1", "--c", "9/16", "--points", "0"],  # < 8
         ["geometry", "--a", "1", "--c", "9/16", "--points", "-5"],
         ["geometry", "--a", "1", "--c", "9/16", "--points", "7"],
-        ["exact", "--a", "0.2", "--n", "4", "--m", "-3"],          # m < 0
+        ["exact", "--a", "0.2", "--c", "1", "--n", "4", "--m", "4"],  # no --m
+        ["exact", "--a", "0.2", "--n", "4"],                # --c required
         ["duality-check", "--n", "2", "--m", "0", "--x", "0.5"],   # m < 1
         *_BAD_N,
         ["tw", "--t", "0", "--tol", "0"],                   # tol <= 0
@@ -171,10 +177,10 @@ class TestExitCodes:
     def test_exterior_checked_before_exact_work(self, monkeypatch, capsys):
         # |z| = 0.5 is inside the exterior gate, so no exact p_N is computed
         def refuse(*args, **kwargs):
-            raise AssertionError("exact_op ran before the exterior gate")
+            raise AssertionError("moment_table ran before the exterior gate")
 
         monkeypatch.setattr(importlib.import_module("coulombgas.exactfiniten"),
-                            "exact_op", refuse)
+                            "moment_table", refuse)
         code, _, err = run_cli(["op-compare", "--a", "1.2", "--c", "1",
                                 "--n", "60", "--x", "0.5"], capsys)
         assert code == cli.EXIT_NUMERICAL
@@ -200,14 +206,40 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("alpha", ["1e-8", "1e-10", "1e-15"])
     def test_small_alpha_names_alpha_and_t(self, alpha, capsys):
-        # the planar image (a, c) = (sqrt(t/alpha), 1/alpha) has no modulus
-        # root in double precision; the error speaks of the flags given
-        code, _, err = run_cli(["ldp", "--alpha", alpha, "--t", "1"], capsys)
+        # the planar image (a, c) = (sqrt(t/alpha), 1/alpha) overflows the
+        # modulus cubic; the error speaks of the flags given
+        code, _, err = run_cli(["ldp", "--alpha", alpha, "--t", "1e300"],
+                               capsys)
         assert code == cli.EXIT_NUMERICAL
         payload = json.loads(err)
         assert payload["error"] == "DomainError"
-        assert f"alpha = {float(alpha)!r}, t = 1.0" in payload["message"]
+        assert f"alpha = {float(alpha)!r}, t = 1e+300" in payload["message"]
         assert "a=" not in payload["message"]
+
+    @pytest.mark.parametrize("alpha", ["1e-8", "1e-15"])
+    def test_rootless_edge_names_alpha_and_t(self, alpha, capsys):
+        # lambda_- = (sqrt(alpha+1) - 1)^2 loses digits at small alpha, so
+        # one ulp above it the planar image sits on the wrong side of a_cri
+        # and the modulus cubic has no admissible root
+        lam = ldp.LUEParams.from_alpha(float(alpha)).lambda_minus
+        t = math.nextafter(lam, math.inf)
+        code, _, err = run_cli(["ldp", "--alpha", alpha, "--t", repr(t)],
+                               capsys)
+        assert code == cli.EXIT_NUMERICAL
+        message = json.loads(err)["message"]
+        assert f"alpha = {float(alpha)!r}, t = {t!r}" in message
+        assert "no admissible modulus root" in message and "a=" not in message
+
+    @pytest.mark.parametrize("alpha", ["1e-8", "1e-10", "1e-15"])
+    def test_small_alpha_rate_matches_action(self, alpha, capsys):
+        # at t = 1 the planar image (a, c) = (sqrt(1/alpha), 1/alpha) has
+        # q ~ 1/a, below the trig root's rounding error
+        code, out, _ = run_cli(["ldp", "--alpha", alpha, "--t", "1",
+                                "--check-kc"], capsys)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["residual"] < 1e-12
+        assert row["phi"] == pytest.approx(1.0, abs=1e-7)
 
     @pytest.mark.parametrize("argv, names", [
         (["free-energy", "--a", "0.2", "--c", "1", "--n", "16", "--order",
@@ -452,15 +484,6 @@ class TestRender:
 
 
 class TestSemantics:
-    def test_rational_c_matches_explicit_m(self, capsys):
-        _, via_c, _ = run_cli(
-            ["exact", "--a", "0.3", "--c", "9/16", "--n", "16"], capsys)
-        _, via_m, _ = run_cli(
-            ["exact", "--a", "0.3", "--c", "9/16", "--n", "16", "--m", "9"],
-            capsys)
-        assert json.loads(via_c)["rows"] == json.loads(via_m)["rows"]
-        assert json.loads(via_c)["rows"][0]["m"] == 9
-
     def test_free_energy_exact_compare(self, capsys):
         _, out, _ = run_cli(
             ["free-energy", "--a", "0.2", "--c", "1", "--n", "8",

@@ -186,8 +186,8 @@ class TestExpansion:
 
     def test_post_exact_decay(self):
         for n in (4, 8, 16):
-            exact = float(exactfiniten.exact_logZ(
-                exactfiniten.ExactContext(N=n, m=n, a=0.2)))
+            exact = float(exactfiniten.moment_table(
+                exactfiniten.ExactContext(N=n, m=n, a=0.2)).log_z)
             got = freeenergy.expansion(n, 0.2, 1.0, Regime.POST, M=2).log_z
             assert abs(got - exact) \
                 < 3.0 * freeenergy.first_omitted_tail_term(n, 1.0, 2)
@@ -195,8 +195,8 @@ class TestExpansion:
     def test_pre_residual_ratio(self):
         residual = {}
         for n in (4, 8, 16):
-            exact = float(exactfiniten.exact_logZ(
-                exactfiniten.ExactContext(N=n, m=n, a=1.2)))
+            exact = float(exactfiniten.moment_table(
+                exactfiniten.ExactContext(N=n, m=n, a=1.2)).log_z)
             residual[n] = abs(
                 freeenergy.expansion(n, 1.2, 1.0, Regime.PRE).log_z - exact)
         # O(N^-1) error class: halving ratio 2 within +-30%
@@ -231,15 +231,16 @@ class TestCharpolyMoment:
         assert abs(got - exact) < 3.0 * freeenergy.first_omitted_tail_term(8, 1.0, 2)
 
     def test_origin_closed_form(self):
-        # at z=0 the moment is the reference ratio; H has its own closed form
+        # at z=0 the moment is the ratio of Barnes-G closed forms
         got = freeenergy.charpoly_moment_asymp(0.0, 1.0, 8)
-        ginibre = exactfiniten.exact_logZ(exactfiniten.ExactContext(8, 0, 0))
+        ginibre = exactfiniten.moment_table(
+            exactfiniten.ExactContext(8, 0, 0)).log_z
         ratio = freeenergy.reference_logZ(8, 1.0) - float(ginibre)
         assert got == pytest.approx(ratio, abs=1e-7)
 
     @pytest.mark.parametrize("z_abs", [1.2, 2.0])
     def test_pre_critical_error_class(self, z_abs):
-        """Outside a_cri (the (F^2-1)^3 branch) the error decays like N^-2.
+        """Above a_cri (simply connected) the error decays like N^-2.
 
         The class is empirical: the paper states terms only through O(1).
         N^2 (asymp - exact) measures -2.6e-3 at |z| = 1.2 and -1.6e-4 at

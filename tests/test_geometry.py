@@ -72,6 +72,17 @@ class TestSolveQ:
         q = geometry.solve_q(100.0, 1.0)
         assert abs(100.0 * q - 1.0) < 2e-4
 
+    @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+    def test_large_a_up_to_overflow(self, c):
+        # a q = 1 - c/a^2 + O(a^-4); from a ~ 1e5 the middle root q^2 ~ 1/a^2
+        # sits below the trig form's rounding error, up to where a^4 overflows
+        for e in range(2, 77, 2):
+            a = float(10 ** e)
+            q = geometry.solve_q(a, c)
+            assert 0.0 < q < 1.0 and a * q <= 1.0, a
+            if a >= 1e4:
+                assert abs(a * q - (1.0 - c / (a * a))) < 1e-12, a
+
     def test_reference_point(self):
         a, c = 1.0, 9 / 16
         q = geometry.solve_q(a, c)

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp
 
 import oracles
 from coulombgas import cli, exactfiniten, freeenergy, ldp
@@ -44,20 +43,20 @@ class TestMarchenkoPastur:
 class TestRateFunction:
     def test_vanishes_at_edge(self):
         lm = ldp.LUEParams.from_alpha(1.0).lambda_minus
-        assert abs(ldp.phi(lm + 1e-6, 1.0)) < 1e-13
+        assert abs(ldp.phi_psi(lm + 1e-6, 1.0)[0]) < 1e-13
 
     def test_positive_inside_pushed_regime(self):
         lm = ldp.LUEParams.from_alpha(16 / 9).lambda_minus
-        assert ldp.phi(lm + 1.0, 16 / 9) > 0.0
+        assert ldp.phi_psi(lm + 1.0, 16 / 9)[0] > 0.0
         for dt in (1e-3, 0.1, 1.0, 4.0):
-            assert ldp.phi(lm + dt, 16 / 9) > 0.0
+            assert ldp.phi_psi(lm + dt, 16 / 9)[0] > 0.0
 
     def test_domain_error_at_wall(self):
         lm = ldp.LUEParams.from_alpha(1.0).lambda_minus
         with pytest.raises(DomainError):
-            ldp.phi(lm, 1.0)
+            ldp.phi_psi(lm, 1.0)
         with pytest.raises(DomainError):
-            ldp.phi(lm - 0.5, 1.0)
+            ldp.phi_psi(lm - 0.5, 1.0)
 
     @pytest.mark.parametrize("alpha", [1.0, 16 / 9])
     def test_third_order_coefficient(self, alpha):
@@ -65,10 +64,11 @@ class TestRateFunction:
         # the windowed fit removes it to ~0.2%
         lm = ldp.LUEParams.from_alpha(alpha).lambda_minus
         target = math.sqrt(alpha + 1) / (12.0 * lm * lm)
-        assert ldp.phi(lm + 1e-3, alpha) / 1e-9 == pytest.approx(target, rel=0.01)
+        assert ldp.phi_psi(lm + 1e-3, alpha)[0] / 1e-9 == pytest.approx(
+            target, rel=0.01)
 
         dts = np.linspace(1e-3, 1e-2, 50)
-        vals = np.array([ldp.phi(lm + dt, alpha) for dt in dts])
+        vals = np.array(ldp.phi_psi_grid(lm + dts, alpha)[0])
         basis = np.vstack([dts ** 3, dts ** 4]).T
         k3, _ = np.linalg.lstsq(basis, vals, rcond=None)[0]
         assert k3 == pytest.approx(target, rel=0.01)
@@ -76,12 +76,12 @@ class TestRateFunction:
     def test_monotone_growth(self):
         lm = ldp.LUEParams.from_alpha(1.0).lambda_minus
         ts = np.geomspace(lm + 1e-2, 1e3, 40)
-        vals = [ldp.phi(float(t), 1.0) for t in ts]
+        vals = ldp.phi_psi_grid(ts, 1.0)[0]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_linear_far_field(self):
-        assert abs(ldp.phi(1000.0, 1.0) - ldp.phi_large_t(1000.0, 1.0)) \
-            / 1000.0 < 0.05
+        rate = ldp.phi_psi(1000.0, 1.0)[0]
+        assert abs(rate - ldp.phi_large_t(1000.0, 1.0)) / 1000.0 < 0.05
 
     def test_far_field_form(self):
         assert ldp.phi_large_t(123.0, 0.0) == 123.0
@@ -93,18 +93,17 @@ class TestKCAction:
     @pytest.mark.parametrize("alpha", [1.0, 16 / 9, 5.0])
     def test_support_degenerates_at_edge(self, alpha):
         params = ldp.LUEParams.from_alpha(alpha)
-        assert ldp.kc_U(params.lambda_minus, alpha) == pytest.approx(
-            params.lambda_plus, abs=1e-8)
+        assert ldp.kc_U_grid((params.lambda_minus,), alpha)[0] \
+            == pytest.approx(params.lambda_plus, abs=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 16 / 9, 5.0])
     def test_action_matches_rate_function(self, alpha):
         params = ldp.LUEParams.from_alpha(alpha)
-        edge = ldp.kc_action(params.lambda_minus, alpha)
-        for t in np.linspace(params.lambda_minus + 0.05,
-                             params.lambda_minus + 5.0, 12):
-            gap = abs(ldp.phi(float(t), alpha)
-                      - (ldp.kc_action(float(t), alpha) - edge))
-            assert gap < 1e-10
+        ts = np.linspace(params.lambda_minus + 0.05,
+                         params.lambda_minus + 5.0, 12)
+        *actions, edge = ldp.kc_action_grid([*ts, params.lambda_minus], alpha)
+        for rate, action in zip(ldp.phi_psi_grid(ts, alpha)[0], actions):
+            assert abs(rate - (action - edge)) < 1e-10
 
 
 class TestConstrainedDensity:
@@ -120,7 +119,7 @@ class TestConstrainedDensity:
     def test_relaxes_to_free_density(self):
         params = ldp.LUEParams.from_alpha(1.0)
         t = params.lambda_minus + 1e-4
-        hi = ldp.kc_U(t, 1.0)
+        [hi] = ldp.kc_U_grid((t,), 1.0)
         xs = np.linspace(t + 0.05, hi - 0.05, 100)
         sup = max(abs(oracles.constrained_density(t, 1.0, float(x))
                       - oracles.mp_density(params, float(x))) for x in xs)
@@ -138,14 +137,18 @@ def exact_log_p(n, t):
 
 
 class TestLogProbability:
-    def test_residual_shrinks_in_n(self):
+    def test_constant_term_leaves_an_order_n_minus_2_residual(self):
+        # s_n = n^2 (exact - asymptotic) measures -2.7883e-3, -2.8117e-3
+        # and -2.8174e-3 at n = 16, 32, 64: each doubling shrinks its
+        # increment about 4-fold, so the residual is c/n^2 + O(n^-3), and
+        # a wrong constant term would make s_n grow like n^2.  The
+        # Richardson limit (4 s_64 - s_32)/3 measures -2.8193e-3.
         t = ldp.LUEParams.from_alpha(1.0).lambda_minus + 1.0
-        residual = {}
-        for n in (4, 8, 16):
-            residual[n] = abs(exact_log_p(n, t)
-                              - ldp.ldp_log_probability(n, 1.0, t))
-        assert residual[4] > residual[8] > residual[16]
-        assert residual[16] < 0.2
+        s = {n: n * n * (exact_log_p(n, t)
+                         - ldp.ldp_log_probability(n, 1.0, t))
+             for n in (16, 32, 64)}
+        assert (s[32] - s[16]) / (s[64] - s[32]) >= 3.0
+        assert -2.83e-3 <= (4.0 * s[64] - s[32]) / 3.0 <= -2.81e-3
 
     def test_pulled_regime_probability_near_one(self):
         # halfway to the edge the gap event is likely but not sure
@@ -160,15 +163,16 @@ class TestLogProbability:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert code == 0 and [row["t"] for row in rows] == [4.0, 4.5]
         for row in rows:
-            prob = exactfiniten.lue_gap_probability(
+            log_p = exactfiniten.lue_log_gap_probability(
                 32, 57, Fraction(row["t"]), 32, precision_bits=1024)
-            assert abs(row["exact_log_p"] - float(mp.log(prob))) < 1e-10
+            assert abs(row["exact_log_p"] - float(log_p)) < 1e-10
 
     def test_constant_toggle(self):
         # -Phi n^2 plus the constant order -log(alpha n)/12 + zeta'(-1) + Psi
         t = ldp.LUEParams.from_alpha(1.0).lambda_minus + 1.0
-        want = (-64.0 * ldp.phi(t, 1.0) - math.log(8.0) / 12.0
-                + freeenergy.ZETA_PRIME_MINUS_ONE + ldp.psi(t, 1.0))
+        rate, const = ldp.phi_psi(t, 1.0)
+        want = (-64.0 * rate - math.log(8.0) / 12.0
+                + freeenergy.ZETA_PRIME_MINUS_ONE + const)
         assert ldp.ldp_log_probability(8, 1.0, t) == pytest.approx(want, abs=1e-12)
 
 
@@ -192,12 +196,13 @@ class TestSinglePass:
                 freeenergy.fconst(a, c, Regime.PRE)
                 - freeenergy.fconst(a, c, Regime.POST))
             assert (row["phi"], row["psi"]) == two_solves, t
-            assert (ldp.phi(t, alpha), ldp.psi(t, alpha)) == two_solves, t
+            assert ldp.phi_psi(t, alpha) == two_solves, t
         for t in (lo, rows[1]["t"], 2.0, 5.0):
-            two_pass = (-ldp.phi(t, alpha) * 16 * 16
+            rate, const = ldp.phi_psi(t, alpha)
+            two_pass = (-rate * 16 * 16
                         + (-math.log(alpha * 16) / 12.0
                            + freeenergy.ZETA_PRIME_MINUS_ONE
-                           + ldp.psi(t, alpha)))
+                           + const))
             assert ldp.ldp_log_probability(16, alpha, t) == two_pass, t
 
     def test_exact_compare_solves_the_modulus_once_per_row(self, monkeypatch,

@@ -134,10 +134,11 @@ class TestHastingsMcleod:
 
 class TestDistribution:
     def test_upper_limit(self, hm_solution):
-        assert painleve.tw_cdf(hm_solution, 8.0) == pytest.approx(1.0, abs=1e-10)
+        assert painleve.tw_cdf_survival(hm_solution, 8.0)[0] == pytest.approx(
+            1.0, abs=1e-10)
 
     def test_frozen_median_region_value(self, hm_solution):
-        assert painleve.tw_cdf(hm_solution, -2.0) == pytest.approx(
+        assert painleve.tw_cdf_survival(hm_solution, -2.0)[0] == pytest.approx(
             0.413224142505, abs=1e-9)
 
     def test_cdf_matches_fredholm_determinant(self, hm_solution):
@@ -147,32 +148,33 @@ class TestDistribution:
         # absolute difference, 5.3e-14, is at t = -2)
         ts = np.linspace(-8.0, 6.0, 57)
         want = np.array([oracles.tw_cdf_fredholm(t) for t in ts])
-        np.testing.assert_allclose(painleve.tw_cdf(hm_solution, ts), want,
-                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(painleve.tw_cdf_survival(hm_solution, ts)[0],
+                                   want, rtol=0.0, atol=1e-12)
 
     def test_strictly_increasing(self, hm_solution):
         ts = np.linspace(-8.0, 6.0, 57)
-        vals = [painleve.tw_cdf(hm_solution, float(t)) for t in ts]
+        vals = [painleve.tw_cdf_survival(hm_solution, float(t))[0] for t in ts]
         assert all(0.0 < v < 1.0 for v in vals[:-1])
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_log_derivative_identity(self, hm_solution):
         h = 1e-5
         for t in (-3.0, -1.5, 0.5):
-            fd = (math.log(painleve.tw_cdf(hm_solution, t + h))
-                  - math.log(painleve.tw_cdf(hm_solution, t - h))) / (2 * h)
+            cdf_plus, cdf_minus = (painleve.tw_cdf_survival(hm_solution, t + d)[0]
+                                   for d in (h, -h))
+            fd = (math.log(cdf_plus) - math.log(cdf_minus)) / (2 * h)
             assert fd == pytest.approx(
                 painleve.q2_tail_integral(hm_solution, t), abs=1e-6)
             assert fd >= 0.0
 
     def test_left_tail(self, hm_solution):
         t = -8.0
-        diff = abs(math.log(painleve.tw_cdf(hm_solution, t))
+        diff = abs(math.log(painleve.tw_cdf_survival(hm_solution, t)[0])
                    - painleve.left_tail_log_cdf(abs(t)))
         assert diff < 3.0 / (2 ** 6 * abs(t) ** 3)
 
     def test_right_tail(self, hm_solution):
-        rel = abs(painleve.tw_survival(hm_solution, 6.0)
+        rel = abs(painleve.tw_cdf_survival(hm_solution, 6.0)[1]
                   / painleve.right_tail_survival(6.0) - 1)
         assert rel < 0.20
 
@@ -181,7 +183,7 @@ class TestDistribution:
         # ~1e-16 at 7.9: it must stay accurate relative to its own size
         for t in (6.0, 7.0, 7.9):
             mass, moment = airy_tails_oracle(t)
-            assert painleve.tw_survival(hm_solution, t) == pytest.approx(
+            assert painleve.tw_cdf_survival(hm_solution, t)[1] == pytest.approx(
                 moment, rel=1e-6, abs=0.0)
             assert painleve.q2_tail_integral(hm_solution, t) == pytest.approx(
                 mass, rel=1e-6, abs=0.0)
@@ -190,7 +192,7 @@ class TestDistribution:
                              ids=["scalar", "array"])
     def test_grid_too_short(self, hm_solution, t):
         with pytest.raises(GridTooShort):
-            painleve.tw_cdf(hm_solution, t)
+            painleve.tw_cdf_survival(hm_solution, t)[0]
 
     def test_array_matches_points_and_airy_closure(self, hm_solution):
         grid = hm_solution.s_grid
@@ -199,10 +201,13 @@ class TestDistribution:
                              grid[[1, grid.size // 2, -1]], [s_max, 9.5, 12.0]))
         beyond = ts >= s_max
         mass, moment = np.array([airy_tails_oracle(t) for t in ts[beyond]]).T
-        closure = {painleve.tw_cdf: np.exp(-moment),
-                   painleve.tw_survival: -np.expm1(-moment),
-                   painleve.q2_tail_integral: mass}
-        for fn, closed in closure.items():
+        closure = [
+            (lambda sol, t: painleve.tw_cdf_survival(sol, t)[0],
+             np.exp(-moment)),
+            (lambda sol, t: painleve.tw_cdf_survival(sol, t)[1],
+             -np.expm1(-moment)),
+            (painleve.q2_tail_integral, mass)]
+        for fn, closed in closure:
             batch = fn(hm_solution, ts)
             points = [fn(hm_solution, float(t)) for t in ts]
             assert all(type(v) is float for v in points)
@@ -220,7 +225,8 @@ class TestCriticalWindow:
         # far into s > 0 the window formula degenerates to the annular-phase
         # expansion evaluated at the shifted point (the distribution term dies)
         n, c, s = 32, 1.0, 8.0
-        assert abs(math.log(painleve.tw_cdf(hm_solution, 8.0))) < 1e-9
+        assert abs(math.log(
+            painleve.tw_cdf_survival(hm_solution, 8.0)[0])) < 1e-9
         a_s = painleve.critical_a(s, c, n)
         got = painleve.critical_expansion(n, c, s, solution=hm_solution)
         want = freeenergy.expansion(n, a_s, c, Regime.POST, M=0).log_z
@@ -230,8 +236,8 @@ class TestCriticalWindow:
         a_cri = geometry.critical_values(1.0).a_cri
         residual = {}
         for n in (4, 8):
-            exact = float(exactfiniten.exact_logZ(
-                exactfiniten.ExactContext(N=n, m=n, a=a_cri)))
+            exact = float(exactfiniten.moment_table(
+                exactfiniten.ExactContext(N=n, m=n, a=a_cri)).log_z)
             got = painleve.critical_expansion(n, 1.0, 0.0, solution=hm_solution)
             residual[n] = abs(got - exact)
         assert residual[8] < residual[4]

@@ -57,7 +57,7 @@ def run(args) -> int:
                   [[float(lue_log_gap_probability(n, alpha_n, Fraction(t), n))
                     for t in ts]]),
                  ("ldp_log_p", float,
-                  [[ldp.ldp_log_probability_from(n, alpha, rate, const)
+                  [[ldp.ldp_log_probability(n, alpha, rate, const)
                     for rate, const in zip(phis, psis)]])]
     worst = max(residuals)
     emit(_table("ldp", {"alpha": alpha, "grid": args.grid, "t": args.t,

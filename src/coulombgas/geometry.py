@@ -25,6 +25,9 @@ from .errors import BranchCutError, DomainError, NoValidRoot
 
 #: half-width of the AtCriticality window in a - a_cri
 TAU = 1e-12
+#: least 1 - a^2 q^2 solve_q accepts from its large-a root: 2^-26 keeps half
+#: of a double's 53 bits through the cancellation that forms it
+GAP_FLOOR = 2.0 ** -26
 
 
 class Regime(enum.Enum):
@@ -125,10 +128,12 @@ def solve_q(a: float, c: float) -> float:
             if dg == 0.0:
                 break
             u -= g / dg
-        if _admissible(u, a):
+        if _admissible(u, a) and abs(u ** 3 - p * u * u + r) \
+                <= 2.0 ** -48 * (u ** 3 + p * u * u + r):
             return math.sqrt(min(u, 1.0))
-    # From a ~ 1e5 the middle root u ~ 1/a^2 sits below the trig form's
-    # rounding error.  It is the fixed point of u = 1/(a^2 sqrt(2(p-u))),
+    # From a ~ 2e4 the middle root u ~ 1/a^2 sits below the trig form's
+    # rounding error, and near a_cri at large c the polish leaves a residual
+    # above 16 ulps.  The root is the fixed point of u = 1/(a^2 sqrt(2(p-u))),
     # a contraction by u/(2(p-u)) < 1/4 for u < p/3, reached from u = 0.
     u = prev = 0.0
     for _ in range(4):
@@ -136,6 +141,11 @@ def solve_q(a: float, c: float) -> float:
             break
         prev, u = u, 1.0 / (a * a * math.sqrt(2.0 * (p - u)))
     if abs(u - prev) <= 1e-15 * u and _admissible(u, a):
+        # kappa and the energy form 1 - a^2 q^2 ~ 2c/a^2 from terms near 1
+        if 1.0 - a * a * u < GAP_FLOOR:
+            raise DomainError(
+                f"1 - a^2 q^2 = {1.0 - a * a * u:.3g} keeps fewer than half "
+                f"the digits of a double at a={a}, c={c}")
         return math.sqrt(u)
     raise NoValidRoot(
         f"no root of the modulus cubic satisfies 0 < q^2 < 1, kappa > 0 "

@@ -62,8 +62,8 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
                 f"{lam_minus}, got t = {t!r}")
         # the planar image: insertion radius a = sqrt(t/alpha), charge c
         a = math.sqrt(t / alpha)
-        # the failed root or overflow names the planar (a, c), or nothing;
-        # report the (t, alpha)
+        # the failed root, overflow or lost precision names the planar
+        # (a, c), or nothing; report the (t, alpha)
         try:
             q = solve_q(a, c)
             phis.append(alpha2 * (energy_pre(a, c, q) - (post_head - c * a * a)))
@@ -76,8 +76,8 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
         except (DomainError, OverflowError) as exc:
             raise DomainError(
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
-                "planar image a = sqrt(t/alpha), c = 1/alpha overflows in "
-                "double precision") from exc
+                "planar image a = sqrt(t/alpha), c = 1/alpha is out of "
+                "double precision's reach") from exc
     return phis, psis
 
 
@@ -143,16 +143,11 @@ def phi_large_t(t: float, alpha: float) -> float:
     return t - alpha * math.log(t)
 
 
-def ldp_log_probability(n: int, alpha: float, t: float) -> float:
-    """log P[smallest eigenvalue > t] through constant order at size n:
-    -Phi n^2 - log(alpha n)/12 + zeta'(-1) + Psi."""
-    return ldp_log_probability_from(n, alpha, *phi_psi(t, alpha))
-
-
-def ldp_log_probability_from(n: int, alpha: float, rate: float,
-                             const: float) -> float:
-    """ldp_log_probability from the (phi, psi) = (rate, const) of phi_psi,
-    for a caller that already has them."""
+def ldp_log_probability(n: int, alpha: float, rate: float,
+                        const: float) -> float:
+    """log P[smallest eigenvalue > t] through constant order at size n,
+    -Phi n^2 - log(alpha n)/12 + zeta'(-1) + Psi, from the
+    (Phi, Psi) = (rate, const) that phi_psi gives at t."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     # constant-order terms summed first, then added: the order fixes the last bits

@@ -251,7 +251,8 @@ def p_asymp(evaluator: GEvaluator, z: complex, N: int) -> PAsympResult:
 
 
 def a11_asymp(N: int, a: float, c: float, regime: Regime) -> float:
-    """Asymptotic subleading coefficient of the monic polynomial.
+    """Asymptotic subleading coefficient of the monic polynomial; 2N times
+    it is d/da of the log partition function.
 
     Annular phase: c a N up to super-polynomially small terms.
     Simply connected phase: the leading slope equals -C1 from the g
@@ -267,8 +268,3 @@ def a11_asymp(N: int, a: float, c: float, regime: Regime) -> float:
     q = geom.q
     lead = (1.0 - a * a * q * q) * (2.0 - q * q - a * a * q ** 4) / (4.0 * a * q * q)
     return lead * N + res_r11_infinity(geom, N)
-
-
-def dlogZ_da(N: int, a: float, c: float, regime: Regime) -> float:
-    """d/da of the log partition function: 2N times the coefficient asymptote."""
-    return 2.0 * N * a11_asymp(N, a, c, regime)

@@ -166,7 +166,7 @@ def check_ldp_constants() -> tuple:
         # alpha*n = n zero modes and the weight e^(-n x)
         exact = float(exactfiniten.lue_log_gap_probability(
             n, n, Fraction(t), n))
-        approx = ldp.ldp_log_probability(n, alpha, t)
+        approx = ldp.ldp_log_probability(n, alpha, *ldp.phi_psi(t, alpha))
         diffs.append({"n": n, "abs_error": abs(exact - approx)})
     decreasing = (diffs[0]["abs_error"] > diffs[1]["abs_error"]
                   > diffs[2]["abs_error"])

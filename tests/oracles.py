@@ -407,6 +407,44 @@ def c_cri_at(a: float) -> float:
     return (1.0 - a * a) ** 2 / (4.0 * a * a)
 
 
+def pre_reference(a: float, c: float) -> tuple:
+    """(q, 1 - a^2 q^2, kappa, energy_pre) at pre-critical (a, c) as mpf,
+    to about 40 digits at every a up to the double range.
+
+    w = 1 - a^2 q^2 is the root in (0, 1) of (a^2/2) w (2 - w) =
+    (1 - w)^2 (2c + w), the modulus cubic in w with its a^2 terms cancelled
+    by hand, found by bisection in log w so that it keeps its digits where
+    w ~ 2c/a^2 lies far below a double's rounding.  kappa and the energy are
+    geometry.pre_geometry's and freeenergy.energy_pre's closed forms, with
+    2 log10(a) more digits for the cancellation among the energy's a^2 terms.
+    """
+    with mp.workdps(40 + 2 * max(0, int(math.log10(a)))):
+        a, c = mp.mpf(a), mp.mpf(c)
+        a2 = a * a
+        # the two sides cross once in (0, 1), above min(1/2, c/(2a^2));
+        # bisect to about 15 digits, then Newton doubles them per step
+        lo, hi = min(mp.mpf(1) / 4, c / (4 * a2)), mp.mpf(1)
+        for _ in range(64):
+            w = mp.sqrt(lo * hi)
+            if a2 / 2 * w * (2 - w) < (1 - w) ** 2 * (2 * c + w):
+                lo = w
+            else:
+                hi = w
+        for _ in range(4):
+            w -= ((a2 / 2 * w * (2 - w) - (1 - w) ** 2 * (2 * c + w))
+                  / ((1 - w) * (a2 + 4 * c + 2 * w) - (1 - w) ** 2))
+        q2 = (1 - w) / a2
+        q = mp.sqrt(q2)
+        kappa = (1 - q2) * w / (2 * a * q)
+        energy = (mp.mpf(3) / 8 + a2 / 8 + 3 / (8 * a2 * q2 * q2) - 5 / (8 * q2)
+                  + (mp.mpf(3) / 4 + a2 / 8) * a2 * q2
+                  - mp.mpf(3) / 8 * a2 * a2 * q2 * q2
+                  + mp.log(2 * a * q) + 2 * c * mp.log(2 * a * q2)
+                  + c * c * mp.log(1 + a2 * q2 - 2 * a2 * q2 * q2)
+                  - (c + 1) ** 2 * mp.log(1 + a2 * q2))
+        return +q, +w, +kappa, +energy
+
+
 def g(evaluator: GEvaluator, z: complex) -> complex:
     """The evaluator's g-function in its own phase."""
     if evaluator.params.regime is Regime.POST:

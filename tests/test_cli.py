@@ -18,6 +18,7 @@ import pytest
 
 import oracles
 from coulombgas import cli, ldp
+from coulombgas.errors import NoValidRoot
 from coulombgas.table import Columns, render
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -75,11 +76,15 @@ class TestExitCodes:
         assert table["droplet"]["chi"] == 1
 
     def test_happy_path_geometry_far_field(self, capsys):
-        # the modulus root q ~ 1/a is below the trig form's rounding error
+        # the modulus root q ~ 1/a is below the trig form's rounding error;
+        # 1 - a^2 q^2 ~ 2c/a^2 = 2e-8 leaves kappa half its digits
         code, out, _ = run_cli(
-            ["geometry", "--a", "1e6", "--c", "1", "--points", "16"], capsys)
+            ["geometry", "--a", "1e6", "--c", "1e4", "--points", "16"], capsys)
         assert code == 0
-        assert json.loads(out)["droplet"]["chi"] == 1
+        droplet = json.loads(out)["droplet"]
+        assert droplet["chi"] == 1
+        _, gap, kappa, _ = oracles.pre_reference(1e6, 1e4)
+        assert abs(droplet["kappa"] / kappa - 1) <= 2 * sys.float_info.epsilon / gap
 
     def test_happy_path_duality(self, capsys):
         code, out, _ = run_cli(
@@ -216,18 +221,16 @@ class TestExitCodes:
         assert f"alpha = {float(alpha)!r}, t = 1e+300" in payload["message"]
         assert "a=" not in payload["message"]
 
-    @pytest.mark.parametrize("alpha", ["1e-8", "1e-15"])
-    def test_rootless_edge_names_alpha_and_t(self, alpha, capsys):
-        # lambda_- = (sqrt(alpha+1) - 1)^2 loses digits at small alpha, so
-        # one ulp above it the planar image sits on the wrong side of a_cri
-        # and the modulus cubic has no admissible root
-        lam = ldp.LUEParams.from_alpha(float(alpha)).lambda_minus
-        t = math.nextafter(lam, math.inf)
-        code, _, err = run_cli(["ldp", "--alpha", alpha, "--t", repr(t)],
-                               capsys)
+    def test_rootless_edge_names_alpha_and_t(self, monkeypatch, capsys):
+        # a modulus cubic without an admissible root is reported in the
+        # flags given, not in the planar (a, c) that solve_q names
+        def rootless(a, c):
+            raise NoValidRoot(f"no admissible root at a={a}, c={c}")
+        monkeypatch.setattr(ldp, "solve_q", rootless)
+        code, _, err = run_cli(["ldp", "--alpha", "16/9", "--t", "3"], capsys)
         assert code == cli.EXIT_NUMERICAL
         message = json.loads(err)["message"]
-        assert f"alpha = {float(alpha)!r}, t = {t!r}" in message
+        assert "alpha = 1.7777777777777777, t = 3.0" in message
         assert "no admissible modulus root" in message and "a=" not in message
 
     @pytest.mark.parametrize("alpha", ["1e-8", "1e-10", "1e-15"])
@@ -258,13 +261,21 @@ class TestExitCodes:
          ["a=1e+200", "c=1.0"]),
         (["op-compare", "--a", "1e200", "--c", "1", "--n", "4", "--x", "3",
           "--s", "1"], ["a=1e+200", "c=1.0"]),
+        # 1 - a^2 q^2 ~ 2c/a^2 keeps fewer than half a double's digits
+        (["geometry", "--a", "1e6", "--c", "1"], ["a=1000000.0", "c=1.0"]),
+        (["free-energy", "--a", "1e8", "--c", "1", "--n", "8"],
+         ["a=100000000.0", "c=1.0"]),
+        (["ldp", "--alpha", "1", "--t", "1e9"],
+         ["alpha = 1.0", "t = 1000000000.0"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
-            "free-energy-huge-a", "op-compare-huge-a"])
+            "free-energy-huge-a", "op-compare-huge-a", "geometry-far-a",
+            "free-energy-far-a", "ldp-far-t"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
-        # past the Bernoulli table, or past the double range, the error is a
-        # DomainError that names the flags, not an IndexError, an
-        # OverflowError or a math domain error naming nothing
+        # past the Bernoulli table, past the double range or past its
+        # digits, the error is a DomainError that names the flags, not an
+        # IndexError, an OverflowError, a math domain error naming nothing
+        # or a NoValidRoot calling the input post-critical
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (cli.EXIT_NUMERICAL, "")
         payload = json.loads(err)

@@ -1,6 +1,7 @@
 """Energies, O(1) constants, and the large-N expansion of log Z_N."""
 
 import math
+import sys
 
 import pytest
 from mpmath import mp
@@ -40,6 +41,21 @@ class TestEnergyPre:
         # the inserted charge decouples: I + 2c log a -> 3/4
         assert freeenergy.energy_pre(100.0, 1.0) + 2.0 * math.log(100.0) \
             == pytest.approx(0.75, abs=1e-3)
+
+    def test_large_a_against_pre_reference(self):
+        # a = 1e6 and 1e8 with c large enough that 1 - a^2 q^2 ~ 2c/a^2
+        # stays above GAP_FLOOR; the a^2 terms cancel to O(c log a) and the
+        # c^2 log terms round like c^2, so the error scales like eps (a^2 + c^2)
+        eps = sys.float_info.epsilon
+        for a, c in ((1e4, 1.0), (1e6, 1e4), (1e8, 1e8)):
+            energy = oracles.pre_reference(a, c)[3]
+            assert abs(freeenergy.energy_pre(a, c) - energy) \
+                <= 2 * eps * (a * a + (c + 1) ** 2), a
+        # at c = 1 the gap is 2e-12 and 2e-16 there: the energy would be
+        # off by 4.6e-5 and 0.62
+        for a in (1e6, 1e8):
+            with pytest.raises(DomainError, match=f"a={a}, c=1.0"):
+                freeenergy.energy_pre(a, 1.0)
 
     def test_ordering_above_transition(self):
         for c in (0.25, 1.0, 4.0):

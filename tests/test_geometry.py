@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,16 +73,40 @@ class TestSolveQ:
         q = geometry.solve_q(100.0, 1.0)
         assert abs(100.0 * q - 1.0) < 2e-4
 
-    @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
-    def test_large_a_up_to_overflow(self, c):
-        # a q = 1 - c/a^2 + O(a^-4); from a ~ 1e5 the middle root q^2 ~ 1/a^2
-        # sits below the trig form's rounding error, up to where a^4 overflows
+    @pytest.mark.parametrize("c", [0.25, 1.0, 4.0, 1e4, 1e8])
+    def test_large_a_solves_or_refuses(self, c):
+        # from a ~ 2e4 the middle root q^2 ~ 1/a^2 sits below the trig form's
+        # rounding error, up to where a^4 overflows; kappa carries
+        # 1 - a^2 q^2 ~ 2c/a^2, formed from terms near 1, so past GAP_FLOOR
+        # the solve refuses instead of handing on a kappa without digits
+        eps = sys.float_info.epsilon
         for e in range(2, 77, 2):
             a = float(10 ** e)
-            q = geometry.solve_q(a, c)
-            assert 0.0 < q < 1.0 and a * q <= 1.0, a
-            if a >= 1e4:
-                assert abs(a * q - (1.0 - c / (a * a))) < 1e-12, a
+            q, gap, kappa, _ = oracles.pre_reference(a, c)
+            try:
+                g = geometry.pre_geometry(a, c)
+            except DomainError as exc:  # NoValidRoot is not one
+                assert gap < geometry.GAP_FLOOR, a
+                assert f"a={a}, c={c}" in str(exc)
+                continue
+            assert abs(g.q / q - 1) <= 2 * eps, a
+            assert abs(g.kappa / kappa - 1) <= 2 * eps / gap, a
+
+    def test_large_a_refusal_starts_near_the_floor(self):
+        # at c = 1 the solve holds to a = 1e4 (gap 2e-8) and refuses from
+        # 1e5 (2e-10); the gap at 1e6 (2e-12) left kappa 4 digits
+        assert geometry.solve_q(1e4, 1.0) > 0.0
+        for a in (1e5, 1e6, 1e8):
+            with pytest.raises(DomainError, match="keeps fewer than half"):
+                geometry.solve_q(a, 1.0)
+
+    def test_large_c_root_near_a_cri(self):
+        # the trig root's Newton polish stopped short of the root here
+        # (q off by a factor of 7 at c = 1e6) or refused it (c = 1e12)
+        for a, c in ((0.028117087349916116, 1e6), (0.35397325010031655, 1e8),
+                     (0.0014092036051134953, 1e12)):
+            q, _, _, _ = oracles.pre_reference(a, c)
+            assert abs(geometry.solve_q(a, c) / q - 1) <= 2 * sys.float_info.epsilon
 
     def test_reference_point(self):
         a, c = 1.0, 9 / 16

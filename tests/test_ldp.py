@@ -145,7 +145,7 @@ class TestLogProbability:
         # Richardson limit (4 s_64 - s_32)/3 measures -2.8193e-3.
         t = ldp.LUEParams.from_alpha(1.0).lambda_minus + 1.0
         s = {n: n * n * (exact_log_p(n, t)
-                         - ldp.ldp_log_probability(n, 1.0, t))
+                         - ldp.ldp_log_probability(n, 1.0, *ldp.phi_psi(t, 1.0)))
              for n in (16, 32, 64)}
         assert (s[32] - s[16]) / (s[64] - s[32]) >= 3.0
         assert -2.83e-3 <= (4.0 * s[64] - s[32]) / 3.0 <= -2.81e-3
@@ -173,7 +173,8 @@ class TestLogProbability:
         rate, const = ldp.phi_psi(t, 1.0)
         want = (-64.0 * rate - math.log(8.0) / 12.0
                 + freeenergy.ZETA_PRIME_MINUS_ONE + const)
-        assert ldp.ldp_log_probability(8, 1.0, t) == pytest.approx(want, abs=1e-12)
+        assert ldp.ldp_log_probability(8, 1.0, rate, const) == pytest.approx(
+            want, abs=1e-12)
 
 
 class TestSinglePass:
@@ -203,7 +204,7 @@ class TestSinglePass:
                         + (-math.log(alpha * 16) / 12.0
                            + freeenergy.ZETA_PRIME_MINUS_ONE
                            + const))
-            assert ldp.ldp_log_probability(16, alpha, t) == two_pass, t
+            assert ldp.ldp_log_probability(16, alpha, rate, const) == two_pass, t
 
     def test_exact_compare_solves_the_modulus_once_per_row(self, monkeypatch,
                                                           capsys):
@@ -222,5 +223,5 @@ class TestSinglePass:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert code == 0 and len(calls) == len(rows) == 4
         for row in rows:
-            assert row["ldp_log_p"] == ldp.ldp_log_probability(9, 16 / 9,
-                                                               row["t"])
+            assert row["ldp_log_p"] == ldp.ldp_log_probability(
+                9, 16 / 9, *ldp.phi_psi(row["t"], 16 / 9))

@@ -261,17 +261,17 @@ class TestA11AndDerivative:
             exactfiniten.ExactContext(N=8, m=8, a=0.2 + d)).log_z)
             for d in (h, -h))
         fd = (plus - minus) / (2.0 * h)
-        assert opasymp.dlogZ_da(8, 0.2, 1.0, Regime.POST) / fd \
+        assert 2.0 * 8 * opasymp.a11_asymp(8, 0.2, 1.0, Regime.POST) / fd \
             == pytest.approx(1.0, abs=1e-4)
 
     def test_dlogz_pre_n2_coefficient(self, pre_evaluator):
         geom = pre_evaluator.geom
         a, q = geom.a, geom.q
         coeff = (1 - a * a * q * q) * (2 - q * q - a * a * q ** 4) / (2 * a * q * q)
-        diffs = {n: abs(opasymp.dlogZ_da(n, 1.2, 1.0, Regime.PRE) / n ** 2 - coeff)
+        diffs = {n: abs(2.0 * opasymp.a11_asymp(n, 1.2, 1.0, Regime.PRE) / n - coeff)
                  for n in (16, 64)}
         assert diffs[64] < 1e-4
         assert 12.0 < diffs[16] / diffs[64] < 20.0  # O(n^-2) approach
 
     def test_even_at_origin(self):
-        assert opasymp.dlogZ_da(8, 0.0, 1.0, Regime.POST) == 0.0
+        assert opasymp.a11_asymp(8, 0.0, 1.0, Regime.POST) == 0.0

@@ -17,12 +17,11 @@ def run(args) -> int:
     from .. import geometry
 
     a, c = args.a, float(args.c)
-    params = geometry.ModelParams.resolve(a, c)
-    boundary = geometry.droplet_boundary(params, args.points)
-    crit = geometry.critical_values(c)
-    info: dict = {"regime": params.regime.name, "a_cri": crit.a_cri,
+    regime = geometry.classify(a, c)
+    boundary = geometry.droplet_boundary(a, c, regime, args.points)
+    info: dict = {"regime": regime.name, "a_cri": geometry.a_cri(c),
                   "chi": boundary.chi}
-    if params.regime is geometry.Regime.PRE:
+    if regime is geometry.Regime.PRE:
         g = geometry.pre_geometry(a, c)
         info.update(q=g.q, R=g.R, kappa=g.kappa, beta=_cnum(g.beta), b=g.b)
     else:

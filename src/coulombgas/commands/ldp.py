@@ -30,16 +30,13 @@ def run(args) -> int:
         alpha_n = _int_product(args.alpha, args.n, "alpha")
     elif args.n is not None:
         raise UsageError("--n is used only with --exact-compare")
-    lambda_minus = ldp.LUEParams.from_alpha(alpha).lambda_minus
-    if alpha > 0 and lambda_minus == 0.0:
+    # lambda_minus refuses a negative alpha before the rate functions do
+    if ldp.lambda_minus(alpha) == 0.0 and alpha > 0:
         raise DomainError(
             f"alpha = {alpha!r} is too small: lambda_- = (sqrt(alpha+1) - 1)^2 "
             "underflows to 0")
-    # the given points first, so that an out-of-range one is named as given
-    # and not as the edge lambda_-
     phis, psis = ldp.phi_psi_grid(ts, alpha)
-    *actions, edge_action = ldp.kc_action_grid([*ts, lambda_minus], alpha)
-    diffs = [action - edge_action for action in actions]
+    diffs = ldp.kc_rate_grid(ts, alpha)
     residuals = [abs(rate - diff) for rate, diff in zip(phis, diffs)]
     rows = Columns([("t", float, [ts]), ("phi", float, [phis]),
                     ("action_diff", float, [diffs]),

@@ -44,5 +44,5 @@ def run(args) -> int:
     rows = [one(n) for n in ns]
     emit(_table("op-compare", {"a": a, "c": float(c), "z": _cnum(z),
                                "bits": args.bits, "regime":
-                               evaluator.params.regime.name}, rows), args)
+                               evaluator.regime.name}, rows), args)
     return EXIT_OK

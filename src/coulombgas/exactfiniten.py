@@ -358,12 +358,3 @@ def duality_residuals(N: int, m: int, xs, precision_bits: int = 256
             log_ratio, ctx.divide(m * N * t.numerator, t.denominator)))
         out.append(ctx.abs(ctx.subtract(lhs, rhs)))
     return out
-
-
-def exact_charpoly_moment(N: int, m: int, z_abs: float,
-                          precision_bits: int = 256) -> Decimal:
-    """E|det(G_N - z)|^(2m) = Z_N(|z|, m/N) / Z_N(0, 0), evaluated exactly."""
-    ctx = decimal_context(precision_bits)
-    return ctx.exp(ctx.subtract(
-        moment_table(ExactContext(N, m, abs(z_abs), precision_bits)).log_z,
-        moment_table(ExactContext(N, 0, 0, precision_bits)).log_z))

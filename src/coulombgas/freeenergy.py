@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .geometry import Regime, critical_values, pre_geometry, solve_q
+from .geometry import Regime, a_cri, pre_geometry, solve_q
 
 #: zeta'(-1) = 1/12 - log(Glaisher), 30 significant digits
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919660243
@@ -256,10 +256,10 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
     """
     if z_abs < 0 or c <= 0:
         raise DomainError(f"need |z| >= 0 and c > 0, got {z_abs}, {c}")
-    a_cri = critical_values(c).a_cri
-    if z_abs == a_cri:
+    edge = a_cri(c)
+    if z_abs == edge:
         raise DomainError("|z| = a_cri sits on the phase boundary")
-    if z_abs > a_cri:
+    if z_abs > edge:
         q = solve_q(z_abs, c)
         return ((0.75 - energy_pre(z_abs, c, q)) * N * N
                 + fconst(z_abs, c, Regime.PRE, q))

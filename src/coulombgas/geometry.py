@@ -36,15 +36,11 @@ class Regime(enum.Enum):
     AT_CRITICALITY = "at-criticality"
 
 
-class CriticalValues(NamedTuple):
-    a_cri: float
-
-
-def critical_values(c: float) -> CriticalValues:
-    """Critical charge location for given c."""
+def a_cri(c: float) -> float:
+    """Critical charge location sqrt(c+1) - sqrt(c) for given c."""
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
-    return CriticalValues(math.sqrt(c + 1.0) - math.sqrt(c))
+    return math.sqrt(c + 1.0) - math.sqrt(c)
 
 
 def classify(a: float, c: float) -> Regime:
@@ -53,22 +49,12 @@ def classify(a: float, c: float) -> Regime:
         raise DomainError(f"a must be nonnegative, got {a}")
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
-    a_cri = critical_values(c).a_cri
-    if a < a_cri - TAU:
+    edge = a_cri(c)
+    if a < edge - TAU:
         return Regime.POST
-    if a > a_cri + TAU:
+    if a > edge + TAU:
         return Regime.PRE
     return Regime.AT_CRITICALITY
-
-
-class ModelParams(NamedTuple):
-    a: float
-    c: float
-    regime: Regime
-
-    @classmethod
-    def resolve(cls, a: float, c: float) -> "ModelParams":
-        return cls(a=float(a), c=float(c), regime=classify(a, c))
 
 
 class PreGeometry(NamedTuple):
@@ -154,8 +140,12 @@ def solve_q(a: float, c: float) -> float:
 
 def pre_geometry(a: float, c: float) -> PreGeometry:
     q = solve_q(a, c)
+    gap = 1.0 - a * a * q * q  # at tiny c, q can round onto a^2 q^2 >= 1
+    if gap <= 0.0:
+        raise DomainError(f"1 - a^2 q^2 = {gap:.3g} leaves no kappa > 0 in "
+                          f"double precision at a={a}, c={c}")
     R = (1.0 + a * a * q * q) / (2.0 * a * q)
-    kappa = (1.0 - q * q) * (1.0 - a * a * q * q) / (2.0 * a * q)
+    kappa = (1.0 - q * q) * gap / (2.0 * a * q)
     beta = complex(R * q - kappa / q, 2.0 * math.sqrt(kappa * R))
     half_gap = cmath.sqrt(complex(kappa / R))
     return PreGeometry(
@@ -228,7 +218,8 @@ class DropletBoundary(NamedTuple):
     chi: int  # Euler characteristic: 0 doubly connected, 1 simply connected
 
 
-def droplet_boundary(params: ModelParams, n_points: int) -> DropletBoundary:
+def droplet_boundary(a: float, c: float, regime: Regime,
+                     n_points: int) -> DropletBoundary:
     """Sample the droplet boundary uniformly in angle.
 
     Post-critical: two circles (outer |z| = sqrt(1+c), inner |z - a| = sqrt(c)).
@@ -236,11 +227,11 @@ def droplet_boundary(params: ModelParams, n_points: int) -> DropletBoundary:
     """
     if n_points < 8:
         raise DomainError(f"n_points must be at least 8, got {n_points}")
-    if params.regime is Regime.AT_CRITICALITY:
+    if regime is Regime.AT_CRITICALITY:
         raise DomainError("the critical boundary curve is not sampled; perturb a")
     thetas = tuple(2.0 * math.pi * k / n_points for k in range(n_points))
-    if params.regime is Regime.POST:
-        g = post_geometry(params.a, params.c)
+    if regime is Regime.POST:
+        g = post_geometry(a, c)
         outer = tuple(g.outer_radius * cmath.exp(1j * t) for t in thetas)
         inner = tuple(g.inner_center + g.inner_radius * cmath.exp(1j * t) for t in thetas)
         return DropletBoundary(
@@ -250,7 +241,7 @@ def droplet_boundary(params: ModelParams, n_points: int) -> DropletBoundary:
             ),
             chi=0,
         )
-    g = pre_geometry(params.a, params.c)
+    g = pre_geometry(a, c)
     curve = tuple(conformal_f(g, cmath.exp(1j * t)) for t in thetas)
     return DropletBoundary(
         components=(BoundaryComponent("boundary", thetas, curve, True),),

@@ -16,27 +16,17 @@ Pulled to t < lambda_- the probability is 1 - o(1).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DomainError, NoValidRoot
 from .freeenergy import ZETA_PRIME_MINUS_ONE, energy_post, energy_pre, fconst
 from .geometry import Regime, solve_q
 
 
-class LUEParams(NamedTuple):
-    """Rectangular parameter and the spectral edges it induces."""
-
-    alpha: float
-    lambda_minus: float
-    lambda_plus: float
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "LUEParams":
-        if alpha < 0.0:
-            raise DomainError(f"alpha must be nonnegative, got {alpha}")
-        root = math.sqrt(alpha + 1.0)
-        return cls(alpha=alpha, lambda_minus=(root - 1.0) ** 2,
-                   lambda_plus=(root + 1.0) ** 2)
+def lambda_minus(alpha: float) -> float:
+    """Marchenko-Pastur left edge (sqrt(alpha+1) - 1)^2."""
+    if alpha < 0.0:
+        raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    return (math.sqrt(alpha + 1.0) - 1.0) ** 2
 
 
 def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
@@ -48,7 +38,7 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
     """
     if alpha <= 0.0:
         raise DomainError(f"rate functions need alpha > 0, got {alpha}")
-    lam_minus = LUEParams.from_alpha(alpha).lambda_minus
+    lam_minus = lambda_minus(alpha)
     c, alpha2 = 1.0 / alpha, alpha * alpha
     # energy_post(a, c) subtracts c*a*a last, so it equals this head minus
     # c*a*a bit for bit (tests/test_ldp.py holds the two routes equal)
@@ -116,13 +106,14 @@ def kc_U_grid(ts, alpha: float) -> list[float]:
     return out
 
 
-def kc_action_grid(ts, alpha: float) -> list[float]:
-    """Constrained Coulomb gas action S(t) at each t of ts;
-    Phi(t) = S(t) - S(lambda_-)."""
+def kc_rate_grid(ts, alpha: float) -> list[float]:
+    """S(t) - S(lambda_-) of the constrained Coulomb gas action S at each t
+    of ts, which Phi(t) equals; lambda_- goes last, so a bad t is named."""
+    ts = [*ts, lambda_minus(alpha)]
     us = kc_U_grid(ts, alpha)
     quarter, quarter2 = alpha / 4.0, alpha * alpha / 4.0
     log_weight = alpha * (alpha + 2.0)
-    out = []
+    actions = []
     for t, u in zip(ts, us):
         if u <= t:
             raise DomainError(
@@ -130,12 +121,13 @@ def kc_action_grid(ts, alpha: float) -> list[float]:
                 f"its right edge U(t) = {u!r} does not exceed t in double "
                 "precision")
         sqrt_u, sqrt_t = math.sqrt(u), math.sqrt(t)
-        out.append((u + t) / 2.0 - (u - t) ** 2 / 32.0
-                   + quarter * (sqrt_u - sqrt_t) ** 2
-                   - math.log((u - t) / 4.0)
-                   + quarter2 * math.log(t * u)
-                   - log_weight * math.log((sqrt_u + sqrt_t) / 2.0))
-    return out
+        actions.append((u + t) / 2.0 - (u - t) ** 2 / 32.0
+                       + quarter * (sqrt_u - sqrt_t) ** 2
+                       - math.log((u - t) / 4.0)
+                       + quarter2 * math.log(t * u)
+                       - log_weight * math.log((sqrt_u + sqrt_t) / 2.0))
+    *actions, edge = actions
+    return [action - edge for action in actions]
 
 
 def phi_large_t(t: float, alpha: float) -> float:

@@ -26,8 +26,8 @@ The annular prefactor carries a two-pole rational dressing R1(z) R2(z) built
 from the coefficients gamma11, gamma12 of the local coordinate at the cut
 endpoints.  Their fractional powers follow the principal branch of the
 grouped argument exactly as printed in the closed forms; that choice is
-pinned by an audit against the closed-form 1/z coefficient of R11, which is
-branch-sensitive (see tests).
+pinned by an audit of the branch-sensitive 1/z coefficient of R11 against
+freeenergy.d_fconst_pre_da(a, c)/(2N), the 1/N part of A11 (see tests).
 
 Exterior gate: evaluation points for the polynomial formulas must satisfy
 |z| > 1.15 * max(|beta|, a, outer droplet extent, and in the simply
@@ -45,9 +45,9 @@ import math
 from typing import NamedTuple, Union
 
 from .errors import DomainError
-from .geometry import (ModelParams, PostGeometry, PreGeometry, Regime,
-                       _sqrt_through_cut, conformal_f, inverse_F,
-                       post_geometry, pre_geometry)
+from .geometry import (PostGeometry, PreGeometry, Regime, _sqrt_through_cut,
+                       classify, conformal_f, inverse_F, post_geometry,
+                       pre_geometry)
 
 EXTERIOR_MARGIN = 1.15
 
@@ -63,24 +63,24 @@ def _droplet_outer_extent(geom: Union[PreGeometry, PostGeometry]) -> float:
 class GEvaluator(NamedTuple):
     """Regime-aware g-function with an immutable geometry snapshot."""
 
-    params: ModelParams
+    regime: Regime
     geom: Union[PreGeometry, PostGeometry]
     exterior_radius: float
 
     @classmethod
     def build(cls, a: float, c: float) -> "GEvaluator":
-        params = ModelParams.resolve(a, c)
-        if params.regime is Regime.AT_CRITICALITY:
+        regime = classify(a, c)
+        if regime is Regime.AT_CRITICALITY:
             raise DomainError(
                 f"a = {a} is at the phase boundary; no exterior expansion applies")
-        if params.regime is Regime.PRE:
+        if regime is Regime.PRE:
             geom: Union[PreGeometry, PostGeometry] = pre_geometry(a, c)
             bound = max(abs(geom.beta), a, geom.b, _droplet_outer_extent(geom))
         else:
             geom = post_geometry(a, c)
             # b is outside the closed-loop skeleton here, so it does not bound it
             bound = max(abs(geom.beta), a, _droplet_outer_extent(geom))
-        return cls(params=params, geom=geom,
+        return cls(regime=regime, geom=geom,
                    exterior_radius=EXTERIOR_MARGIN * bound)
 
     def require_exterior(self, z: complex) -> None:
@@ -90,14 +90,14 @@ class GEvaluator(NamedTuple):
                 f"{self.exterior_radius:.6g}")
 
     def _require_off_charges(self, z: complex) -> None:
-        if z == 0.0 or z == self.params.a:
+        if z == 0.0 or z == self.geom.a:
             raise DomainError(f"g is singular at z = {z}")
 
     def g_post(self, z: complex) -> complex:
         """Closed form log z + c log(z/(z-a)) of the annular phase."""
         z = complex(z)
         self._require_off_charges(z)
-        return cmath.log(z) + self.params.c * cmath.log(z / (z - self.params.a))
+        return cmath.log(z) + self.geom.c * cmath.log(z / (z - self.geom.a))
 
     def g_pre(self, z: complex) -> complex:
         """Closed form of the simply connected phase, through w = F(z).
@@ -108,7 +108,7 @@ class GEvaluator(NamedTuple):
         self._require_off_charges(z)
         w = inverse_F(self.geom, z)
         q = self.geom.q
-        t = (self.params.a * q) ** 2
+        t = (self.geom.a * q) ** 2
         w1 = (2.0 * t * q * q - t + 1.0) / (q * (1.0 + t))
         w2 = 2.0 * t * q / (1.0 + t)
         r = (t - 1.0) * (2.0 * t * q * q - t - 1.0) / (4.0 * t * q * q)
@@ -195,14 +195,6 @@ def r_entries(coeffs: RHCoefficients, z: complex) -> tuple[complex, complex,
     return a * e + b * g - 1.0, a * f + b * h, c * e + d * g, c * f + d * h - 1.0
 
 
-def res_r11_infinity(geom: PreGeometry, N: int) -> float:
-    """Closed-form 1/z coefficient of R11: -q^2(1-a^4q^4)^2 / (16a(1-q^2)(1-a^4q^6)^2 N)."""
-    a, q = geom.a, geom.q
-    num = q * q * (1.0 - a ** 4 * q ** 4) ** 2
-    den = 16.0 * a * (1.0 - q * q) * (1.0 - a ** 4 * q ** 6) ** 2 * N
-    return -num / den
-
-
 def r11_residue_probe(coeffs: RHCoefficients) -> complex:
     """1/z coefficient of R11 by the circle average of z R11(z).
 
@@ -235,7 +227,7 @@ def p_asymp(evaluator: GEvaluator, z: complex, N: int) -> PAsympResult:
         raise DomainError(f"need N >= 1, got {N}")
     z = complex(z)
     evaluator.require_exterior(z)
-    if evaluator.params.regime is Regime.POST:
+    if evaluator.regime is Regime.POST:
         return PAsympResult(value=cmath.exp(N * evaluator.g_post(z)),
                             error_class="N^-inf")
     geom = evaluator.geom
@@ -255,8 +247,9 @@ def a11_asymp(N: int, a: float, c: float, regime: Regime) -> float:
     it is d/da of the log partition function.
 
     Annular phase: c a N up to super-polynomially small terms.
-    Simply connected phase: the leading slope equals -C1 from the g
-    expansion, and the 1/N term is the closed-form 1/z coefficient of R11.
+    Simply connected phase: (F'/N - N E')/2 from the a-derivatives of the
+    pre-critical energy E and free-energy constant F; the 1/N term F'/(2N)
+    is the 1/z coefficient of R11, which report's residue_r11 probes.
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
@@ -264,7 +257,7 @@ def a11_asymp(N: int, a: float, c: float, regime: Regime) -> float:
         return c * a * N
     if regime is not Regime.PRE:
         raise DomainError("coefficient asymptotics need a definite phase")
-    geom = pre_geometry(a, c)
-    q = geom.q
-    lead = (1.0 - a * a * q * q) * (2.0 - q * q - a * a * q ** 4) / (4.0 * a * q * q)
-    return lead * N + res_r11_infinity(geom, N)
+    # freeenergy loads here, so op-compare does not compile it
+    from .freeenergy import d_energy_pre_da, d_fconst_pre_da
+
+    return (d_fconst_pre_da(a, c) / N - N * d_energy_pre_da(a, c)) / 2.0

@@ -64,17 +64,9 @@ _Q_LEFT = math.sqrt(-S_MIN / 2.0) * (1.0 + 1.0 / (8.0 * S_MIN ** 3))
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
-#: airy_ai(S_MAX) and _airy_tails(S_MAX), each rounded once from 117 bits
+#: Ai(S_MAX) and _airy_tails(S_MAX), each rounded once from 117 bits
 AI_AT_S_MAX = 4.6922076160992316e-08
 AIRY_TAILS_AT_S_MAX = (3.811440496228176e-16, 6.533563206931612e-17)
-
-
-def airy_ai(x: float) -> float:
-    """Ai(x), the boundary profile of the transcendent, rounded once."""
-    from mpmath import mp
-
-    with mp.workprec(53 + _GUARD_BITS):
-        return float(mp.airyai(x))
 
 
 def _airy_tails(t: float) -> tuple[float, float]:
@@ -98,7 +90,6 @@ class TWSolution(NamedTuple):
     s_grid: np.ndarray  # Chebyshev-Lobatto nodes, descending; s_grid[0] = S_MAX
     q_vals: np.ndarray  # hm_q on s_grid, positive throughout
     coeffs: np.ndarray  # hm_q as a Chebyshev series in x = (s - _MID) / _HALF
-    ode_tol: float
     max_residual: float  # worst first-integral defect over the nodes
     # int_s^S_MAX hm_q^2 and int_s^S_MAX (x - s) hm_q^2 at each node s
     suffix_mass: np.ndarray
@@ -259,7 +250,7 @@ def hastings_mcleod(tol: float = DEFAULT_TOL) -> TWSolution:
         (s_grid[:-1] - s_grid[1:]) * mass[:-1] + panel_moment)))
     for arr in (s_grid, q_vals, coeffs, mass, moment):
         arr.setflags(write=False)
-    return TWSolution(s_grid=s_grid, q_vals=q_vals, coeffs=coeffs, ode_tol=tol,
+    return TWSolution(s_grid=s_grid, q_vals=q_vals, coeffs=coeffs,
                       max_residual=max_residual, suffix_mass=mass,
                       suffix_moment=moment)
 
@@ -348,31 +339,29 @@ def critical_a(s: float, c: float, N: int) -> float:
     Leading terms only; the window coordinate s > 0 lands on the annular side,
     s < 0 on the simply connected side.
     """
-    from .geometry import critical_values
+    from .geometry import a_cri
 
     if c <= 0.0:
         raise DomainError(f"need c > 0, got {c}")
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    a_cri = critical_values(c).a_cri
-    coeff = (a_cri ** (1.0 / 3.0)
+    edge = a_cri(c)
+    coeff = (edge ** (1.0 / 3.0)
              / (2.0 * c ** (1.0 / 6.0) * (c + 1.0) ** (1.0 / 6.0)))
-    return a_cri - coeff * s * N ** (-2.0 / 3.0)
+    return edge - coeff * s * N ** (-2.0 / 3.0)
 
 
 def critical_expansion(N: int, c: float, s: float, solution: TWSolution) -> float:
     """log Z_N inside the transition window.
 
-    The annular-phase terms are evaluated at the shifted insertion point from
-    critical_a, and the constant picks up log F(c^(-2/3) s).  The window
-    coordinate must keep the shifted point nonnegative, which bounds |s| by
-    O(N^(2/3)); outside that the expansion has no meaning.
+    The annular-phase expansion through O(1) (freeenergy.expansion with no
+    tail) at the shifted insertion point from critical_a, plus log F(c^(-2/3) s).
+    The window coordinate must keep the shifted point nonnegative, which bounds
+    |s| by O(N^(2/3)); outside that the expansion has no meaning.
     """
-    from .freeenergy import LOG_2PI, energy_post
+    from .freeenergy import expansion
+    from .geometry import Regime
 
     a_s = critical_a(s, c, N)  # raises for c <= 0 or N < 1
-    log_f = -float(_tails(solution, c ** (-2.0 / 3.0) * s)[1])
-    return (-energy_post(a_s, c) * N * N
-            + 0.5 * N * math.log(N) + (LOG_2PI / 2.0 - 1.0) * N
-            + 0.5 * math.log(N) + LOG_2PI / 2.0
-            + math.log(c / (1.0 + c)) / 12.0 + log_f)
+    moment = float(_tails(solution, c ** (-2.0 / 3.0) * s)[1])  # -log F
+    return expansion(N, a_s, c, Regime.POST, M=0).log_z - moment

@@ -120,11 +120,11 @@ def check_kc_identity() -> tuple:
     worst = 0.0
     per_alpha = {}
     for alpha in (0.5, 1.0, 16.0 / 9.0, 5.0):
-        lam = ldp.LUEParams.from_alpha(alpha).lambda_minus
+        lam = ldp.lambda_minus(alpha)
         ts = np.linspace(lam + 0.05, lam + 5.0, 50)
-        *actions, s_edge = ldp.kc_action_grid([*ts, lam], alpha)
-        diffs = [abs(rate - (action - s_edge)) for rate, action
-                 in zip(ldp.phi_psi_grid(ts, alpha)[0], actions)]
+        diffs = [abs(rate - diff) for rate, diff
+                 in zip(ldp.phi_psi_grid(ts, alpha)[0],
+                        ldp.kc_rate_grid(ts, alpha))]
         per_alpha[f"{alpha:.6f}"] = max(diffs)
         worst = max(worst, max(diffs))
     return (
@@ -139,7 +139,7 @@ def check_third_order() -> tuple:
     rows = []
     ok = True
     for alpha in (1.0, 16.0 / 9.0):
-        lam = ldp.LUEParams.from_alpha(alpha).lambda_minus
+        lam = ldp.lambda_minus(alpha)
         dts = np.linspace(1e-3, 1e-2, 50)
         vals = np.array(ldp.phi_psi_grid(lam + dts, alpha)[0])
         design = np.vstack([dts ** 3, dts ** 4]).T
@@ -160,7 +160,7 @@ def check_third_order() -> tuple:
 def check_ldp_constants() -> tuple:
     """Constant-order expansion of log P approaches the exact finite-n value."""
     alpha = 1.0
-    t = ldp.LUEParams.from_alpha(alpha).lambda_minus + 1.0
+    t = ldp.lambda_minus(alpha) + 1.0
     diffs = []
     for n in (4, 8, 16):
         # alpha*n = n zero modes and the weight e^(-n x)
@@ -245,14 +245,14 @@ def check_op_asymptotics() -> tuple:
 
 @check("residue_r11", "opasymp", "far-field coefficient identity for R11")
 def check_residue() -> tuple:
-    """Numerically extracted far-field coefficient of R11 vs its closed form."""
+    """Numerically extracted far-field coefficient of R11 vs d_a F/(2N)."""
     rows = []
     worst = 0.0
     for a, c in ((1.0, 9.0 / 16.0), (1.2, 1.0), (2.0, 1.0)):
-        geom = geometry.pre_geometry(a, c)
-        coeffs = opasymp.rh_coefficients(geom, 8)
+        coeffs = opasymp.rh_coefficients(geometry.pre_geometry(a, c), 8)
         probe = opasymp.r11_residue_probe(coeffs)
-        closed = opasymp.res_r11_infinity(geom, 8)
+        # the 1/N part of A11 in d_a log Z_N = 2N A11, at N = 8
+        closed = freeenergy.d_fconst_pre_da(a, c) / (2.0 * 8)
         rel = abs(probe - closed) / abs(closed)
         rows.append({"a": a, "c": c, "probe_re": probe.real, "closed": closed,
                      "rel_error": rel})
@@ -267,7 +267,7 @@ def check_residue() -> tuple:
 def _zw_grid() -> list[tuple[float, float, Regime]]:
     points = []
     for c in (0.25, 0.5625, 1.0, 4.0):
-        a_cri = geometry.critical_values(c).a_cri
+        a_cri = geometry.a_cri(c)
         points.append((0.3 * a_cri, c, Regime.POST))
         points.append((0.7 * a_cri, c, Regime.POST))
         points.append((1.5 * a_cri, c, Regime.PRE))
@@ -332,7 +332,7 @@ def check_energy_continuity() -> tuple:
     rows = []
     ok = True
     for c in (0.25, 0.5625, 1.0, 4.0):
-        a_cri = geometry.critical_values(c).a_cri
+        a_cri = geometry.a_cri(c)
         a_edge = a_cri + 1e-8
         gap = abs(freeenergy.energy_pre(a_edge, c)
                   - freeenergy.energy_post(a_edge, c))

@@ -9,9 +9,11 @@ Tracy-Widom distribution as a Fredholm determinant), so the tests can
 compare the two.  The Marchenko-Pastur and
 constrained spectral densities live here too: only the tests integrate
 them.  So do the identities and helpers that no command reaches (the Robin
-constant and potential integral, a single contour moment, the inverse
-phase boundary c_cri(a), the regime-dispatching g, the Painleve series
-hm_q): the CLI does not compile them.  Keeping them here keeps their scipy
+constant and potential integral, a single contour moment, the exact
+characteristic-polynomial moment, the 1/z coefficient of R11 written out
+in the modulus, the inverse phase boundary c_cri(a), the regime-dispatching
+g, the Painleve series hm_q and its Airy boundary profile): the CLI does
+not compile them.  Keeping them here keeps their scipy
 imports out of the modules the CLI loads at start-up.
 """
 from __future__ import annotations
@@ -35,11 +37,11 @@ from numpy.polynomial import chebyshev as cheb
 
 from coulombgas import painleve
 from coulombgas.errors import DomainError, GridTooShort
-from coulombgas.exactfiniten import ExactContext, decimal_context
+from coulombgas.exactfiniten import ExactContext, decimal_context, moment_table
 from coulombgas.freeenergy import (LOG_2PI, ZETA_PRIME_MINUS_ONE,
                                    bernoulli_numbers, re_g_at_a)
 from coulombgas.geometry import PreGeometry, Regime, solve_q
-from coulombgas.ldp import LUEParams, kc_U_grid
+from coulombgas.ldp import kc_U_grid, lambda_minus
 from coulombgas.opasymp import GEvaluator
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
@@ -101,17 +103,22 @@ def barnes_series_logG(x: float, terms: int = 10) -> float:
     return out
 
 
-def mp_density(params: LUEParams, x: float) -> float:
+def mp_edges(alpha: float) -> tuple[float, float]:
+    """Marchenko-Pastur support edges (l-, l+) = ((sqrt(alpha+1) -+ 1)^2)."""
+    return lambda_minus(alpha), (math.sqrt(alpha + 1.0) + 1.0) ** 2
+
+
+def mp_density(alpha: float, x: float) -> float:
     """Equilibrium density (1/2pi) sqrt((l+ - x)(x - l-))/x; zero off-support."""
-    if x <= 0.0 or x <= params.lambda_minus or x >= params.lambda_plus:
+    lo, hi = mp_edges(alpha)
+    if x <= 0.0 or x <= lo or x >= hi:
         return 0.0
-    return math.sqrt((params.lambda_plus - x) * (x - params.lambda_minus)) / (
-        2.0 * math.pi * x)
+    return math.sqrt((hi - x) * (x - lo)) / (2.0 * math.pi * x)
 
 
 def constrained_support(t: float, alpha: float) -> tuple[float, float]:
     """Support [t, U(t)] of the density conditioned on the gap."""
-    lam_minus = LUEParams.from_alpha(alpha).lambda_minus
+    lam_minus = lambda_minus(alpha)
     if t <= lam_minus:
         raise DomainError(
             f"constrained support needs t > lambda_- = {lam_minus}, got t = {t}")
@@ -127,13 +134,13 @@ def constrained_density(t: float, alpha: float, x: float) -> float:
             * (x - alpha * math.sqrt(t / hi)) / x)
 
 
-def mp_total_mass(params: LUEParams) -> float:
+def mp_total_mass(alpha: float) -> float:
     """Integral of mp_density via x = l- + (l+ - l-) sin^2(phi).
 
     The substitution absorbs both inverse-square-root edges; the remaining
     integrand is analytic in phi, so fixed Gauss-Legendre converges fast.
     """
-    lo, hi = params.lambda_minus, params.lambda_plus
+    lo, hi = mp_edges(alpha)
     width = hi - lo
     phi_nodes = 0.25 * math.pi * (_GL_NODES + 1.0)
     sin2 = np.sin(phi_nodes) ** 2
@@ -181,6 +188,13 @@ def g_increment(geom: PreGeometry, z1: complex, z2: complex) -> complex:
 
         start, delta = mp.mpc(z1), mp.mpc(z2) - mp.mpc(z1)
         return complex(delta * mp.quad(lambda u: g_prime(start + u * delta), [0, 1]))
+
+
+def airy_ai(x: float) -> float:
+    """Ai(x) from mpmath at 117 bits, rounded once: the boundary profile of
+    the Hastings-McLeod transcendent."""
+    with mp.workprec(117):
+        return float(mp.airyai(x))
 
 
 def airy_ai_prime(x: float) -> float:
@@ -399,9 +413,27 @@ def contour_moment(ctx: ExactContext, k: int) -> Decimal:
         *horner_moments(ctx, (k,))[0])
 
 
+def exact_charpoly_moment(N: int, m: int, z_abs: float,
+                          precision_bits: int = 256) -> Decimal:
+    """E|det(G_N - z)|^(2m) = Z_N(|z|, m/N) / Z_N(0, 0), evaluated exactly."""
+    ctx = decimal_context(precision_bits)
+    return ctx.exp(ctx.subtract(
+        moment_table(ExactContext(N, m, abs(z_abs), precision_bits)).log_z,
+        moment_table(ExactContext(N, 0, 0, precision_bits)).log_z))
+
+
+def res_r11_infinity(geom: PreGeometry, N: int) -> float:
+    """The 1/z coefficient of R11 written out in the modulus:
+    -q^2 (1 - a^4 q^4)^2 / (16 a (1 - q^2)(1 - a^4 q^6)^2 N)."""
+    a, q = geom.a, geom.q
+    num = q * q * (1.0 - a ** 4 * q ** 4) ** 2
+    den = 16.0 * a * (1.0 - q * q) * (1.0 - a ** 4 * q ** 6) ** 2 * N
+    return -num / den
+
+
 def c_cri_at(a: float) -> float:
     """The charge c at which a sits on the phase boundary, the inverse of
-    geometry.critical_values(c).a_cri."""
+    geometry.a_cri(c)."""
     if not 0.0 < a < 1.0:
         raise DomainError(f"c_cri(a) is defined for 0 < a < 1, got {a}")
     return (1.0 - a * a) ** 2 / (4.0 * a * a)
@@ -447,7 +479,7 @@ def pre_reference(a: float, c: float) -> tuple:
 
 def g(evaluator: GEvaluator, z: complex) -> complex:
     """The evaluator's g-function in its own phase."""
-    if evaluator.params.regime is Regime.POST:
+    if evaluator.regime is Regime.POST:
         return evaluator.g_post(z)
     return evaluator.g_pre(z)
 

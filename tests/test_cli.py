@@ -267,10 +267,12 @@ class TestExitCodes:
          ["a=100000000.0", "c=1.0"]),
         (["ldp", "--alpha", "1", "--t", "1e9"],
          ["alpha = 1.0", "t = 1000000000.0"]),
+        # at tiny c the modulus root rounds onto a^2 q^2 > 1: no kappa > 0
+        (["geometry", "--a", "1e4", "--c", "1e-12"], ["10000.0", "1e-12"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
             "free-energy-huge-a", "op-compare-huge-a", "geometry-far-a",
-            "free-energy-far-a", "ldp-far-t"])
+            "free-energy-far-a", "ldp-far-t", "geometry-tiny-c"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
         # past the Bernoulli table, past the double range or past its
         # digits, the error is a DomainError that names the flags, not an
@@ -282,6 +284,14 @@ class TestExitCodes:
         assert payload["error"] == "DomainError"
         for name in names:
             assert name in payload["message"]
+
+    def test_tiny_c_free_energy_needs_no_droplet_gap(self, capsys):
+        # geometry refuses (1e4, 1e-12) for its kappa; the expansion reads
+        # only q and the energy, so free-energy still answers there
+        code, out, _ = run_cli(
+            ["free-energy", "--a", "1e4", "--c", "1e-12", "--n", "8"], capsys)
+        assert code == 0
+        assert json.loads(out)["rows"][0]["regime"] == "PRE"
 
     def test_identity_failure(self, capsys):
         # the 256-bit residual here measures 6.0e-77, so demanding 1e-80

@@ -416,11 +416,11 @@ class TestDuality:
 
 class TestCharpolyMoment:
     def test_empty_insertion(self):
-        assert exactfiniten.exact_charpoly_moment(4, 0, 1.3) == 1
+        assert oracles.exact_charpoly_moment(4, 0, 1.3) == 1
 
     def test_origin_product_form(self):
         with mp.workprec(256):
-            got = to_mpf(exactfiniten.exact_charpoly_moment(3, 3, 0.0))
+            got = to_mpf(oracles.exact_charpoly_moment(3, 3, 0.0))
             want = mp.mpf(1)
             for k in range(3):
                 want *= mp.factorial(3 + k) / (mp.factorial(k) * mp.mpf(3) ** 3)
@@ -429,7 +429,7 @@ class TestCharpolyMoment:
     @pytest.mark.parametrize("N", [1, 2, 8, 60])
     def test_ginibre_normalisation_closed_form(self, N):
         # Z_N(0, 0) = N! prod_{k<N} k! / N^(N(N+1)/2), the denominator of
-        # exact_charpoly_moment
+        # oracles.exact_charpoly_moment
         got = exactfiniten.moment_table(exactfiniten.ExactContext(N, 0, 0)).log_z
         with mp.workprec(512):
             want = (mp.log(math.factorial(N))
@@ -449,7 +449,7 @@ class TestExplicitContexts:
                     exactfiniten.lue_log_gap_probability(8, 6, Fraction(7, 10),
                                                          8),
                     exactfiniten.duality_residuals(4, 4, (1.0,)),
-                    exactfiniten.exact_charpoly_moment(4, 4, 0.3))
+                    oracles.exact_charpoly_moment(4, 4, 0.3))
 
         want = values()
         with decimal.localcontext() as thread, mp.workprec(20):

@@ -33,7 +33,7 @@ class TestEnergyPost:
 class TestEnergyPre:
     def test_matches_post_at_transition(self):
         for c in (9 / 16, 1.0):
-            a = geometry.critical_values(c).a_cri + 1e-8
+            a = geometry.a_cri(c) + 1e-8
             assert freeenergy.energy_pre(a, c) == pytest.approx(
                 freeenergy.energy_post(a, c), abs=1e-9)
 
@@ -59,7 +59,7 @@ class TestEnergyPre:
 
     def test_ordering_above_transition(self):
         for c in (0.25, 1.0, 4.0):
-            a_cri = geometry.critical_values(c).a_cri
+            a_cri = geometry.a_cri(c)
             for da in (1e-3, 1e-2, 0.1, 1.0):
                 assert freeenergy.energy_pre(a_cri + da, c) \
                     > freeenergy.energy_post(a_cri + da, c)
@@ -110,7 +110,7 @@ class TestClosedFormDerivatives:
     def test_difference_derivative_closed_form(self):
         # d/da (I_pre - I_post) has a positive closed form above the transition
         c = 1.0
-        a_cri = geometry.critical_values(c).a_cri
+        a_cri = geometry.a_cri(c)
         for a in (a_cri + 0.05, 1.2, 2.0, 4.0):
             q = geometry.solve_q(a, c)
             closed = (1 - q * q) ** 2 * (1 - a**4 * q**4) / (2 * a * q**4)
@@ -219,6 +219,20 @@ class TestExpansion:
         assert 1.4 < residual[4] / residual[8] < 2.6
         assert 1.4 < residual[8] / residual[16] < 2.6
 
+    @pytest.mark.parametrize("a,c,n", [(1.2, 1.0, 30), (2.0, 1.0, 30),
+                                       (1.0, 9 / 16, 32)])
+    def test_pre_one_over_n_term_is_one_twelfth(self, a, c, n):
+        # s_N = N (exact - expansion) tends to 1/12 = B_2/2 like 1/N, so the
+        # Richardson limit 2 s_2N - s_N removes the 1/N term; it measures
+        # 1/12 + 1.45e-6, + 1.51e-6 and - 7.6e-7 at the three points
+        def scaled(size):
+            exact = float(exactfiniten.moment_table(exactfiniten.ExactContext(
+                N=size, m=round(c * size), a=a)).log_z)
+            return size * (exact
+                           - freeenergy.expansion(size, a, c, Regime.PRE).log_z)
+
+        assert abs(2.0 * scaled(2 * n) - scaled(n) - 1.0 / 12.0) < 5e-6
+
 
 class TestReferenceAndBarnes:
     def test_unit_partition_functions(self):
@@ -243,7 +257,7 @@ class TestReferenceAndBarnes:
 class TestCharpolyMoment:
     def test_matches_exact_at_n8(self):
         got = freeenergy.charpoly_moment_asymp(0.2, 1.0, 8)
-        exact = float(mp.log(exactfiniten.exact_charpoly_moment(8, 8, 0.2)))
+        exact = float(mp.log(oracles.exact_charpoly_moment(8, 8, 0.2)))
         assert abs(got - exact) < 3.0 * freeenergy.first_omitted_tail_term(8, 1.0, 2)
 
     def test_origin_closed_form(self):
@@ -264,7 +278,7 @@ class TestCharpolyMoment:
         about 4; an N^-1 error would divide it by 2.
         """
         errors = [abs(freeenergy.charpoly_moment_asymp(z_abs, 1.0, n)
-                      - float(mp.log(exactfiniten.exact_charpoly_moment(
+                      - float(mp.log(oracles.exact_charpoly_moment(
                           n, n, z_abs))))
                   for n in (8, 16, 32)]
         assert errors[0] / errors[1] >= 3.0

@@ -22,19 +22,17 @@ def cubic_residual(a: float, c: float, q: float) -> float:
 
 class TestCriticalValues:
     def test_known_point(self):
-        cv = geometry.critical_values(9 / 16)
-        assert cv.a_cri == pytest.approx(0.5, abs=1e-15)
+        assert geometry.a_cri(9 / 16) == pytest.approx(0.5, abs=1e-15)
 
     def test_small_c_limit(self):
-        assert geometry.critical_values(1e-12).a_cri == pytest.approx(1.0, abs=1e-5)
+        assert geometry.a_cri(1e-12) == pytest.approx(1.0, abs=1e-5)
 
     def test_c_cri_at_inverts(self):
-        cv = geometry.critical_values(9 / 16)
-        assert cv.a_cri == pytest.approx(0.5, abs=1e-15)
+        assert geometry.a_cri(9 / 16) == pytest.approx(0.5, abs=1e-15)
         assert oracles.c_cri_at(0.5) == pytest.approx(9 / 16, abs=1e-15)
         # and the two maps are inverse along the phase boundary
         for c in (0.25, 1.0, 4.0):
-            a = geometry.critical_values(c).a_cri
+            a = geometry.a_cri(c)
             assert oracles.c_cri_at(a) == pytest.approx(c, rel=1e-12)
 
 
@@ -54,7 +52,7 @@ class TestClassify:
 
     def test_monotone_in_a(self):
         c = 1.0
-        a_cri = geometry.critical_values(c).a_cri
+        a_cri = geometry.a_cri(c)
         seq = [geometry.classify(a, c)
                for a in (0.1, 0.5 * a_cri, a_cri, 2 * a_cri, 5.0)]
         assert seq == [Regime.POST, Regime.POST, Regime.AT_CRITICALITY,
@@ -65,7 +63,7 @@ class TestSolveQ:
     def test_transition_root_is_one(self):
         # at a = a_cri the cubic degenerates so that q = 1 solves it
         for c in (0.25, 9 / 16, 1.0, 4.0):
-            a = geometry.critical_values(c).a_cri
+            a = geometry.a_cri(c)
             assert cubic_residual(a, c, 1.0) < 1e-14
             assert geometry.solve_q(a * (1 + 1e-7), c) == pytest.approx(1.0, abs=1e-3)
 
@@ -120,14 +118,14 @@ class TestSolveQ:
     @pytest.mark.parametrize("c", [0.25, 9 / 16, 1.0, 4.0])
     @pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-3])
     def test_no_root_just_below_transition(self, c, eps):
-        a = geometry.critical_values(c).a_cri * (1.0 - eps)
+        a = geometry.a_cri(c) * (1.0 - eps)
         with pytest.raises(NoValidRoot):
             geometry.solve_q(a, c)
 
     @pytest.mark.parametrize("c", [0.25, 9 / 16, 1.0, 4.0])
     @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(12, 2, -1)])
     def test_admissible_root_just_above_transition(self, c, eps):
-        a = geometry.critical_values(c).a_cri * (1.0 + eps)
+        a = geometry.a_cri(c) * (1.0 + eps)
         q = geometry.solve_q(a, c)
         assert 0.0 < q <= 1.0
         assert a * a * q * q < 1.0
@@ -196,7 +194,7 @@ class TestConformalPair:
 class TestDropletBoundary:
     def test_post_two_components(self):
         boundary = geometry.droplet_boundary(
-            geometry.ModelParams.resolve(0.25, 9 / 16), 64)
+            0.25, 9 / 16, geometry.classify(0.25, 9 / 16), 64)
         assert boundary.chi == 0
         assert [comp.label for comp in boundary.components] == ["outer", "inner"]
         assert all(comp.closed for comp in boundary.components)
@@ -204,29 +202,31 @@ class TestDropletBoundary:
 
     def test_pre_single_component(self):
         boundary = geometry.droplet_boundary(
-            geometry.ModelParams.resolve(1.0, 9 / 16), 64)
+            1.0, 9 / 16, geometry.classify(1.0, 9 / 16), 64)
         assert boundary.chi == 1
         assert len(boundary.components) == 1
 
     def test_post_strict_separation(self):
         boundary = geometry.droplet_boundary(
-            geometry.ModelParams.resolve(0.25, 9 / 16), 128)
+            0.25, 9 / 16, geometry.classify(0.25, 9 / 16), 128)
         outer, inner = boundary.components
         gap = min(abs(p - q) for p in outer.points for q in inner.points)
         assert gap > 0
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            geometry.droplet_boundary(geometry.ModelParams.resolve(0.25, 9 / 16), 4)
+            geometry.droplet_boundary(
+                0.25, 9 / 16, geometry.classify(0.25, 9 / 16), 4)
         with pytest.raises(DomainError):
-            geometry.droplet_boundary(geometry.ModelParams.resolve(0.5, 9 / 16), 64)
+            geometry.droplet_boundary(
+                0.5, 9 / 16, geometry.classify(0.5, 9 / 16), 64)
 
 
 @st.composite
 def pre_critical_params(draw):
     c = draw(st.floats(0.1, 4.0))
     factor = draw(st.floats(1.02, 4.0))
-    return geometry.critical_values(c).a_cri * factor, c
+    return geometry.a_cri(c) * factor, c
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -248,7 +248,7 @@ def test_post_existence_property(a, c):
     # the annular phase exists exactly when the inner disk fits, a in (0,1)
     fits = (1 - a * a) ** 2 - 4 * a * a * c > 0
     regime = geometry.classify(a, c)
-    if fits and abs(a - geometry.critical_values(c).a_cri) > 1e-9:
+    if fits and abs(a - geometry.a_cri(c)) > 1e-9:
         assert regime is Regime.POST
         post = geometry.post_geometry(a, c)
         assert post.inner_center + post.inner_radius < post.outer_radius

@@ -16,43 +16,40 @@ from coulombgas.geometry import Regime
 class TestMarchenkoPastur:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0])
     def test_unit_mass(self, alpha):
-        params = ldp.LUEParams.from_alpha(alpha)
-        assert oracles.mp_total_mass(params) == pytest.approx(1.0, abs=1e-8)
+        assert oracles.mp_total_mass(alpha) == pytest.approx(1.0, abs=1e-8)
 
     def test_edges(self):
-        params = ldp.LUEParams.from_alpha(5.0)
-        assert params.lambda_minus == pytest.approx((math.sqrt(6) - 1) ** 2,
-                                                    abs=1e-12)
-        assert params.lambda_plus == pytest.approx((math.sqrt(6) + 1) ** 2,
-                                                   abs=1e-12)
+        lm, lp = oracles.mp_edges(5.0)
+        assert ldp.lambda_minus(5.0) == lm
+        assert lm == pytest.approx((math.sqrt(6) - 1) ** 2, abs=1e-12)
+        assert lp == pytest.approx((math.sqrt(6) + 1) ** 2, abs=1e-12)
 
     def test_soft_edge_constant(self):
-        params = ldp.LUEParams.from_alpha(1.0)
-        lm, lp = params.lambda_minus, params.lambda_plus
+        lm, lp = oracles.mp_edges(1.0)
         delta = 0.5 * math.sqrt(lp - lm) / lm
         eps = 1e-6
-        assert oracles.mp_density(params, lm + eps) / math.sqrt(eps) \
+        assert oracles.mp_density(1.0, lm + eps) / math.sqrt(eps) \
             == pytest.approx(delta / math.pi, rel=1e-4)
 
     def test_vanishes_outside(self):
-        params = ldp.LUEParams.from_alpha(1.0)
-        assert oracles.mp_density(params, params.lambda_minus - 0.1) == 0.0
-        assert oracles.mp_density(params, params.lambda_plus + 0.1) == 0.0
+        lm, lp = oracles.mp_edges(1.0)
+        assert oracles.mp_density(1.0, lm - 0.1) == 0.0
+        assert oracles.mp_density(1.0, lp + 0.1) == 0.0
 
 
 class TestRateFunction:
     def test_vanishes_at_edge(self):
-        lm = ldp.LUEParams.from_alpha(1.0).lambda_minus
+        lm = ldp.lambda_minus(1.0)
         assert abs(ldp.phi_psi(lm + 1e-6, 1.0)[0]) < 1e-13
 
     def test_positive_inside_pushed_regime(self):
-        lm = ldp.LUEParams.from_alpha(16 / 9).lambda_minus
+        lm = ldp.lambda_minus(16 / 9)
         assert ldp.phi_psi(lm + 1.0, 16 / 9)[0] > 0.0
         for dt in (1e-3, 0.1, 1.0, 4.0):
             assert ldp.phi_psi(lm + dt, 16 / 9)[0] > 0.0
 
     def test_domain_error_at_wall(self):
-        lm = ldp.LUEParams.from_alpha(1.0).lambda_minus
+        lm = ldp.lambda_minus(1.0)
         with pytest.raises(DomainError):
             ldp.phi_psi(lm, 1.0)
         with pytest.raises(DomainError):
@@ -62,7 +59,7 @@ class TestRateFunction:
     def test_third_order_coefficient(self, alpha):
         # pointwise at dt=1e-3 the quartic correction is still below 1%;
         # the windowed fit removes it to ~0.2%
-        lm = ldp.LUEParams.from_alpha(alpha).lambda_minus
+        lm = ldp.lambda_minus(alpha)
         target = math.sqrt(alpha + 1) / (12.0 * lm * lm)
         assert ldp.phi_psi(lm + 1e-3, alpha)[0] / 1e-9 == pytest.approx(
             target, rel=0.01)
@@ -74,7 +71,7 @@ class TestRateFunction:
         assert k3 == pytest.approx(target, rel=0.01)
 
     def test_monotone_growth(self):
-        lm = ldp.LUEParams.from_alpha(1.0).lambda_minus
+        lm = ldp.lambda_minus(1.0)
         ts = np.geomspace(lm + 1e-2, 1e3, 40)
         vals = ldp.phi_psi_grid(ts, 1.0)[0]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -92,24 +89,22 @@ class TestRateFunction:
 class TestKCAction:
     @pytest.mark.parametrize("alpha", [1.0, 16 / 9, 5.0])
     def test_support_degenerates_at_edge(self, alpha):
-        params = ldp.LUEParams.from_alpha(alpha)
-        assert ldp.kc_U_grid((params.lambda_minus,), alpha)[0] \
-            == pytest.approx(params.lambda_plus, abs=1e-8)
+        lm, lp = oracles.mp_edges(alpha)
+        assert ldp.kc_U_grid((lm,), alpha)[0] == pytest.approx(lp, abs=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 16 / 9, 5.0])
     def test_action_matches_rate_function(self, alpha):
-        params = ldp.LUEParams.from_alpha(alpha)
-        ts = np.linspace(params.lambda_minus + 0.05,
-                         params.lambda_minus + 5.0, 12)
-        *actions, edge = ldp.kc_action_grid([*ts, params.lambda_minus], alpha)
-        for rate, action in zip(ldp.phi_psi_grid(ts, alpha)[0], actions):
-            assert abs(rate - (action - edge)) < 1e-10
+        lm = ldp.lambda_minus(alpha)
+        ts = np.linspace(lm + 0.05, lm + 5.0, 12)
+        for rate, diff in zip(ldp.phi_psi_grid(ts, alpha)[0],
+                              ldp.kc_rate_grid(ts, alpha)):
+            assert abs(rate - diff) < 1e-10
 
 
 class TestConstrainedDensity:
     @pytest.mark.parametrize("alpha", [1.0, 5.0])
     def test_unit_mass_and_nonnegative(self, alpha):
-        t = ldp.LUEParams.from_alpha(alpha).lambda_minus + 1.0
+        t = ldp.lambda_minus(alpha) + 1.0
         assert oracles.constrained_mass(t, alpha) == pytest.approx(1.0, abs=1e-8)
         lo, hi = oracles.constrained_support(t, alpha)
         assert lo == t
@@ -117,16 +112,15 @@ class TestConstrainedDensity:
             assert oracles.constrained_density(t, alpha, float(x)) >= 0.0
 
     def test_relaxes_to_free_density(self):
-        params = ldp.LUEParams.from_alpha(1.0)
-        t = params.lambda_minus + 1e-4
+        t = ldp.lambda_minus(1.0) + 1e-4
         [hi] = ldp.kc_U_grid((t,), 1.0)
         xs = np.linspace(t + 0.05, hi - 0.05, 100)
         sup = max(abs(oracles.constrained_density(t, 1.0, float(x))
-                      - oracles.mp_density(params, float(x))) for x in xs)
+                      - oracles.mp_density(1.0, float(x))) for x in xs)
         assert sup < 1e-3
 
     def test_outside_support(self):
-        t = ldp.LUEParams.from_alpha(1.0).lambda_minus + 1.0
+        t = ldp.lambda_minus(1.0) + 1.0
         with pytest.raises(DomainError):
             oracles.constrained_density(t, 1.0, t - 0.1)
 
@@ -143,7 +137,7 @@ class TestLogProbability:
         # increment about 4-fold, so the residual is c/n^2 + O(n^-3), and
         # a wrong constant term would make s_n grow like n^2.  The
         # Richardson limit (4 s_64 - s_32)/3 measures -2.8193e-3.
-        t = ldp.LUEParams.from_alpha(1.0).lambda_minus + 1.0
+        t = ldp.lambda_minus(1.0) + 1.0
         s = {n: n * n * (exact_log_p(n, t)
                          - ldp.ldp_log_probability(n, 1.0, *ldp.phi_psi(t, 1.0)))
              for n in (16, 32, 64)}
@@ -152,7 +146,7 @@ class TestLogProbability:
 
     def test_pulled_regime_probability_near_one(self):
         # halfway to the edge the gap event is likely but not sure
-        t = ldp.LUEParams.from_alpha(1.0).lambda_minus / 2.0
+        t = ldp.lambda_minus(1.0) / 2.0
         assert -1e-2 < exact_log_p(16, t) < 0.0
 
     def test_exact_compare_deep_in_pushed_regime(self, capsys):
@@ -169,7 +163,7 @@ class TestLogProbability:
 
     def test_constant_toggle(self):
         # -Phi n^2 plus the constant order -log(alpha n)/12 + zeta'(-1) + Psi
-        t = ldp.LUEParams.from_alpha(1.0).lambda_minus + 1.0
+        t = ldp.lambda_minus(1.0) + 1.0
         rate, const = ldp.phi_psi(t, 1.0)
         want = (-64.0 * rate - math.log(8.0) / 12.0
                 + freeenergy.ZETA_PRIME_MINUS_ONE + const)
@@ -183,7 +177,7 @@ class TestSinglePass:
         # called without q solve it on their own.  The grid starts one ulp
         # above lambda_-.
         alpha = 16 / 9
-        lo = math.nextafter(ldp.LUEParams.from_alpha(alpha).lambda_minus,
+        lo = math.nextafter(ldp.lambda_minus(alpha),
                             math.inf)
         code = cli.run(["ldp", "--alpha", "16/9", f"--grid={lo!r}:5:2000"])
         rows = json.loads(capsys.readouterr().out)["rows"]

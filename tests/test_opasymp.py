@@ -92,7 +92,7 @@ class TestGFunction:
 
     def test_rejects_critical_point(self):
         with pytest.raises(DomainError):
-            GEvaluator.build(geometry.critical_values(1.0).a_cri, 1.0)
+            GEvaluator.build(geometry.a_cri(1.0), 1.0)
 
 
 class TestRHCoefficients:
@@ -171,8 +171,9 @@ class TestRHCoefficients:
 
 class TestRationalCorrections:
     def test_entries_decay_like_inverse_z(self, pre_evaluator):
-        coeffs = rh_coefficients(pre_evaluator.geom, 8)
-        res_mag = abs(opasymp.res_r11_infinity(pre_evaluator.geom, 8))
+        geom = pre_evaluator.geom
+        coeffs = rh_coefficients(geom, 8)
+        res_mag = abs(freeenergy.d_fconst_pre_da(geom.a, geom.c) / (2.0 * 8))
         for zr in (1e2, 1e3, 1e4):
             r11, r12, _, _ = opasymp.r_entries(coeffs, zr + 0j)
             assert abs(zr * r11) / res_mag == pytest.approx(1.0, abs=0.05)
@@ -198,8 +199,18 @@ class TestRationalCorrections:
         geom = geometry.pre_geometry(a, c)
         coeffs = rh_coefficients(geom, 8)
         probe = opasymp.r11_residue_probe(coeffs)
-        closed = opasymp.res_r11_infinity(geom, 8)
+        # the 1/N part of A11 in d_a log Z_N = 2N A11
+        closed = freeenergy.d_fconst_pre_da(a, c) / (2.0 * 8)
         assert abs(probe - closed) / abs(closed) < 1e-10
+
+    @pytest.mark.parametrize("a,c", [(1.0, 9 / 16), (1.2, 1.0), (2.0, 1.0)])
+    def test_modulus_form_is_the_fconst_derivative(self, a, c):
+        # the coefficient written out in the modulus q and in a
+        geom = geometry.pre_geometry(a, c)
+        for n in (1, 8, 64):
+            written = oracles.res_r11_infinity(geom, n)
+            derived = freeenergy.d_fconst_pre_da(a, c) / (2.0 * n)
+            assert abs(written - derived) <= 1e-14 * abs(derived)
 
 
 class TestPAsymp:
@@ -252,7 +263,7 @@ class TestA11AndDerivative:
         a, q = geom.a, geom.q
         lead = (1 - a * a * q * q) * (2 - q * q - a * a * q ** 4) / (4 * a * q * q)
         got = opasymp.a11_asymp(64, 1.2, 1.0, Regime.PRE)
-        res = opasymp.res_r11_infinity(geom, 64)
+        res = oracles.res_r11_infinity(geom, 64)
         assert got == pytest.approx(lead * 64 + res, abs=1e-12)
 
     def test_dlogz_post_matches_finite_differences(self):

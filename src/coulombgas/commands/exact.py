@@ -17,14 +17,12 @@ def add_arguments(p) -> None:
 def run(args) -> int:
     from .. import exactfiniten
 
-    ctx = exactfiniten.ExactContext(N=args.n,
-                                    m=_int_product(args.c, args.n, "c"),
-                                    a=args.a, precision_bits=args.bits)
-    table = exactfiniten.moment_table(ctx)
+    n, m, a = args.n, _int_product(args.c, args.n, "c"), args.a
+    table = exactfiniten.moment_table(n, m, a, args.bits)
     log_z, a11 = table.log_z, table.op[-2]
-    row = {"N": ctx.N, "m": ctx.m, "a": ctx.a,
+    row = {"N": n, "m": m, "a": a,
            "log_z": float(log_z), "log_z_str": exactfiniten.nstr(log_z, 30),
            "a11": float(a11), "a11_str": exactfiniten.nstr(a11, 30)}
-    emit(_table("exact", {"n": ctx.N, "m": ctx.m, "a": ctx.a,
-                          "bits": args.bits}, [row]), args)
+    emit(_table("exact", {"n": n, "m": m, "a": a, "bits": args.bits}, [row]),
+         args)
     return EXIT_OK

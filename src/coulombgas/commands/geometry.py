@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..args import common, finite_float, int_at_least, parse_rational
-from ..errors import EXIT_OK
+from ..errors import EXIT_OK, DomainError
 from ..table import Columns, _cnum, _table, emit
 
 
@@ -18,26 +18,27 @@ def run(args) -> int:
 
     a, c = args.a, float(args.c)
     regime = geometry.classify(a, c)
-    boundary = geometry.droplet_boundary(a, c, regime, args.points)
-    info: dict = {"regime": regime.name, "a_cri": geometry.a_cri(c),
-                  "chi": boundary.chi}
+    if regime is geometry.Regime.AT_CRITICALITY:
+        raise DomainError("the critical boundary curve is not sampled; perturb a")
+    info: dict = {"regime": regime.name, "a_cri": geometry.a_cri(c)}
     if regime is geometry.Regime.PRE:
         g = geometry.pre_geometry(a, c)
-        info.update(q=g.q, R=g.R, kappa=g.kappa, beta=_cnum(g.beta), b=g.b)
+        info.update(chi=1, q=g.q, R=g.R, kappa=g.kappa, beta=_cnum(g.beta),
+                    b=g.b)
     else:
         g = geometry.post_geometry(a, c)
-        info.update(outer_radius=g.outer_radius, inner_center=g.inner_center,
-                    inner_radius=g.inner_radius)
-    labels, thetas, res, ims, closed = [], [], [], [], []
-    for comp in boundary.components:
-        labels += [comp.label] * len(comp.theta)
-        thetas += comp.theta
-        res += [point.real for point in comp.points]
-        ims += [point.imag for point in comp.points]
-        closed += [comp.closed] * len(comp.theta)
-    rows = Columns([("component", str, [labels]), ("theta", float, [thetas]),
+        info.update(chi=0, outer_radius=g.outer_radius,
+                    inner_center=g.inner_center, inner_radius=g.inner_radius)
+    thetas, components = geometry.droplet_boundary(g, args.points)
+    labels, res, ims = [], [], []
+    for label, points in components:
+        labels += [label] * len(points)
+        res += [point.real for point in points]
+        ims += [point.imag for point in points]
+    rows = Columns([("component", str, [labels]),
+                    ("theta", float, [list(thetas) * len(components)]),
                     ("point", complex, [res, ims]),
-                    ("closed", bool, [closed])])
+                    ("closed", bool, [[True] * len(labels)])])
     emit(_table("geometry", {"a": a, "c": c, "points": args.points},
                 rows, droplet=info), args)
     return EXIT_OK

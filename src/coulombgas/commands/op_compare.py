@@ -29,10 +29,8 @@ def run(args) -> int:
     evaluator.require_exterior(z)
     exact_values = {}
     for n, m in zip(ns, ms):
-        ctx = exactfiniten.ExactContext(N=n, m=m, a=a,
-                                        precision_bits=args.bits)
         exact_values[n] = exactfiniten.eval_polynomial(
-            exactfiniten.moment_table(ctx).op, z, args.bits)
+            exactfiniten.moment_table(n, m, a, args.bits).op, z, args.bits)
 
     def one(n: int) -> dict:
         exact = exact_values[n]

@@ -95,29 +95,6 @@ def nstr(x: Decimal, digits: int) -> str:
     return text if fixed else f"{text}e{e:+d}"
 
 
-class _ExactFields(NamedTuple):
-    N: int
-    m: int
-    a: Rational  # taken at its exact value: a float's binary value, or a Fraction
-    precision_bits: int = 256
-
-
-class ExactContext(_ExactFields):
-    """The parameters of one exact computation, checked on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, N: int, m: int, a: Rational, precision_bits: int = 256):
-        if N < 1 or m < 0:
-            raise DomainError(f"need N >= 1 and m >= 0, got N={N}, m={m}")
-        if m + N > MAX_MOMENT_INDEX:
-            raise DomainError(
-                f"m + N = {m + N} exceeds the supported cap {MAX_MOMENT_INDEX}")
-        if precision_bits < 128:
-            raise DomainError(f"precision_bits must be >= 128, got {precision_bits}")
-        return super().__new__(cls, N, m, a, precision_bits)
-
-
 class MomentTable(NamedTuple):
     log_z: Decimal  # log Z_N, rounded to the context precision
     op: tuple       # monic p_N coefficients (c_0, ..., c_{N-1}, 1)
@@ -218,7 +195,7 @@ def _ldl(rows: list, bits: int) -> tuple:
     return math.prod(d), 2 * sum(c) - n * P, x
 
 
-def _gram(ctx: ExactContext) -> list:
+def _gram(N: int, m: int, a: Rational, bits: int) -> list:
     """Rows i < N of the planar Gram matrix's lower triangle, then the
     right-hand side -G_N0 .. -G_N(N-1), as exact pairs for `_ldl`.
 
@@ -236,9 +213,8 @@ def _gram(ctx: ExactContext) -> list:
     gives every V_is by a shift, rounded as `_scaled` rounds, since
     floor((floor(y) + 2^(k-1)) / 2^k) = floor(y / 2^k + 1/2) for k >= 1.
     """
-    N, m = ctx.N, ctx.m
-    P = ctx.precision_bits + GUARD_BITS
-    A, D = Fraction(ctx.a).as_integer_ratio()
+    P = bits + GUARD_BITS
+    A, D = Fraction(a).as_integer_ratio()
     b = [(math.comb(m, p) * (-A) ** (m - p), D ** (m - p))
          for p in range(m + 1)]  # 0**0 == 1 keeps a = 0 exact
     f = [(math.factorial(s), N ** (s + 1)) for s in range(N + m + 1)]
@@ -265,13 +241,22 @@ def _gram(ctx: ExactContext) -> list:
     return rows
 
 
-def moment_table(ctx: ExactContext) -> MomentTable:
+def moment_table(N: int, m: int, a: Rational,
+                 precision_bits: int = 256) -> MomentTable:
     """log Z_N = log N! + log det G and p_N from one factorization of the
-    planar Gram matrix G."""
-    det, det_exp, coeffs = _ldl(_gram(ctx), ctx.precision_bits)
-    log_z = _log(decimal_context(ctx.precision_bits + GUARD_BITS),
-                 math.factorial(ctx.N) * det, 1, det_exp)
-    out = decimal_context(ctx.precision_bits)
+    planar Gram matrix G of size N at m = cN, with a taken at its exact
+    value: a float's binary value, or a Fraction."""
+    if N < 1 or m < 0:
+        raise DomainError(f"need N >= 1 and m >= 0, got N={N}, m={m}")
+    if m + N > MAX_MOMENT_INDEX:
+        raise DomainError(
+            f"m + N = {m + N} exceeds the supported cap {MAX_MOMENT_INDEX}")
+    if precision_bits < 128:
+        raise DomainError(f"precision_bits must be >= 128, got {precision_bits}")
+    det, det_exp, coeffs = _ldl(_gram(N, m, a, precision_bits), precision_bits)
+    log_z = _log(decimal_context(precision_bits + GUARD_BITS),
+                 math.factorial(N) * det, 1, det_exp)
+    out = decimal_context(precision_bits)
     return MomentTable(log_z=out.plus(log_z),
                        op=tuple(map(out.plus, coeffs)) + (Decimal(1),))
 
@@ -338,22 +323,18 @@ def duality_residuals(N: int, m: int, xs, precision_bits: int = 256
     """|LUE gap probability - rescaled partition-function ratio| at each
     point x of xs, with log Z_N at each distinct insertion point (the
     reference a = 0 among them) computed once."""
-    ctx = decimal_context(precision_bits)
-    log_z = {}
-
-    def log_z_at(a: float) -> Decimal:
-        if a not in log_z:
-            log_z[a] = moment_table(ExactContext(N, m, a, precision_bits)).log_z
-        return log_z[a]
-
-    out = []
     for x in xs:
         if x < 0:
             raise DomainError(f"need x >= 0, got {x}")
+    log_z = {a: moment_table(N, m, a, precision_bits).log_z
+             for a in dict.fromkeys((0.0, *xs))}
+    ctx = decimal_context(precision_bits)
+    out = []
+    for x in xs:
         t = Fraction(x) ** 2
         lhs = ctx.exp(lue_log_gap_probability(n=m, alpha_n=N, t=t, N_w=N,
                                               precision_bits=precision_bits))
-        log_ratio = ctx.subtract(log_z_at(x), log_z_at(0.0))
+        log_ratio = ctx.subtract(log_z[x], log_z[0.0])
         rhs = ctx.exp(ctx.subtract(
             log_ratio, ctx.divide(m * N * t.numerator, t.denominator)))
         out.append(ctx.abs(ctx.subtract(lhs, rhs)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 from .errors import BranchCutError, DomainError, NoValidRoot
 
@@ -37,10 +37,11 @@ class Regime(enum.Enum):
 
 
 def a_cri(c: float) -> float:
-    """Critical charge location sqrt(c+1) - sqrt(c) for given c."""
+    """Critical charge location sqrt(c+1) - sqrt(c) for given c, formed as
+    1/(sqrt(c+1) + sqrt(c)) so that large c does not cancel it away."""
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
-    return math.sqrt(c + 1.0) - math.sqrt(c)
+    return 1.0 / (math.sqrt(c + 1.0) + math.sqrt(c))
 
 
 def classify(a: float, c: float) -> Regime:
@@ -206,44 +207,22 @@ def inverse_F(geom: PreGeometry, z: complex) -> complex:
     return (z + abs_beta + _sqrt_through_cut(z, x0, y0)) / (2.0 * geom.R)
 
 
-class BoundaryComponent(NamedTuple):
-    label: str
-    theta: tuple[float, ...]
-    points: tuple[complex, ...]
-    closed: bool
+def droplet_boundary(geom: Union[PreGeometry, PostGeometry],
+                     n_points: int) -> tuple:
+    """The angles 2 pi k / n_points and the droplet boundary sampled at them,
+    as (label, points) pairs.
 
-
-class DropletBoundary(NamedTuple):
-    components: tuple[BoundaryComponent, ...]
-    chi: int  # Euler characteristic: 0 doubly connected, 1 simply connected
-
-
-def droplet_boundary(a: float, c: float, regime: Regime,
-                     n_points: int) -> DropletBoundary:
-    """Sample the droplet boundary uniformly in angle.
-
-    Post-critical: two circles (outer |z| = sqrt(1+c), inner |z - a| = sqrt(c)).
-    Pre-critical: the single curve f(e^{i theta}).
+    Post-critical: two circles, "outer" |z| = sqrt(1+c) and "inner"
+    |z - a| = sqrt(c).  Pre-critical: the single curve "boundary",
+    f(e^{i theta}).
     """
     if n_points < 8:
         raise DomainError(f"n_points must be at least 8, got {n_points}")
-    if regime is Regime.AT_CRITICALITY:
-        raise DomainError("the critical boundary curve is not sampled; perturb a")
     thetas = tuple(2.0 * math.pi * k / n_points for k in range(n_points))
-    if regime is Regime.POST:
-        g = post_geometry(a, c)
-        outer = tuple(g.outer_radius * cmath.exp(1j * t) for t in thetas)
-        inner = tuple(g.inner_center + g.inner_radius * cmath.exp(1j * t) for t in thetas)
-        return DropletBoundary(
-            components=(
-                BoundaryComponent("outer", thetas, outer, True),
-                BoundaryComponent("inner", thetas, inner, True),
-            ),
-            chi=0,
-        )
-    g = pre_geometry(a, c)
-    curve = tuple(conformal_f(g, cmath.exp(1j * t)) for t in thetas)
-    return DropletBoundary(
-        components=(BoundaryComponent("boundary", thetas, curve, True),),
-        chi=1,
-    )
+    if isinstance(geom, PostGeometry):
+        outer = tuple(geom.outer_radius * cmath.exp(1j * t) for t in thetas)
+        inner = tuple(geom.inner_center + geom.inner_radius * cmath.exp(1j * t)
+                      for t in thetas)
+        return thetas, (("outer", outer), ("inner", inner))
+    curve = tuple(conformal_f(geom, cmath.exp(1j * t)) for t in thetas)
+    return thetas, (("boundary", curve),)

@@ -46,7 +46,7 @@ from typing import NamedTuple, Union
 
 from .errors import DomainError
 from .geometry import (PostGeometry, PreGeometry, Regime, _sqrt_through_cut,
-                       classify, conformal_f, inverse_F, post_geometry,
+                       classify, droplet_boundary, inverse_F, post_geometry,
                        pre_geometry)
 
 EXTERIOR_MARGIN = 1.15
@@ -55,9 +55,8 @@ EXTERIOR_MARGIN = 1.15
 def _droplet_outer_extent(geom: Union[PreGeometry, PostGeometry]) -> float:
     if isinstance(geom, PostGeometry):
         return geom.outer_radius
-    step = 2.0 * math.pi / 256
-    return max(abs(conformal_f(geom, cmath.exp(1j * (k * step))))
-               for k in range(256))
+    _, [(_, curve)] = droplet_boundary(geom, 256)
+    return max(map(abs, curve))
 
 
 class GEvaluator(NamedTuple):
@@ -124,11 +123,8 @@ class RHCoefficients(NamedTuple):
     gamma12: complex
     h11: tuple  # 2x2 matrices as ((m00, m01), (m10, m11))
     h12: tuple
-    h21: tuple
-    h22: tuple
     beta: complex
     beta_bar: complex
-    N: int
 
 
 def rh_coefficients(geom: PreGeometry, N: int) -> RHCoefficients:
@@ -161,38 +157,37 @@ def rh_coefficients(geom: PreGeometry, N: int) -> RHCoefficients:
     pref12 = 5.0 * rk_quarter / (48.0 * math.sqrt(2.0) * gamma11 ** 1.5 * N)
     h12 = _scaled(pref12, ((-1.0 + 1.0j, 1.0 + 1.0j), (1.0 + 1.0j, 1.0 - 1.0j)))
     return RHCoefficients(gamma11=gamma11, gamma12=gamma12, h11=h11, h12=h12,
-                          h21=_conj(h11), h22=_conj(h12),
-                          beta=beta, beta_bar=beta_bar, N=N)
+                          beta=beta, beta_bar=beta_bar)
 
 
 def _scaled(factor: complex, m: tuple) -> tuple:
     return tuple(tuple(factor * x for x in row) for row in m)
 
 
-def _conj(m: tuple) -> tuple:
-    return tuple(tuple(x.conjugate() for x in row) for row in m)
-
-
 def _dressing(h1: tuple, h2: tuple, dz: complex) -> tuple:
-    # I + h1/dz + h2/dz^2
-    return tuple(tuple((1.0 if i == j else 0.0) + h1[i][j] / dz
-                       + h2[i][j] / dz ** 2 for j in range(2)) for i in range(2))
+    # the rows of I + h1/dz + h2/dz^2 that h1 and h2 hold
+    return tuple(tuple((1.0 if i == j else 0.0) + x1 / dz + x2 / dz ** 2
+                       for j, (x1, x2) in enumerate(zip(r1, r2)))
+                 for i, (r1, r2) in enumerate(zip(h1, h2)))
 
 
-def r_entries(coeffs: RHCoefficients, z: complex) -> tuple[complex, complex,
-                                                           complex, complex]:
-    """Entries of R1(z) R2(z) - I; each is O(1/z) far out and O(1/N) throughout.
+def r_entries(coeffs: RHCoefficients, z: complex) -> tuple[complex, complex]:
+    """R11 and R12, the first row of R1(z) R2(z) - I; each is O(1/z) far out
+    and O(1/N) throughout.
 
-    R1 conjugates h11 and h12 by R2, so R1 R2 = R2 (I + h11/dz1 + h12/dz1^2)
+    R2 = I + conj(h11)/dz2 + conj(h12)/dz2^2 with dz2 = z - beta, and R1
+    conjugates h11 and h12 by R2, so R1 R2 = R2 (I + h11/dz1 + h12/dz1^2)
     with dz1 = z - beta_bar, and R2 is never inverted.
     """
     z = complex(z)
     if z == coeffs.beta or z == coeffs.beta_bar:
         raise DomainError(f"rational dressing has a pole at z = {z}")
-    (a, b), (c, d) = _dressing(coeffs.h21, coeffs.h22, z - coeffs.beta)
+    [(a, b)] = _dressing([[x.conjugate() for x in coeffs.h11[0]]],
+                         [[x.conjugate() for x in coeffs.h12[0]]],
+                         z - coeffs.beta)
     (e, f), (g, h) = _dressing(coeffs.h11, coeffs.h12, z - coeffs.beta_bar)
-    # the 2x2 product R2 (I + h11/dz1 + h12/dz1^2), minus I
-    return a * e + b * g - 1.0, a * f + b * h, c * e + d * g, c * f + d * h - 1.0
+    # the first row of R2 (I + h11/dz1 + h12/dz1^2), minus I
+    return a * e + b * g - 1.0, a * f + b * h
 
 
 def r11_residue_probe(coeffs: RHCoefficients) -> complex:
@@ -232,7 +227,7 @@ def p_asymp(evaluator: GEvaluator, z: complex, N: int) -> PAsympResult:
                             error_class="N^-inf")
     geom = evaluator.geom
     coeffs = rh_coefficients(geom, N)
-    r11, r12, _, _ = r_entries(coeffs, z)
+    r11, r12 = r_entries(coeffs, z)
     f_val = inverse_F(geom, z)
     s_val = _sqrt_through_cut(z, geom.beta.real, geom.beta.imag)
     f_prime = (1.0 + (z - geom.beta.real) / s_val) / (2.0 * geom.R)

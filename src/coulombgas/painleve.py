@@ -337,7 +337,8 @@ def critical_a(s: float, c: float, N: int) -> float:
     """Transition-window insertion point: the critical radius shifted by s N^(-2/3).
 
     Leading terms only; the window coordinate s > 0 lands on the annular side,
-    s < 0 on the simply connected side.
+    s < 0 on the simply connected side.  An s so large that the shifted point
+    falls below 0 is refused.
     """
     from .geometry import a_cri
 
@@ -348,7 +349,11 @@ def critical_a(s: float, c: float, N: int) -> float:
     edge = a_cri(c)
     coeff = (edge ** (1.0 / 3.0)
              / (2.0 * c ** (1.0 / 6.0) * (c + 1.0) ** (1.0 / 6.0)))
-    return edge - coeff * s * N ** (-2.0 / 3.0)
+    a_s = edge - coeff * s * N ** (-2.0 / 3.0)
+    if a_s < 0.0:
+        raise DomainError(f"window coordinate s={s} puts the insertion point "
+                          f"at a={a_s} < 0 for N={N}, c={c}")
+    return a_s
 
 
 def critical_expansion(N: int, c: float, s: float, solution: TWSolution) -> float:

@@ -49,7 +49,7 @@ def check(key: str, suite: str, label: str):
 def _moment_table(n: int, a: float) -> exactfiniten.MomentTable:
     # the (N, a) tables the expansion and polynomial checks share, at m = N
     # and 256 bits; run_checks empties the cache, so each run builds its own
-    return exactfiniten.moment_table(exactfiniten.ExactContext(N=n, m=n, a=a))
+    return exactfiniten.moment_table(n, n, a)
 
 
 @check("duality", "exact", "duality identity at 256 bits")

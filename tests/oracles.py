@@ -37,7 +37,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from coulombgas import painleve
 from coulombgas.errors import DomainError, GridTooShort
-from coulombgas.exactfiniten import ExactContext, decimal_context, moment_table
+from coulombgas.exactfiniten import decimal_context, moment_table
 from coulombgas.freeenergy import (LOG_2PI, ZETA_PRIME_MINUS_ONE,
                                    bernoulli_numbers, re_g_at_a)
 from coulombgas.geometry import PreGeometry, Regime, solve_q
@@ -247,7 +247,7 @@ def term_moments(N: int, m: int, a, ks) -> list:
     return out
 
 
-def horner_moments(ctx: ExactContext, ks) -> list:
+def horner_moments(N: int, m: int, a, ks) -> list:
     """nu_k/(2 pi i) for each k in ks, as an exact pair (num, den), den > 0,
     by Horner's rule.
 
@@ -262,8 +262,7 @@ def horner_moments(ctx: ExactContext, ks) -> list:
     left shift times a power of D's odd part, which is 1 for a float a.
     0**0 == 1 keeps a = 0 exact, and p < 0 (k >= m+N) gives an exact zero.
     """
-    N, m = ctx.N, ctx.m
-    A, D = Fraction(ctx.a).as_integer_ratio()
+    A, D = Fraction(a).as_integer_ratio()
     X = A * A
     twos = (D & -D).bit_length() - 1  # D = 2^twos * odd
     odd_sq = (D >> twos) ** 2
@@ -298,7 +297,7 @@ def contour_hankel(N: int, m: int, a) -> tuple:
     the last vanish, so the elimination must swap rows.
     """
     nu = [Fraction(num, den) for num, den in horner_moments(
-        ExactContext(N, m, a), range(2 * N))]
+        N, m, a, range(2 * N))]
     det, coeffs = fraction_solve([nu[i:i + N] for i in range(N)],
                                  [-v for v in nu[N:]])
     return det, coeffs + [Fraction(1)]
@@ -401,16 +400,17 @@ def potential_integral(a: float, c: float, regime: Regime) -> float:
     raise DomainError(f"potential_integral needs Post or Pre, got {regime}")
 
 
-def contour_moment(ctx: ExactContext, k: int) -> Decimal:
+def contour_moment(N: int, m: int, a, k: int,
+                   precision_bits: int = 256) -> Decimal:
     """nu_k/(2 pi i), correctly rounded at the context precision; zero (with
     a warning) for k >= m+N."""
     if k < 0:
         raise DomainError(f"moment index must be nonnegative, got {k}")
-    if k >= ctx.m + ctx.N:
-        warnings.warn(f"moment index k={k} >= m+N={ctx.m + ctx.N}; residue is zero")
+    if k >= m + N:
+        warnings.warn(f"moment index k={k} >= m+N={m + N}; residue is zero")
         return Decimal(0)
-    return decimal_context(ctx.precision_bits).divide(
-        *horner_moments(ctx, (k,))[0])
+    return decimal_context(precision_bits).divide(
+        *horner_moments(N, m, a, (k,))[0])
 
 
 def exact_charpoly_moment(N: int, m: int, z_abs: float,
@@ -418,8 +418,8 @@ def exact_charpoly_moment(N: int, m: int, z_abs: float,
     """E|det(G_N - z)|^(2m) = Z_N(|z|, m/N) / Z_N(0, 0), evaluated exactly."""
     ctx = decimal_context(precision_bits)
     return ctx.exp(ctx.subtract(
-        moment_table(ExactContext(N, m, abs(z_abs), precision_bits)).log_z,
-        moment_table(ExactContext(N, 0, 0, precision_bits)).log_z))
+        moment_table(N, m, abs(z_abs), precision_bits).log_z,
+        moment_table(N, 0, 0, precision_bits).log_z))
 
 
 def res_r11_infinity(geom: PreGeometry, N: int) -> float:

@@ -269,10 +269,14 @@ class TestExitCodes:
          ["alpha = 1.0", "t = 1000000000.0"]),
         # at tiny c the modulus root rounds onto a^2 q^2 > 1: no kappa > 0
         (["geometry", "--a", "1e4", "--c", "1e-12"], ["10000.0", "1e-12"]),
+        # the window shift moves the insertion point below a = 0
+        (["critical", "--n", "8", "--c", "1", "--s", "1e6"],
+         ["s=1000000.0", "N=8", "c=1.0"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
             "free-energy-huge-a", "op-compare-huge-a", "geometry-far-a",
-            "free-energy-far-a", "ldp-far-t", "geometry-tiny-c"])
+            "free-energy-far-a", "ldp-far-t", "geometry-tiny-c",
+            "critical-huge-s"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
         # past the Bernoulli table, past the double range or past its
         # digits, the error is a DomainError that names the flags, not an
@@ -284,6 +288,15 @@ class TestExitCodes:
         assert payload["error"] == "DomainError"
         for name in names:
             assert name in payload["message"]
+
+    def test_large_c_just_below_a_cri_is_post_critical(self, capsys):
+        # 7.1e-6 below the true a_cri (the modulus cubic's middle root is
+        # u = 1.0000071 there); sqrt(c+1) - sqrt(c) cancelled to 1.1e-4
+        # relative at this c, which put a on the simply connected side
+        code, out, _ = run_cli(["geometry", "--a", "6.678764682444251e-07",
+                                "--c", "560456053277.24"], capsys)
+        assert code == 0
+        assert json.loads(out)["droplet"]["regime"] == "POST"
 
     def test_tiny_c_free_energy_needs_no_droplet_gap(self, capsys):
         # geometry refuses (1e4, 1e-12) for its kappa; the expansion reads

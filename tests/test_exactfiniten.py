@@ -37,9 +37,8 @@ class TestCalibration:
             (FIXTURES / "exact_logz_calibration.json").read_text())["entries"]
         assert len(entries) == 5
         for entry in entries:
-            ctx = exactfiniten.ExactContext(
-                N=entry["N"], m=entry["m"], a=Fraction(entry["a"]))
-            got = exactfiniten.moment_table(ctx).log_z
+            params = (entry["N"], entry["m"], Fraction(entry["a"]))
+            got = exactfiniten.moment_table(*params).log_z
             with mp.workprec(256):
                 want = mp.log(mp.mpf(Fraction(entry["Z"]).numerator)
                               / Fraction(entry["Z"]).denominator)
@@ -51,17 +50,17 @@ class TestContourMoment:
     rational route the Gram route is checked against."""
 
     def test_pure_gaussian(self):
-        ctx = exactfiniten.ExactContext(N=1, m=0, a=0.7)
-        assert oracles.contour_moment(ctx, 0) == 1
+        params = (1, 0, 0.7)
+        assert oracles.contour_moment(*params, 0) == 1
         with pytest.warns(UserWarning):
-            assert oracles.contour_moment(ctx, 1) == 0
+            assert oracles.contour_moment(*params, 1) == 0
 
     def test_against_contour_quadrature(self):
         # independent oracle: adaptive quadrature of z^k omega(z) on |z|=2
-        ctx = exactfiniten.ExactContext(N=2, m=2, a=0.5)
+        params = (2, 2, 0.5)
         with mp.workprec(256):
             for k in range(3):
-                closed = to_mpf(oracles.contour_moment(ctx, k))
+                closed = to_mpf(oracles.contour_moment(*params, k))
 
                 def integrand(theta, k=k):
                     z = 2 * mp.e ** (1j * theta)
@@ -73,9 +72,9 @@ class TestContourMoment:
                 assert abs(closed - quad.real) + abs(quad.imag) < mp.mpf(10) ** -20
 
     def test_origin_weight_is_kronecker(self):
-        ctx = exactfiniten.ExactContext(N=3, m=2, a=0.0)
+        params = (3, 2, 0.0)
         for k in range(5):
-            assert oracles.contour_moment(ctx, k) == (1 if k == 2 else 0)
+            assert oracles.contour_moment(*params, k) == (1 if k == 2 else 0)
 
     @pytest.mark.parametrize("N,m,a", [
         (16, 16, 0.2),
@@ -88,14 +87,14 @@ class TestContourMoment:
     def test_correctly_rounded(self, N, m, a):
         # every moment is the exact rational, and contour_moment gives it
         # to within half a unit in the last of the 256-bit context's digits
-        ctx = exactfiniten.ExactContext(N=N, m=m, a=a)
+        params = (N, m, a)
         digits = exactfiniten.decimal_context(256).prec
-        got = oracles.horner_moments(ctx, range(2 * N))
+        got = oracles.horner_moments(*params, range(2 * N))
         for k, (num, den) in enumerate(got):
             exact = oracles.fraction_moment(N, m, a, k)
             assert den > 0 and Fraction(num, den) == exact, k
             if k < N + m:
-                moment = oracles.contour_moment(ctx, k)
+                moment = oracles.contour_moment(*params, k)
                 assert len(moment.as_tuple().digits) <= digits, k
                 if exact:
                     ulp = Fraction(10) ** (moment.adjusted() - digits + 1)
@@ -109,47 +108,60 @@ class TestContourMoment:
     def test_horner_pairs_match_term_by_term(self, N, m, a):
         # m = 0, 0 < m < N, m = N and m > N; ks run past m + N, where the
         # residue vanishes
-        ctx = exactfiniten.ExactContext(N=N, m=m, a=a)
+        params = (N, m, a)
         ks = range(m + N + 3)
-        assert oracles.horner_moments(ctx, ks) == oracles.term_moments(
+        assert oracles.horner_moments(*params, ks) == oracles.term_moments(
             N, m, a, ks)
 
     def test_zero_beyond_residue_degree(self):
         # m < N: p = m+N-1-k < 0 for k >= m+N, and the residue vanishes
-        ctx = exactfiniten.ExactContext(N=16, m=9, a=0.3)
-        got = oracles.horner_moments(ctx, range(32))
+        params = (16, 9, 0.3)
+        got = oracles.horner_moments(*params, range(32))
         assert all(num != 0 for num, _ in got[:25])
         assert all(num == 0 for num, _ in got[25:])
         for k in (25, 31):
             with pytest.warns(UserWarning):
-                assert oracles.contour_moment(ctx, k) == 0
+                assert oracles.contour_moment(*params, k) == 0
 
 
 class TestExactLogZ:
     def test_precision_doubling_stable(self):
-        lz256 = exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=6, m=6, a=0.8)).log_z
-        lz512 = exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=6, m=6, a=0.8, precision_bits=512)).log_z
+        lz256 = exactfiniten.moment_table(N=6, m=6, a=0.8).log_z
+        lz512 = exactfiniten.moment_table(N=6, m=6, a=0.8,
+                                          precision_bits=512).log_z
         assert float(abs(lz256 - lz512) / abs(lz512)) < 2.0 ** -128
 
     def test_even_in_a(self):
-        plus, minus = (exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=4, m=4, a=a)).log_z for a in (0.4, -0.4))
+        plus, minus = (exactfiniten.moment_table(N=4, m=4, a=a).log_z
+                       for a in (0.4, -0.4))
         assert abs(plus - minus) < Decimal("1e-70")
 
     def test_moment_index_cap(self):
-        with pytest.raises(DomainError):
-            exactfiniten.ExactContext(N=100, m=50, a=0.1)
+        with pytest.raises(DomainError, match="^m \\+ N = 150 exceeds the "
+                                              "supported cap 120$"):
+            exactfiniten.moment_table(N=100, m=50, a=0.1)
+
+    @pytest.mark.parametrize("args,message", [
+        ((0, 2, 0.1), "need N >= 1 and m >= 0, got N=0, m=2"),
+        ((3, -1, 0.1), "need N >= 1 and m >= 0, got N=3, m=-1"),
+        ((3, 3, 0.1, 127), "precision_bits must be >= 128, got 127"),
+    ], ids=["N", "m", "bits"])
+    def test_arguments_checked_before_the_gram_matrix(self, args, message,
+                                                      monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Gram matrix was built")
+
+        monkeypatch.setattr(exactfiniten, "_gram", refuse)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            exactfiniten.moment_table(*args)
 
 
 class TestMomentTable:
     def test_large_n_digits_at_default_precision(self):
         # the 256-bit default is within ~4e-71 of a 768-bit run
-        ctx = exactfiniten.ExactContext(N=60, m=60, a=3.0)
-        ref = exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=60, m=60, a=3.0, precision_bits=768))
-        table = exactfiniten.moment_table(ctx)
+        params = (60, 60, 3.0)
+        ref = exactfiniten.moment_table(N=60, m=60, a=3.0, precision_bits=768)
+        table = exactfiniten.moment_table(*params)
         assert abs(table.log_z - ref.log_z) < Decimal("1e-60")
         assert abs(table.op[-2] - ref.op[-2]) < Decimal("1e-60")
 
@@ -158,8 +170,7 @@ class TestMomentTable:
         # bits; perfbench/reference.json.gz (entry exact-sweep/3) stores
         # these to 30 digits.  Measured errors at 256 bits: 4.2e-71 (log Z)
         # and 2.9e-71 (A11)
-        table = exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=60, m=60, a=3.0))
+        table = exactfiniten.moment_table(N=60, m=60, a=3.0)
         ref_log_z = Decimal("5708.63317142410395252736468381386428141324944816"
                             "27712740615047201494163336")
         ref_a11 = Decimal("18.015993978811160631099643108079043304230852096234"
@@ -171,9 +182,9 @@ class TestMomentTable:
         calls = []
         build = exactfiniten.moment_table
 
-        def counted(ctx):
-            calls.append(ctx)
-            return build(ctx)
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
 
         monkeypatch.setattr(exactfiniten, "moment_table", counted)
         code = cli.run(["exact", "--a", "3", "--c", "1", "--n", "16"])
@@ -211,7 +222,7 @@ class TestMomentTable:
         # log Z_N and p_N against the exact rational contour-Hankel route;
         # at a = 0 the Gram matrix is diagonal, while the Hankel matrix is
         # the exchange matrix and needs row swaps
-        table = exactfiniten.moment_table(exactfiniten.ExactContext(N, N, a))
+        table = exactfiniten.moment_table(N, N, a)
         det, coeffs = oracles.contour_hankel(N, N, a)
         with mp.workprec(512):
             want = (mp.log(abs(mp.mpf(det.numerator) / det.denominator))
@@ -240,8 +251,7 @@ class TestMomentTable:
         # coefficient at 256 bits, against a bound of 2^-228, and 2^-489.9
         # at 512)
         ref = _table_at_1024_bits(a, N)
-        table = exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=N, m=N, a=a, precision_bits=bits))
+        table = exactfiniten.moment_table(N=N, m=N, a=a, precision_bits=bits)
         bound = Fraction(1, 2 ** (bits - 20))
         assert (abs(Fraction(table.log_z) - Fraction(ref.log_z))
                 <= bound * abs(Fraction(ref.log_z)))
@@ -253,22 +263,21 @@ class TestMomentTable:
 
 @functools.cache
 def _table_at_1024_bits(a, N):
-    return exactfiniten.moment_table(
-        exactfiniten.ExactContext(N=N, m=N, a=a, precision_bits=1024))
+    return exactfiniten.moment_table(N=N, m=N, a=a, precision_bits=1024)
 
 
 class TestOrthogonalPolynomial:
     def test_radial_case_is_monomial(self):
-        ctx = exactfiniten.ExactContext(N=4, m=4, a=0.0)
-        coeffs = exactfiniten.moment_table(ctx).op
+        params = (4, 4, 0.0)
+        coeffs = exactfiniten.moment_table(*params).op
         assert coeffs[-1] == 1
         assert all(c == 0 for c in coeffs[:-1])
 
     def test_contour_orthogonality(self):
-        ctx = exactfiniten.ExactContext(N=4, m=4, a=0.7)
+        params = (4, 4, 0.7)
         with mp.workprec(256):
-            coeffs = [to_mpf(c) for c in exactfiniten.moment_table(ctx).op]
-            nu = [to_mpf(oracles.contour_moment(ctx, k)) for k in range(8)]
+            coeffs = [to_mpf(c) for c in exactfiniten.moment_table(*params).op]
+            nu = [to_mpf(oracles.contour_moment(*params, k)) for k in range(8)]
             worst = max(abs(sum(coeffs[j] * nu[i + j]
                                 for j in range(len(coeffs))))
                         for i in range(4))
@@ -279,8 +288,7 @@ class TestOrthogonalPolynomial:
         # 2.2e-4, 2.9e-6, 7.5e-10 at N = 4, 8, 16
         err = {}
         for n in (4, 8, 16):
-            a11 = exactfiniten.moment_table(
-                exactfiniten.ExactContext(N=n, m=n, a=0.2)).op[-2]
+            a11 = exactfiniten.moment_table(N=n, m=n, a=0.2).op[-2]
             err[n] = abs(float(a11) - 0.2 * n)
         assert err[4] / err[8] > 30      # faster than any N^-4 ratio of 16
         assert err[8] / err[16] > 1000
@@ -290,16 +298,15 @@ class TestOrthogonalPolynomial:
         # remainder after the N and 1/N terms is O(N^-3): N^2 x diff shrinks
         scaled = []
         for n in (4, 8, 16):
-            a11 = float(exactfiniten.moment_table(
-                exactfiniten.ExactContext(N=n, m=n, a=1.2)).op[-2])
+            a11 = float(exactfiniten.moment_table(N=n, m=n, a=1.2).op[-2])
             asymp = opasymp.a11_asymp(n, 1.2, 1.0, geometry.Regime.PRE)
             scaled.append(abs(n * n * (a11 - asymp)))
         assert all(s < 0.01 for s in scaled)
         assert scaled[0] > scaled[1] > scaled[2]
 
     def test_polynomial_evaluation(self):
-        ctx = exactfiniten.ExactContext(N=3, m=3, a=0.5)
-        coeffs = exactfiniten.moment_table(ctx).op
+        params = (3, 3, 0.5)
+        coeffs = exactfiniten.moment_table(*params).op
         z = 2.0 + 1.0j
         direct = sum(complex(c) * z ** k for k, c in enumerate(coeffs))
         assert abs(complex(exactfiniten.eval_polynomial(coeffs, z)) - direct) < 1e-12
@@ -307,8 +314,7 @@ class TestOrthogonalPolynomial:
     def test_real_point_gives_unsigned_zero(self):
         # at a real z < 0 the Decimal imaginary part ends as -0; the table
         # must read 0.0, as it did when mpmath (whose zero has no sign) ran
-        coeffs = exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=4, m=4, a=1.2)).op
+        coeffs = exactfiniten.moment_table(N=4, m=4, a=1.2).op
         value = exactfiniten.eval_polynomial(coeffs, -3.0 + 0.0j)
         assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
 
@@ -408,8 +414,8 @@ class TestDuality:
         # and 1.1e-76)
         t = Fraction(x) ** 2
         lhs = exactfiniten.lue_log_gap_probability(m, N, t, N)
-        log_z = [Fraction(exactfiniten.moment_table(
-            exactfiniten.ExactContext(N, m, a)).log_z) for a in (x, 0.0)]
+        log_z = [Fraction(exactfiniten.moment_table(N, m, a).log_z)
+                 for a in (x, 0.0)]
         gap = abs(Fraction(lhs) - (log_z[0] - log_z[1] - m * N * t))
         assert gap <= Fraction(1, 10 ** 60)
 
@@ -430,7 +436,7 @@ class TestCharpolyMoment:
     def test_ginibre_normalisation_closed_form(self, N):
         # Z_N(0, 0) = N! prod_{k<N} k! / N^(N(N+1)/2), the denominator of
         # oracles.exact_charpoly_moment
-        got = exactfiniten.moment_table(exactfiniten.ExactContext(N, 0, 0)).log_z
+        got = exactfiniten.moment_table(N, 0, 0).log_z
         with mp.workprec(512):
             want = (mp.log(math.factorial(N))
                     + sum(mp.log(math.factorial(k)) for k in range(N))
@@ -441,10 +447,10 @@ class TestCharpolyMoment:
 class TestExplicitContexts:
     def test_values_ignore_thread_and_mpmath_precision(self):
         # every Decimal operation runs in a context built from precision_bits
-        ctx = exactfiniten.ExactContext(N=8, m=8, a=1.2)
+        params = (8, 8, 1.2)
 
         def values():
-            table = exactfiniten.moment_table(ctx)
+            table = exactfiniten.moment_table(*params)
             return (table, exactfiniten.eval_polynomial(table.op, 3.0 + 1.0j),
                     exactfiniten.lue_log_gap_probability(8, 6, Fraction(7, 10),
                                                          8),

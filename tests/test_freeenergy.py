@@ -202,8 +202,7 @@ class TestExpansion:
 
     def test_post_exact_decay(self):
         for n in (4, 8, 16):
-            exact = float(exactfiniten.moment_table(
-                exactfiniten.ExactContext(N=n, m=n, a=0.2)).log_z)
+            exact = float(exactfiniten.moment_table(N=n, m=n, a=0.2).log_z)
             got = freeenergy.expansion(n, 0.2, 1.0, Regime.POST, M=2).log_z
             assert abs(got - exact) \
                 < 3.0 * freeenergy.first_omitted_tail_term(n, 1.0, 2)
@@ -211,8 +210,7 @@ class TestExpansion:
     def test_pre_residual_ratio(self):
         residual = {}
         for n in (4, 8, 16):
-            exact = float(exactfiniten.moment_table(
-                exactfiniten.ExactContext(N=n, m=n, a=1.2)).log_z)
+            exact = float(exactfiniten.moment_table(N=n, m=n, a=1.2).log_z)
             residual[n] = abs(
                 freeenergy.expansion(n, 1.2, 1.0, Regime.PRE).log_z - exact)
         # O(N^-1) error class: halving ratio 2 within +-30%
@@ -226,8 +224,8 @@ class TestExpansion:
         # Richardson limit 2 s_2N - s_N removes the 1/N term; it measures
         # 1/12 + 1.45e-6, + 1.51e-6 and - 7.6e-7 at the three points
         def scaled(size):
-            exact = float(exactfiniten.moment_table(exactfiniten.ExactContext(
-                N=size, m=round(c * size), a=a)).log_z)
+            exact = float(exactfiniten.moment_table(
+                N=size, m=round(c * size), a=a).log_z)
             return size * (exact
                            - freeenergy.expansion(size, a, c, Regime.PRE).log_z)
 
@@ -263,8 +261,7 @@ class TestCharpolyMoment:
     def test_origin_closed_form(self):
         # at z=0 the moment is the ratio of Barnes-G closed forms
         got = freeenergy.charpoly_moment_asymp(0.0, 1.0, 8)
-        ginibre = exactfiniten.moment_table(
-            exactfiniten.ExactContext(8, 0, 0)).log_z
+        ginibre = exactfiniten.moment_table(8, 0, 0).log_z
         ratio = freeenergy.reference_logZ(8, 1.0) - float(ginibre)
         assert got == pytest.approx(ratio, abs=1e-7)
 

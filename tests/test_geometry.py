@@ -1,8 +1,11 @@
 """Droplet geometry: phase classification, the q-cubic, and the conformal pair."""
 
 import cmath
+import decimal
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,16 @@ class TestCriticalValues:
 
     def test_small_c_limit(self):
         assert geometry.a_cri(1e-12) == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("k", range(-4, 13))
+    def test_within_two_ulp_at_large_c(self, k):
+        # sqrt(c+1) - sqrt(c) cancels: 1.4e-8 relative error at c = 1e8
+        c = 10.0 ** k
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            want = (Decimal(c) + 1).sqrt() - Decimal(c).sqrt()
+        got = geometry.a_cri(c)
+        assert abs(Fraction(got) - Fraction(want)) <= 2 * math.ulp(got)
 
     def test_c_cri_at_inverts(self):
         assert geometry.a_cri(9 / 16) == pytest.approx(0.5, abs=1e-15)
@@ -193,33 +206,32 @@ class TestConformalPair:
 
 class TestDropletBoundary:
     def test_post_two_components(self):
-        boundary = geometry.droplet_boundary(
-            0.25, 9 / 16, geometry.classify(0.25, 9 / 16), 64)
-        assert boundary.chi == 0
-        assert [comp.label for comp in boundary.components] == ["outer", "inner"]
-        assert all(comp.closed for comp in boundary.components)
-        assert all(len(comp.points) == 64 for comp in boundary.components)
+        thetas, components = geometry.droplet_boundary(
+            geometry.post_geometry(0.25, 9 / 16), 64)
+        assert thetas == tuple(2 * math.pi * k / 64 for k in range(64))
+        assert [label for label, _ in components] == ["outer", "inner"]
+        assert all(len(points) == 64 for _, points in components)
 
     def test_pre_single_component(self):
-        boundary = geometry.droplet_boundary(
-            1.0, 9 / 16, geometry.classify(1.0, 9 / 16), 64)
-        assert boundary.chi == 1
-        assert len(boundary.components) == 1
+        g = geometry.pre_geometry(1.0, 9 / 16)
+        thetas, components = geometry.droplet_boundary(g, 64)
+        [(label, points)] = components
+        assert label == "boundary"
+        assert points == tuple(geometry.conformal_f(g, cmath.exp(1j * t))
+                               for t in thetas)
 
     def test_post_strict_separation(self):
-        boundary = geometry.droplet_boundary(
-            0.25, 9 / 16, geometry.classify(0.25, 9 / 16), 128)
-        outer, inner = boundary.components
-        gap = min(abs(p - q) for p in outer.points for q in inner.points)
+        _, (outer, inner) = geometry.droplet_boundary(
+            geometry.post_geometry(0.25, 9 / 16), 128)
+        gap = min(abs(p - q) for p in outer[1] for q in inner[1])
         assert gap > 0
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            geometry.droplet_boundary(
-                0.25, 9 / 16, geometry.classify(0.25, 9 / 16), 4)
+            geometry.droplet_boundary(geometry.post_geometry(0.25, 9 / 16), 4)
+        # at a_cri there is no geometry to sample
         with pytest.raises(DomainError):
-            geometry.droplet_boundary(
-                0.5, 9 / 16, geometry.classify(0.5, 9 / 16), 64)
+            geometry.post_geometry(0.5, 9 / 16)
 
 
 @st.composite

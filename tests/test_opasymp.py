@@ -21,9 +21,9 @@ from coulombgas.opasymp import GEvaluator, rh_coefficients
 
 
 def exact_op_value(n: int, a: float, z: complex) -> complex:
-    ctx = exactfiniten.ExactContext(N=n, m=n, a=a)
+    params = (n, n, a)
     return complex(exactfiniten.eval_polynomial(
-        exactfiniten.moment_table(ctx).op, z))
+        exactfiniten.moment_table(*params).op, z))
 
 
 def rel_error(ev: GEvaluator, n: int, a: float, z: complex) -> float:
@@ -148,11 +148,6 @@ class TestRHCoefficients:
         est = zeta32(probe) ** (2.0 / 3.0) / (probe - betab)
         assert abs(est - coeffs.gamma11) < 1e-4
 
-    def test_conjugation_symmetry(self, pre_evaluator):
-        coeffs = rh_coefficients(pre_evaluator.geom, 8)
-        assert np.array_equal(coeffs.h21, np.conj(coeffs.h11))
-        assert np.array_equal(coeffs.h22, np.conj(coeffs.h12))
-
     def test_inverse_n_scaling(self, pre_evaluator):
         c8 = rh_coefficients(pre_evaluator.geom, 8)
         c16 = rh_coefficients(pre_evaluator.geom, 16)
@@ -175,22 +170,24 @@ class TestRationalCorrections:
         coeffs = rh_coefficients(geom, 8)
         res_mag = abs(freeenergy.d_fconst_pre_da(geom.a, geom.c) / (2.0 * 8))
         for zr in (1e2, 1e3, 1e4):
-            r11, r12, _, _ = opasymp.r_entries(coeffs, zr + 0j)
+            r11, r12 = opasymp.r_entries(coeffs, zr + 0j)
             assert abs(zr * r11) / res_mag == pytest.approx(1.0, abs=0.05)
             assert abs(zr * r12) < 1.0
 
     def test_entries_are_the_conjugated_product(self, pre_evaluator):
-        # R1 = I + R2 h11 R2^-1/dz1 + R2 h12 R2^-1/dz1^2, R2 = I + h21/dz2 +
-        # h22/dz2^2, taken literally with an explicit inverse
+        # R1 = I + R2 h11 R2^-1/dz1 + R2 h12 R2^-1/dz1^2, R2 = I +
+        # conj(h11)/dz2 + conj(h12)/dz2^2, taken literally with an explicit
+        # inverse; r_entries is the first row of R1 R2 - I
         coeffs = rh_coefficients(pre_evaluator.geom, 4)
-        h11, h12, h21, h22 = (np.asarray(h) for h in coeffs[2:6])
+        h11, h12 = np.asarray(coeffs.h11), np.asarray(coeffs.h12)
+        h21, h22 = np.conj(h11), np.conj(h12)
         eye = np.eye(2)
         for z in (3.0 + 0j, -2.5 + 2.2j, 0.5 - 3.0j, 40.0 + 10.0j):
             dz1, dz2 = z - coeffs.beta_bar, z - coeffs.beta
             r2 = eye + h21 / dz2 + h22 / dz2 ** 2
             r2_inv = np.linalg.inv(r2)
             r1 = eye + r2 @ h11 @ r2_inv / dz1 + r2 @ h12 @ r2_inv / dz1 ** 2
-            want = (r1 @ r2 - eye).ravel()
+            want = (r1 @ r2 - eye)[0]
             got = np.array(opasymp.r_entries(coeffs, z))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -268,8 +265,8 @@ class TestA11AndDerivative:
 
     def test_dlogz_post_matches_finite_differences(self):
         h = 1e-5
-        plus, minus = (float(exactfiniten.moment_table(
-            exactfiniten.ExactContext(N=8, m=8, a=0.2 + d)).log_z)
+        plus, minus = (
+            float(exactfiniten.moment_table(N=8, m=8, a=0.2 + d).log_z)
             for d in (h, -h))
         fd = (plus - minus) / (2.0 * h)
         assert 2.0 * 8 * opasymp.a11_asymp(8, 0.2, 1.0, Regime.POST) / fd \

@@ -236,8 +236,7 @@ class TestCriticalWindow:
         a_cri = geometry.a_cri(1.0)
         residual = {}
         for n in (4, 8):
-            exact = float(exactfiniten.moment_table(
-                exactfiniten.ExactContext(N=n, m=n, a=a_cri)).log_z)
+            exact = float(exactfiniten.moment_table(N=n, m=n, a=a_cri).log_z)
             got = painleve.critical_expansion(n, 1.0, 0.0, solution=hm_solution)
             residual[n] = abs(got - exact)
         assert residual[8] < residual[4]

@@ -17,8 +17,8 @@ def run(args) -> int:
     ts = parse_grid(args.grid) if args.grid is not None else [args.t]
     sol = painleve.hastings_mcleod(tol=args.tol)
     cdf, survival = painleve.tw_cdf_survival(sol, ts)
-    rows = Columns([("t", float, [ts]), ("cdf", float, [cdf.tolist()]),
-                    ("survival", float, [survival.tolist()])])
+    rows = Columns([("t", float, [ts]), ("cdf", float, [cdf]),
+                    ("survival", float, [survival])])
     emit(_table("tw", {"tol": args.tol, "grid": args.grid, "t": args.t},
                 rows), args)
     return EXIT_OK

@@ -117,7 +117,10 @@ def solve_q(a: float, c: float) -> float:
             u -= g / dg
         if _admissible(u, a) and abs(u ** 3 - p * u * u + r) \
                 <= 2.0 ** -48 * (u ** 3 + p * u * u + r):
-            return math.sqrt(min(u, 1.0))
+            q = math.sqrt(min(u, 1.0))
+            # a root rounded onto a^2 q^2 > 1 (tiny c) goes to the fixed point
+            if a * a * q * q <= 1.0:
+                return q
     # From a ~ 2e4 the middle root u ~ 1/a^2 sits below the trig form's
     # rounding error, and near a_cri at large c the polish leaves a residual
     # above 16 ulps.  The root is the fixed point of u = 1/(a^2 sqrt(2(p-u))),

@@ -30,7 +30,9 @@ def lambda_minus(alpha: float) -> float:
 
 
 def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
-    """(phi, psi) at each t of ts, one modulus solve per point.
+    """(Phi(t), Psi(t)) at each t of ts from one modulus solve per point:
+    alpha^2 times the planar energy excess, and the planar free-energy
+    constant across phases.
 
     Everything that depends on alpha alone (lambda_-, c, the post-critical
     energy up to its -c a^2 term, the post-critical constant) is formed
@@ -68,15 +70,11 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
                 "planar image a = sqrt(t/alpha), c = 1/alpha is out of "
                 "double precision's reach") from exc
+        except ZeroDivisionError as exc:  # q rounded to 1: (1 - q^2)^3 = 0
+            raise DomainError(
+                f"no rate function at alpha = {alpha!r}, t = {t!r}: t is on the "
+                f"phase edge lambda_- = {lam_minus!r} in double precision") from exc
     return phis, psis
-
-
-def phi_psi(t: float, alpha: float) -> tuple[float, float]:
-    """(Phi(t), Psi(t)) from one modulus solve: the rate of the pushed gap
-    event, alpha^2 times the planar energy excess, and the constant-order
-    correction, the planar free-energy constant across phases."""
-    (rate,), (const,) = phi_psi_grid((t,), alpha)
-    return rate, const
 
 
 def kc_U_grid(ts, alpha: float) -> list[float]:
@@ -139,7 +137,7 @@ def ldp_log_probability(n: int, alpha: float, rate: float,
                         const: float) -> float:
     """log P[smallest eigenvalue > t] through constant order at size n,
     -Phi n^2 - log(alpha n)/12 + zeta'(-1) + Psi, from the
-    (Phi, Psi) = (rate, const) that phi_psi gives at t."""
+    (Phi, Psi) = (rate, const) that phi_psi_grid gives at t."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     # constant-order terms summed first, then added: the order fixes the last bits

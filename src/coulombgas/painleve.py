@@ -12,7 +12,7 @@ sqrt(-s/2)(1 + 1/(8 s^3)) on the left, with Chebyshev collocation in between
 one-sided march from Airy data cannot hold the branch: it sits on a
 separatrix, and local errors amplify like exp((2 sqrt2 / 3)|s|^{3/2}),
 about 1e13 by s = -10, so double precision shooting escapes near s = -9.
-The tail integrals below s_max are sums of positive Gauss-Legendre terms on
+The tail integrals up to s_max are sums of positive Gauss-Legendre terms on
 the Chebyshev series.  They stay accurate relative to their own size deep in
 the right tail, where 1 - F(7.9) is ~1e-16 and an antiderivative series,
 rounded at ~1e-15 of its largest values, would not.  The integral beyond
@@ -23,7 +23,8 @@ s_max is closed with the Airy primitives
 
 whose terms cancel, so they are formed in mpmath with guard bits.  Their
 values at s_max, and Ai(s_max), are written out below, so mpmath loads only
-for a point beyond s_max.
+for a point beyond s_max.  The distribution and its tail integral take a
+sequence of floats t and return a list of floats, one per t.
 
 The transcendent is named hm_q throughout to avoid colliding with the droplet
 modulus q(a, c); the two are unrelated.  The free-energy expansion inside the
@@ -255,22 +256,21 @@ def hastings_mcleod(tol: float = DEFAULT_TOL) -> TWSolution:
                       suffix_moment=moment)
 
 
-def _tails(sol: TWSolution, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(int_t^inf hm_q^2, int_t^inf (x - t) hm_q^2) for a float or an array of t.
+def _tails(sol: TWSolution, ts) -> tuple[np.ndarray, np.ndarray]:
+    """(int_t^inf hm_q^2, int_t^inf (x - t) hm_q^2) at each float t of ts.
 
-    Below S_MAX: the suffix sums from the nearest node s_k >= t plus the
+    Up to S_MAX: the suffix sums from the nearest node s_k >= t plus the
     partial panel [t, s_k], closed at S_MAX by the Airy primitives; all terms
     are positive.  Beyond S_MAX: the Airy primitives at t alone.
     """
-    t = np.asarray(t, dtype=float)
+    t = np.array(ts, dtype=float)
     if np.any(t < S_MIN):
         raise GridTooShort(
             f"t = {np.min(t)} below the solved range [{S_MIN}, {S_MAX}]")
-    flat = t.ravel()
-    mass = np.empty(flat.shape)
-    moment = np.empty(flat.shape)
-    inside = flat < S_MAX
-    t_in = flat[inside]
+    mass = np.empty(t.shape)
+    moment = np.empty(t.shape)
+    inside = t <= S_MAX
+    t_in = t[inside]
     # last node with s_grid[k] >= t (the grid is descending)
     k = np.searchsorted(-sol.s_grid, -t_in, side="right") - 1
     node = sol.s_grid[k]
@@ -281,30 +281,23 @@ def _tails(sol: TWSolution, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarr
     moment[inside] = (d_moment + sol.suffix_moment[k] + (node - t_in) * node_mass
                       + edge_moment + (S_MAX - t_in) * edge_mass)
     for i in np.flatnonzero(~inside):
-        mass[i], moment[i] = _airy_tails(float(flat[i]))
-    return mass.reshape(t.shape), moment.reshape(t.shape)
+        mass[i], moment[i] = _airy_tails(float(t[i]))
+    return mass, moment
 
 
-def _like_input(values: np.ndarray) -> float | np.ndarray:
-    # a Python float for a scalar t, the array otherwise
-    return values if np.ndim(values) else float(values)
-
-
-def tw_cdf_survival(sol: TWSolution, t: float | np.ndarray
-                    ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """(F(t), 1 - F(t)) from one tail evaluation.
+def tw_cdf_survival(sol: TWSolution, ts) -> tuple[list[float], list[float]]:
+    """(F(t), 1 - F(t)) at each float t of ts, from one tail evaluation.
 
     F(t) = exp(-int_t^inf (x-t) hm_q^2) needs the solved range to cover t;
-    1 - F(t) comes without cancellation, for the far right tail.  Like
-    q2_tail_integral, a float t gives floats and an array of t gives arrays.
+    1 - F(t) comes without cancellation, for the far right tail.
     """
-    moment = _tails(sol, t)[1]
-    return _like_input(np.exp(-moment)), _like_input(-np.expm1(-moment))
+    moment = _tails(sol, ts)[1]
+    return np.exp(-moment).tolist(), (-np.expm1(-moment)).tolist()
 
 
-def q2_tail_integral(sol: TWSolution, t: float | np.ndarray) -> float | np.ndarray:
-    """int_t^inf hm_q^2 dx, which equals d/dt log F(t)."""
-    return _like_input(_tails(sol, t)[0])
+def q2_tail_integral(sol: TWSolution, ts) -> list[float]:
+    """int_t^inf hm_q^2 dx, which equals d/dt log F(t), at each float t of ts."""
+    return _tails(sol, ts)[0].tolist()
 
 
 def left_tail_log_cdf(x: float) -> float:
@@ -368,5 +361,5 @@ def critical_expansion(N: int, c: float, s: float, solution: TWSolution) -> floa
     from .geometry import Regime
 
     a_s = critical_a(s, c, N)  # raises for c <= 0 or N < 1
-    moment = float(_tails(solution, c ** (-2.0 / 3.0) * s)[1])  # -log F
+    moment = float(_tails(solution, (c ** (-2.0 / 3.0) * s,))[1][0])  # -log F
     return expansion(N, a_s, c, Regime.POST, M=0).log_z - moment

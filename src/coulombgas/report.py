@@ -121,7 +121,7 @@ def check_kc_identity() -> tuple:
     per_alpha = {}
     for alpha in (0.5, 1.0, 16.0 / 9.0, 5.0):
         lam = ldp.lambda_minus(alpha)
-        ts = np.linspace(lam + 0.05, lam + 5.0, 50)
+        ts = np.linspace(lam + 0.05, lam + 5.0, 50).tolist()
         diffs = [abs(rate - diff) for rate, diff
                  in zip(ldp.phi_psi_grid(ts, alpha)[0],
                         ldp.kc_rate_grid(ts, alpha))]
@@ -141,7 +141,7 @@ def check_third_order() -> tuple:
     for alpha in (1.0, 16.0 / 9.0):
         lam = ldp.lambda_minus(alpha)
         dts = np.linspace(1e-3, 1e-2, 50)
-        vals = np.array(ldp.phi_psi_grid(lam + dts, alpha)[0])
+        vals = np.array(ldp.phi_psi_grid((lam + dts).tolist(), alpha)[0])
         design = np.vstack([dts ** 3, dts ** 4]).T
         k3, k4 = np.linalg.lstsq(design, vals, rcond=None)[0]
         target = math.sqrt(alpha + 1.0) / (12.0 * lam * lam)
@@ -161,12 +161,13 @@ def check_ldp_constants() -> tuple:
     """Constant-order expansion of log P approaches the exact finite-n value."""
     alpha = 1.0
     t = ldp.lambda_minus(alpha) + 1.0
+    (rate,), (const,) = ldp.phi_psi_grid((t,), alpha)
     diffs = []
     for n in (4, 8, 16):
         # alpha*n = n zero modes and the weight e^(-n x)
         exact = float(exactfiniten.lue_log_gap_probability(
             n, n, Fraction(t), n))
-        approx = ldp.ldp_log_probability(n, alpha, *ldp.phi_psi(t, alpha))
+        approx = ldp.ldp_log_probability(n, alpha, rate, const)
         diffs.append({"n": n, "abs_error": abs(exact - approx)})
     decreasing = (diffs[0]["abs_error"] > diffs[1]["abs_error"]
                   > diffs[2]["abs_error"])
@@ -184,13 +185,13 @@ def check_tw_tails() -> tuple:
     sol = painleve.hastings_mcleod()
     t_left = -8.0
     scale = 3.0 / (2 ** 6 * abs(t_left) ** 3)
-    left_diff = abs(math.log(painleve.tw_cdf_survival(sol, t_left)[0])
+    (cdf_left, _, cdf_mid), (_, survival_right, _) = painleve.tw_cdf_survival(
+        sol, (t_left, 6.0, -5.0))
+    left_diff = abs(math.log(cdf_left)
                     - painleve.left_tail_log_cdf(abs(t_left)))
-    right_rel = abs(painleve.tw_cdf_survival(sol, 6.0)[1]
-                    / painleve.right_tail_survival(6.0) - 1.0)
+    right_rel = abs(survival_right / painleve.right_tail_survival(6.0) - 1.0)
     refined = painleve.hastings_mcleod(tol=painleve.DEFAULT_TOL / 2.0)
-    drift = abs(painleve.tw_cdf_survival(sol, -5.0)[0]
-                - painleve.tw_cdf_survival(refined, -5.0)[0])
+    drift = abs(cdf_mid - painleve.tw_cdf_survival(refined, (-5.0,))[0][0])
     # the drift alone reads ~3e-19, and exactly 0 from a solver that ignored
     # tol: the halved tol must also buy more collocation nodes
     ok = (left_diff < scale and right_rel < 0.20 and drift < 1e-8

@@ -485,10 +485,8 @@ def g(evaluator: GEvaluator, z: complex) -> complex:
 
 
 def hm_q(sol: painleve.TWSolution, s):
-    """The transcendent on [S_MIN, S_MAX], summed from its Chebyshev series.
-
-    Like painleve.tw_cdf_survival and q2_tail_integral, a float s gives a
-    float and an array an array.
+    """The transcendent on [S_MIN, S_MAX], summed from its Chebyshev series:
+    a float s gives a float and an array an array.
     """
     s = np.asarray(s, dtype=float)
     if np.any((s < painleve.S_MIN) | (s > painleve.S_MAX)):

@@ -267,8 +267,15 @@ class TestExitCodes:
          ["a=100000000.0", "c=1.0"]),
         (["ldp", "--alpha", "1", "--t", "1e9"],
          ["alpha = 1.0", "t = 1000000000.0"]),
-        # at tiny c the modulus root rounds onto a^2 q^2 > 1: no kappa > 0
+        # at tiny c the modulus root rounds onto a^2 q^2 > 1, which the
+        # solve refuses: no kappa > 0 and no energy
         (["geometry", "--a", "1e4", "--c", "1e-12"], ["10000.0", "1e-12"]),
+        (["free-energy", "--a", "1e4", "--c", "1e-12", "--n", "8"],
+         ["a=10000.0", "c=1e-12"]),
+        # one ulp above lambda_- the modulus rounds to q = 1, the phase edge
+        (["ldp", "--alpha", "0.5", "--t", "0.05051025721682186"],
+         ["alpha = 0.5", "t = 0.05051025721682186",
+          "lambda_- = 0.050510257216821855"]),
         # the window shift moves the insertion point below a = 0
         (["critical", "--n", "8", "--c", "1", "--s", "1e6"],
          ["s=1000000.0", "N=8", "c=1.0"]),
@@ -276,7 +283,7 @@ class TestExitCodes:
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
             "free-energy-huge-a", "op-compare-huge-a", "geometry-far-a",
             "free-energy-far-a", "ldp-far-t", "geometry-tiny-c",
-            "critical-huge-s"])
+            "free-energy-tiny-c", "ldp-phase-edge", "critical-huge-s"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
         # past the Bernoulli table, past the double range or past its
         # digits, the error is a DomainError that names the flags, not an
@@ -299,10 +306,11 @@ class TestExitCodes:
         assert json.loads(out)["droplet"]["regime"] == "POST"
 
     def test_tiny_c_free_energy_needs_no_droplet_gap(self, capsys):
-        # geometry refuses (1e4, 1e-12) for its kappa; the expansion reads
-        # only q and the energy, so free-energy still answers there
+        # at (1e3, 1e-12) 1 - a^2 q^2 rounds to 0.0: geometry refuses it for
+        # its kappa, but the expansion reads only q and the energy, so
+        # free-energy still answers there
         code, out, _ = run_cli(
-            ["free-energy", "--a", "1e4", "--c", "1e-12", "--n", "8"], capsys)
+            ["free-energy", "--a", "1e3", "--c", "1e-12", "--n", "8"], capsys)
         assert code == 0
         assert json.loads(out)["rows"][0]["regime"] == "PRE"
 
@@ -663,8 +671,8 @@ def loaded_modules(argv):
 
 # what each command must not load: the array and exact-arithmetic libraries
 # and the package modules it has no use for; no command here loads mpmath
-# (only a tw point at or beyond painleve.S_MAX does), and none loads
-# dataclasses (every record is a NamedTuple)
+# (only a tw point beyond painleve.S_MAX does), and none loads dataclasses
+# (every record is a NamedTuple)
 _EXACT = {"mpmath", "coulombgas.exactfiniten"}
 _PLANAR = {"coulombgas.geometry", "coulombgas.freeenergy"}
 
@@ -699,6 +707,9 @@ def _exit_code(argv):
     pytest.param(["ldp", "--alpha", "16/9", "--grid", "1:3:3",
                   "--exact-compare", "--n", "9"], {"numpy", "dataclasses"},
                  id="ldp-exact-compare"),
+    # t = S_MAX sums the series to the written-out Airy tails
+    pytest.param(["tw", "--t", "8"], {"dataclasses", "fractions", *_PLANAR},
+                 id="tw-at-s-max"),
 ], ids=lambda value: (value[0] if isinstance(value, list)
                       else str("numpy" in value)))  # True: starts without numpy
 def test_cold_start_skips_scipy(argv, forbidden):

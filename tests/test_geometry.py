@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from coulombgas import geometry
+from coulombgas import freeenergy, geometry
 from coulombgas.errors import BranchCutError, DomainError, NoValidRoot
 from coulombgas.geometry import Regime
 
@@ -110,6 +110,32 @@ class TestSolveQ:
         for a in (1e5, 1e6, 1e8):
             with pytest.raises(DomainError, match="keeps fewer than half"):
                 geometry.solve_q(a, 1.0)
+
+    def test_tiny_c_root_keeps_a_nonnegative_gap(self):
+        # at tiny c the trig root can round onto a^2 q^2 > 1 (at a = 1e4,
+        # c = 1e-12 the energy was off by 1.9e-9); such a root goes on to the
+        # fixed point, whose GAP_FLOOR refuses it.  A root that is returned
+        # keeps 1 - a^2 q^2 >= 0 (0.0 at a = 1e3, c = 1e-12) and an energy
+        # within test_large_a_against_pre_reference's bound
+        eps = sys.float_info.epsilon
+        solved = refused = 0
+        for a in (1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 1e6):
+            for e in range(8, 15):
+                c = 10.0 ** -e
+                try:
+                    q = geometry.solve_q(a, c)
+                except DomainError:
+                    refused += 1
+                    continue
+                solved += 1
+                assert 1.0 - a * a * q * q >= 0.0, (a, c)
+                energy = oracles.pre_reference(a, c)[3]
+                assert abs(freeenergy.energy_pre(a, c) - energy) \
+                    <= 2 * eps * (a * a + (c + 1) ** 2), (a, c)
+        assert solved and refused
+        for c in (1e-14, 1e-12, 1e-9):
+            with pytest.raises(DomainError, match="keeps fewer than half"):
+                geometry.solve_q(1e4, c)
 
     def test_large_c_root_near_a_cri(self):
         # the trig root's Newton polish stopped short of the root here

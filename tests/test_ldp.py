@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from coulombgas import cli, exactfiniten, freeenergy, ldp
+from coulombgas import cli, exactfiniten, freeenergy, geometry, ldp
 from coulombgas.errors import DomainError
 from coulombgas.geometry import Regime
 
@@ -40,20 +40,45 @@ class TestMarchenkoPastur:
 class TestRateFunction:
     def test_vanishes_at_edge(self):
         lm = ldp.lambda_minus(1.0)
-        assert abs(ldp.phi_psi(lm + 1e-6, 1.0)[0]) < 1e-13
+        [rate], _ = ldp.phi_psi_grid((lm + 1e-6,), 1.0)
+        assert abs(rate) < 1e-13
 
     def test_positive_inside_pushed_regime(self):
         lm = ldp.lambda_minus(16 / 9)
-        assert ldp.phi_psi(lm + 1.0, 16 / 9)[0] > 0.0
-        for dt in (1e-3, 0.1, 1.0, 4.0):
-            assert ldp.phi_psi(lm + dt, 16 / 9)[0] > 0.0
+        rates = ldp.phi_psi_grid([lm + dt for dt in (1e-3, 0.1, 1.0, 4.0)],
+                                 16 / 9)[0]
+        assert all(rate > 0.0 for rate in rates)
 
     def test_domain_error_at_wall(self):
         lm = ldp.lambda_minus(1.0)
         with pytest.raises(DomainError):
-            ldp.phi_psi(lm, 1.0)
+            ldp.phi_psi_grid((lm,), 1.0)
         with pytest.raises(DomainError):
-            ldp.phi_psi(lm - 0.5, 1.0)
+            ldp.phi_psi_grid((lm - 0.5,), 1.0)
+
+    def test_phase_edge_refused_by_name(self):
+        # just above lambda_- the planar modulus can round to q = 1, the
+        # phase edge, where the constant's (1 - q^2)^3 is 0.  At the three
+        # floats above lambda_-, for alpha = 0.5 and 10^(k/2) from 0.1 to
+        # 1e8, a point gives finite values or a DomainError naming t,
+        # alpha and lambda_-, never a ZeroDivisionError
+        refused = []
+        for alpha in (0.5, *(10.0 ** (k / 2) for k in range(-2, 17))):
+            lm = t = ldp.lambda_minus(alpha)
+            for _ in range(3):
+                t = math.nextafter(t, math.inf)
+                try:
+                    (rate,), (const,) = ldp.phi_psi_grid((t,), alpha)
+                except DomainError as exc:
+                    for name in (f"t = {t!r}", f"alpha = {alpha!r}",
+                                 f"lambda_- = {lm!r}"):
+                        assert name in str(exc)
+                    refused.append((alpha, t))
+                    continue
+                assert math.isfinite(rate) and math.isfinite(const)
+        assert (0.5, 0.05051025721682186) in refused
+        assert geometry.solve_q(math.sqrt(0.05051025721682186 / 0.5),
+                                2.0) == 1.0
 
     @pytest.mark.parametrize("alpha", [1.0, 16 / 9])
     def test_third_order_coefficient(self, alpha):
@@ -61,23 +86,23 @@ class TestRateFunction:
         # the windowed fit removes it to ~0.2%
         lm = ldp.lambda_minus(alpha)
         target = math.sqrt(alpha + 1) / (12.0 * lm * lm)
-        assert ldp.phi_psi(lm + 1e-3, alpha)[0] / 1e-9 == pytest.approx(
-            target, rel=0.01)
+        [rate], _ = ldp.phi_psi_grid((lm + 1e-3,), alpha)
+        assert rate / 1e-9 == pytest.approx(target, rel=0.01)
 
         dts = np.linspace(1e-3, 1e-2, 50)
-        vals = np.array(ldp.phi_psi_grid(lm + dts, alpha)[0])
+        vals = np.array(ldp.phi_psi_grid((lm + dts).tolist(), alpha)[0])
         basis = np.vstack([dts ** 3, dts ** 4]).T
         k3, _ = np.linalg.lstsq(basis, vals, rcond=None)[0]
         assert k3 == pytest.approx(target, rel=0.01)
 
     def test_monotone_growth(self):
         lm = ldp.lambda_minus(1.0)
-        ts = np.geomspace(lm + 1e-2, 1e3, 40)
+        ts = np.geomspace(lm + 1e-2, 1e3, 40).tolist()
         vals = ldp.phi_psi_grid(ts, 1.0)[0]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_linear_far_field(self):
-        rate = ldp.phi_psi(1000.0, 1.0)[0]
+        [rate], _ = ldp.phi_psi_grid((1000.0,), 1.0)
         assert abs(rate - ldp.phi_large_t(1000.0, 1.0)) / 1000.0 < 0.05
 
     def test_far_field_form(self):
@@ -95,7 +120,7 @@ class TestKCAction:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 16 / 9, 5.0])
     def test_action_matches_rate_function(self, alpha):
         lm = ldp.lambda_minus(alpha)
-        ts = np.linspace(lm + 0.05, lm + 5.0, 12)
+        ts = np.linspace(lm + 0.05, lm + 5.0, 12).tolist()
         for rate, diff in zip(ldp.phi_psi_grid(ts, alpha)[0],
                               ldp.kc_rate_grid(ts, alpha)):
             assert abs(rate - diff) < 1e-10
@@ -138,8 +163,9 @@ class TestLogProbability:
         # a wrong constant term would make s_n grow like n^2.  The
         # Richardson limit (4 s_64 - s_32)/3 measures -2.8193e-3.
         t = ldp.lambda_minus(1.0) + 1.0
+        (rate,), (const,) = ldp.phi_psi_grid((t,), 1.0)
         s = {n: n * n * (exact_log_p(n, t)
-                         - ldp.ldp_log_probability(n, 1.0, *ldp.phi_psi(t, 1.0)))
+                         - ldp.ldp_log_probability(n, 1.0, rate, const))
              for n in (16, 32, 64)}
         assert (s[32] - s[16]) / (s[64] - s[32]) >= 3.0
         assert -2.83e-3 <= (4.0 * s[64] - s[32]) / 3.0 <= -2.81e-3
@@ -164,7 +190,7 @@ class TestLogProbability:
     def test_constant_toggle(self):
         # -Phi n^2 plus the constant order -log(alpha n)/12 + zeta'(-1) + Psi
         t = ldp.lambda_minus(1.0) + 1.0
-        rate, const = ldp.phi_psi(t, 1.0)
+        (rate,), (const,) = ldp.phi_psi_grid((t,), 1.0)
         want = (-64.0 * rate - math.log(8.0) / 12.0
                 + freeenergy.ZETA_PRIME_MINUS_ONE + const)
         assert ldp.ldp_log_probability(8, 1.0, rate, const) == pytest.approx(
@@ -175,7 +201,7 @@ class TestSinglePass:
     def test_rows_equal_two_solve_route_bit_for_bit(self, capsys):
         # the table solves the modulus once per point; energy_pre and fconst
         # called without q solve it on their own.  The grid starts one ulp
-        # above lambda_-.
+        # above lambda_-, and each row equals its one-point grid.
         alpha = 16 / 9
         lo = math.nextafter(ldp.lambda_minus(alpha),
                             math.inf)
@@ -191,9 +217,10 @@ class TestSinglePass:
                 freeenergy.fconst(a, c, Regime.PRE)
                 - freeenergy.fconst(a, c, Regime.POST))
             assert (row["phi"], row["psi"]) == two_solves, t
-            assert ldp.phi_psi(t, alpha) == two_solves, t
-        for t in (lo, rows[1]["t"], 2.0, 5.0):
-            rate, const = ldp.phi_psi(t, alpha)
+            (rate,), (const,) = ldp.phi_psi_grid((t,), alpha)
+            assert (rate, const) == two_solves, t
+        points = (lo, rows[1]["t"], 2.0, 5.0)
+        for t, rate, const in zip(points, *ldp.phi_psi_grid(points, alpha)):
             two_pass = (-rate * 16 * 16
                         + (-math.log(alpha * 16) / 12.0
                            + freeenergy.ZETA_PRIME_MINUS_ONE
@@ -216,6 +243,7 @@ class TestSinglePass:
                         "--exact-compare", "--n", "9"])
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert code == 0 and len(calls) == len(rows) == 4
-        for row in rows:
+        phis, psis = ldp.phi_psi_grid([row["t"] for row in rows], 16 / 9)
+        for row, rate, const in zip(rows, phis, psis):
             assert row["ldp_log_p"] == ldp.ldp_log_probability(
-                9, 16 / 9, *ldp.phi_psi(row["t"], 16 / 9))
+                9, 16 / 9, rate, const)

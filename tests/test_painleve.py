@@ -132,13 +132,16 @@ class TestHastingsMcleod:
             painleve.hastings_mcleod(**kwargs)
 
 
+def cdf_at(sol, t: float) -> float:
+    return painleve.tw_cdf_survival(sol, (t,))[0][0]
+
+
 class TestDistribution:
     def test_upper_limit(self, hm_solution):
-        assert painleve.tw_cdf_survival(hm_solution, 8.0)[0] == pytest.approx(
-            1.0, abs=1e-10)
+        assert cdf_at(hm_solution, 8.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_frozen_median_region_value(self, hm_solution):
-        assert painleve.tw_cdf_survival(hm_solution, -2.0)[0] == pytest.approx(
+        assert cdf_at(hm_solution, -2.0) == pytest.approx(
             0.413224142505, abs=1e-9)
 
     def test_cdf_matches_fredholm_determinant(self, hm_solution):
@@ -146,61 +149,67 @@ class TestDistribution:
         # gated in absolute error, since F(-8) ~ 1e-12 leaves the relative
         # error of the 60-node determinant at 2.7e-7 there (the largest
         # absolute difference, 5.3e-14, is at t = -2)
-        ts = np.linspace(-8.0, 6.0, 57)
+        ts = np.linspace(-8.0, 6.0, 57).tolist()
         want = np.array([oracles.tw_cdf_fredholm(t) for t in ts])
         np.testing.assert_allclose(painleve.tw_cdf_survival(hm_solution, ts)[0],
                                    want, rtol=0.0, atol=1e-12)
 
     def test_strictly_increasing(self, hm_solution):
-        ts = np.linspace(-8.0, 6.0, 57)
-        vals = [painleve.tw_cdf_survival(hm_solution, float(t))[0] for t in ts]
+        ts = np.linspace(-8.0, 6.0, 57).tolist()
+        vals = painleve.tw_cdf_survival(hm_solution, ts)[0]
         assert all(0.0 < v < 1.0 for v in vals[:-1])
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_log_derivative_identity(self, hm_solution):
         h = 1e-5
-        for t in (-3.0, -1.5, 0.5):
-            cdf_plus, cdf_minus = (painleve.tw_cdf_survival(hm_solution, t + d)[0]
-                                   for d in (h, -h))
+        ts = (-3.0, -1.5, 0.5)
+        masses = painleve.q2_tail_integral(hm_solution, ts)
+        for t, mass in zip(ts, masses):
+            cdf_plus, cdf_minus = painleve.tw_cdf_survival(
+                hm_solution, (t + h, t - h))[0]
             fd = (math.log(cdf_plus) - math.log(cdf_minus)) / (2 * h)
-            assert fd == pytest.approx(
-                painleve.q2_tail_integral(hm_solution, t), abs=1e-6)
+            assert fd == pytest.approx(mass, abs=1e-6)
             assert fd >= 0.0
 
     def test_left_tail(self, hm_solution):
         t = -8.0
-        diff = abs(math.log(painleve.tw_cdf_survival(hm_solution, t)[0])
+        diff = abs(math.log(cdf_at(hm_solution, t))
                    - painleve.left_tail_log_cdf(abs(t)))
         assert diff < 3.0 / (2 ** 6 * abs(t) ** 3)
 
     def test_right_tail(self, hm_solution):
-        rel = abs(painleve.tw_cdf_survival(hm_solution, 6.0)[1]
-                  / painleve.right_tail_survival(6.0) - 1)
+        [survival] = painleve.tw_cdf_survival(hm_solution, (6.0,))[1]
+        rel = abs(survival / painleve.right_tail_survival(6.0) - 1)
         assert rel < 0.20
 
     def test_far_right_tail_relative_accuracy(self, hm_solution):
         # beyond t = 6 hm_q = Ai to ~1e-10 relative, and 1 - F(t) falls to
         # ~1e-16 at 7.9: it must stay accurate relative to its own size
-        for t in (6.0, 7.0, 7.9):
-            mass, moment = airy_tails_oracle(t)
-            assert painleve.tw_cdf_survival(hm_solution, t)[1] == pytest.approx(
-                moment, rel=1e-6, abs=0.0)
-            assert painleve.q2_tail_integral(hm_solution, t) == pytest.approx(
-                mass, rel=1e-6, abs=0.0)
+        ts = (6.0, 7.0, 7.9)
+        survivals = painleve.tw_cdf_survival(hm_solution, ts)[1]
+        masses = painleve.q2_tail_integral(hm_solution, ts)
+        for t, survival, mass in zip(ts, survivals, masses):
+            want_mass, want_moment = airy_tails_oracle(t)
+            assert survival == pytest.approx(want_moment, rel=1e-6, abs=0.0)
+            assert mass == pytest.approx(want_mass, rel=1e-6, abs=0.0)
 
-    @pytest.mark.parametrize("t", [-11.0, np.array([-2.0, -11.0, 9.5])],
-                             ids=["scalar", "array"])
-    def test_grid_too_short(self, hm_solution, t):
+    @pytest.mark.parametrize("ts", [[-11.0], [-2.0, -11.0, 9.5]],
+                             ids=["one-point", "array"])
+    def test_grid_too_short(self, hm_solution, ts):
         with pytest.raises(GridTooShort):
-            painleve.tw_cdf_survival(hm_solution, t)[0]
+            painleve.tw_cdf_survival(hm_solution, ts)
 
     def test_array_matches_points_and_airy_closure(self, hm_solution):
+        # each value of a grid equals its one-point grid bit for bit, and
+        # from S_MAX on the values are the Airy closure: at S_MAX the series
+        # branch sums to AIRY_TAILS_AT_S_MAX, beyond it mpmath forms them
         grid = hm_solution.s_grid
         s_max = float(grid[0])
-        ts = np.concatenate(([-9.3, -2.0, 0.37, 5.5],
-                             grid[[1, grid.size // 2, -1]], [s_max, 9.5, 12.0]))
-        beyond = ts >= s_max
-        mass, moment = np.array([airy_tails_oracle(t) for t in ts[beyond]]).T
+        assert s_max == painleve.S_MAX
+        ts = [-9.3, -2.0, 0.37, 5.5, *grid[[1, grid.size // 2, -1]].tolist(),
+              s_max, 9.5, 12.0]
+        beyond = [t for t in ts if t >= s_max]
+        mass, moment = np.array([airy_tails_oracle(t) for t in beyond]).T
         closure = [
             (lambda sol, t: painleve.tw_cdf_survival(sol, t)[0],
              np.exp(-moment)),
@@ -209,10 +218,12 @@ class TestDistribution:
             (painleve.q2_tail_integral, mass)]
         for fn, closed in closure:
             batch = fn(hm_solution, ts)
-            points = [fn(hm_solution, float(t)) for t in ts]
-            assert all(type(v) is float for v in points)
-            np.testing.assert_allclose(batch, points, rtol=1e-14, atol=0.0)
-            np.testing.assert_allclose(batch[beyond], closed, rtol=1e-14, atol=0.0)
+            assert all(type(v) is float for v in batch)
+            assert batch == [fn(hm_solution, (t,))[0] for t in ts]
+            np.testing.assert_allclose(batch[-len(beyond):], closed,
+                                       rtol=1e-14, atol=0.0)
+        [mass_at], [moment_at] = painleve._tails(hm_solution, (s_max,))
+        assert (mass_at, moment_at) == painleve.AIRY_TAILS_AT_S_MAX
 
 
 class TestCriticalWindow:
@@ -225,8 +236,7 @@ class TestCriticalWindow:
         # far into s > 0 the window formula degenerates to the annular-phase
         # expansion evaluated at the shifted point (the distribution term dies)
         n, c, s = 32, 1.0, 8.0
-        assert abs(math.log(
-            painleve.tw_cdf_survival(hm_solution, 8.0)[0])) < 1e-9
+        assert abs(math.log(cdf_at(hm_solution, 8.0))) < 1e-9
         a_s = painleve.critical_a(s, c, n)
         got = painleve.critical_expansion(n, c, s, solution=hm_solution)
         want = freeenergy.expansion(n, a_s, c, Regime.POST, M=0).log_z

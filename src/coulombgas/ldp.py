@@ -58,7 +58,7 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
         # (a, c), or nothing; report the (t, alpha)
         try:
             q = solve_q(a, c)
-            phis.append(alpha2 * (energy_pre(a, c, q) - (post_head - c * a * a)))
+            phi = alpha2 * (energy_pre(a, c, q) - (post_head - c * a * a))
             psis.append(fconst(a, c, Regime.PRE, q) - post_const)
         except NoValidRoot as exc:
             raise DomainError(
@@ -74,6 +74,10 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
             raise DomainError(
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: t is on the "
                 f"phase edge lambda_- = {lam_minus!r} in double precision") from exc
+        # Phi >= 0, but up to ~1e-4 lambda_- above the edge, where Phi is
+        # below alpha^2 times the rounding of the two O(1) energies, their
+        # difference can round below 0; 0 is then as near the truth
+        phis.append(max(phi, 0.0))
     return phis, psis
 
 

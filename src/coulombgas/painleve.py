@@ -64,6 +64,8 @@ _GUARD_BITS = 64
 _Q_LEFT = math.sqrt(-S_MIN / 2.0) * (1.0 + 1.0 / (8.0 * S_MIN ** 3))
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# nodes per Clenshaw pass in _panels: a block's recurrence stays in cache
+_CLENSHAW_BLOCK = 32768
 
 #: Ai(S_MAX) and _airy_tails(S_MAX), each rounded once from 117 bits
 AI_AT_S_MAX = 4.6922076160992316e-08
@@ -104,7 +106,13 @@ def _panels(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    q = cheb.chebval((x - _MID) / _HALF, coeffs)
+    # element-wise, so the blocks give the whole array's values bit for bit
+    u = ((x - _MID) / _HALF).ravel()
+    q = np.empty_like(u)
+    for start in range(0, u.size, _CLENSHAW_BLOCK):
+        block = slice(start, start + _CLENSHAW_BLOCK)
+        q[block] = cheb.chebval(u[block], coeffs)
+    q = q.reshape(x.shape)
     w = half[:, None] * _GL_WEIGHTS[None, :] * q * q
     return w.sum(axis=1), (w * (x - lo[:, None])).sum(axis=1)
 

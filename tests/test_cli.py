@@ -672,24 +672,25 @@ def loaded_modules(argv):
 # what each command must not load: the array and exact-arithmetic libraries
 # and the package modules it has no use for; no command here loads mpmath
 # (only a tw point beyond painleve.S_MAX does), and none loads dataclasses
-# (every record is a NamedTuple)
+# (every record is a NamedTuple); a grid table loads orjson only from
+# table.ORJSON_CUT rows
 _EXACT = {"mpmath", "coulombgas.exactfiniten"}
 _PLANAR = {"coulombgas.geometry", "coulombgas.freeenergy"}
 
 COLD_COMMANDS = [
-    (["--help"], {"numpy", "dataclasses", *_EXACT, *_PLANAR,
+    (["--help"], {"numpy", "dataclasses", "orjson", *_EXACT, *_PLANAR,
                   "coulombgas.ldp"}),
     (["exact", "--a", "0.3", "--c", "9/16", "--n", "16"],
      {"numpy", "dataclasses", *_PLANAR}),
     (["geometry", "--a", "1", "--c", "0.5625", "--points", "16"],
-     {"numpy", "dataclasses", *_EXACT}),
+     {"numpy", "dataclasses", "orjson", *_EXACT}),
     (["free-energy", "--a", "0.2", "--c", "1", "--n", "8", "--exact-compare"],
      {"numpy", "dataclasses"}),
     (["duality-check", "--n", "2", "--m", "2", "--x", "0.5"],
      {"numpy", "dataclasses", *_PLANAR}),
     (["ldp", "--alpha", "16/9", "--grid", "0.5:5:5", "--check-kc"],
-     {"numpy", "dataclasses", *_EXACT}),
-    (["tw", "--grid=-8:6:5"], {"dataclasses", "fractions", *_PLANAR}),
+     {"numpy", "dataclasses", "orjson", *_EXACT}),
+    (["tw", "--grid=-8:6:5"], {"dataclasses", "fractions", "orjson", *_PLANAR}),
     (["critical", "--n", "8", "--c", "1", "--s", "2"], {"dataclasses"}),
     (["op-compare", "--a", "1.2", "--c", "1", "--n", "4,8", "--x", "3",
       "--s", "0"], {"numpy", "dataclasses"}),
@@ -710,6 +711,11 @@ def _exit_code(argv):
     # t = S_MAX sums the series to the written-out Airy tails
     pytest.param(["tw", "--t", "8"], {"dataclasses", "fractions", *_PLANAR},
                  id="tw-at-s-max"),
+    # the benchmark's quick tables stay below the orjson cut
+    pytest.param(["tw", "--grid=-8:6:57"], {"dataclasses", "orjson"},
+                 id="tw-quick-grid"),
+    pytest.param(["geometry", "--a", "1", "--c", "0.5625", "--points", "256"],
+                 {"numpy", "dataclasses", "orjson"}, id="geometry-quick-grid"),
 ], ids=lambda value: (value[0] if isinstance(value, list)
                       else str("numpy" in value)))  # True: starts without numpy
 def test_cold_start_skips_scipy(argv, forbidden):

@@ -80,6 +80,25 @@ class TestRateFunction:
         assert geometry.solve_q(math.sqrt(0.05051025721682186 / 0.5),
                                 2.0) == 1.0
 
+    def test_rate_never_negative_above_the_edge(self):
+        # Phi >= 0 by definition, but alpha^2 (energy_pre - energy_post)
+        # rounded below 0 at 28 of the five floats above lambda_- for alpha
+        # = 10^(k/2), k = -2..16 (-0.0333 at alpha = 1e7), and up to about
+        # 1e-4 lambda_- above it; each point is refused or gives Phi >= 0
+        for k in range(-2, 17):
+            alpha = 10.0 ** (k / 2)
+            lm = t = ldp.lambda_minus(alpha)
+            ts = [lm * (1.0 + 10.0 ** -j) for j in range(4, 9)]
+            for _ in range(5):
+                t = math.nextafter(t, math.inf)
+                ts.append(t)
+            for t in ts:
+                try:
+                    (rate,), _ = ldp.phi_psi_grid((t,), alpha)
+                except DomainError:
+                    continue
+                assert rate >= 0.0, (alpha, t)
+
     @pytest.mark.parametrize("alpha", [1.0, 16 / 9])
     def test_third_order_coefficient(self, alpha):
         # pointwise at dt=1e-3 the quartic correction is still below 1%;

@@ -225,6 +225,22 @@ class TestDistribution:
         [mass_at], [moment_at] = painleve._tails(hm_solution, (s_max,))
         assert (mass_at, moment_at) == painleve.AIRY_TAILS_AT_S_MAX
 
+    def test_blocked_panels_equal_one_clenshaw_pass(self, hm_solution):
+        # _panels sums the series over blocks of nodes; one pass over all
+        # of them gives the same values bit for bit, across block edges
+        grid = hm_solution.s_grid
+        hi = np.linspace(float(grid[-1]), float(grid[0]), 3001)[1:]
+        lo = hi - 0.003
+        assert 12 * hi.size > painleve._CLENSHAW_BLOCK
+        x = (0.5 * (lo + hi))[:, None] \
+            + (0.5 * (hi - lo))[:, None] * painleve._GL_NODES[None, :]
+        q = np.polynomial.chebyshev.chebval(
+            (x - painleve._MID) / painleve._HALF, hm_solution.coeffs)
+        w = (0.5 * (hi - lo))[:, None] * painleve._GL_WEIGHTS[None, :] * q * q
+        mass, moment = painleve._panels(hm_solution.coeffs, lo, hi)
+        assert np.array_equal(mass, w.sum(axis=1))
+        assert np.array_equal(moment, (w * (x - lo[:, None])).sum(axis=1))
+
 
 class TestCriticalWindow:
     def test_window_center(self):

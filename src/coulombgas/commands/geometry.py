@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..args import common, finite_float, int_at_least, parse_rational
-from ..errors import EXIT_OK, DomainError
+from ..errors import EXIT_OK
 from ..table import Columns, _cnum, _table, emit
 
 
@@ -17,16 +17,12 @@ def run(args) -> int:
     from .. import geometry
 
     a, c = args.a, float(args.c)
-    regime = geometry.classify(a, c)
-    if regime is geometry.Regime.AT_CRITICALITY:
-        raise DomainError("the critical boundary curve is not sampled; perturb a")
-    info: dict = {"regime": regime.name, "a_cri": geometry.a_cri(c)}
-    if regime is geometry.Regime.PRE:
-        g = geometry.pre_geometry(a, c)
+    g = geometry.droplet(a, c)
+    info: dict = {"regime": g.regime.name, "a_cri": geometry.a_cri(c)}
+    if g.regime is geometry.Regime.PRE:
         info.update(chi=1, q=g.q, R=g.R, kappa=g.kappa, beta=_cnum(g.beta),
                     b=g.b)
     else:
-        g = geometry.post_geometry(a, c)
         info.update(chi=0, outer_radius=g.outer_radius,
                     inner_center=g.inner_center, inner_radius=g.inner_radius)
     thetas, components = geometry.droplet_boundary(g, args.points)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from ..args import (_int_product, common, parse_grid, parse_rational,
                     positive_int, t_or_grid)
-from ..errors import EXIT_OK, DomainError, IdentityCheckFailure, UsageError
+from ..errors import EXIT_OK, IdentityCheckFailure, UsageError
 from ..table import Columns, _table, emit
 
 
@@ -30,11 +30,6 @@ def run(args) -> int:
         alpha_n = _int_product(args.alpha, args.n, "alpha")
     elif args.n is not None:
         raise UsageError("--n is used only with --exact-compare")
-    # lambda_minus refuses a negative alpha before the rate functions do
-    if ldp.lambda_minus(alpha) == 0.0 and alpha > 0:
-        raise DomainError(
-            f"alpha = {alpha!r} is too small: lambda_- = (sqrt(alpha+1) - 1)^2 "
-            "underflows to 0")
     phis, psis = ldp.phi_psi_grid(ts, alpha)
     diffs = ldp.kc_rate_grid(ts, alpha)
     residuals = [abs(rate - diff) for rate, diff in zip(phis, diffs)]

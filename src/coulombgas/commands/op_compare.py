@@ -18,15 +18,15 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> int:
-    from .. import exactfiniten, opasymp
+    from .. import exactfiniten, geometry, opasymp
 
     a, c = args.a, args.c
     z = complex(args.x if args.x is not None else 3.0,
                 args.s if args.s is not None else 0.0)
     ns = args.n_list
     ms = [_int_product(c, n, "c") for n in ns]
-    evaluator = opasymp.GEvaluator.build(a, float(c))
-    evaluator.require_exterior(z)
+    geom = geometry.droplet(a, float(c))
+    opasymp.require_exterior(geom, z)
     exact_values = {}
     for n, m in zip(ns, ms):
         exact_values[n] = exactfiniten.eval_polynomial(
@@ -34,13 +34,13 @@ def run(args) -> int:
 
     def one(n: int) -> dict:
         exact = exact_values[n]
-        asym = opasymp.p_asymp(evaluator, z, n).value
+        asym = opasymp.p_asymp(geom, z, n).value
         rel = abs(asym - exact) / abs(exact)
         return {"N": n, "z": _cnum(z), "exact": _cnum(exact),
                 "asymptotic": _cnum(asym), "rel_error": rel}
 
     rows = [one(n) for n in ns]
     emit(_table("op-compare", {"a": a, "c": float(c), "z": _cnum(z),
-                               "bits": args.bits, "regime":
-                               evaluator.regime.name}, rows), args)
+                               "bits": args.bits,
+                               "regime": geom.regime.name}, rows), args)
     return EXIT_OK

@@ -1,9 +1,10 @@
 """Energies, Robin constants, and the large-N free-energy expansion.
 
 All closed forms are functions of (a, c) and, pre-critically, of the modulus
-q = q(a, c) from the geometry module. Regime is always an explicit argument;
-nothing here re-classifies, so callers can evaluate both branches at one (a, c)
-(that is how the large-deviation rate function is built).
+q = q(a, c) from the geometry module. Regime is an explicit argument of each
+of them, so callers can evaluate both branches at one (a, c) (that is how the
+large-deviation rate function is built); only charpoly_moment_asymp, given
+|z| alone, classifies.
 
 The expansion of log Z_N reads
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .geometry import Regime, a_cri, pre_geometry, solve_q
+from .geometry import Regime, classify, pre_geometry, solve_q
 
 #: zeta'(-1) = 1/12 - log(Glaisher), 30 significant digits
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919660243
@@ -111,15 +112,13 @@ def fconst(a: float, c: float, regime: Regime, q: float | None = None) -> float:
     """
     if regime is Regime.POST:
         return math.log(c / (1.0 + c)) / 12.0
-    if regime is Regime.PRE:
-        if q is None:
-            q = solve_q(a, c)
-        q2 = q * q
-        t = a * a * q2
-        return (math.log((1.0 + t - 2.0 * t * q2) ** 4
-                         / ((1.0 + t) ** 4 * (1.0 - q2) ** 3 * (1.0 - t * t * q2)))
-                / 24.0)
-    raise DomainError(f"fconst needs Post or Pre, got {regime}")
+    if q is None:
+        q = solve_q(a, c)
+    q2 = q * q
+    t = a * a * q2
+    return (math.log((1.0 + t - 2.0 * t * q2) ** 4
+                     / ((1.0 + t) ** 4 * (1.0 - q2) ** 3 * (1.0 - t * t * q2)))
+            / 24.0)
 
 
 def detzeta_log(a: float, c: float, regime: Regime) -> float:
@@ -130,16 +129,14 @@ def detzeta_log(a: float, c: float, regime: Regime) -> float:
     """
     if regime is Regime.POST:
         return -math.log(c / (1.0 + c)) / 6.0
-    if regime is Regime.PRE:
-        g = pre_geometry(a, c)
+    g = pre_geometry(a, c)
 
-        def f_prime(w: complex) -> complex:
-            return g.R + g.kappa / (w - g.q) ** 2
+    def f_prime(w: complex) -> complex:
+        return g.R + g.kappa / (w - g.q) ** 2
 
-        prod = f_prime(1.0 / g.z_plus) * f_prime(1.0 / g.z_minus)  # conjugate pair
-        val = g.R ** 4 * prod.real / f_prime(1.0 / g.q).real ** 2
-        return math.log(val) / 12.0
-    raise DomainError(f"detzeta_log needs Post or Pre, got {regime}")
+    prod = f_prime(1.0 / g.z_plus) * f_prime(1.0 / g.z_minus)  # conjugate pair
+    val = g.R ** 4 * prod.real / f_prime(1.0 / g.q).real ** 2
+    return math.log(val) / 12.0
 
 
 #: largest annular-phase tail order M: the N^-M term needs B_(M+1) (odd M)
@@ -186,13 +183,11 @@ def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansi
         energy = energy_post(a, c)
         tail = _post_tail(c, M)
         err = f"O(N^{-(M + 1)})"
-    elif regime is Regime.PRE:
+    else:
         chi = 1
         energy = energy_pre(a, c)
         tail = ()
         err = "O(N^-1)"
-    else:
-        raise DomainError(f"expansion needs Post or Pre, got {regime}")
     terms = ExpansionTerms(
         n2=-energy,
         nlogn=0.5,
@@ -252,14 +247,11 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
     expansion through O(1), plus the annular-phase tail through N^-4.
 
     Ginibre's Z_N(0, 0) has energy 3/4, chi = 1 and the even tail terms
-    B_(2k+2)/(4k(k+1)) N^-2k; the phase is |z| against a_cri.
+    B_(2k+2)/(4k(k+1)) N^-2k; the phase is that of the charge at |z|.
     """
     if z_abs < 0 or c <= 0:
         raise DomainError(f"need |z| >= 0 and c > 0, got {z_abs}, {c}")
-    edge = a_cri(c)
-    if z_abs == edge:
-        raise DomainError("|z| = a_cri sits on the phase boundary")
-    if z_abs > edge:
+    if classify(z_abs, c) is Regime.PRE:
         q = solve_q(z_abs, c)
         return ((0.75 - energy_pre(z_abs, c, q)) * N * N
                 + fconst(z_abs, c, Regime.PRE, q))

@@ -23,7 +23,7 @@ from typing import NamedTuple, Union
 
 from .errors import BranchCutError, DomainError, NoValidRoot
 
-#: half-width of the AtCriticality window in a - a_cri
+#: half-width of the critical window in a - a_cri that classify refuses
 TAU = 1e-12
 #: least 1 - a^2 q^2 solve_q accepts from its large-a root: 2^-26 keeps half
 #: of a double's 53 bits through the cancellation that forms it
@@ -33,7 +33,6 @@ GAP_FLOOR = 2.0 ** -26
 class Regime(enum.Enum):
     POST = "post"
     PRE = "pre"
-    AT_CRITICALITY = "at-criticality"
 
 
 def a_cri(c: float) -> float:
@@ -45,7 +44,8 @@ def a_cri(c: float) -> float:
 
 
 def classify(a: float, c: float) -> Regime:
-    """Resolve the phase of (a, c). a = 0 counts as post-critical by convention."""
+    """Resolve the phase of (a, c). a = 0 counts as post-critical by
+    convention; a within TAU of a_cri has no phase and is refused."""
     if a < 0:
         raise DomainError(f"a must be nonnegative, got {a}")
     if c <= 0:
@@ -55,10 +55,13 @@ def classify(a: float, c: float) -> Regime:
         return Regime.POST
     if a > edge + TAU:
         return Regime.PRE
-    return Regime.AT_CRITICALITY
+    raise DomainError(
+        f"a = {a!r} is within {TAU:g} of the phase boundary a_cri = {edge!r} "
+        f"at c = {c!r}: no droplet phase applies; perturb a")
 
 
 class PreGeometry(NamedTuple):
+    regime = Regime.PRE  # a class attribute, not a field
     a: float
     c: float
     q: float
@@ -72,13 +75,15 @@ class PreGeometry(NamedTuple):
 
 
 class PostGeometry(NamedTuple):
+    regime = Regime.POST  # a class attribute, not a field
     a: float
     c: float
     outer_radius: float
     inner_center: float
     inner_radius: float
-    beta: float
-    b: float
+
+
+Droplet = Union[PreGeometry, PostGeometry]
 
 
 def _admissible(u: float, a: float) -> bool:
@@ -166,20 +171,16 @@ def post_geometry(a: float, c: float) -> PostGeometry:
     if disc <= 0:
         raise DomainError(
             f"(1-a^2)^2 - 4a^2c = {disc} <= 0: no post-critical geometry at a={a}, c={c}")
-    if a == 0.0:
-        # motherbody degenerates to the origin; b escapes to infinity
-        return PostGeometry(a=a, c=c, outer_radius=math.sqrt(1.0 + c),
-                            inner_center=0.0, inner_radius=math.sqrt(c),
-                            beta=0.0, b=math.inf)
-    root = math.sqrt(disc)
-    return PostGeometry(
-        a=a, c=c,
-        outer_radius=math.sqrt(1.0 + c),
-        inner_center=a,
-        inner_radius=math.sqrt(c),
-        beta=(a * a + 1.0 - root) / (2.0 * a),
-        b=(a * a + 1.0 + root) / (2.0 * a),
-    )
+    # abs keeps a = -0.0 at the origin 0.0
+    return PostGeometry(a=a, c=c, outer_radius=math.sqrt(1.0 + c),
+                        inner_center=abs(a), inner_radius=math.sqrt(c))
+
+
+def droplet(a: float, c: float) -> Droplet:
+    """The droplet of (a, c) in the phase classify gives it."""
+    if classify(a, c) is Regime.PRE:
+        return pre_geometry(a, c)
+    return post_geometry(a, c)
 
 
 def conformal_f(geom: PreGeometry, w: complex) -> complex:
@@ -210,8 +211,7 @@ def inverse_F(geom: PreGeometry, z: complex) -> complex:
     return (z + abs_beta + _sqrt_through_cut(z, x0, y0)) / (2.0 * geom.R)
 
 
-def droplet_boundary(geom: Union[PreGeometry, PostGeometry],
-                     n_points: int) -> tuple:
+def droplet_boundary(geom: Droplet, n_points: int) -> tuple:
     """The angles 2 pi k / n_points and the droplet boundary sampled at them,
     as (label, points) pairs.
 
@@ -222,7 +222,7 @@ def droplet_boundary(geom: Union[PreGeometry, PostGeometry],
     if n_points < 8:
         raise DomainError(f"n_points must be at least 8, got {n_points}")
     thetas = tuple(2.0 * math.pi * k / n_points for k in range(n_points))
-    if isinstance(geom, PostGeometry):
+    if geom.regime is Regime.POST:
         outer = tuple(geom.outer_radius * cmath.exp(1j * t) for t in thetas)
         inner = tuple(geom.inner_center + geom.inner_radius * cmath.exp(1j * t)
                       for t in thetas)

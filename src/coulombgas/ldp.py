@@ -23,10 +23,16 @@ from .geometry import Regime, solve_q
 
 
 def lambda_minus(alpha: float) -> float:
-    """Marchenko-Pastur left edge (sqrt(alpha+1) - 1)^2."""
+    """Marchenko-Pastur left edge (sqrt(alpha+1) - 1)^2; an alpha > 0 whose
+    edge underflows to 0 is refused."""
     if alpha < 0.0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    return (math.sqrt(alpha + 1.0) - 1.0) ** 2
+    edge = (math.sqrt(alpha + 1.0) - 1.0) ** 2
+    if edge == 0.0 and alpha > 0.0:
+        raise DomainError(
+            f"alpha = {alpha!r} is too small: lambda_- = (sqrt(alpha+1) - 1)^2 "
+            "underflows to 0")
+    return edge
 
 
 def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
@@ -38,9 +44,10 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
     energy up to its -c a^2 term, the post-critical constant) is formed
     once, in the same float operations the scalar formulas use.
     """
+    # lambda_minus refuses a negative alpha before the rate functions do
+    lam_minus = lambda_minus(alpha)
     if alpha <= 0.0:
         raise DomainError(f"rate functions need alpha > 0, got {alpha}")
-    lam_minus = lambda_minus(alpha)
     c, alpha2 = 1.0 / alpha, alpha * alpha
     # energy_post(a, c) subtracts c*a*a last, so it equals this head minus
     # c*a*a bit for bit (tests/test_ldp.py holds the two routes equal)
@@ -129,7 +136,9 @@ def kc_rate_grid(ts, alpha: float) -> list[float]:
                        + quarter2 * math.log(t * u)
                        - log_weight * math.log((sqrt_u + sqrt_t) / 2.0))
     *actions, edge = actions
-    return [action - edge for action in actions]
+    # as with Phi, just above the edge the two O(alpha^2 log alpha) actions
+    # can round their difference below 0, and 0 is then as near the truth
+    return [max(action - edge, 0.0) for action in actions]
 
 
 def phi_large_t(t: float, alpha: float) -> float:

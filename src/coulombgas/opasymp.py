@@ -29,91 +29,68 @@ grouped argument exactly as printed in the closed forms; that choice is
 pinned by an audit of the branch-sensitive 1/z coefficient of R11 against
 freeenergy.d_fconst_pre_da(a, c)/(2N), the 1/N part of A11 (see tests).
 
-Exterior gate: evaluation points for the polynomial formulas must satisfy
-|z| > 1.15 * max(|beta|, a, outer droplet extent, and in the simply
-connected phase b).  The gate is a circumscribed-radius proxy, not the true
-exterior region;
-points it accepts are outside every tested droplet, but the true domain is
-the complement of the motherbody, which has no constructive description
-here.  The g methods themselves only refuse z in {0, a} and points on the
-cut, since g extends continuously up to the droplet.
+Exterior gate: the polynomial formulas take only |z| > exterior_radius(geom):
+1.15 times the outer circle sqrt(1+c) in the annular phase, and 1.15 times
+the largest of |beta|, a, b and the sampled boundary's modulus in the simply
+connected one.  The gate is a circumscribed-radius proxy: points it accepts
+are outside every tested droplet, but the true domain, the complement of the
+motherbody, has no constructive description here.  g itself refuses only z
+in {0, a} and points on the cut, since it extends continuously up to the
+droplet.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import DomainError
-from .geometry import (PostGeometry, PreGeometry, Regime, _sqrt_through_cut,
-                       classify, droplet_boundary, inverse_F, post_geometry,
-                       pre_geometry)
+from .geometry import (Droplet, PreGeometry, Regime, _sqrt_through_cut,
+                       droplet_boundary, inverse_F)
 
 EXTERIOR_MARGIN = 1.15
 
 
-def _droplet_outer_extent(geom: Union[PreGeometry, PostGeometry]) -> float:
-    if isinstance(geom, PostGeometry):
-        return geom.outer_radius
+def exterior_radius(geom: Droplet) -> float:
+    """The exterior gate's radius in the droplet's phase (see above)."""
+    if geom.regime is Regime.POST:
+        # a < 1 and the skeleton end beta < b, beta b = 1 + c, lie inside
+        return EXTERIOR_MARGIN * geom.outer_radius
     _, [(_, curve)] = droplet_boundary(geom, 256)
-    return max(map(abs, curve))
+    return EXTERIOR_MARGIN * max(abs(geom.beta), geom.a, geom.b,
+                                 max(map(abs, curve)))
 
 
-class GEvaluator(NamedTuple):
-    """Regime-aware g-function with an immutable geometry snapshot."""
+def require_exterior(geom: Droplet, z: complex) -> None:
+    """Refuse z on or inside the exterior gate with a DomainError."""
+    radius = exterior_radius(geom)
+    if abs(z) <= radius:
+        raise DomainError(
+            f"|z| = {abs(z):.6g} inside the exterior gate radius "
+            f"{radius:.6g}")
 
-    regime: Regime
-    geom: Union[PreGeometry, PostGeometry]
-    exterior_radius: float
 
-    @classmethod
-    def build(cls, a: float, c: float) -> "GEvaluator":
-        regime = classify(a, c)
-        if regime is Regime.AT_CRITICALITY:
-            raise DomainError(
-                f"a = {a} is at the phase boundary; no exterior expansion applies")
-        if regime is Regime.PRE:
-            geom: Union[PreGeometry, PostGeometry] = pre_geometry(a, c)
-            bound = max(abs(geom.beta), a, geom.b, _droplet_outer_extent(geom))
-        else:
-            geom = post_geometry(a, c)
-            # b is outside the closed-loop skeleton here, so it does not bound it
-            bound = max(abs(geom.beta), a, _droplet_outer_extent(geom))
-        return cls(regime=regime, geom=geom,
-                   exterior_radius=EXTERIOR_MARGIN * bound)
+def g(geom: Droplet, z: complex) -> complex:
+    """g in the droplet's phase, singular at 0 and a.
 
-    def require_exterior(self, z: complex) -> None:
-        if abs(z) <= self.exterior_radius:
-            raise DomainError(
-                f"|z| = {abs(z):.6g} inside the exterior gate radius "
-                f"{self.exterior_radius:.6g}")
-
-    def _require_off_charges(self, z: complex) -> None:
-        if z == 0.0 or z == self.geom.a:
-            raise DomainError(f"g is singular at z = {z}")
-
-    def g_post(self, z: complex) -> complex:
-        """Closed form log z + c log(z/(z-a)) of the annular phase."""
-        z = complex(z)
-        self._require_off_charges(z)
-        return cmath.log(z) + self.geom.c * cmath.log(z / (z - self.geom.a))
-
-    def g_pre(self, z: complex) -> complex:
-        """Closed form of the simply connected phase, through w = F(z).
-
-        inverse_F raises BranchCutError for z on the cut.
-        """
-        z = complex(z)
-        self._require_off_charges(z)
-        w = inverse_F(self.geom, z)
-        q = self.geom.q
-        t = (self.geom.a * q) ** 2
-        w1 = (2.0 * t * q * q - t + 1.0) / (q * (1.0 + t))
-        w2 = 2.0 * t * q / (1.0 + t)
-        r = (t - 1.0) * (2.0 * t * q * q - t - 1.0) / (4.0 * t * q * q)
-        d = (q * q - 1.0) * (t - 1.0) / (2.0 * q)
-        return (cmath.log(z) + cmath.log((1.0 - q / w) / (1.0 - w1 / w))
-                - r * cmath.log(1.0 - w2 / w) - d / (w - q))
+    Annular: the closed form log z + c log(z/(z-a)).  Simply connected: the
+    closed form through w = F(z); inverse_F raises BranchCutError for z on
+    the cut.
+    """
+    z = complex(z)
+    if z == 0.0 or z == geom.a:
+        raise DomainError(f"g is singular at z = {z}")
+    if geom.regime is Regime.POST:
+        return cmath.log(z) + geom.c * cmath.log(z / (z - geom.a))
+    w = inverse_F(geom, z)
+    q = geom.q
+    t = (geom.a * q) ** 2
+    w1 = (2.0 * t * q * q - t + 1.0) / (q * (1.0 + t))
+    w2 = 2.0 * t * q / (1.0 + t)
+    r = (t - 1.0) * (2.0 * t * q * q - t - 1.0) / (4.0 * t * q * q)
+    d = (q * q - 1.0) * (t - 1.0) / (2.0 * q)
+    return (cmath.log(z) + cmath.log((1.0 - q / w) / (1.0 - w1 / w))
+            - r * cmath.log(1.0 - w2 / w) - d / (w - q))
 
 
 class RHCoefficients(NamedTuple):
@@ -210,7 +187,7 @@ class PAsympResult(NamedTuple):
     error_class: str  # relative error order of the omitted terms
 
 
-def p_asymp(evaluator: GEvaluator, z: complex, N: int) -> PAsympResult:
+def p_asymp(geom: Droplet, z: complex, N: int) -> PAsympResult:
     """Exterior main term of the monic degree-N orthogonal polynomial.
 
     Annular phase: z^N (z/(z-a))^{cN}, relative error O(N^-inf).
@@ -221,11 +198,10 @@ def p_asymp(evaluator: GEvaluator, z: complex, N: int) -> PAsympResult:
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
     z = complex(z)
-    evaluator.require_exterior(z)
-    if evaluator.regime is Regime.POST:
-        return PAsympResult(value=cmath.exp(N * evaluator.g_post(z)),
+    require_exterior(geom, z)
+    if geom.regime is Regime.POST:
+        return PAsympResult(value=cmath.exp(N * g(geom, z)),
                             error_class="N^-inf")
-    geom = evaluator.geom
     coeffs = rh_coefficients(geom, N)
     r11, r12 = r_entries(coeffs, z)
     f_val = inverse_F(geom, z)
@@ -233,7 +209,7 @@ def p_asymp(evaluator: GEvaluator, z: complex, N: int) -> PAsympResult:
     f_prime = (1.0 + (z - geom.beta.real) / s_val) / (2.0 * geom.R)
     prefactor = (cmath.sqrt(geom.R * f_prime) * (1.0 + r11)
                  - cmath.sqrt(geom.kappa * f_prime) / (f_val - geom.q) * r12)
-    return PAsympResult(value=prefactor * cmath.exp(N * evaluator.g_pre(z)),
+    return PAsympResult(value=prefactor * cmath.exp(N * g(geom, z)),
                         error_class="N^-2")
 
 
@@ -250,8 +226,6 @@ def a11_asymp(N: int, a: float, c: float, regime: Regime) -> float:
         raise DomainError(f"need N >= 1, got {N}")
     if regime is Regime.POST:
         return c * a * N
-    if regime is not Regime.PRE:
-        raise DomainError("coefficient asymptotics need a definite phase")
     # freeenergy loads here, so op-compare does not compile it
     from .freeenergy import d_energy_pre_da, d_fconst_pre_da
 

@@ -206,12 +206,12 @@ def check_tw_tails() -> tuple:
 
 def _op_errors(a: float, z: complex, ns: tuple) -> dict:
     """Relative error of p_asymp against the exact p_N at z, for each N."""
-    evaluator = opasymp.GEvaluator.build(a, 1.0)
+    geom = geometry.droplet(a, 1.0)
     errs = {}
     for n in ns:
         exact = complex(exactfiniten.eval_polynomial(_moment_table(n, a).op,
                                                      z))
-        asym = opasymp.p_asymp(evaluator, z, n).value
+        asym = opasymp.p_asymp(geom, z, n).value
         errs[n] = abs(asym - exact) / abs(exact)
     return errs
 
@@ -265,19 +265,10 @@ def check_residue() -> tuple:
         {"tolerance": 1e-10, "rows": rows})
 
 
-def _zw_grid() -> list[tuple[float, float, Regime]]:
-    points = []
-    for c in (0.25, 0.5625, 1.0, 4.0):
-        a_cri = geometry.a_cri(c)
-        points.append((0.3 * a_cri, c, Regime.POST))
-        points.append((0.7 * a_cri, c, Regime.POST))
-        points.append((1.5 * a_cri, c, Regime.PRE))
-        points.append((3.0 * a_cri, c, Regime.PRE))
-    points.append((0.0, 1.0, Regime.POST))
-    points.append((0.1, 2.0, Regime.POST))
-    points.append((1.2, 1.0, Regime.PRE))
-    points.append((2.0, 1.0, Regime.PRE))
-    return points
+def _zw_grid() -> list[tuple[float, float]]:
+    points = [(f * geometry.a_cri(c), c) for c in (0.25, 0.5625, 1.0, 4.0)
+              for f in (0.3, 0.7, 1.5, 3.0)]
+    return points + [(0.0, 1.0), (0.1, 2.0), (1.2, 1.0), (2.0, 1.0)]
 
 
 @check("zw_constant", "freeenergy", "constant term vs zeta-determinant")
@@ -285,7 +276,8 @@ def check_zw_constant() -> tuple:
     """Constant term equals minus half the log-determinant, both phases."""
     worst = 0.0
     rows = []
-    for a, c, regime in _zw_grid():
+    for a, c in _zw_grid():
+        regime = geometry.classify(a, c)
         resid = abs(freeenergy.fconst(a, c, regime)
                     + 0.5 * freeenergy.detzeta_log(a, c, regime))
         rows.append({"a": a, "c": c, "regime": regime.name, "residual": resid})

@@ -1,13 +1,13 @@
 """Shared fixtures.
 
-The expensive artifacts (the Painleve II solution, the exterior-field
-evaluators, the verification-report run) are session scoped so the suite
-pays for each of them once.
+The expensive artifacts (the Painleve II solution, the two droplets the
+exterior asymptotics are tested on, the verification-report run) are
+session scoped so the suite pays for each of them once.
 """
 
 import pytest
 
-from coulombgas import opasymp, painleve, report
+from coulombgas import geometry, painleve, report
 
 
 @pytest.fixture(scope="session")
@@ -16,13 +16,13 @@ def hm_solution():
 
 
 @pytest.fixture(scope="session")
-def pre_evaluator():
-    return opasymp.GEvaluator.build(1.2, 1.0)
+def pre_geom():
+    return geometry.droplet(1.2, 1.0)
 
 
 @pytest.fixture(scope="session")
-def post_evaluator():
-    return opasymp.GEvaluator.build(0.2, 1.0)
+def post_geom():
+    return geometry.droplet(0.2, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -2,19 +2,18 @@
 
 Each one is a second route to a value `coulombgas` has in closed form or by
 another method (a normalisation, a far-field coefficient, an exact
-recursion, a moment summed term by term in rationals or in integers, the
-contour-Hankel route to log Z_N and p_N, a determinant and solve in
-rationals, a table rendered by the json and csv modules alone, the
-Tracy-Widom distribution as a Fredholm determinant), so the tests can
-compare the two.  The Marchenko-Pastur and
-constrained spectral densities live here too: only the tests integrate
-them.  So do the identities and helpers that no command reaches (the Robin
-constant and potential integral, a single contour moment, the exact
-characteristic-polynomial moment, the 1/z coefficient of R11 written out
-in the modulus, the inverse phase boundary c_cri(a), the regime-dispatching
-g, the Painleve series hm_q and its Airy boundary profile): the CLI does
-not compile them.  Keeping them here keeps their scipy
-imports out of the modules the CLI loads at start-up.
+recursion, a moment summed term by term in rationals, the contour-Hankel
+route to log Z_N and p_N, a determinant and solve in rationals, a table
+rendered by the json and csv modules alone, the Tracy-Widom distribution
+as a Fredholm determinant), so the tests can compare the two.  The
+Marchenko-Pastur and constrained spectral densities live here too: only the
+tests integrate them.  So do the identities and helpers that no command
+reaches (the Robin constant and potential integral, a single contour
+moment, the exact characteristic-polynomial moment, the 1/z coefficient of
+R11 written out in the modulus, the inverse phase boundary c_cri(a), the
+Painleve series hm_q and its Airy boundary profile): the CLI does not
+compile them.  Keeping them here keeps their scipy imports out of the
+modules the CLI loads at start-up.
 """
 from __future__ import annotations
 
@@ -42,7 +41,6 @@ from coulombgas.freeenergy import (LOG_2PI, ZETA_PRIME_MINUS_ONE,
                                    bernoulli_numbers, re_g_at_a)
 from coulombgas.geometry import PreGeometry, Regime, solve_q
 from coulombgas.ldp import kc_U_grid, lambda_minus
-from coulombgas.opasymp import GEvaluator
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
@@ -217,75 +215,6 @@ def fraction_moment(N: int, m: int, a, k: int) -> Fraction:
     return total
 
 
-def term_moments(N: int, m: int, a, ks) -> list:
-    """nu_k/(2 pi i) for each k in ks as the pair (num, den) of Python ints
-    that `horner_moments` must return, summed term by term.
-
-    With a = A/D exactly and p = m+N-1-k,
-
-        num = (-1)^(m+p) sum_{j <= min(m, p)} C(m,j) A^(m+p-2j) D^(2j)
-                                              N^(p-j) p!/(p-j)!,
-        den = D^(m+p) p!,
-
-    and (0, 1) for p < 0 (k >= m+N).
-    """
-    A, D = Fraction(a).as_integer_ratio()
-    out = []
-    for k in ks:
-        p = m + N - 1 - k
-        if p < 0:
-            out.append((0, 1))
-            continue
-        num, falling = 0, 1  # falling = p!/(p-j)!
-        for j in range(min(m, p) + 1):
-            num += (math.comb(m, j) * falling * N ** (p - j)
-                    * D ** (2 * j) * A ** (m + p - 2 * j))
-            falling *= p - j
-        if (m + p) % 2:
-            num = -num
-        out.append((num, D ** (m + p) * math.factorial(p)))
-    return out
-
-
-def horner_moments(N: int, m: int, a, ks) -> list:
-    """nu_k/(2 pi i) for each k in ks, as an exact pair (num, den), den > 0,
-    by Horner's rule.
-
-    With a = A/D exactly (D a power of two for a float a) and p = m+N-1-k,
-
-        nu_k = (-1)^(m+p) sum_{j <= r} c_j A^(m+p-2j) D^(2j) / (D^(m+p) p!),
-        c_j = C(m,j) N^(p-j) p!/(p-j)!,  r = min(m, p),
-
-    a ratio of Python ints.  The sum is A^(m+p-2r) S_r with S_0 = c_0 = N^p
-    and S_j = S_(j-1) A^2 + c_j D^(2j) (Horner's rule, homogeneous in A^2
-    and D^2); c_(j+1) = c_j (m-j)(p-j) / ((j+1) N) exactly, and D^(2j) is a
-    left shift times a power of D's odd part, which is 1 for a float a.
-    0**0 == 1 keeps a = 0 exact, and p < 0 (k >= m+N) gives an exact zero.
-    """
-    A, D = Fraction(a).as_integer_ratio()
-    X = A * A
-    twos = (D & -D).bit_length() - 1  # D = 2^twos * odd
-    odd_sq = (D >> twos) ** 2
-    out = []
-    for k in ks:
-        p = m + N - 1 - k
-        if p < 0:
-            out.append((0, 1))
-            continue
-        r = min(m, p)
-        c = s = N ** p
-        odd_pow = 1
-        for j in range(r):
-            c = c * (m - j) * (p - j) // ((j + 1) * N)
-            odd_pow *= odd_sq
-            s = s * X + ((c * odd_pow) << (2 * twos * (j + 1)))
-        num = s * A ** (m + p - 2 * r)
-        if (m + p) % 2:
-            num = -num
-        out.append((num, D ** (m + p) * math.factorial(p)))
-    return out
-
-
 def contour_hankel(N: int, m: int, a) -> tuple:
     """(det H, monic p_N coefficients) exactly in rationals, from the contour
     moments of Balogh, Bertola, Lee and McLaughlin: a route to log Z_N and
@@ -296,8 +225,7 @@ def contour_hankel(N: int, m: int, a) -> tuple:
     |det H|.  At a = 0, H is the exchange matrix, whose leading minors but
     the last vanish, so the elimination must swap rows.
     """
-    nu = [Fraction(num, den) for num, den in horner_moments(
-        N, m, a, range(2 * N))]
+    nu = [fraction_moment(N, m, a, k) for k in range(2 * N)]
     det, coeffs = fraction_solve([nu[i:i + N] for i in range(N)],
                                  [-v for v in nu[N:]])
     return det, coeffs + [Fraction(1)]
@@ -377,13 +305,11 @@ def fraction_solve(matrix: list, rhs: Optional[list] = None) -> tuple:
 def robin_constant(a: float, c: float, regime: Regime) -> float:
     if regime is Regime.POST:
         return 0.5 * (c + 1.0) * (1.0 - math.log(c + 1.0))
-    if regime is Regime.PRE:
-        q = solve_q(a, c)
-        t = a * a * q * q
-        return (c * math.log(q) - (c + 1.0) * math.log((1.0 + t) / (2.0 * a * q))
-                + 0.75 + a * a / 4.0 + c / 2.0
-                - (a * a / 4.0 + c + 0.75) * t + t * t / 2.0)
-    raise DomainError(f"robin_constant needs Post or Pre, got {regime}")
+    q = solve_q(a, c)
+    t = a * a * q * q
+    return (c * math.log(q) - (c + 1.0) * math.log((1.0 + t) / (2.0 * a * q))
+            + 0.75 + a * a / 4.0 + c / 2.0
+            - (a * a / 4.0 + c + 0.75) * t + t * t / 2.0)
 
 
 def potential_integral(a: float, c: float, regime: Regime) -> float:
@@ -391,13 +317,11 @@ def potential_integral(a: float, c: float, regime: Regime) -> float:
     if regime is Regime.POST:
         return (c + 0.25 + 0.5 * c * c * math.log(c)
                 - 0.5 * c * (1.0 + c) * math.log(1.0 + c) - c * a * a)
-    if regime is Regime.PRE:
-        q = solve_q(a, c)
-        t = a * a * q * q
-        return (0.375 + a * a / 4.0 + c / 2.0
-                - (a * a / 4.0 + c + 0.5) * t + 0.375 * t * t
-                - c * re_g_at_a(a, c))
-    raise DomainError(f"potential_integral needs Post or Pre, got {regime}")
+    q = solve_q(a, c)
+    t = a * a * q * q
+    return (0.375 + a * a / 4.0 + c / 2.0
+            - (a * a / 4.0 + c + 0.5) * t + 0.375 * t * t
+            - c * re_g_at_a(a, c))
 
 
 def contour_moment(N: int, m: int, a, k: int,
@@ -409,8 +333,9 @@ def contour_moment(N: int, m: int, a, k: int,
     if k >= m + N:
         warnings.warn(f"moment index k={k} >= m+N={m + N}; residue is zero")
         return Decimal(0)
-    return decimal_context(precision_bits).divide(
-        *horner_moments(N, m, a, (k,))[0])
+    moment = fraction_moment(N, m, a, k)
+    return decimal_context(precision_bits).divide(moment.numerator,
+                                                  moment.denominator)
 
 
 def exact_charpoly_moment(N: int, m: int, z_abs: float,
@@ -475,13 +400,6 @@ def pre_reference(a: float, c: float) -> tuple:
                   + c * c * mp.log(1 + a2 * q2 - 2 * a2 * q2 * q2)
                   - (c + 1) ** 2 * mp.log(1 + a2 * q2))
         return +q, +w, +kappa, +energy
-
-
-def g(evaluator: GEvaluator, z: complex) -> complex:
-    """The evaluator's g-function in its own phase."""
-    if evaluator.regime is Regime.POST:
-        return evaluator.g_post(z)
-    return evaluator.g_pre(z)
 
 
 def hm_q(sol: painleve.TWSolution, s):

@@ -166,7 +166,7 @@ class TestExitCodes:
         (["critical", "--n", "8", "--c", "1/3", "--s", "2", "--exact-compare"],
          "painleve", "hastings_mcleod"),
         (["op-compare", "--a", "1.2", "--c", "1/3", "--n", "3,4"],
-         "opasymp", "GEvaluator"),
+         "geometry", "droplet"),
     ], ids=["critical", "op-compare"])
     def test_count_checked_before_numerics(self, argv, module, stage,
                                            monkeypatch, capsys):

@@ -53,10 +53,23 @@ class TestClassify:
     @pytest.mark.parametrize("a,c,expected", [
         (0.25, 9 / 16, Regime.POST),
         (1.0, 9 / 16, Regime.PRE),
-        (0.5, 9 / 16, Regime.AT_CRITICALITY),
     ])
     def test_regimes(self, a, c, expected):
         assert geometry.classify(a, c) is expected
+
+    @pytest.mark.parametrize("c", [9 / 16, 1.0, 1e8])
+    def test_refuses_the_critical_window(self, c):
+        # within TAU of a_cri there is no phase, and no droplet either; the
+        # refusal names a, c and a_cri
+        edge = geometry.a_cri(c)
+        for a in (edge - 0.5 * geometry.TAU, edge, edge + 0.5 * geometry.TAU):
+            for route in (geometry.classify, geometry.droplet):
+                with pytest.raises(DomainError, match="a_cri") as info:
+                    route(a, c)
+                assert f"a = {a!r}" in str(info.value)
+                assert f"c = {c!r}" in str(info.value)
+        assert geometry.classify(edge - 2.0 * geometry.TAU, c) is Regime.POST
+        assert geometry.classify(edge + 2.0 * geometry.TAU, c) is Regime.PRE
 
     @pytest.mark.parametrize("a,c", [(-0.1, 1.0), (0.5, 0.0), (0.5, -1.0)])
     def test_domain_errors(self, a, c):
@@ -67,9 +80,8 @@ class TestClassify:
         c = 1.0
         a_cri = geometry.a_cri(c)
         seq = [geometry.classify(a, c)
-               for a in (0.1, 0.5 * a_cri, a_cri, 2 * a_cri, 5.0)]
-        assert seq == [Regime.POST, Regime.POST, Regime.AT_CRITICALITY,
-                       Regime.PRE, Regime.PRE]
+               for a in (0.1, 0.5 * a_cri, 2 * a_cri, 5.0)]
+        assert seq == [Regime.POST, Regime.POST, Regime.PRE, Regime.PRE]
 
 
 class TestSolveQ:
@@ -285,10 +297,12 @@ def test_pre_invariants_property(params):
 def test_post_existence_property(a, c):
     # the annular phase exists exactly when the inner disk fits, a in (0,1)
     fits = (1 - a * a) ** 2 - 4 * a * a * c > 0
+    if abs(a - geometry.a_cri(c)) <= 1e-9:
+        return  # the critical window, refused, and its rounding
     regime = geometry.classify(a, c)
-    if fits and abs(a - geometry.a_cri(c)) > 1e-9:
+    if fits:
         assert regime is Regime.POST
         post = geometry.post_geometry(a, c)
         assert post.inner_center + post.inner_radius < post.outer_radius
-    elif not fits:
-        assert regime is not Regime.POST
+    else:
+        assert regime is Regime.PRE

@@ -24,6 +24,13 @@ class TestMarchenkoPastur:
         assert lm == pytest.approx((math.sqrt(6) - 1) ** 2, abs=1e-12)
         assert lp == pytest.approx((math.sqrt(6) + 1) ** 2, abs=1e-12)
 
+    def test_underflowing_edge_refused(self):
+        # (sqrt(alpha+1) - 1)^2 rounds to 0 at alpha = 1e-300; alpha = 0 has
+        # the edge 0 exactly
+        with pytest.raises(DomainError, match="alpha = 1e-300 is too small"):
+            ldp.lambda_minus(1e-300)
+        assert ldp.lambda_minus(0.0) == 0.0
+
     def test_soft_edge_constant(self):
         lm, lp = oracles.mp_edges(1.0)
         delta = 0.5 * math.sqrt(lp - lm) / lm
@@ -84,20 +91,25 @@ class TestRateFunction:
         # Phi >= 0 by definition, but alpha^2 (energy_pre - energy_post)
         # rounded below 0 at 28 of the five floats above lambda_- for alpha
         # = 10^(k/2), k = -2..16 (-0.0333 at alpha = 1e7), and up to about
-        # 1e-4 lambda_- above it; each point is refused or gives Phi >= 0
+        # 1e-4 lambda_- above it; S(t) - S(lambda_-) did so down to -32 at
+        # alpha = 1e8.  Each point is refused or gives a rate >= 0 by both
+        # routes
+        routes = (lambda ts, alpha: ldp.phi_psi_grid(ts, alpha)[0],
+                  ldp.kc_rate_grid)
         for k in range(-2, 17):
             alpha = 10.0 ** (k / 2)
             lm = t = ldp.lambda_minus(alpha)
-            ts = [lm * (1.0 + 10.0 ** -j) for j in range(4, 9)]
+            ts = [lm * (1.0 + 10.0 ** -j) for j in range(4, 12)]
             for _ in range(5):
                 t = math.nextafter(t, math.inf)
                 ts.append(t)
             for t in ts:
-                try:
-                    (rate,), _ = ldp.phi_psi_grid((t,), alpha)
-                except DomainError:
-                    continue
-                assert rate >= 0.0, (alpha, t)
+                for route in routes:
+                    try:
+                        (rate,) = route((t,), alpha)
+                    except DomainError:
+                        continue
+                    assert rate >= 0.0, (alpha, t)
 
     @pytest.mark.parametrize("alpha", [1.0, 16 / 9])
     def test_third_order_coefficient(self, alpha):

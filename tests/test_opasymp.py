@@ -17,7 +17,7 @@ import oracles
 from coulombgas import exactfiniten, freeenergy, geometry, opasymp
 from coulombgas.errors import BranchCutError, DomainError
 from coulombgas.geometry import Regime, _sqrt_through_cut
-from coulombgas.opasymp import GEvaluator, rh_coefficients
+from coulombgas.opasymp import rh_coefficients
 
 
 def exact_op_value(n: int, a: float, z: complex) -> complex:
@@ -26,30 +26,30 @@ def exact_op_value(n: int, a: float, z: complex) -> complex:
         exactfiniten.moment_table(*params).op, z))
 
 
-def rel_error(ev: GEvaluator, n: int, a: float, z: complex) -> float:
-    exact = exact_op_value(n, a, z)
-    return abs(opasymp.p_asymp(ev, z, n).value - exact) / abs(exact)
+def rel_error(geom, n: int, z: complex) -> float:
+    exact = exact_op_value(n, geom.a, z)
+    return abs(opasymp.p_asymp(geom, z, n).value - exact) / abs(exact)
 
 
 class TestGFunction:
-    def test_post_closed_form(self, post_evaluator):
+    def test_post_closed_form(self, post_geom):
         z = 3.0 + 1.0j
         a, c = 0.2, 1.0
         want = cmath.log(z) + c * cmath.log(z / (z - a))
-        assert abs(oracles.g(post_evaluator, z) - want) < 1e-14
+        assert abs(opasymp.g(post_geom, z) - want) < 1e-14
 
-    def test_pre_far_coefficient(self, pre_evaluator):
+    def test_pre_far_coefficient(self, pre_geom):
         # g - log z ~ -C1/z; the coefficient estimate tightens like 1/|z|
-        c1 = oracles.g_large_z_coefficient(pre_evaluator.geom)
+        c1 = oracles.g_large_z_coefficient(pre_geom)
         errs = []
         for zr in (1e4, 1e5, 1e6):
-            est = (oracles.g(pre_evaluator, zr + 0j) - cmath.log(zr)) * zr
+            est = (opasymp.g(pre_geom, zr + 0j) - cmath.log(zr)) * zr
             errs.append(abs(est + c1))
         assert all(err < 0.5 / zr for err, zr in zip(errs, (1e4, 1e5, 1e6)))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_pre_anchor(self, pre_evaluator):
-        assert abs(oracles.g(pre_evaluator, 1e13 + 0j) - cmath.log(1e13)) < 1e-12
+    def test_pre_anchor(self, pre_geom):
+        assert abs(opasymp.g(pre_geom, 1e13 + 0j) - cmath.log(1e13)) < 1e-12
 
     @pytest.mark.parametrize("a,c", [(1.0, 9 / 16), (1.2, 1.0), (2.0, 1.0),
                                      (3.0, 0.5)])
@@ -59,9 +59,8 @@ class TestGFunction:
         # ring just inside the gate on either side (never across the
         # negative axis), and on into the gate towards the charge and the
         # upper cut end
-        ev = GEvaluator.build(a, c)
-        geom = ev.geom
-        ring = 1.1 * ev.exterior_radius
+        geom = geometry.droplet(a, c)
+        ring = 1.1 * opasymp.exterior_radius(geom)
         upper = [ring * cmath.exp(0.5j * k) for k in range(7)]
         lower = [z.conjugate() for z in upper]
         segments = [(50.0 * ring + 0j, upper[0]), *zip(upper, upper[1:]),
@@ -70,36 +69,36 @@ class TestGFunction:
                     (upper[2], geom.beta + 0.05)]
         for z1, z2 in segments:
             want = oracles.g_increment(geom, z1, z2)
-            assert abs(oracles.g(ev, z2) - oracles.g(ev, z1) - want) <= 1e-13, (z1, z2)
+            assert abs(opasymp.g(geom, z2) - opasymp.g(geom, z1) - want) <= 1e-13, (z1, z2)
 
-    def test_pre_refuses_cut_and_charges(self, pre_evaluator):
-        geom = pre_evaluator.geom
+    def test_pre_refuses_cut_and_charges(self, pre_geom):
         with pytest.raises(BranchCutError):
-            oracles.g(pre_evaluator, complex(geom.beta.real, 0.5 * geom.beta.imag))
-        for z in (0.0, geom.a):
+            opasymp.g(pre_geom, complex(pre_geom.beta.real,
+                                        0.5 * pre_geom.beta.imag))
+        for z in (0.0, pre_geom.a):
             with pytest.raises(DomainError):
-                oracles.g(pre_evaluator, z)
+                opasymp.g(pre_geom, z)
 
-    def test_pre_matches_insertion_point_value(self, pre_evaluator):
-        got = pre_evaluator.g_pre(pre_evaluator.geom.a + 1e-8 + 0j).real
+    def test_pre_matches_insertion_point_value(self, pre_geom):
+        got = opasymp.g(pre_geom, pre_geom.a + 1e-8 + 0j).real
         assert got == pytest.approx(freeenergy.re_g_at_a(1.2, 1.0), abs=1e-7)
 
-    def test_exterior_gate(self, pre_evaluator):
+    def test_exterior_gate(self, pre_geom):
         with pytest.raises(DomainError):
-            pre_evaluator.require_exterior(0.5 + 0j)
+            opasymp.require_exterior(pre_geom, 0.5 + 0j)
         with pytest.raises(DomainError):
-            opasymp.p_asymp(pre_evaluator, 0.5 + 0j, 8)
+            opasymp.p_asymp(pre_geom, 0.5 + 0j, 8)
 
     def test_rejects_critical_point(self):
         with pytest.raises(DomainError):
-            GEvaluator.build(geometry.a_cri(1.0), 1.0)
+            geometry.droplet(geometry.a_cri(1.0), 1.0)
 
 
 class TestRHCoefficients:
-    def test_h_matrices_against_cauchy_extraction(self, pre_evaluator):
-        geom = pre_evaluator.geom
-        beta, betab = geom.beta, geom.beta_bar
-        b, big_r, kap, q, a = geom.b, geom.R, geom.kappa, geom.q, geom.a
+    def test_h_matrices_against_cauchy_extraction(self, pre_geom):
+        beta, betab = pre_geom.beta, pre_geom.beta_bar
+        b, big_r, kap = pre_geom.b, pre_geom.R, pre_geom.kappa
+        q, a = pre_geom.q, pre_geom.a
         x0, y0 = beta.real, beta.imag
         mod_beta = big_r * q + kap / q
         nodes, weights = np.polynomial.legendre.leggauss(64)
@@ -139,7 +138,7 @@ class TestRHCoefficients:
             h11 += sample * w
             h12 += sample * w * w
 
-        coeffs = rh_coefficients(geom, 1)
+        coeffs = rh_coefficients(pre_geom, 1)
         assert np.max(np.abs(h11 / n_pts - coeffs.h11)) < 1e-12
         assert np.max(np.abs(h12 / n_pts - coeffs.h12)) < 1e-12
 
@@ -148,37 +147,36 @@ class TestRHCoefficients:
         est = zeta32(probe) ** (2.0 / 3.0) / (probe - betab)
         assert abs(est - coeffs.gamma11) < 1e-4
 
-    def test_inverse_n_scaling(self, pre_evaluator):
-        c8 = rh_coefficients(pre_evaluator.geom, 8)
-        c16 = rh_coefficients(pre_evaluator.geom, 16)
+    def test_inverse_n_scaling(self, pre_geom):
+        c8 = rh_coefficients(pre_geom, 8)
+        c16 = rh_coefficients(pre_geom, 16)
         assert np.array_equal(2.0 * np.asarray(c16.h11), np.asarray(c8.h11))
         assert np.array_equal(2.0 * np.asarray(c16.h12), np.asarray(c8.h12))
 
-    def test_gamma_ratio_two_codings(self, pre_evaluator):
-        geom = pre_evaluator.geom
-        coeffs = rh_coefficients(geom, 8)
-        bb = geom.beta_bar
-        ratio = 0.8 * (1.0 / (bb - geom.R / geom.q)
-                       + 1.0 / (2.0 * (bb - geom.beta))
-                       - 1.0 / (bb - geom.a) - 1.0 / bb)
+    def test_gamma_ratio_two_codings(self, pre_geom):
+        coeffs = rh_coefficients(pre_geom, 8)
+        bb = pre_geom.beta_bar
+        ratio = 0.8 * (1.0 / (bb - pre_geom.R / pre_geom.q)
+                       + 1.0 / (2.0 * (bb - pre_geom.beta))
+                       - 1.0 / (bb - pre_geom.a) - 1.0 / bb)
         assert abs(coeffs.gamma12 / coeffs.gamma11 - ratio) < 1e-13
 
 
 class TestRationalCorrections:
-    def test_entries_decay_like_inverse_z(self, pre_evaluator):
-        geom = pre_evaluator.geom
-        coeffs = rh_coefficients(geom, 8)
-        res_mag = abs(freeenergy.d_fconst_pre_da(geom.a, geom.c) / (2.0 * 8))
+    def test_entries_decay_like_inverse_z(self, pre_geom):
+        coeffs = rh_coefficients(pre_geom, 8)
+        res_mag = abs(freeenergy.d_fconst_pre_da(pre_geom.a, pre_geom.c)
+                      / (2.0 * 8))
         for zr in (1e2, 1e3, 1e4):
             r11, r12 = opasymp.r_entries(coeffs, zr + 0j)
             assert abs(zr * r11) / res_mag == pytest.approx(1.0, abs=0.05)
             assert abs(zr * r12) < 1.0
 
-    def test_entries_are_the_conjugated_product(self, pre_evaluator):
+    def test_entries_are_the_conjugated_product(self, pre_geom):
         # R1 = I + R2 h11 R2^-1/dz1 + R2 h12 R2^-1/dz1^2, R2 = I +
         # conj(h11)/dz2 + conj(h12)/dz2^2, taken literally with an explicit
         # inverse; r_entries is the first row of R1 R2 - I
-        coeffs = rh_coefficients(pre_evaluator.geom, 4)
+        coeffs = rh_coefficients(pre_geom, 4)
         h11, h12 = np.asarray(coeffs.h11), np.asarray(coeffs.h12)
         h21, h22 = np.conj(h11), np.conj(h12)
         eye = np.eye(2)
@@ -212,37 +210,36 @@ class TestRationalCorrections:
 
 class TestPAsymp:
     def test_radial_monomial(self):
-        ev = GEvaluator.build(0.0, 1.0)
-        got = opasymp.p_asymp(ev, 2.0 + 1.0j, 5)
+        got = opasymp.p_asymp(geometry.droplet(0.0, 1.0), 2.0 + 1.0j, 5)
         assert got.error_class == "N^-inf"
         assert abs(got.value - (2.0 + 1.0j) ** 5) < 1e-10
 
-    def test_post_superpolynomial_decay(self, post_evaluator):
+    def test_post_superpolynomial_decay(self, post_geom):
         # measured 4.8e-4, 1.3e-5, 9.5e-9 at N = 4, 8, 16: far beyond any
         # fixed inverse power (N^-4 doubling would only give ratios of 16)
-        errs = {n: rel_error(post_evaluator, n, 0.2, 3.0 + 0j)
+        errs = {n: rel_error(post_geom, n, 3.0 + 0j)
                 for n in (4, 8, 16)}
         assert errs[4] / errs[8] > 30
         assert errs[8] / errs[16] > 1000
         assert errs[16] < 1e-7
 
-    def test_post_tight_at_n12(self, post_evaluator):
-        assert rel_error(post_evaluator, 12, 0.2, 3.0 + 0j) < 1e-6
+    def test_post_tight_at_n12(self, post_geom):
+        assert rel_error(post_geom, 12, 3.0 + 0j) < 1e-6
 
-    def test_pre_error_class(self, pre_evaluator):
-        assert opasymp.p_asymp(pre_evaluator, 3.0 + 0j, 8).error_class == "N^-2"
+    def test_pre_error_class(self, pre_geom):
+        assert opasymp.p_asymp(pre_geom, 3.0 + 0j, 8).error_class == "N^-2"
 
-    def test_pre_second_order_on_axis(self, pre_evaluator):
+    def test_pre_second_order_on_axis(self, pre_geom):
         # on the real axis part of the N^-2 coefficient cancels, steepening
         # the measured ratios (6.65, 5.81) past the plain-quadrupling window
-        errs = {n: rel_error(pre_evaluator, n, 1.2, 3.0 + 0j)
+        errs = {n: rel_error(pre_geom, n, 3.0 + 0j)
                 for n in (4, 8, 16)}
         assert 4.5 < errs[4] / errs[8] < 8.0
         assert 4.5 < errs[8] / errs[16] < 8.0
         assert errs[16] < 5e-6
 
-    def test_pre_second_order_off_axis(self, pre_evaluator):
-        errs = {n: rel_error(pre_evaluator, n, 1.2, -2.5 + 2.2j)
+    def test_pre_second_order_off_axis(self, pre_geom):
+        errs = {n: rel_error(pre_geom, n, -2.5 + 2.2j)
                 for n in (4, 8, 16)}
         assert 3.0 < errs[4] / errs[8] < 5.0
         assert 3.0 < errs[8] / errs[16] < 5.0
@@ -254,13 +251,12 @@ class TestA11AndDerivative:
         assert opasymp.a11_asymp(8, 0.2, 1.0, Regime.POST) == pytest.approx(
             1.6, abs=1e-14)
 
-    def test_pre_leading_coefficient_sign_convention(self, pre_evaluator):
+    def test_pre_leading_coefficient_sign_convention(self, pre_geom):
         # the N-coefficient ties back to the far-field g coefficient
-        geom = pre_evaluator.geom
-        a, q = geom.a, geom.q
+        a, q = pre_geom.a, pre_geom.q
         lead = (1 - a * a * q * q) * (2 - q * q - a * a * q ** 4) / (4 * a * q * q)
         got = opasymp.a11_asymp(64, 1.2, 1.0, Regime.PRE)
-        res = oracles.res_r11_infinity(geom, 64)
+        res = oracles.res_r11_infinity(pre_geom, 64)
         assert got == pytest.approx(lead * 64 + res, abs=1e-12)
 
     def test_dlogz_post_matches_finite_differences(self):
@@ -272,9 +268,8 @@ class TestA11AndDerivative:
         assert 2.0 * 8 * opasymp.a11_asymp(8, 0.2, 1.0, Regime.POST) / fd \
             == pytest.approx(1.0, abs=1e-4)
 
-    def test_dlogz_pre_n2_coefficient(self, pre_evaluator):
-        geom = pre_evaluator.geom
-        a, q = geom.a, geom.q
+    def test_dlogz_pre_n2_coefficient(self, pre_geom):
+        a, q = pre_geom.a, pre_geom.q
         coeff = (1 - a * a * q * q) * (2 - q * q - a * a * q ** 4) / (2 * a * q * q)
         diffs = {n: abs(2.0 * opasymp.a11_asymp(n, 1.2, 1.0, Regime.PRE) / n - coeff)
                  for n in (16, 64)}

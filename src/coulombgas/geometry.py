@@ -165,12 +165,9 @@ def pre_geometry(a: float, c: float) -> PreGeometry:
 
 
 def post_geometry(a: float, c: float) -> PostGeometry:
-    if a < 0 or c <= 0:
-        raise DomainError(f"post_geometry needs a >= 0 and c > 0, got a={a}, c={c}")
-    disc = (1.0 - a * a) ** 2 - 4.0 * a * a * c
-    if disc <= 0:
-        raise DomainError(
-            f"(1-a^2)^2 - 4a^2c = {disc} <= 0: no post-critical geometry at a={a}, c={c}")
+    if classify(a, c) is not Regime.POST:
+        raise DomainError(f"a = {a!r} is above a_cri = {a_cri(c)!r} at "
+                          f"c = {c!r}: no post-critical geometry")
     # abs keeps a = -0.0 at the origin 0.0
     return PostGeometry(a=a, c=c, outer_radius=math.sqrt(1.0 + c),
                         inner_center=abs(a), inner_radius=math.sqrt(c))

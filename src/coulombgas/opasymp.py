@@ -29,14 +29,21 @@ grouped argument exactly as printed in the closed forms; that choice is
 pinned by an audit of the branch-sensitive 1/z coefficient of R11 against
 freeenergy.d_fconst_pre_da(a, c)/(2N), the 1/N part of A11 (see tests).
 
-Exterior gate: the polynomial formulas take only |z| > exterior_radius(geom):
-1.15 times the outer circle sqrt(1+c) in the annular phase, and 1.15 times
-the largest of |beta|, a, b and the sampled boundary's modulus in the simply
-connected one.  The gate is a circumscribed-radius proxy: points it accepts
-are outside every tested droplet, but the true domain, the complement of the
-motherbody, has no constructive description here.  g itself refuses only z
-in {0, a} and points on the cut, since it extends continuously up to the
-droplet.
+Exterior gate: the polynomial formulas take only |z| > exterior_radius(geom),
+1.15 times a radius that encloses the droplet, the charge a and the cut.  In
+the annular phase that radius is the outer circle sqrt(1+c).  In the simply
+connected one it is b = R/q: with t = a^2 q^2,
+
+    b - |beta| = a (1 - q^2),
+    b - a = (1 - t)/(2 a q^2),
+    max_{|w|=1} |f(w)| = |f(-1)| = b - a (1 - q),
+
+all positive for 0 < q < 1 and t < 1.  The last holds because
+f(w) = w (R - kappa u/q) with u = 1/(w - q), and for |w| = 1 the point u runs
+over the circle through -1/(1+q) and 1/(1-q), centred at q/(1 - q^2); R q/kappa
+lies right of that centre, so u = -1/(1+q), at w = -1, is farthest from it.
+g itself refuses only z in {0, a} and points on the cut, since it extends
+continuously up to the droplet.
 """
 from __future__ import annotations
 
@@ -46,7 +53,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .geometry import (Droplet, PreGeometry, Regime, _sqrt_through_cut,
-                       droplet_boundary, inverse_F)
+                       inverse_F)
 
 EXTERIOR_MARGIN = 1.15
 
@@ -56,9 +63,8 @@ def exterior_radius(geom: Droplet) -> float:
     if geom.regime is Regime.POST:
         # a < 1 and the skeleton end beta < b, beta b = 1 + c, lie inside
         return EXTERIOR_MARGIN * geom.outer_radius
-    _, [(_, curve)] = droplet_boundary(geom, 256)
-    return EXTERIOR_MARGIN * max(abs(geom.beta), geom.a, geom.b,
-                                 max(map(abs, curve)))
+    # b exceeds |beta|, a and the boundary's modulus (see above)
+    return EXTERIOR_MARGIN * geom.b
 
 
 def require_exterior(geom: Droplet, z: complex) -> None:
@@ -182,12 +188,7 @@ def r11_residue_probe(coeffs: RHCoefficients) -> complex:
     return total / n
 
 
-class PAsympResult(NamedTuple):
-    value: complex
-    error_class: str  # relative error order of the omitted terms
-
-
-def p_asymp(geom: Droplet, z: complex, N: int) -> PAsympResult:
+def p_asymp(geom: Droplet, z: complex, N: int) -> complex:
     """Exterior main term of the monic degree-N orthogonal polynomial.
 
     Annular phase: z^N (z/(z-a))^{cN}, relative error O(N^-inf).
@@ -200,8 +201,7 @@ def p_asymp(geom: Droplet, z: complex, N: int) -> PAsympResult:
     z = complex(z)
     require_exterior(geom, z)
     if geom.regime is Regime.POST:
-        return PAsympResult(value=cmath.exp(N * g(geom, z)),
-                            error_class="N^-inf")
+        return cmath.exp(N * g(geom, z))
     coeffs = rh_coefficients(geom, N)
     r11, r12 = r_entries(coeffs, z)
     f_val = inverse_F(geom, z)
@@ -209,8 +209,7 @@ def p_asymp(geom: Droplet, z: complex, N: int) -> PAsympResult:
     f_prime = (1.0 + (z - geom.beta.real) / s_val) / (2.0 * geom.R)
     prefactor = (cmath.sqrt(geom.R * f_prime) * (1.0 + r11)
                  - cmath.sqrt(geom.kappa * f_prime) / (f_val - geom.q) * r12)
-    return PAsympResult(value=prefactor * cmath.exp(N * g(geom, z)),
-                        error_class="N^-2")
+    return prefactor * cmath.exp(N * g(geom, z))
 
 
 def a11_asymp(N: int, a: float, c: float, regime: Regime) -> float:

@@ -6,7 +6,7 @@ through the verification-report registry, so this file and the CLI `report`
 subcommand can never drift apart.
 
 Criterion 8 (orthogonal-polynomial asymptotics) asserts the error classes
-that `opasymp.p_asymp` declares, read from the evidence the report check
+that `opasymp.p_asymp`'s docstring states, read from the evidence the report check
 records, not the check's own verdict. The `report` subcommand still shows
 op_asymptotics red on its release thresholds, which are fixed-N numbers the
 formulas never promised:

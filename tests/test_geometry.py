@@ -271,6 +271,13 @@ class TestDropletBoundary:
         with pytest.raises(DomainError):
             geometry.post_geometry(0.5, 9 / 16)
 
+    @pytest.mark.parametrize("a", [3.0, 10.0])
+    def test_post_geometry_refuses_pre_critical(self, a):
+        # beyond a = 1 the discriminant (1-a^2)^2 - 4a^2c is positive again,
+        # but classify puts (a, 1) in the simply connected phase
+        with pytest.raises(DomainError, match="a_cri"):
+            geometry.post_geometry(a, 1.0)
+
 
 @st.composite
 def pre_critical_params(draw):

@@ -12,11 +12,6 @@ import math
 
 from .errors import UsageError
 
-# painleve.DEFAULT_TOL, written out so that building the parser does not
-# import painleve; tests/test_cli.py holds the two equal
-TW_TOL = 1e-10
-
-
 def parse_rational(text: str):
     """Accept '9/16' style rationals and plain decimals, as a Fraction."""
     from fractions import Fraction

@@ -1,19 +1,22 @@
 """critical: transition-window free energy."""
 from __future__ import annotations
 
-from ..args import (TW_TOL, _add_exact_logz, _int_product, common,
-                    finite_float, parse_rational, positive_int)
+from ..args import (_add_exact_logz, _int_product, common, finite_float,
+                    parse_rational, positive_int)
 from ..errors import EXIT_OK
 from ..table import _table, emit
 
 
 def add_arguments(p) -> None:
+    # run loads painleve too, so its default costs no extra module
+    from .. import painleve
+
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--c", type=parse_rational, required=True)
     p.add_argument("--s", type=finite_float, required=True)
     p.add_argument("--exact-compare", action="store_true",
                    help="add exact log Z and the residual (needs integer c*n)")
-    common(p, tol=TW_TOL)
+    common(p, tol=painleve.DEFAULT_TOL)
 
 
 def run(args) -> int:

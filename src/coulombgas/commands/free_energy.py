@@ -23,16 +23,15 @@ def run(args) -> int:
     a, c, n = args.a, float(args.c), args.n
     m = _int_product(args.c, n, "c") if args.exact_compare else None
     regime = geometry.classify(a, c)
-    result = freeenergy.expansion(n, a, c, regime, M=args.order)
-    t = result.terms
+    e = freeenergy.expansion(n, a, c, regime, M=args.order)
     row = {"N": n, "a": a, "c": c, "regime": regime.name,
-           "expansion": result.log_z,
-           "n2": t.n2, "nlogn": t.nlogn, "n_coeff": t.n_coeff,
-           "logn": t.logn, "const": t.const, "chi": t.chi,
-           "error_class": t.error_class,
-           "tail": [{"power": p, "coefficient": coef} for p, coef in t.tail]}
+           "expansion": e.log_z,
+           "n2": e.n2, "nlogn": e.nlogn, "n_coeff": e.n_coeff,
+           "logn": e.logn, "const": e.const, "chi": e.chi,
+           "error_class": e.error_class,
+           "tail": [{"power": p, "coefficient": coef} for p, coef in e.tail]}
     if args.exact_compare:
-        _add_exact_logz(row, n, m, a, result.log_z)
+        _add_exact_logz(row, n, m, a, e.log_z)
     emit(_table("free-energy", {"a": a, "c": c, "n": n, "order": args.order,
                                 "exact_compare": args.exact_compare},
                 [row]), args)

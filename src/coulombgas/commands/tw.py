@@ -1,14 +1,17 @@
 """tw: extreme-value distribution values."""
 from __future__ import annotations
 
-from ..args import TW_TOL, common, parse_grid, t_or_grid
+from ..args import common, parse_grid, t_or_grid
 from ..errors import EXIT_OK
 from ..table import Columns, _table, emit
 
 
 def add_arguments(p) -> None:
+    # run loads painleve too, so its default costs no extra module
+    from .. import painleve
+
     t_or_grid(p)
-    common(p, tol=TW_TOL)
+    common(p, tol=painleve.DEFAULT_TOL)
 
 
 def run(args) -> int:

@@ -1,9 +1,12 @@
 """Energies, Robin constants, and the large-N free-energy expansion.
 
-All closed forms are functions of (a, c) and, pre-critically, of the modulus
-q = q(a, c) from the geometry module. Regime is an explicit argument of each
-of them, so callers can evaluate both branches at one (a, c) (that is how the
-large-deviation rate function is built); only charpoly_moment_asymp, given
+The energies, fconst and expansion are closed forms in (a, c) and,
+pre-critically, in the modulus q = q(a, c) from the geometry module. They
+take the phase as an argument and no droplet record, because two callers
+evaluate them where no record is built: ldp.phi_psi_grid evaluates both
+branches per grid point from one solve_q, and painleve.critical_expansion
+evaluates the annular expansion at a_s > a_cri when s < 0. detzeta_log is
+defined by one droplet and reads its record. charpoly_moment_asymp, given
 |z| alone, classifies.
 
 The expansion of log Z_N reads
@@ -17,12 +20,13 @@ Bernoulli tail; pre-critically only its O(1/N) class is known.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .geometry import Regime, classify, pre_geometry, solve_q
+from .geometry import Droplet, Regime, classify, solve_q
 
 #: zeta'(-1) = 1/12 - log(Glaisher), 30 significant digits
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919660243
@@ -44,7 +48,8 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
     return out
 
 
-class ExpansionTerms(NamedTuple):
+class Expansion(NamedTuple):
+    log_z: float  # the terms summed at this N
     n2: float
     nlogn: float
     n_coeff: float
@@ -53,11 +58,6 @@ class ExpansionTerms(NamedTuple):
     tail: tuple[tuple[int, float], ...]  # (power of N, coefficient)
     chi: int
     error_class: str
-
-
-class ExpansionResult(NamedTuple):
-    terms: ExpansionTerms
-    log_z: float
 
 
 def energy_post(a: float, c: float) -> float:
@@ -121,21 +121,24 @@ def fconst(a: float, c: float, regime: Regime, q: float | None = None) -> float:
             / 24.0)
 
 
-def detzeta_log(a: float, c: float, regime: Regime) -> float:
+def detzeta_log(geom: Droplet) -> float:
     """log of the zeta-regularized Laplacian determinant on the droplet complement.
 
-    Post: -(1/6) log(c/(1+c)). Pre: (1/12) log(R^4 f'(1/z+) f'(1/z-) / f'(1/q)^2),
-    evaluated from the conformal data; equals -2 * fconst in both phases.
+    Post: -(1/6) log(c/(1+c)). Pre: (1/12) log(R^4 f'(1/z+) f'(1/z-) / f'(1/q)^2)
+    with z+- = q +- i sqrt(kappa/R), evaluated from the conformal data;
+    equals -2 * fconst in both phases.
     """
-    if regime is Regime.POST:
-        return -math.log(c / (1.0 + c)) / 6.0
-    g = pre_geometry(a, c)
+    if geom.regime is Regime.POST:
+        return -math.log(geom.c / (1.0 + geom.c)) / 6.0
+    R, kappa, q = geom.R, geom.kappa, geom.q
 
     def f_prime(w: complex) -> complex:
-        return g.R + g.kappa / (w - g.q) ** 2
+        return R + kappa / (w - q) ** 2
 
-    prod = f_prime(1.0 / g.z_plus) * f_prime(1.0 / g.z_minus)  # conjugate pair
-    val = g.R ** 4 * prod.real / f_prime(1.0 / g.q).real ** 2
+    z_plus = q + 1j * cmath.sqrt(complex(kappa / R))
+    # z- is the conjugate of z+, so the product is real
+    prod = f_prime(1.0 / z_plus) * f_prime(1.0 / z_plus.conjugate())
+    val = R ** 4 * prod.real / f_prime(1.0 / q).real ** 2
     return math.log(val) / 12.0
 
 
@@ -164,13 +167,7 @@ def _tail_coefficients(c: float, js: range) -> list[float]:
     return out
 
 
-def _post_tail(c: float, M: int) -> tuple[tuple[int, float], ...]:
-    # E_N through order N^(-M); the truncation index is the inverse power
-    js = range(1, M + 1)
-    return tuple(zip((-j for j in js), _tail_coefficients(c, js)))
-
-
-def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> ExpansionResult:
+def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansion:
     """Structured coefficients of log Z_N and their evaluated sum at this N."""
     if N < 1 or M < 0:
         raise DomainError(f"need N >= 1 and M >= 0, got N={N}, M={M}")
@@ -181,27 +178,27 @@ def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansi
                 "annular-phase Bernoulli tail stops at B_64")
         chi = 0
         energy = energy_post(a, c)
-        tail = _post_tail(c, M)
+        f = fconst(a, c, regime)
+        # E_N through order N^(-M); the truncation index is the inverse power
+        js = range(1, M + 1)
+        tail = tuple(zip((-j for j in js), _tail_coefficients(c, js)))
         err = f"O(N^{-(M + 1)})"
     else:
         chi = 1
-        energy = energy_pre(a, c)
+        q = solve_q(a, c)
+        energy = energy_pre(a, c, q)
+        f = fconst(a, c, regime, q)
         tail = ()
         err = "O(N^-1)"
-    terms = ExpansionTerms(
-        n2=-energy,
-        nlogn=0.5,
-        n_coeff=LOG_2PI / 2.0 - 1.0,
-        logn=(6 - chi) / 12.0,
-        const=LOG_2PI / 2.0 + chi * ZETA_PRIME_MINUS_ONE + fconst(a, c, regime),
-        tail=tail,
-        chi=chi,
-        error_class=err,
-    )
-    val = (terms.n2 * N * N + terms.nlogn * N * math.log(N) + terms.n_coeff * N
-           + terms.logn * math.log(N) + terms.const
-           + sum(coef * N ** p for p, coef in terms.tail))
-    return ExpansionResult(terms, val)
+    n2, n_coeff = -energy, LOG_2PI / 2.0 - 1.0
+    logn = (6 - chi) / 12.0
+    const = LOG_2PI / 2.0 + chi * ZETA_PRIME_MINUS_ONE + f
+    log_z = (n2 * N * N + 0.5 * N * math.log(N) + n_coeff * N
+             + logn * math.log(N) + const
+             + sum(coef * N ** p for p, coef in tail))
+    return Expansion(log_z=log_z, n2=n2, nlogn=0.5, n_coeff=n_coeff,
+                     logn=logn, const=const, tail=tail, chi=chi,
+                     error_class=err)
 
 
 def first_omitted_tail_term(N: int, c: float, M: int) -> float:
@@ -230,14 +227,11 @@ def barnes_logG(n: int) -> float:
     return math.log(acc) if acc > 1 else 0.0
 
 
-def reference_logZ(N: int, c: float) -> float:
-    """Exact log Z_N(0, c) for integer cN, via big-integer Barnes recursion."""
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
-    m = c * N
-    if abs(m - round(m)) > 1e-9:
-        raise DomainError(f"exact reference needs integer cN, got cN={m}")
-    m = int(round(m))
+def reference_logZ(N: int, m: int) -> float:
+    """Exact log Z_N(0, c) at the integer charge m = cN, via big-integer
+    Barnes recursion."""
+    if N < 1 or m < 0:
+        raise DomainError(f"need N >= 1 and m >= 0, got N={N}, m={m}")
     return (math.log(math.factorial(N)) + barnes_logG(N + m + 1) - barnes_logG(m + 1)
             - ((m / N + 0.5) * N * N + 0.5 * N) * math.log(N))
 
@@ -251,6 +245,8 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
     """
     if z_abs < 0 or c <= 0:
         raise DomainError(f"need |z| >= 0 and c > 0, got {z_abs}, {c}")
+    # classify and solve_q, not droplet(): pre_geometry refuses a
+    # 1 - a^2 q^2 that rounds to 0, which kappa needs and the moment does not
     if classify(z_abs, c) is Regime.PRE:
         q = solve_q(z_abs, c)
         return ((0.75 - energy_pre(z_abs, c, q)) * N * N

@@ -23,7 +23,8 @@ from typing import NamedTuple, Union
 
 from .errors import BranchCutError, DomainError, NoValidRoot
 
-#: half-width of the critical window in a - a_cri that classify refuses
+#: relative half-width of the critical window: classify refuses
+#: |a - a_cri| <= TAU a_cri
 TAU = 1e-12
 #: least 1 - a^2 q^2 solve_q accepts from its large-a root: 2^-26 keeps half
 #: of a double's 53 bits through the cancellation that forms it
@@ -45,19 +46,20 @@ def a_cri(c: float) -> float:
 
 def classify(a: float, c: float) -> Regime:
     """Resolve the phase of (a, c). a = 0 counts as post-critical by
-    convention; a within TAU of a_cri has no phase and is refused."""
+    convention; a within TAU a_cri of a_cri has no phase and is refused."""
     if a < 0:
         raise DomainError(f"a must be nonnegative, got {a}")
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
     edge = a_cri(c)
-    if a < edge - TAU:
+    width = TAU * edge
+    if a < edge - width:
         return Regime.POST
-    if a > edge + TAU:
+    if a > edge + width:
         return Regime.PRE
     raise DomainError(
-        f"a = {a!r} is within {TAU:g} of the phase boundary a_cri = {edge!r} "
-        f"at c = {c!r}: no droplet phase applies; perturb a")
+        f"a = {a!r} is within {TAU:g} * a_cri of the phase boundary "
+        f"a_cri = {edge!r} at c = {c!r}: no droplet phase applies; perturb a")
 
 
 class PreGeometry(NamedTuple):
@@ -70,8 +72,6 @@ class PreGeometry(NamedTuple):
     beta: complex
     beta_bar: complex
     b: float
-    z_plus: complex
-    z_minus: complex
 
 
 class PostGeometry(NamedTuple):
@@ -156,12 +156,8 @@ def pre_geometry(a: float, c: float) -> PreGeometry:
     R = (1.0 + a * a * q * q) / (2.0 * a * q)
     kappa = (1.0 - q * q) * gap / (2.0 * a * q)
     beta = complex(R * q - kappa / q, 2.0 * math.sqrt(kappa * R))
-    half_gap = cmath.sqrt(complex(kappa / R))
-    return PreGeometry(
-        a=a, c=c, q=q, R=R, kappa=kappa,
-        beta=beta, beta_bar=beta.conjugate(), b=R / q,
-        z_plus=q + 1j * half_gap, z_minus=q - 1j * half_gap,
-    )
+    return PreGeometry(a=a, c=c, q=q, R=R, kappa=kappa, beta=beta,
+                       beta_bar=beta.conjugate(), b=R / q)
 
 
 def post_geometry(a: float, c: float) -> PostGeometry:

@@ -212,7 +212,7 @@ def p_asymp(geom: Droplet, z: complex, N: int) -> complex:
     return prefactor * cmath.exp(N * g(geom, z))
 
 
-def a11_asymp(N: int, a: float, c: float, regime: Regime) -> float:
+def a11_asymp(geom: Droplet, N: int) -> float:
     """Asymptotic subleading coefficient of the monic polynomial; 2N times
     it is d/da of the log partition function.
 
@@ -223,7 +223,8 @@ def a11_asymp(N: int, a: float, c: float, regime: Regime) -> float:
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    if regime is Regime.POST:
+    a, c = geom.a, geom.c
+    if geom.regime is Regime.POST:
         return c * a * N
     # freeenergy loads here, so op-compare does not compile it
     from .freeenergy import d_energy_pre_da, d_fconst_pre_da

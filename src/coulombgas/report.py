@@ -76,7 +76,7 @@ def check_expansion_post() -> tuple:
     a, c = 0.2, 1.0
     # the determinant route at a, then the a = 0 reference
     routes = ((a, lambda n: float(_moment_table(n, a).log_z)),
-              (0.0, lambda n: freeenergy.reference_logZ(n, c)))
+              (0.0, lambda n: freeenergy.reference_logZ(n, n)))  # m = cN
     rows = []
     ok = True
     for x, exact_log_z in routes:
@@ -273,10 +273,11 @@ def check_zw_constant() -> tuple:
     worst = 0.0
     rows = []
     for a, c in _zw_grid():
-        regime = geometry.classify(a, c)
-        resid = abs(freeenergy.fconst(a, c, regime)
-                    + 0.5 * freeenergy.detzeta_log(a, c, regime))
-        rows.append({"a": a, "c": c, "regime": regime.name, "residual": resid})
+        geom = geometry.droplet(a, c)
+        resid = abs(freeenergy.fconst(a, c, geom.regime)
+                    + 0.5 * freeenergy.detzeta_log(geom))
+        rows.append({"a": a, "c": c, "regime": geom.regime.name,
+                     "residual": resid})
         worst = max(worst, resid)
     return (
         worst < 1e-12,

@@ -305,6 +305,14 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["droplet"]["regime"] == "POST"
 
+    def test_radial_case_at_huge_c_is_post_critical(self, capsys):
+        # a_cri(1e24) = 5e-13: the critical window is relative to it, so it
+        # leaves a = 0 outside
+        code, out, _ = run_cli(["geometry", "--a", "0", "--c", "1e24",
+                                "--points", "8"], capsys)
+        assert code == 0
+        assert json.loads(out)["droplet"]["regime"] == "POST"
+
     def test_tiny_c_free_energy_needs_no_droplet_gap(self, capsys):
         # at (1e3, 1e-12) 1 - a^2 q^2 rounds to 0.0: geometry refuses it for
         # its kappa, but the expansion reads only q and the energy, so

@@ -285,7 +285,7 @@ class TestOrthogonalPolynomial:
         scaled = []
         for n in (4, 8, 16):
             a11 = float(exactfiniten.moment_table(N=n, m=n, a=1.2).op[-2])
-            asymp = opasymp.a11_asymp(n, 1.2, 1.0, geometry.Regime.PRE)
+            asymp = opasymp.a11_asymp(geometry.droplet(1.2, 1.0), n)
             scaled.append(abs(n * n * (a11 - asymp)))
         assert all(s < 0.01 for s in scaled)
         assert scaled[0] > scaled[1] > scaled[2]

@@ -126,7 +126,7 @@ class TestFconstAndDetZeta:
     def test_post_closed_values(self):
         assert freeenergy.fconst(0.3, 1.0, Regime.POST) == pytest.approx(
             math.log(0.5) / 12.0, abs=1e-15)
-        assert freeenergy.detzeta_log(0.3, 1.0, Regime.POST) == pytest.approx(
+        assert freeenergy.detzeta_log(geometry.droplet(0.3, 1.0)) == pytest.approx(
             -math.log(0.5) / 6.0, abs=1e-15)
 
     def test_pre_far_field(self):
@@ -141,30 +141,47 @@ class TestFconstAndDetZeta:
             closed = -math.log((1 + aq2 - 2 * aq2 * q * q) ** 4
                                / ((1 - q * q) ** 3 * (1 - a**4 * q**6)
                                   * (1 + aq2) ** 4)) / 12.0
-            assert freeenergy.detzeta_log(a, c, Regime.PRE) == pytest.approx(
-                closed, abs=1e-12)
+            got = freeenergy.detzeta_log(geometry.pre_geometry(a, c))
+            assert got == pytest.approx(closed, abs=1e-12)
 
     def test_zw_relation_both_regimes(self):
         for a, c, regime in ((0.2, 1.0, Regime.POST), (1.2, 1.0, Regime.PRE),
                              (0.25, 9 / 16, Regime.POST), (1.0, 9 / 16, Regime.PRE)):
             assert freeenergy.fconst(a, c, regime) == pytest.approx(
-                -0.5 * freeenergy.detzeta_log(a, c, regime), abs=1e-12)
+                -0.5 * freeenergy.detzeta_log(geometry.droplet(a, c)),
+                abs=1e-12)
 
 
 class TestExpansion:
     def test_term_structure(self):
         for regime, chi in ((Regime.POST, 0), (Regime.PRE, 1)):
             a = 0.2 if regime is Regime.POST else 1.2
-            t = freeenergy.expansion(8, a, 1.0, regime).terms
+            t = freeenergy.expansion(8, a, 1.0, regime)
             assert t.chi == chi
             assert t.nlogn == 0.5
             assert t.n_coeff == pytest.approx(math.log(2 * math.pi) / 2 - 1)
             assert t.logn == pytest.approx((6 - chi) / 12)
 
+    def test_pre_solves_the_modulus_once(self, monkeypatch):
+        # energy_pre and fconst share one q; each called without q would
+        # solve the cubic on its own
+        calls = []
+        solve_q = freeenergy.solve_q
+
+        def counted(a, c):
+            calls.append((a, c))
+            return solve_q(a, c)
+
+        monkeypatch.setattr(freeenergy, "solve_q", counted)
+        got = freeenergy.expansion(8, 1.2, 1.0, Regime.PRE)
+        assert calls == [(1.2, 1.0)]
+        q = solve_q(1.2, 1.0)
+        assert got.n2 == -freeenergy.energy_pre(1.2, 1.0, q)
+
     def test_post_tail_coefficients(self):
         bern = freeenergy.bernoulli_numbers(8)
         c = 1.0
-        tail = dict(freeenergy.expansion(8, 0.2, c, Regime.POST, M=4).terms.tail)
+        tail = dict(freeenergy.expansion(8, 0.2, c, Regime.POST, M=4).tail)
         assert tail[-1] == pytest.approx(float(bern[2]) / 2, abs=1e-16)
         assert tail[-3] == pytest.approx(float(bern[4]) / 12, abs=1e-16)
         assert tail[-2] == pytest.approx(
@@ -174,7 +191,7 @@ class TestExpansion:
 
     def test_post_tail_order_capped_by_bernoulli_table(self):
         # the N^-63 term needs B_64, the last tabulated; N^-64 would need B_66
-        tail = freeenergy.expansion(16, 0.2, 1.0, Regime.POST, M=63).terms.tail
+        tail = freeenergy.expansion(16, 0.2, 1.0, Regime.POST, M=63).tail
         assert [p for p, _ in tail] == list(range(-1, -64, -1))
         with pytest.raises(DomainError, match=r"M = 64 .*cap 63"):
             freeenergy.expansion(16, 0.2, 1.0, Regime.POST, M=64)
@@ -186,7 +203,7 @@ class TestExpansion:
         # M = 62 drops the N^-63 term (B_64, the last tabulated); M = 63
         # would drop N^-64, which needs B_66
         tail = dict(freeenergy.expansion(16, 0.2, 1.0, Regime.POST,
-                                         M=63).terms.tail)
+                                         M=63).tail)
         assert freeenergy.first_omitted_tail_term(16, 1.0, 62) \
             == abs(tail[-63] * 16.0 ** -63)
         with pytest.raises(DomainError, match=r"M = 63 .*cap 62"):
@@ -197,7 +214,7 @@ class TestExpansion:
         # N^-3 and N^-4 terms add constructively), within the 3x convention
         for n in (4, 8, 16):
             got = freeenergy.expansion(n, 0.0, 1.0, Regime.POST, M=2).log_z
-            assert abs(got - freeenergy.reference_logZ(n, 1.0)) \
+            assert abs(got - freeenergy.reference_logZ(n, n)) \
                 < 3.0 * freeenergy.first_omitted_tail_term(n, 1.0, 2)
 
     def test_post_exact_decay(self):
@@ -234,8 +251,8 @@ class TestExpansion:
 
 class TestReferenceAndBarnes:
     def test_unit_partition_functions(self):
-        assert freeenergy.reference_logZ(1, 1.0) == pytest.approx(0.0, abs=1e-14)
-        assert freeenergy.reference_logZ(1, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert freeenergy.reference_logZ(1, 1) == pytest.approx(0.0, abs=1e-14)
+        assert freeenergy.reference_logZ(1, 0) == pytest.approx(0.0, abs=1e-14)
 
     def test_asymptotic_series_vs_recursion(self):
         # truncating after the first correction leaves the k=2 Bernoulli term
@@ -262,8 +279,15 @@ class TestCharpolyMoment:
         # at z=0 the moment is the ratio of Barnes-G closed forms
         got = freeenergy.charpoly_moment_asymp(0.0, 1.0, 8)
         ginibre = exactfiniten.moment_table(8, 0, 0).log_z
-        ratio = freeenergy.reference_logZ(8, 1.0) - float(ginibre)
+        ratio = freeenergy.reference_logZ(8, 8) - float(ginibre)
         assert got == pytest.approx(ratio, abs=1e-7)
+
+    def test_tiny_c_needs_no_droplet_gap(self):
+        # at (1e3, 1e-12) 1 - a^2 q^2 rounds to 0, where pre_geometry refuses
+        # for kappa; the moment reads only q and the energy, and far outside
+        # the droplet it is 2 c N^2 log|z| to leading order
+        got = freeenergy.charpoly_moment_asymp(1e3, 1e-12, 8)
+        assert got == pytest.approx(2e-12 * 64 * math.log(1e3), rel=1e-5)
 
     @pytest.mark.parametrize("z_abs", [1.2, 2.0])
     def test_pre_critical_error_class(self, z_abs):

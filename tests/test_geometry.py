@@ -59,17 +59,24 @@ class TestClassify:
 
     @pytest.mark.parametrize("c", [9 / 16, 1.0, 1e8])
     def test_refuses_the_critical_window(self, c):
-        # within TAU of a_cri there is no phase, and no droplet either; the
-        # refusal names a, c and a_cri
+        # within TAU a_cri of a_cri there is no phase, and no droplet either;
+        # the refusal names a, c and a_cri
         edge = geometry.a_cri(c)
-        for a in (edge - 0.5 * geometry.TAU, edge, edge + 0.5 * geometry.TAU):
+        tau = geometry.TAU
+        for a in (edge * (1.0 - 0.5 * tau), edge, edge * (1.0 + 0.5 * tau)):
             for route in (geometry.classify, geometry.droplet):
                 with pytest.raises(DomainError, match="a_cri") as info:
                     route(a, c)
                 assert f"a = {a!r}" in str(info.value)
                 assert f"c = {c!r}" in str(info.value)
-        assert geometry.classify(edge - 2.0 * geometry.TAU, c) is Regime.POST
-        assert geometry.classify(edge + 2.0 * geometry.TAU, c) is Regime.PRE
+        assert geometry.classify(edge * (1.0 - 2.0 * tau), c) is Regime.POST
+        assert geometry.classify(edge * (1.0 + 2.0 * tau), c) is Regime.PRE
+
+    def test_window_is_relative_at_large_c(self):
+        # a_cri(1e24) = 5e-13 is below TAU, so an absolute window would
+        # swallow the radial case a = 0
+        assert geometry.classify(0.0, 1e24) is Regime.POST
+        assert geometry.droplet(0.0, 1e24).regime is Regime.POST
 
     @pytest.mark.parametrize("a,c", [(-0.1, 1.0), (0.5, 0.0), (0.5, -1.0)])
     def test_domain_errors(self, a, c):
@@ -191,12 +198,14 @@ class TestPreGeometry:
         assert g.kappa == pytest.approx(
             (1 - q * q) * (1 - a * a * q * q) / (2 * a * q), abs=1e-14)
         assert g.kappa > 0
-        assert g.z_plus == pytest.approx(q + 1j * math.sqrt(g.kappa / g.R), abs=1e-14)
 
     def test_branch_point_image(self):
         for a, c in ((1.0, 9 / 16), (1.2, 1.0), (3.0, 0.25)):
+            # z+ = q + i sqrt(kappa/R), the critical point of f that
+            # freeenergy.detzeta_log evaluates f' at
             g = geometry.pre_geometry(a, c)
-            assert abs(geometry.conformal_f(g, g.z_plus) - g.beta) < 1e-12
+            z_plus = g.q + 1j * math.sqrt(g.kappa / g.R)
+            assert abs(geometry.conformal_f(g, z_plus) - g.beta) < 1e-12
             assert g.beta_bar == complex(g.beta).real - 1j * complex(g.beta).imag
 
     def test_boundary_winding(self):

@@ -287,34 +287,33 @@ class TestPAsymp:
 
 
 class TestA11AndDerivative:
-    def test_post_form(self):
-        assert opasymp.a11_asymp(8, 0.2, 1.0, Regime.POST) == pytest.approx(
-            1.6, abs=1e-14)
+    def test_post_form(self, post_geom):
+        assert opasymp.a11_asymp(post_geom, 8) == pytest.approx(1.6, abs=1e-14)
 
     def test_pre_leading_coefficient_sign_convention(self, pre_geom):
         # the N-coefficient ties back to the far-field g coefficient
         a, q = pre_geom.a, pre_geom.q
         lead = (1 - a * a * q * q) * (2 - q * q - a * a * q ** 4) / (4 * a * q * q)
-        got = opasymp.a11_asymp(64, 1.2, 1.0, Regime.PRE)
+        got = opasymp.a11_asymp(pre_geom, 64)
         res = oracles.res_r11_infinity(pre_geom, 64)
         assert got == pytest.approx(lead * 64 + res, abs=1e-12)
 
-    def test_dlogz_post_matches_finite_differences(self):
+    def test_dlogz_post_matches_finite_differences(self, post_geom):
         h = 1e-5
         plus, minus = (
             float(exactfiniten.moment_table(N=8, m=8, a=0.2 + d).log_z)
             for d in (h, -h))
         fd = (plus - minus) / (2.0 * h)
-        assert 2.0 * 8 * opasymp.a11_asymp(8, 0.2, 1.0, Regime.POST) / fd \
+        assert 2.0 * 8 * opasymp.a11_asymp(post_geom, 8) / fd \
             == pytest.approx(1.0, abs=1e-4)
 
     def test_dlogz_pre_n2_coefficient(self, pre_geom):
         a, q = pre_geom.a, pre_geom.q
         coeff = (1 - a * a * q * q) * (2 - q * q - a * a * q ** 4) / (2 * a * q * q)
-        diffs = {n: abs(2.0 * opasymp.a11_asymp(n, 1.2, 1.0, Regime.PRE) / n - coeff)
+        diffs = {n: abs(2.0 * opasymp.a11_asymp(pre_geom, n) / n - coeff)
                  for n in (16, 64)}
         assert diffs[64] < 1e-4
         assert 12.0 < diffs[16] / diffs[64] < 20.0  # O(n^-2) approach
 
     def test_even_at_origin(self):
-        assert opasymp.a11_asymp(8, 0.0, 1.0, Regime.POST) == 0.0
+        assert opasymp.a11_asymp(geometry.droplet(0.0, 1.0), 8) == 0.0

@@ -1,10 +1,10 @@
 """Energies, Robin constants, and the large-N free-energy expansion.
 
-The energies, fconst and expansion are closed forms in (a, c) and,
-pre-critically, in the modulus q = q(a, c) from the geometry module. They
-take the phase as an argument and no droplet record, because two callers
-evaluate them where no record is built: ldp.phi_psi_grid evaluates both
-branches per grid point from one solve_q, and painleve.critical_expansion
+The closed forms are named by phase (energy_post, energy_pre, fconst_post,
+fconst_pre) and take no droplet record. Pre-critically they take the modulus
+q = q(a, c) and never solve for it: the caller passes the q it holds, a
+record's or, where none is built, ldp.phi_psi_grid's one solve per point.
+expansion alone takes the phase, because painleve.critical_expansion
 evaluates the annular expansion at a_s > a_cri when s < 0. detzeta_log is
 defined by one droplet and reads its record. charpoly_moment_asymp, given
 |z| alone, classifies.
@@ -68,10 +68,8 @@ def energy_post(a: float, c: float) -> float:
             - 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0) - c * a * a)
 
 
-def energy_pre(a: float, c: float, q: float | None = None) -> float:
-    """Equilibrium energy in the simply connected phase; q = solve_q(a, c) if not given."""
-    if q is None:
-        q = solve_q(a, c)
+def energy_pre(a: float, c: float, q: float) -> float:
+    """Equilibrium energy in the simply connected phase at modulus q."""
     q2 = q * q
     a2 = a * a
     return (0.375 + a2 / 8.0 + 3.0 / (8.0 * a2 * q2 * q2) - 5.0 / (8.0 * q2)
@@ -81,39 +79,35 @@ def energy_pre(a: float, c: float, q: float | None = None) -> float:
             - (c + 1.0) ** 2 * math.log(1.0 + a2 * q2))
 
 
-def re_g_at_a(a: float, c: float) -> float:
+def re_g_at_a(a: float, c: float, q: float) -> float:
     """Re g(a) for the pre-critical g-function, the only g value the energy needs."""
-    q = solve_q(a, c)
     t = a * a * q * q
     u = 1.0 + t
     return (t / 2.0 - 0.5 + math.log(u / (2.0 * a * q * q))
             + c * math.log(u / (u - 2.0 * t * q * q)))
 
 
-def d_energy_pre_da(a: float, c: float) -> float:
-    q = solve_q(a, c)
+def d_energy_pre_da(a: float, q: float) -> float:
     q2 = q * q
     t = a * a * q2
     return -(1.0 - t) * (2.0 - q2 - t * q2) / (2.0 * a * q2)
 
 
-def d_fconst_pre_da(a: float, c: float) -> float:
-    q = solve_q(a, c)
+def d_fconst_pre_da(a: float, q: float) -> float:
     q2 = q * q
     a4q4 = (a * a * q2) ** 2
     a4q6 = a4q4 * q2
     return -q2 * (1.0 - a4q4) ** 2 / (8.0 * a * (1.0 - q2) * (1.0 - a4q6) ** 2)
 
 
-def fconst(a: float, c: float, regime: Regime, q: float | None = None) -> float:
-    """The O(1) geometry-dependent constant F(a, c) of the expansion.
+def fconst_post(c: float) -> float:
+    """The O(1) geometry-dependent constant F(a, c) of the expansion in the
+    annular phase, where it does not depend on a."""
+    return math.log(c / (1.0 + c)) / 12.0
 
-    Pre-critically q is the modulus, solve_q(a, c) if not given.
-    """
-    if regime is Regime.POST:
-        return math.log(c / (1.0 + c)) / 12.0
-    if q is None:
-        q = solve_q(a, c)
+
+def fconst_pre(a: float, q: float) -> float:
+    """The O(1) constant F(a, c) in the simply connected phase at modulus q."""
     q2 = q * q
     t = a * a * q2
     return (math.log((1.0 + t - 2.0 * t * q2) ** 4
@@ -126,7 +120,7 @@ def detzeta_log(geom: Droplet) -> float:
 
     Post: -(1/6) log(c/(1+c)). Pre: (1/12) log(R^4 f'(1/z+) f'(1/z-) / f'(1/q)^2)
     with z+- = q +- i sqrt(kappa/R), evaluated from the conformal data;
-    equals -2 * fconst in both phases.
+    equals -2 * fconst_post(c) or -2 * fconst_pre(a, q).
     """
     if geom.regime is Regime.POST:
         return -math.log(geom.c / (1.0 + geom.c)) / 6.0
@@ -139,6 +133,10 @@ def detzeta_log(geom: Droplet) -> float:
     # z- is the conjugate of z+, so the product is real
     prod = f_prime(1.0 / z_plus) * f_prime(1.0 / z_plus.conjugate())
     val = R ** 4 * prod.real / f_prime(1.0 / q).real ** 2
+    if val <= 0.0:
+        raise DomainError(
+            f"no zeta-determinant at a = {geom.a!r}, c = {geom.c!r}: its log "
+            "argument rounds to 0 or below this near the phase edge")
     return math.log(val) / 12.0
 
 
@@ -178,7 +176,7 @@ def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansi
                 "annular-phase Bernoulli tail stops at B_64")
         chi = 0
         energy = energy_post(a, c)
-        f = fconst(a, c, regime)
+        f = fconst_post(c)
         # E_N through order N^(-M); the truncation index is the inverse power
         js = range(1, M + 1)
         tail = tuple(zip((-j for j in js), _tail_coefficients(c, js)))
@@ -187,7 +185,7 @@ def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansi
         chi = 1
         q = solve_q(a, c)
         energy = energy_pre(a, c, q)
-        f = fconst(a, c, regime, q)
+        f = fconst_pre(a, q)
         tail = ()
         err = "O(N^-1)"
     n2, n_coeff = -energy, LOG_2PI / 2.0 - 1.0
@@ -250,9 +248,9 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
     if classify(z_abs, c) is Regime.PRE:
         q = solve_q(z_abs, c)
         return ((0.75 - energy_pre(z_abs, c, q)) * N * N
-                + fconst(z_abs, c, Regime.PRE, q))
+                + fconst_pre(z_abs, q))
     bern = bernoulli_numbers(6)
     tail = sum((coef - float(bern[2 * k + 2]) / (4 * k * (k + 1))) * N ** (-2 * k)
                for k, coef in zip((1, 2), _tail_coefficients(c, (2, 4))))
     return ((0.75 - energy_post(z_abs, c)) * N * N + math.log(N) / 12.0
-            - ZETA_PRIME_MINUS_ONE + fconst(z_abs, c, Regime.POST) + tail)
+            - ZETA_PRIME_MINUS_ONE + fconst_post(c) + tail)

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NoValidRoot
-from .freeenergy import ZETA_PRIME_MINUS_ONE, energy_post, energy_pre, fconst
-from .geometry import Regime, solve_q
+from .freeenergy import (ZETA_PRIME_MINUS_ONE, energy_post, energy_pre,
+                         fconst_post, fconst_pre)
+from .geometry import solve_q
 
 
 def lambda_minus(alpha: float) -> float:
@@ -52,7 +53,7 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
     # energy_post(a, c) subtracts c*a*a last, so it equals this head minus
     # c*a*a bit for bit (tests/test_ldp.py holds the two routes equal)
     post_head = energy_post(0.0, c)
-    post_const = fconst(0.0, c, Regime.POST)
+    post_const = fconst_post(c)
     phis, psis = [], []
     for t in ts:
         if t <= lam_minus:
@@ -66,7 +67,7 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
         try:
             q = solve_q(a, c)
             phi = alpha2 * (energy_pre(a, c, q) - (post_head - c * a * a))
-            psis.append(fconst(a, c, Regime.PRE, q) - post_const)
+            psis.append(fconst_pre(a, q) - post_const)
         except NoValidRoot as exc:
             raise DomainError(
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "

@@ -27,7 +27,7 @@ from the coefficients gamma11, gamma12 of the local coordinate at the cut
 endpoints.  Their fractional powers follow the principal branch of the
 grouped argument exactly as printed in the closed forms; that choice is
 pinned by an audit of the branch-sensitive 1/z coefficient of R11 against
-freeenergy.d_fconst_pre_da(a, c)/(2N), the 1/N part of A11 (see tests).
+freeenergy.d_fconst_pre_da(a, q)/(2N), the 1/N part of A11 (see tests).
 
 Exterior gate: the polynomial formulas take only |z| > exterior_radius(geom),
 1.15 times a radius that encloses the droplet, the charge a and the cut.  In
@@ -223,10 +223,10 @@ def a11_asymp(geom: Droplet, N: int) -> float:
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    a, c = geom.a, geom.c
     if geom.regime is Regime.POST:
-        return c * a * N
+        return geom.c * geom.a * N
     # freeenergy loads here, so op-compare does not compile it
     from .freeenergy import d_energy_pre_da, d_fconst_pre_da
 
-    return (d_fconst_pre_da(a, c) / N - N * d_energy_pre_da(a, c)) / 2.0
+    a, q = geom.a, geom.q
+    return (d_fconst_pre_da(a, q) / N - N * d_energy_pre_da(a, q)) / 2.0

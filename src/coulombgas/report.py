@@ -246,10 +246,10 @@ def check_residue() -> tuple:
     rows = []
     worst = 0.0
     for a, c in ((1.0, 9.0 / 16.0), (1.2, 1.0), (2.0, 1.0)):
-        coeffs = opasymp.rh_coefficients(geometry.pre_geometry(a, c), 8)
-        probe = opasymp.r11_residue_probe(coeffs)
+        geom = geometry.pre_geometry(a, c)
+        probe = opasymp.r11_residue_probe(opasymp.rh_coefficients(geom, 8))
         # the 1/N part of A11 in d_a log Z_N = 2N A11, at N = 8
-        closed = freeenergy.d_fconst_pre_da(a, c) / (2.0 * 8)
+        closed = freeenergy.d_fconst_pre_da(a, geom.q) / (2.0 * 8)
         rel = abs(probe - closed) / abs(closed)
         rows.append({"a": a, "c": c, "probe_re": probe.real, "closed": closed,
                      "rel_error": rel})
@@ -274,8 +274,9 @@ def check_zw_constant() -> tuple:
     rows = []
     for a, c in _zw_grid():
         geom = geometry.droplet(a, c)
-        resid = abs(freeenergy.fconst(a, c, geom.regime)
-                    + 0.5 * freeenergy.detzeta_log(geom))
+        const = (freeenergy.fconst_pre(a, geom.q) if geom.regime is Regime.PRE
+                 else freeenergy.fconst_post(c))
+        resid = abs(const + 0.5 * freeenergy.detzeta_log(geom))
         rows.append({"a": a, "c": c, "regime": geom.regime.name,
                      "residual": resid})
         worst = max(worst, resid)
@@ -295,16 +296,17 @@ def check_derivatives() -> tuple:
     worst = 0.0
     rows = []
     for a in np.linspace(0.6, 2.4, 10):
-        fd_energy = (freeenergy.energy_pre(a + h, c)
-                     - freeenergy.energy_pre(a - h, c)) / (2.0 * h)
-        fd_const = (freeenergy.fconst(a + h, c, Regime.PRE)
-                    - freeenergy.fconst(a - h, c, Regime.PRE)) / (2.0 * h)
-        fd_reg = (freeenergy.re_g_at_a(a + h, c)
-                  - freeenergy.re_g_at_a(a - h, c)) / (2.0 * h)
+        q_hi, q_lo = geometry.solve_q(a + h, c), geometry.solve_q(a - h, c)
+        fd_energy = (freeenergy.energy_pre(a + h, c, q_hi)
+                     - freeenergy.energy_pre(a - h, c, q_lo)) / (2.0 * h)
+        fd_const = (freeenergy.fconst_pre(a + h, q_hi)
+                    - freeenergy.fconst_pre(a - h, q_lo)) / (2.0 * h)
+        fd_reg = (freeenergy.re_g_at_a(a + h, c, q_hi)
+                  - freeenergy.re_g_at_a(a - h, c, q_lo)) / (2.0 * h)
         q = geometry.solve_q(a, c)
         diffs = {
-            "energy": abs(fd_energy - freeenergy.d_energy_pre_da(a, c)),
-            "fconst": abs(fd_const - freeenergy.d_fconst_pre_da(a, c)),
+            "energy": abs(fd_energy - freeenergy.d_energy_pre_da(a, q)),
+            "fconst": abs(fd_const - freeenergy.d_fconst_pre_da(a, q)),
             "re_g": abs(fd_reg - a * q * q),
         }
         rows.append({"a": float(a), **diffs})
@@ -324,12 +326,12 @@ def check_energy_continuity() -> tuple:
     for c in (0.25, 0.5625, 1.0, 4.0):
         a_cri = geometry.a_cri(c)
         a_edge = a_cri + 1e-8
-        gap = abs(freeenergy.energy_pre(a_edge, c)
+        gap = abs(freeenergy.energy_pre(a_edge, c, geometry.solve_q(a_edge, c))
                   - freeenergy.energy_post(a_edge, c))
         ordered = all(
-            freeenergy.energy_pre(a_cri + da, c)
-            > freeenergy.energy_post(a_cri + da, c)
-            for da in (1e-3, 1e-2, 0.1, 0.5, 1.0))
+            freeenergy.energy_pre(a, c, geometry.solve_q(a, c))
+            > freeenergy.energy_post(a, c)
+            for a in (a_cri + da for da in (1e-3, 1e-2, 0.1, 0.5, 1.0)))
         rows.append({"c": c, "boundary_gap": gap, "ordered": ordered})
         ok = ok and gap < 1e-9 and ordered
     worst = max(r["boundary_gap"] for r in rows)

@@ -321,7 +321,7 @@ def potential_integral(a: float, c: float, regime: Regime) -> float:
     t = a * a * q * q
     return (0.375 + a * a / 4.0 + c / 2.0
             - (a * a / 4.0 + c + 0.5) * t + 0.375 * t * t
-            - c * re_g_at_a(a, c))
+            - c * re_g_at_a(a, c, q))
 
 
 def contour_moment(N: int, m: int, a, k: int,

@@ -332,6 +332,34 @@ class TestExitCodes:
         assert json.loads(out)["rows"][0]["passed"] is False  # table still emitted
         assert json.loads(err)["exit_code"] == 3
 
+    def test_ldp_exact_compare_needs_n(self, capsys):
+        code, out, err = run_cli(
+            ["ldp", "--alpha", "16/9", "--t", "2", "--exact-compare"], capsys)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert json.loads(err)["message"] == "--exact-compare needs --n"
+
+    def test_ldp_kc_identity_failure(self, capsys):
+        # the largest rate-function gap on this grid is 4.663e-15
+        code, out, err = run_cli(
+            ["ldp", "--alpha", "16/9", "--grid=0.5:5:50", "--check-kc",
+             "--tol", "1e-300"], capsys)
+        assert code == cli.EXIT_IDENTITY
+        assert len(json.loads(out)["rows"]) == 50  # table still emitted
+        assert "max gap 4.663e-15" in json.loads(err)["message"]
+
+    def test_one_step_grid_is_its_low_end(self, capsys):
+        code, out, _ = run_cli(["ldp", "--alpha", "16/9", "--grid=2:5:1"],
+                               capsys)
+        assert code == cli.EXIT_OK
+        assert [row["t"] for row in json.loads(out)["rows"]] == [2.0]
+
+    @pytest.mark.parametrize("grid", ["x:5:5", "2:x:5", "2:5:x", "2:5:2.5"])
+    def test_non_numeric_grid_part(self, grid, capsys):
+        code, _, err = run_cli(["ldp", "--alpha", "16/9", f"--grid={grid}"],
+                               capsys)
+        assert code == cli.EXIT_USAGE
+        assert "with numeric parts" in json.loads(err)["message"]
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):

@@ -49,12 +49,6 @@ class TestContourMoment:
     """The contour moments behind `oracles.contour_hankel`, the exact
     rational route the Gram route is checked against."""
 
-    def test_pure_gaussian(self):
-        params = (1, 0, 0.7)
-        assert oracles.contour_moment(*params, 0) == 1
-        with pytest.warns(UserWarning):
-            assert oracles.contour_moment(*params, 1) == 0
-
     def test_against_contour_quadrature(self):
         # independent oracle: adaptive quadrature of z^k omega(z) on |z|=2
         params = (2, 2, 0.5)
@@ -70,11 +64,6 @@ class TestContourMoment:
 
                 quad = mp.quad(integrand, [0, 2 * mp.pi], maxdegree=10)
                 assert abs(closed - quad.real) + abs(quad.imag) < mp.mpf(10) ** -20
-
-    def test_origin_weight_is_kronecker(self):
-        params = (3, 2, 0.0)
-        for k in range(5):
-            assert oracles.contour_moment(*params, k) == (1 if k == 2 else 0)
 
     @pytest.mark.parametrize("N,m,a", [
         (16, 16, 0.2),
@@ -98,16 +87,6 @@ class TestContourMoment:
                 assert abs(Fraction(moment) - exact) <= ulp / 2, k
             else:
                 assert moment == 0, k
-
-    def test_zero_beyond_residue_degree(self):
-        # m < N: p = m+N-1-k < 0 for k >= m+N, and the residue vanishes
-        params = (16, 9, 0.3)
-        got = [oracles.fraction_moment(*params, k) for k in range(32)]
-        assert all(got[:25])
-        assert not any(got[25:])
-        for k in (25, 31):
-            with pytest.warns(UserWarning):
-                assert oracles.contour_moment(*params, k) == 0
 
 
 class TestExactLogZ:
@@ -143,6 +122,20 @@ class TestExactLogZ:
 
 
 class TestMomentTable:
+    @pytest.mark.parametrize("a", [0, 3])
+    def test_single_row_against_integer_sum(self, a):
+        # N = 1 leaves one Gram entry, sum_p C(m,p)^2 a^(2(m-p)) p!, m! at
+        # a = 0; its factorials outgrow the fixed-point scale, so _scaled
+        # shifts the denominator up (the only inputs found that do)
+        m = 119
+        exact = sum(math.comb(m, p) ** 2 * a ** (2 * (m - p)) * math.factorial(p)
+                    for p in range(m + 1))
+        got = exactfiniten.moment_table(1, m, float(a)).log_z
+        want = exactfiniten.decimal_context(256).ln(Decimal(exact))
+        assert abs(got - want) <= Decimal("1e-70")
+        if a == 0:
+            assert float(got) == pytest.approx(math.lgamma(120), rel=1e-15)
+
     def test_large_n_digits_at_default_precision(self):
         # the 256-bit default is within ~4e-71 of a 768-bit run
         params = (60, 60, 3.0)

@@ -16,6 +16,11 @@ def fd(fn, x: float, h: float = 1e-6) -> float:
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
+def energy_pre(a: float, c: float) -> float:
+    """The pre-critical energy at its own modulus."""
+    return freeenergy.energy_pre(a, c, geometry.solve_q(a, c))
+
+
 class TestEnergyPost:
     def test_ginibre_limit(self):
         assert freeenergy.energy_post(0.0, 1e-12) == pytest.approx(0.75, abs=1e-10)
@@ -34,12 +39,12 @@ class TestEnergyPre:
     def test_matches_post_at_transition(self):
         for c in (9 / 16, 1.0):
             a = geometry.a_cri(c) + 1e-8
-            assert freeenergy.energy_pre(a, c) == pytest.approx(
+            assert energy_pre(a, c) == pytest.approx(
                 freeenergy.energy_post(a, c), abs=1e-9)
 
     def test_far_field(self):
         # the inserted charge decouples: I + 2c log a -> 3/4
-        assert freeenergy.energy_pre(100.0, 1.0) + 2.0 * math.log(100.0) \
+        assert energy_pre(100.0, 1.0) + 2.0 * math.log(100.0) \
             == pytest.approx(0.75, abs=1e-3)
 
     def test_large_a_against_pre_reference(self):
@@ -49,19 +54,19 @@ class TestEnergyPre:
         eps = sys.float_info.epsilon
         for a, c in ((1e4, 1.0), (1e6, 1e4), (1e8, 1e8)):
             energy = oracles.pre_reference(a, c)[3]
-            assert abs(freeenergy.energy_pre(a, c) - energy) \
+            assert abs(energy_pre(a, c) - energy) \
                 <= 2 * eps * (a * a + (c + 1) ** 2), a
         # at c = 1 the gap is 2e-12 and 2e-16 there: the energy would be
-        # off by 4.6e-5 and 0.62
+        # off by 4.6e-5 and 0.62, so the modulus is refused
         for a in (1e6, 1e8):
             with pytest.raises(DomainError, match=f"a={a}, c=1.0"):
-                freeenergy.energy_pre(a, 1.0)
+                energy_pre(a, 1.0)
 
     def test_ordering_above_transition(self):
         for c in (0.25, 1.0, 4.0):
             a_cri = geometry.a_cri(c)
             for da in (1e-3, 1e-2, 0.1, 1.0):
-                assert freeenergy.energy_pre(a_cri + da, c) \
+                assert energy_pre(a_cri + da, c) \
                     > freeenergy.energy_post(a_cri + da, c)
 
 
@@ -73,7 +78,7 @@ class TestRobinAndBreakdown:
     def test_breakdown_identity_both_regimes(self):
         for a, c, regime in ((0.25, 9 / 16, Regime.POST), (0.3, 1.0, Regime.POST),
                              (1.0, 9 / 16, Regime.PRE), (1.2, 1.0, Regime.PRE)):
-            energy = (freeenergy.energy_pre(a, c) if regime is Regime.PRE
+            energy = (energy_pre(a, c) if regime is Regime.PRE
                       else freeenergy.energy_post(a, c))
             assert (oracles.robin_constant(a, c, regime)
                     + oracles.potential_integral(a, c, regime)
@@ -88,24 +93,29 @@ class TestGAtInsertionPoint:
     def test_a_derivative_is_aq2(self):
         for a, c in ((1.0, 9 / 16), (1.2, 1.0), (2.0, 1.0)):
             q = geometry.solve_q(a, c)
-            assert fd(lambda x: freeenergy.re_g_at_a(x, c), a) == pytest.approx(
-                a * q * q, abs=1e-8)
+            assert fd(lambda x: freeenergy.re_g_at_a(
+                x, c, geometry.solve_q(x, c)), a) == pytest.approx(
+                    a * q * q, abs=1e-8)
 
     def test_far_field(self):
-        assert freeenergy.re_g_at_a(100.0, 1.0) - math.log(100.0) \
+        assert freeenergy.re_g_at_a(100.0, 1.0, geometry.solve_q(100.0, 1.0)) \
+            - math.log(100.0) \
             == pytest.approx(0.0, abs=1e-3)
 
 
 class TestClosedFormDerivatives:
     def test_energy_derivative(self):
         for a in (0.9, 1.2, 2.0):
-            assert freeenergy.d_energy_pre_da(a, 1.0) == pytest.approx(
-                fd(lambda x: freeenergy.energy_pre(x, 1.0), a), abs=1e-7)
+            q = geometry.solve_q(a, 1.0)
+            assert freeenergy.d_energy_pre_da(a, q) == pytest.approx(
+                fd(lambda x: energy_pre(x, 1.0), a), abs=1e-7)
 
     def test_fconst_derivative(self):
         for a in (0.9, 1.2, 2.0):
-            assert freeenergy.d_fconst_pre_da(a, 1.0) == pytest.approx(
-                fd(lambda x: freeenergy.fconst(x, 1.0, Regime.PRE), a), abs=1e-7)
+            q = geometry.solve_q(a, 1.0)
+            assert freeenergy.d_fconst_pre_da(a, q) == pytest.approx(
+                fd(lambda x: freeenergy.fconst_pre(
+                    x, geometry.solve_q(x, 1.0)), a), abs=1e-7)
 
     def test_difference_derivative_closed_form(self):
         # d/da (I_pre - I_post) has a positive closed form above the transition
@@ -115,7 +125,7 @@ class TestClosedFormDerivatives:
             q = geometry.solve_q(a, c)
             closed = (1 - q * q) ** 2 * (1 - a**4 * q**4) / (2 * a * q**4)
             assert closed > 0
-            assert freeenergy.d_energy_pre_da(a, c) - (-2 * c * a) \
+            assert freeenergy.d_energy_pre_da(a, q) - (-2 * c * a) \
                 == pytest.approx(closed, rel=1e-10)
         q1 = geometry.solve_q(a_cri * (1 + 1e-9), c)
         assert (1 - q1 * q1) ** 2 * (1 - a_cri**4 * q1**4) / (2 * a_cri * q1**4) \
@@ -124,17 +134,17 @@ class TestClosedFormDerivatives:
 
 class TestFconstAndDetZeta:
     def test_post_closed_values(self):
-        assert freeenergy.fconst(0.3, 1.0, Regime.POST) == pytest.approx(
+        assert freeenergy.fconst_post(1.0) == pytest.approx(
             math.log(0.5) / 12.0, abs=1e-15)
         assert freeenergy.detzeta_log(geometry.droplet(0.3, 1.0)) == pytest.approx(
             -math.log(0.5) / 6.0, abs=1e-15)
 
     def test_pre_far_field(self):
-        assert freeenergy.fconst(100.0, 1.0, Regime.PRE) == pytest.approx(
-            0.0, abs=1e-3)
+        assert freeenergy.fconst_pre(100.0, geometry.solve_q(100.0, 1.0)) \
+            == pytest.approx(0.0, abs=1e-3)
 
     def test_pre_conformal_route_matches_closed_form(self):
-        # detzeta_log comes from conformal data; fconst from the q closed form
+        # detzeta_log comes from conformal data; fconst_pre from the q closed form
         for a, c in ((1.0, 9 / 16), (1.2, 1.0), (2.5, 0.25)):
             q = geometry.solve_q(a, c)
             aq2 = a * a * q * q
@@ -144,12 +154,37 @@ class TestFconstAndDetZeta:
             got = freeenergy.detzeta_log(geometry.pre_geometry(a, c))
             assert got == pytest.approx(closed, abs=1e-12)
 
+    def test_detzeta_refuses_at_the_edge(self):
+        # q is within ~1e-12 of 1 here, and the log argument rounds below 0
+        c = 14454.39770745928
+        a = geometry.a_cri(c) * (1 + 2 * geometry.TAU)
+        with pytest.raises(DomainError, match=f"a = {a!r}, c = {c!r}:"):
+            freeenergy.detzeta_log(geometry.droplet(a, c))
+
     def test_zw_relation_both_regimes(self):
-        for a, c, regime in ((0.2, 1.0, Regime.POST), (1.2, 1.0, Regime.PRE),
-                             (0.25, 9 / 16, Regime.POST), (1.0, 9 / 16, Regime.PRE)):
-            assert freeenergy.fconst(a, c, regime) == pytest.approx(
-                -0.5 * freeenergy.detzeta_log(geometry.droplet(a, c)),
-                abs=1e-12)
+        for a, c in ((0.2, 1.0), (1.2, 1.0), (0.25, 9 / 16), (1.0, 9 / 16)):
+            geom = geometry.droplet(a, c)
+            const = (freeenergy.fconst_pre(a, geom.q)
+                     if geom.regime is Regime.PRE else freeenergy.fconst_post(c))
+            assert const == pytest.approx(-0.5 * freeenergy.detzeta_log(geom),
+                                          abs=1e-12)
+
+
+class TestClosedFormsTakeTheModulus:
+    def test_no_modulus_is_solved(self, monkeypatch):
+        a, c = 1.2, 1.0
+        q = geometry.solve_q(a, c)
+
+        def refuse(*args):
+            raise AssertionError("a closed form solved the modulus")
+
+        for module in (geometry, freeenergy):
+            monkeypatch.setattr(module, "solve_q", refuse)
+        values = (freeenergy.energy_pre(a, c, q), freeenergy.re_g_at_a(a, c, q),
+                  freeenergy.d_energy_pre_da(a, q),
+                  freeenergy.d_fconst_pre_da(a, q), freeenergy.fconst_pre(a, q),
+                  freeenergy.fconst_post(c))
+        assert all(map(math.isfinite, values))
 
 
 class TestExpansion:
@@ -163,8 +198,7 @@ class TestExpansion:
             assert t.logn == pytest.approx((6 - chi) / 12)
 
     def test_pre_solves_the_modulus_once(self, monkeypatch):
-        # energy_pre and fconst share one q; each called without q would
-        # solve the cubic on its own
+        # energy_pre and fconst_pre share one q
         calls = []
         solve_q = freeenergy.solve_q
 

@@ -149,7 +149,7 @@ class TestSolveQ:
                 solved += 1
                 assert 1.0 - a * a * q * q >= 0.0, (a, c)
                 energy = oracles.pre_reference(a, c)[3]
-                assert abs(freeenergy.energy_pre(a, c) - energy) \
+                assert abs(freeenergy.energy_pre(a, c, q) - energy) \
                     <= 2 * eps * (a * a + (c + 1) ** 2), (a, c)
         assert solved and refused
         for c in (1e-14, 1e-12, 1e-9):

@@ -10,7 +10,6 @@ import pytest
 import oracles
 from coulombgas import cli, exactfiniten, freeenergy, geometry, ldp
 from coulombgas.errors import DomainError
-from coulombgas.geometry import Regime
 
 
 class TestMarchenkoPastur:
@@ -230,9 +229,9 @@ class TestLogProbability:
 
 class TestSinglePass:
     def test_rows_equal_two_solve_route_bit_for_bit(self, capsys):
-        # the table solves the modulus once per point; energy_pre and fconst
-        # called without q solve it on their own.  The grid starts one ulp
-        # above lambda_-, and each row equals its one-point grid.
+        # the table solves the modulus once per point; here energy_pre and
+        # fconst_pre get a solve each.  The grid starts one ulp above
+        # lambda_-, and each row equals its one-point grid.
         alpha = 16 / 9
         lo = math.nextafter(ldp.lambda_minus(alpha),
                             math.inf)
@@ -243,10 +242,11 @@ class TestSinglePass:
             t = row["t"]
             a, c = math.sqrt(t / alpha), 1.0 / alpha
             two_solves = (
-                alpha * alpha * (freeenergy.energy_pre(a, c)
+                alpha * alpha * (freeenergy.energy_pre(a, c,
+                                                       geometry.solve_q(a, c))
                                  - freeenergy.energy_post(a, c)),
-                freeenergy.fconst(a, c, Regime.PRE)
-                - freeenergy.fconst(a, c, Regime.POST))
+                freeenergy.fconst_pre(a, geometry.solve_q(a, c))
+                - freeenergy.fconst_post(c))
             assert (row["phi"], row["psi"]) == two_solves, t
             (rate,), (const,) = ldp.phi_psi_grid((t,), alpha)
             assert (rate, const) == two_solves, t

@@ -81,7 +81,8 @@ class TestGFunction:
 
     def test_pre_matches_insertion_point_value(self, pre_geom):
         got = opasymp.g(pre_geom, pre_geom.a + 1e-8 + 0j).real
-        assert got == pytest.approx(freeenergy.re_g_at_a(1.2, 1.0), abs=1e-7)
+        assert got == pytest.approx(
+            freeenergy.re_g_at_a(1.2, 1.0, pre_geom.q), abs=1e-7)
 
     def test_exterior_gate(self, pre_geom):
         with pytest.raises(DomainError):
@@ -199,7 +200,7 @@ class TestRHCoefficients:
 class TestRationalCorrections:
     def test_entries_decay_like_inverse_z(self, pre_geom):
         coeffs = rh_coefficients(pre_geom, 8)
-        res_mag = abs(freeenergy.d_fconst_pre_da(pre_geom.a, pre_geom.c)
+        res_mag = abs(freeenergy.d_fconst_pre_da(pre_geom.a, pre_geom.q)
                       / (2.0 * 8))
         for zr in (1e2, 1e3, 1e4):
             r11, r12 = opasymp.r_entries(coeffs, zr + 0j)
@@ -229,7 +230,7 @@ class TestRationalCorrections:
         coeffs = rh_coefficients(geom, 8)
         probe = opasymp.r11_residue_probe(coeffs)
         # the 1/N part of A11 in d_a log Z_N = 2N A11
-        closed = freeenergy.d_fconst_pre_da(a, c) / (2.0 * 8)
+        closed = freeenergy.d_fconst_pre_da(a, geom.q) / (2.0 * 8)
         assert abs(probe - closed) / abs(closed) < 1e-10
 
     @pytest.mark.parametrize("a,c", [(1.0, 9 / 16), (1.2, 1.0), (2.0, 1.0)])
@@ -238,7 +239,7 @@ class TestRationalCorrections:
         geom = geometry.pre_geometry(a, c)
         for n in (1, 8, 64):
             written = oracles.res_r11_infinity(geom, n)
-            derived = freeenergy.d_fconst_pre_da(a, c) / (2.0 * n)
+            derived = freeenergy.d_fconst_pre_da(a, geom.q) / (2.0 * n)
             assert abs(written - derived) <= 1e-14 * abs(derived)
 
 
@@ -246,6 +247,14 @@ class TestPAsymp:
     def test_radial_monomial(self):
         got = opasymp.p_asymp(geometry.droplet(0.0, 1.0), 2.0 + 1.0j, 5)
         assert abs(got - (2.0 + 1.0j) ** 5) < 1e-10
+
+    def test_degree_one(self, pre_geom, post_geom):
+        # N = 1 is the least degree taken; p_1 is monic, so z p_1(z)^-1 is O(1)
+        assert opasymp.p_asymp(geometry.droplet(0.0, 1.0), 3.0, 1) \
+            == pytest.approx(3.0, rel=1e-15)
+        for geom in (pre_geom, post_geom):
+            got = opasymp.p_asymp(geom, 3.0 + 0j, 1)
+            assert cmath.isfinite(got) and 0.1 < abs(got / 3.0) < 10.0
 
     def test_post_superpolynomial_decay(self, post_geom):
         # measured 4.8e-4, 1.3e-5, 9.5e-9 at N = 4, 8, 16: far beyond any
@@ -317,3 +326,15 @@ class TestA11AndDerivative:
 
     def test_even_at_origin(self):
         assert opasymp.a11_asymp(geometry.droplet(0.0, 1.0), 8) == 0.0
+
+    def test_pre_reads_the_record_modulus(self, pre_geom, monkeypatch):
+        # the droplet record holds q, so no modulus is solved again
+        def refuse(a, c):
+            raise AssertionError(f"solve_q({a}, {c}) ran in a11_asymp")
+
+        for module in (geometry, freeenergy):
+            monkeypatch.setattr(module, "solve_q", refuse)
+        a, q = pre_geom.a, pre_geom.q
+        assert opasymp.a11_asymp(pre_geom, 16) == (
+            freeenergy.d_fconst_pre_da(a, q) / 16
+            - 16 * freeenergy.d_energy_pre_da(a, q)) / 2.0

@@ -177,6 +177,11 @@ class TestDistribution:
                    - painleve.left_tail_log_cdf(abs(t)))
         assert diff < 3.0 / (2 ** 6 * abs(t) ** 3)
 
+    def test_left_tail_refuses_the_origin(self):
+        # x = 0 is outside the tail: a DomainError, not log(0)'s ValueError
+        with pytest.raises(DomainError, match="left tail needs x > 0"):
+            painleve.left_tail_log_cdf(0.0)
+
     def test_right_tail(self, hm_solution):
         [survival] = painleve.tw_cdf_survival(hm_solution, (6.0,))[1]
         rel = abs(survival / painleve.right_tail_survival(6.0) - 1)

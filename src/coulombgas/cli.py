@@ -34,7 +34,7 @@ import sys
 # decimal module, which fractions already loads; mpmath loads only for a tw
 # point at or beyond painleve.S_MAX.  The exit codes live in errors, beside
 # the exceptions they classify, so that no command module imports this one.
-from .errors import (EXIT_IDENTITY, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,  # noqa: F401
+from .errors import (EXIT_IDENTITY, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                      CoulombGasError, IdentityCheckFailure, UsageError)
 
 # (name, help) of each subcommand, in the order --help lists them
@@ -104,7 +104,8 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        args.fn(args)
+        return EXIT_OK
     except UsageError as exc:
         return _fail(exc, EXIT_USAGE)
     except IdentityCheckFailure as exc:

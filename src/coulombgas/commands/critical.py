@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from ..args import (_add_exact_logz, _int_product, common, finite_float,
                     parse_rational, positive_int)
-from ..errors import EXIT_OK
 from ..table import _table, emit
 
 
@@ -19,13 +18,14 @@ def add_arguments(p) -> None:
     common(p, tol=painleve.DEFAULT_TOL)
 
 
-def run(args) -> int:
+def run(args) -> None:
     from .. import painleve
 
     c = float(args.c)
     m = _int_product(args.c, args.n, "c") if args.exact_compare else None
-    sol = painleve.hastings_mcleod(tol=args.tol)
+    # critical_a refuses a bad c or s before Painleve II is solved
     a_s = painleve.critical_a(args.s, c, args.n)
+    sol = painleve.hastings_mcleod(tol=args.tol)
     value = painleve.critical_expansion(args.n, c, args.s, solution=sol)
     row = {"N": args.n, "c": c, "s": args.s, "a_s": a_s, "expansion": value}
     if args.exact_compare:
@@ -34,4 +34,3 @@ def run(args) -> int:
                              "tol": args.tol,
                              "exact_compare": args.exact_compare}, [row]),
          args)
-    return EXIT_OK

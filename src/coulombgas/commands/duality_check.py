@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..args import common, finite_float, positive_int
-from ..errors import EXIT_OK, IdentityCheckFailure
+from ..errors import IdentityCheckFailure
 from ..table import _table, emit
 
 
@@ -14,7 +14,7 @@ def add_arguments(p) -> None:
     common(p, bits=True, tol=1e-25)
 
 
-def run(args) -> int:
+def run(args) -> None:
     from .. import exactfiniten
 
     [residual] = exactfiniten.duality_residuals(args.n, args.m, (args.x,),
@@ -29,4 +29,3 @@ def run(args) -> int:
     if not passed:
         raise IdentityCheckFailure(
             f"duality residual {res_f:.3e} exceeds tolerance {args.tol:.3e}")
-    return EXIT_OK

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from ..args import (_int_product, common, finite_float, parse_rational,
                     positive_int)
-from ..errors import EXIT_OK
 from ..table import _table, emit
 
 
@@ -14,7 +13,7 @@ def add_arguments(p) -> None:
     common(p, bits=True)
 
 
-def run(args) -> int:
+def run(args) -> None:
     from .. import exactfiniten
 
     n, m, a = args.n, _int_product(args.c, args.n, "c"), args.a
@@ -25,4 +24,3 @@ def run(args) -> int:
            "a11": float(a11), "a11_str": exactfiniten.nstr(a11, 30)}
     emit(_table("exact", {"n": n, "m": m, "a": a, "bits": args.bits}, [row]),
          args)
-    return EXIT_OK

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from ..args import (_add_exact_logz, _int_product, common, finite_float,
                     int_at_least, parse_rational, positive_int)
-from ..errors import EXIT_OK
 from ..table import _table, emit
 
 
@@ -17,7 +16,7 @@ def add_arguments(p) -> None:
     common(p)
 
 
-def run(args) -> int:
+def run(args) -> None:
     from .. import freeenergy, geometry
 
     a, c, n = args.a, float(args.c), args.n
@@ -35,4 +34,3 @@ def run(args) -> int:
     emit(_table("free-energy", {"a": a, "c": c, "n": n, "order": args.order,
                                 "exact_compare": args.exact_compare},
                 [row]), args)
-    return EXIT_OK

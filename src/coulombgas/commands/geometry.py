@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from ..args import common, finite_float, int_at_least, parse_rational
-from ..errors import EXIT_OK
 from ..table import Columns, _cnum, _table, emit
 
 
@@ -13,7 +12,7 @@ def add_arguments(p) -> None:
     common(p)
 
 
-def run(args) -> int:
+def run(args) -> None:
     from .. import geometry
 
     a, c = args.a, float(args.c)
@@ -37,4 +36,3 @@ def run(args) -> int:
                     ("closed", bool, [[True] * len(labels)])])
     emit(_table("geometry", {"a": a, "c": c, "points": args.points},
                 rows, droplet=info), args)
-    return EXIT_OK

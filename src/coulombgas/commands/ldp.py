@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from ..args import (_int_product, common, parse_grid, parse_rational,
                     positive_int, t_or_grid)
-from ..errors import EXIT_OK, IdentityCheckFailure, UsageError
+from ..errors import IdentityCheckFailure, UsageError
 from ..table import Columns, _table, emit
 
 
@@ -19,7 +19,7 @@ def add_arguments(p) -> None:
     common(p, tol=1e-10)
 
 
-def run(args) -> int:
+def run(args) -> None:
     from .. import ldp
 
     alpha = float(args.alpha)
@@ -60,4 +60,3 @@ def run(args) -> int:
         raise IdentityCheckFailure(
             f"rate-function identity violated: max gap {worst:.3e} exceeds "
             f"{args.tol:.3e}")
-    return EXIT_OK

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..args import common
-from ..errors import EXIT_OK, IdentityCheckFailure, UsageError
+from ..errors import IdentityCheckFailure, UsageError
 from ..table import SCHEMA_VERSION, emit
 
 
@@ -12,7 +12,7 @@ def add_arguments(p) -> None:
     common(p)
 
 
-def run(args) -> int:
+def run(args) -> None:
     from .. import report
 
     skip = tuple(args.skip or ())
@@ -39,4 +39,3 @@ def run(args) -> int:
     if not all_passed:
         failed = ", ".join(res.key for res in results if not res.passed)
         raise IdentityCheckFailure(f"criteria failed: {failed}")
-    return EXIT_OK

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from ..args import common, parse_grid, t_or_grid
-from ..errors import EXIT_OK
 from ..table import Columns, _table, emit
 
 
@@ -14,7 +13,7 @@ def add_arguments(p) -> None:
     common(p, tol=painleve.DEFAULT_TOL)
 
 
-def run(args) -> int:
+def run(args) -> None:
     from .. import painleve
 
     ts = parse_grid(args.grid) if args.grid is not None else [args.t]
@@ -24,4 +23,3 @@ def run(args) -> int:
                     ("survival", float, [survival])])
     emit(_table("tw", {"tol": args.tol, "grid": args.grid, "t": args.t},
                 rows), args)
-    return EXIT_OK

@@ -243,8 +243,8 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
     """
     if z_abs < 0 or c <= 0:
         raise DomainError(f"need |z| >= 0 and c > 0, got {z_abs}, {c}")
-    # classify and solve_q, not droplet(): pre_geometry refuses a
-    # 1 - a^2 q^2 that rounds to 0, which kappa needs and the moment does not
+    # classify and solve_q, not droplet(): droplet refuses a 1 - a^2 q^2
+    # that rounds to 0, which kappa needs and the moment does not
     if classify(z_abs, c) is Regime.PRE:
         q = solve_q(z_abs, c)
         return ((0.75 - energy_pre(z_abs, c, q)) * N * N

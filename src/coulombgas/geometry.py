@@ -147,7 +147,13 @@ def solve_q(a: float, c: float) -> float:
         f"at a={a}, c={c}; parameters are likely post-critical")
 
 
-def pre_geometry(a: float, c: float) -> PreGeometry:
+def droplet(a: float, c: float) -> Droplet:
+    """The droplet record of (a, c) in the phase classify gives it; the one
+    constructor of PreGeometry and PostGeometry."""
+    if classify(a, c) is Regime.POST:
+        # abs keeps a = -0.0 at the origin 0.0
+        return PostGeometry(a=a, c=c, outer_radius=math.sqrt(1.0 + c),
+                            inner_center=abs(a), inner_radius=math.sqrt(c))
     q = solve_q(a, c)
     gap = 1.0 - a * a * q * q  # at tiny c, q can round onto a^2 q^2 >= 1
     if gap <= 0.0:
@@ -158,22 +164,6 @@ def pre_geometry(a: float, c: float) -> PreGeometry:
     beta = complex(R * q - kappa / q, 2.0 * math.sqrt(kappa * R))
     return PreGeometry(a=a, c=c, q=q, R=R, kappa=kappa, beta=beta,
                        beta_bar=beta.conjugate(), b=R / q)
-
-
-def post_geometry(a: float, c: float) -> PostGeometry:
-    if classify(a, c) is not Regime.POST:
-        raise DomainError(f"a = {a!r} is above a_cri = {a_cri(c)!r} at "
-                          f"c = {c!r}: no post-critical geometry")
-    # abs keeps a = -0.0 at the origin 0.0
-    return PostGeometry(a=a, c=c, outer_radius=math.sqrt(1.0 + c),
-                        inner_center=abs(a), inner_radius=math.sqrt(c))
-
-
-def droplet(a: float, c: float) -> Droplet:
-    """The droplet of (a, c) in the phase classify gives it."""
-    if classify(a, c) is Regime.PRE:
-        return pre_geometry(a, c)
-    return post_geometry(a, c)
 
 
 def conformal_f(geom: PreGeometry, w: complex) -> complex:

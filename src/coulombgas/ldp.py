@@ -142,11 +142,6 @@ def kc_rate_grid(ts, alpha: float) -> list[float]:
     return [max(action - edge, 0.0) for action in actions]
 
 
-def phi_large_t(t: float, alpha: float) -> float:
-    """Far-field asymptote t - alpha log t of the rate function."""
-    return t - alpha * math.log(t)
-
-
 def ldp_log_probability(n: int, alpha: float, rate: float,
                         const: float) -> float:
     """log P[smallest eigenvalue > t] through constant order at size n,

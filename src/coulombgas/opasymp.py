@@ -188,28 +188,32 @@ def r11_residue_probe(coeffs: RHCoefficients) -> complex:
     return total / n
 
 
-def p_asymp(geom: Droplet, z: complex, N: int) -> complex:
-    """Exterior main term of the monic degree-N orthogonal polynomial.
+def p_asymp(geom: Droplet, z: complex, ns) -> list[complex]:
+    """Exterior main term of the monic degree-N orthogonal polynomial at z,
+    for each N in ns.
 
     Annular phase: z^N (z/(z-a))^{cN}, relative error O(N^-inf).
     Simply connected phase:
     (sqrt(R F')(1 + R11) - sqrt(kappa F')/(F - q) R12) e^{Ng},
-    relative error O(N^-2).
+    relative error O(N^-2).  z is gated and mapped once; only R11, R12 and
+    e^{Ng} depend on N.
     """
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
+    for n in ns:
+        if n < 1:
+            raise DomainError(f"need N >= 1, got {n}")
     z = complex(z)
     require_exterior(geom, z)
+    g_val = g(geom, z)
     if geom.regime is Regime.POST:
-        return cmath.exp(N * g(geom, z))
-    coeffs = rh_coefficients(geom, N)
-    r11, r12 = r_entries(coeffs, z)
+        return [cmath.exp(n * g_val) for n in ns]
     f_val = inverse_F(geom, z)
     s_val = _sqrt_through_cut(z, geom.beta.real, geom.beta.imag)
     f_prime = (1.0 + (z - geom.beta.real) / s_val) / (2.0 * geom.R)
-    prefactor = (cmath.sqrt(geom.R * f_prime) * (1.0 + r11)
-                 - cmath.sqrt(geom.kappa * f_prime) / (f_val - geom.q) * r12)
-    return prefactor * cmath.exp(N * g(geom, z))
+    outer = cmath.sqrt(geom.R * f_prime)
+    inner = cmath.sqrt(geom.kappa * f_prime) / (f_val - geom.q)
+    entries = [r_entries(rh_coefficients(geom, n), z) for n in ns]
+    return [(outer * (1.0 + r11) - inner * r12) * cmath.exp(n * g_val)
+            for n, (r11, r12) in zip(ns, entries)]
 
 
 def a11_asymp(geom: Droplet, N: int) -> float:

@@ -202,12 +202,10 @@ def check_tw_tails() -> tuple:
 
 def _op_errors(a: float, z: complex, ns: tuple) -> dict:
     """Relative error of p_asymp against the exact p_N at z, for each N."""
-    geom = geometry.droplet(a, 1.0)
+    asyms = opasymp.p_asymp(geometry.droplet(a, 1.0), z, ns)
     errs = {}
-    for n in ns:
-        exact = complex(exactfiniten.eval_polynomial(_moment_table(n, a).op,
-                                                     z))
-        asym = opasymp.p_asymp(geom, z, n)
+    for n, asym in zip(ns, asyms):
+        exact = exactfiniten.eval_polynomial(_moment_table(n, a).op, z)
         errs[n] = abs(asym - exact) / abs(exact)
     return errs
 
@@ -246,7 +244,7 @@ def check_residue() -> tuple:
     rows = []
     worst = 0.0
     for a, c in ((1.0, 9.0 / 16.0), (1.2, 1.0), (2.0, 1.0)):
-        geom = geometry.pre_geometry(a, c)
+        geom = geometry.droplet(a, c)
         probe = opasymp.r11_residue_probe(opasymp.rh_coefficients(geom, 8))
         # the 1/N part of A11 in d_a log Z_N = 2N A11, at N = 8
         closed = freeenergy.d_fconst_pre_da(a, geom.q) / (2.0 * 8)

@@ -9,10 +9,10 @@ as a Fredholm determinant), so the tests can compare the two.  The
 Marchenko-Pastur and constrained spectral densities live here too: only the
 tests integrate them.  So do the identities and helpers that no command
 reaches (the Robin constant and potential integral, a single contour
-moment, the exact characteristic-polynomial moment, the 1/z coefficient of
-R11 written out in the modulus, the inverse phase boundary c_cri(a), the
-Painleve series hm_q and its Airy boundary profile): the CLI does not
-compile them.  Keeping them here keeps their scipy imports out of the
+moment, the exact characteristic-polynomial moment, the far-field asymptote
+of the rate function, the 1/z coefficient of R11 written out in the
+modulus, the inverse phase boundary c_cri(a), the Painleve series hm_q and
+its Airy boundary profile): the CLI does not compile them.  Keeping them here keeps their scipy imports out of the
 modules the CLI loads at start-up.
 """
 from __future__ import annotations
@@ -112,6 +112,11 @@ def mp_density(alpha: float, x: float) -> float:
     if x <= 0.0 or x <= lo or x >= hi:
         return 0.0
     return math.sqrt((hi - x) * (x - lo)) / (2.0 * math.pi * x)
+
+
+def phi_large_t(t: float, alpha: float) -> float:
+    """Far-field asymptote t - alpha log t of the rate function."""
+    return t - alpha * math.log(t)
 
 
 def constrained_support(t: float, alpha: float) -> tuple[float, float]:
@@ -372,7 +377,7 @@ def pre_reference(a: float, c: float) -> tuple:
     (1 - w)^2 (2c + w), the modulus cubic in w with its a^2 terms cancelled
     by hand, found by bisection in log w so that it keeps its digits where
     w ~ 2c/a^2 lies far below a double's rounding.  kappa and the energy are
-    geometry.pre_geometry's and freeenergy.energy_pre's closed forms, with
+    geometry.droplet's and freeenergy.energy_pre's closed forms, with
     2 log10(a) more digits for the cancellation among the energy's a^2 terms.
     """
     with mp.workdps(40 + 2 * max(0, int(math.log10(a)))):

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import oracles
-from coulombgas import cli, ldp
+from coulombgas import cli, geometry, ldp, opasymp
 from coulombgas.errors import NoValidRoot
 from coulombgas.table import Columns, render
 
@@ -190,6 +190,72 @@ class TestExitCodes:
                                 "--n", "60", "--x", "0.5"], capsys)
         assert code == cli.EXIT_NUMERICAL
         assert json.loads(err)["error"] == "DomainError"
+
+    def test_op_compare_maps_z_once(self, monkeypatch, capsys):
+        # p_asymp takes the whole list of N: z is gated once and mapped by
+        # inverse_F once for g and once for F and F', whatever the list
+        calls = dict.fromkeys(("inverse_F", "require_exterior", "classify"), 0)
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(opasymp, "inverse_F")
+        count(opasymp, "require_exterior")
+        count(geometry, "classify")
+        code, out, _ = run_cli(["op-compare", "--a", "1.2", "--c", "1", "--n",
+                                "4,8,16,24,32", "--x", "3", "--s", "1"],
+                               capsys)
+        assert code == cli.EXIT_OK
+        assert [row["N"] for row in json.loads(out)["rows"]] \
+            == [4, 8, 16, 24, 32]
+        assert calls["inverse_F"] <= 2
+        assert calls["require_exterior"] == 1
+        assert calls["classify"] == 1
+
+    def test_critical_checks_c_before_painleve(self, monkeypatch, capsys):
+        # critical_a refuses c = 0 before the Painleve II solve starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("hastings_mcleod ran before critical_a")
+
+        monkeypatch.setattr(importlib.import_module("coulombgas.painleve"),
+                            "hastings_mcleod", refuse)
+        code, _, err = run_cli(["critical", "--n", "8", "--c", "0", "--s",
+                                "1"], capsys)
+        assert code == cli.EXIT_NUMERICAL
+        assert json.loads(err)["message"] == "need c > 0, got 0.0"
+
+    @pytest.mark.parametrize("argv, want, message", [
+        # 1 - a^2 q^2 rounds to 0.0 here, where solve_q's root passes its
+        # own checks, so droplet refuses it for kappa
+        (["geometry", "--a", "1e3", "--c", "1e-12"], cli.EXIT_NUMERICAL,
+         "1 - a^2 q^2 = 0 leaves no kappa > 0 in double precision at "
+         "a=1000.0, c=1e-12"),
+        (["duality-check", "--n", "2", "--m", "2", "--x", "-1"],
+         cli.EXIT_NUMERICAL, "need x >= 0, got -1.0"),
+        (["ldp", "--alpha", "0", "--t", "1"], cli.EXIT_NUMERICAL,
+         "rate functions need alpha > 0, got 0.0"),
+        (["critical", "--n", "8", "--c", "0", "--s", "1"],
+         cli.EXIT_NUMERICAL, "need c > 0, got 0.0"),
+        (["free-energy", "--a", "0.2", "--c", "abc", "--n", "8"],
+         cli.EXIT_USAGE, "not a rational or decimal: 'abc'"),
+        (["geometry", "--a", "abc", "--c", "1"], cli.EXIT_USAGE,
+         "argument --a: invalid float value: 'abc'"),
+        (["critical", "--n", "x", "--c", "1", "--s", "1"], cli.EXIT_USAGE,
+         "argument --n: invalid int value: 'x'"),
+        (["op-compare", "--a", "1.2", "--c", "1", "--n", ","],
+         cli.EXIT_USAGE, "argument --n: expected at least one integer"),
+    ], ids=["geometry-kappa-gap", "duality-negative-x", "ldp-zero-alpha",
+            "critical-zero-c", "bad-rational", "bad-float", "bad-int",
+            "empty-n-list"])
+    def test_refusal_message(self, argv, want, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (want, "")
+        assert json.loads(err)["message"] == message
 
     def test_numerical_error(self, capsys):
         # boundary sampling is undefined exactly at the transition

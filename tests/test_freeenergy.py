@@ -151,7 +151,7 @@ class TestFconstAndDetZeta:
             closed = -math.log((1 + aq2 - 2 * aq2 * q * q) ** 4
                                / ((1 - q * q) ** 3 * (1 - a**4 * q**6)
                                   * (1 + aq2) ** 4)) / 12.0
-            got = freeenergy.detzeta_log(geometry.pre_geometry(a, c))
+            got = freeenergy.detzeta_log(geometry.droplet(a, c))
             assert got == pytest.approx(closed, abs=1e-12)
 
     def test_detzeta_refuses_at_the_edge(self):
@@ -317,7 +317,7 @@ class TestCharpolyMoment:
         assert got == pytest.approx(ratio, abs=1e-7)
 
     def test_tiny_c_needs_no_droplet_gap(self):
-        # at (1e3, 1e-12) 1 - a^2 q^2 rounds to 0, where pre_geometry refuses
+        # at (1e3, 1e-12) 1 - a^2 q^2 rounds to 0, where droplet refuses
         # for kappa; the moment reads only q and the energy, and far outside
         # the droplet it is 2 c N^2 log|z| to leading order
         got = freeenergy.charpoly_moment_asymp(1e3, 1e-12, 8)

@@ -114,7 +114,7 @@ class TestSolveQ:
             a = float(10 ** e)
             q, gap, kappa, _ = oracles.pre_reference(a, c)
             try:
-                g = geometry.pre_geometry(a, c)
+                g = geometry.droplet(a, c)
             except DomainError as exc:  # NoValidRoot is not one
                 assert gap < geometry.GAP_FLOOR, a
                 assert f"a={a}, c={c}" in str(exc)
@@ -170,7 +170,7 @@ class TestSolveQ:
         assert 0.0 < q < 1.0
         assert abs(q**6 - ((a * a + 4 * c + 2) / (2 * a * a)) * q**4
                    + 1 / (2 * a**4)) < 1e-14
-        g = geometry.pre_geometry(a, c)
+        g = geometry.droplet(a, c)
         assert geometry.conformal_f(g, 1.0 / q) == pytest.approx(a, abs=1e-12)
 
     @pytest.mark.parametrize("c", [0.25, 9 / 16, 1.0, 4.0])
@@ -192,18 +192,27 @@ class TestSolveQ:
 
 class TestPreGeometry:
     def test_defining_formulas(self):
-        g = geometry.pre_geometry(1.0, 9 / 16)
+        g = geometry.droplet(1.0, 9 / 16)
         a, q = g.a, g.q
         assert g.R == pytest.approx((1 + a * a * q * q) / (2 * a * q), abs=1e-14)
         assert g.kappa == pytest.approx(
             (1 - q * q) * (1 - a * a * q * q) / (2 * a * q), abs=1e-14)
         assert g.kappa > 0
 
+    def test_refuses_a_gap_that_rounds_to_zero(self):
+        # at (1e3, 1e-12) solve_q's root gives 1 - a^2 q^2 = 0.0, which
+        # leaves kappa no digits
+        assert 1.0 - 1e6 * geometry.solve_q(1e3, 1e-12) ** 2 == 0.0
+        with pytest.raises(DomainError, match=(
+                r"^1 - a\^2 q\^2 = 0 leaves no kappa > 0 in double precision "
+                r"at a=1000\.0, c=1e-12$")):
+            geometry.droplet(1e3, 1e-12)
+
     def test_branch_point_image(self):
         for a, c in ((1.0, 9 / 16), (1.2, 1.0), (3.0, 0.25)):
             # z+ = q + i sqrt(kappa/R), the critical point of f that
             # freeenergy.detzeta_log evaluates f' at
-            g = geometry.pre_geometry(a, c)
+            g = geometry.droplet(a, c)
             z_plus = g.q + 1j * math.sqrt(g.kappa / g.R)
             assert abs(geometry.conformal_f(g, z_plus) - g.beta) < 1e-12
             assert g.beta_bar == complex(g.beta).real - 1j * complex(g.beta).imag
@@ -211,7 +220,7 @@ class TestPreGeometry:
     def test_boundary_winding(self):
         # the curve encloses the origin; the insertion point stays outside,
         # consistent with a = f(1/q) being the image of an exterior point
-        g = geometry.pre_geometry(1.2, 1.0)
+        g = geometry.droplet(1.2, 1.0)
         n = 2048
         pts = [geometry.conformal_f(g, cmath.exp(2j * math.pi * k / n))
                for k in range(n)]
@@ -227,7 +236,7 @@ class TestPreGeometry:
 
 class TestConformalPair:
     def test_round_trip_on_circle(self):
-        g = geometry.pre_geometry(1.2, 1.0)
+        g = geometry.droplet(1.2, 1.0)
         for k in range(8):
             w = 2.0 * cmath.exp(2j * math.pi * k / 8)
             z = geometry.conformal_f(g, w)
@@ -235,18 +244,18 @@ class TestConformalPair:
             assert abs(geometry.conformal_f(g, geometry.inverse_F(g, z)) - z) < 1e-12
 
     def test_far_field_expansion(self):
-        g = geometry.pre_geometry(1.2, 1.0)
+        g = geometry.droplet(1.2, 1.0)
         z = 1e4 + 0j
         model = z / g.R + g.kappa / (g.R * g.q) + g.kappa / z
         assert abs(geometry.inverse_F(g, z) - model) < 1e-6  # O(z^-2) leftover
 
     def test_insertion_point_preimage(self):
         for a, c in ((1.0, 9 / 16), (1.2, 1.0), (2.0, 1.0)):
-            g = geometry.pre_geometry(a, c)
+            g = geometry.droplet(a, c)
             assert geometry.inverse_F(g, a + 0j) == pytest.approx(1 / g.q, abs=1e-12)
 
     def test_cut_rejection(self):
-        g = geometry.pre_geometry(1.2, 1.0)
+        g = geometry.droplet(1.2, 1.0)
         with pytest.raises(BranchCutError):
             geometry.inverse_F(g, complex((g.beta + g.beta_bar) / 2))
 
@@ -254,13 +263,13 @@ class TestConformalPair:
 class TestDropletBoundary:
     def test_post_two_components(self):
         thetas, components = geometry.droplet_boundary(
-            geometry.post_geometry(0.25, 9 / 16), 64)
+            geometry.droplet(0.25, 9 / 16), 64)
         assert thetas == tuple(2 * math.pi * k / 64 for k in range(64))
         assert [label for label, _ in components] == ["outer", "inner"]
         assert all(len(points) == 64 for _, points in components)
 
     def test_pre_single_component(self):
-        g = geometry.pre_geometry(1.0, 9 / 16)
+        g = geometry.droplet(1.0, 9 / 16)
         thetas, components = geometry.droplet_boundary(g, 64)
         [(label, points)] = components
         assert label == "boundary"
@@ -269,23 +278,16 @@ class TestDropletBoundary:
 
     def test_post_strict_separation(self):
         _, (outer, inner) = geometry.droplet_boundary(
-            geometry.post_geometry(0.25, 9 / 16), 128)
+            geometry.droplet(0.25, 9 / 16), 128)
         gap = min(abs(p - q) for p in outer[1] for q in inner[1])
         assert gap > 0
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            geometry.droplet_boundary(geometry.post_geometry(0.25, 9 / 16), 4)
+            geometry.droplet_boundary(geometry.droplet(0.25, 9 / 16), 4)
         # at a_cri there is no geometry to sample
         with pytest.raises(DomainError):
-            geometry.post_geometry(0.5, 9 / 16)
-
-    @pytest.mark.parametrize("a", [3.0, 10.0])
-    def test_post_geometry_refuses_pre_critical(self, a):
-        # beyond a = 1 the discriminant (1-a^2)^2 - 4a^2c is positive again,
-        # but classify puts (a, 1) in the simply connected phase
-        with pytest.raises(DomainError, match="a_cri"):
-            geometry.post_geometry(a, 1.0)
+            geometry.droplet(0.5, 9 / 16)
 
 
 @st.composite
@@ -299,7 +301,7 @@ def pre_critical_params(draw):
 @given(pre_critical_params())
 def test_pre_invariants_property(params):
     a, c = params
-    g = geometry.pre_geometry(a, c)
+    g = geometry.droplet(a, c)
     assert 0.0 < g.q < 1.0
     assert g.kappa > 0.0
     assert cubic_residual(a, c, g.q) < 1e-14
@@ -318,7 +320,7 @@ def test_post_existence_property(a, c):
     regime = geometry.classify(a, c)
     if fits:
         assert regime is Regime.POST
-        post = geometry.post_geometry(a, c)
+        post = geometry.droplet(a, c)
         assert post.inner_center + post.inner_radius < post.outer_radius
     else:
         assert regime is Regime.PRE

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..args import common, finite_float, int_at_least, parse_rational
-from ..table import Columns, _cnum, _table, emit
+from ..table import Columns, _table, emit
 
 
 def add_arguments(p) -> None:
@@ -19,8 +19,7 @@ def run(args) -> None:
     g = geometry.droplet(a, c)
     info: dict = {"regime": g.regime.name, "a_cri": geometry.a_cri(c)}
     if g.regime is geometry.Regime.PRE:
-        info.update(chi=1, q=g.q, R=g.R, kappa=g.kappa, beta=_cnum(g.beta),
-                    b=g.b)
+        info.update(chi=1, q=g.q, R=g.R, kappa=g.kappa, beta=g.beta, b=g.b)
     else:
         info.update(chi=0, outer_radius=g.outer_radius,
                     inner_center=g.inner_center, inner_radius=g.inner_radius)

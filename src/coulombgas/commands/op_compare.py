@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from ..args import (_int_product, common, finite_float, parse_int_list,
                     parse_rational)
-from ..table import _cnum, _table, emit
+from ..table import _table, emit
 
 
 def add_arguments(p) -> None:
@@ -32,9 +32,8 @@ def run(args) -> None:
     for n, m, asym in zip(ns, ms, asyms):
         exact = exactfiniten.eval_polynomial(
             exactfiniten.moment_table(n, m, a, args.bits).op, z, args.bits)
-        rows.append({"N": n, "z": _cnum(z), "exact": _cnum(exact),
-                     "asymptotic": _cnum(asym),
+        rows.append({"N": n, "z": z, "exact": exact, "asymptotic": asym,
                      "rel_error": abs(asym - exact) / abs(exact)})
-    emit(_table("op-compare", {"a": a, "c": float(c), "z": _cnum(z),
+    emit(_table("op-compare", {"a": a, "c": float(c), "z": z,
                                "bits": args.bits,
                                "regime": geom.regime.name}, rows), args)

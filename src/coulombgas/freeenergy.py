@@ -64,8 +64,12 @@ def energy_post(a: float, c: float) -> float:
     """Equilibrium energy in the annular phase; also the subtracted reference in Phi."""
     if a < 0 or c <= 0:
         raise DomainError(f"need a >= 0 and c > 0, got a={a}, c={c}")
-    return (0.75 + 1.5 * c + 0.5 * c * c * math.log(c)
-            - 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0) - c * a * a)
+    try:
+        return (0.75 + 1.5 * c + 0.5 * c * c * math.log(c)
+                - 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0) - c * a * a)
+    except OverflowError:
+        raise DomainError(
+            f"the annular energy overflows a double at c={c}") from None
 
 
 def energy_pre(a: float, c: float, q: float) -> float:
@@ -154,14 +158,18 @@ def _tail_coefficients(c: float, js: range) -> list[float]:
     """
     bern = bernoulli_numbers(max((j + 2 - j % 2 for j in js), default=0))
     out = []
-    for j in js:
-        if j % 2:
-            k = (j + 1) // 2
-            out.append(float(bern[2 * k]) / (2 * k * (2 * k - 1)))
-        else:
-            k = j // 2
-            out.append(float(bern[2 * k + 2]) / (4 * k * (k + 1))
-                       * ((c + 1.0) ** (-2 * k) - c ** (-2 * k)))
+    try:
+        for j in js:
+            if j % 2:
+                k = (j + 1) // 2
+                out.append(float(bern[2 * k]) / (2 * k * (2 * k - 1)))
+            else:
+                k = j // 2
+                out.append(float(bern[2 * k + 2]) / (4 * k * (k + 1))
+                           * ((c + 1.0) ** (-2 * k) - c ** (-2 * k)))
+    except OverflowError:
+        raise DomainError(f"c^-{j} overflows a double in the tail through "
+                          f"N^-{max(js)} at c={c}") from None
     return out
 
 

@@ -204,16 +204,25 @@ def p_asymp(geom: Droplet, z: complex, ns) -> list[complex]:
     z = complex(z)
     require_exterior(geom, z)
     g_val = g(geom, z)
-    if geom.regime is Regime.POST:
-        return [cmath.exp(n * g_val) for n in ns]
-    f_val = inverse_F(geom, z)
-    s_val = _sqrt_through_cut(z, geom.beta.real, geom.beta.imag)
-    f_prime = (1.0 + (z - geom.beta.real) / s_val) / (2.0 * geom.R)
-    outer = cmath.sqrt(geom.R * f_prime)
-    inner = cmath.sqrt(geom.kappa * f_prime) / (f_val - geom.q)
-    entries = [r_entries(rh_coefficients(geom, n), z) for n in ns]
-    return [(outer * (1.0 + r11) - inner * r12) * cmath.exp(n * g_val)
-            for n, (r11, r12) in zip(ns, entries)]
+    pre = geom.regime is Regime.PRE
+    if pre:
+        f_val = inverse_F(geom, z)
+        s_val = _sqrt_through_cut(z, geom.beta.real, geom.beta.imag)
+        f_prime = (1.0 + (z - geom.beta.real) / s_val) / (2.0 * geom.R)
+        outer = cmath.sqrt(geom.R * f_prime)
+        inner = cmath.sqrt(geom.kappa * f_prime) / (f_val - geom.q)
+    out = []
+    for n in ns:
+        try:
+            value = cmath.exp(n * g_val)
+            if pre:
+                r11, r12 = r_entries(rh_coefficients(geom, n), z)
+                value = (outer * (1.0 + r11) - inner * r12) * value
+        except OverflowError:
+            raise DomainError(f"the main term overflows a double at N={n}, "
+                              f"z={z}") from None
+        out.append(value)
+    return out
 
 
 def a11_asymp(geom: Droplet, N: int) -> float:

@@ -1,22 +1,22 @@
 """Structured tables and their JSON or CSV text.
 
 Every subcommand emits one table: a JSON object with a schema_version, the
-resolved parameters, and a list of rows.  CSV is a lossy projection of the
-same table (complex values become re/im column pairs, nested details are
-dropped).  The text is always what json.dumps(indent=2, allow_nan=False) or
-csv.DictWriter would write.  The grid tables (geometry, tw, ldp) hand
-render their rows as Columns: one value list per key, with a declared kind
-(float, int, bool, str, or complex, written as {"re", "im"}), which one
+resolved parameters, and its rows last.  The text is always what
+json.dumps(indent=2, allow_nan=False) or csv.DictWriter (minimal quoting,
+"\n" line ends) would write; CSV is a lossy projection of it (complex values
+become re/im column pairs, nested values are dropped).  One writer writes
+the rows, held as Columns: one value list per key with a kind, which one
 %-format string compiled per table writes, so the formatting runs in C.
-Float values are spelled as float.__repr__ spells them: a column of at
-least ORJSON_CUT finite values through one orjson dump, whose shortest
-round-trip digits are repr's and whose few other spellings are rewritten
-to repr's, and any other column through repr itself.  Their keys are
-identifiers and their strings need no CSV quoting; each such table has at
-least one row, a head, and its rows last.  A nan or infinity is written as
-its repr in CSV and raises json's ValueError in JSON (exit 2), in a column
-as in the head.  Dict rows (the one to five rows of the other subcommands)
-go through json and csv whole.
+Dict rows are read into Columns, each key of the exact type of its first
+value: float, int, bool, str, complex (a Python complex, written as
+{"re", "im"}; only this module spells one, in the head as in the rows) or
+object (any other value, written as json.dumps writes it).  Float values
+are spelled as float.__repr__ spells them: a column of at least ORJSON_CUT
+finite values through one orjson dump, whose shortest round-trip digits are
+repr's and whose few other spellings are rewritten to repr's, and any other
+column through repr itself.  Keys are identifiers.  A nan or infinity is
+written as its repr in CSV and raises json's ValueError in JSON (exit 2),
+in a column as in the head.
 """
 from __future__ import annotations
 
@@ -30,31 +30,40 @@ def _cnum(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _flatten(row: dict) -> dict:
-    flat = {}
-    for key, value in row.items():
-        if isinstance(value, dict) and set(value) == {"re", "im"}:
-            flat[f"{key}_re"] = value["re"]
-            flat[f"{key}_im"] = value["im"]
-        elif isinstance(value, (dict, list)):
-            continue  # CSV is a lossy projection; nested details are dropped
-        else:
-            flat[key] = value
-    return flat
-
-
 class Columns(list):
     """Table rows held as columns: (key, kind, values) triples.
 
-    kind is float, int, bool, str or complex; values holds one list per
-    written column, (re, im) for complex, each with one entry per row.
+    kind is float, int, bool, str, complex or object; values holds one list
+    per written column, (re, im) for complex, each with one entry per row.
     """
 
 
 # the %-format slot of a column; float and complex columns are turned into
 # float.__repr__'s text first (_float_texts), which both json and csv write,
-# and bool and str columns are turned into text first for JSON
-_SLOT = {float: "%s", complex: "%s", int: "%d", bool: "%s", str: "%s"}
+# and bool, str and object columns are turned into text first for JSON
+_SLOT = {float: "%s", complex: "%s", int: "%d", bool: "%s", str: "%s",
+         object: "%s"}
+
+
+def _columns(rows: list) -> Columns:
+    """Dict rows as Columns: the first row's keys in order, each of the kind
+    its first value's exact type gives (object for a type without a slot);
+    a row whose keys or value types differ from the first's is refused."""
+    keys = list(rows[0]) if rows else []
+    for row in rows:
+        if list(row) != keys:
+            raise TypeError(f"dict row keys {list(row)} are not {keys}")
+    columns = Columns()
+    for key in keys:
+        values = [row[key] for row in rows]
+        kind = type(values[0])
+        if any(type(value) is not kind for value in values):
+            raise TypeError(f"dict rows give {key!r} more than one type")
+        columns.append((key, kind if kind in _SLOT else object,
+                        [[z.real for z in values], [z.imag for z in values]]
+                        if kind is complex else [values]))
+    return columns
+
 
 # the column length from which one orjson dump pays for loading orjson on
 # its own: the import takes 8-14 ms of a cold run without numpy (5-6 ms with
@@ -107,18 +116,20 @@ def _float_texts(values: list) -> list[str]:
 
 def _json_rows(columns: Columns) -> list[str]:
     """Each row as json.dumps(indent=2) writes it inside the table."""
+    import json
     from json.encoder import encode_basestring_ascii
 
     json_text = {bool: {True: "true", False: "false"}.__getitem__,
-                 str: encode_basestring_ascii}
+                 str: encode_basestring_ascii,
+                 object: lambda value: json.dumps(
+                     value, indent=2, allow_nan=False,
+                     default=_cnum).replace("\n", "\n      ")}
     # a nan or infinity makes its column sum non-finite; json then raises
     # its own ValueError at the first one in row order (an overflowing sum
     # of finite values costs one needless dumps)
     floats = [col for _, kind, cols in columns
               if kind is float or kind is complex for col in cols]
     if not all(math.isfinite(sum(col)) for col in floats):
-        import json
-
         json.dumps(list(zip(*floats)), indent=2, allow_nan=False)
     fields, values = [], []
     for key, kind, cols in columns:
@@ -141,6 +152,13 @@ def _csv_rows(columns: Columns) -> list[str]:
     """The header line and each row as csv.DictWriter writes them."""
     header, fields, values = [], [], []
     for key, kind, cols in columns:
+        if kind is object:
+            continue  # CSV is a lossy projection; nested values are dropped
+        # csv quotes a field with a comma, quote or newline: one scan of
+        # the whole column, and only a hit checks value by value
+        if kind is str and any(ch in "".join(cols[0]) for ch in ',"\n'):
+            cols = [['"%s"' % v.replace('"', '""')
+                     if any(ch in v for ch in ',"\n') else v for v in cols[0]]]
         header += [f"{key}_re", f"{key}_im"] if kind is complex else [key]
         fields += [_SLOT[kind]] * len(cols)
         values += (map(_float_texts, cols) if kind is float or kind is complex
@@ -149,38 +167,21 @@ def _csv_rows(columns: Columns) -> list[str]:
     return [",".join(header) + "\n", *map(fmt.__mod__, zip(*values))]
 
 
-def _render_stdlib(table: dict, fmt: str) -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps(table, indent=2, allow_nan=False) + "\n"
-    import csv
-    import io
-
-    rows = [_flatten(r) for r in table.get("rows", [])]
-    header: list[str] = []
-    for row in rows:
-        header.extend(k for k in row if k not in header)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def render(table: dict, fmt: str) -> str:
     """The table as JSON or CSV text; see the module docstring."""
-    rows = table.get("rows")
+    rows = table["rows"]
     if not isinstance(rows, Columns):
-        return _render_stdlib(table, fmt)
+        rows = _columns(rows)
     if fmt == "csv":
         return "".join(_csv_rows(rows))
     import json
 
     head = json.dumps({k: v for k, v in table.items() if k != "rows"},
-                      indent=2, allow_nan=False)
+                      indent=2, allow_nan=False, default=_cnum)[:-2]
     lines = _json_rows(rows)
-    lines[0] = head[:-2] + ',\n  "rows": [\n' + lines[0]
+    if not lines:
+        return head + ',\n  "rows": []\n}\n'
+    lines[0] = head + ',\n  "rows": [\n' + lines[0]
     lines[-1] += "\n  ]\n}\n"
     return ",\n".join(lines)
 

@@ -239,9 +239,12 @@ def contour_hankel(N: int, m: int, a) -> tuple:
 def reference_render(table: dict, fmt: str) -> str:
     """A CLI table as json.dumps(indent=2) or csv.DictWriter writes it.
 
-    CSV flattens each {"re", "im"} value into <key>_re and <key>_im columns
-    and drops other nested values; the header is every key in order of
-    first appearance, and a row without a key leaves its field empty.
+    This is the repository's only json/csv table writer: the package
+    writes every table through its own columnar writer, and the tests
+    compare that text with this one.  CSV flattens each {"re", "im"} value
+    into <key>_re and <key>_im columns and drops other nested values; the
+    header is every key in order of first appearance, and a row without a
+    key leaves its field empty.
     """
     if fmt == "json":
         return json.dumps(table, indent=2, allow_nan=False) + "\n"

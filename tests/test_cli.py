@@ -345,11 +345,24 @@ class TestExitCodes:
         # the window shift moves the insertion point below a = 0
         (["critical", "--n", "8", "--c", "1", "--s", "1e6"],
          ["s=1000000.0", "N=8", "c=1.0"]),
+        # past the double range: e^(N g) at a large N, the dressing's
+        # (z - beta)^2 or e^(N g) at a huge z, the tail's c^(-2k) at a tiny
+        # c, and the annular energy's (c + 1)^2 at a huge c
+        (["op-compare", "--a", "1.2", "--c", "1", "--n", "1000", "--x", "3"],
+         ["N=1000", "z=(3+0j)"]),
+        (["op-compare", "--a", "1.2", "--c", "1", "--n", "4", "--x", "1e300"],
+         ["N=4", "z=(1e+300+0j)"]),
+        (["free-energy", "--a", "0.1", "--c", "1e-300", "--n", "4",
+          "--order", "63"], ["N^-63", "c=1e-300"]),
+        (["critical", "--n", "8", "--c", "1e300", "--s", "1"],
+         ["c=1e+300"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
             "free-energy-huge-a", "op-compare-huge-a", "geometry-far-a",
             "free-energy-far-a", "ldp-far-t", "geometry-tiny-c",
-            "free-energy-tiny-c", "ldp-phase-edge", "critical-huge-s"])
+            "free-energy-tiny-c", "ldp-phase-edge", "critical-huge-s",
+            "op-compare-large-n", "op-compare-huge-z",
+            "free-energy-tail-tiny-c", "critical-huge-c"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
         # past the Bernoulli table, past the double range or past its
         # digits, the error is a DomainError that names the flags, not an
@@ -502,12 +515,25 @@ RENDER_COMMANDS = [
 GRID_TABLES = {"geometry", "tw", "ldp"}
 
 
+def _spelled(value):
+    """value with each complex number spelled as JSON writes it."""
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, dict):
+        return {key: _spelled(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list(map(_spelled, value))
+    return value
+
+
 def dict_rows(table):
-    """The table with column rows expanded to dicts, for reference_render."""
+    """The table with column rows expanded to dicts and complex values
+    spelled as {"re", "im"}, in the head as in the rows, for
+    reference_render."""
     rows = table["rows"]
     if isinstance(rows, Columns):
-        return {**table, "rows": oracles.column_rows(rows)}
-    return table
+        rows = oracles.column_rows(rows)
+    return _spelled({**table, "rows": rows})
 
 
 @pytest.fixture(scope="module")
@@ -536,13 +562,7 @@ class TestRender:
             assert render(table, fmt) == oracles.reference_render(
                 reference, fmt), argv
 
-    def test_grid_tables_take_compiled_format(self, emitted_tables,
-                                              monkeypatch):
-        def refuse(table, fmt):
-            raise AssertionError(f"{table['subcommand']} left the compiled "
-                                 f"{fmt} format")
-
-        monkeypatch.setattr("coulombgas.table._render_stdlib", refuse)
+    def test_grid_tables_take_compiled_format(self, emitted_tables):
         names = set()
         for table, reference in emitted_tables:
             name = table.get("subcommand")
@@ -556,13 +576,13 @@ class TestRender:
         assert names == GRID_TABLES
 
     @pytest.mark.parametrize("rows", [
-        # dict rows of mixed shapes: a missing key, another key order, a
-        # type change, nested values
-        [{"x": 1.0, "y": True}, {"x": 2.0}, {"y": False, "x": 3.0}],
-        [{"x": 1.0, "n": 2}, {"x": 2, "n": 3}],
-        [{"z": {"re": 1.0, "im": 2.0}}, {"z": {"im": 2.0, "re": 1.0}}],
-        [{"z": {"re": 1.0, "im": 2.0}, "w": 0.5}, {"z": [1.0, 2.0], "w": 0.5}],
-        [{"x": None, "y": 1.5}, {"x": 0.25, "y": 2.5}],
+        # dict rows of every kind: strings csv must quote, a big int, a
+        # complex number, nested values that CSV drops
+        [{"k": 'a, "b"\nc', "t": 0.1 + 0.2, "n": 2 ** 70, "ok": True,
+          "z": complex(5e-324, -0.0), "tail": [{"p": -1, "c": 1e300}],
+          "d": {"x": None, "y": [], "w": 1j}},
+         {"k": "plain", "t": -1e-300, "n": -1, "ok": False,
+          "z": complex(-1.5, 1e300), "tail": [], "d": {}}],
         # column tables of the kinds the grid commands build: non-ASCII and
         # empty strings, and every kind in one table
         Columns([("label", str, [["caf\u00e9 50%", ""]]),
@@ -573,19 +593,29 @@ class TestRender:
                  ("z", complex, [[5e-324, -0.0], [-1.5, 1e300]])]),
         # no rows, as dicts
         [],
-    ], ids=["missing-key", "int-then-float", "im-before-re", "nested-list",
-            "none-mixed", "unicode", "all-kinds", "empty"])
+    ], ids=["dict-all-kinds", "unicode", "all-kinds", "empty"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_synthetic_tables_match_reference(self, rows, fmt):
-        tables = [{"schema_version": 1,
-                   "params": {"grid": None, "tol": 1e-10}, "rows": rows}]
-        # a column table has a head and its rows last, as _table builds it;
-        # dict rows render as given
-        if not isinstance(rows, Columns):
-            tables += [{"rows": rows}, {"rows": rows, "after": 1}]
-        for table in tables:
-            assert render(table, fmt) == oracles.reference_render(
-                dict_rows(table), fmt)
+        # every table has a head and its rows last, as _table builds it
+        table = {"schema_version": 1, "params": {"grid": None, "tol": 1e-10},
+                 "rows": rows}
+        assert render(table, fmt) == oracles.reference_render(
+            dict_rows(table), fmt)
+
+    def test_mixed_dict_rows_are_refused(self):
+        # dict rows are read into columns of the first row's keys and kinds:
+        # a missing key, another key order or a type change names its key
+        for rows, key in [
+                ([{"x": 1.0, "y": True}, {"x": 2.0}], "y"),
+                ([{"x": 1.0, "y": 2.0}, {"y": 2.0, "x": 1.0}], "y"),
+                ([{"x": 1.0}, {"x": 1.0, "w": 0.5}], "w"),
+                ([{"x": 1.0, "n": 2}, {"x": 2, "n": 3}], "x"),
+                ([{"n": 1}, {"n": True}], "n"),
+                ([{"z": 1j, "w": 0.5}, {"z": [1.0, 2.0], "w": 0.5}], "z"),
+                ([{"x": None, "y": 1.5}, {"x": 0.25, "y": 2.5}], "x")]:
+            for fmt in ("json", "csv"):
+                with pytest.raises(TypeError, match=repr(key)):
+                    render(_table(rows), fmt)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_refuses_non_finite_csv_writes_it(self, bad, monkeypatch,

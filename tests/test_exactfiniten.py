@@ -170,6 +170,23 @@ class TestMomentTable:
                           - mp.mpf(c_want.numerator) / c_want.denominator)
                 assert err <= mp.mpf(10) ** -60 * scale
 
+    def test_far_insertion_floors_every_binomial_term(self):
+        # at a = 1e6, m = 12 each b_p = C(12, p) (-a)^(12-p) lies so far
+        # above the Gram scale that _gram floors all 13 by a division
+        # (P + x_p < 0) instead of shifting them up; log Z and p_N still
+        # match the exact rational contour-Hankel route to the 128 bits
+        # asked for, less the 20 the ladder below allows
+        table = exactfiniten.moment_table(2, 12, 1e6, 128)
+        det, coeffs = oracles.contour_hankel(2, 12, 1e6)
+        bound = Fraction(1, 2 ** 108)
+        with mp.workprec(512):
+            want = (mp.log(abs(mp.mpf(det.numerator) / det.denominator))
+                    + _log_z_prefactor(2, 12))
+            got = to_mpf(table.log_z)
+            assert abs(got - want) <= mp.mpf(2) ** -108 * abs(want)
+        for c_got, c_want in zip(table.op, coeffs, strict=True):
+            assert abs(Fraction(c_got) - c_want) <= bound * abs(c_want)
+
     @pytest.mark.parametrize("a,N,bits,solve_loss", [
         pytest.param(0.2, 32, 128, 0, id="128"),
         pytest.param(0.2, 32, 256, 0, id="256"),

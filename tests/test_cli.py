@@ -583,6 +583,21 @@ class TestRender:
           "d": {"x": None, "y": [], "w": 1j}},
          {"k": "plain", "t": -1e-300, "n": -1, "ok": False,
           "z": complex(-1.5, 1e300), "tail": [], "d": {}}],
+        # rows of one shape whose nested values differ in shape, as report's
+        # details do: a key missing from one row's nested dict
+        [{"x": 1.0, "d": {"a": 1, "b": True}}, {"x": 2.0, "d": {"a": 2}}],
+        # an int column beside a float column of integral values, and a
+        # nested list holding an int then a float: each keeps its spelling
+        [{"n": 2, "x": 2.0, "t": [1, 1.5]}, {"n": 3, "x": 3.0, "t": [2.5, 2]}],
+        # a complex column is spelled re then im; a nested dict keyed im
+        # before re is no complex number and keeps its order
+        [{"z": complex(0.0, 2.0), "tail": [{"im": 2.0, "re": 1.0}]},
+         {"z": complex(1.0, -0.0), "tail": [{"im": -0.0, "re": 3.0}]}],
+        # nested lists of lists, of different lengths, empty ones included
+        [{"w": 0.5, "t": [[1.0, 2.0], []]}, {"w": 1.5, "t": []}],
+        # None beside floats inside nested values
+        [{"d": {"x": None, "y": 1.5}, "w": 0.5},
+         {"d": {"x": 0.25, "y": None}, "w": 2.5}],
         # column tables of the kinds the grid commands build: non-ASCII and
         # empty strings, and every kind in one table
         Columns([("label", str, [["caf\u00e9 50%", ""]]),
@@ -593,7 +608,8 @@ class TestRender:
                  ("z", complex, [[5e-324, -0.0], [-1.5, 1e300]])]),
         # no rows, as dicts
         [],
-    ], ids=["dict-all-kinds", "unicode", "all-kinds", "empty"])
+    ], ids=["dict-all-kinds", "missing-key", "int-then-float", "im-before-re",
+            "nested-list", "none-mixed", "unicode", "all-kinds", "empty"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_synthetic_tables_match_reference(self, rows, fmt):
         # every table has a head and its rows last, as _table builds it

@@ -64,12 +64,15 @@ def energy_post(a: float, c: float) -> float:
     """Equilibrium energy in the annular phase; also the subtracted reference in Phi."""
     if a < 0 or c <= 0:
         raise DomainError(f"need a >= 0 and c > 0, got a={a}, c={c}")
+    # a term past the double range raises (**) or makes the sum inf or nan
     try:
-        return (0.75 + 1.5 * c + 0.5 * c * c * math.log(c)
-                - 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0) - c * a * a)
+        energy = (0.75 + 1.5 * c + 0.5 * c * c * math.log(c)
+                  - 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0) - c * a * a)
+        if math.isfinite(energy):
+            return energy
     except OverflowError:
-        raise DomainError(
-            f"the annular energy overflows a double at c={c}") from None
+        pass
+    raise DomainError(f"the annular energy overflows a double at a={a}, c={c}")
 
 
 def energy_pre(a: float, c: float, q: float) -> float:
@@ -158,6 +161,7 @@ def _tail_coefficients(c: float, js: range) -> list[float]:
     """
     bern = bernoulli_numbers(max((j + 2 - j % 2 for j in js), default=0))
     out = []
+    # c^(-2k) past the double range raises, or its Bernoulli factor makes it inf
     try:
         for j in js:
             if j % 2:
@@ -167,10 +171,12 @@ def _tail_coefficients(c: float, js: range) -> list[float]:
                 k = j // 2
                 out.append(float(bern[2 * k + 2]) / (4 * k * (k + 1))
                            * ((c + 1.0) ** (-2 * k) - c ** (-2 * k)))
+        if all(map(math.isfinite, out)):
+            return out
     except OverflowError:
-        raise DomainError(f"c^-{j} overflows a double in the tail through "
-                          f"N^-{max(js)} at c={c}") from None
-    return out
+        pass
+    raise DomainError(f"the tail through N^-{max(js)} overflows a double at "
+                      f"c={c}")
 
 
 def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansion:

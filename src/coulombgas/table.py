@@ -1,22 +1,23 @@
 """Structured tables and their JSON or CSV text.
 
 Every subcommand emits one table: a JSON object with a schema_version, the
-resolved parameters, and its rows last.  The text is always what
-json.dumps(indent=2, allow_nan=False) or csv.DictWriter (minimal quoting,
-"\n" line ends) would write; CSV is a lossy projection of it (complex values
-become re/im column pairs, nested values are dropped).  One writer writes
-the rows, held as Columns: one value list per key with a kind, which one
-%-format string compiled per table writes, so the formatting runs in C.
-Dict rows are read into Columns, each key of the exact type of its first
-value: float, int, bool, str, complex (a Python complex, written as
-{"re", "im"}; only this module spells one, in the head as in the rows) or
-object (any other value, written as json.dumps writes it).  Float values
-are spelled as float.__repr__ spells them: a column of at least ORJSON_CUT
-finite values through one orjson dump, whose shortest round-trip digits are
-repr's and whose few other spellings are rewritten to repr's, and any other
-column through repr itself.  Keys are identifiers.  A nan or infinity is
-written as its repr in CSV and raises json's ValueError in JSON (exit 2),
-in a column as in the head.
+resolved parameters, and its rows last; render refuses any other shape.
+The text is always what json.dumps(indent=2, allow_nan=False) or
+csv.DictWriter (minimal quoting, "\n" line ends) would write; CSV is a lossy
+projection of it (complex values become re/im column pairs, nested values
+are dropped).  One writer writes the rows, held as Columns: one value list
+per key with a kind, which one %-format string compiled per table writes,
+so the formatting runs in C.  Dict rows are read into Columns, each key of
+the kind of its values' one exact type: float, int, bool, str, complex (a
+Python complex, written as {"re", "im"}; only this module spells one, in
+the head as in the rows) or object (a dict or list, written as json.dumps
+writes it); any other type is refused, as json refuses one in the head.
+Float values are spelled as float.__repr__ spells them: a column of at
+least ORJSON_CUT finite values through one orjson dump, whose shortest
+round-trip digits are repr's and whose few other spellings are rewritten to
+repr's, and any other column through repr itself.  Keys are identifiers.  A
+nan or infinity is written as its repr in CSV and raises json's ValueError
+in JSON (exit 2), in a column as in the head.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ SCHEMA_VERSION = 1
 
 
 def _cnum(z: complex) -> dict:
+    if type(z) is not complex:  # json.dumps's default: refuse as json does
+        raise TypeError(f"Object of type {type(z).__name__} is not JSON "
+                        "serializable")
     return {"re": z.real, "im": z.imag}
 
 
@@ -38,17 +42,14 @@ class Columns(list):
     """
 
 
-# the %-format slot of a column; float and complex columns are turned into
-# float.__repr__'s text first (_float_texts), which both json and csv write,
-# and bool, str and object columns are turned into text first for JSON
-_SLOT = {float: "%s", complex: "%s", int: "%d", bool: "%s", str: "%s",
-         object: "%s"}
+# the kind of each exact type a dict-row value may have
+_KIND = {float: float, int: int, bool: bool, str: str, complex: complex,
+         dict: object, list: object}
 
 
 def _columns(rows: list) -> Columns:
-    """Dict rows as Columns: the first row's keys in order, each of the kind
-    its first value's exact type gives (object for a type without a slot);
-    a row whose keys or value types differ from the first's is refused."""
+    """Dict rows as Columns: the first row's keys in order, each of the
+    _KIND of its values' one exact type; any other rows are refused."""
     keys = list(rows[0]) if rows else []
     for row in rows:
         if list(row) != keys:
@@ -56,10 +57,12 @@ def _columns(rows: list) -> Columns:
     columns = Columns()
     for key in keys:
         values = [row[key] for row in rows]
-        kind = type(values[0])
-        if any(type(value) is not kind for value in values):
-            raise TypeError(f"dict rows give {key!r} more than one type")
-        columns.append((key, kind if kind in _SLOT else object,
+        types = {type(value) for value in values}
+        if len(types) > 1 or type(values[0]) not in _KIND:
+            raise TypeError(f"dict rows give {key!r} no one column kind: "
+                            f"{sorted(t.__name__ for t in types)}")
+        kind = _KIND[type(values[0])]
+        columns.append((key, kind,
                         [[z.real for z in values], [z.imag for z in values]]
                         if kind is complex else [values]))
     return columns
@@ -133,11 +136,8 @@ def _json_rows(columns: Columns) -> list[str]:
         json.dumps(list(zip(*floats)), indent=2, allow_nan=False)
     fields, values = [], []
     for key, kind, cols in columns:
-        if kind is complex:
-            fields.append(f'      "{key}": {{\n        "re": %s,\n'
-                          f'        "im": %s\n      }}')
-        else:
-            fields.append(f'      "{key}": {_SLOT[kind]}')
+        fields.append(f'      "{key}": ' + ("%s" if kind is not complex else
+                      '{\n        "re": %s,\n        "im": %s\n      }'))
         if kind is float or kind is complex:
             values += map(_float_texts, cols)
         elif kind in json_text:
@@ -160,15 +160,19 @@ def _csv_rows(columns: Columns) -> list[str]:
             cols = [['"%s"' % v.replace('"', '""')
                      if any(ch in v for ch in ',"\n') else v for v in cols[0]]]
         header += [f"{key}_re", f"{key}_im"] if kind is complex else [key]
-        fields += [_SLOT[kind]] * len(cols)
+        fields += ["%s"] * len(cols)
         values += (map(_float_texts, cols) if kind is float or kind is complex
                    else cols)
     fmt = ",".join(fields) + "\n"
-    return [",".join(header) + "\n", *map(fmt.__mod__, zip(*values))]
+    # with every column dropped, csv still writes an empty line a row
+    rows = zip(*values) if values else [()] * len(columns and columns[0][2][0])
+    return [",".join(header) + "\n", *map(fmt.__mod__, rows)]
 
 
 def render(table: dict, fmt: str) -> str:
     """The table as JSON or CSV text; see the module docstring."""
+    if len(table) < 2 or list(table)[-1] != "rows":
+        raise TypeError(f"a table is a head and its rows last: {list(table)}")
     rows = table["rows"]
     if not isinstance(rows, Columns):
         rows = _columns(rows)
@@ -196,8 +200,5 @@ def emit(table: dict, args) -> None:
 
 
 def _table(subcommand: str, params: dict, rows: list, **extra) -> dict:
-    out = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand,
-           "params": params}
-    out.update(extra)
-    out["rows"] = rows
-    return out
+    return {"schema_version": SCHEMA_VERSION, "subcommand": subcommand,
+            "params": params, **extra, "rows": rows}

@@ -1,6 +1,7 @@
 """Command-line contract: schemas, exit codes, determinism, projections."""
 
 import csv
+import fractions
 import functools
 import hashlib
 import importlib
@@ -347,22 +348,28 @@ class TestExitCodes:
          ["s=1000000.0", "N=8", "c=1.0"]),
         # past the double range: e^(N g) at a large N, the dressing's
         # (z - beta)^2 or e^(N g) at a huge z, the tail's c^(-2k) at a tiny
-        # c, and the annular energy's (c + 1)^2 at a huge c
+        # c, raised or times its Bernoulli factor, and the annular energy's
+        # (c + 1)^2 at a huge c, raised or times log c (CSV wrote nan)
         (["op-compare", "--a", "1.2", "--c", "1", "--n", "1000", "--x", "3"],
          ["N=1000", "z=(3+0j)"]),
         (["op-compare", "--a", "1.2", "--c", "1", "--n", "4", "--x", "1e300"],
          ["N=4", "z=(1e+300+0j)"]),
         (["free-energy", "--a", "0.1", "--c", "1e-300", "--n", "4",
           "--order", "63"], ["N^-63", "c=1e-300"]),
+        (["free-energy", "--a", "0.1", "--c", "3e-5", "--n", "4",
+          "--order", "63", "--format", "csv"], ["N^-63", "c=3e-05"]),
         (["critical", "--n", "8", "--c", "1e300", "--s", "1"],
          ["c=1e+300"]),
+        (["critical", "--n", "8", "--c", "1e154", "--s", "1",
+          "--format", "csv"], ["c=1e+154"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
             "free-energy-huge-a", "op-compare-huge-a", "geometry-far-a",
             "free-energy-far-a", "ldp-far-t", "geometry-tiny-c",
             "free-energy-tiny-c", "ldp-phase-edge", "critical-huge-s",
             "op-compare-large-n", "op-compare-huge-z",
-            "free-energy-tail-tiny-c", "critical-huge-c"])
+            "free-energy-tail-tiny-c", "free-energy-tail-inf",
+            "critical-huge-c", "critical-energy-inf"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
         # past the Bernoulli table, past the double range or past its
         # digits, the error is a DomainError that names the flags, not an
@@ -576,23 +583,24 @@ class TestRender:
         assert names == GRID_TABLES
 
     @pytest.mark.parametrize("rows", [
-        # dict rows of every kind: strings csv must quote, a big int, a
-        # complex number, nested values that CSV drops
-        [{"k": 'a, "b"\nc', "t": 0.1 + 0.2, "n": 2 ** 70, "ok": True,
-          "z": complex(5e-324, -0.0), "tail": [{"p": -1, "c": 1e300}],
-          "d": {"x": None, "y": [], "w": 1j}},
-         {"k": "plain", "t": -1e-300, "n": -1, "ok": False,
+        # dict rows of every kind: strings csv must quote, a big int beside
+        # a float column of integral values, a complex number, and nested
+        # values, which CSV drops, holding a complex number and an empty list
+        [{"k": 'a, "b"\nc', "t": 0.1 + 0.2, "n": 2 ** 70, "x": 2.0,
+          "ok": True, "z": complex(5e-324, -0.0),
+          "tail": [{"p": -1, "c": 1e300}], "d": {"y": [], "w": 1j}},
+         {"k": "plain", "t": -1e-300, "n": -1, "x": 3.0, "ok": False,
           "z": complex(-1.5, 1e300), "tail": [], "d": {}}],
-        # rows of one shape whose nested values differ in shape, as report's
-        # details do: a key missing from one row's nested dict
+        # the next five carry the mixed shapes of their names inside nested
+        # values, as report's details and free-energy's tail may; in the
+        # columns themselves they are refused (test_mixed_dict_rows_are_refused)
+        # a key missing from one row's nested dict
         [{"x": 1.0, "d": {"a": 1, "b": True}}, {"x": 2.0, "d": {"a": 2}}],
-        # an int column beside a float column of integral values, and a
-        # nested list holding an int then a float: each keeps its spelling
-        [{"n": 2, "x": 2.0, "t": [1, 1.5]}, {"n": 3, "x": 3.0, "t": [2.5, 2]}],
-        # a complex column is spelled re then im; a nested dict keyed im
-        # before re is no complex number and keeps its order
-        [{"z": complex(0.0, 2.0), "tail": [{"im": 2.0, "re": 1.0}]},
-         {"z": complex(1.0, -0.0), "tail": [{"im": -0.0, "re": 3.0}]}],
+        # a nested list holding an int then a float: each keeps its spelling
+        [{"t": [1, 1.5]}, {"t": [2.5, 2]}],
+        # a nested dict keyed im before re is no complex number and keeps
+        # its order
+        [{"tail": [{"im": 2.0, "re": 1.0}]}, {"tail": [{"im": -0.0, "re": 3.0}]}],
         # nested lists of lists, of different lengths, empty ones included
         [{"w": 0.5, "t": [[1.0, 2.0], []]}, {"w": 1.5, "t": []}],
         # None beside floats inside nested values
@@ -612,15 +620,20 @@ class TestRender:
             "nested-list", "none-mixed", "unicode", "all-kinds", "empty"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_synthetic_tables_match_reference(self, rows, fmt):
-        # every table has a head and its rows last, as _table builds it
         table = {"schema_version": 1, "params": {"grid": None, "tol": 1e-10},
                  "rows": rows}
         assert render(table, fmt) == oracles.reference_render(
             dict_rows(table), fmt)
+        # a table is a head and its rows last: without a head, or with a
+        # key after its rows, json.dumps's text cannot be written row by row
+        for bad in ({"rows": rows}, {**table, "after": 1}):
+            with pytest.raises(TypeError, match="rows last"):
+                render(bad, fmt)
 
     def test_mixed_dict_rows_are_refused(self):
         # dict rows are read into columns of the first row's keys and kinds:
-        # a missing key, another key order or a type change names its key
+        # a missing key, another key order, a type change or a type of no
+        # kind (which CSV would drop) names its key
         for rows, key in [
                 ([{"x": 1.0, "y": True}, {"x": 2.0}], "y"),
                 ([{"x": 1.0, "y": 2.0}, {"y": 2.0, "x": 1.0}], "y"),
@@ -628,10 +641,21 @@ class TestRender:
                 ([{"x": 1.0, "n": 2}, {"x": 2, "n": 3}], "x"),
                 ([{"n": 1}, {"n": True}], "n"),
                 ([{"z": 1j, "w": 0.5}, {"z": [1.0, 2.0], "w": 0.5}], "z"),
-                ([{"x": None, "y": 1.5}, {"x": 0.25, "y": 2.5}], "x")]:
+                ([{"x": None, "y": 1.5}, {"x": 0.25, "y": 2.5}], "x"),
+                ([{"x": 1.0, "c": fractions.Fraction(1, 3)}], "c"),
+                ([{"c": None}, {"c": None}], "c")]:
             for fmt in ("json", "csv"):
                 with pytest.raises(TypeError, match=repr(key)):
                     render(_table(rows), fmt)
+
+    def test_json_refuses_types_it_does_not_know(self):
+        # a complex is the one type table spells beyond what json writes;
+        # any other, in the head or a nested value, is refused by name
+        third = fractions.Fraction(1, 3)
+        for table in (_table([{"x": 1.0}], params={"c": third}),
+                      _table([{"d": {"c": third}}])):
+            with pytest.raises(TypeError, match="type Fraction is not JSON"):
+                render(table, "json")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_refuses_non_finite_csv_writes_it(self, bad, monkeypatch,

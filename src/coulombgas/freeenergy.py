@@ -198,8 +198,16 @@ def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansi
     else:
         chi = 1
         q = solve_q(a, c)
-        energy = energy_pre(a, c, q)
-        f = fconst_pre(a, q)
+        # a modulus that rounds onto a^2 q^2 = 1 or q = 1 leaves a log of 0
+        # (or less) or a division by (1 - q^2)^3 = 0
+        try:
+            energy = energy_pre(a, c, q)
+            f = fconst_pre(a, q)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(
+                f"the simply connected energy and constant have no value in "
+                f"double precision at a={a}, c={c}: the modulus q = {q!r} "
+                "is the phase edge q = 1 to within rounding") from exc
         tail = ()
         err = "O(N^-1)"
     n2, n_coeff = -energy, LOG_2PI / 2.0 - 1.0

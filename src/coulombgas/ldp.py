@@ -62,8 +62,8 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
                 f"{lam_minus}, got t = {t!r}")
         # the planar image: insertion radius a = sqrt(t/alpha), charge c
         a = math.sqrt(t / alpha)
-        # the failed root, overflow or lost precision names the planar
-        # (a, c), or nothing; report the (t, alpha)
+        # the failed root, overflow, lost precision or log of 0 or less
+        # names the planar (a, c), or nothing; report the (t, alpha)
         try:
             q = solve_q(a, c)
             phi = alpha2 * (energy_pre(a, c, q) - (post_head - c * a * a))
@@ -73,7 +73,7 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
                 "planar image a = sqrt(t/alpha), c = 1/alpha has no "
                 "admissible modulus root in double precision") from exc
-        except (DomainError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:  # DomainError among them
             raise DomainError(
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
                 "planar image a = sqrt(t/alpha), c = 1/alpha is out of "

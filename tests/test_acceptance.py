@@ -33,6 +33,8 @@ import math
 
 import pytest
 
+from coulombgas import report
+
 
 def _criterion(acceptance_results, key: str, number: int) -> None:
     result = acceptance_results[key]
@@ -114,6 +116,30 @@ def test_criterion_12_energy_continuity(acceptance_results):
 def test_registry_covers_all_criteria(acceptance_results):
     assert len(acceptance_results) == 12
     assert all(r.elapsed_seconds >= 0 for r in acceptance_results.values())
+
+
+def test_a_check_that_raises_fails_alone(acceptance_results, monkeypatch):
+    # run_checks records a raising check as failed, with its exception, and
+    # runs the other eleven as it would have, in registry order
+    suite, label, _ = report.CHECKS["kc_identity"]
+
+    def broken():
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(report.CHECKS, "kc_identity", (suite, label, broken))
+    results = report.run_checks()
+    assert [r.key for r in results] == list(acceptance_results)
+    for result in results:
+        if result.key == "kc_identity":
+            assert not result.passed
+            assert result.message == ("check raised ZeroDivisionError: float "
+                                      "division by zero")
+            assert result.details == {
+                "exception": "ZeroDivisionError('float division by zero')"}
+        else:
+            want = acceptance_results[result.key]
+            assert (result.passed, result.message, result.details) == (
+                want.passed, want.message, want.details), result.key
 
 
 def test_runtime_budget(acceptance_results):

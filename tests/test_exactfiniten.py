@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -274,6 +275,15 @@ class TestOrthogonalPolynomial:
 class TestLUEGap:
     def test_no_wall(self):
         assert exactfiniten.lue_log_gap_probability(3, 2, Fraction(0), 3) == 0
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 1, Fraction(1), 1),
+         "need n >= 1, alpha_n >= 0, N_w >= 1; got 0, 1, 1"),
+        ((2, 1, Fraction(-1), 2), "gap probability needs t >= 0, got -1"),
+    ], ids=["n-zero", "t-negative"])
+    def test_refuses_arguments_out_of_domain(self, args, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            exactfiniten.lue_log_gap_probability(*args)
 
     def test_single_exponential(self):
         # P = e^(-t) for one point with no zero modes

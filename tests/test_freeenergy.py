@@ -1,6 +1,7 @@
 """Energies, O(1) constants, and the large-N expansion of log Z_N."""
 
 import math
+import re
 import sys
 
 import pytest
@@ -353,3 +354,23 @@ class TestRadialEnergy:
         base = oracles.radial_energy(lambda r: r * r, 0.0, 1.0)
         shifted = oracles.radial_energy(lambda r: r * r + 0.01, 0.0, 1.0)
         assert shifted - base == pytest.approx(0.01, abs=1e-10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: freeenergy.bernoulli_numbers(65),
+     "Bernoulli table capped at B_64, requested B_65"),
+    (lambda: freeenergy.energy_post(-1, 1),
+     "need a >= 0 and c > 0, got a=-1, c=1"),
+    (lambda: freeenergy.expansion(0, 0.2, 1.0, Regime.POST),
+     "need N >= 1 and M >= 0, got N=0, M=2"),
+    (lambda: freeenergy.barnes_logG(0),
+     "barnes_logG needs a positive integer, got 0"),
+    (lambda: freeenergy.reference_logZ(0, 1),
+     "need N >= 1 and m >= 0, got N=0, m=1"),
+    (lambda: freeenergy.charpoly_moment_asymp(-1, 1, 4),
+     "need |z| >= 0 and c > 0, got -1, 1"),
+], ids=["bernoulli-past-b64", "energy-post-negative-a", "expansion-n-zero",
+        "barnes-zero", "reference-n-zero", "charpoly-negative-z"])
+def test_refuses_arguments_out_of_domain(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

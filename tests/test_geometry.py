@@ -3,6 +3,7 @@
 import cmath
 import decimal
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -324,3 +325,15 @@ def test_post_existence_property(a, c):
         assert post.inner_center + post.inner_radius < post.outer_radius
     else:
         assert regime is Regime.PRE
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda geom: geometry.a_cri(0), "c must be positive, got 0"),
+    (lambda geom: geometry.solve_q(0, 1),
+     "solve_q needs a > 0 and c > 0, got a=0, c=1"),
+    (lambda geom: geometry.conformal_f(geom, geom.q),
+     "conformal map has a pole at w = q"),
+], ids=["a-cri-zero-c", "solve-q-zero-a", "conformal-f-pole"])
+def test_refuses_arguments_out_of_domain(call, message, pre_geom):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(pre_geom)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -273,3 +274,24 @@ class TestSinglePass:
         for row, rate, const in zip(rows, phis, psis):
             assert row["ldp_log_p"] == ldp.ldp_log_probability(
                 9, 16 / 9, rate, const)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ldp.kc_U_grid((1.0,), 0.0),
+     "constrained action needs alpha > 0, got 0.0"),
+    (lambda: ldp.kc_U_grid((0.0,), 1.0),
+     "constrained action needs t > 0, got 0.0"),
+    (lambda: ldp.kc_U_grid((1e103,), 1.0),
+     "constrained action overflows in double precision at t = 1e+103, "
+     "alpha = 1.0"),
+    # U(t) rounds to t: the action's log(U - t) has no value
+    (lambda: ldp.kc_rate_grid((1e17,), 1e8),
+     "no constrained action at alpha = 100000000.0, t = 1e+17: its right "
+     "edge U(t) = 1e+17 does not exceed t in double precision"),
+    (lambda: ldp.ldp_log_probability(0, 1.0, 0.1, 0.0),
+     "need n >= 1, got 0"),
+], ids=["kc-u-zero-alpha", "kc-u-zero-t", "kc-u-overflow",
+        "kc-rate-edge-rounds-to-t", "log-probability-n-zero"])
+def test_refuses_arguments_out_of_domain(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -9,6 +9,7 @@ path, which makes it an independent oracle for the printed coefficients.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -345,3 +346,15 @@ class TestA11AndDerivative:
         assert opasymp.a11_asymp(pre_geom, 16) == (
             freeenergy.d_fconst_pre_da(a, q) / 16
             - 16 * freeenergy.d_energy_pre_da(a, q)) / 2.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda geom: opasymp.rh_coefficients(geom, 0), "need N >= 1, got 0"),
+    (lambda geom: opasymp.r_entries(rh_coefficients(geom, 4), geom.beta),
+     "rational dressing has a pole at z = "
+     "(0.15872196483050827+1.0550151264501055j)"),
+    (lambda geom: opasymp.a11_asymp(geom, 0), "need N >= 1, got 0"),
+], ids=["rh-coefficients-n-zero", "r-entries-pole", "a11-n-zero"])
+def test_refuses_arguments_out_of_domain(call, message, pre_geom):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(pre_geom)

@@ -1,6 +1,7 @@
 """Painleve II / extreme-value distribution and the transition window."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -181,6 +182,16 @@ class TestDistribution:
         # x = 0 is outside the tail: a DomainError, not log(0)'s ValueError
         with pytest.raises(DomainError, match="left tail needs x > 0"):
             painleve.left_tail_log_cdf(0.0)
+
+    @pytest.mark.parametrize("call, message", [
+        # the right tail's twin of the refusal above
+        (lambda: painleve.right_tail_survival(0.0),
+         "right tail needs x > 0, got 0.0"),
+        (lambda: painleve.critical_a(1, 1, 0), "need N >= 1, got 0"),
+    ], ids=["right-tail-origin", "critical-a-n-zero"])
+    def test_refuses_arguments_out_of_domain(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_right_tail(self, hm_solution):
         [survival] = painleve.tw_cdf_survival(hm_solution, (6.0,))[1]

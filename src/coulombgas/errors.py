@@ -23,10 +23,6 @@ class DomainError(CoulombGasError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class NoValidRoot(CoulombGasError, ArithmeticError):
-    """The modulus cubic has no admissible root; usually a mis-classified regime."""
-
-
 class BranchCutError(CoulombGasError, ValueError):
     """Evaluation point lies on (or too close to) the branch cut of the inverse map."""
 

@@ -1,13 +1,13 @@
 """Energies, Robin constants, and the large-N free-energy expansion.
 
 The closed forms are named by phase (energy_post, energy_pre, fconst_post,
-fconst_pre) and take no droplet record. Pre-critically they take the modulus
-q = q(a, c) and never solve for it: the caller passes the q it holds, a
-record's or, where none is built, ldp.phi_psi_grid's one solve per point.
-expansion alone takes the phase, because painleve.critical_expansion
-evaluates the annular expansion at a_s > a_cri when s < 0. detzeta_log is
-defined by one droplet and reads its record. charpoly_moment_asymp, given
-|z| alone, classifies.
+fconst_pre) and take no droplet record. Pre-critically they take the q,
+v = 1 - q^2 and w = 1 - a^2 q^2 of geometry.solve_modulus, from a record or
+from ldp.phi_psi_grid's one solve per point, and never form a gap as 1 minus
+a number near 1. expansion alone takes the phase, because
+painleve.critical_expansion evaluates the annular expansion at a_s > a_cri
+when s < 0. detzeta_log is defined by one droplet and reads its record, as
+does charpoly_moment_asymp, given |z| alone.
 
 The expansion of log Z_N reads
 
@@ -20,13 +20,12 @@ Bernoulli tail; pre-critically only its O(1/N) class is known.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .geometry import Droplet, Regime, classify, solve_q
+from .geometry import Droplet, Regime, droplet, solve_modulus
 
 #: zeta'(-1) = 1/12 - log(Glaisher), 30 significant digits
 ZETA_PRIME_MINUS_ONE = -0.165421143700450929213919660243
@@ -61,50 +60,54 @@ class Expansion(NamedTuple):
 
 
 def energy_post(a: float, c: float) -> float:
-    """Equilibrium energy in the annular phase; also the subtracted reference in Phi."""
+    """Equilibrium energy in the annular phase; also the subtracted reference
+    in Phi.  Within 16 eps of max(1, |E|) for c <= 1e300 (terms of order
+    c log c cancel by up to a factor 5 where E crosses 0 near c = 3)."""
     if a < 0 or c <= 0:
         raise DomainError(f"need a >= 0 and c > 0, got a={a}, c={c}")
-    # a term past the double range raises (**) or makes the sum inf or nan
-    try:
-        energy = (0.75 + 1.5 * c + 0.5 * c * c * math.log(c)
-                  - 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0) - c * a * a)
-        if math.isfinite(energy):
-            return energy
-    except OverflowError:
-        pass
+    if c > 1.0:  # c^2 log c - (c+1)^2 log(c+1) without its cancellation
+        head = 0.75 + 1.5 * c - 0.5 * ((2.0 * c + 1.0) * math.log(c) + (
+            c + 1.0) * ((c + 1.0) * math.log1p(1.0 / c)))
+    else:
+        head = (0.75 + 1.5 * c + 0.5 * c * c * math.log(c)
+                - 0.5 * (c + 1.0) ** 2 * math.log(c + 1.0))
+    energy = head - c * a * a
+    if math.isfinite(energy):
+        return energy
     raise DomainError(f"the annular energy overflows a double at a={a}, c={c}")
 
 
-def energy_pre(a: float, c: float, q: float) -> float:
-    """Equilibrium energy in the simply connected phase at modulus q."""
-    q2 = q * q
-    a2 = a * a
-    return (0.375 + a2 / 8.0 + 3.0 / (8.0 * a2 * q2 * q2) - 5.0 / (8.0 * q2)
-            + (0.75 + a2 / 8.0) * a2 * q2 - 0.375 * a2 * a2 * q2 * q2
-            + math.log(2.0 * a * q) + 2.0 * c * math.log(2.0 * a * q2)
-            + c * c * math.log(1.0 + a2 * q2 - 2.0 * a2 * q2 * q2)
-            - (c + 1.0) ** 2 * math.log(1.0 + a2 * q2))
+def energy_pre(a: float, c: float, q: float, v: float, w: float) -> float:
+    """Equilibrium energy in the simply connected phase, within 24 eps of
+    max(1, |E|) (15 eps measured near the edge at c = 3, where terms of size
+    5 sum to E ~ -1).  With t = a^2 q^2 the a^2 terms are a^2 w^2 (4 - w)/
+    (8 t^2), and the c^2 log terms are combined in one log1p; v is unused."""
+    t = (a * q) ** 2
+    return (a * a * w * w * (4.0 - w) / (8.0 * t * t) + 0.75 - 0.375 * w * w
+            + math.log(2.0 * a * q) + 2.0 * c * math.log(2.0 * a * q * q)
+            + c * c * math.log1p(-2.0 * t * q * q / (1.0 + t))
+            - (2.0 * c + 1.0) * math.log1p(t))
 
 
-def re_g_at_a(a: float, c: float, q: float) -> float:
-    """Re g(a) for the pre-critical g-function, the only g value the energy needs."""
-    t = a * a * q * q
-    u = 1.0 + t
-    return (t / 2.0 - 0.5 + math.log(u / (2.0 * a * q * q))
-            + c * math.log(u / (u - 2.0 * t * q * q)))
+def re_g_at_a(a: float, c: float, q: float, v: float, w: float) -> float:
+    """Re g(a) for the pre-critical g-function, the only g value the energy
+    needs; v is unused."""
+    t = (a * q) ** 2
+    return (-0.5 * w + math.log((2.0 - w) / (2.0 * a * q * q))
+            - c * math.log1p(-2.0 * t * q * q / (1.0 + t)))
 
 
-def d_energy_pre_da(a: float, q: float) -> float:
-    q2 = q * q
-    t = a * a * q2
-    return -(1.0 - t) * (2.0 - q2 - t * q2) / (2.0 * a * q2)
+def d_energy_pre_da(a: float, q: float, v: float, w: float) -> float:
+    # -(1 - t)(2 - q^2 (1 + t))/(2 a q^2), with 2 - q^2 (1 + t) = w + v (2 - w)
+    return -w * (w + v * (2.0 - w)) / (2.0 * a * q * q)
 
 
-def d_fconst_pre_da(a: float, q: float) -> float:
-    q2 = q * q
-    a4q4 = (a * a * q2) ** 2
-    a4q6 = a4q4 * q2
-    return -q2 * (1.0 - a4q4) ** 2 / (8.0 * a * (1.0 - q2) * (1.0 - a4q6) ** 2)
+def d_fconst_pre_da(a: float, q: float, v: float, w: float) -> float:
+    # -q^2 (1 - t^2)^2/(8 a (1 - q^2)(1 - t^2 q^2)^2), with 1 - t^2 = w (2 - w)
+    # and 1 - t^2 q^2 = w (2 - w) + t^2 v
+    t = (a * q) ** 2
+    ww = w * (2.0 - w)
+    return -q * q * ww * ww / (8.0 * a * v * (ww + t * t * v) ** 2)
 
 
 def fconst_post(c: float) -> float:
@@ -113,38 +116,32 @@ def fconst_post(c: float) -> float:
     return math.log(c / (1.0 + c)) / 12.0
 
 
-def fconst_pre(a: float, q: float) -> float:
-    """The O(1) constant F(a, c) in the simply connected phase at modulus q."""
-    q2 = q * q
-    t = a * a * q2
-    return (math.log((1.0 + t - 2.0 * t * q2) ** 4
-                     / ((1.0 + t) ** 4 * (1.0 - q2) ** 3 * (1.0 - t * t * q2)))
-            / 24.0)
+def fconst_pre(a: float, q: float, v: float, w: float) -> float:
+    """The O(1) constant F(a, c) in the simply connected phase, within 2 eps
+    of max(1, |F|): log((1 + t - 2t q^2)^4/((1 + t)^4 v^3 (1 - t^2 q^2)))/24
+    with t = a^2 q^2, 1 + t - 2t q^2 = w + 2t v and 1 - t^2 q^2 = w (2 - w)
+    + t^2 v, in ratios near 1 so that nothing underflows."""
+    t = (a * q) ** 2
+    r = (w + 2.0 * t * v) / (2.0 - w)
+    return math.log((r / v) ** 3 * (r / (w * (2.0 - w) + t * t * v))) / 24.0
 
 
 def detzeta_log(geom: Droplet) -> float:
-    """log of the zeta-regularized Laplacian determinant on the droplet complement.
+    """log of the zeta-regularized Laplacian determinant on the droplet
+    complement, within 2 eps of max(1, |log det|).
 
-    Post: -(1/6) log(c/(1+c)). Pre: (1/12) log(R^4 f'(1/z+) f'(1/z-) / f'(1/q)^2)
-    with z+- = q +- i sqrt(kappa/R), evaluated from the conformal data;
-    equals -2 * fconst_post(c) or -2 * fconst_pre(a, q).
-    """
+    Post: -(1/6) log(c/(1+c)). Pre: (1/12) log(R^4 |f'(1/z+)|^2 / f'(1/q)^2)
+    with z+ = q + i y, y^2 = kappa/R, from the conformal data in the gaps:
+    1 - q z+ = v - i q y and kappa - R v = -a q v give |f'(1/z+)| =
+    2 a q v^(3/2) sqrt(v + q^2 w (2 - w))/((2 - w) |v - i q y|^2), with
+    |v - i q y|^2 = v m/(2 - w) and f'(1/q) = m/(2 a q v), m = (2 - w) v +
+    q^2 w.  Equals -2 * fconst_post(c) or -2 * fconst_pre."""
     if geom.regime is Regime.POST:
         return -math.log(geom.c / (1.0 + geom.c)) / 6.0
-    R, kappa, q = geom.R, geom.kappa, geom.q
-
-    def f_prime(w: complex) -> complex:
-        return R + kappa / (w - q) ** 2
-
-    z_plus = q + 1j * cmath.sqrt(complex(kappa / R))
-    # z- is the conjugate of z+, so the product is real
-    prod = f_prime(1.0 / z_plus) * f_prime(1.0 / z_plus.conjugate())
-    val = R ** 4 * prod.real / f_prime(1.0 / q).real ** 2
-    if val <= 0.0:
-        raise DomainError(
-            f"no zeta-determinant at a = {geom.a!r}, c = {geom.c!r}: its log "
-            "argument rounds to 0 or below this near the phase edge")
-    return math.log(val) / 12.0
+    q2, v, w = geom.q * geom.q, geom.v, geom.w
+    m = (2.0 - w) * v + q2 * w
+    return math.log(((2.0 - w) * v / m) ** 3
+                    * (2.0 - w) * (v + q2 * w * (2.0 - w)) / m) / 12.0
 
 
 #: largest annular-phase tail order M: the N^-M term needs B_(M+1) (odd M)
@@ -197,17 +194,9 @@ def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansi
         err = f"O(N^{-(M + 1)})"
     else:
         chi = 1
-        q = solve_q(a, c)
-        # a modulus that rounds onto a^2 q^2 = 1 or q = 1 leaves a log of 0
-        # (or less) or a division by (1 - q^2)^3 = 0
-        try:
-            energy = energy_pre(a, c, q)
-            f = fconst_pre(a, q)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(
-                f"the simply connected energy and constant have no value in "
-                f"double precision at a={a}, c={c}: the modulus q = {q!r} "
-                "is the phase edge q = 1 to within rounding") from exc
+        q, v, w = solve_modulus(a, c)
+        energy = energy_pre(a, c, q, v, w)
+        f = fconst_pre(a, q, v, w)
         tail = ()
         err = "O(N^-1)"
     n2, n_coeff = -energy, LOG_2PI / 2.0 - 1.0
@@ -265,12 +254,11 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
     """
     if z_abs < 0 or c <= 0:
         raise DomainError(f"need |z| >= 0 and c > 0, got {z_abs}, {c}")
-    # classify and solve_q, not droplet(): droplet refuses a 1 - a^2 q^2
-    # that rounds to 0, which kappa needs and the moment does not
-    if classify(z_abs, c) is Regime.PRE:
-        q = solve_q(z_abs, c)
-        return ((0.75 - energy_pre(z_abs, c, q)) * N * N
-                + fconst_pre(z_abs, q))
+    geom = droplet(z_abs, c)
+    if geom.regime is Regime.PRE:
+        gaps = geom.q, geom.v, geom.w
+        return ((0.75 - energy_pre(z_abs, c, *gaps)) * N * N
+                + fconst_pre(z_abs, *gaps))
     bern = bernoulli_numbers(6)
     tail = sum((coef - float(bern[2 * k + 2]) / (4 * k * (k + 1))) * N ** (-2 * k)
                for k, coef in zip((1, 2), _tail_coefficients(c, (2, 4))))

@@ -6,29 +6,31 @@ doubly connected (post-critical: an annulus-like region between two circles) or
 simply connected (pre-critical: the image of the unit circle under a rational
 conformal map). The transition happens at a_cri = sqrt(c+1) - sqrt(c).
 
-Pre-critical geometry is controlled by the modulus q in (0,1), the admissible root
-of the cubic (in u = q^2)
+Pre-critical geometry is controlled by the modulus q in (0,1), the middle root
+of 2 a^4 u^3 - a^2 (a^2 + 4c + 2) u^2 + 1 = 0 in u = q^2 with a^2 u < 1, and by
+its gaps v = 1 - q^2, 0 at the phase edge, and w = 1 - a^2 q^2, about 2c/a^2
+far out, each a root of the cubic written in it:
 
-    u^3 - (a^2 + 4c + 2)/(2 a^2) u^2 + 1/(2 a^4) = 0,
+    K + 2a^2 (4c + 2 - 2a^2) v + a^2 (5a^2 - 4c - 2) v^2 - 2a^4 v^3 = 0,
+    (a^2/2) w (2 - w) = (1 - w)^2 (2c + w),
 
-subject to 0 < u < 1 and kappa > 0. Everything else (conformal radius R, kappa,
-the map f and its inverse F, the endpoints beta, beta_bar) is closed-form in q.
+K = (1 - a^2)^2 - 4c a^2 = (a^2 - a_cri^2)(a^2 - a_cri^-2); (a, c) is
+pre-critical exactly when K < 0 or a > 1.  Everything else (R, kappa, the map
+f and its inverse F, beta, beta_bar) is closed-form in q and the gaps.
 """
 from __future__ import annotations
 
 import cmath
 import enum
 import math
+import sys
 from typing import NamedTuple, Union
 
-from .errors import BranchCutError, DomainError, NoValidRoot
+from .errors import BranchCutError, DomainError
 
 #: relative half-width of the critical window: classify refuses
 #: |a - a_cri| <= TAU a_cri
 TAU = 1e-12
-#: least 1 - a^2 q^2 solve_q accepts from its large-a root: 2^-26 keeps half
-#: of a double's 53 bits through the cancellation that forms it
-GAP_FLOOR = 2.0 ** -26
 
 
 class Regime(enum.Enum):
@@ -45,21 +47,20 @@ def a_cri(c: float) -> float:
 
 
 def classify(a: float, c: float) -> Regime:
-    """Resolve the phase of (a, c). a = 0 counts as post-critical by
-    convention; a within TAU a_cri of a_cri has no phase and is refused."""
+    """Resolve the phase of (a, c) by pre_critical. a = 0 counts as
+    post-critical by convention; a within TAU a_cri of a_cri has no phase
+    and is refused."""
     if a < 0:
         raise DomainError(f"a must be nonnegative, got {a}")
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
     edge = a_cri(c)
-    width = TAU * edge
-    if a < edge - width:
-        return Regime.POST
-    if a > edge + width:
-        return Regime.PRE
-    raise DomainError(
-        f"a = {a!r} is within {TAU:g} * a_cri of the phase boundary "
-        f"a_cri = {edge!r} at c = {c!r}: no droplet phase applies; perturb a")
+    if not abs(a - edge) > TAU * edge:  # NaN included
+        raise DomainError(
+            f"a = {a!r} is within {TAU:g} * a_cri of the phase boundary "
+            f"a_cri = {edge!r} at c = {c!r}: no droplet phase applies; "
+            "perturb a")
+    return Regime.PRE if pre_critical(a, c) else Regime.POST
 
 
 class PreGeometry(NamedTuple):
@@ -67,6 +68,8 @@ class PreGeometry(NamedTuple):
     a: float
     c: float
     q: float
+    v: float  # 1 - q^2
+    w: float  # 1 - a^2 q^2
     R: float
     kappa: float
     beta: complex
@@ -86,83 +89,98 @@ class PostGeometry(NamedTuple):
 Droplet = Union[PreGeometry, PostGeometry]
 
 
-def _admissible(u: float, a: float) -> bool:
-    # 0 < q^2 < 1 and kappa > 0, up to rounding at the critical edge
-    return 0.0 < u < 1.0 + 1e-11 and a * a * u < 1.0 + 1e-11
+def _edge_k(a: float, c: float) -> float:
+    """K = (1 - a^2)^2 - 4c a^2 to within one rounding: where its two terms
+    are within a factor 3 of each other it is formed exactly, from the
+    binary values of a and c, and otherwise in floats, within 10 eps."""
+    d = (1.0 - a) * (1.0 + a)
+    x, y = d * d, 4.0 * c * a * a
+    if abs(x - y) >= 0.5 * (x + y):
+        return x - y
+    (n, m), (p, r) = a.as_integer_ratio(), c.as_integer_ratio()
+    return ((m * m - n * n) ** 2 * r - 4 * p * (n * m) ** 2) / (m ** 4 * r)
 
 
-def solve_q(a: float, c: float) -> float:
-    """Admissible modulus q in (0, 1] for pre-critical (a, c); q = 1 exactly at a_cri.
+def pre_critical(a: float, c: float) -> bool:
+    """Whether the float pair (a >= 0, c > 0) is pre-critical, exactly: K < 0
+    or a > 1.  K alone turns positive again past 1/a_cri."""
+    # a^2 (2c + 1) > 2 puts a^2 above twice a_cri^2 < 1/(2c + 1)
+    return a > 1.0 or a * a * (2.0 * c + 1.0) > 2.0 or _edge_k(a, c) < 0.0
 
-    u = q^2 is the middle real root of u^3 - p u^2 + r = 0 (k = 1 in the
-    trigonometric form): the smallest root is negative, since the cubic is
-    r > 0 at u = 0, and the largest exceeds 2p/3, so u > 1 or a^2 u > 1 there.
+
+def _newton(c0: float, c1: float, c2: float, c3: float, x: float) -> float:
+    # a root of c0 + c1 x + c2 x^2 + c3 x^3 from x > 0: after a step below
+    # 2^-26 x, quadratic convergence has put x within rounding
+    for _ in range(12):
+        step = ((((c3 * x + c2) * x + c1) * x + c0)
+                / ((3.0 * c3 * x + 2.0 * c2) * x + c1))
+        x -= step
+        if abs(step) <= 1.5e-8 * x:
+            break
+    return x
+
+
+def solve_modulus(a: float, c: float) -> tuple[float, float, float]:
+    """(q, v, w) = (q, 1 - q^2, 1 - a^2 q^2) at pre-critical (a, c), each
+    within 4 eps relative.  Newton's method finds v where a <= 1 and
+    a^2 (2c + 1) <= 2 (q^2 >= 1/2), from K, which refuses a post-critical
+    (a, c); w where a > 1 and 3a^2 > 4c + 1 (w < 1/2); and elsewhere, where
+    q is small, s = a^2 q^2 in 2 s^3 - (a^2 + 4c + 2) s^2 + a^2 = 0.  The
+    rest follow with no gap formed as 1 minus a number near 1.  A w below
+    the normal double range, from a ~ 1e154 sqrt(c), is refused.
     """
     if a <= 0 or c <= 0:
-        raise DomainError(f"solve_q needs a > 0 and c > 0, got a={a}, c={c}")
-    try:
-        p = (a * a + 4.0 * c + 2.0) / (2.0 * a * a)
-        r = 1.0 / (2.0 * a ** 4)
-        P = -p * p / 3.0
-        Q = -2.0 * p ** 3 / 27.0 + r
-    except OverflowError as exc:
-        raise DomainError(f"the modulus cubic overflows in double precision "
-                          f"at a={a}, c={c}") from exc
-    m = 2.0 * math.sqrt(-P / 3.0)
-    arg = 3.0 * Q / (P * m)
-    if abs(arg) <= 1.0 + 1e-9:
-        phi = math.acos(max(-1.0, min(arg, 1.0))) / 3.0
-        u = m * math.cos(phi - 2.0 * math.pi / 3.0) + p / 3.0
-        # Newton polish; the trig form can lose digits when p >> 1
-        for _ in range(3):
-            g = u ** 3 - p * u * u + r
-            dg = 3.0 * u * u - 2.0 * p * u
-            if dg == 0.0:
-                break
-            u -= g / dg
-        if _admissible(u, a) and abs(u ** 3 - p * u * u + r) \
-                <= 2.0 ** -48 * (u ** 3 + p * u * u + r):
-            q = math.sqrt(min(u, 1.0))
-            # a root rounded onto a^2 q^2 > 1 (tiny c) goes to the fixed point
-            if a * a * q * q <= 1.0:
-                return q
-    # From a ~ 2e4 the middle root u ~ 1/a^2 sits below the trig form's
-    # rounding error, and near a_cri at large c the polish leaves a residual
-    # above 16 ulps.  The root is the fixed point of u = 1/(a^2 sqrt(2(p-u))),
-    # a contraction by u/(2(p-u)) < 1/4 for u < p/3, reached from u = 0.
-    u = prev = 0.0
-    for _ in range(4):
-        if u >= p / 3.0:
-            break
-        prev, u = u, 1.0 / (a * a * math.sqrt(2.0 * (p - u)))
-    if abs(u - prev) <= 1e-15 * u and _admissible(u, a):
-        # kappa and the energy form 1 - a^2 q^2 ~ 2c/a^2 from terms near 1
-        if 1.0 - a * a * u < GAP_FLOOR:
-            raise DomainError(
-                f"1 - a^2 q^2 = {1.0 - a * a * u:.3g} keeps fewer than half "
-                f"the digits of a double at a={a}, c={c}")
-        return math.sqrt(u)
-    raise NoValidRoot(
-        f"no root of the modulus cubic satisfies 0 < q^2 < 1, kappa > 0 "
-        f"at a={a}, c={c}; parameters are likely post-critical")
+        raise DomainError(
+            f"solve_modulus needs a > 0 and c > 0, got a={a}, c={c}")
+    a2 = a * a
+    if a > 1.0 or a2 * (2.0 * c + 1.0) > 2.0:
+        big = (a - 1.0) * (a + 1.0)
+        if a > 1.0 and 3.0 * a2 > 4.0 * c + 1.0:
+            lin, quad = big + 4.0 * c, 0.5 * a2 + 2.0 * c - 2.0
+            r = 4.0 * c / lin  # scales the quadratic part's root
+            w = _newton(2.0 * c, -lin, quad, 1.0,
+                        r / (1.0 + math.sqrt(1.0 - 2.0 * r * (quad / lin))))
+            s = 1.0 - w
+            v = (big + w) / a2
+        else:
+            p = a2 + 4.0 * c + 2.0
+            # s^2 = a^2/(p - 2s), iterated once from s = a/sqrt(p)
+            s = _newton(a2, 0.0, -p, 2.0,
+                        a / math.sqrt(p - 2.0 * a / math.sqrt(p)))
+            w = 1.0 - s
+            v = 1.0 - s / a2
+        if not w >= sys.float_info.min:  # NaN included
+            raise DomainError(f"the modulus cubic leaves the double range "
+                              f"at a={a}, c={c}")
+        return math.sqrt(s) / a, v, w
+    k = _edge_k(a, c)
+    if k >= 0.0:
+        raise DomainError(
+            f"no simply connected droplet at a={a}, c={c}: a is not above "
+            f"a_cri = {a_cri(c)!r}")
+    small = (1.0 - a) * (1.0 + a)
+    lin = 2.0 * a2 * (4.0 * c + 2.0 * small)
+    quad = a2 * (5.0 * a2 - 4.0 * c - 2.0)
+    # the root of the quadratic part (its discriminant exceeds lin^2/4 and
+    # the root stays below 1/2 on this route), then the cubic
+    v = -2.0 * k / (lin + math.sqrt(lin * lin - 4.0 * quad * k))
+    v = _newton(k, lin, quad, -2.0 * a2 * a2, v)
+    return math.sqrt(1.0 - v), v, small + a2 * v
 
 
 def droplet(a: float, c: float) -> Droplet:
     """The droplet record of (a, c) in the phase classify gives it; the one
-    constructor of PreGeometry and PostGeometry."""
+    constructor of PreGeometry and PostGeometry.  Its kappa = v w/(2 a q)
+    is within 8 eps relative."""
     if classify(a, c) is Regime.POST:
         # abs keeps a = -0.0 at the origin 0.0
         return PostGeometry(a=a, c=c, outer_radius=math.sqrt(1.0 + c),
                             inner_center=abs(a), inner_radius=math.sqrt(c))
-    q = solve_q(a, c)
-    gap = 1.0 - a * a * q * q  # at tiny c, q can round onto a^2 q^2 >= 1
-    if gap <= 0.0:
-        raise DomainError(f"1 - a^2 q^2 = {gap:.3g} leaves no kappa > 0 in "
-                          f"double precision at a={a}, c={c}")
-    R = (1.0 + a * a * q * q) / (2.0 * a * q)
-    kappa = (1.0 - q * q) * gap / (2.0 * a * q)
+    q, v, w = solve_modulus(a, c)
+    R = (2.0 - w) / (2.0 * a * q)
+    kappa = v * w / (2.0 * a * q)
     beta = complex(R * q - kappa / q, 2.0 * math.sqrt(kappa * R))
-    return PreGeometry(a=a, c=c, q=q, R=R, kappa=kappa, beta=beta,
+    return PreGeometry(a=a, c=c, q=q, v=v, w=w, R=R, kappa=kappa, beta=beta,
                        beta_bar=beta.conjugate(), b=R / q)
 
 

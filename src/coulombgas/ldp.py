@@ -6,10 +6,11 @@ it to t > lambda_- costs a rate Phi(t) N^2; the subleading constant Psi(t)
 rides along.  Both come from the planar-gas free energy through the change of
 variables (a, c) = (sqrt(t/alpha), 1/alpha): conditioning the smallest
 eigenvalue above t is the radial slice of conditioning a planar charge at
-radius a, and t > lambda_- lands exactly in the simply connected droplet
-phase.  An independent route to the same leading order is the constrained
-Coulomb gas action S(t) built from the conditioned spectral density on
-[t, U(t)]; Phi(t) = S(t) - S(lambda_-) is checked numerically, never assumed.
+radius a, and t > lambda_- lands in the simply connected droplet phase, which
+decides each t through its planar image.  An independent route to the same
+leading order is the constrained Coulomb gas action S(t) built from the
+conditioned spectral density on [t, U(t)]; Phi(t) = S(t) - S(lambda_-) is
+checked numerically, never assumed.
 
 Pulled to t < lambda_- the probability is 1 - o(1).
 """
@@ -17,19 +18,22 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NoValidRoot
+from .errors import DomainError
 from .freeenergy import (ZETA_PRIME_MINUS_ONE, energy_post, energy_pre,
                          fconst_post, fconst_pre)
-from .geometry import solve_q
+from .geometry import a_cri, pre_critical, solve_modulus
 
 
 def lambda_minus(alpha: float) -> float:
-    """Marchenko-Pastur left edge (sqrt(alpha+1) - 1)^2; an alpha > 0 whose
-    edge underflows to 0 is refused."""
+    """Marchenko-Pastur left edge (sqrt(alpha+1) - 1)^2, formed without its
+    cancellation as alpha a_cri(1/alpha)^2, within 4 eps relative; an
+    alpha > 0 whose edge underflows to 0 is refused."""
     if alpha < 0.0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    edge = (math.sqrt(alpha + 1.0) - 1.0) ** 2
-    if edge == 0.0 and alpha > 0.0:
+    if alpha == 0.0:
+        return 0.0
+    edge = alpha * a_cri(1.0 / alpha) ** 2
+    if edge == 0.0:
         raise DomainError(
             f"alpha = {alpha!r} is too small: lambda_- = (sqrt(alpha+1) - 1)^2 "
             "underflows to 0")
@@ -43,7 +47,9 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
 
     Everything that depends on alpha alone (lambda_-, c, the post-critical
     energy up to its -c a^2 term, the post-critical constant) is formed
-    once, in the same float operations the scalar formulas use.
+    once, in the same float operations the scalar formulas use.  A t whose
+    planar image is not pre-critical (geometry.pre_critical) is refused by
+    name: lambda_- only names the edge.
     """
     # lambda_minus refuses a negative alpha before the rate functions do
     lam_minus = lambda_minus(alpha)
@@ -56,32 +62,23 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
     post_const = fconst_post(c)
     phis, psis = [], []
     for t in ts:
-        if t <= lam_minus:
-            raise DomainError(
-                f"pushed regime at alpha = {alpha!r} needs t > lambda_- = "
-                f"{lam_minus}, got t = {t!r}")
         # the planar image: insertion radius a = sqrt(t/alpha), charge c
-        a = math.sqrt(t / alpha)
-        # the failed root, overflow, lost precision or log of 0 or less
-        # names the planar (a, c), or nothing; report the (t, alpha)
-        try:
-            q = solve_q(a, c)
-            phi = alpha2 * (energy_pre(a, c, q) - (post_head - c * a * a))
-            psis.append(fconst_pre(a, q) - post_const)
-        except NoValidRoot as exc:
+        a = math.sqrt(t / alpha) if t > 0.0 else 0.0
+        if not pre_critical(a, c):
             raise DomainError(
-                f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
-                "planar image a = sqrt(t/alpha), c = 1/alpha has no "
-                "admissible modulus root in double precision") from exc
-        except (ValueError, OverflowError) as exc:  # DomainError among them
+                f"pushed regime at alpha = {alpha!r} needs t above the edge "
+                f"lambda_- = {lam_minus!r}, got t = {t!r}")
+        phi = psi = math.inf  # a = sqrt(t/alpha) past the double range
+        if a * a < math.inf:
+            gaps = solve_modulus(a, c)
+            phi = alpha2 * (energy_pre(a, c, *gaps) - (post_head - c * a * a))
+            psi = fconst_pre(a, *gaps) - post_const
+        if not math.isfinite(phi + psi):
             raise DomainError(
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "
                 "planar image a = sqrt(t/alpha), c = 1/alpha is out of "
-                "double precision's reach") from exc
-        except ZeroDivisionError as exc:  # q rounded to 1: (1 - q^2)^3 = 0
-            raise DomainError(
-                f"no rate function at alpha = {alpha!r}, t = {t!r}: t is on the "
-                f"phase edge lambda_- = {lam_minus!r} in double precision") from exc
+                "double precision's reach")
+        psis.append(psi)
         # Phi >= 0, but up to ~1e-4 lambda_- above the edge, where Phi is
         # below alpha^2 times the rounding of the two O(1) energies, their
         # difference can round below 0; 0 is then as near the truth

@@ -17,8 +17,9 @@ sum to zero, and the primitive that vanishes at infinity is elementary:
 
     g(z) = log z + log((1 - q/w)/(1 - w1/w)) - r log(1 - w2/w) - d/(w - q),
 
-with t = a^2 q^2, w1 = (2 t q^2 - t + 1)/(q (1 + t)), w2 = 2 t q/(1 + t),
-r = (t-1)(2 t q^2 - t - 1)/(4 t q^2) and d = (q^2 - 1)(t - 1)/(2 q).  The
+with t = a^2 q^2, w1 = (1 - t + 2 t q^2)/(q (1 + t)), w2 = 2 t q/(1 + t),
+r = (1 - t)(1 - t + 2 t v)/(4 t q^2) and d = v (1 - t)/(2 q), where the
+record's gaps v = 1 - q^2 and 1 - t are read, not formed.  The
 logarithms take their principal branches.  tests/oracles.py integrates g'
 itself at 30 digits along segments in the cut plane as an independent check.
 
@@ -27,7 +28,7 @@ from the coefficients gamma11, gamma12 of the local coordinate at the cut
 endpoints.  Their fractional powers follow the principal branch of the
 grouped argument exactly as printed in the closed forms; that choice is
 pinned by an audit of the branch-sensitive 1/z coefficient of R11 against
-freeenergy.d_fconst_pre_da(a, q)/(2N), the 1/N part of A11 (see tests).
+freeenergy.d_fconst_pre_da/(2N), the 1/N part of A11 (see tests).
 
 Exterior gate: the polynomial formulas take only |z| > exterior_radius(geom),
 1.15 times a radius that encloses the droplet, the charge a and the cut.  In
@@ -89,12 +90,12 @@ def g(geom: Droplet, z: complex) -> complex:
     if geom.regime is Regime.POST:
         return cmath.log(z) + geom.c * cmath.log(z / (z - geom.a))
     w = inverse_F(geom, z)
-    q = geom.q
+    q, v, gap = geom.q, geom.v, geom.w  # gap = 1 - t
     t = (geom.a * q) ** 2
-    w1 = (2.0 * t * q * q - t + 1.0) / (q * (1.0 + t))
-    w2 = 2.0 * t * q / (1.0 + t)
-    r = (t - 1.0) * (2.0 * t * q * q - t - 1.0) / (4.0 * t * q * q)
-    d = (q * q - 1.0) * (t - 1.0) / (2.0 * q)
+    w1 = (gap + 2.0 * t * q * q) / (q * (2.0 - gap))
+    w2 = 2.0 * t * q / (2.0 - gap)
+    r = gap * (gap + 2.0 * t * v) / (4.0 * t * q * q)
+    d = v * gap / (2.0 * q)
     return (cmath.log(z) + cmath.log((1.0 - q / w) / (1.0 - w1 / w))
             - r * cmath.log(1.0 - w2 / w) - d / (w - q))
 
@@ -241,5 +242,5 @@ def a11_asymp(geom: Droplet, N: int) -> float:
     # freeenergy loads here, so op-compare does not compile it
     from .freeenergy import d_energy_pre_da, d_fconst_pre_da
 
-    a, q = geom.a, geom.q
-    return (d_fconst_pre_da(a, q) / N - N * d_energy_pre_da(a, q)) / 2.0
+    gaps = geom.a, geom.q, geom.v, geom.w
+    return (d_fconst_pre_da(*gaps) / N - N * d_energy_pre_da(*gaps)) / 2.0

@@ -303,11 +303,6 @@ def tw_cdf_survival(sol: TWSolution, ts) -> tuple[list[float], list[float]]:
     return np.exp(-moment).tolist(), (-np.expm1(-moment)).tolist()
 
 
-def q2_tail_integral(sol: TWSolution, ts) -> list[float]:
-    """int_t^inf hm_q^2 dx, which equals d/dt log F(t), at each float t of ts."""
-    return _tails(sol, ts)[0].tolist()
-
-
 def left_tail_log_cdf(x: float) -> float:
     """log F(-x) for large x > 0:
 

@@ -39,7 +39,7 @@ from coulombgas.errors import DomainError, GridTooShort
 from coulombgas.exactfiniten import decimal_context, moment_table
 from coulombgas.freeenergy import (LOG_2PI, ZETA_PRIME_MINUS_ONE,
                                    bernoulli_numbers, re_g_at_a)
-from coulombgas.geometry import PreGeometry, Regime, solve_q
+from coulombgas.geometry import PreGeometry, Regime, solve_modulus
 from coulombgas.ldp import kc_U_grid, lambda_minus
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
@@ -313,7 +313,7 @@ def fraction_solve(matrix: list, rhs: Optional[list] = None) -> tuple:
 def robin_constant(a: float, c: float, regime: Regime) -> float:
     if regime is Regime.POST:
         return 0.5 * (c + 1.0) * (1.0 - math.log(c + 1.0))
-    q = solve_q(a, c)
+    q = solve_modulus(a, c)[0]
     t = a * a * q * q
     return (c * math.log(q) - (c + 1.0) * math.log((1.0 + t) / (2.0 * a * q))
             + 0.75 + a * a / 4.0 + c / 2.0
@@ -325,11 +325,11 @@ def potential_integral(a: float, c: float, regime: Regime) -> float:
     if regime is Regime.POST:
         return (c + 0.25 + 0.5 * c * c * math.log(c)
                 - 0.5 * c * (1.0 + c) * math.log(1.0 + c) - c * a * a)
-    q = solve_q(a, c)
+    q, v, w = solve_modulus(a, c)
     t = a * a * q * q
     return (0.375 + a * a / 4.0 + c / 2.0
             - (a * a / 4.0 + c + 0.5) * t + 0.375 * t * t
-            - c * re_g_at_a(a, c, q))
+            - c * re_g_at_a(a, c, q, v, w))
 
 
 def contour_moment(N: int, m: int, a, k: int,
@@ -408,6 +408,52 @@ def pre_reference(a: float, c: float) -> tuple:
                   + c * c * mp.log(1 + a2 * q2 - 2 * a2 * q2 * q2)
                   - (c + 1) ** 2 * mp.log(1 + a2 * q2))
         return +q, +w, +kappa, +energy
+
+
+def modulus_reference(a: float, c: float) -> tuple:
+    """(q, 1 - q^2, 1 - a^2 q^2) at pre-critical (a, c) as mpf, to about 60
+    digits: the middle root s = a^2 q^2 of 2 s^3 - (a^2 + 4c + 2) s^2 + a^2
+    by mp.polyroots, at 80 digits plus those that 1 - s loses, about
+    log10(a^2/c) of them far out."""
+    with mp.workdps(80 + max(0, int(math.log10(a * a / c)))):
+        a2 = mp.mpf(a) ** 2
+        roots = mp.polyroots([2, -(a2 + 4 * mp.mpf(c) + 2), 0, a2],
+                             maxsteps=200, extraprec=2 * mp.dps)
+        [s] = [r.real for r in roots
+               if abs(r.imag) < mp.eps ** 0.5 and 0 < r.real < min(1, a2)]
+        return +mp.sqrt(s / a2), +(1 - s / a2), +(1 - s)
+
+
+def fconst_pre_reference(v, w):
+    """freeenergy.fconst_pre's F as an mpf from modulus_reference's gaps v
+    and w, at 80 digits: log((w + 2tv)^4/((2 - w)^4 v^3 (w (2 - w) +
+    t^2 v)))/24 with t = 1 - w."""
+    with mp.workdps(80):
+        t = 1 - w
+        return (4 * mp.log(w + 2 * t * v) - 4 * mp.log(2 - w)
+                - 3 * mp.log(v) - mp.log(w * (2 - w) + t * t * v)) / 24
+
+
+def energy_post_reference(a: float, c: float):
+    """freeenergy.energy_post(a, c) as an mpf, the same formula at 60
+    digits plus the log10(c) its c^2 log terms cancel."""
+    with mp.workdps(60 + max(0, int(math.log10(c)))):
+        c = mp.mpf(c)
+        return +(mp.mpf(3) / 4 + 3 * c / 2 + c * c * mp.log(c) / 2
+                 - (c + 1) ** 2 * mp.log(c + 1) / 2 - c * mp.mpf(a) ** 2)
+
+
+def lambda_minus_reference(alpha: float):
+    """ldp.lambda_minus's (sqrt(alpha+1) - 1)^2 as an mpf, at 60 digits
+    plus the -log10(alpha) it cancels."""
+    with mp.workdps(60 + max(0, -int(math.log10(alpha)))):
+        return +(mp.sqrt(mp.mpf(alpha) + 1) - 1) ** 2
+
+
+def is_pre_reference(a: float, c: float) -> bool:
+    """Whether a > a_cri(c) = sqrt(c+1) - sqrt(c), at 80 digits."""
+    with mp.workdps(80):
+        return mp.mpf(a) > mp.sqrt(mp.mpf(c) + 1) - mp.sqrt(mp.mpf(c))
 
 
 def hm_q(sol: painleve.TWSolution, s):

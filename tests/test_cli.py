@@ -18,8 +18,7 @@ import sys
 import pytest
 
 import oracles
-from coulombgas import cli, geometry, ldp, opasymp
-from coulombgas.errors import NoValidRoot
+from coulombgas import cli, freeenergy, geometry, ldp, opasymp
 from coulombgas.table import Columns, render
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -236,11 +235,6 @@ class TestExitCodes:
         assert json.loads(err)["message"] == "need c > 0, got 0.0"
 
     @pytest.mark.parametrize("argv, want, message", [
-        # 1 - a^2 q^2 rounds to 0.0 here, where solve_q's root passes its
-        # own checks, so droplet refuses it for kappa
-        (["geometry", "--a", "1e3", "--c", "1e-12"], cli.EXIT_NUMERICAL,
-         "1 - a^2 q^2 = 0 leaves no kappa > 0 in double precision at "
-         "a=1000.0, c=1e-12"),
         (["duality-check", "--n", "2", "--m", "2", "--x", "-1"],
          cli.EXIT_NUMERICAL, "need x >= 0, got -1.0"),
         (["ldp", "--alpha", "0", "--t", "1"], cli.EXIT_NUMERICAL,
@@ -280,7 +274,7 @@ class TestExitCodes:
          cli.EXIT_NUMERICAL,
          "angle radicand negative at t = 9.999999999999893e+16, "
          "alpha = 1e+17"),
-    ], ids=["geometry-kappa-gap", "duality-negative-x", "ldp-zero-alpha",
+    ], ids=["duality-negative-x", "ldp-zero-alpha",
             "critical-zero-c", "bad-rational", "bad-float", "bad-int",
             "empty-n-list", "op-compare-inside-pre-gate",
             "op-compare-inside-post-gate", "geometry-at-a-cri",
@@ -299,9 +293,10 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"] == "DomainError"
 
-    @pytest.mark.parametrize("alpha", ["1e-300", "1e-20"])
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e-200"])
     def test_tiny_alpha_names_alpha(self, alpha, capsys):
-        # lambda_- = (sqrt(alpha+1) - 1)^2 rounds to 0 in double precision
+        # lambda_- = alpha a_cri(1/alpha)^2, about alpha^2/4, underflows to 0
+        # in double precision
         code, _, err = run_cli(["ldp", "--alpha", alpha, "--t", "1"], capsys)
         assert code == cli.EXIT_NUMERICAL
         payload = json.loads(err)
@@ -321,17 +316,18 @@ class TestExitCodes:
         assert f"alpha = {float(alpha)!r}, t = 1e+300" in payload["message"]
         assert "a=" not in payload["message"]
 
-    def test_rootless_edge_names_alpha_and_t(self, monkeypatch, capsys):
-        # a modulus cubic without an admissible root is reported in the
-        # flags given, not in the planar (a, c) that solve_q names
-        def rootless(a, c):
-            raise NoValidRoot(f"no admissible root at a={a}, c={c}")
-        monkeypatch.setattr(ldp, "solve_q", rootless)
-        code, _, err = run_cli(["ldp", "--alpha", "16/9", "--t", "3"], capsys)
+    def test_rootless_edge_names_alpha_and_t(self, capsys):
+        # t is 1.2e-11 relative below the edge, and its planar image is
+        # post-critical, though the old, cancelled lambda_- put it above;
+        # the refusal is the edge's, in the flags given, not in the planar
+        # (a, c), and names the edge
+        code, _, err = run_cli(["ldp", "--alpha", "1e-5", "--t",
+                                "2.4999875000473473e-11"], capsys)
         assert code == cli.EXIT_NUMERICAL
         message = json.loads(err)["message"]
-        assert "alpha = 1.7777777777777777, t = 3.0" in message
-        assert "no admissible modulus root" in message and "a=" not in message
+        assert message == (
+            "pushed regime at alpha = 1e-05 needs t above the edge lambda_- "
+            "= 2.4999875000781253e-11, got t = 2.4999875000473473e-11")
 
     @pytest.mark.parametrize("alpha", ["1e-8", "1e-10", "1e-15"])
     def test_small_alpha_rate_matches_action(self, alpha, capsys):
@@ -361,28 +357,19 @@ class TestExitCodes:
          ["a=1e+200", "c=1.0"]),
         (["op-compare", "--a", "1e200", "--c", "1", "--n", "4", "--x", "3",
           "--s", "1"], ["a=1e+200", "c=1.0"]),
-        # 1 - a^2 q^2 ~ 2c/a^2 keeps fewer than half a double's digits
-        (["geometry", "--a", "1e6", "--c", "1"], ["a=1000000.0", "c=1.0"]),
-        (["free-energy", "--a", "1e8", "--c", "1", "--n", "8"],
-         ["a=100000000.0", "c=1.0"]),
-        (["ldp", "--alpha", "1", "--t", "1e9"],
-         ["alpha = 1.0", "t = 1000000000.0"]),
-        # at tiny c the modulus root rounds onto a^2 q^2 > 1, which the
-        # solve refuses: no kappa > 0 and no energy
-        (["geometry", "--a", "1e4", "--c", "1e-12"], ["10000.0", "1e-12"]),
-        (["free-energy", "--a", "1e4", "--c", "1e-12", "--n", "8"],
-         ["a=10000.0", "c=1e-12"]),
-        # one ulp above lambda_- the modulus rounds to q = 1, the phase edge
+        # one ulp above the old, cancelled lambda_- the modulus rounded to
+        # q = 1; that t is below the edge, and its planar image is
+        # post-critical
         (["ldp", "--alpha", "0.5", "--t", "0.05051025721682186"],
          ["alpha = 0.5", "t = 0.05051025721682186",
-          "lambda_- = 0.050510257216821855"]),
+          "lambda_- = 0.05051025721682189"]),
         # the window shift moves the insertion point below a = 0
         (["critical", "--n", "8", "--c", "1", "--s", "1e6"],
          ["s=1000000.0", "N=8", "c=1.0"]),
         # past the double range: e^(N g) at a large N, the dressing's
         # (z - beta)^2 or e^(N g) at a huge z, the tail's c^(-2k) at a tiny
         # c, raised or times its Bernoulli factor, and the annular energy's
-        # (c + 1)^2 at a huge c, raised or times log c (CSV wrote nan)
+        # (2c + 1) log c at a huge c (CSV wrote nan)
         (["op-compare", "--a", "1.2", "--c", "1", "--n", "1000", "--x", "3"],
          ["N=1000", "z=(3+0j)"]),
         (["op-compare", "--a", "1.2", "--c", "1", "--n", "4", "--x", "1e300"],
@@ -391,36 +378,28 @@ class TestExitCodes:
           "--order", "63"], ["N^-63", "c=1e-300"]),
         (["free-energy", "--a", "0.1", "--c", "3e-5", "--n", "4",
           "--order", "63", "--format", "csv"], ["N^-63", "c=3e-05"]),
-        (["critical", "--n", "8", "--c", "1e300", "--s", "1"],
-         ["c=1e+300"]),
-        (["critical", "--n", "8", "--c", "1e154", "--s", "1",
-          "--format", "csv"], ["c=1e+154"]),
-        # the modulus rounds to q = 1: a^2 q^2 = 1 leaves the energy a log
-        # of 0, (1 - q^2)^3 = 0 divides the constant, and past it (q > 1)
-        # the constant takes the log of a negative number
-        (["free-energy", "--a", "1", "--c", "1e-18", "--n", "8"],
-         ["a=1.0", "c=1e-18"]),
-        (["free-energy", "--a", "0.999999999993981", "--c", "1e-22", "--n",
-          "8"], ["a=0.999999999993981", "c=1e-22"]),
+        (["critical", "--n", "8", "--c", "1e307", "--s", "1"],
+         ["c=1e+307"]),
+        (["critical", "--n", "8", "--c", "1e307", "--s", "1",
+          "--format", "csv"], ["c=1e+307"]),
+        # U(t) rounds below t, so the constrained action has no value
         (["ldp", "--alpha", "1e17", "--t", "1e17"],
          ["alpha = 1e+17", "t = 1e+17"]),
+        # 1.2e-11 relative below the edge, though above the old, cancelled
+        # lambda_-
         (["ldp", "--alpha", "1e-5", "--t", "2.4999875000473473e-11"],
          ["alpha = 1e-05", "t = 2.4999875000473473e-11"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
-            "free-energy-huge-a", "op-compare-huge-a", "geometry-far-a",
-            "free-energy-far-a", "ldp-far-t", "geometry-tiny-c",
-            "free-energy-tiny-c", "ldp-phase-edge", "critical-huge-s",
-            "op-compare-large-n", "op-compare-huge-z",
+            "free-energy-huge-a", "op-compare-huge-a", "ldp-phase-edge",
+            "critical-huge-s", "op-compare-large-n", "op-compare-huge-z",
             "free-energy-tail-tiny-c", "free-energy-tail-inf",
-            "critical-huge-c", "critical-energy-inf",
-            "free-energy-energy-log-zero", "free-energy-constant-over-zero",
-            "ldp-energy-log-zero", "ldp-constant-log-negative"])
+            "critical-huge-c", "critical-energy-inf", "ldp-energy-log-zero",
+            "ldp-constant-log-negative"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
-        # past the Bernoulli table, past the double range or past its
-        # digits, the error is a DomainError that names the flags, not an
-        # IndexError, an OverflowError, a math domain error naming nothing
-        # or a NoValidRoot calling the input post-critical
+        # past the Bernoulli table, past the double range or below the
+        # edge, the error is a DomainError that names the flags, not an
+        # IndexError, an OverflowError or a math domain error naming nothing
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (cli.EXIT_NUMERICAL, "")
         payload = json.loads(err)
@@ -445,10 +424,69 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["droplet"]["regime"] == "POST"
 
+    @pytest.mark.parametrize("a, c", [
+        (1e6, 1.0), (1e3, 1e-12), (1e4, 1e-12)],
+        ids=["far-a", "tiny-c", "tiny-c-far-a"])
+    def test_far_field_geometry_prints_kappa(self, a, c, capsys):
+        # 1 - a^2 q^2 ~ 2c/a^2 formed from q kept fewer than half a double's
+        # digits here, or rounded to 0, and the record was refused; the gap
+        # is solved, and kappa keeps its bound against pre_reference
+        code, out, _ = run_cli(["geometry", "--a", repr(a), "--c", repr(c),
+                                "--points", "8"], capsys)
+        assert code == 0
+        droplet = json.loads(out)["droplet"]
+        kappa = oracles.pre_reference(a, c)[2]
+        assert droplet["regime"] == "PRE"
+        assert abs(droplet["kappa"] / kappa - 1) <= 8 * sys.float_info.epsilon
+
+    @pytest.mark.parametrize("a, c", [
+        (1e8, 1.0), (1e4, 1e-12), (1.0, 1e-18), (0.999999999993981, 1e-22),
+        (0.9999998954795284, 1.0926627497055574e-14)],
+        ids=["far-a", "tiny-c", "edge-log-zero", "edge-constant-over-zero",
+             "edge-tiny-c"])
+    def test_simply_connected_free_energy_answers(self, a, c, capsys):
+        # formed from q, the energy or constant here had a log of 0, a
+        # division by (1 - q^2)^3 = 0 or too few digits, or the old solve
+        # found no root at a point classify calls PRE, and free-energy
+        # exited 2; from the gaps n2 keeps energy_pre's bound and the
+        # constant fconst_pre's
+        eps = sys.float_info.epsilon
+        code, out, _ = run_cli(["free-energy", "--a", repr(a), "--c",
+                                repr(c), "--n", "8"], capsys)
+        assert code == 0
+        [row] = json.loads(out)["rows"]
+        energy = oracles.pre_reference(a, c)[3]
+        fconst = oracles.fconst_pre_reference(
+            *oracles.modulus_reference(a, c)[1:])
+        head = freeenergy.LOG_2PI / 2 + freeenergy.ZETA_PRIME_MINUS_ONE
+        assert row["regime"] == "PRE"
+        assert abs(row["n2"] + energy) <= 4 * eps * max(1, abs(energy))
+        assert abs(row["const"] - head - fconst) <= 4 * eps
+
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--a", "3", "--c", "1", "--points", "8"],
+        ["ldp", "--alpha", "0.5", "--t", "5.05"],
+        ["ldp", "--alpha", "1", "--t", "1e9"],
+    ], ids=["geometry-past-inverse-a-cri", "ldp-past-lambda-plus",
+            "ldp-far-t"])
+    def test_pre_critical_points_answer(self, argv, capsys):
+        # K = (a^2 - a_cri^2)(a^2 - a_cri^-2) turns positive again past
+        # 1/a_cri (K = 28 at a = 3, c = 1; t = 5.05 > lambda_+ at alpha =
+        # 0.5), where a > 1 keeps the point pre-critical; at t = 1e9 the
+        # old solve refused its modulus, and Phi now meets the action to
+        # rounding
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        table = json.loads(out)
+        if argv[0] == "geometry":
+            assert table["droplet"]["regime"] == "PRE"
+        else:
+            [row] = table["rows"]
+            assert row["residual"] <= 4 * sys.float_info.epsilon * row["phi"]
+
     def test_tiny_c_free_energy_needs_no_droplet_gap(self, capsys):
-        # at (1e3, 1e-12) 1 - a^2 q^2 rounds to 0.0: geometry refuses it for
-        # its kappa, but the expansion reads only q and the energy, so
-        # free-energy still answers there
+        # at (1e3, 1e-12) 1 - a^2 q^2 formed from q rounds to 0.0; the
+        # expansion reads the solved gap, and answers there
         code, out, _ = run_cli(
             ["free-energy", "--a", "1e3", "--c", "1e-12", "--n", "8"], capsys)
         assert code == 0
@@ -471,13 +509,13 @@ class TestExitCodes:
         assert json.loads(err)["message"] == "--exact-compare needs --n"
 
     def test_ldp_kc_identity_failure(self, capsys):
-        # the largest rate-function gap on this grid is 4.663e-15
+        # the largest rate-function gap on this grid is 2.220e-15
         code, out, err = run_cli(
             ["ldp", "--alpha", "16/9", "--grid=0.5:5:50", "--check-kc",
              "--tol", "1e-300"], capsys)
         assert code == cli.EXIT_IDENTITY
         assert len(json.loads(out)["rows"]) == 50  # table still emitted
-        assert "max gap 4.663e-15" in json.loads(err)["message"]
+        assert "max gap 2.220e-15" in json.loads(err)["message"]
 
     def test_one_step_grid_is_its_low_end(self, capsys):
         code, out, _ = run_cli(["ldp", "--alpha", "16/9", "--grid=2:5:1"],

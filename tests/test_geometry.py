@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from coulombgas import freeenergy, geometry
-from coulombgas.errors import BranchCutError, DomainError, NoValidRoot
+from coulombgas.errors import BranchCutError, DomainError
 from coulombgas.geometry import Regime
 
 
@@ -98,64 +98,56 @@ class TestSolveQ:
         for c in (0.25, 9 / 16, 1.0, 4.0):
             a = geometry.a_cri(c)
             assert cubic_residual(a, c, 1.0) < 1e-14
-            assert geometry.solve_q(a * (1 + 1e-7), c) == pytest.approx(1.0, abs=1e-3)
+            q = geometry.solve_modulus(a * (1 + 1e-7), c)[0]
+            assert q == pytest.approx(1.0, abs=1e-3)
 
     def test_far_field(self):
-        q = geometry.solve_q(100.0, 1.0)
+        q = geometry.solve_modulus(100.0, 1.0)[0]
         assert abs(100.0 * q - 1.0) < 2e-4
 
     @pytest.mark.parametrize("c", [0.25, 1.0, 4.0, 1e4, 1e8])
     def test_large_a_solves_or_refuses(self, c):
-        # from a ~ 2e4 the middle root q^2 ~ 1/a^2 sits below the trig form's
-        # rounding error, up to where a^4 overflows; kappa carries
-        # 1 - a^2 q^2 ~ 2c/a^2, formed from terms near 1, so past GAP_FLOOR
-        # the solve refuses instead of handing on a kappa without digits
+        # from a ~ 2e4 the middle root q^2 ~ 1/a^2 sits below the trig
+        # form's rounding error; the gap 1 - a^2 q^2 ~ 2c/a^2 is solved in
+        # its own cubic, so q, the gap and kappa keep solve_modulus's bound
+        # up to a = 1e76
         eps = sys.float_info.epsilon
         for e in range(2, 77, 2):
             a = float(10 ** e)
             q, gap, kappa, _ = oracles.pre_reference(a, c)
-            try:
-                g = geometry.droplet(a, c)
-            except DomainError as exc:  # NoValidRoot is not one
-                assert gap < geometry.GAP_FLOOR, a
-                assert f"a={a}, c={c}" in str(exc)
-                continue
+            g = geometry.droplet(a, c)
             assert abs(g.q / q - 1) <= 2 * eps, a
-            assert abs(g.kappa / kappa - 1) <= 2 * eps / gap, a
+            assert abs(g.w / gap - 1) <= 4 * eps, a
+            assert abs(g.kappa / kappa - 1) <= 8 * eps, a
 
-    def test_large_a_refusal_starts_near_the_floor(self):
-        # at c = 1 the solve holds to a = 1e4 (gap 2e-8) and refuses from
-        # 1e5 (2e-10); the gap at 1e6 (2e-12) left kappa 4 digits
-        assert geometry.solve_q(1e4, 1.0) > 0.0
-        for a in (1e5, 1e6, 1e8):
-            with pytest.raises(DomainError, match="keeps fewer than half"):
-                geometry.solve_q(a, 1.0)
+    def test_far_field_gap_against_pre_reference(self):
+        # at c = 1 the old solve refused from a = 1e5, where 1 - a^2 q^2 =
+        # 2e-10 formed from terms near 1 kept half a double's digits; the
+        # gap is now solved in its own cubic, past a = 1e150
+        eps = sys.float_info.epsilon
+        for a in (1e4, 1e5, 1e6, 1e8, 1e50, 1e150):
+            q, gap, _, energy = oracles.pre_reference(a, 1.0)
+            got = geometry.solve_modulus(a, 1.0)
+            assert abs(got[0] / q - 1) <= 4 * eps, a
+            assert abs(got[2] / gap - 1) <= 4 * eps, a
+            assert abs(freeenergy.energy_pre(a, 1.0, *got) - energy) \
+                <= 4 * eps * max(1, abs(energy)), a
 
     def test_tiny_c_root_keeps_a_nonnegative_gap(self):
-        # at tiny c the trig root can round onto a^2 q^2 > 1 (at a = 1e4,
-        # c = 1e-12 the energy was off by 1.9e-9); such a root goes on to the
-        # fixed point, whose GAP_FLOOR refuses it.  A root that is returned
-        # keeps 1 - a^2 q^2 >= 0 (0.0 at a = 1e3, c = 1e-12) and an energy
-        # within test_large_a_against_pre_reference's bound
+        # at tiny c, 1 - a^2 q^2 ~ 2c/a^2 rounded to 0 or below when formed
+        # from q (0.0 at a = 1e3, c = 1e-12), and the old solve refused
+        # such points; solved in its own cubic the gap is positive, and it
+        # and the energy keep their bounds against pre_reference
         eps = sys.float_info.epsilon
-        solved = refused = 0
         for a in (1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 1e6):
             for e in range(8, 15):
                 c = 10.0 ** -e
-                try:
-                    q = geometry.solve_q(a, c)
-                except DomainError:
-                    refused += 1
-                    continue
-                solved += 1
-                assert 1.0 - a * a * q * q >= 0.0, (a, c)
-                energy = oracles.pre_reference(a, c)[3]
-                assert abs(freeenergy.energy_pre(a, c, q) - energy) \
-                    <= 2 * eps * (a * a + (c + 1) ** 2), (a, c)
-        assert solved and refused
-        for c in (1e-14, 1e-12, 1e-9):
-            with pytest.raises(DomainError, match="keeps fewer than half"):
-                geometry.solve_q(1e4, c)
+                q, w, _, energy = oracles.pre_reference(a, c)
+                got = geometry.solve_modulus(a, c)
+                assert got[2] > 0.0, (a, c)
+                assert abs(got[2] / w - 1) <= 4 * eps, (a, c)
+                assert abs(freeenergy.energy_pre(a, c, *got)
+                           - energy) <= 4 * eps * max(1, abs(energy)), (a, c)
 
     def test_large_c_root_near_a_cri(self):
         # the trig root's Newton polish stopped short of the root here
@@ -163,11 +155,12 @@ class TestSolveQ:
         for a, c in ((0.028117087349916116, 1e6), (0.35397325010031655, 1e8),
                      (0.0014092036051134953, 1e12)):
             q, _, _, _ = oracles.pre_reference(a, c)
-            assert abs(geometry.solve_q(a, c) / q - 1) <= 2 * sys.float_info.epsilon
+            got = geometry.solve_modulus(a, c)[0]
+            assert abs(got / q - 1) <= 2 * sys.float_info.epsilon
 
     def test_reference_point(self):
         a, c = 1.0, 9 / 16
-        q = geometry.solve_q(a, c)
+        q = geometry.solve_modulus(a, c)[0]
         assert 0.0 < q < 1.0
         assert abs(q**6 - ((a * a + 4 * c + 2) / (2 * a * a)) * q**4
                    + 1 / (2 * a**4)) < 1e-14
@@ -177,17 +170,23 @@ class TestSolveQ:
     @pytest.mark.parametrize("c", [0.25, 9 / 16, 1.0, 4.0])
     @pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-3])
     def test_no_root_just_below_transition(self, c, eps):
+        # the phase is exact for the float pair: below a_cri no modulus
         a = geometry.a_cri(c) * (1.0 - eps)
-        with pytest.raises(NoValidRoot):
-            geometry.solve_q(a, c)
+        assert not geometry.pre_critical(a, c)
+        with pytest.raises(DomainError, match=(
+                f"^no simply connected droplet at a={a}, c={c}: a is not "
+                f"above a_cri = {geometry.a_cri(c)!r}$")):
+            geometry.solve_modulus(a, c)
 
     @pytest.mark.parametrize("c", [0.25, 9 / 16, 1.0, 4.0])
     @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(12, 2, -1)])
     def test_admissible_root_just_above_transition(self, c, eps):
         a = geometry.a_cri(c) * (1.0 + eps)
-        q = geometry.solve_q(a, c)
+        assert geometry.pre_critical(a, c)
+        q, v, w = geometry.solve_modulus(a, c)
         assert 0.0 < q <= 1.0
         assert a * a * q * q < 1.0
+        assert 0.0 < v < 1.0 and 0.0 < w < 1.0
         assert cubic_residual(a, c, q) < 1e-13
 
 
@@ -198,16 +197,19 @@ class TestPreGeometry:
         assert g.R == pytest.approx((1 + a * a * q * q) / (2 * a * q), abs=1e-14)
         assert g.kappa == pytest.approx(
             (1 - q * q) * (1 - a * a * q * q) / (2 * a * q), abs=1e-14)
+        assert (g.v, g.w) == pytest.approx((1 - q * q, 1 - a * a * q * q),
+                                           abs=1e-15)
         assert g.kappa > 0
 
-    def test_refuses_a_gap_that_rounds_to_zero(self):
-        # at (1e3, 1e-12) solve_q's root gives 1 - a^2 q^2 = 0.0, which
-        # leaves kappa no digits
-        assert 1.0 - 1e6 * geometry.solve_q(1e3, 1e-12) ** 2 == 0.0
-        with pytest.raises(DomainError, match=(
-                r"^1 - a\^2 q\^2 = 0 leaves no kappa > 0 in double precision "
-                r"at a=1000\.0, c=1e-12$")):
-            geometry.droplet(1e3, 1e-12)
+    def test_tiny_c_gap_keeps_its_digits(self):
+        # at (1e3, 1e-12) 1 - a^2 q^2 formed from q rounds to 0.0, and the
+        # record was refused; the record's gap is solved, so kappa keeps
+        # its digits
+        g = geometry.droplet(1e3, 1e-12)
+        assert 1.0 - 1e6 * g.q ** 2 == 0.0
+        _, w, kappa, _ = oracles.pre_reference(1e3, 1e-12)
+        assert abs(g.w / w - 1) <= 4 * sys.float_info.epsilon
+        assert abs(g.kappa / kappa - 1) <= 8 * sys.float_info.epsilon
 
     def test_branch_point_image(self):
         for a, c in ((1.0, 9 / 16), (1.2, 1.0), (3.0, 0.25)):
@@ -329,11 +331,11 @@ def test_post_existence_property(a, c):
 
 @pytest.mark.parametrize("call, message", [
     (lambda geom: geometry.a_cri(0), "c must be positive, got 0"),
-    (lambda geom: geometry.solve_q(0, 1),
-     "solve_q needs a > 0 and c > 0, got a=0, c=1"),
+    (lambda geom: geometry.solve_modulus(0, 1),
+     "solve_modulus needs a > 0 and c > 0, got a=0, c=1"),
     (lambda geom: geometry.conformal_f(geom, geom.q),
      "conformal map has a pole at w = q"),
-], ids=["a-cri-zero-c", "solve-q-zero-a", "conformal-f-pole"])
+], ids=["a-cri-zero-c", "solve-modulus-zero-a", "conformal-f-pole"])
 def test_refuses_arguments_out_of_domain(call, message, pre_geom):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(pre_geom)

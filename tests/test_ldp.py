@@ -57,35 +57,45 @@ class TestRateFunction:
         assert all(rate > 0.0 for rate in rates)
 
     def test_domain_error_at_wall(self):
+        # below the edge a point is refused; lambda_- is rounded, so at its
+        # float and the one below the planar image decides, and a point
+        # that is not refused has a rate of 0 to rounding
         lm = ldp.lambda_minus(1.0)
         with pytest.raises(DomainError):
-            ldp.phi_psi_grid((lm,), 1.0)
-        with pytest.raises(DomainError):
             ldp.phi_psi_grid((lm - 0.5,), 1.0)
+        for t in (math.nextafter(lm, 0.0), lm):
+            if geometry.pre_critical(math.sqrt(t), 1.0):
+                [rate], _ = ldp.phi_psi_grid((t,), 1.0)
+                assert rate < 1e-13
+            else:
+                with pytest.raises(DomainError):
+                    ldp.phi_psi_grid((t,), 1.0)
 
     def test_phase_edge_refused_by_name(self):
-        # just above lambda_- the planar modulus can round to q = 1, the
-        # phase edge, where the constant's (1 - q^2)^3 is 0.  At the three
-        # floats above lambda_-, for alpha = 0.5 and 10^(k/2) from 0.1 to
-        # 1e8, a point gives finite values or a DomainError naming t,
-        # alpha and lambda_-, never a ZeroDivisionError
-        refused = []
+        # each t is classified by the exact phase of its planar image, which
+        # can round to either side within a few floats of lambda_-.  At the
+        # three floats above lambda_-, for alpha = 0.5 and 10^(k/2) from 0.1
+        # to 1e8, a point with a pre-critical image gives finite values, and
+        # any other a DomainError naming t, alpha and lambda_-
         for alpha in (0.5, *(10.0 ** (k / 2) for k in range(-2, 17))):
             lm = t = ldp.lambda_minus(alpha)
             for _ in range(3):
                 t = math.nextafter(t, math.inf)
+                pre = geometry.pre_critical(math.sqrt(t / alpha), 1 / alpha)
                 try:
                     (rate,), (const,) = ldp.phi_psi_grid((t,), alpha)
                 except DomainError as exc:
+                    assert not pre, (alpha, t)
                     for name in (f"t = {t!r}", f"alpha = {alpha!r}",
                                  f"lambda_- = {lm!r}"):
                         assert name in str(exc)
-                    refused.append((alpha, t))
                     continue
-                assert math.isfinite(rate) and math.isfinite(const)
-        assert (0.5, 0.05051025721682186) in refused
-        assert geometry.solve_q(math.sqrt(0.05051025721682186 / 0.5),
-                                2.0) == 1.0
+                assert pre and math.isfinite(rate) and math.isfinite(const)
+        # one float above the cancelled (sqrt(alpha+1) - 1)^2 at alpha = 0.5
+        # the modulus rounded to q = 1; that t is below the edge
+        with pytest.raises(DomainError, match="lambda_- = 0.05051025721682189,"
+                           " got t = 0.05051025721682186"):
+            ldp.phi_psi_grid((0.05051025721682186,), 0.5)
 
     def test_rate_never_negative_above_the_edge(self):
         # Phi >= 0 by definition, but alpha^2 (energy_pre - energy_post)
@@ -226,11 +236,13 @@ class TestLogProbability:
 class TestSinglePass:
     def test_rows_equal_two_solve_route_bit_for_bit(self, capsys):
         # the table solves the modulus once per point; here energy_pre and
-        # fconst_pre get a solve each.  The grid starts one ulp above
-        # lambda_-, and each row equals its one-point grid.
+        # fconst_pre get a solve each.  The grid starts at the first float
+        # above lambda_- with a pre-critical planar image, and each row
+        # equals its one-point grid.
         alpha = 16 / 9
-        lo = math.nextafter(ldp.lambda_minus(alpha),
-                            math.inf)
+        lo = math.nextafter(ldp.lambda_minus(alpha), math.inf)
+        while not geometry.pre_critical(math.sqrt(lo / alpha), 1 / alpha):
+            lo = math.nextafter(lo, math.inf)
         code = cli.run(["ldp", "--alpha", "16/9", f"--grid={lo!r}:5:2000"])
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert code == 0 and len(rows) == 2000 and rows[0]["t"] == lo
@@ -238,10 +250,10 @@ class TestSinglePass:
             t = row["t"]
             a, c = math.sqrt(t / alpha), 1.0 / alpha
             two_solves = (
-                alpha * alpha * (freeenergy.energy_pre(a, c,
-                                                       geometry.solve_q(a, c))
+                alpha * alpha * (freeenergy.energy_pre(
+                    a, c, *geometry.solve_modulus(a, c))
                                  - freeenergy.energy_post(a, c)),
-                freeenergy.fconst_pre(a, geometry.solve_q(a, c))
+                freeenergy.fconst_pre(a, *geometry.solve_modulus(a, c))
                 - freeenergy.fconst_post(c))
             assert (row["phi"], row["psi"]) == two_solves, t
             (rate,), (const,) = ldp.phi_psi_grid((t,), alpha)
@@ -256,16 +268,16 @@ class TestSinglePass:
 
     def test_exact_compare_solves_the_modulus_once_per_row(self, monkeypatch,
                                                           capsys):
-        # phi, psi and ldp_log_p of a row come from one solve_q call, and
-        # ldp_log_p keeps the bits of the public ldp_log_probability
+        # phi, psi and ldp_log_p of a row come from one solve_modulus call,
+        # and ldp_log_p keeps the bits of the public ldp_log_probability
         calls = []
-        solve_q = ldp.solve_q
+        solve_modulus = ldp.solve_modulus
 
         def counted(a, c):
             calls.append((a, c))
-            return solve_q(a, c)
+            return solve_modulus(a, c)
 
-        monkeypatch.setattr(ldp, "solve_q", counted)
+        monkeypatch.setattr(ldp, "solve_modulus", counted)
         code = cli.run(["ldp", "--alpha", "16/9", "--grid=2:5:4",
                         "--exact-compare", "--n", "9"])
         rows = json.loads(capsys.readouterr().out)["rows"]

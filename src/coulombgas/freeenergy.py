@@ -1,10 +1,10 @@
 """Energies, Robin constants, and the large-N free-energy expansion.
 
 The closed forms are named by phase (energy_post, energy_pre, fconst_post,
-fconst_pre) and take no droplet record. Pre-critically they take the q,
-v = 1 - q^2 and w = 1 - a^2 q^2 of geometry.solve_modulus, from a record or
-from ldp.phi_psi_grid's one solve per point, and never form a gap as 1 minus
-a number near 1. expansion alone takes the phase, because
+fconst_pre) and take no droplet record. Pre-critically they take q and the
+gaps they read, v = 1 - q^2 and w = 1 - a^2 q^2, of geometry.solve_modulus,
+from a record or from ldp.phi_psi_grid's one solve per point, and never
+form a gap as 1 minus a number near 1. expansion alone takes the phase, because
 painleve.critical_expansion evaluates the annular expansion at a_s > a_cri
 when s < 0. detzeta_log is defined by one droplet and reads its record, as
 does charpoly_moment_asymp, given |z| alone.
@@ -77,11 +77,11 @@ def energy_post(a: float, c: float) -> float:
     raise DomainError(f"the annular energy overflows a double at a={a}, c={c}")
 
 
-def energy_pre(a: float, c: float, q: float, v: float, w: float) -> float:
+def energy_pre(a: float, c: float, q: float, w: float) -> float:
     """Equilibrium energy in the simply connected phase, within 24 eps of
     max(1, |E|) (15 eps measured near the edge at c = 3, where terms of size
     5 sum to E ~ -1).  With t = a^2 q^2 the a^2 terms are a^2 w^2 (4 - w)/
-    (8 t^2), and the c^2 log terms are combined in one log1p; v is unused."""
+    (8 t^2), and the c^2 log terms are combined in one log1p."""
     t = (a * q) ** 2
     return (a * a * w * w * (4.0 - w) / (8.0 * t * t) + 0.75 - 0.375 * w * w
             + math.log(2.0 * a * q) + 2.0 * c * math.log(2.0 * a * q * q)
@@ -89,9 +89,9 @@ def energy_pre(a: float, c: float, q: float, v: float, w: float) -> float:
             - (2.0 * c + 1.0) * math.log1p(t))
 
 
-def re_g_at_a(a: float, c: float, q: float, v: float, w: float) -> float:
+def re_g_at_a(a: float, c: float, q: float, w: float) -> float:
     """Re g(a) for the pre-critical g-function, the only g value the energy
-    needs; v is unused."""
+    needs."""
     t = (a * q) ** 2
     return (-0.5 * w + math.log((2.0 - w) / (2.0 * a * q * q))
             - c * math.log1p(-2.0 * t * q * q / (1.0 + t)))
@@ -195,7 +195,7 @@ def expansion(N: int, a: float, c: float, regime: Regime, M: int = 2) -> Expansi
     else:
         chi = 1
         q, v, w = solve_modulus(a, c)
-        energy = energy_pre(a, c, q, v, w)
+        energy = energy_pre(a, c, q, w)
         f = fconst_pre(a, q, v, w)
         tail = ()
         err = "O(N^-1)"
@@ -256,9 +256,8 @@ def charpoly_moment_asymp(z_abs: float, c: float, N: int) -> float:
         raise DomainError(f"need |z| >= 0 and c > 0, got {z_abs}, {c}")
     geom = droplet(z_abs, c)
     if geom.regime is Regime.PRE:
-        gaps = geom.q, geom.v, geom.w
-        return ((0.75 - energy_pre(z_abs, c, *gaps)) * N * N
-                + fconst_pre(z_abs, *gaps))
+        return ((0.75 - energy_pre(z_abs, c, geom.q, geom.w)) * N * N
+                + fconst_pre(z_abs, geom.q, geom.v, geom.w))
     bern = bernoulli_numbers(6)
     tail = sum((coef - float(bern[2 * k + 2]) / (4 * k * (k + 1))) * N ** (-2 * k)
                for k, coef in zip((1, 2), _tail_coefficients(c, (2, 4))))

@@ -47,20 +47,20 @@ def a_cri(c: float) -> float:
 
 
 def classify(a: float, c: float) -> Regime:
-    """Resolve the phase of (a, c) by pre_critical. a = 0 counts as
+    """The phase of (a, c), exact for the float pair: PRE where K < 0 or
+    a > 1 (K alone turns positive again past 1/a_cri).  a = 0 counts as
     post-critical by convention; a within TAU a_cri of a_cri has no phase
     and is refused."""
     if a < 0:
         raise DomainError(f"a must be nonnegative, got {a}")
-    if c <= 0:
-        raise DomainError(f"c must be positive, got {c}")
-    edge = a_cri(c)
+    edge = a_cri(c)  # which refuses c <= 0
     if not abs(a - edge) > TAU * edge:  # NaN included
         raise DomainError(
             f"a = {a!r} is within {TAU:g} * a_cri of the phase boundary "
             f"a_cri = {edge!r} at c = {c!r}: no droplet phase applies; "
             "perturb a")
-    return Regime.PRE if pre_critical(a, c) else Regime.POST
+    k = _phase_k(a, c)
+    return Regime.PRE if k is None or k < 0.0 else Regime.POST
 
 
 class PreGeometry(NamedTuple):
@@ -89,23 +89,25 @@ class PostGeometry(NamedTuple):
 Droplet = Union[PreGeometry, PostGeometry]
 
 
-def _edge_k(a: float, c: float) -> float:
-    """K = (1 - a^2)^2 - 4c a^2 to within one rounding: where its two terms
-    are within a factor 3 of each other it is formed exactly, from the
-    binary values of a and c, and otherwise in floats, within 10 eps."""
+def _phase_k(a: float, c: float) -> float | None:
+    """K = (1 - a^2)^2 - 4c a^2, or None where a > 1 or a^2 (2c + 1) > 2
+    (pre-critical whatever K's sign, as a_cri^2 < 1/(2c + 1)); no term
+    overflows.  K is exact to one rounding, from the binary values of a and
+    c, where its two terms are within a factor 3, and else within 10 eps."""
+    if a > 1.0 or 2.0 * (c * a) * a + a * a > 2.0:
+        return None
     d = (1.0 - a) * (1.0 + a)
-    x, y = d * d, 4.0 * c * a * a
+    x, y = d * d, (c * a) * (4.0 * a)
     if abs(x - y) >= 0.5 * (x + y):
         return x - y
     (n, m), (p, r) = a.as_integer_ratio(), c.as_integer_ratio()
     return ((m * m - n * n) ** 2 * r - 4 * p * (n * m) ** 2) / (m ** 4 * r)
 
 
-def pre_critical(a: float, c: float) -> bool:
-    """Whether the float pair (a >= 0, c > 0) is pre-critical, exactly: K < 0
-    or a > 1.  K alone turns positive again past 1/a_cri."""
-    # a^2 (2c + 1) > 2 puts a^2 above twice a_cri^2 < 1/(2c + 1)
-    return a > 1.0 or a * a * (2.0 * c + 1.0) > 2.0 or _edge_k(a, c) < 0.0
+def in_double_range(a: float, c: float) -> bool:
+    """Whether solve_modulus's far field at (a, c) stays in doubles: its
+    cubics' a^2 + 4c is finite and w ~ 2c/a^2 is a normal double."""
+    return a * a + 4.0 * c < math.inf and a * a * sys.float_info.min < 2.0 * c
 
 
 def _newton(c0: float, c1: float, c2: float, c3: float, x: float) -> float:
@@ -120,20 +122,26 @@ def _newton(c0: float, c1: float, c2: float, c3: float, x: float) -> float:
     return x
 
 
-def solve_modulus(a: float, c: float) -> tuple[float, float, float]:
-    """(q, v, w) = (q, 1 - q^2, 1 - a^2 q^2) at pre-critical (a, c), each
-    within 4 eps relative.  Newton's method finds v where a <= 1 and
-    a^2 (2c + 1) <= 2 (q^2 >= 1/2), from K, which refuses a post-critical
-    (a, c); w where a > 1 and 3a^2 > 4c + 1 (w < 1/2); and elsewhere, where
-    q is small, s = a^2 q^2 in 2 s^3 - (a^2 + 4c + 2) s^2 + a^2 = 0.  The
-    rest follow with no gap formed as 1 minus a number near 1.  A w below
-    the normal double range, from a ~ 1e154 sqrt(c), is refused.
-    """
-    if a <= 0 or c <= 0:
+def solve_modulus(a: float, c: float) -> tuple[float, float, float] | None:
+    """(q, v, w) = (q, 1 - q^2, 1 - a^2 q^2), each within 4 eps relative, at
+    pre-critical (a, c), and None at post-critical (a, c) (classify's phase,
+    with no window).  Newton's method finds v where a <= 1 and
+    a^2 (2c + 1) <= 2 (q^2 >= 1/2), from K; w where a > 1 and 3a^2 > 4c + 1
+    (w < 1/2); elsewhere s = a^2 q^2 in 2 s^3 - (a^2 + 4c + 2) s^2 + a^2 = 0.
+    No gap is formed as 1 minus a number near 1.  A pre-critical (a, c) out
+    of in_double_range (a ~ 1e154 sqrt(c)) or with a^2 subnormal (c ~ 1e307)
+    is refused."""
+    if not (a > 0.0 and c > 0.0):  # NaN included
         raise DomainError(
             f"solve_modulus needs a > 0 and c > 0, got a={a}, c={c}")
+    k = _phase_k(a, c)
+    if k is not None and not k < 0.0:
+        return None
     a2 = a * a
-    if a > 1.0 or a2 * (2.0 * c + 1.0) > 2.0:
+    if not (a2 >= sys.float_info.min and in_double_range(a, c)):
+        raise DomainError(f"the modulus cubic leaves the double range "
+                          f"at a={a}, c={c}")
+    if k is None:
         big = (a - 1.0) * (a + 1.0)
         if a > 1.0 and 3.0 * a2 > 4.0 * c + 1.0:
             lin, quad = big + 4.0 * c, 0.5 * a2 + 2.0 * c - 2.0
@@ -149,15 +157,7 @@ def solve_modulus(a: float, c: float) -> tuple[float, float, float]:
                         a / math.sqrt(p - 2.0 * a / math.sqrt(p)))
             w = 1.0 - s
             v = 1.0 - s / a2
-        if not w >= sys.float_info.min:  # NaN included
-            raise DomainError(f"the modulus cubic leaves the double range "
-                              f"at a={a}, c={c}")
         return math.sqrt(s) / a, v, w
-    k = _edge_k(a, c)
-    if k >= 0.0:
-        raise DomainError(
-            f"no simply connected droplet at a={a}, c={c}: a is not above "
-            f"a_cri = {a_cri(c)!r}")
     small = (1.0 - a) * (1.0 + a)
     lin = 2.0 * a2 * (4.0 * c + 2.0 * small)
     quad = a2 * (5.0 * a2 - 4.0 * c - 2.0)

@@ -21,7 +21,7 @@ import math
 from .errors import DomainError
 from .freeenergy import (ZETA_PRIME_MINUS_ONE, energy_post, energy_pre,
                          fconst_post, fconst_pre)
-from .geometry import a_cri, pre_critical, solve_modulus
+from .geometry import a_cri, in_double_range, solve_modulus
 
 
 def lambda_minus(alpha: float) -> float:
@@ -48,8 +48,8 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
     Everything that depends on alpha alone (lambda_-, c, the post-critical
     energy up to its -c a^2 term, the post-critical constant) is formed
     once, in the same float operations the scalar formulas use.  A t whose
-    planar image is not pre-critical (geometry.pre_critical) is refused by
-    name: lambda_- only names the edge.
+    planar image is post-critical or out of geometry.in_double_range is
+    refused by name; lambda_- only names the edge.
     """
     # lambda_minus refuses a negative alpha before the rate functions do
     lam_minus = lambda_minus(alpha)
@@ -64,15 +64,17 @@ def phi_psi_grid(ts, alpha: float) -> tuple[list[float], list[float]]:
     for t in ts:
         # the planar image: insertion radius a = sqrt(t/alpha), charge c
         a = math.sqrt(t / alpha) if t > 0.0 else 0.0
-        if not pre_critical(a, c):
-            raise DomainError(
-                f"pushed regime at alpha = {alpha!r} needs t above the edge "
-                f"lambda_- = {lam_minus!r}, got t = {t!r}")
-        phi = psi = math.inf  # a = sqrt(t/alpha) past the double range
-        if a * a < math.inf:
-            gaps = solve_modulus(a, c)
-            phi = alpha2 * (energy_pre(a, c, *gaps) - (post_head - c * a * a))
-            psi = fconst_pre(a, *gaps) - post_const
+        phi = psi = math.nan
+        if in_double_range(a, c):
+            gaps = solve_modulus(a, c) if a > 0.0 else None
+            if gaps is None:
+                raise DomainError(
+                    f"t = {t!r} at alpha = {alpha!r} has a post-critical "
+                    "planar image, outside the pushed regime; lambda_- = "
+                    f"{lam_minus!r}")
+            q, v, w = gaps
+            phi = alpha2 * (energy_pre(a, c, q, w) - (post_head - c * a * a))
+            psi = fconst_pre(a, q, v, w) - post_const
         if not math.isfinite(phi + psi):
             raise DomainError(
                 f"no rate function at alpha = {alpha!r}, t = {t!r}: its "

@@ -286,6 +286,13 @@ def check_zw_constant() -> tuple:
         {"tolerance": 1e-12, "worst": worst, "rows": rows})
 
 
+def _pre_closed_forms(a: float, c: float) -> tuple:
+    """(energy_pre, fconst_pre, re_g_at_a) at (a, c) from one modulus solve."""
+    q, v, w = geometry.solve_modulus(a, c)
+    return (freeenergy.energy_pre(a, c, q, w),
+            freeenergy.fconst_pre(a, q, v, w), freeenergy.re_g_at_a(a, c, q, w))
+
+
 @check("derivative_forms", "freeenergy",
        "closed-form derivatives vs differences")
 def check_derivatives() -> tuple:
@@ -295,14 +302,9 @@ def check_derivatives() -> tuple:
     worst = 0.0
     rows = []
     for a in np.linspace(0.6, 2.4, 10):
-        hi = geometry.solve_modulus(a + h, c)
-        lo = geometry.solve_modulus(a - h, c)
-        fd_energy = (freeenergy.energy_pre(a + h, c, *hi)
-                     - freeenergy.energy_pre(a - h, c, *lo)) / (2.0 * h)
-        fd_const = (freeenergy.fconst_pre(a + h, *hi)
-                    - freeenergy.fconst_pre(a - h, *lo)) / (2.0 * h)
-        fd_reg = (freeenergy.re_g_at_a(a + h, c, *hi)
-                  - freeenergy.re_g_at_a(a - h, c, *lo)) / (2.0 * h)
+        fd_energy, fd_const, fd_reg = (
+            (hi - lo) / (2.0 * h) for hi, lo in zip(
+                _pre_closed_forms(a + h, c), _pre_closed_forms(a - h, c)))
         q, v, w = geometry.solve_modulus(a, c)
         diffs = {
             "energy": abs(fd_energy - freeenergy.d_energy_pre_da(a, q, v, w)),
@@ -326,11 +328,10 @@ def check_energy_continuity() -> tuple:
     for c in (0.25, 0.5625, 1.0, 4.0):
         a_cri = geometry.a_cri(c)
         a_edge = a_cri + 1e-8
-        gap = abs(freeenergy.energy_pre(a_edge, c, *geometry.solve_modulus(
-            a_edge, c)) - freeenergy.energy_post(a_edge, c))
+        gap = abs(_pre_closed_forms(a_edge, c)[0]
+                  - freeenergy.energy_post(a_edge, c))
         ordered = all(
-            freeenergy.energy_pre(a, c, *geometry.solve_modulus(a, c))
-            > freeenergy.energy_post(a, c)
+            _pre_closed_forms(a, c)[0] > freeenergy.energy_post(a, c)
             for a in (a_cri + da for da in (1e-3, 1e-2, 0.1, 0.5, 1.0)))
         rows.append({"c": c, "boundary_gap": gap, "ordered": ordered})
         ok = ok and gap < 1e-9 and ordered

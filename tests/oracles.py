@@ -325,11 +325,11 @@ def potential_integral(a: float, c: float, regime: Regime) -> float:
     if regime is Regime.POST:
         return (c + 0.25 + 0.5 * c * c * math.log(c)
                 - 0.5 * c * (1.0 + c) * math.log(1.0 + c) - c * a * a)
-    q, v, w = solve_modulus(a, c)
+    q, _, w = solve_modulus(a, c)
     t = a * a * q * q
     return (0.375 + a * a / 4.0 + c / 2.0
             - (a * a / 4.0 + c + 0.5) * t + 0.375 * t * t
-            - c * re_g_at_a(a, c, q, v, w))
+            - c * re_g_at_a(a, c, q, w))
 
 
 def contour_moment(N: int, m: int, a, k: int,
@@ -451,9 +451,10 @@ def lambda_minus_reference(alpha: float):
 
 
 def is_pre_reference(a: float, c: float) -> bool:
-    """Whether a > a_cri(c) = sqrt(c+1) - sqrt(c), at 80 digits."""
+    """Whether a > a_cri(c) = sqrt(c+1) - sqrt(c), at 80 digits, as
+    1/(sqrt(c+1) + sqrt(c)) so that no c cancels it."""
     with mp.workdps(80):
-        return mp.mpf(a) > mp.sqrt(mp.mpf(c) + 1) - mp.sqrt(mp.mpf(c))
+        return mp.mpf(a) > 1 / (mp.sqrt(mp.mpf(c) + 1) + mp.sqrt(mp.mpf(c)))
 
 
 def hm_q(sol: painleve.TWSolution, s):

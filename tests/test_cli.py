@@ -326,8 +326,9 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERICAL
         message = json.loads(err)["message"]
         assert message == (
-            "pushed regime at alpha = 1e-05 needs t above the edge lambda_- "
-            "= 2.4999875000781253e-11, got t = 2.4999875000473473e-11")
+            "t = 2.4999875000473473e-11 at alpha = 1e-05 has a post-critical "
+            "planar image, outside the pushed regime; lambda_- = "
+            "2.4999875000781253e-11")
 
     @pytest.mark.parametrize("alpha", ["1e-8", "1e-10", "1e-15"])
     def test_small_alpha_rate_matches_action(self, alpha, capsys):
@@ -389,13 +390,16 @@ class TestExitCodes:
         # lambda_-
         (["ldp", "--alpha", "1e-5", "--t", "2.4999875000473473e-11"],
          ["alpha = 1e-05", "t = 2.4999875000473473e-11"]),
+        # the gap 1 - a^2 q^2 ~ 2/t falls below the normal double range
+        (["ldp", "--alpha", "1", "--t", "1.7e308"],
+         ["alpha = 1.0", "t = 1.7e+308"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
             "free-energy-huge-a", "op-compare-huge-a", "ldp-phase-edge",
             "critical-huge-s", "op-compare-large-n", "op-compare-huge-z",
             "free-energy-tail-tiny-c", "free-energy-tail-inf",
             "critical-huge-c", "critical-energy-inf", "ldp-energy-log-zero",
-            "ldp-constant-log-negative"])
+            "ldp-constant-log-negative", "ldp-gap-underflow"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
         # past the Bernoulli table, past the double range or below the
         # edge, the error is a DomainError that names the flags, not an
@@ -406,6 +410,14 @@ class TestExitCodes:
         assert payload["error"] == "DomainError"
         for name in names:
             assert name in payload["message"]
+
+    def test_largest_c_below_a_cri_is_post_critical(self, capsys):
+        # a_cri(1e308) = 5e-155; 4c and a^2 (2c + 1) overflow there, which
+        # made every a > 0 pre-critical
+        code, out, _ = run_cli(["geometry", "--a", "1e-160", "--c", "1e308"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["droplet"]["regime"] == "POST"
 
     def test_large_c_just_below_a_cri_is_post_critical(self, capsys):
         # 7.1e-6 below the true a_cri (the modulus cubic's middle root is

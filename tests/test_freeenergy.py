@@ -19,7 +19,8 @@ def fd(fn, x: float, h: float = 1e-6) -> float:
 
 def energy_pre(a: float, c: float) -> float:
     """The pre-critical energy at its own modulus."""
-    return freeenergy.energy_pre(a, c, *geometry.solve_modulus(a, c))
+    q, _, w = geometry.solve_modulus(a, c)
+    return freeenergy.energy_pre(a, c, q, w)
 
 
 def fconst_pre(a: float, c: float) -> float:
@@ -29,7 +30,8 @@ def fconst_pre(a: float, c: float) -> float:
 
 def re_g_at_a(a: float, c: float) -> float:
     """Re g(a) at its own modulus."""
-    return freeenergy.re_g_at_a(a, c, *geometry.solve_modulus(a, c))
+    q, _, w = geometry.solve_modulus(a, c)
+    return freeenergy.re_g_at_a(a, c, q, w)
 
 
 class TestEnergyPost:
@@ -190,8 +192,8 @@ class TestClosedFormsTakeTheModulus:
 
         for module in (geometry, freeenergy):
             monkeypatch.setattr(module, "solve_modulus", refuse)
-        values = (freeenergy.energy_pre(a, c, q, v, w),
-                  freeenergy.re_g_at_a(a, c, q, v, w),
+        values = (freeenergy.energy_pre(a, c, q, w),
+                  freeenergy.re_g_at_a(a, c, q, w),
                   freeenergy.d_energy_pre_da(a, q, v, w),
                   freeenergy.d_fconst_pre_da(a, q, v, w),
                   freeenergy.fconst_pre(a, q, v, w), freeenergy.fconst_post(c))

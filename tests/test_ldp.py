@@ -64,7 +64,7 @@ class TestRateFunction:
         with pytest.raises(DomainError):
             ldp.phi_psi_grid((lm - 0.5,), 1.0)
         for t in (math.nextafter(lm, 0.0), lm):
-            if geometry.pre_critical(math.sqrt(t), 1.0):
+            if geometry.solve_modulus(math.sqrt(t), 1.0) is not None:
                 [rate], _ = ldp.phi_psi_grid((t,), 1.0)
                 assert rate < 1e-13
             else:
@@ -81,7 +81,8 @@ class TestRateFunction:
             lm = t = ldp.lambda_minus(alpha)
             for _ in range(3):
                 t = math.nextafter(t, math.inf)
-                pre = geometry.pre_critical(math.sqrt(t / alpha), 1 / alpha)
+                pre = geometry.solve_modulus(math.sqrt(t / alpha),
+                                             1 / alpha) is not None
                 try:
                     (rate,), (const,) = ldp.phi_psi_grid((t,), alpha)
                 except DomainError as exc:
@@ -93,8 +94,10 @@ class TestRateFunction:
                 assert pre and math.isfinite(rate) and math.isfinite(const)
         # one float above the cancelled (sqrt(alpha+1) - 1)^2 at alpha = 0.5
         # the modulus rounded to q = 1; that t is below the edge
-        with pytest.raises(DomainError, match="lambda_- = 0.05051025721682189,"
-                           " got t = 0.05051025721682186"):
+        with pytest.raises(DomainError, match=re.escape(
+                "t = 0.05051025721682186 at alpha = 0.5 has a post-critical "
+                "planar image, outside the pushed regime; lambda_- = "
+                "0.05051025721682189")):
             ldp.phi_psi_grid((0.05051025721682186,), 0.5)
 
     def test_rate_never_negative_above_the_edge(self):
@@ -241,7 +244,7 @@ class TestSinglePass:
         # equals its one-point grid.
         alpha = 16 / 9
         lo = math.nextafter(ldp.lambda_minus(alpha), math.inf)
-        while not geometry.pre_critical(math.sqrt(lo / alpha), 1 / alpha):
+        while geometry.solve_modulus(math.sqrt(lo / alpha), 1 / alpha) is None:
             lo = math.nextafter(lo, math.inf)
         code = cli.run(["ldp", "--alpha", "16/9", f"--grid={lo!r}:5:2000"])
         rows = json.loads(capsys.readouterr().out)["rows"]
@@ -249,9 +252,9 @@ class TestSinglePass:
         for row in rows:
             t = row["t"]
             a, c = math.sqrt(t / alpha), 1.0 / alpha
+            q, _, w = geometry.solve_modulus(a, c)
             two_solves = (
-                alpha * alpha * (freeenergy.energy_pre(
-                    a, c, *geometry.solve_modulus(a, c))
+                alpha * alpha * (freeenergy.energy_pre(a, c, q, w)
                                  - freeenergy.energy_post(a, c)),
                 freeenergy.fconst_pre(a, *geometry.solve_modulus(a, c))
                 - freeenergy.fconst_post(c))

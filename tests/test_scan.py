@@ -28,6 +28,7 @@ from mpmath import mp
 
 import oracles
 from coulombgas import freeenergy, geometry, ldp
+from coulombgas.geometry import Regime
 
 EPS = sys.float_info.epsilon
 CS = [10.0 ** j for j in range(-14, 13, 2)]
@@ -78,7 +79,7 @@ class TestPreCritical:
                      for _, g, ref, _, _ in pre_cells(c)) <= 8
 
     def test_energy_pre(self, c):
-        errors = [rel(freeenergy.energy_pre(a, c, g.q, g.v, g.w), ref[3],
+        errors = [rel(freeenergy.energy_pre(a, c, g.q, g.w), ref[3],
                       max(1, abs(ref[3])))
                   for a, g, ref, _, _ in pre_cells(c)]
         assert worst(errors) <= 24
@@ -96,15 +97,18 @@ class TestPreCritical:
         assert worst(errors) <= 2
 
 
-@pytest.mark.parametrize("c", CS, ids=C_IDS)
+@pytest.mark.parametrize("c", CS + [1e300, 1e308],
+                         ids=C_IDS + ["c=1e300", "c=1e308"])
 def test_phase_is_exact(c):
-    # pre_critical agrees with the sign of a - a_cri(c) at 80 digits on
-    # both sides of the edge, past 1/a_cri included
+    # classify agrees with the sign of a - a_cri(c) at 80 digits on
+    # both sides of the edge, past 1/a_cri included, up to c = 1e308,
+    # where 4c and a^2 (2c + 1) overflow
     edge = geometry.a_cri(c)
     points = ([edge * (1.0 + d) for d in PRE_DISTANCES]
               + [edge * scale for scale in POST_SCALES])
     for a in points:
-        assert geometry.pre_critical(a, c) is oracles.is_pre_reference(a, c), a
+        want = Regime.PRE if oracles.is_pre_reference(a, c) else Regime.POST
+        assert geometry.classify(a, c) is want, a
 
 
 @pytest.mark.parametrize("c", CS + [1e16, 1e150, 1e300],

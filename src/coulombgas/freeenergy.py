@@ -233,7 +233,7 @@ def barnes_logG(n: int) -> float:
     for k in range(1, int(n) - 1):
         fact *= k
         acc *= fact
-    return math.log(acc) if acc > 1 else 0.0
+    return math.log(acc)
 
 
 def reference_logZ(N: int, m: int) -> float:

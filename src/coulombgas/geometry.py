@@ -223,10 +223,10 @@ def droplet_boundary(geom: Droplet, n_points: int) -> tuple:
     if n_points < 8:
         raise DomainError(f"n_points must be at least 8, got {n_points}")
     thetas = tuple(2.0 * math.pi * k / n_points for k in range(n_points))
+    circle = tuple(cmath.exp(1j * t) for t in thetas)
     if geom.regime is Regime.POST:
-        outer = tuple(geom.outer_radius * cmath.exp(1j * t) for t in thetas)
-        inner = tuple(geom.inner_center + geom.inner_radius * cmath.exp(1j * t)
-                      for t in thetas)
+        outer = tuple(geom.outer_radius * e for e in circle)
+        inner = tuple(geom.inner_center + geom.inner_radius * e for e in circle)
         return thetas, (("outer", outer), ("inner", inner))
-    curve = tuple(conformal_f(geom, cmath.exp(1j * t)) for t in thetas)
+    curve = tuple(conformal_f(geom, e) for e in circle)
     return thetas, (("boundary", curve),)

@@ -450,6 +450,23 @@ def lambda_minus_reference(alpha: float):
         return +(mp.sqrt(mp.mpf(alpha) + 1) - 1) ** 2
 
 
+def kc_U_reference(t: float, alpha: float):
+    """ldp.kc_U_grid's right edge U(t) as an mpf, at 50 digits: the root in
+    (s/3, s) of U (U - s)^2 = 4 alpha^2 t with s = t + 2 alpha + 4, where
+    the left side falls from 4 s^3/27 to 0, by bisection."""
+    with mp.workdps(50):
+        t, alpha = mp.mpf(t), mp.mpf(alpha)
+        s = t + 2 * alpha + 4
+        lo, hi = s / 3, s
+        while hi - lo > mp.eps * hi:
+            mid = (lo + hi) / 2
+            if mid * (mid - s) ** 2 > 4 * alpha * alpha * t:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 def is_pre_reference(a: float, c: float) -> bool:
     """Whether a > a_cri(c) = sqrt(c+1) - sqrt(c), at 80 digits, as
     1/(sqrt(c+1) + sqrt(c)) so that no c cancels it."""

@@ -268,18 +268,16 @@ class TestExitCodes:
          cli.EXIT_NUMERICAL, _AT_A_CRI),
         (["ldp", "--alpha", "-1", "--t", "1"], cli.EXIT_NUMERICAL,
          "alpha must be nonnegative, got -1.0"),
-        # the constrained cubic's radicand, about 4/alpha above 0 here, falls
-        # below rounding once alpha ~ 1e17 and t ~ alpha + 2
-        (["ldp", "--alpha", "1e17", "--t", "9.999999999999893e+16"],
-         cli.EXIT_NUMERICAL,
-         "angle radicand negative at t = 9.999999999999893e+16, "
-         "alpha = 1e+17"),
+        # t = 0 has the planar image a = 0, post-critical by convention
+        (["ldp", "--alpha", "1", "--t", "0"], cli.EXIT_NUMERICAL,
+         "t = 0.0 at alpha = 1.0 has a post-critical planar image, outside "
+         "the pushed regime; lambda_- = 0.17157287525380993"),
     ], ids=["duality-negative-x", "ldp-zero-alpha",
             "critical-zero-c", "bad-rational", "bad-float", "bad-int",
             "empty-n-list", "op-compare-inside-pre-gate",
             "op-compare-inside-post-gate", "geometry-at-a-cri",
             "free-energy-at-a-cri", "op-compare-at-a-cri",
-            "ldp-negative-alpha", "ldp-negative-radicand"])
+            "ldp-negative-alpha", "ldp-zero-t"])
     def test_refusal_message(self, argv, want, message, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (want, "")
@@ -354,6 +352,12 @@ class TestExitCodes:
         (["ldp", "--alpha", "1e100", "--t", "1e101"],
          ["alpha = 1e+100", "t = 1e+101"]),
         (["geometry", "--a", "1e200", "--c", "1"], ["a=1e+200", "c=1.0"]),
+        # 4c overflows: the modulus cubic's coefficient a^2 + 4c is inf
+        (["geometry", "--a", "2", "--c", "1e308"], ["a=2.0", "c=1e+308"]),
+        # 2c/a^2 is exactly the smallest normal double: in_double_range
+        # refuses the far field w ~ 2c/a^2 from there down
+        (["geometry", "--a", "2", "--c", "4.450147717014403e-308"],
+         ["a=2.0", "c=4.450147717014403e-308"]),
         (["free-energy", "--a", "1e200", "--c", "1", "--n", "8"],
          ["a=1e+200", "c=1.0"]),
         (["op-compare", "--a", "1e200", "--c", "1", "--n", "4", "--x", "3",
@@ -383,9 +387,6 @@ class TestExitCodes:
          ["c=1e+307"]),
         (["critical", "--n", "8", "--c", "1e307", "--s", "1",
           "--format", "csv"], ["c=1e+307"]),
-        # U(t) rounds below t, so the constrained action has no value
-        (["ldp", "--alpha", "1e17", "--t", "1e17"],
-         ["alpha = 1e+17", "t = 1e+17"]),
         # 1.2e-11 relative below the edge, though above the old, cancelled
         # lambda_-
         (["ldp", "--alpha", "1e-5", "--t", "2.4999875000473473e-11"],
@@ -395,10 +396,11 @@ class TestExitCodes:
          ["alpha = 1.0", "t = 1.7e+308"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
+            "geometry-sum-overflows", "geometry-far-field-smallest-normal",
             "free-energy-huge-a", "op-compare-huge-a", "ldp-phase-edge",
             "critical-huge-s", "op-compare-large-n", "op-compare-huge-z",
             "free-energy-tail-tiny-c", "free-energy-tail-inf",
-            "critical-huge-c", "critical-energy-inf", "ldp-energy-log-zero",
+            "critical-huge-c", "critical-energy-inf",
             "ldp-constant-log-negative", "ldp-gap-underflow"])
     def test_out_of_range_names_the_input(self, argv, names, capsys):
         # past the Bernoulli table, past the double range or below the
@@ -479,8 +481,14 @@ class TestExitCodes:
         ["geometry", "--a", "3", "--c", "1", "--points", "8"],
         ["ldp", "--alpha", "0.5", "--t", "5.05"],
         ["ldp", "--alpha", "1", "--t", "1e9"],
+        # a = 2^-511: a^2 is the smallest normal double, the solve's floor
+        ["geometry", "--a", "1.4916681462400413e-154", "--c", "2e307",
+         "--points", "8"],
+        # a > 1 with c far above it: the far field w ~ 2c/a^2 is 2e292
+        ["geometry", "--a", "1e4", "--c", "1e300", "--points", "8"],
     ], ids=["geometry-past-inverse-a-cri", "ldp-past-lambda-plus",
-            "ldp-far-t"])
+            "ldp-far-t", "geometry-a-squared-smallest-normal",
+            "geometry-huge-c-past-one"])
     def test_pre_critical_points_answer(self, argv, capsys):
         # K = (a^2 - a_cri^2)(a^2 - a_cri^-2) turns positive again past
         # 1/a_cri (K = 28 at a = 3, c = 1; t = 5.05 > lambda_+ at alpha =
@@ -528,6 +536,14 @@ class TestExitCodes:
         assert code == cli.EXIT_IDENTITY
         assert len(json.loads(out)["rows"]) == 50  # table still emitted
         assert "max gap 2.220e-15" in json.loads(err)["message"]
+
+    def test_ldp_kc_gap_equal_to_tol_passes(self, capsys):
+        # --tol bounds the largest gap from above: a gap equal to it passes
+        argv = ["ldp", "--alpha", "16/9", "--grid=0.5:5:50", "--check-kc"]
+        _, out, _ = run_cli(argv, capsys)
+        worst = json.loads(out)["worst_residual"]
+        code, _, _ = run_cli([*argv, "--tol", repr(worst)], capsys)
+        assert (code, worst) == (cli.EXIT_OK, 2.220446049250313e-15)
 
     def test_one_step_grid_is_its_low_end(self, capsys):
         code, out, _ = run_cli(["ldp", "--alpha", "16/9", "--grid=2:5:1"],

@@ -134,6 +134,11 @@ class TestMomentTable:
         with pytest.raises(SingularHankel, match="pivot 1 .* <= 0"):
             exactfiniten._ldl(rows, 256)
 
+    def test_exactly_singular_system_raises(self):
+        # the second pivot of [[1, 1], [1, 1]] is exactly 0
+        with pytest.raises(SingularHankel, match="pivot 1 .* <= 0"):
+            exactfiniten._ldl([[(1, 1)], [(1, 1), (1, 1)]], 256)
+
     def test_near_singular_system_solves(self):
         # det = 2^-200; the entries fit the 320-bit mantissas exactly, so
         # log det and the solve (condition number 2^202) are exact up to

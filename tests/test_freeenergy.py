@@ -257,8 +257,9 @@ class TestExpansion:
 
     def test_post_reference_a0(self):
         # residual sits at ~1.05x the bare first omitted term (the omitted
-        # N^-3 and N^-4 terms add constructively), within the 3x convention
-        for n in (4, 8, 16):
+        # N^-3 and N^-4 terms add constructively), within the 3x convention;
+        # N = 1 is the least size taken
+        for n in (1, 4, 8, 16):
             got = freeenergy.expansion(n, 0.0, 1.0, Regime.POST, M=2).log_z
             assert abs(got - freeenergy.reference_logZ(n, n)) \
                 < 3.0 * freeenergy.first_omitted_tail_term(n, 1.0, 2)
@@ -372,6 +373,9 @@ class TestRadialEnergy:
      "Bernoulli table capped at B_64, requested B_65"),
     (lambda: freeenergy.energy_post(-1, 1),
      "need a >= 0 and c > 0, got a=-1, c=1"),
+    # log(c) at c = 0 would raise math's bare ValueError
+    (lambda: freeenergy.energy_post(0.2, 0.0),
+     "need a >= 0 and c > 0, got a=0.2, c=0.0"),
     (lambda: freeenergy.expansion(0, 0.2, 1.0, Regime.POST),
      "need N >= 1 and M >= 0, got N=0, M=2"),
     (lambda: freeenergy.barnes_logG(0),
@@ -380,8 +384,11 @@ class TestRadialEnergy:
      "need N >= 1 and m >= 0, got N=0, m=1"),
     (lambda: freeenergy.charpoly_moment_asymp(-1, 1, 4),
      "need |z| >= 0 and c > 0, got -1, 1"),
-], ids=["bernoulli-past-b64", "energy-post-negative-a", "expansion-n-zero",
-        "barnes-zero", "reference-n-zero", "charpoly-negative-z"])
+    (lambda: freeenergy.charpoly_moment_asymp(0.2, 0.0, 4),
+     "need |z| >= 0 and c > 0, got 0.2, 0.0"),
+], ids=["bernoulli-past-b64", "energy-post-negative-a", "energy-post-zero-c",
+        "expansion-n-zero", "barnes-zero", "reference-n-zero",
+        "charpoly-negative-z", "charpoly-zero-c"])
 def test_refuses_arguments_out_of_domain(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()

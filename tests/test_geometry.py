@@ -271,6 +271,21 @@ class TestConformalPair:
         with pytest.raises(BranchCutError):
             geometry.inverse_F(g, complex((g.beta + g.beta_bar) / 2))
 
+    @pytest.mark.parametrize("at", [
+        lambda g: g.beta,
+        lambda g: g.beta + 0.9e-12j * abs(g.beta),
+        lambda g: g.beta + 1e-12j * abs(g.beta),
+        lambda g: complex(g.beta.real + 0.9e-12 * abs(g.beta),
+                          g.beta.imag / 2),
+    ], ids=["tip", "past-the-tip", "band-edge", "beside-the-cut"])
+    def test_cut_rejection_band(self, at):
+        # the cut [beta_bar, beta] is refused within 1e-12 max(1, |z|,
+        # |beta|) of it, edge included; |beta| = 1.24 at (3, 4), so these
+        # points lie in that band, though 0.9e-12 |beta| > 1e-12 / |beta|
+        g = geometry.droplet(3.0, 4.0)
+        with pytest.raises(BranchCutError):
+            geometry.inverse_F(g, complex(at(g)))
+
 
 class TestDropletBoundary:
     def test_post_two_components(self):
@@ -342,9 +357,13 @@ def test_post_existence_property(a, c):
     (lambda geom: geometry.a_cri(0), "c must be positive, got 0"),
     (lambda geom: geometry.solve_modulus(0, 1),
      "solve_modulus needs a > 0 and c > 0, got a=0, c=1"),
+    # a > 1 is pre-critical at any c, so the phase would not refuse c = 0
+    (lambda geom: geometry.solve_modulus(2.0, 0.0),
+     "solve_modulus needs a > 0 and c > 0, got a=2.0, c=0.0"),
     (lambda geom: geometry.conformal_f(geom, geom.q),
      "conformal map has a pole at w = q"),
-], ids=["a-cri-zero-c", "solve-modulus-zero-a", "conformal-f-pole"])
+], ids=["a-cri-zero-c", "solve-modulus-zero-a", "solve-modulus-zero-c",
+        "conformal-f-pole"])
 def test_refuses_arguments_out_of_domain(call, message, pre_geom):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(pre_geom)

@@ -3,10 +3,12 @@
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import oracles
 from coulombgas import cli, exactfiniten, freeenergy, geometry, ldp
@@ -164,6 +166,22 @@ class TestKCAction:
                               ldp.kc_rate_grid(ts, alpha)):
             assert abs(rate - diff) < 1e-10
 
+    @pytest.mark.parametrize("alpha, t", [
+        (1e17, 9.999999999999893e+16), (1e17, 1e17),
+        (1e17, 1.0000000000000002e+17)],
+        ids=["radicand-below-rounding", "edge-rounded-below-t",
+             "radicand-negative-above-alpha"])
+    def test_right_edge_solves_the_cubic(self, alpha, t, capsys):
+        # at t ~ alpha ~ 1e17 the radicand s^3/(27 alpha^2 t) - 1 is ~4/t,
+        # below the rounding of s^3 - 27 alpha^2 t; as a sum of terms >= 0
+        # it keeps U within 8 eps, and the command answers
+        [u] = ldp.kc_U_grid((t,), alpha)
+        want = oracles.kc_U_reference(t, alpha)
+        assert abs(mp.mpf(u) - want) <= 8 * sys.float_info.epsilon * want
+        assert cli.run(["ldp", "--alpha", repr(alpha), "--t", repr(t)]) == 0
+        [row] = json.loads(capsys.readouterr().out)["rows"]
+        assert row["t"] == t and row["action_diff"] >= 0.0
+
 
 class TestConstrainedDensity:
     @pytest.mark.parametrize("alpha", [1.0, 5.0])
@@ -227,13 +245,15 @@ class TestLogProbability:
             assert abs(row["exact_log_p"] - float(log_p)) < 1e-10
 
     def test_constant_toggle(self):
-        # -Phi n^2 plus the constant order -log(alpha n)/12 + zeta'(-1) + Psi
+        # -Phi n^2 plus the constant order -log(alpha n)/12 + zeta'(-1) + Psi,
+        # down to n = 1, the least size taken
         t = ldp.lambda_minus(1.0) + 1.0
         (rate,), (const,) = ldp.phi_psi_grid((t,), 1.0)
-        want = (-64.0 * rate - math.log(8.0) / 12.0
-                + freeenergy.ZETA_PRIME_MINUS_ONE + const)
-        assert ldp.ldp_log_probability(8, 1.0, rate, const) == pytest.approx(
-            want, abs=1e-12)
+        for n in (1, 8):
+            want = (-n * n * rate - math.log(n) / 12.0
+                    + freeenergy.ZETA_PRIME_MINUS_ONE + const)
+            assert ldp.ldp_log_probability(n, 1.0, rate, const) \
+                == pytest.approx(want, abs=1e-12)
 
 
 class TestSinglePass:

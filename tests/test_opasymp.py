@@ -90,6 +90,10 @@ class TestGFunction:
     def test_exterior_gate(self, pre_geom):
         with pytest.raises(DomainError):
             opasymp.require_exterior(pre_geom, 0.5 + 0j)
+        # the gate's circle itself is refused
+        with pytest.raises(DomainError):
+            opasymp.require_exterior(
+                pre_geom, complex(opasymp.exterior_radius(pre_geom)))
         with pytest.raises(DomainError):
             opasymp.p_asymp(pre_geom, 0.5 + 0j, [8])
 
@@ -257,6 +261,7 @@ class TestPAsymp:
         for geom in (pre_geom, post_geom):
             [got] = opasymp.p_asymp(geom, 3.0 + 0j, [1])
             assert cmath.isfinite(got) and 0.1 < abs(got / 3.0) < 10.0
+        assert opasymp.a11_asymp(post_geom, 1) == post_geom.c * post_geom.a
 
     def test_refuses_a_degree_below_one(self, post_geom):
         # the annular phase builds no RH coefficients, so only p_asymp's

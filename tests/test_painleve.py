@@ -1,5 +1,6 @@
 """Painleve II / extreme-value distribution and the transition window."""
 
+import functools
 import math
 import re
 
@@ -10,7 +11,8 @@ from scipy.special import gamma
 
 import oracles
 from coulombgas import exactfiniten, freeenergy, geometry, painleve
-from coulombgas.errors import DomainError, GridTooShort
+from coulombgas.errors import (BlowUp, DomainError, GridTooShort,
+                               IdentityCheckFailure)
 from coulombgas.geometry import Regime
 
 
@@ -131,6 +133,61 @@ class TestHastingsMcleod:
     def test_preconditions(self, kwargs):
         with pytest.raises(DomainError):
             painleve.hastings_mcleod(**kwargs)
+
+    @pytest.mark.parametrize("tol, size", [(1.2e-11, 89), (None, 88)],
+                             ids=["tail-at-chop-margin", "coefficient-at-tol"])
+    def test_stops_at_the_first_resolved_trial(self, tol, size, monkeypatch):
+        # degree 96's series of hm_q'' has its last coefficient above
+        # 1.2e-11 at index 88 = 96 - _CHOP_MARGIN, so that trial resolves
+        # the series and degree 128 is not consulted; at a tol equal to
+        # that coefficient (1.29e-11) the series drops it and ends at 87
+        trial, calls = painleve._trial, []
+
+        def counted(i):
+            calls.append(i)
+            return trial(i)
+        monkeypatch.setattr(painleve, "_trial", counted)
+        if tol is None:
+            tol = float(abs(trial(2)[0][88]))
+        sol = painleve.hastings_mcleod(tol)
+        assert (max(calls), sol.s_grid.size) == (2, size)
+
+    @pytest.mark.parametrize("consts, final, tol, error, message", [
+        ({"_NEWTON_STEPS": 1}, None, painleve.DEFAULT_TOL, BlowUp,
+         "^Newton iteration did not converge in 1 steps at degree 32$"),
+        ({"_Q_LEFT": 1e200}, None, painleve.DEFAULT_TOL, BlowUp,
+         "^Newton iteration broke down at degree 32: overflow encountered"),
+        ({"_TRIAL_DEGREES": (32,)}, None, 1e-12, BlowUp,
+         "^hm_q'' not resolved to 1e-12 by degree 32$"),
+        ({"_CHOP_MARGIN": -100}, None, painleve.DEFAULT_TOL,
+         IdentityCheckFailure, r"^first-integral defect \d\.\d{3}e-0\d "
+         r"exceeds 10\*tol = 1\.000e-09$"),
+        ({}, -1.0, painleve.DEFAULT_TOL, BlowUp,
+         "^transcendent crossed zero; left the positive branch$"),
+        ({}, 100.0, painleve.DEFAULT_TOL, BlowUp,
+         r"^transcendent escaped past 10\*sqrt\(-s/2\); wrong branch$"),
+    ], ids=["newton-steps", "newton-overflow", "unresolved", "defect",
+            "crossed-zero", "escaped"])
+    def test_fault_guards(self, consts, final, tol, error, message,
+                          monkeypatch):
+        # each guard of the solve, forced: a fault in a constant, or the
+        # chopped solve's w and slope times `final` (the trials as they
+        # are); a fresh trial cache keeps the session's trials apart
+        monkeypatch.setattr(painleve, "_trial",
+                            functools.cache(painleve._trial.__wrapped__))
+        for name, value in consts.items():
+            monkeypatch.setattr(painleve, name, value)
+        if final is not None:
+            collocate = painleve._collocate
+
+            def scaled(n, *args):
+                w_coeffs, slope = collocate(n, *args)
+                if n in painleve._TRIAL_DEGREES:
+                    return w_coeffs, slope
+                return final * w_coeffs, final * slope
+            monkeypatch.setattr(painleve, "_collocate", scaled)
+        with pytest.raises(error, match=message):
+            painleve.hastings_mcleod(tol)
 
 
 def cdf_at(sol, t: float) -> float:
@@ -261,8 +318,17 @@ class TestDistribution:
 class TestCriticalWindow:
     def test_window_center(self):
         for c in (9 / 16, 1.0):
-            assert painleve.critical_a(0.0, c, 8) == pytest.approx(
-                geometry.a_cri(c), abs=1e-15)
+            for n in (1, 8):
+                assert painleve.critical_a(0.0, c, n) == pytest.approx(
+                    geometry.a_cri(c), abs=1e-15)
+
+    def test_window_reaches_the_origin(self):
+        # at this s the shifted point a_cri - coeff s N^(-2/3) rounds to 0
+        # exactly, which is taken; the next s up is refused
+        s = 4.9897393824162215
+        assert painleve.critical_a(s, 1.0, 8) == 0.0
+        with pytest.raises(DomainError, match="puts the insertion point"):
+            painleve.critical_a(math.nextafter(s, math.inf), 1.0, 8)
 
     def test_deep_annular_side_matches_plain_expansion(self, hm_solution):
         # far into s > 0 the window formula degenerates to the annular-phase

@@ -77,21 +77,13 @@ def nstr(x: Decimal, digits: int) -> str:
     """
     if not x:
         return "0.0"
-    rounded = decimal.Context(prec=digits,
-                              rounding=decimal.ROUND_HALF_UP).plus(x)
-    sign, ds, _ = rounded.as_tuple()
-    text, e = "".join(map(str, ds)), rounded.adjusted()
+    ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_UP)
+    rounded = ctx.plus(x)
+    e = rounded.adjusted()
     fixed = min(-(digits // 3), -5) < e < digits
-    if fixed and e < 0:
-        text, split = "0" * -e + text, 1
-    elif fixed:
-        text, split = text.ljust(e + 1, "0"), e + 1
-    else:
-        split = 1
-    text = (text[:split] + "." + text[split:]).rstrip("0")
-    if text.endswith("."):
-        text += "0"
-    text = "-" + text if sign else text
+    whole, _, frac = format(rounded if fixed else ctx.scaleb(rounded, -e),
+                            "f").partition(".")
+    text = f"{whole}.{frac.rstrip('0') or '0'}"
     return text if fixed else f"{text}e{e:+d}"
 
 

@@ -28,10 +28,6 @@ from typing import NamedTuple, Union
 
 from .errors import BranchCutError, DomainError
 
-#: relative half-width of the critical window: classify refuses
-#: |a - a_cri| <= TAU a_cri
-TAU = 1e-12
-
 
 class Regime(enum.Enum):
     POST = "post"
@@ -48,18 +44,18 @@ def a_cri(c: float) -> float:
 
 def classify(a: float, c: float) -> Regime:
     """The phase of (a, c), exact for the float pair: PRE where K < 0 or
-    a > 1 (K alone turns positive again past 1/a_cri).  a = 0 counts as
-    post-critical by convention; a within TAU a_cri of a_cri has no phase
-    and is refused."""
-    if a < 0:
+    a > 1 (K alone turns positive again past 1/a_cri), else POST; a = 0
+    has K = 1.  A pair whose exact K is 0 is on the phase boundary, has no
+    phase and is refused."""
+    if not a >= 0.0:  # NaN included
         raise DomainError(f"a must be nonnegative, got {a}")
-    edge = a_cri(c)  # which refuses c <= 0
-    if not abs(a - edge) > TAU * edge:  # NaN included
-        raise DomainError(
-            f"a = {a!r} is within {TAU:g} * a_cri of the phase boundary "
-            f"a_cri = {edge!r} at c = {c!r}: no droplet phase applies; "
-            "perturb a")
+    if not c > 0.0:
+        raise DomainError(f"c must be positive, got {c}")
     k = _phase_k(a, c)
+    if k == 0.0:
+        raise DomainError(
+            f"a = {a!r} is on the phase boundary a_cri = {a_cri(c)!r} at "
+            f"c = {c!r}: no droplet phase applies; perturb a")
     return Regime.PRE if k is None or k < 0.0 else Regime.POST
 
 
@@ -106,8 +102,10 @@ def _phase_k(a: float, c: float) -> float | None:
 
 def in_double_range(a: float, c: float) -> bool:
     """Whether solve_modulus's far field at (a, c) stays in doubles: its
-    cubics' a^2 + 4c is finite and w ~ 2c/a^2 is a normal double."""
-    return a * a + 4.0 * c < math.inf and a * a * sys.float_info.min < 2.0 * c
+    cubics' a^2 + 4c is finite and w ~ 2c/(a^2 - 1) is a normal double
+    (w is not small where a <= 1)."""
+    return (a * a + 4.0 * c < math.inf
+            and (a - 1.0) * (a + 1.0) * sys.float_info.min < 2.0 * c)
 
 
 def _newton(c0: float, c1: float, c2: float, c3: float, x: float) -> float:
@@ -124,8 +122,8 @@ def _newton(c0: float, c1: float, c2: float, c3: float, x: float) -> float:
 
 def solve_modulus(a: float, c: float) -> tuple[float, float, float] | None:
     """(q, v, w) = (q, 1 - q^2, 1 - a^2 q^2), each within 4 eps relative, at
-    pre-critical (a, c), and None at post-critical (a, c) (classify's phase,
-    with no window).  Newton's method finds v where a <= 1 and
+    pre-critical (a, c), and None at post-critical (a, c) or where the exact
+    K is 0 (classify's phase).  Newton's method finds v where a <= 1 and
     a^2 (2c + 1) <= 2 (q^2 >= 1/2), from K; w where a > 1 and 3a^2 > 4c + 1
     (w < 1/2); elsewhere s = a^2 q^2 in 2 s^3 - (a^2 + 4c + 2) s^2 + a^2 = 0.
     No gap is formed as 1 minus a number near 1.  A pre-critical (a, c) out

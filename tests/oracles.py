@@ -18,6 +18,7 @@ modules the CLI loads at start-up.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -401,13 +402,19 @@ def pre_reference(a: float, c: float) -> tuple:
         q2 = (1 - w) / a2
         q = mp.sqrt(q2)
         kappa = (1 - q2) * w / (2 * a * q)
-        energy = (mp.mpf(3) / 8 + a2 / 8 + 3 / (8 * a2 * q2 * q2) - 5 / (8 * q2)
-                  + (mp.mpf(3) / 4 + a2 / 8) * a2 * q2
-                  - mp.mpf(3) / 8 * a2 * a2 * q2 * q2
-                  + mp.log(2 * a * q) + 2 * c * mp.log(2 * a * q2)
-                  + c * c * mp.log(1 + a2 * q2 - 2 * a2 * q2 * q2)
-                  - (c + 1) ** 2 * mp.log(1 + a2 * q2))
-        return +q, +w, +kappa, +energy
+        return +q, +w, +kappa, +_energy_pre(a, c, q)
+
+
+def _energy_pre(a, c, q):
+    """freeenergy.energy_pre's closed form in its original terms, for mpf
+    a, c and q at the working precision."""
+    a2, q2 = a * a, q * q
+    return (mp.mpf(3) / 8 + a2 / 8 + 3 / (8 * a2 * q2 * q2) - 5 / (8 * q2)
+            + (mp.mpf(3) / 4 + a2 / 8) * a2 * q2
+            - mp.mpf(3) / 8 * a2 * a2 * q2 * q2
+            + mp.log(2 * a * q) + 2 * c * mp.log(2 * a * q2)
+            + c * c * mp.log(1 + a2 * q2 - 2 * a2 * q2 * q2)
+            - (c + 1) ** 2 * mp.log(1 + a2 * q2))
 
 
 def modulus_reference(a: float, c: float) -> tuple:
@@ -438,9 +445,27 @@ def energy_post_reference(a: float, c: float):
     """freeenergy.energy_post(a, c) as an mpf, the same formula at 60
     digits plus the log10(c) its c^2 log terms cancel."""
     with mp.workdps(60 + max(0, int(math.log10(c)))):
-        c = mp.mpf(c)
-        return +(mp.mpf(3) / 4 + 3 * c / 2 + c * c * mp.log(c) / 2
-                 - (c + 1) ** 2 * mp.log(c + 1) / 2 - c * mp.mpf(a) ** 2)
+        return +_energy_post(mp.mpf(a), mp.mpf(c))
+
+
+def _energy_post(a, c):
+    return (mp.mpf(3) / 4 + 3 * c / 2 + c * c * mp.log(c) / 2
+            - (c + 1) ** 2 * mp.log(c + 1) / 2 - c * a * a)
+
+
+def phi_psi_reference(t: float, alpha: float) -> tuple:
+    """ldp.phi_psi_grid's (Phi, Psi) at t as mpf, at 90 digits, from the
+    float planar image a = sqrt(t/alpha), c = 1/alpha that phi_psi_grid
+    forms: Phi = alpha^2 (E_pre - E_post) with q from modulus_reference,
+    since the difference falls like (t - lambda_-)^3 and pre_reference's
+    40 digits cannot carry it, and Psi = fconst_pre_reference(v, w) -
+    log(c/(1 + c))/12."""
+    a, c = math.sqrt(t / alpha), 1.0 / alpha
+    q, v, w = modulus_reference(a, c)
+    with mp.workdps(90):
+        a, c = mp.mpf(a), mp.mpf(c)
+        phi = mp.mpf(alpha) ** 2 * (_energy_pre(a, c, q) - _energy_post(a, c))
+        return +phi, fconst_pre_reference(v, w) - mp.log(c / (1 + c)) / 12
 
 
 def lambda_minus_reference(alpha: float):
@@ -450,17 +475,40 @@ def lambda_minus_reference(alpha: float):
         return +(mp.sqrt(mp.mpf(alpha) + 1) - 1) ** 2
 
 
+def kc_rate_reference(t: float, alpha: float):
+    """ldp.kc_rate_grid's S(t) - S(lambda_-) as an mpf, at 90 digits, with
+    U from kc_U_reference and lambda_- from lambda_minus_reference."""
+    with mp.workdps(90):
+        return _kc_action(mp.mpf(t), alpha) - _kc_edge_action(alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def _kc_edge_action(alpha: float):
+    with mp.workdps(90):
+        return _kc_action(lambda_minus_reference(alpha), alpha)
+
+
+def _kc_action(t, alpha: float):
+    # the constrained action S(t) at the working precision, for an mpf t
+    u, al = kc_U_reference(t, alpha), mp.mpf(alpha)
+    su, st = mp.sqrt(u), mp.sqrt(t)
+    return ((u + t) / 2 - (u - t) ** 2 / 32 + al / 4 * (su - st) ** 2
+            - mp.log((u - t) / 4) + al * al / 4 * mp.log(t * u)
+            - al * (al + 2) * mp.log((su + st) / 2))
+
+
 def kc_U_reference(t: float, alpha: float):
-    """ldp.kc_U_grid's right edge U(t) as an mpf, at 50 digits: the root in
+    """ldp.kc_U_grid's right edge U(t) as an mpf, at 90 digits: the root in
     (s/3, s) of U (U - s)^2 = 4 alpha^2 t with s = t + 2 alpha + 4, where
-    the left side falls from 4 s^3/27 to 0, by bisection."""
-    with mp.workdps(50):
+    the left side falls from 4 s^3/27 to 0, by bisection: prec + 1 halvings
+    take the bracket's width 2s/3 below eps times the root, which is > s/3."""
+    with mp.workdps(90):
         t, alpha = mp.mpf(t), mp.mpf(alpha)
-        s = t + 2 * alpha + 4
+        s, rhs = t + 2 * alpha + 4, 4 * alpha * alpha * t
         lo, hi = s / 3, s
-        while hi - lo > mp.eps * hi:
+        for _ in range(mp.prec + 1):
             mid = (lo + hi) / 2
-            if mid * (mid - s) ** 2 > 4 * alpha * alpha * t:
+            if mid * (mid - s) ** 2 > rhs:
                 lo = mid
             else:
                 hi = mid

@@ -65,9 +65,10 @@ _BAD_N = [
 ]
 
 
-# classify's refusal at a_cri(9/16) = 0.5, the same for every command
-_AT_A_CRI = ("a = 0.5 is within 1e-12 * a_cri of the phase boundary "
-             "a_cri = 0.5 at c = 0.5625: no droplet phase applies; perturb a")
+# classify's refusal at a_cri(9/16) = 0.5, where K = (1 - a^2)^2 - 4c a^2 is
+# exactly 0, the same for every command
+_AT_A_CRI = ("a = 0.5 is on the phase boundary a_cri = 0.5 at c = 0.5625: "
+             "no droplet phase applies; perturb a")
 
 
 class TestExitCodes:
@@ -354,10 +355,6 @@ class TestExitCodes:
         (["geometry", "--a", "1e200", "--c", "1"], ["a=1e+200", "c=1.0"]),
         # 4c overflows: the modulus cubic's coefficient a^2 + 4c is inf
         (["geometry", "--a", "2", "--c", "1e308"], ["a=2.0", "c=1e+308"]),
-        # 2c/a^2 is exactly the smallest normal double: in_double_range
-        # refuses the far field w ~ 2c/a^2 from there down
-        (["geometry", "--a", "2", "--c", "4.450147717014403e-308"],
-         ["a=2.0", "c=4.450147717014403e-308"]),
         (["free-energy", "--a", "1e200", "--c", "1", "--n", "8"],
          ["a=1e+200", "c=1.0"]),
         (["op-compare", "--a", "1e200", "--c", "1", "--n", "4", "--x", "3",
@@ -396,7 +393,7 @@ class TestExitCodes:
          ["alpha = 1.0", "t = 1.7e+308"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
-            "geometry-sum-overflows", "geometry-far-field-smallest-normal",
+            "geometry-sum-overflows",
             "free-energy-huge-a", "op-compare-huge-a", "ldp-phase-edge",
             "critical-huge-s", "op-compare-large-n", "op-compare-huge-z",
             "free-energy-tail-tiny-c", "free-energy-tail-inf",
@@ -431,8 +428,8 @@ class TestExitCodes:
         assert json.loads(out)["droplet"]["regime"] == "POST"
 
     def test_radial_case_at_huge_c_is_post_critical(self, capsys):
-        # a_cri(1e24) = 5e-13: the critical window is relative to it, so it
-        # leaves a = 0 outside
+        # a_cri(1e24) = 5e-13, and K = 1 at a = 0: the origin has its phase
+        # at every c
         code, out, _ = run_cli(["geometry", "--a", "0", "--c", "1e24",
                                 "--points", "8"], capsys)
         assert code == 0
@@ -452,6 +449,35 @@ class TestExitCodes:
         kappa = oracles.pre_reference(a, c)[2]
         assert droplet["regime"] == "PRE"
         assert abs(droplet["kappa"] / kappa - 1) <= 8 * sys.float_info.epsilon
+
+    @pytest.mark.parametrize("a, c, answers", [
+        (2.0, 4.450147717014403e-308, True),
+        (2.0, 1.5 * sys.float_info.min, False),
+        *((a, f * sys.float_info.min * (a - 1.0) * (a + 1.0) / 2.0, f > 1.0)
+          for a in (1.0000001, 2.0, 1e3) for f in (0.99, 1.01))],
+        ids=["geometry-far-field-smallest-normal", "geometry-far-field-tie",
+             *(f"a={a}-f={f}" for a in ("1.0000001", "2", "1e3")
+               for f in ("0.99", "1.01"))])
+    def test_far_field_double_range(self, a, c, answers, capsys):
+        # on the a > 1 route w ~ 2c/(a^2 - 1), which is f times the smallest
+        # normal double at c = f min (a^2 - 1)/2: refused, naming a and c,
+        # where the true w is subnormal, and solved where it is normal, w
+        # within 4 eps.  The first pair has w = 4/3 min; at the tie, f = 1,
+        # w ~ 2c/(a^2 - 1 + 4c) is below min by about 4c/3 relative, which
+        # the oracle's digits round to min itself
+        eps, smallest = sys.float_info.epsilon, sys.float_info.min
+        want = oracles.pre_reference(a, c)[1]
+        assert want >= smallest if answers else want <= smallest
+        code, out, err = run_cli(["geometry", "--a", repr(a), "--c", repr(c),
+                                  "--points", "8"], capsys)
+        if not answers:
+            assert (code, out) == (cli.EXIT_NUMERICAL, "")
+            message = json.loads(err)["message"]
+            assert f"a={a!r}" in message and f"c={c!r}" in message
+            return
+        assert code == 0
+        assert json.loads(out)["droplet"]["regime"] == "PRE"
+        assert abs(geometry.droplet(a, c).w / want - 1) <= 4 * eps
 
     @pytest.mark.parametrize("a, c", [
         (1e8, 1.0), (1e4, 1e-12), (1.0, 1e-18), (0.999999999993981, 1e-22),

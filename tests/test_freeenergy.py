@@ -166,7 +166,7 @@ class TestFconstAndDetZeta:
         # rounded below 0 and the determinant was refused.  From the gaps it
         # keeps detzeta_log's bound against -2 F at 80 digits
         c = 14454.39770745928
-        a = geometry.a_cri(c) * (1 + 2 * geometry.TAU)
+        a = geometry.a_cri(c) * (1 + 2e-12)
         want = -2 * oracles.fconst_pre_reference(
             *oracles.modulus_reference(a, c)[1:])
         got = freeenergy.detzeta_log(geometry.droplet(a, c))

@@ -58,28 +58,39 @@ class TestClassify:
     def test_regimes(self, a, c, expected):
         assert geometry.classify(a, c) is expected
 
+    @pytest.mark.parametrize("a, c", [
+        (0.5, 0.5625), (0.25, 3.515625), (0.125, 15.50390625)])
+    def test_refuses_the_exact_boundary(self, a, c):
+        # K = (1 - a^2)^2 - 4c a^2 is exactly 0: there is no phase, and no
+        # droplet either; the refusal names a, c and a_cri
+        a_, c_ = Fraction(a), Fraction(c)
+        assert (1 - a_ * a_) ** 2 - 4 * c_ * a_ * a_ == 0
+        for route in (geometry.classify, geometry.droplet):
+            with pytest.raises(DomainError, match="on the phase boundary") \
+                    as info:
+                route(a, c)
+            for name in (f"a = {a!r}", f"c = {c!r}",
+                         f"a_cri = {geometry.a_cri(c)!r}"):
+                assert name in str(info.value)
+
     @pytest.mark.parametrize("c", [9 / 16, 1.0, 1e8])
-    def test_refuses_the_critical_window(self, c):
-        # within TAU a_cri of a_cri there is no phase, and no droplet either;
-        # the refusal names a, c and a_cri
+    def test_phase_beside_the_boundary(self, c):
+        # half of 1e-12 a_cri from the edge each pair has the phase of the
+        # sign of a - a_cri at 80 digits, in classify and in droplet
         edge = geometry.a_cri(c)
-        tau = geometry.TAU
-        for a in (edge * (1.0 - 0.5 * tau), edge, edge * (1.0 + 0.5 * tau)):
-            for route in (geometry.classify, geometry.droplet):
-                with pytest.raises(DomainError, match="a_cri") as info:
-                    route(a, c)
-                assert f"a = {a!r}" in str(info.value)
-                assert f"c = {c!r}" in str(info.value)
-        assert geometry.classify(edge * (1.0 - 2.0 * tau), c) is Regime.POST
-        assert geometry.classify(edge * (1.0 + 2.0 * tau), c) is Regime.PRE
+        for a in (edge * (1.0 - 0.5e-12), edge * (1.0 + 0.5e-12)):
+            want = Regime.PRE if oracles.is_pre_reference(a, c) else Regime.POST
+            assert geometry.classify(a, c) is want, a
+            assert geometry.droplet(a, c).regime is want, a
 
     def test_window_is_relative_at_large_c(self):
-        # a_cri(1e24) = 5e-13 is below TAU, so an absolute window would
-        # swallow the radial case a = 0
+        # a_cri(1e24) = 5e-13, and K = 1 at a = 0: the radial case keeps its
+        # phase however small a_cri is
         assert geometry.classify(0.0, 1e24) is Regime.POST
         assert geometry.droplet(0.0, 1e24).regime is Regime.POST
 
-    @pytest.mark.parametrize("a,c", [(-0.1, 1.0), (0.5, 0.0), (0.5, -1.0)])
+    @pytest.mark.parametrize("a,c", [(-0.1, 1.0), (0.5, 0.0), (0.5, -1.0),
+                                     (math.nan, 1.0), (0.5, math.nan)])
     def test_domain_errors(self, a, c):
         with pytest.raises(DomainError):
             geometry.classify(a, c)

@@ -60,13 +60,14 @@ class TestRateFunction:
 
     def test_domain_error_at_wall(self):
         # below the edge a point is refused; lambda_- is rounded, so at its
-        # float and the one below the planar image decides, and a point
-        # that is not refused has a rate of 0 to rounding
+        # float and the one below the planar image decides (its phase at 80
+        # digits), and a point that is not refused has a rate of 0 to
+        # rounding
         lm = ldp.lambda_minus(1.0)
         with pytest.raises(DomainError):
             ldp.phi_psi_grid((lm - 0.5,), 1.0)
         for t in (math.nextafter(lm, 0.0), lm):
-            if geometry.solve_modulus(math.sqrt(t), 1.0) is not None:
+            if oracles.is_pre_reference(math.sqrt(t), 1.0):
                 [rate], _ = ldp.phi_psi_grid((t,), 1.0)
                 assert rate < 1e-13
             else:
@@ -78,13 +79,13 @@ class TestRateFunction:
         # can round to either side within a few floats of lambda_-.  At the
         # three floats above lambda_-, for alpha = 0.5 and 10^(k/2) from 0.1
         # to 1e8, a point with a pre-critical image gives finite values, and
-        # any other a DomainError naming t, alpha and lambda_-
+        # any other a DomainError naming t, alpha and lambda_-; the image's
+        # phase comes from its sign of a - a_cri at 80 digits
         for alpha in (0.5, *(10.0 ** (k / 2) for k in range(-2, 17))):
             lm = t = ldp.lambda_minus(alpha)
             for _ in range(3):
                 t = math.nextafter(t, math.inf)
-                pre = geometry.solve_modulus(math.sqrt(t / alpha),
-                                             1 / alpha) is not None
+                pre = oracles.is_pre_reference(math.sqrt(t / alpha), 1 / alpha)
                 try:
                     (rate,), (const,) = ldp.phi_psi_grid((t,), alpha)
                 except DomainError as exc:
@@ -260,11 +261,11 @@ class TestSinglePass:
     def test_rows_equal_two_solve_route_bit_for_bit(self, capsys):
         # the table solves the modulus once per point; here energy_pre and
         # fconst_pre get a solve each.  The grid starts at the first float
-        # above lambda_- with a pre-critical planar image, and each row
-        # equals its one-point grid.
+        # above lambda_- with a pre-critical planar image (at 80 digits),
+        # and each row equals its one-point grid.
         alpha = 16 / 9
         lo = math.nextafter(ldp.lambda_minus(alpha), math.inf)
-        while geometry.solve_modulus(math.sqrt(lo / alpha), 1 / alpha) is None:
+        while not oracles.is_pre_reference(math.sqrt(lo / alpha), 1 / alpha):
             lo = math.nextafter(lo, math.inf)
         code = cli.run(["ldp", "--alpha", "16/9", f"--grid={lo!r}:5:2000"])
         rows = json.loads(capsys.readouterr().out)["rows"]

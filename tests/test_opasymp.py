@@ -98,8 +98,9 @@ class TestGFunction:
             opasymp.p_asymp(pre_geom, 0.5 + 0j, [8])
 
     def test_rejects_critical_point(self):
+        # a_cri(9/16) = 0.5 exactly
         with pytest.raises(DomainError):
-            geometry.droplet(geometry.a_cri(1.0), 1.0)
+            geometry.droplet(0.5, 9 / 16)
 
 
 class TestExteriorGate:

@@ -83,18 +83,22 @@ def energy_pre(a: float, c: float, q: float, w: float) -> float:
     5 sum to E ~ -1).  With t = a^2 q^2 the a^2 terms are a^2 w^2 (4 - w)/
     (8 t^2), and the c^2 log terms are combined in one log1p."""
     t = (a * q) ** 2
+    # 1 - y = (w + 2t v)/(1 + t); y rounds to 1 only at a = 1 with q rounded
+    # to 1, where w = v and log(1 - y) is log(3w/2)
+    y = 2.0 * t * q * q / (1.0 + t)
     return (a * a * w * w * (4.0 - w) / (8.0 * t * t) + 0.75 - 0.375 * w * w
             + math.log(2.0 * a * q) + 2.0 * c * math.log(2.0 * a * q * q)
-            + c * c * math.log1p(-2.0 * t * q * q / (1.0 + t))
+            + c * c * (math.log1p(-y) if y < 1.0 else math.log(1.5 * w))
             - (2.0 * c + 1.0) * math.log1p(t))
 
 
 def re_g_at_a(a: float, c: float, q: float, w: float) -> float:
     """Re g(a) for the pre-critical g-function, the only g value the energy
-    needs."""
+    needs; log(1 - y) as in energy_pre."""
     t = (a * q) ** 2
+    y = 2.0 * t * q * q / (1.0 + t)
     return (-0.5 * w + math.log((2.0 - w) / (2.0 * a * q * q))
-            - c * math.log1p(-2.0 * t * q * q / (1.0 + t)))
+            - c * (math.log1p(-y) if y < 1.0 else math.log(1.5 * w)))
 
 
 def d_energy_pre_da(a: float, q: float, v: float, w: float) -> float:

@@ -44,13 +44,12 @@ def a_cri(c: float) -> float:
 
 def classify(a: float, c: float) -> Regime:
     """The phase of (a, c), exact for the float pair: PRE where K < 0 or
-    a > 1 (K alone turns positive again past 1/a_cri), else POST; a = 0
-    has K = 1.  A pair whose exact K is 0 is on the phase boundary, has no
-    phase and is refused."""
+    a > 1 (K alone turns positive again past 1/a_cri), else POST.  A pair
+    whose exact K is 0 is on the phase boundary and is refused."""
     if not a >= 0.0:  # NaN included
         raise DomainError(f"a must be nonnegative, got {a}")
-    if not c > 0.0:
-        raise DomainError(f"c must be positive, got {c}")
+    if not 0.0 < c < math.inf:  # NaN included
+        raise DomainError(f"c must be positive and finite, got {c}")
     k = _phase_k(a, c)
     if k == 0.0:
         raise DomainError(
@@ -102,10 +101,9 @@ def _phase_k(a: float, c: float) -> float | None:
 
 def in_double_range(a: float, c: float) -> bool:
     """Whether solve_modulus's far field at (a, c) stays in doubles: its
-    cubics' a^2 + 4c is finite and w ~ 2c/(a^2 - 1) is a normal double
-    (w is not small where a <= 1)."""
-    return (a * a + 4.0 * c < math.inf
-            and (a - 1.0) * (a + 1.0) * sys.float_info.min < 2.0 * c)
+    cubics' a^2 + 4c is finite, and kappa ~ c/a^2 (2c/3 at a = 1) is above
+    a third of the smallest normal double, where it keeps 50 bits."""
+    return a * a + 4.0 * c < math.inf and a * a * sys.float_info.min < 2.0 * c
 
 
 def _newton(c0: float, c1: float, c2: float, c3: float, x: float) -> float:

@@ -422,7 +422,7 @@ def modulus_reference(a: float, c: float) -> tuple:
     digits: the middle root s = a^2 q^2 of 2 s^3 - (a^2 + 4c + 2) s^2 + a^2
     by mp.polyroots, at 80 digits plus those that 1 - s loses, about
     log10(a^2/c) of them far out."""
-    with mp.workdps(80 + max(0, int(math.log10(a * a / c)))):
+    with mp.workdps(80 + max(0, int(math.log10(a * a) - math.log10(c)))):
         a2 = mp.mpf(a) ** 2
         roots = mp.polyroots([2, -(a2 + 4 * mp.mpf(c) + 2), 0, a2],
                              maxsteps=200, extraprec=2 * mp.dps)
@@ -453,6 +453,7 @@ def _energy_post(a, c):
             - (c + 1) ** 2 * mp.log(c + 1) / 2 - c * a * a)
 
 
+@functools.lru_cache(maxsize=None)
 def phi_psi_reference(t: float, alpha: float) -> tuple:
     """ldp.phi_psi_grid's (Phi, Psi) at t as mpf, at 90 digits, from the
     float planar image a = sqrt(t/alpha), c = 1/alpha that phi_psi_grid

@@ -355,6 +355,10 @@ class TestExitCodes:
         (["geometry", "--a", "1e200", "--c", "1"], ["a=1e+200", "c=1.0"]),
         # 4c overflows: the modulus cubic's coefficient a^2 + 4c is inf
         (["geometry", "--a", "2", "--c", "1e308"], ["a=2.0", "c=1e+308"]),
+        # 2c/a^2 is exactly the smallest normal double, and kappa ~ c/a^2
+        # half of it: in_double_range refuses the far field from there down
+        (["geometry", "--a", "2", "--c", "4.450147717014403e-308"],
+         ["a=2.0", "c=4.450147717014403e-308"]),
         (["free-energy", "--a", "1e200", "--c", "1", "--n", "8"],
          ["a=1e+200", "c=1.0"]),
         (["op-compare", "--a", "1e200", "--c", "1", "--n", "4", "--x", "3",
@@ -393,7 +397,7 @@ class TestExitCodes:
          ["alpha = 1.0", "t = 1.7e+308"]),
     ], ids=["order-past-bernoulli", "ldp-huge-t", "ldp-huge-alpha",
             "ldp-huge-both", "ldp-edge-equals-t", "geometry-huge-a",
-            "geometry-sum-overflows",
+            "geometry-sum-overflows", "geometry-far-field-smallest-normal",
             "free-energy-huge-a", "op-compare-huge-a", "ldp-phase-edge",
             "critical-huge-s", "op-compare-large-n", "op-compare-huge-z",
             "free-energy-tail-tiny-c", "free-energy-tail-inf",
@@ -451,23 +455,24 @@ class TestExitCodes:
         assert abs(droplet["kappa"] / kappa - 1) <= 8 * sys.float_info.epsilon
 
     @pytest.mark.parametrize("a, c, answers", [
-        (2.0, 4.450147717014403e-308, True),
-        (2.0, 1.5 * sys.float_info.min, False),
-        *((a, f * sys.float_info.min * (a - 1.0) * (a + 1.0) / 2.0, f > 1.0)
-          for a in (1.0000001, 2.0, 1e3) for f in (0.99, 1.01))],
-        ids=["geometry-far-field-smallest-normal", "geometry-far-field-tie",
-             *(f"a={a}-f={f}" for a in ("1.0000001", "2", "1e3")
-               for f in ("0.99", "1.01"))])
+        *((a, f * sys.float_info.min * a * a / 2.0, f > 1.0)
+          for a in (1.0000001, 2.0, 1e3) for f in (0.99, 1.01)),
+        (1.0, 5e-324, False),
+        (1.0000001, 1.01 * sys.float_info.min * 2.0000001e-7 / 2.0, False)],
+        ids=[*(f"a={a}-f={f}" for a in ("1.0000001", "2", "1e3")
+               for f in ("0.99", "1.01")),
+             "a=1-smallest-subnormal-c", "a=1.0000001-w-normal"])
     def test_far_field_double_range(self, a, c, answers, capsys):
-        # on the a > 1 route w ~ 2c/(a^2 - 1), which is f times the smallest
-        # normal double at c = f min (a^2 - 1)/2: refused, naming a and c,
-        # where the true w is subnormal, and solved where it is normal, w
-        # within 4 eps.  The first pair has w = 4/3 min; at the tie, f = 1,
-        # w ~ 2c/(a^2 - 1 + 4c) is below min by about 4c/3 relative, which
-        # the oracle's digits round to min itself
-        eps, smallest = sys.float_info.epsilon, sys.float_info.min
-        want = oracles.pre_reference(a, c)[1]
-        assert want >= smallest if answers else want <= smallest
+        # kappa ~ c/a^2 is formed from the far field, and c = f min a^2/2
+        # puts it near f min/2: refused, naming a and c, at f = 0.99 and
+        # solved at f = 1.01, kappa within droplet's 8 eps though
+        # subnormal.  The last two pairs have a w far above min, from
+        # w ~ 2c/(a^2 - 1) or w = v ~ sqrt(4c/3) at a = 1, but kappa far
+        # below it; at the first kappa = v w/2 would round to 0
+        smallest = sys.float_info.min
+        q, v, w = oracles.modulus_reference(a, c)
+        want = v * w / (2 * a * q)
+        assert want > smallest / 3 if answers else want < smallest / 2
         code, out, err = run_cli(["geometry", "--a", repr(a), "--c", repr(c),
                                   "--points", "8"], capsys)
         if not answers:
@@ -477,19 +482,21 @@ class TestExitCodes:
             return
         assert code == 0
         assert json.loads(out)["droplet"]["regime"] == "PRE"
-        assert abs(geometry.droplet(a, c).w / want - 1) <= 4 * eps
+        kappa = geometry.droplet(a, c).kappa
+        assert abs(kappa / want - 1) <= 8 * sys.float_info.epsilon
 
     @pytest.mark.parametrize("a, c", [
         (1e8, 1.0), (1e4, 1e-12), (1.0, 1e-18), (0.999999999993981, 1e-22),
-        (0.9999998954795284, 1.0926627497055574e-14)],
+        (0.9999998954795284, 1.0926627497055574e-14), (1.0, 1e-40)],
         ids=["far-a", "tiny-c", "edge-log-zero", "edge-constant-over-zero",
-             "edge-tiny-c"])
+             "edge-tiny-c", "edge-q-rounds-to-one"])
     def test_simply_connected_free_energy_answers(self, a, c, capsys):
         # formed from q, the energy or constant here had a log of 0, a
         # division by (1 - q^2)^3 = 0 or too few digits, or the old solve
         # found no root at a point classify calls PRE, and free-energy
         # exited 2; from the gaps n2 keeps energy_pre's bound and the
-        # constant fconst_pre's
+        # constant fconst_pre's.  At the last pair q rounds to 1 and
+        # 2t q^2/(1 + t) to 1, so its log1p was log(0)
         eps = sys.float_info.epsilon
         code, out, _ = run_cli(["free-energy", "--a", repr(a), "--c",
                                 repr(c), "--n", "8"], capsys)

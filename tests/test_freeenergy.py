@@ -110,6 +110,11 @@ class TestGAtInsertionPoint:
         assert re_g_at_a(100.0, 1.0) - math.log(100.0) \
             == pytest.approx(0.0, abs=1e-3)
 
+    def test_q_rounded_to_one(self):
+        # at a = 1, c = 1e-40, q rounds to 1 and 2t q^2/(1 + t) to 1, whose
+        # log1p(-1) raised; Re g(1) = v - w + O(v^2) is below eps there
+        assert abs(re_g_at_a(1.0, 1e-40)) <= sys.float_info.epsilon
+
 
 class TestClosedFormDerivatives:
     def test_energy_derivative(self):

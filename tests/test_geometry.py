@@ -90,7 +90,8 @@ class TestClassify:
         assert geometry.droplet(0.0, 1e24).regime is Regime.POST
 
     @pytest.mark.parametrize("a,c", [(-0.1, 1.0), (0.5, 0.0), (0.5, -1.0),
-                                     (math.nan, 1.0), (0.5, math.nan)])
+                                     (math.nan, 1.0), (0.5, math.nan),
+                                     (0.0, math.inf)])
     def test_domain_errors(self, a, c):
         with pytest.raises(DomainError):
             geometry.classify(a, c)

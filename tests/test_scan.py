@@ -171,17 +171,12 @@ def pushed_t(alpha: float, d: float) -> float:
     return ldp.lambda_minus(alpha) * (1.0 + d)
 
 
-@functools.lru_cache(maxsize=None)
-def phi_psi_reference(t: float, alpha: float) -> tuple:
-    return oracles.phi_psi_reference(t, alpha)
-
-
 @pytest.mark.parametrize("alpha, d", ldp_cells(PHI_HOLDS, PHI_FOUND))
 def test_phi(alpha, d):
     # phi_psi_grid's Phi to ten digits
     t = pushed_t(alpha, d)
     (phi,), _ = ldp.phi_psi_grid((t,), alpha)
-    within_ten_digits(phi, phi_psi_reference(t, alpha)[0])
+    within_ten_digits(phi, oracles.phi_psi_reference(t, alpha)[0])
 
 
 @pytest.mark.parametrize("alpha", [10.0 ** k for k in LDP_KS],
@@ -190,7 +185,7 @@ def test_psi(alpha):
     # phi_psi_grid's Psi within 2 eps of max(1, |Psi|) at every distance
     ts = [pushed_t(alpha, d) for d in LDP_DISTANCES]
     for t, psi in zip(ts, ldp.phi_psi_grid(ts, alpha)[1]):
-        want = phi_psi_reference(t, alpha)[1]
+        want = oracles.phi_psi_reference(t, alpha)[1]
         assert rel(psi, want, max(1, abs(want))) <= 2, t
 
 

@@ -1,9 +1,10 @@
 """Flag types and the argument declarations the subcommands share.
 
-A flag value argparse cannot convert is an ArgumentTypeError; one that
-converts but cannot be used (a malformed grid or rational, a non-integer
-c*n) is a UsageError.  The front turns both into exit 1.  fractions loads
-only when a rational flag is parsed.
+A flag type refuses a value it cannot convert (a malformed number, or a
+rational whose float overflows) with an ArgumentTypeError, so the message
+names the flag; a value that converts but cannot be used (a malformed
+grid, a non-integer c*n) is a UsageError.  The front turns both into exit
+1.  fractions loads only when a rational flag is parsed.
 """
 from __future__ import annotations
 
@@ -12,14 +13,20 @@ import math
 
 from .errors import UsageError
 
+
 def parse_rational(text: str):
-    """Accept '9/16' style rationals and plain decimals, as a Fraction."""
+    """Accept '9/16' style rationals and plain decimals, as a Fraction
+    whose float is finite."""
     from fractions import Fraction
 
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational or decimal: {text!r}") from exc
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational or decimal: {text!r}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"outside the double range: {text!r}") from None
+    return value
 
 
 def finite_float(text: str) -> float:

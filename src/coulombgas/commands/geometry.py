@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..args import common, finite_float, int_at_least, parse_rational
-from ..table import Columns, _table, emit
+from ..table import _table, emit
 
 
 def add_arguments(p) -> None:
@@ -24,14 +24,11 @@ def run(args) -> None:
         info.update(chi=0, outer_radius=g.outer_radius,
                     inner_center=g.inner_center, inner_radius=g.inner_radius)
     thetas, components = geometry.droplet_boundary(g, args.points)
-    labels, res, ims = [], [], []
-    for label, points in components:
-        labels += [label] * len(points)
-        res += [point.real for point in points]
-        ims += [point.imag for point in points]
-    rows = Columns([("component", str, [labels]),
-                    ("theta", float, [list(thetas) * len(components)]),
-                    ("point", complex, [res, ims]),
-                    ("closed", bool, [[True] * len(labels)])])
+    labels, points = [], []
+    for label, curve in components:
+        labels += [label] * len(curve)
+        points += curve
+    rows = {"component": labels, "theta": list(thetas) * len(components),
+            "point": points, "closed": [True] * len(labels)}
     emit(_table("geometry", {"a": a, "c": c, "points": args.points},
                 rows, droplet=info), args)

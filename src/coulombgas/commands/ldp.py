@@ -4,7 +4,7 @@ from __future__ import annotations
 from ..args import (_int_product, common, parse_grid, parse_rational,
                     positive_int, t_or_grid)
 from ..errors import IdentityCheckFailure, UsageError
-from ..table import Columns, _table, emit
+from ..table import _table, emit
 
 
 def add_arguments(p) -> None:
@@ -33,9 +33,8 @@ def run(args) -> None:
     phis, psis = ldp.phi_psi_grid(ts, alpha)
     diffs = ldp.kc_rate_grid(ts, alpha)
     residuals = [abs(rate - diff) for rate, diff in zip(phis, diffs)]
-    rows = Columns([("t", float, [ts]), ("phi", float, [phis]),
-                    ("action_diff", float, [diffs]),
-                    ("residual", float, [residuals]), ("psi", float, [psis])])
+    rows = {"t": ts, "phi": phis, "action_diff": diffs,
+            "residual": residuals, "psi": psis}
     if args.exact_compare:
         # the exact oracle loads only here: the rate functions do not need it
         from fractions import Fraction
@@ -44,13 +43,13 @@ def run(args) -> None:
 
         n = args.n
         # phi_psi_grid has checked t > lambda_- > 0 at every point
-        rows += [("n", int, [[n] * len(ts)]),
-                 ("exact_log_p", float,
-                  [[float(lue_log_gap_probability(n, alpha_n, Fraction(t), n))
-                    for t in ts]]),
-                 ("ldp_log_p", float,
-                  [[ldp.ldp_log_probability(n, alpha, rate, const)
-                    for rate, const in zip(phis, psis)]])]
+        rows.update(
+            n=[n] * len(ts),
+            exact_log_p=[float(lue_log_gap_probability(n, alpha_n,
+                                                       Fraction(t), n))
+                         for t in ts],
+            ldp_log_p=[ldp.ldp_log_probability(n, alpha, rate, const)
+                       for rate, const in zip(phis, psis)])
     worst = max(residuals)
     emit(_table("ldp", {"alpha": alpha, "grid": args.grid, "t": args.t,
                         "check_kc": args.check_kc, "tol": args.tol,

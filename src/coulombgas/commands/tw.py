@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..args import common, parse_grid, t_or_grid
-from ..table import Columns, _table, emit
+from ..table import _table, emit
 
 
 def add_arguments(p) -> None:
@@ -19,7 +19,6 @@ def run(args) -> None:
     ts = parse_grid(args.grid) if args.grid is not None else [args.t]
     sol = painleve.hastings_mcleod(tol=args.tol)
     cdf, survival = painleve.tw_cdf_survival(sol, ts)
-    rows = Columns([("t", float, [ts]), ("cdf", float, [cdf]),
-                    ("survival", float, [survival])])
+    rows = {"t": ts, "cdf": cdf, "survival": survival}
     emit(_table("tw", {"tol": args.tol, "grid": args.grid, "t": args.t},
                 rows), args)

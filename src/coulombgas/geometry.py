@@ -181,11 +181,14 @@ def droplet(a: float, c: float) -> Droplet:
 
 
 def conformal_f(geom: PreGeometry, w: complex) -> complex:
-    """f(w) = R w - kappa/(w - q) - kappa/q; maps {|w| >= 1} onto the droplet exterior closure."""
+    """f(w) = R w - kappa/(w - q) - kappa/q; maps {|w| >= 1} onto the droplet exterior closure.
+    w - q is (w - 1) + v/(1 + q), so a q that rounds to 1 leaves |w| = 1 no pole."""
     w = complex(w)
-    if w == geom.q:
-        raise DomainError("conformal map has a pole at w = q")
-    return geom.R * w - geom.kappa / (w - geom.q) - geom.kappa / geom.q
+    if w == geom.q < 1.0:
+        raise DomainError(f"conformal map has a pole at w = q for "
+                          f"a={geom.a}, c={geom.c}")
+    return (geom.R * w - geom.kappa / ((w - 1.0) + geom.v / (1.0 + geom.q))
+            - geom.kappa / geom.q)
 
 
 def _sqrt_through_cut(z: complex, x0: float, y0: float) -> complex:

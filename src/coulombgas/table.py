@@ -5,19 +5,21 @@ resolved parameters, and its rows last; render refuses any other shape.
 The text is always what json.dumps(indent=2, allow_nan=False) or
 csv.DictWriter (minimal quoting, "\n" line ends) would write; CSV is a lossy
 projection of it (complex values become re/im column pairs, nested values
-are dropped).  One writer writes the rows, held as Columns: one value list
-per key with a kind, which one %-format string compiled per table writes,
-so the formatting runs in C.  Dict rows are read into Columns, each key of
-the kind of its values' one exact type: float, int, bool, str, complex (a
-Python complex, written as {"re", "im"}; only this module spells one, in
+are dropped).  A command hands its rows in either of two shapes: a list
+of dict rows, or one dict of equal-length value lists ({"t": ts, ...}).
+Both are read into columns, each key of the kind of its values' one exact
+type: float, int, bool, str, complex (a Python complex, written as
+{"re", "im"}; only this module spells one or splits it into its parts, in
 the head as in the rows) or object (a dict or list, written as json.dumps
-writes it); any other type is refused, as json refuses one in the head.
-Float values are spelled as float.__repr__ spells them: a column of at
-least ORJSON_CUT finite values through one orjson dump, whose shortest
-round-trip digits are repr's and whose few other spellings are rewritten to
-repr's, and any other column through repr itself.  Keys are identifiers.  A
-nan or infinity is written as its repr in CSV and raises json's ValueError
-in JSON (exit 2), in a column as in the head.
+writes it); a mixed column or any other type is refused by name, as json
+refuses one in the head.  One %-format string compiled per table writes
+the columns, so the formatting runs in C.  Float values are spelled as
+float.__repr__ spells them: a column of at least ORJSON_CUT finite values
+through one orjson dump, whose shortest round-trip digits are repr's and
+whose few other spellings are rewritten to repr's, and any other column
+through repr itself.  Keys are identifiers.  A nan or infinity is written
+as its repr in CSV and raises json's ValueError in JSON (exit 2), in a
+column as in the head.
 """
 from __future__ import annotations
 
@@ -34,34 +36,30 @@ def _cnum(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-class Columns(list):
-    """Table rows held as columns: (key, kind, values) triples.
-
-    kind is float, int, bool, str, complex or object; values holds one list
-    per written column, (re, im) for complex, each with one entry per row.
-    """
-
-
-# the kind of each exact type a dict-row value may have
+# the kind of each exact type a value may have
 _KIND = {float: float, int: int, bool: bool, str: str, complex: complex,
          dict: object, list: object}
 
 
-def _columns(rows: list) -> Columns:
-    """Dict rows as Columns: the first row's keys in order, each of the
-    _KIND of its values' one exact type; any other rows are refused."""
-    keys = list(rows[0]) if rows else []
-    for row in rows:
-        if list(row) != keys:
-            raise TypeError(f"dict row keys {list(row)} are not {keys}")
-    columns = Columns()
-    for key in keys:
-        values = [row[key] for row in rows]
-        types = {type(value) for value in values}
-        if len(types) > 1 or type(values[0]) not in _KIND:
-            raise TypeError(f"dict rows give {key!r} no one column kind: "
+def _columns(rows) -> list:
+    """Either shape of rows as (key, kind, values) triples: values holds one
+    list per written column, (re, im) for complex; see the module docstring."""
+    if isinstance(rows, dict):
+        if len({len(values) for values in rows.values()}) > 1:
+            raise TypeError(f"columns {list(rows)} differ in length")
+    else:
+        keys = list(rows[0]) if rows else []
+        for row in rows:
+            if list(row) != keys:
+                raise TypeError(f"dict row keys {list(row)} are not {keys}")
+        rows = {key: [row[key] for row in rows] for key in keys}
+    columns = []
+    for key, values in rows.items():
+        types = set(map(type, values))
+        if len(types) != 1 or not types <= _KIND.keys():
+            raise TypeError(f"rows give {key!r} no one column kind: "
                             f"{sorted(t.__name__ for t in types)}")
-        kind = _KIND[type(values[0])]
+        kind = _KIND[types.pop()]
         columns.append((key, kind,
                         [[z.real for z in values], [z.imag for z in values]]
                         if kind is complex else [values]))
@@ -117,7 +115,7 @@ def _float_texts(values: list) -> list[str]:
     return text[1:-1].decode().split(",")
 
 
-def _json_rows(columns: Columns) -> list[str]:
+def _json_rows(columns: list) -> list[str]:
     """Each row as json.dumps(indent=2) writes it inside the table."""
     import json
     from json.encoder import encode_basestring_ascii
@@ -148,7 +146,7 @@ def _json_rows(columns: Columns) -> list[str]:
     return list(map(fmt.__mod__, zip(*values)))
 
 
-def _csv_rows(columns: Columns) -> list[str]:
+def _csv_rows(columns: list) -> list[str]:
     """The header line and each row as csv.DictWriter writes them."""
     header, fields, values = [], [], []
     for key, kind, cols in columns:
@@ -173,9 +171,7 @@ def render(table: dict, fmt: str) -> str:
     """The table as JSON or CSV text; see the module docstring."""
     if len(table) < 2 or list(table)[-1] != "rows":
         raise TypeError(f"a table is a head and its rows last: {list(table)}")
-    rows = table["rows"]
-    if not isinstance(rows, Columns):
-        rows = _columns(rows)
+    rows = _columns(table["rows"])
     if fmt == "csv":
         return "".join(_csv_rows(rows))
     import json

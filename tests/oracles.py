@@ -269,14 +269,13 @@ def reference_render(table: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def column_rows(columns: list) -> list[dict]:
-    """The dict rows of a CLI column table of (key, kind, value lists)
-    triples: row i takes entry i of each column, and of a complex column's
-    two lists as {"re": re[i], "im": im[i]}."""
-    count = len(columns[0][2][0]) if columns else 0
-    return [{key: ({"re": values[0][i], "im": values[1][i]}
-                   if kind is complex else values[0][i])
-             for key, kind, values in columns} for i in range(count)]
+def column_rows(columns: dict) -> list[dict]:
+    """The dict rows of a CLI table given as a dict of equal-length value
+    lists: row i takes entry i of each list, a complex one as {"re", "im"}."""
+    return [{key: ({"re": value.real, "im": value.imag}
+                   if isinstance(value, complex) else value)
+             for key, value in zip(columns, values)}
+            for values in zip(*columns.values())]
 
 
 def fraction_solve(matrix: list, rhs: Optional[list] = None) -> tuple:
@@ -419,16 +418,42 @@ def _energy_pre(a, c, q):
 
 def modulus_reference(a: float, c: float) -> tuple:
     """(q, 1 - q^2, 1 - a^2 q^2) at pre-critical (a, c) as mpf, to about 60
-    digits: the middle root s = a^2 q^2 of 2 s^3 - (a^2 + 4c + 2) s^2 + a^2
-    by mp.polyroots, at 80 digits plus those that 1 - s loses, about
-    log10(a^2/c) of them far out."""
-    with mp.workdps(80 + max(0, int(math.log10(a * a) - math.log10(c)))):
-        a2 = mp.mpf(a) ** 2
-        roots = mp.polyroots([2, -(a2 + 4 * mp.mpf(c) + 2), 0, a2],
-                             maxsteps=200, extraprec=2 * mp.dps)
-        [s] = [r.real for r in roots
-               if abs(r.imag) < mp.eps ** 0.5 and 0 < r.real < min(1, a2)]
-        return +mp.sqrt(s / a2), +(1 - s / a2), +(1 - s)
+    digits.  w = 1 - a^2 q^2 is the one root in (0, 1) of h = (a^2/2)
+    w (1 + s) - s^2 (2c + w), s = 1 - w, the cubic in s = a^2 q^2 written
+    in w: h < 0 at w = c/(a^2 + 4c), where h < a^2 w - 2c s^2, and h > 0
+    at s = a/(2 sqrt(a^2 + 2c + 1)), where h > (a^2/2)(1 - s^2) - (2c + 1)
+    s^2.  The root is bisected in u = log(w/s), which keeps the digits of
+    both w and s, to 12 digits at 20, and polished by Newton's method at 80,
+    each plus those that h's terms cancel, about log10(a^2/c) of them at tiny c,
+    and those that s = 1 - w loses at tiny a, log10(1/a^2); a sign change
+    of h beside it and s < a^2 (the pre-critical root) are checked."""
+    def h(w, s):
+        return a2 * w * (1 + s) / 2 - s * s * (2 * c_ + w)
+
+    def ws(u):
+        e = mp.exp(-u)
+        return 1 / (1 + e), e / (1 + e)
+
+    log_a2 = 2.0 * math.log10(a)
+    extra = max(0, int(log_a2 - math.log10(c))) + max(0, int(-log_a2))
+    with mp.workdps(20 + extra):
+        a2, c_ = mp.mpf(a) ** 2, mp.mpf(c)
+        s_hi = mp.sqrt(a2 / (a2 + 2 * c_ + 1)) / 2
+        lo, hi = mp.log(c_ / (a2 + 3 * c_)), mp.log((1 - s_hi) / s_hi)
+        while hi - lo > (1 + abs(lo) + abs(hi)) * mp.mpf(10) ** -12:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if h(*ws(mid)) < 0 else (lo, mid)
+    with mp.workdps(80 + extra):
+        a2, c_ = mp.mpf(a) ** 2, mp.mpf(c)
+        w, s = ws(mp.mpf(lo))
+        for _ in range(20):
+            step = h(w, s) / (s * (a2 + 4 * c_ + 2 - 3 * s))
+            w, s = w - step, s + step
+            if abs(step) < 4 * mp.eps * min(w, s):
+                break
+        gap = min(w, s) * mp.mpf(10) ** -60
+        assert h(w - gap, s + gap) < 0 < h(w + gap, s - gap) and s < a2
+        return +mp.sqrt(s / a2), +(a2 - 1 + w) / a2, +w
 
 
 def fconst_pre_reference(v, w):

@@ -19,7 +19,7 @@ import pytest
 
 import oracles
 from coulombgas import cli, freeenergy, geometry, ldp, opasymp
-from coulombgas.table import Columns, render
+from coulombgas.table import render
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -243,7 +243,14 @@ class TestExitCodes:
         (["critical", "--n", "8", "--c", "0", "--s", "1"],
          cli.EXIT_NUMERICAL, "need c > 0, got 0.0"),
         (["free-energy", "--a", "0.2", "--c", "abc", "--n", "8"],
-         cli.EXIT_USAGE, "not a rational or decimal: 'abc'"),
+         cli.EXIT_USAGE, "argument --c: not a rational or decimal: 'abc'"),
+        # a rational whose float overflows is refused as its flag's value
+        (["geometry", "--a", "0", "--c", "1e400"], cli.EXIT_USAGE,
+         "argument --c: outside the double range: '1e400'"),
+        (["free-energy", "--a", "0.2", "--c", "1e400", "--n", "4"],
+         cli.EXIT_USAGE, "argument --c: outside the double range: '1e400'"),
+        (["ldp", "--alpha", "1e400", "--t", "1"], cli.EXIT_USAGE,
+         "argument --alpha: outside the double range: '1e400'"),
         (["geometry", "--a", "abc", "--c", "1"], cli.EXIT_USAGE,
          "argument --a: invalid float value: 'abc'"),
         (["critical", "--n", "x", "--c", "1", "--s", "1"], cli.EXIT_USAGE,
@@ -274,7 +281,9 @@ class TestExitCodes:
          "t = 0.0 at alpha = 1.0 has a post-critical planar image, outside "
          "the pushed regime; lambda_- = 0.17157287525380993"),
     ], ids=["duality-negative-x", "ldp-zero-alpha",
-            "critical-zero-c", "bad-rational", "bad-float", "bad-int",
+            "critical-zero-c", "bad-rational", "geometry-rational-overflow",
+            "free-energy-rational-overflow", "ldp-rational-overflow",
+            "bad-float", "bad-int",
             "empty-n-list", "op-compare-inside-pre-gate",
             "op-compare-inside-post-gate", "geometry-at-a-cri",
             "free-energy-at-a-cri", "op-compare-at-a-cri",
@@ -693,11 +702,11 @@ def _spelled(value):
 
 
 def dict_rows(table):
-    """The table with column rows expanded to dicts and complex values
-    spelled as {"re", "im"}, in the head as in the rows, for
+    """The table with a dict of value lists expanded to dict rows and
+    complex values spelled as {"re", "im"}, in the head as in the rows, for
     reference_render."""
     rows = table["rows"]
-    if isinstance(rows, Columns):
+    if isinstance(rows, dict):
         rows = oracles.column_rows(rows)
     return _spelled({**table, "rows": rows})
 
@@ -732,7 +741,7 @@ class TestRender:
         names = set()
         for table, reference in emitted_tables:
             name = table.get("subcommand")
-            assert isinstance(table["rows"], Columns) == (
+            assert isinstance(table["rows"], dict) == (
                 name in GRID_TABLES), name
             if name in GRID_TABLES:
                 for fmt in ("json", "csv"):
@@ -765,14 +774,12 @@ class TestRender:
         # None beside floats inside nested values
         [{"d": {"x": None, "y": 1.5}, "w": 0.5},
          {"d": {"x": 0.25, "y": None}, "w": 2.5}],
-        # column tables of the kinds the grid commands build: non-ASCII and
-        # empty strings, and every kind in one table
-        Columns([("label", str, [["caf\u00e9 50%", ""]]),
-                 ("v", float, [[-0.0, 1e300]])]),
-        Columns([("k", str, [["a", "\u00e9\u00e8"]]),
-                 ("t", float, [[0.1 + 0.2, -1e-300]]),
-                 ("n", int, [[2 ** 70, -1]]), ("ok", bool, [[True, False]]),
-                 ("z", complex, [[5e-324, -0.0], [-1.5, 1e300]])]),
+        # dicts of value lists, as the grid commands build them: non-ASCII
+        # and empty strings, and every kind in one table
+        {"label": ["caf\u00e9 50%", ""], "v": [-0.0, 1e300]},
+        {"k": ["a", "\u00e9\u00e8"], "t": [0.1 + 0.2, -1e-300],
+         "n": [2 ** 70, -1], "ok": [True, False],
+         "z": [complex(5e-324, -1.5), complex(-0.0, 1e300)]},
         # no rows, as dicts
         [],
     ], ids=["dict-all-kinds", "missing-key", "int-then-float", "im-before-re",
@@ -792,7 +799,8 @@ class TestRender:
     def test_mixed_dict_rows_are_refused(self):
         # dict rows are read into columns of the first row's keys and kinds:
         # a missing key, another key order, a type change or a type of no
-        # kind (which CSV would drop) names its key
+        # kind (which CSV would drop) names its key, and so does a dict of
+        # value lists with such a column or of lists of unequal lengths
         for rows, key in [
                 ([{"x": 1.0, "y": True}, {"x": 2.0}], "y"),
                 ([{"x": 1.0, "y": 2.0}, {"y": 2.0, "x": 1.0}], "y"),
@@ -802,7 +810,13 @@ class TestRender:
                 ([{"z": 1j, "w": 0.5}, {"z": [1.0, 2.0], "w": 0.5}], "z"),
                 ([{"x": None, "y": 1.5}, {"x": 0.25, "y": 2.5}], "x"),
                 ([{"x": 1.0, "c": fractions.Fraction(1, 3)}], "c"),
-                ([{"c": None}, {"c": None}], "c")]:
+                ([{"c": None}, {"c": None}], "c"),
+                ({"x": [1.0, 2.0], "n": [2, 3.0]}, "n"),
+                ({"n": [1, True]}, "n"),
+                ({"z": [1j, 0.5]}, "z"),
+                ({"x": [1.0], "c": [fractions.Fraction(1, 3)]}, "c"),
+                ({"x": [None, None]}, "x"),
+                ({"x": [1.0, 2.0], "y": [1.0]}, "y")]:
             for fmt in ("json", "csv"):
                 with pytest.raises(TypeError, match=repr(key)):
                     render(_table(rows), fmt)
@@ -819,20 +833,19 @@ class TestRender:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_refuses_non_finite_csv_writes_it(self, bad, monkeypatch,
                                                    capsys):
-        for columns in ([("x", float, [[1.0]]), ("y", float, [[bad]])],
-                        [("x", float, [[1.0]]), ("z", complex, [[0.0], [bad]])]):
+        for columns in ({"x": [1.0], "y": [bad]},
+                        {"x": [1.0], "z": [complex(0.0, bad)]}):
             # json's own error, as dict rows would raise it
-            table = _table(Columns(columns))
+            table = _table(columns)
             with pytest.raises(ValueError) as ours:
                 render(table, "json")
             with pytest.raises(ValueError) as theirs:
                 oracles.reference_render(dict_rows(table), "json")
             assert str(ours.value) == str(theirs.value)
-        assert render(_table(Columns(
-            [("x", float, [[1.0]]), ("y", float, [[bad]])])), "csv") \
+        assert render(_table({"x": [1.0], "y": [bad]}), "csv") \
             == f"x,y\n1.0,{bad!r}\n"
         with pytest.raises(ValueError):
-            render(_table(Columns([("x", float, [[1.0]])]), worst=bad), "json")
+            render(_table({"x": [1.0]}, worst=bad), "json")
         # through the CLI: exit 2 for JSON, the value written for CSV
         from coulombgas import ldp
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 import oracles
 from coulombgas import freeenergy, geometry
@@ -315,6 +316,26 @@ class TestDropletBoundary:
         assert points == tuple(geometry.conformal_f(g, cmath.exp(1j * t))
                                for t in thetas)
 
+    @pytest.mark.parametrize("a, c", [
+        (1.0, 1e-40), (0.999999900000005, 1e-14),
+        (0.0004999998750000625, 1e6), (5e-51, 1e100)])
+    def test_no_pole_where_q_rounds_to_one(self, a, c):
+        # the first pre-critical float above a_cri at three c, and a = 1 at
+        # tiny c: q rounds to 1, yet f(w) = R w - kappa/(w - q) - kappa/q
+        # is finite on the unit circle; each point is within 2 eps of the
+        # boundary's size of f at 60 digits, from modulus_reference's gaps
+        g = geometry.droplet(a, c)
+        assert g.q == 1.0
+        thetas, [(_, points)] = geometry.droplet_boundary(g, 64)
+        q, v, w = oracles.modulus_reference(a, c)
+        with mp.workdps(60):
+            R, kappa = (2 - w) / (2 * a * q), v * w / (2 * a * q)
+            want = [R * e - kappa / (e - q) - kappa / q
+                    for e in (mp.mpc(cmath.exp(1j * t)) for t in thetas)]
+            size = max(map(abs, want))
+            assert max(abs(z - f) for z, f in zip(points, want)) \
+                < 2 * sys.float_info.epsilon * size
+
     def test_post_strict_separation(self):
         _, (outer, inner) = geometry.droplet_boundary(
             geometry.droplet(0.25, 9 / 16), 128)
@@ -373,7 +394,7 @@ def test_post_existence_property(a, c):
     (lambda geom: geometry.solve_modulus(2.0, 0.0),
      "solve_modulus needs a > 0 and c > 0, got a=2.0, c=0.0"),
     (lambda geom: geometry.conformal_f(geom, geom.q),
-     "conformal map has a pole at w = q"),
+     "conformal map has a pole at w = q for a=1.2, c=1.0"),
 ], ids=["a-cri-zero-c", "solve-modulus-zero-a", "solve-modulus-zero-c",
         "conformal-f-pole"])
 def test_refuses_arguments_out_of_domain(call, message, pre_geom):

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from coulombgas import painleve
-from coulombgas.table import ORJSON_CUT, Columns, _float_texts, render
+from coulombgas.table import ORJSON_CUT, _float_texts, render
 
 
 @pytest.fixture
@@ -82,7 +82,7 @@ def test_fixed_digits_inside_a_value_stay():
 
 def _table(columns, **head):
     return {"schema_version": 1, "params": {"grid": None}, **head,
-            "rows": Columns(columns)}
+            "rows": columns}
 
 
 @pytest.mark.parametrize("rows", [ORJSON_CUT - 1, ORJSON_CUT])
@@ -91,9 +91,8 @@ def test_tables_at_and_below_the_cut_match_the_reference(rows, fmt,
                                                          dumps_calls):
     ts = np.linspace(-1e-3, 1e17, rows).tolist()
     small = [t * 1e-21 for t in ts]
-    table = _table([("t", float, [ts]), ("z", complex, [small, ts]),
-                    ("n", int, [list(range(rows))]),
-                    ("ok", bool, [[True] * rows])])
+    table = _table({"t": ts, "z": list(map(complex, small, ts)),
+                    "n": list(range(rows)), "ok": [True] * rows})
     text = render(table, fmt)
     assert text == oracles.reference_render(
         {**table, "rows": oracles.column_rows(table["rows"])}, fmt)
@@ -106,7 +105,7 @@ def test_non_finite_long_column(bad):
     xs = [0.25 * k for k in range(ORJSON_CUT)]
     xs[ORJSON_CUT // 2] = bad
     ys = [1e-5 * k for k in range(ORJSON_CUT)]
-    table = _table([("x", float, [xs]), ("y", float, [ys])])
+    table = _table({"x": xs, "y": ys})
     with pytest.raises(ValueError) as ours:
         render(table, "json")
     with pytest.raises(ValueError) as theirs:
@@ -122,8 +121,7 @@ def test_tw_columns_take_the_orjson_route(hm_solution, dumps_calls):
     ts = np.linspace(-8.0, 6.0, ORJSON_CUT).tolist()
     cdf, survival = painleve.tw_cdf_survival(hm_solution, ts)
     assert {type(x) for x in (*cdf, *survival)} == {float}
-    table = _table([("t", float, [ts]), ("cdf", float, [cdf]),
-                    ("survival", float, [survival])])
+    table = _table({"t": ts, "cdf": cdf, "survival": survival})
     for fmt in ("json", "csv"):
         assert render(table, fmt) == oracles.reference_render(
             {**table, "rows": oracles.column_rows(table["rows"])}, fmt)
